@@ -14,7 +14,13 @@ from typing import Mapping, Sequence
 from .errors import NotACobracket, ShapeError
 from .exactalg import PolyExpr, as_poly
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, from_json as algebra_from_json, zero_tensor3
+from .liealg import (
+    LieAlgebra,
+    _nonzero_entries,
+    _used_params,
+    from_json as algebra_from_json,
+    zero_tensor3,
+)
 
 
 @dataclass
@@ -38,14 +44,7 @@ class CocommTensor:
                         )
 
     def nonzero(self) -> list:
-        n = self.dim
-        return [
-            (i, j, k, self.f[i][j][k])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            if not self.f[i][j][k].is_zero
-        ]
+        return _nonzero_entries(self.f)
 
 
 def cocomm_from_wedge(
@@ -124,12 +123,7 @@ def dual_bialgebra(B: LieBialgebra) -> LieBialgebra:
             for k in range(n):
                 c_dual[i][j][k] = B.cocomm.f[k][i][j]
                 f_dual[i][j][k] = B.algebra.c[j][k][i]
-    params = set()
-    for plane in c_dual:
-        for row in plane:
-            for p in row:
-                params |= p.parameters()
-    dual_algebra = LieAlgebra(n, B.dual_labels, tuple(sorted(params)), c_dual)
+    dual_algebra = LieAlgebra(n, B.dual_labels, _used_params(c_dual), c_dual)
     return new_bialgebra(dual_algebra, f_dual, dual_labels=B.algebra.labels)
 
 

@@ -222,10 +222,6 @@ def get(key: str) -> CatalogEntry:
     return load().get(key)
 
 
-def list_keys(kind: str | None = None) -> list:
-    return load().list(kind)
-
-
 def default_verification_cells(catalog: Catalog | None = None) -> list:
     """The Sklyanin verification matrix: one cell per published 2d family."""
     cat = catalog or load()

@@ -27,7 +27,7 @@ from .bialgebra import CocommTensor, LieBialgebra, new_bialgebra
 from .errors import DimensionMismatch
 from .exactalg import PolyExpr, Q, as_poly
 from .exactlinalg import Matrix, Vector
-from .liealg import LieAlgebra, zero_matrix, zero_tensor3
+from .liealg import LieAlgebra, _used_params, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
@@ -62,12 +62,7 @@ def double_structure_algebra(B: LieBialgebra) -> LieAlgebra:
     n = B.dim
     c2 = double_structure_tensor(B.algebra, B.cocomm.f)
     labels = B.algebra.labels + B.dual_labels
-    params = set()
-    for plane in c2:
-        for row in plane:
-            for p in row:
-                params |= p.parameters()
-    return LieAlgebra(2 * n, labels, tuple(sorted(params)), c2)
+    return LieAlgebra(2 * n, labels, _used_params(c2), c2)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import NotDivisible, PolyParseError, UnassignedParameter
 
@@ -238,10 +238,6 @@ class PolyExpr:
                     term = term * _invert_single_term(rep) ** (-e)
             out = out + term
         return out
-
-    def div_exact(self, divisor: PolyLike) -> PolyExpr:
-        """Exact division; raises :class:`NotDivisible` on nonzero remainder."""
-        return poly_div_exact(self, divisor)
 
     # -- canonical text form --------------------------------------------
 

@@ -1,10 +1,15 @@
 """Exact linear algebra over the polynomial scalars.
 
-Rank and span membership use fraction-free Bareiss elimination, whose
-divisions are exact in any integral domain.  Solving and inversion run
-over the fraction field via a small private numerator/denominator pair;
-results are converted back to polynomials at the end (raising
-:class:`NotDivisible` when a solution is a genuine rational function).
+Every routine runs one fraction-free elimination, Bareiss's (Math. Comp.
+22, 1968): each update divides exactly by the previous pivot, so the
+entries stay polynomials (minors of the input) and no quotient of
+polynomials is ever formed.  :func:`rank` reads the forward pass.
+:func:`invert`, :func:`solve_in_span` and :func:`nullspace` also clear the
+entries above each pivot; every pivot then equals the last one, d, and each
+answer is an entry of the reduced matrix divided exactly by d.  That
+division raises :class:`NotDivisible` when an answer is a genuine rational
+function rather than a Laurent polynomial (:func:`nullspace` then keeps
+the undivided, fraction-free vector).
 
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
@@ -17,6 +22,8 @@ from .exactalg import PolyExpr, as_poly, poly_div_exact
 
 Matrix = list  # list[list[PolyExpr]]
 Vector = list  # list[PolyExpr]
+
+_ZERO, _ONE = PolyExpr.zero(), PolyExpr.one()
 
 
 def mat(rows) -> Matrix:
@@ -56,16 +63,22 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _bareiss_echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Fraction-free row echelon form; returns (echelon, pivot columns)."""
+def _eliminate(rows: Matrix, reduce: bool) -> tuple[Matrix, list[int]]:
+    """Bareiss elimination on a copy of ``rows``: (matrix, pivot columns).
+
+    Row r of the result holds the pivot of column ``pivots[r]``; the rows
+    after the last pivot row are zero.  Each update divides exactly by the
+    previous pivot.  With ``reduce`` the entries above every pivot are
+    cleared too, and every pivot ends equal to the last one.
+    """
     m = [list(row) for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = PolyExpr.one()
-    r = 0
+    prev = _ONE
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
         pivot_row = None
         for i in range(r, len(m)):
             if not m[i][c].is_zero:
@@ -79,182 +92,52 @@ def _bareiss_echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
+        prow, piv = m[r], m[r][c]
+        divide = prev != _ONE
+        for i in range(0 if reduce else r + 1, len(m)):
+            if i == r:
+                continue
+            row, f = m[i], m[i][c]
             for j in range(ncols):
                 if j == c:
                     continue
-                num = piv * m[i][j] - m[i][c] * m[r][j]
-                m[i][j] = num if prev == 1 else poly_div_exact(num, prev)
-            m[i][c] = PolyExpr.zero()
+                a, b = row[j], prow[j]
+                if f.is_zero or b.is_zero:
+                    if a.is_zero:
+                        continue
+                    num = piv * a
+                else:
+                    num = piv * a - f * b
+                row[j] = poly_div_exact(num, prev) if divide else num
+            row[c] = _ZERO
         pivots.append(c)
         prev = piv
-        r += 1
-        if r == len(m):
-            break
     return m, pivots
 
 
 def rank(rows: Matrix) -> int:
     """Rank over the field of rational functions of the parameters."""
-    if not rows:
-        return 0
-    _, pivots = _bareiss_echelon(rows)
-    return len(pivots)
-
-
-def det(a: Matrix) -> PolyExpr:
-    """Determinant via Bareiss (exact)."""
-    n = len(a)
-    if n == 0:
-        return PolyExpr.one()
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    sign = 1
-    prev = PolyExpr.one()
-    for c in range(n - 1):
-        pivot_row = None
-        for i in range(c, n):
-            if not m[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return PolyExpr.zero()
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = piv * m[i][j] - m[i][c] * m[c][j]
-                m[i][j] = num if prev == 1 else poly_div_exact(num, prev)
-            m[i][c] = PolyExpr.zero()
-        prev = piv
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def in_span(rows: Matrix, v: Vector) -> bool:
-    """True iff v lies in the row span of rows (generic parameters)."""
-    base = [row for row in rows]
-    return rank(base + [list(v)]) == rank(base)
-
-
-def span_contains_all(rows: Matrix, vectors: list[Vector]) -> bool:
-    r0 = rank(rows)
-    return rank(list(rows) + [list(v) for v in vectors]) == r0
-
-
-class _Frac:
-    """Numerator/denominator pair over PolyExpr, normalized opportunistically."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: PolyExpr, den: PolyExpr | None = None):
-        den = PolyExpr.one() if den is None else den
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = PolyExpr.one()
-        elif den.is_single_term:
-            num = poly_div_exact(num, den)
-            den = PolyExpr.one()
-        else:
-            try:
-                num = poly_div_exact(num, den)
-                den = PolyExpr.one()
-            except NotDivisible:
-                pass
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __add__(self, other: "_Frac") -> "_Frac":
-        if self.den == other.den:
-            return _Frac(self.num + other.num, self.den)
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "_Frac") -> "_Frac":
-        return self + _Frac(-other.num, other.den)
-
-    def __mul__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "_Frac") -> "_Frac":
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by zero fraction")
-        return _Frac(self.num * other.den, self.den * other.num)
-
-    def to_poly(self) -> PolyExpr:
-        return poly_div_exact(self.num, self.den)
-
-
-def _solve_fracfield(a: Matrix, rhs: list[Vector]) -> list[list[_Frac]] | None:
-    """Solve a x = b for each b in rhs (columns); None if inconsistent.
-
-    Free variables are set to zero.  ``a`` is n_rows x n_cols, each rhs
-    vector has length n_rows; solutions have length n_cols.
-    """
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    k = len(rhs)
-    m = [
-        [_Frac(as_poly(a[i][j])) for j in range(n_cols)]
-        + [_Frac(as_poly(rhs[c][i])) for c in range(k)]
-        for i in range(n_rows)
-    ]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if not m[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(n_rows):
-            if i == r or m[i][c].is_zero:
-                continue
-            factor = m[i][c] / piv
-            for j in range(c, n_cols + k):
-                m[i][j] = m[i][j] - factor * m[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        for c in range(k):
-            if not m[i][n_cols + c].is_zero:
-                return None
-    solutions = []
-    for c in range(k):
-        x = [_Frac(PolyExpr.zero()) for _ in range(n_cols)]
-        for (pr, pc) in pivots:
-            x[pc] = m[pr][n_cols + c] / m[pr][pc]
-        solutions.append(x)
-    return solutions
+    return len(_eliminate(rows, reduce=False)[1])
 
 
 def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
     """Coefficients c with sum_r c[r] * rows[r] == v, or None.
 
-    Raises :class:`NotDivisible` if the (unique, generic) coefficients are
-    rational functions rather than Laurent polynomials.
+    Free coefficients are set to zero.  Raises :class:`NotDivisible` if the
+    (generic) coefficients are rational functions rather than Laurent
+    polynomials.
     """
     if not rows:
         return None
-    a = transpose(mat(rows))
-    sols = _solve_fracfield(a, [list(v)])
-    if sols is None:
-        return None
-    return [f.to_poly() for f in sols[0]]
+    k = len(rows)
+    augmented = [col + [as_poly(x)] for col, x in zip(transpose(mat(rows)), v)]
+    m, pivots = _eliminate(augmented, reduce=True)
+    if pivots and pivots[-1] == k:
+        return None  # a pivot in the right-hand side: inconsistent
+    coeffs = [_ZERO] * k
+    for r, c in enumerate(pivots):
+        coeffs[c] = poly_div_exact(m[r][k], m[r][c])
+    return coeffs
 
 
 def invert(a: Matrix) -> Matrix:
@@ -266,59 +149,29 @@ def invert(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise SingularMatrix("matrix is not square")
-    a = mat(a)
-    if rank(a) < n:
+    augmented = [row + unit for row, unit in zip(mat(a), identity(n))]
+    m, pivots = _eliminate(augmented, reduce=True)
+    if pivots and pivots[-1] >= n:
         raise SingularMatrix("matrix has no inverse (rank deficient)")
-    eye = identity(n)
-    cols = _solve_fracfield(a, [[eye[i][j] for i in range(n)] for j in range(n)])
-    assert cols is not None
-    inv = [[cols[j][i].to_poly() for j in range(n)] for i in range(n)]
-    return inv
+    return [[poly_div_exact(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {x : a x = 0}, scaled to clear denominators."""
-    n_rows = len(a)
     n_cols = len(a[0]) if a else 0
-    if n_cols == 0:
-        return []
-    if n_rows == 0:
-        return identity(n_cols)
-    m = [[_Frac(as_poly(x)) for x in row] for row in a]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if not m[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        for i in range(n_rows):
-            if i == r or m[i][c].is_zero:
-                continue
-            factor = m[i][c] / piv
-            for j in range(n_cols):
-                m[i][j] = m[i][j] - factor * m[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    pivot_cols = {c for _, c in pivots}
+    m, pivots = _eliminate(mat(a), reduce=True)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else _ONE
     basis = []
     for free in range(n_cols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
-        x = [_Frac(PolyExpr.zero()) for _ in range(n_cols)]
-        x[free] = _Frac(PolyExpr.one())
-        for (pr, pc) in pivots:
-            x[pc] = _Frac(PolyExpr.zero()) - m[pr][free] / m[pr][pc]
-        scale = PolyExpr.one()
-        for f in x:
-            if not f.den.is_constant or f.den.constant_value() != 1:
-                scale = scale * f.den
-        basis.append([(f * _Frac(scale)).to_poly() for f in x])
+        x = [_ZERO] * n_cols
+        x[free] = d
+        for r, c in enumerate(pivots):
+            x[c] = -m[r][free]
+        try:
+            x = [poly_div_exact(y, d) for y in x]
+        except NotDivisible:
+            pass  # keep the fraction-free vector
+        basis.append(x)
     return basis

@@ -39,7 +39,6 @@ from .exactalg import PolyExpr, as_poly
 from .exactlinalg import (
     Matrix,
     Vector,
-    in_span,
     invert,
     mat,
     nullspace,
@@ -49,6 +48,7 @@ from .exactlinalg import (
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
+    _used_params,
     bracket,
     transform_cocomm,
     transform_structure,
@@ -156,8 +156,12 @@ def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
 
 def lagrangian_from_pi(D: DoubleAlgebra, spec: LagrangianSpec) -> Subspace:
     """l = h ⊕ span{ t^α + π^{αβ} T_β } inside the double."""
+    return _lagrangian(D, spec, _adapted(spec, D.n)[1])
+
+
+def _lagrangian(D: DoubleAlgebra, spec: LagrangianSpec, a_inv: Matrix) -> Subspace:
+    """:func:`lagrangian_from_pi` given the inverse of the adapted basis."""
     n = D.n
-    _, a_inv = _adapted(spec, n)
     vectors = [list(v) + [PolyExpr.zero()] * n for v in spec.h_basis]
     n_h = spec.n_h
     for a in range(spec.n_t):
@@ -245,7 +249,7 @@ def classify(
     f_ad = transform_cocomm(B.cocomm.f, a_rows, a_inv)
     n_h, n_t = spec.n_h, spec.n_t
 
-    l = lagrangian_from_pi(D, spec)
+    l = _lagrangian(D, spec, a_inv)
     lagr = is_lagrangian(D, l)
     subalg = is_subalgebra(D, l)
     violations = []
@@ -361,12 +365,7 @@ def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgeb
             for k in range(n):
                 c[i][j][k] = coords[k]
                 c[j][i][k] = -coords[k]
-    params = set()
-    for plane in c:
-        for row in plane:
-            for p in row:
-                params |= p.parameters()
-    return LieAlgebra(n, tuple(labels), tuple(sorted(params)), c)
+    return LieAlgebra(n, tuple(labels), _used_params(c), c)
 
 
 def is_semidirect(

@@ -3,7 +3,9 @@
 A :class:`LieAlgebra` stores the dense tensor ``C[i][j][k]`` of
 ``[X_i, X_j] = C_ij^k X_k`` together with basis labels and declared
 parameter names.  Antisymmetry in (i, j) is enforced at construction;
-validity (the Jacobi identity) is checked by :func:`jacobi_residual`.
+validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
+:func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
+only.
 
 Instances are treated as immutable after construction and are safe to
 share between threads.
@@ -12,6 +14,7 @@ share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -21,9 +24,13 @@ from .errors import (
     SymmetricEntry,
 )
 from .exactalg import PolyExpr, PolyLike, as_poly
-from .exactlinalg import Matrix, Vector, invert, mat, mat_mul
+from .exactlinalg import Matrix, Vector, invert, mat
 
 BracketEntry = tuple  # (i, j, k, coef)
+
+# Parities of the orderings of a triple, in the order itertools.permutations
+# yields them.
+_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 def zero_tensor3(n: int):
@@ -35,6 +42,25 @@ def zero_matrix(n: int, m: int | None = None) -> Matrix:
     m = n if m is None else m
     z = PolyExpr.zero()
     return [[z for _ in range(m)] for _ in range(n)]
+
+
+def _nonzero_entries(t) -> list:
+    """Sparse view [(i, j, k, value)] of the nonzero entries of a dense
+    3-tensor, in index order."""
+    return [
+        (i, j, k, value)
+        for i, plane in enumerate(t)
+        for j, row in enumerate(plane)
+        for k, value in enumerate(row)
+        if not value.is_zero
+    ]
+
+
+def _used_params(t) -> tuple[str, ...]:
+    """Sorted names of the parameters occurring in a dense 3-tensor."""
+    return tuple(
+        sorted({name for *_, v in _nonzero_entries(t) for name in v.parameters()})
+    )
 
 
 @dataclass
@@ -51,19 +77,10 @@ class LieAlgebra:
         except ValueError:
             raise IndexOutOfRange(f"unknown basis label {label!r}") from None
 
-    def structure_constant(self, i: int, j: int, k: int) -> PolyExpr:
-        return self.c[i][j][k]
-
     def nonzero(self) -> list:
         """Cached sparse view [(i, j, k, coef)] of the structure tensor."""
         if self._nonzero is None:
-            self._nonzero = [
-                (i, j, k, self.c[i][j][k])
-                for i in range(self.dim)
-                for j in range(self.dim)
-                for k in range(self.dim)
-                if not self.c[i][j][k].is_zero
-            ]
+            self._nonzero = _nonzero_entries(self.c)
         return self._nonzero
 
     def pair_map(self) -> dict:
@@ -137,18 +154,11 @@ def new_lie_algebra(
             raise SymmetricEntry(f"nonzero bracket entry ({i},{i},{k})")
         c[i][j][k] = c[i][j][k] + coef
         c[j][i][k] = c[j][i][k] - coef
-    declared = tuple(params)
-    used = set()
-    for row in c:
-        for col in row:
-            for p in col:
-                used |= p.parameters()
-    if not declared:
-        declared = tuple(sorted(used))
-    elif not used <= set(declared):
-        raise ShapeError(
-            f"undeclared parameters in brackets: {sorted(used - set(declared))}"
-        )
+    used = _used_params(c)
+    declared = tuple(params) or used
+    undeclared = sorted(set(used) - set(declared))
+    if undeclared:
+        raise ShapeError(f"undeclared parameters in brackets: {undeclared}")
     return LieAlgebra(dim, tuple(labels), declared, c)
 
 
@@ -182,52 +192,53 @@ def adjoint(L: LieAlgebra, i: int) -> Matrix:
     return [[L.c[i][j][k] for j in range(L.dim)] for k in range(L.dim)]
 
 
+def _jacobi_components(L: LieAlgebra) -> dict:
+    """Nonzero Jacobi residuals R_ijl^m for sorted triples i < j < l.
+
+    R_ijl^m = sum_k (C_ij^k C_kl^m + C_jl^k C_ki^m + C_li^k C_kj^m) is
+    alternating in (i, j, l) because C is antisymmetric in its lower pair,
+    which every construction path enforces; so these components, keyed
+    (i, j, l, m), determine the whole residual.
+    """
+    n = L.dim
+    pm = L.pair_map()
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                acc: dict = {}
+                for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+                    for k, c1 in pm.get((a, b), ()):
+                        for m, c2 in pm.get((k, c), ()):
+                            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+                for m, total in acc.items():
+                    if not total.is_zero:
+                        out[(i, j, l, m)] = total
+    return out
+
+
 def jacobi_residual(L: LieAlgebra):
     """Dense tensor R_ijl^m = sum_k cyclic(C_ij^k C_kl^m); zero iff Jacobi."""
     n = L.dim
-    pm = L.pair_map()
-    first: dict = {}
-    for (i, j), ks in pm.items():
-        for k, c1 in ks:
-            for l in range(n):
-                for m, c2 in pm.get((k, l), ()):
-                    key = (i, j, l, m)
-                    prod = c1 * c2
-                    first[key] = first.get(key, PolyExpr.zero()) + prod
     z = PolyExpr.zero()
-    res = [
-        [[[z for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for _ in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for m in range(n):
-                    total = (
-                        first.get((i, j, l, m), z)
-                        + first.get((j, l, i, m), z)
-                        + first.get((l, i, j, m), z)
-                    )
-                    res[i][j][l][m] = total
+    res = [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (i, j, l, m), value in _jacobi_components(L).items():
+        for (a, b, c), sign in zip(permutations((i, j, l)), _PERMUTATION_SIGNS):
+            res[a][b][c][m] = value if sign > 0 else -value
     return res
 
 
 def jacobi_violations(L: LieAlgebra) -> list:
     """Index tuples (i, j, l, m) where the Jacobi residual is nonzero."""
-    res = jacobi_residual(L)
-    n = L.dim
-    return [
-        (i, j, l, m)
-        for i in range(n)
-        for j in range(n)
-        for l in range(n)
-        for m in range(n)
-        if not res[i][j][l][m].is_zero
-    ]
+    return sorted(
+        (*triple, m)
+        for (i, j, l, m) in _jacobi_components(L)
+        for triple in permutations((i, j, l))
+    )
 
 
 def is_jacobi_zero(L: LieAlgebra) -> bool:
-    return not jacobi_violations(L)
+    return not _jacobi_components(L)
 
 
 @dataclass
@@ -292,13 +303,7 @@ def transform_structure(c, m: Matrix, w: Matrix):
     """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W."""
     n = len(m)
     out = zero_tensor3(n)
-    sparse = [
-        (i, j, k, c[i][j][k])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if not c[i][j][k].is_zero
-    ]
+    sparse = _nonzero_entries(c)
     for a in range(n):
         for b in range(n):
             acc = [PolyExpr.zero()] * n
@@ -313,34 +318,11 @@ def transform_structure(c, m: Matrix, w: Matrix):
     return out
 
 
-def transform_contra2(r: Matrix, w: Matrix) -> Matrix:
-    """r'^ab = W_i^a W_j^b r^ij (contravariant 2-tensor push-forward)."""
-    n = len(w)
-    out = zero_matrix(n)
-    for i in range(n):
-        for j in range(n):
-            if r[i][j].is_zero:
-                continue
-            for a in range(n):
-                if w[i][a].is_zero:
-                    continue
-                for b in range(n):
-                    if not w[j][b].is_zero:
-                        out[a][b] = out[a][b] + w[i][a] * w[j][b] * r[i][j]
-    return out
-
-
 def transform_cocomm(f, m: Matrix, w: Matrix):
     """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c."""
     n = len(m)
     out = zero_tensor3(n)
-    sparse = [
-        (i, j, k, f[i][j][k])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        if not f[i][j][k].is_zero
-    ]
+    sparse = _nonzero_entries(f)
     for a in range(n):
         for i, j, k, coef in sparse:
             if m[a][i].is_zero:
@@ -372,12 +354,7 @@ def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
     if len(bc.m) != L.dim:
         raise DimensionMismatch("basis change dimension does not match algebra")
     c = transform_structure(L.c, bc.m, bc.inverse)
-    used = set()
-    for row in c:
-        for col in row:
-            for p in col:
-                used |= p.parameters()
-    return LieAlgebra(L.dim, bc.labels, tuple(sorted(used)), c)
+    return LieAlgebra(L.dim, bc.labels, _used_params(c), c)
 
 
 def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlgebra:
@@ -387,12 +364,7 @@ def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlge
          for j in range(L.dim)]
         for i in range(L.dim)
     ]
-    used = set()
-    for row in c:
-        for col in row:
-            for p in col:
-                used |= p.parameters()
-    return LieAlgebra(L.dim, L.labels, tuple(sorted(used)), c)
+    return LieAlgebra(L.dim, L.labels, _used_params(c), c)
 
 
 def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:

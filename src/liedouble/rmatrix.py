@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyExpr, PolyLike, as_poly
+from .exactalg import PolyLike, as_poly
 from .exactlinalg import Matrix
-from .liealg import LieAlgebra, zero_matrix, zero_tensor3
+from .liealg import LieAlgebra, _nonzero_entries, zero_matrix, zero_tensor3
 
 
 @dataclass
@@ -105,13 +105,7 @@ class ThreeTensor:
         )
 
     def nonzero(self) -> list:
-        return [
-            (i, j, k, self.t[i][j][k])
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-            if not self.t[i][j][k].is_zero
-        ]
+        return _nonzero_entries(self.t)
 
 
 def _check_dims(L: LieAlgebra, r: RMatrix):

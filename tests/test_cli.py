@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from liedouble.cli import main
+from liedouble.cli import _parse_generator, main
+from liedouble.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -76,6 +77,23 @@ def test_double_writes_golden_table(tmp_path):
     assert data["dim"] == 6
 
 
+def test_double_iterate_writes_golden_so22_tables(tmp_path):
+    code, report = run(
+        tmp_path, "double", "so22-twisted", "--iterate", "--out", str(tmp_path),
+        "--format", "json",
+    )
+    assert code == 0
+    assert report["pass"] is True
+    for stem, golden in (
+        ("so22-twisted-double", "d_so22_twisted_table.txt"),
+        ("so22-twisted-double-of-double", "dd_so22_twisted_table.txt"),
+    ):
+        table = (tmp_path / f"{stem}.txt").read_text()
+        assert table == (GOLDEN / golden).read_text()
+    data = json.loads((tmp_path / "so22-twisted-double-of-double.json").read_text())
+    assert data["dim"] == 24
+
+
 def test_double_matches_catalog_table(tmp_path):
     from liedouble import catalog
     from liedouble.double import bracket_table_text
@@ -144,6 +162,33 @@ def test_classify_with_pi(tmp_path):
     cls = report["classification"]
     assert cls["lagrangian"] is True
     assert cls["coisotropic"] is False  # nonzero pi
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("J+", ["0", "1", "0"]),
+        ("J++J-", ["0", "1", "1"]),
+        ("2*J+ - J3", ["-1", "2", "0"]),
+        ("-J-", ["0", "0", "-1"]),
+        ("1/2*eta*J3-J+", ["1/2*eta", "-1", "0"]),
+    ],
+)
+def test_parse_generator_signed_labels(sl2_std, expr, expected):
+    assert [str(x) for x in _parse_generator(expr, sl2_std)] == expected
+
+
+def test_parse_generator_prefers_longest_label():
+    from liedouble.liealg import new_lie_algebra
+
+    abelian = new_lie_algebra(2, ("J", "J+"), [])
+    assert [str(x) for x in _parse_generator("J+-J", abelian)] == ["-1", "1"]
+
+
+@pytest.mark.parametrize("expr", ["J+J-", "2*", "J3 +", "Q9"])
+def test_parse_generator_rejects_malformed(sl2_std, expr):
+    with pytest.raises(ParseError):
+        _parse_generator(expr, sl2_std)
 
 
 def test_classify_bad_generator(tmp_path):

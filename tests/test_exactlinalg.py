@@ -1,0 +1,162 @@
+"""Exact linear algebra against sympy's DomainMatrix over QQ(eta).
+
+Matrices are small, with entries b, a*eta or a*eta + b, drawn by a
+derandomized hypothesis so every run sees the same examples.
+"""
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from liedouble.errors import NotDivisible, SingularMatrix
+from liedouble.exactalg import PolyExpr, as_poly
+from liedouble.exactlinalg import (
+    invert,
+    mat,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    rank,
+    solve_in_span,
+)
+
+ETA = PolyExpr.param("eta")
+K = QQ.frac_field(sympy.Symbol("eta"))
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+ENTRY = st.one_of(
+    st.integers(-2, 2).map(PolyExpr.const),
+    st.integers(-2, 2).map(lambda a: a * ETA),
+    st.builds(lambda a, b: a * ETA + b, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4, square=False):
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = n_rows if square else draw(st.integers(1, max_cols))
+    row = st.lists(ENTRY, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
+def laurent_invertible(draw, max_n=3):
+    """L * U with L unit lower triangular and U upper triangular with
+    single-term diagonal: the determinant is one term, so the inverse is a
+    Laurent matrix."""
+    n = draw(st.integers(1, max_n))
+    pivot = st.sampled_from([1, -1, 2, ETA, -ETA, 2 * ETA]).map(as_poly)
+    lower = [[PolyExpr.const(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[PolyExpr.zero()] * n for _ in range(n)]
+    for i in range(n):
+        upper[i][i] = draw(pivot)
+        for j in range(i):
+            lower[i][j] = draw(ENTRY)
+            upper[j][i] = draw(ENTRY)
+    return mat_mul(lower, upper)
+
+
+def to_field(p: PolyExpr):
+    expr = sympy.Integer(0)
+    for mono, coef in p.terms.items():
+        term = sympy.Rational(coef.numerator, coef.denominator)
+        for name, e in mono:
+            term *= sympy.Symbol(name) ** e
+        expr += term
+    return K.from_sympy(expr)
+
+
+def oracle(rows) -> DomainMatrix:
+    return DomainMatrix(
+        [[to_field(x) for x in row] for row in rows], (len(rows), len(rows[0])), K
+    )
+
+
+def is_laurent(x) -> bool:
+    """A fraction-field element whose reduced denominator is one term."""
+    return len(x.denom.terms()) == 1
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_matches_sympy(rows):
+    assert rank(rows) == oracle(rows).rank()
+
+
+@SETTINGS
+@given(st.one_of(matrices(max_rows=3, square=True), laurent_invertible()))
+def test_invert_matches_sympy(a):
+    n = len(a)
+    m = oracle(a)
+    if m.rank() < n:
+        with pytest.raises(SingularMatrix):
+            invert(a)
+        return
+    expected = m.inv().to_Matrix().tolist()
+    expected = [[K.from_sympy(x) for x in row] for row in expected]
+    if all(is_laurent(x) for row in expected for x in row):
+        assert [[to_field(x) for x in row] for row in invert(a)] == expected
+    else:
+        with pytest.raises(NotDivisible):
+            invert(a)
+
+
+def test_invert_errors():
+    with pytest.raises(NotDivisible):
+        invert(mat([["1 + eta"]]))
+    with pytest.raises(SingularMatrix):
+        invert(mat([[1, "eta"], [2, "2*eta"]]))
+    with pytest.raises(SingularMatrix):
+        invert(mat([[1, 2]]))
+    assert invert(mat([["eta"]])) == [[PolyExpr.parse("eta^-1")]]
+
+
+@st.composite
+def span_problems(draw):
+    rows = draw(matrices(max_rows=3))
+    if draw(st.booleans()):  # a combination of the rows: always consistent
+        k = len(rows)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        v = [
+            sum((c * row[j] for c, row in zip(coeffs, rows)), PolyExpr.zero())
+            for j in range(len(rows[0]))
+        ]
+    else:
+        v = draw(st.lists(ENTRY, min_size=len(rows[0]), max_size=len(rows[0])))
+    return rows, v
+
+
+@SETTINGS
+@given(span_problems())
+def test_solve_in_span_matches_sympy(problem):
+    rows, v = problem
+    k = len(rows)
+    columns = [list(col) + [x] for col, x in zip(zip(*rows), v)]
+    reduced, pivots = oracle(columns).rref()
+    if k in pivots:
+        assert solve_in_span(rows, v) is None
+        return
+    # free coefficients are zero, as in solve_in_span
+    expected = [K.zero] * k
+    for r, c in enumerate(pivots):
+        expected[c] = reduced[r, k].element
+    if all(is_laurent(x) for x in expected):
+        assert [to_field(x) for x in solve_in_span(rows, v)] == expected
+    else:
+        with pytest.raises(NotDivisible):
+            solve_in_span(rows, v)
+
+
+@SETTINGS
+@given(matrices())
+def test_nullspace_is_a_kernel_basis(a):
+    n_cols = len(a[0])
+    basis = nullspace(a)
+    assert len(basis) == n_cols - oracle(a).rank()
+    for x in basis:
+        assert all(y.is_zero for y in mat_vec(a, x))
+    if basis:
+        assert rank(basis) == len(basis)

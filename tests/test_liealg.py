@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liedouble.errors import (
     DimensionMismatch,
@@ -110,6 +111,33 @@ def test_jacobi_residual_matches_oracle_and_is_nonzero():
                     assert res[i][j][l][m] == oracle[(i, j, l, m)]
     assert res[0][1][2][2] == PolyExpr.const(-1)
     assert (0, 1, 2, 2) in jacobi_violations(bad)
+
+
+@st.composite
+def antisymmetric_tensors(draw):
+    """Random sparse structure tensors of dim 4-5; most violate Jacobi."""
+    n = draw(st.integers(4, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entry = st.tuples(
+        st.sampled_from(pairs),
+        st.integers(0, n - 1),
+        st.sampled_from([1, -1, 2, "eta", "-1/2*eta", "eta^2"]),
+    )
+    entries = draw(st.lists(entry, max_size=8))
+    labels = tuple(f"e{i}" for i in range(n))
+    return new_lie_algebra(n, labels, [(i, j, k, c) for (i, j), k, c in entries])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(antisymmetric_tensors())
+def test_jacobi_matches_oracle_on_random_antisymmetric_tensors(L):
+    oracle = jacobi_oracle(L)
+    nonzero = sorted(key for key, v in oracle.items() if not v.is_zero)
+    assert jacobi_violations(L) == nonzero
+    assert is_jacobi_zero(L) == (not nonzero)
+    res = jacobi_residual(L)
+    for (i, j, l, m), v in oracle.items():
+        assert res[i][j][l][m] == v
 
 
 def test_bracket_examples(sl2_std, ck2d):

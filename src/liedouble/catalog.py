@@ -1,11 +1,13 @@
 """Built-in registry of algebras, bialgebras, r-matrices, basis changes and
 closed-form brackets, shipped as JSON data files.
 
-Every payload is validated on load: algebras must satisfy Jacobi,
-bialgebras must build a Jacobi-clean double, r-matrices must match their
-declared CYBE/mCYBE verdicts (after any declared parameter substitution of
-their carrier algebra), basis changes must be exactly invertible, and
-bracket entries must point at a registered closed form.
+:func:`load` only reads the JSON.  Each entry is validated on first access,
+after the entries it references, by the builder of its kind: algebras must
+satisfy Jacobi; bialgebras must build a Jacobi-clean double and agree with
+their generating r-matrix, if any; r-matrices must match their declared
+CYBE/mCYBE verdicts (after any declared parameter substitution of their
+carrier algebra); basis changes must be exactly invertible; bracket entries
+must point at a registered closed form.  :data:`CHECKS` names these checks.
 
 The files live under ``liedouble/data/catalog/<kind>s/`` and use the same
 JSON schemas as the modules' external interfaces, so they can be diffed
@@ -17,9 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
 
-from . import charts
 from .bialgebra import LieBialgebra, from_json as bialgebra_from_json
 from .errors import ParseError, UnknownKey
 from .liealg import (
@@ -29,9 +29,13 @@ from .liealg import (
     is_jacobi_zero,
     substitute_params,
 )
-from .rmatrix import RMatrix, is_cybe, is_mcybe, rmatrix_from_wedge
-
-KINDS = ("algebra", "bialgebra", "rmatrix", "basis_change", "bracket_fn")
+from .rmatrix import (
+    RMatrix,
+    cocommutator_from_r,
+    is_cybe,
+    is_mcybe,
+    rmatrix_from_wedge,
+)
 
 _KIND_DIRS = {
     "algebra": "algebras",
@@ -40,6 +44,19 @@ _KIND_DIRS = {
     "basis_change": "basis_changes",
     "bracket_fn": "brackets",
 }
+KINDS = tuple(_KIND_DIRS)
+
+# The checks an entry has passed once :meth:`Catalog.get` returns it.
+CHECKS = {
+    "algebra": ("jacobi",),
+    "bialgebra": ("double-jacobi",),
+    "rmatrix": ("cybe-verdict", "mcybe-verdict"),
+    "basis_change": ("invertible",),
+    "bracket_fn": ("registered-bracket",),
+}
+
+_NOUNS = {"algebra": "algebra", "bialgebra": "bialgebra", "rmatrix": "r-matrix",
+          "bracket_fn": "bracket"}
 
 
 @dataclass
@@ -52,72 +69,141 @@ class CatalogEntry:
 
 
 class Catalog:
-    """Validated, read-only registry; load once and share."""
+    """Read-only registry over the parsed JSON; load once and share.  An
+    entry is built and validated on its first :meth:`get`, after the
+    entries it references, and kept."""
 
-    def __init__(self, entries: dict):
-        self._entries = entries
+    def __init__(self, raw: dict):
+        self._raw = raw
+        self._entries: dict[str, CatalogEntry] = {}
 
     def get(self, key: str) -> CatalogEntry:
         if key not in self._entries:
-            raise UnknownKey(f"no catalog entry named {key!r}")
+            if key not in self._raw:
+                raise UnknownKey(f"no catalog entry named {key!r}")
+            data = self._raw[key]
+            payload = _BUILDERS[data["kind"]](self, data)
+            self._entries[key] = CatalogEntry(
+                key, data["kind"], payload, data.get("provenance", ""), data
+            )
         return self._entries[key]
 
     def list(self, kind: str | None = None) -> list:
         if kind is not None and kind not in KINDS:
             raise UnknownKey(f"unknown catalog kind {kind!r}")
         return sorted(
-            k for k, e in self._entries.items() if kind is None or e.kind == kind
+            k for k, d in self._raw.items() if kind is None or d["kind"] == kind
         )
 
+    def _payload(self, key: str, kinds: tuple, what: str):
+        if key in self._raw and self._raw[key]["kind"] not in kinds:
+            raise UnknownKey(f"{key!r} is not {what} entry")
+        return self.get(key).payload
+
     def algebra(self, key: str) -> LieAlgebra:
-        entry = self.get(key)
-        if entry.kind == "algebra":
-            return entry.payload
-        if entry.kind == "bialgebra":
-            return entry.payload.algebra
-        raise UnknownKey(f"{key!r} is not an algebra entry")
+        payload = self._payload(key, ("algebra", "bialgebra"), "an algebra")
+        return payload.algebra if isinstance(payload, LieBialgebra) else payload
 
     def bialgebra(self, key: str) -> LieBialgebra:
-        entry = self.get(key)
-        if entry.kind != "bialgebra":
-            raise UnknownKey(f"{key!r} is not a bialgebra entry")
-        return entry.payload
+        return self._payload(key, ("bialgebra",), "a bialgebra")
 
     def rmatrix(self, key: str) -> RMatrix:
-        entry = self.get(key)
-        if entry.kind != "rmatrix":
-            raise UnknownKey(f"{key!r} is not an r-matrix entry")
-        return entry.payload
+        return self._payload(key, ("rmatrix",), "an r-matrix")
 
     def rmatrix_algebra(self, key: str) -> LieAlgebra:
         """Carrier algebra of an r-matrix entry, with its declared
         substitutions applied."""
-        entry = self.get(key)
-        alg = self.algebra(entry.raw["algebra"])
-        subs = entry.raw.get("algebra_subs")
-        if subs:
-            alg = substitute_params(alg, subs)
-        return alg
+        self.rmatrix(key)
+        return self._carrier(self._raw[key])
 
     def basis_change(self, key: str) -> BasisChange:
-        entry = self.get(key)
-        if entry.kind != "basis_change":
-            raise UnknownKey(f"{key!r} is not a basis-change entry")
-        return entry.payload
+        return self._payload(key, ("basis_change",), "a basis-change")
+
+    def _ref(self, data: dict, field: str, kind: str):
+        """Payload of the ``kind`` entry named by ``data[field]``, built
+        before the entry that references it."""
+        ref = self._raw.get(data[field])
+        if ref is None or ref["kind"] != kind:
+            raise ParseError(
+                f"{_NOUNS[data['kind']]} {data['key']!r} references missing "
+                f"{_NOUNS[kind]}"
+            )
+        return self.get(data[field]).payload
+
+    def _carrier(self, data: dict) -> LieAlgebra:
+        """The algebra an r-matrix entry lives on, after its
+        ``algebra_subs``."""
+        alg = self._ref(data, "algebra", "algebra")
+        if data.get("algebra_subs"):
+            alg = substitute_params(alg, data["algebra_subs"])
+        return alg
 
 
-def _iter_kind_files(kind: str) -> Iterable:
-    root = resources.files("liedouble").joinpath("data", "catalog")
-    directory = root.joinpath(_KIND_DIRS[kind])
-    for item in sorted(directory.iterdir(), key=lambda f: f.name):
-        if item.name.endswith(".json"):
-            yield item
+def _build_algebra(cat: Catalog, data: dict) -> LieAlgebra:
+    alg = algebra_from_json(data)
+    if not is_jacobi_zero(alg):
+        raise ParseError(f"catalog algebra {data['key']!r} violates Jacobi")
+    return alg
+
+
+def _build_bialgebra(cat: Catalog, data: dict) -> LieBialgebra:
+    r = cat._ref(data, "r_matrix", "rmatrix") if data.get("r_matrix") else None
+    bial = bialgebra_from_json(data)  # validates via the double
+    if r is not None:
+        if data.get("r_matrix_subs"):
+            r = r.substitute(data["r_matrix_subs"])
+        if cocommutator_from_r(bial.algebra, r) != bial.cocomm.f:
+            raise ParseError(
+                f"bialgebra {data['key']!r} disagrees with its generating r-matrix"
+            )
+    return bial
+
+
+def _build_rmatrix(cat: Catalog, data: dict) -> RMatrix:
+    key = data["key"]
+    alg = cat._carrier(data)
+    r = rmatrix_from_wedge(
+        alg.labels, [(t["i"], t["j"], t["coef"]) for t in data["terms"]]
+    )
+    verdicts = data["verdicts"]
+    if is_cybe(alg, r) != verdicts["cybe"]:
+        raise ParseError(f"r-matrix {key!r} fails its declared CYBE verdict")
+    if is_mcybe(alg, r) != verdicts["mcybe"]:
+        raise ParseError(f"r-matrix {key!r} fails its declared mCYBE verdict")
+    return r
+
+
+def _build_basis_change(cat: Catalog, data: dict) -> BasisChange:
+    return BasisChange(data["rows"], data["labels"])  # inverts exactly or raises
+
+
+def _build_bracket_fn(cat: Catalog, data: dict):
+    from . import charts  # deferred: charts imports numpy
+
+    if data["rmatrix"] is not None:
+        cat._ref(data, "rmatrix", "rmatrix")
+    fn = charts.bracket_fn(data["bracket_id"])  # raises UnknownBracket
+    if fn.chart_id != data["chart"]:
+        raise ParseError(f"bracket {data['key']!r} declares the wrong chart")
+    return fn
+
+
+_BUILDERS = {
+    "algebra": _build_algebra,
+    "bialgebra": _build_bialgebra,
+    "rmatrix": _build_rmatrix,
+    "basis_change": _build_basis_change,
+    "bracket_fn": _build_bracket_fn,
+}
 
 
 def _load_raw() -> dict:
+    root = resources.files("liedouble").joinpath("data", "catalog")
     raw = {}
-    for kind in KINDS:
-        for item in _iter_kind_files(kind):
+    for kind, dirname in _KIND_DIRS.items():
+        for item in sorted(root.joinpath(dirname).iterdir(), key=lambda f: f.name):
+            if not item.name.endswith(".json"):
+                continue
             try:
                 data = json.loads(item.read_text())
             except json.JSONDecodeError as exc:
@@ -131,90 +217,15 @@ def _load_raw() -> dict:
     return raw
 
 
-def _build_entries(raw: dict) -> dict:
-    entries: dict[str, CatalogEntry] = {}
-
-    def entry(key, kind, payload, data):
-        entries[key] = CatalogEntry(
-            key=key,
-            kind=kind,
-            payload=payload,
-            provenance=data.get("provenance", ""),
-            raw=data,
-        )
-
-    for key, data in raw.items():
-        if data["kind"] == "algebra":
-            alg = algebra_from_json(data)
-            if not is_jacobi_zero(alg):
-                raise ParseError(f"catalog algebra {key!r} violates Jacobi")
-            entry(key, "algebra", alg, data)
-
-    for key, data in raw.items():
-        if data["kind"] == "bialgebra":
-            bial = bialgebra_from_json(data)  # validates via the double
-            entry(key, "bialgebra", bial, data)
-
-    for key, data in raw.items():
-        if data["kind"] == "rmatrix":
-            alg_data = raw.get(data["algebra"])
-            if alg_data is None or alg_data["kind"] != "algebra":
-                raise ParseError(f"r-matrix {key!r} references missing algebra")
-            alg = entries[data["algebra"]].payload
-            if data.get("algebra_subs"):
-                alg = substitute_params(alg, data["algebra_subs"])
-            r = rmatrix_from_wedge(
-                alg.labels, [(t["i"], t["j"], t["coef"]) for t in data["terms"]]
-            )
-            verdicts = data["verdicts"]
-            if is_cybe(alg, r) != verdicts["cybe"]:
-                raise ParseError(f"r-matrix {key!r} fails its declared CYBE verdict")
-            if is_mcybe(alg, r) != verdicts["mcybe"]:
-                raise ParseError(f"r-matrix {key!r} fails its declared mCYBE verdict")
-            entry(key, "rmatrix", r, data)
-
-    for key, data in raw.items():
-        if data["kind"] == "basis_change":
-            bc = BasisChange(
-                [[c for c in row] for row in data["rows"]], tuple(data["labels"])
-            )  # construction computes the exact inverse or raises
-            entry(key, "basis_change", bc, data)
-
-    for key, data in raw.items():
-        if data["kind"] == "bracket_fn":
-            fn = charts.bracket_fn(data["bracket_id"])  # raises UnknownBracket
-            if fn.chart_id != data["chart"]:
-                raise ParseError(f"bracket {key!r} declares the wrong chart")
-            if data["rmatrix"] is not None and data["rmatrix"] not in entries:
-                raise ParseError(f"bracket {key!r} references missing r-matrix")
-            entry(key, "bracket_fn", fn, data)
-
-    # cross-check: bialgebras that declare a generating r-matrix must agree
-    # with its coboundary cocommutator
-    from .rmatrix import cocommutator_from_r
-
-    for key, data in raw.items():
-        if data["kind"] == "bialgebra" and data.get("r_matrix"):
-            bial = entries[key].payload
-            r = entries[data["r_matrix"]].payload
-            if data.get("r_matrix_subs"):
-                r = r.substitute(data["r_matrix_subs"])
-            derived = cocommutator_from_r(bial.algebra, r)
-            if derived != bial.cocomm.f:
-                raise ParseError(
-                    f"bialgebra {key!r} disagrees with its generating r-matrix"
-                )
-    return entries
-
-
 _CATALOG: Catalog | None = None
 
 
-def load(force: bool = False) -> Catalog:
-    """The validated shared catalog instance (loaded once per process)."""
+def load() -> Catalog:
+    """The shared catalog instance.  The JSON is read once per process;
+    entries are validated on first access."""
     global _CATALOG
-    if _CATALOG is None or force:
-        _CATALOG = Catalog(_build_entries(_load_raw()))
+    if _CATALOG is None:
+        _CATALOG = Catalog(_load_raw())
     return _CATALOG
 
 
@@ -224,6 +235,8 @@ def get(key: str) -> CatalogEntry:
 
 def default_verification_cells(catalog: Catalog | None = None) -> list:
     """The Sklyanin verification matrix: one cell per published 2d family."""
+    from . import charts  # deferred: charts imports numpy
+
     cat = catalog or load()
     cells = []
     for key in cat.list("bracket_fn"):

@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import catalog, charts
+from . import catalog
 from .bialgebra import from_json as bialgebra_from_json
 from .double import (
     bracket_table_json,
@@ -31,7 +31,7 @@ from .double import (
     crossed_bracket_mismatches,
     double_of_double,
 )
-from .errors import LiedoubleError, ParseError, UnknownKey
+from .errors import LiedoubleError, ParseError, PolyParseError, ShapeError, UnknownKey
 from .exactalg import PolyExpr
 from .homogeneous import (
     LagrangianSpec,
@@ -39,7 +39,6 @@ from .homogeneous import (
     lagrangian_bracket_table,
 )
 from .liealg import from_json as algebra_from_json, jacobi_violations
-from .rmatrix import is_cybe, is_mcybe
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -90,27 +89,9 @@ def cmd_validate(args) -> int:
     verdicts = {}
     notes = []
     if isinstance(target, catalog.CatalogEntry):
-        entry = target
-        if entry.kind == "algebra":
-            bad = jacobi_violations(entry.payload)
-            verdicts["jacobi"] = "pass" if not bad else "fail"
-            notes.extend(f"residual at (i,j,l,m)={v}" for v in bad[:8])
-        elif entry.kind == "bialgebra":
-            verdicts["double-jacobi"] = "pass"  # validated on load
-        elif entry.kind == "rmatrix":
-            alg = catalog.load().rmatrix_algebra(entry.key)
-            declared = entry.raw["verdicts"]
-            verdicts["cybe-verdict"] = (
-                "pass" if is_cybe(alg, entry.payload) == declared["cybe"] else "fail"
-            )
-            verdicts["mcybe-verdict"] = (
-                "pass" if is_mcybe(alg, entry.payload) == declared["mcybe"] else "fail"
-            )
-        elif entry.kind == "basis_change":
-            verdicts["invertible"] = "pass"  # construction computes the inverse
-        else:
-            verdicts["registered-bracket"] = "pass"
-        inputs = {"target": args.target, "kind": entry.kind}
+        # get() built the entry and raised if any of its checks failed
+        verdicts = dict.fromkeys(catalog.CHECKS[target.kind], "pass")
+        inputs = {"target": args.target, "kind": target.kind}
     else:
         data = target
         if "cocomm" in data:
@@ -149,7 +130,7 @@ def cmd_double(args) -> int:
     cat = catalog.load()
     B = cat.bialgebra(args.bialgebra)
     D = build_double(B)
-    # new_bialgebra proved Jacobi for D when the catalog loaded B, and for
+    # new_bialgebra proved Jacobi for D when the catalog built B, and for
     # D(D) inside double_of_double; it raises instead of returning otherwise
     verdicts = {"double-jacobi": "pass"}
     notes = []
@@ -234,6 +215,8 @@ def _parse_subalgebra(spec: str, algebra) -> list:
 def _complete_basis(algebra, h_vectors) -> list:
     from .exactlinalg import rank
 
+    if rank(h_vectors) < len(h_vectors):
+        raise ParseError("the subalgebra generators are linearly dependent")
     complement = []
     current = [list(v) for v in h_vectors]
     for i in range(algebra.dim):
@@ -254,15 +237,18 @@ def cmd_classify(args) -> int:
     h = _parse_subalgebra(args.subalgebra, B.algebra)
     complement = _complete_basis(B.algebra, h)
     m = len(complement)
+    pi_rows = [[0] * m for _ in range(m)]
     if args.pi:
         try:
             pi_rows = json.loads(args.pi)
         except json.JSONDecodeError as exc:
             raise ParseError(f"--pi is not valid JSON: {exc}") from exc
-        pi = [[PolyExpr.parse(str(x)) for x in row] for row in pi_rows]
-    else:
-        pi = [[PolyExpr.zero()] * m for _ in range(m)]
-    spec = LagrangianSpec(h, complement, pi)
+    try:
+        spec = LagrangianSpec(h, complement, pi_rows)
+    except (TypeError, PolyParseError, ShapeError) as exc:
+        raise ParseError(
+            f"--pi must be a {m}x{m} matrix of polynomials: {exc}"
+        ) from exc
     D = build_double(B)
     rep = classify_spec(D, B, spec)
     table_info = None
@@ -300,6 +286,8 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
     """Property checks for brackets without a desk-scale Sklyanin route:
     numerical Jacobi, linearization targets and flat limits."""
     import numpy as np
+
+    from . import charts  # deferred: charts imports numpy
 
     ranges = entry.raw["param_ranges"]
     params = {name: rng.uniform(*bounds) for name, bounds in sorted(ranges.items())}
@@ -368,6 +356,8 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
 
 
 def cmd_verify_brackets(args) -> int:
+    from . import charts  # deferred: charts imports numpy
+
     cat = catalog.load()
     rng = random.Random(args.seed)
     tol_rel = args.tol if args.tol is not None else args.tol_rel

@@ -172,18 +172,6 @@ class PolyExpr:
         """Names of all parameters occurring with nonzero exponent."""
         return frozenset(name for mono in self.terms for name, _ in mono)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; raises if parameters occur."""
-        if not self.terms:
-            return Q(0)
-        if set(self.terms) == {_ONE_MONOMIAL}:
-            return self.terms[_ONE_MONOMIAL]
-        raise ValueError(f"not a constant polynomial: {self}")
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_ONE_MONOMIAL}
-
     @property
     def is_single_term(self) -> bool:
         return len(self.terms) == 1
@@ -320,6 +308,8 @@ def _parse_poly(text: str) -> PolyExpr:
                     i += 1
                     if i < n and tokens[i] == ("op", "/"):
                         if i + 1 < n and tokens[i + 1][0] == "num":
+                            if int(tokens[i + 1][1]) == 0:
+                                raise PolyParseError(f"zero denominator in {text!r}")
                             coef = coef / int(tokens[i + 1][1])
                             i += 2
                         else:
@@ -398,11 +388,9 @@ def poly_is_zero(p: PolyLike) -> bool:
 # -- exact division ------------------------------------------------------
 
 
-def _mono_key(params: tuple[str, ...]):
-    def key(mono_exps: tuple[int, ...]):
-        return (sum(mono_exps), mono_exps)
-
-    return key
+def _graded_key(mono_exps: tuple[int, ...]):
+    """Graded order on exponent vectors: total degree, then lexicographic."""
+    return (sum(mono_exps), mono_exps)
 
 
 def _content_shift(p: PolyExpr, params: tuple[str, ...]) -> dict[str, int]:
@@ -448,13 +436,12 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
             out[tuple(exps.get(p, 0) - shift[p] for p in params)] = coef
         return out
 
-    key = _mono_key(params)
     rem = to_vec(a, shift_a)
     div = to_vec(b, shift_b)
-    lead_b = max(div, key=key)
+    lead_b = max(div, key=_graded_key)
     quo: dict[tuple[int, ...], Fraction] = {}
     while rem:
-        lead_r = max(rem, key=key)
+        lead_r = max(rem, key=_graded_key)
         diff = tuple(er - eb for er, eb in zip(lead_r, lead_b))
         if any(d < 0 for d in diff):
             raise NotDivisible(f"({a}) is not divisible by ({b})")

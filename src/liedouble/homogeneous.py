@@ -10,8 +10,11 @@ module builds l, decides Lagrangian / subalgebra / coisotropic /
 Poisson-subgroup, extracts the induced bracket table, and reports the
 first-order compatibility tensors
 
-    M^{αβ}_γ = f^{αβ}_γ + π^{δβ} C_{γδ}^α + π^{δα} C_{γδ}^β
-    M^{αβ}_i = f_i^{αβ} + π^{δβ} C_{iδ}^α + π^{δα} C_{iδ}^β   (must vanish).
+    M^{αβ}_γ = f^{αβ}_γ + π^{δβ} C_{γδ}^α + π^{αδ} C_{γδ}^β
+    M^{αβ}_i = f_i^{αβ} + π^{δβ} C_{iδ}^α + π^{αδ} C_{iδ}^β   (must vanish),
+
+i.e. the π-twisted cocommutator f + (ad ⊗ 1 + 1 ⊗ ad)π in the adapted
+basis, antisymmetric in (α, β).
 
 Rank and membership tests are exact and generic in the parameters: a
 polynomial coefficient counts as nonzero unless identically zero.
@@ -48,6 +51,7 @@ from .exactlinalg import (
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
+    _nonzero_entries,
     _used_params,
     bracket,
     transform_cocomm,
@@ -215,15 +219,10 @@ class ClosureReport:
 
     def to_json(self) -> dict:
         def tensor_entries(t, tag):
-            out = []
-            for a, plane in enumerate(t):
-                for b, row in enumerate(plane):
-                    for c, val in enumerate(row):
-                        if not val.is_zero:
-                            out.append(
-                                {"index": [a, b, c], "value": str(val), "tensor": tag}
-                            )
-            return out
+            return [
+                {"index": [a, b, c], "value": str(val), "tensor": tag}
+                for a, b, c, val in _nonzero_entries(t)
+            ]
 
         return {
             "lagrangian": self.lagrangian,
@@ -300,13 +299,13 @@ def classify(
                 val = f_ad[n_h + g][n_h + a][n_h + b]
                 for d in range(n_t):
                     val = val + spec.pi[d][b] * c_ad[n_h + g][n_h + d][n_h + a]
-                    val = val + spec.pi[d][a] * c_ad[n_h + g][n_h + d][n_h + b]
+                    val = val + spec.pi[a][d] * c_ad[n_h + g][n_h + d][n_h + b]
                 m_gamma[a][b][g] = val
             for i in range(n_h):
                 val = f_ad[i][n_h + a][n_h + b]
                 for d in range(n_t):
                     val = val + spec.pi[d][b] * c_ad[i][n_h + d][n_h + a]
-                    val = val + spec.pi[d][a] * c_ad[i][n_h + d][n_h + b]
+                    val = val + spec.pi[a][d] * c_ad[i][n_h + d][n_h + b]
                 m_i[a][b][i] = val
                 if not val.is_zero:
                     violations.append(f"M^({a},{b})_{i} != 0")

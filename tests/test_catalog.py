@@ -3,7 +3,7 @@ import time
 import pytest
 
 from liedouble import catalog
-from liedouble.errors import UnknownKey
+from liedouble.errors import ParseError, UnknownKey
 from liedouble.liealg import algebras_equal, change_basis, substitute_params
 from liedouble.rmatrix import rmatrix_from_wedge
 
@@ -118,3 +118,73 @@ def test_catalog_load_is_cached():
     a = catalog.load()
     b = catalog.load()
     assert a is b
+
+
+def test_every_entry_builds(cat):
+    # load() only reads the JSON; this is the full validation pass
+    for key in cat.list():
+        entry = cat.get(key)
+        assert entry.key == key
+        assert entry.kind == entry.raw["kind"]
+
+
+def test_broken_entry_fails_only_where_referenced():
+    raw = catalog._load_raw()
+    raw["so22.r1"]["verdicts"]["mcybe"] = not raw["so22.r1"]["verdicts"]["mcybe"]
+    broken = catalog.Catalog(raw)
+    with pytest.raises(ParseError, match="'so22.r1' fails its declared mCYBE"):
+        broken.get("so22.r1")
+    with pytest.raises(ParseError, match="'so22.r1' fails its declared mCYBE"):
+        broken.get("so22-r1")  # its generating r-matrix is the broken entry
+    assert broken.get("sl2-hyp").kind == "bialgebra"
+    assert broken.list() == catalog.load().list()
+
+
+def test_missing_reference_is_a_parse_error():
+    raw = catalog._load_raw()
+    raw["sl2.hyperbolic"]["algebra"] = "no-such-algebra"
+    raw["hyp-CK"]["rmatrix"] = "sl2.ck"  # an algebra, not an r-matrix
+    broken = catalog.Catalog(raw)
+    with pytest.raises(ParseError, match="'sl2.hyperbolic' references missing algebra"):
+        broken.get("sl2.hyperbolic")
+    with pytest.raises(ParseError, match="'hyp-CK' references missing r-matrix"):
+        broken.get("hyp-CK")
+
+
+def test_entries_built_once_after_their_references(monkeypatch):
+    built = []
+
+    def recording(builder):
+        def build(cat, data):
+            payload = builder(cat, data)
+            built.append(data["key"])
+            return payload
+
+        return build
+
+    monkeypatch.setattr(
+        catalog, "_BUILDERS",
+        {kind: recording(b) for kind, b in catalog._BUILDERS.items()},
+    )
+    fresh = catalog.Catalog(catalog._load_raw())
+    assert built == []
+    first = fresh.get("so22-r1")
+    assert fresh.get("so22-r1") is first
+    assert fresh.bialgebra("so22-r1") is first.payload
+    fresh.get("so22.r1")
+    fresh.get("gLambda")
+    assert built == ["gLambda", "so22.r1", "so22-r1"]
+
+
+def test_typed_accessors_check_kind_before_building():
+    fresh = catalog.Catalog(catalog._load_raw())
+    for accessor, key in (
+        (fresh.bialgebra, "so22.generic"),
+        (fresh.rmatrix, "gLambda"),
+        (fresh.basis_change, "sl2-hyp"),
+        (fresh.algebra, "so22.generic"),
+    ):
+        with pytest.raises(UnknownKey, match="is not an? .* entry"):
+            accessor(key)
+    assert fresh._entries == {}
+    assert fresh.algebra("sl2-hyp") is fresh.bialgebra("sl2-hyp").algebra

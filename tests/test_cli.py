@@ -238,3 +238,39 @@ def test_reports_byte_identical_for_fixed_seed(tmp_path):
 def test_exit_zero_iff_all_pass(tmp_path):
     code, report = run(tmp_path, "verify-brackets", "--points", "5")
     assert (code == 0) == report["pass"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["span{1/0*J12}"],
+        ["span{J12}", "--pi", '[[0, "1/0"], [0, 0]]'],
+        ["span{J12}", "--pi", "5"],
+        ["span{J12}", "--pi", '[["x@", 0], [0, 0]]'],
+        ["span{J12}", "--pi", "[[0, 1, 2], [0, 0, 0]]"],
+        ["span{J12}", "--pi", "[[0, 1]]"],
+        ["span{J12}", "--pi", "[[0, null], [null, 0]]"],
+        ["span{J12}", "--pi", "[[0, 0.5], [-0.5, 0]]"],
+        ["span{P1,P1}"],
+        ["span{P1, 2*P1}"],
+    ],
+)
+def test_classify_malformed_input_exits_2(argv, capsys):
+    assert main(["classify", "sl2-hyp", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_catalog_reports_declared_checks(tmp_path):
+    from liedouble import catalog
+
+    for kind, key in (
+        ("algebra", "sl2.std"),
+        ("bialgebra", "sl2-hyp"),
+        ("rmatrix", "sl2.hyperbolic"),
+        ("basis_change", "PJ-from-Jpm"),
+        ("bracket_fn", "hyp-CK"),
+    ):
+        code, report = run(tmp_path, "validate", f"catalog:{key}")
+        assert code == 0
+        assert report["inputs"]["kind"] == kind
+        assert report["verdicts"] == dict.fromkeys(catalog.CHECKS[kind], "pass")

@@ -179,3 +179,9 @@ def test_as_poly_coercions():
     assert as_poly(3) == PolyExpr.const(3)
     assert as_poly(Q(1, 2)) == P("1/2")
     assert as_poly("eta") == PolyExpr.param("eta")
+
+
+def test_parse_rejects_zero_denominator():
+    for bad in ("1/0", "eta - 3/0*z", "1/00"):
+        with pytest.raises(PolyParseError, match="zero denominator"):
+            PolyExpr.parse(bad)

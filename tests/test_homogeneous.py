@@ -465,3 +465,54 @@ def test_coisotropic_table_pattern(sl2_ell, sl2_hyp):
             assert got[0] == f[hi][hi][comp[a]]  # f_i^{j a} with j = i = h
             for b in range(2):
                 assert got[1 + b] == L.c[hi][comp[b]][comp[a]]  # C^a_{i b}
+
+
+def _twisted_cocommutator_oracle(B, spec):
+    """f + (ad ⊗ 1 + 1 ⊗ ad)π in the adapted basis (h, T), built from the
+    basis-change and r-matrix routines, with π embedded on the T block."""
+    from liedouble.liealg import BasisChange, change_basis, transform_cocomm
+    from liedouble.rmatrix import RMatrix, cocommutator_from_r
+
+    n, n_h = B.dim, spec.n_h
+    labels = tuple(f"e{k}" for k in range(n))
+    bc = BasisChange(spec.h_basis + spec.complement, labels)
+    f_ad = transform_cocomm(B.cocomm.f, bc.m, bc.inverse)
+    r = [[PolyExpr.zero()] * n for _ in range(n)]
+    for a in range(spec.n_t):
+        for b in range(spec.n_t):
+            r[n_h + a][n_h + b] = spec.pi[a][b]
+    twist = cocommutator_from_r(change_basis(B.algebra, bc), RMatrix(labels, r))
+    return [
+        [[f_ad[i][j][k] + twist[i][j][k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_m_tensor_is_the_twisted_cocommutator():
+    from liedouble import catalog
+
+    cat = catalog.load()
+    n_subalgebra = 0
+    for key in cat.list("bialgebra"):
+        B = cat.bialgebra(key)
+        if B.dim != 3:
+            continue
+        D = build_double(B)
+        for h_label in B.algebra.labels:
+            for p in ("1", "-2", "eta", "1/2*z"):
+                spec = spec_for(B, [h_label], pi=[[0, P(p)], [-P(p), 0]])
+                rep = classify(D, B, spec)
+                full = _twisted_cocommutator_oracle(B, spec)
+                for a in range(2):
+                    for b in range(2):
+                        assert [rep.m_gamma[a][b][g] for g in range(2)] == [
+                            full[1 + g][1 + a][1 + b] for g in range(2)
+                        ], (key, h_label, p)
+                        assert rep.m_i[a][b][0] == full[0][1 + a][1 + b]
+                        assert rep.m_gamma[a][b] == [-x for x in rep.m_gamma[b][a]]
+                if rep.subalgebra:
+                    n_subalgebra += 1
+                    assert all(x.is_zero for plane in rep.m_i for row in plane
+                               for x in row), (key, h_label, p)
+                    assert not any(v.startswith("M^") for v in rep.violations)
+    assert n_subalgebra == 96

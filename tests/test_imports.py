@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+the exact paths leave numpy unimported.
 
 No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
@@ -6,6 +7,9 @@ name anywhere in the module or is listed in ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,18 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exact_paths_do_not_import_numpy():
+    # numpy is imported only where a numeric chart is evaluated
+    probe = (
+        "import sys, liedouble.cli, liedouble.catalog\n"
+        "liedouble.catalog.load().get('so22-twisted')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(liedouble.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,12 +3,14 @@
 Validity is operational: (C, f) is a Lie bialgebra iff the double built
 from it satisfies the Jacobi identity, which simultaneously checks the
 cocycle condition and co-Jacobi.  Construction goes through
-:func:`new_bialgebra`, which performs that check.
+:func:`new_bialgebra`, which performs that check, and a bialgebra carries
+the validated algebra of its double (``double_algebra``), which
+:func:`liedouble.double.build_double` uses rather than rebuilding it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NotACobracket, ShapeError
@@ -19,6 +21,8 @@ from .liealg import (
     _nonzero_entries,
     _used_params,
     from_json as algebra_from_json,
+    jacobi_violations,
+    substitute_params as substitute_algebra_params,
     zero_tensor3,
 )
 
@@ -64,11 +68,40 @@ def cocomm_from_wedge(
     return f
 
 
+def double_structure_tensor(L: LieAlgebra, f) -> list:
+    """Dense 2n structure tensor of D(g) from (C, f), on the basis {X_i, x^i}
+    (the brackets are listed in :mod:`liedouble.double`)."""
+    n = L.dim
+    c2 = zero_tensor3(2 * n)
+    for i, j, k, coef in L.nonzero():
+        c2[i][j][k] = coef
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                fk_ij = f[k][i][j]
+                if not fk_ij.is_zero:
+                    c2[n + i][n + j][n + k] = c2[n + i][n + j][n + k] + fk_ij
+                # [x^i, X_j] = C_jk^i x^k - f_j^{ik} X_k
+                c_jki = L.c[j][k][i]
+                if not c_jki.is_zero:
+                    c2[n + i][j][n + k] = c2[n + i][j][n + k] + c_jki
+                    c2[j][n + i][n + k] = c2[j][n + i][n + k] - c_jki
+                f_jik = f[j][i][k]
+                if not f_jik.is_zero:
+                    c2[n + i][j][k] = c2[n + i][j][k] - f_jik
+                    c2[j][n + i][k] = c2[j][n + i][k] + f_jik
+    return c2
+
+
 @dataclass
 class LieBialgebra:
+    """(g, δ) with the algebra of its double D(g), whose Jacobi identity
+    :func:`new_bialgebra` proved; build one only through that function."""
+
     algebra: LieAlgebra
     cocomm: CocommTensor
     dual_labels: tuple[str, ...]
+    double_algebra: LieAlgebra = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -82,8 +115,6 @@ def new_bialgebra(
 ) -> LieBialgebra:
     """Validated bialgebra; raises :class:`NotACobracket` if the double
     built from (C, f) violates Jacobi."""
-    from .double import double_structure_algebra  # deferred: cyclic module pair
-
     if isinstance(f, CocommTensor):
         cocomm = f
     else:
@@ -98,10 +129,8 @@ def new_bialgebra(
     if len(dual_labels) != L.dim:
         raise ShapeError("need one dual label per basis element")
 
-    candidate = LieBialgebra(L, cocomm, dual_labels)
-    double_alg = double_structure_algebra(candidate)
-    from .liealg import jacobi_violations
-
+    c2 = double_structure_tensor(L, cocomm.f)
+    double_alg = LieAlgebra(2 * L.dim, L.labels + dual_labels, _used_params(c2), c2)
     violations = jacobi_violations(double_alg)
     if violations:
         sample = ", ".join(str(v) for v in violations[:4])
@@ -109,7 +138,7 @@ def new_bialgebra(
             f"double violates Jacobi at {len(violations)} index tuples "
             f"(first: {sample})"
         )
-    return candidate
+    return LieBialgebra(L, cocomm, dual_labels, double_alg)
 
 
 def dual_bialgebra(B: LieBialgebra) -> LieBialgebra:
@@ -142,15 +171,13 @@ def cocomm_apply(B: LieBialgebra, v: Vector):
 
 def substitute_params(B: LieBialgebra, mapping) -> LieBialgebra:
     """Exact parameter substitution on both tensors (revalidates)."""
-    from .liealg import substitute_params as sub_algebra
-
     n = B.dim
     f = [
         [[B.cocomm.f[i][j][k].substitute(mapping) for k in range(n)]
          for j in range(n)]
         for i in range(n)
     ]
-    return new_bialgebra(sub_algebra(B.algebra, mapping), f, B.dual_labels)
+    return new_bialgebra(substitute_algebra_params(B.algebra, mapping), f, B.dual_labels)
 
 
 def to_json(B: LieBialgebra) -> dict:

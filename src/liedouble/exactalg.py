@@ -15,6 +15,13 @@ Zero coefficients are never stored, so equality of the ``terms`` dicts is
 equality of polynomials, and the textual serialization is canonical: for
 every polynomial ``p``, ``PolyExpr.parse(str(p)) == p`` bit-exactly.
 
+Canonical terms: every value is a nonzero :class:`~fractions.Fraction` and
+every monomial is sorted by name with nonzero exponents.  The public
+constructor ``PolyExpr(terms)`` checks and coerces its input into this form.
+Arithmetic results are built by the private :func:`_canonical`, which takes
+a terms dict that already has this form and neither copies nor re-coerces
+it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
+
 All values are immutable; instances can be shared freely between threads.
 """
 
@@ -80,7 +87,8 @@ class PolyExpr:
 
     @classmethod
     def const(cls, value: int | Fraction) -> PolyExpr:
-        return cls({_ONE_MONOMIAL: Q(value)})
+        value = Q(value)
+        return _canonical({_ONE_MONOMIAL: value} if value else {})
 
     @classmethod
     def param(cls, name: str, exponent: int = 1) -> PolyExpr:
@@ -88,7 +96,7 @@ class PolyExpr:
             raise PolyParseError(f"invalid parameter name: {name!r}")
         if exponent == 0:
             return cls.one()
-        return cls({((name, exponent),): Q(1)})
+        return _canonical({((name, exponent),): Q(1)})
 
     # -- ring structure -----------------------------------------------
 
@@ -119,17 +127,21 @@ class PolyExpr:
             return self
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            new = out.get(mono, Q(0)) + coef
-            if new == 0:
-                out.pop(mono, None)
+            old = out.get(mono)
+            if old is None:
+                out[mono] = coef
             else:
-                out[mono] = new
-        return PolyExpr(out)
+                new = old + coef
+                if new:
+                    out[mono] = new
+                else:
+                    del out[mono]
+        return _canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyExpr:
-        return PolyExpr({m: -c for m, c in self.terms.items()})
+        return _canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: PolyLike) -> PolyExpr:
         return self + (-as_poly(other))
@@ -138,19 +150,9 @@ class PolyExpr:
         return as_poly(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> PolyExpr:
-        other = as_poly(other)
-        if not self.terms or not other.terms:
-            return PolyExpr()
         out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _mono_mul(ma, mb)
-                new = out.get(mono, Q(0)) + ca * cb
-                if new == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
-        return PolyExpr(out)
+        mul_acc(out, self, as_poly(other))
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -345,9 +347,14 @@ def _parse_poly(text: str) -> PolyExpr:
 
 
 def as_poly(value: PolyLike) -> PolyExpr:
-    """Coerce ints, Fractions and poly strings to :class:`PolyExpr`."""
+    """Coerce ints, Fractions and poly strings to :class:`PolyExpr`.
+
+    Booleans are rejected: ``True`` is an ``int`` to Python but never a
+    scalar in input."""
     if isinstance(value, PolyExpr):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as a polynomial")
     if isinstance(value, (int, Fraction)):
         return PolyExpr.const(value)
     if isinstance(value, str):
@@ -359,7 +366,37 @@ def _invert_single_term(p: PolyExpr) -> PolyExpr:
     if len(p.terms) != 1:
         raise NotDivisible(f"cannot invert multi-term polynomial {p}")
     (mono, coef), = p.terms.items()
-    return PolyExpr({_mono_pow(mono, -1): Q(1) / coef})
+    return _canonical({_mono_pow(mono, -1): Q(coef.denominator, coef.numerator)})
+
+
+_set_terms = PolyExpr.terms.__set__
+
+
+def _canonical(terms: dict) -> PolyExpr:
+    """The polynomial over ``terms``, which must already be canonical (see
+    the module docstring); the dict is taken over, not copied."""
+    p = object.__new__(PolyExpr)
+    _set_terms(p, terms)
+    return p
+
+
+def mul_acc(out: dict, a: PolyExpr, b: PolyExpr, negate: bool = False) -> None:
+    """``out += a*b`` (``out -= a*b`` with ``negate``) on a canonical terms
+    dict, in place; ``out`` stays canonical."""
+    for ma, ca in a.terms.items():
+        if negate:
+            ca = -ca
+        for mb, cb in b.terms.items():
+            mono = _mono_mul(ma, mb)
+            old = out.get(mono)
+            if old is None:
+                out[mono] = ca * cb
+            else:
+                new = old + ca * cb
+                if new:
+                    out[mono] = new
+                else:
+                    del out[mono]
 
 
 # -- spec-level operation aliases ---------------------------------------
@@ -449,11 +486,15 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
         quo[diff] = c
         for exps, coef in div.items():
             mono = tuple(d + e for d, e in zip(diff, exps))
-            new = rem.get(mono, Q(0)) - c * coef
-            if new == 0:
-                rem.pop(mono, None)
+            old = rem.get(mono)
+            if old is None:
+                rem[mono] = -c * coef
             else:
-                rem[mono] = new
+                new = old - c * coef
+                if new:
+                    rem[mono] = new
+                else:
+                    del rem[mono]
     terms = {}
     for exps, coef in quo.items():
         mono = tuple(
@@ -464,4 +505,4 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
             if e
         )
         terms[mono] = coef
-    return PolyExpr(terms)
+    return _canonical(terms)

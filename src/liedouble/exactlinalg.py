@@ -18,7 +18,7 @@ invertible unless it is identically zero.
 from __future__ import annotations
 
 from .errors import NotDivisible, SingularMatrix
-from .exactalg import PolyExpr, as_poly, poly_div_exact
+from .exactalg import PolyExpr, _canonical, as_poly, mul_acc, poly_div_exact
 
 Matrix = list  # list[list[PolyExpr]]
 Vector = list  # list[PolyExpr]
@@ -107,7 +107,10 @@ def _eliminate(rows: Matrix, reduce: bool) -> tuple[Matrix, list[int]]:
                         continue
                     num = piv * a
                 else:
-                    num = piv * a - f * b
+                    terms: dict = {}
+                    mul_acc(terms, piv, a)
+                    mul_acc(terms, f, b, negate=True)
+                    num = _canonical(terms)
                 row[j] = poly_div_exact(num, prev) if divide else num
             row[c] = _ZERO
         pivots.append(c)

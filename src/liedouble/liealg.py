@@ -7,8 +7,11 @@ validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
 :func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
 only.
 
-Instances are treated as immutable after construction and are safe to
-share between threads.
+An algebra keeps what it derives from its tensor: the sparse view
+(:meth:`LieAlgebra.nonzero`) and the nonzero Jacobi components, each
+computed on first use.  So an algebra must not be mutated after
+construction; build a new one instead.  Instances are then safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     ShapeError,
     SymmetricEntry,
 )
-from .exactalg import PolyExpr, PolyLike, as_poly
+from .exactalg import PolyExpr, PolyLike, _canonical, as_poly, mul_acc
 from .exactlinalg import Matrix, Vector, invert, mat
 
 BracketEntry = tuple  # (i, j, k, coef)
@@ -70,6 +73,7 @@ class LieAlgebra:
     params: tuple[str, ...]
     c: list  # dense dim^3 tensor of PolyExpr, antisymmetric in (i, j)
     _nonzero: list | None = field(default=None, repr=False, compare=False)
+    _jacobi: dict | None = field(default=None, repr=False, compare=False)
 
     def index(self, label: str) -> int:
         try:
@@ -82,6 +86,13 @@ class LieAlgebra:
         if self._nonzero is None:
             self._nonzero = _nonzero_entries(self.c)
         return self._nonzero
+
+    def jacobi_components(self) -> dict:
+        """Cached nonzero Jacobi residuals R_ijl^m for i < j < l, keyed
+        (i, j, l, m); see :func:`jacobi_violations`."""
+        if self._jacobi is None:
+            self._jacobi = _jacobi_components(self)
+        return self._jacobi
 
     def pair_map(self) -> dict:
         out: dict = {}
@@ -210,10 +221,10 @@ def _jacobi_components(L: LieAlgebra) -> dict:
                 for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
                     for k, c1 in pm.get((a, b), ()):
                         for m, c2 in pm.get((k, c), ()):
-                            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-                for m, total in acc.items():
-                    if not total.is_zero:
-                        out[(i, j, l, m)] = total
+                            mul_acc(acc.setdefault(m, {}), c1, c2)
+                for m, terms in acc.items():
+                    if terms:
+                        out[(i, j, l, m)] = _canonical(terms)
     return out
 
 
@@ -222,7 +233,7 @@ def jacobi_residual(L: LieAlgebra):
     n = L.dim
     z = PolyExpr.zero()
     res = [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j, l, m), value in _jacobi_components(L).items():
+    for (i, j, l, m), value in L.jacobi_components().items():
         for (a, b, c), sign in zip(permutations((i, j, l)), _PERMUTATION_SIGNS):
             res[a][b][c][m] = value if sign > 0 else -value
     return res
@@ -232,13 +243,13 @@ def jacobi_violations(L: LieAlgebra) -> list:
     """Index tuples (i, j, l, m) where the Jacobi residual is nonzero."""
     return sorted(
         (*triple, m)
-        for (i, j, l, m) in _jacobi_components(L)
+        for (i, j, l, m) in L.jacobi_components()
         for triple in permutations((i, j, l))
     )
 
 
 def is_jacobi_zero(L: LieAlgebra) -> bool:
-    return not _jacobi_components(L)
+    return not L.jacobi_components()
 
 
 @dataclass
@@ -302,28 +313,31 @@ class BasisChange:
 def transform_structure(c, m: Matrix, w: Matrix):
     """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W."""
     n = len(m)
-    out = zero_tensor3(n)
     sparse = _nonzero_entries(c)
+    out = []
     for a in range(n):
+        plane = []
         for b in range(n):
-            acc = [PolyExpr.zero()] * n
+            acc = [{} for _ in range(n)]
             for i, j, k, coef in sparse:
                 if m[a][i].is_zero or m[b][j].is_zero:
                     continue
                 scale = m[a][i] * m[b][j] * coef
                 for cc in range(n):
                     if not w[k][cc].is_zero:
-                        acc[cc] = acc[cc] + scale * w[k][cc]
-            out[a][b] = acc
+                        mul_acc(acc[cc], scale, w[k][cc])
+            plane.append([_canonical(terms) for terms in acc])
+        out.append(plane)
     return out
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
     """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c."""
     n = len(m)
-    out = zero_tensor3(n)
     sparse = _nonzero_entries(f)
+    out = []
     for a in range(n):
+        acc = [[{} for _ in range(n)] for _ in range(n)]
         for i, j, k, coef in sparse:
             if m[a][i].is_zero:
                 continue
@@ -331,9 +345,11 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
             for b in range(n):
                 if w[j][b].is_zero:
                     continue
+                row, scale_b = acc[b], scale * w[j][b]
                 for cc in range(n):
                     if not w[k][cc].is_zero:
-                        out[a][b][cc] = out[a][b][cc] + scale * w[j][b] * w[k][cc]
+                        mul_acc(row[cc], scale_b, w[k][cc])
+        out.append([[_canonical(terms) for terms in row] for row in acc])
     return out
 
 

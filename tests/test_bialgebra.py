@@ -162,3 +162,13 @@ def test_json_round_trip(sl2_hyp, iso11_eta):
         assert algebras_equal(back.algebra, B.algebra)
         assert back.cocomm.f == B.cocomm.f
         assert back.dual_labels == B.dual_labels
+
+
+def test_not_a_cobracket_message(sl2_std):
+    f = cocomm_from_wedge(3, [(0, 1, 2, 1)])  # δ(J3) = J+ ∧ J-
+    with pytest.raises(NotACobracket) as exc:
+        new_bialgebra(sl2_std, f)
+    assert str(exc.value) == (
+        "double violates Jacobi at 72 index tuples "
+        "(first: (0, 1, 3, 1), (0, 1, 4, 0), (0, 2, 3, 2), (0, 2, 5, 0))"
+    )

@@ -253,6 +253,7 @@ def test_exit_zero_iff_all_pass(tmp_path):
         ["span{J12}", "--pi", "[[0, 0.5], [-0.5, 0]]"],
         ["span{P1,P1}"],
         ["span{P1, 2*P1}"],
+        ["span{J12}", "--pi", "[[0, true], [false, 0]]"],
     ],
 )
 def test_classify_malformed_input_exits_2(argv, capsys):
@@ -274,3 +275,32 @@ def test_validate_catalog_reports_declared_checks(tmp_path):
         assert code == 0
         assert report["inputs"]["kind"] == kind
         assert report["verdicts"] == dict.fromkeys(catalog.CHECKS[kind], "pass")
+
+
+# Fraction objects one in-process `double so22-twisted --iterate --out`
+# constructs with a fresh catalog: 16,032 when this bound was set (52,719
+# when every arithmetic result re-coerced its coefficients), so about 1.5x.
+DOUBLE_ITERATE_FRACTION_BUDGET = 24_000
+
+
+def test_double_iterate_fraction_budget(tmp_path, monkeypatch):
+    from fractions import Fraction
+
+    from liedouble import catalog
+
+    monkeypatch.setattr(catalog, "_CATALOG", None)
+    count = 0
+    new = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        code = main(["double", "so22-twisted", "--iterate", "--out", str(tmp_path)])
+    finally:
+        Fraction.__new__ = new
+    assert code == 0
+    assert count <= DOUBLE_ITERATE_FRACTION_BUDGET

@@ -8,6 +8,7 @@ from liedouble.double import (
     bracket_table_text,
     build_double,
     canonical_cocommutator,
+    crossed_bracket_mismatches,
     double_of_double,
     format_combo,
     pairing,
@@ -18,6 +19,7 @@ from liedouble.liealg import (
     algebras_equal,
     bracket,
     is_jacobi_zero,
+    jacobi_violations,
     new_lie_algebra,
     zero_tensor3,
 )
@@ -293,3 +295,55 @@ def test_bracket_table_json_round_trip(sl2_hyp):
     D = build_double(sl2_hyp)
     data = bracket_table_json(D.algebra)
     assert algebras_equal(from_json(data), D.algebra)
+
+
+def test_build_double_reuses_the_validated_algebra(sl2_hyp, so22_twisted):
+    for B in (sl2_hyp, so22_twisted):
+        assert build_double(B).algebra is B.double_algebra
+
+
+def test_iterated_double_evaluates_its_jacobi_residual_once(so22_twisted, monkeypatch):
+    from liedouble import liealg
+
+    evaluated = []
+    evaluate = liealg._jacobi_components
+
+    def counting(L):
+        evaluated.append(L.dim)
+        return evaluate(L)
+
+    monkeypatch.setattr(liealg, "_jacobi_components", counting)
+    D2 = double_of_double(so22_twisted)
+    assert jacobi_violations(D2.algebra) == []
+    assert evaluated == [24]
+
+
+def test_kept_jacobi_components_match_oracle(sl2_eta):
+    from test_liealg import jacobi_oracle
+
+    def oracle_violations(L):
+        return sorted(key for key, value in jacobi_oracle(L).items() if not value.is_zero)
+
+    D2 = double_of_double(sl2_eta)
+    assert jacobi_violations(D2.algebra) == oracle_violations(D2.algebra) == []
+    # [J3,J+] = J+, [J3,J-] = J-, [J+,J-] = J3 violates Jacobi along J3
+    broken = new_lie_algebra(3, ("J3", "J+", "J-"), [(0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 1)])
+    expected = oracle_violations(broken)
+    assert expected
+    assert jacobi_violations(broken) == expected
+    assert jacobi_violations(broken) == expected  # from the kept components
+    assert not is_jacobi_zero(broken)
+
+
+def test_crossed_bracket_mismatch_messages(sl2_hyp, sl2_ell):
+    # D(D) of one bialgebra against the closed forms of another
+    got = crossed_bracket_mismatches(double_of_double(sl2_hyp), sl2_ell)
+    assert got == [
+        f"[{a}, {b}] differs from the closed form"
+        for a, b in (
+            ("y0", "P1"), ("Y0", "a1"), ("y0", "a2"), ("y0", "P2"), ("y0", "theta"),
+            ("y0", "J12"), ("Y0", "theta"), ("y1", "a1"), ("Y1", "a1"), ("y1", "P2"),
+            ("Y1", "a2"), ("y1", "theta"), ("Y1", "theta"), ("y2", "a1"), ("y2", "P1"),
+            ("Y2", "a1"), ("y2", "a2"), ("y2", "P2"), ("y2", "J12"), ("Y2", "theta"),
+        )
+    ]

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from liedouble.errors import NotDivisible, PolyParseError, UnassignedParameter
 from liedouble.exactalg import (
     PolyExpr,
     as_poly,
+    mul_acc,
     poly_add,
     poly_div_exact,
     poly_eval,
@@ -185,3 +188,129 @@ def test_parse_rejects_zero_denominator():
     for bad in ("1/0", "eta - 3/0*z", "1/00"):
         with pytest.raises(PolyParseError, match="zero denominator"):
             PolyExpr.parse(bad)
+
+
+def test_as_poly_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            as_poly(value)
+    with pytest.raises(TypeError):
+        PolyExpr.param("eta") + True
+
+
+def test_public_constructor_coerces():
+    p = PolyExpr({(): 2, (("eta", 1),): Q(0), (("z", 2),): Q(3, 6)})
+    assert p.terms == {(): Q(2), (("z", 2),): Q(1, 2)}
+    assert all(type(c) is Q for c in p.terms.values())
+
+
+# -- PolyExpr arithmetic against sympy -----------------------------------
+
+NAMES = ("eta", "kappa", "z")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def laurent_polys(draw, names):
+    """Up to five Laurent terms in ``names``, exponents in -2..2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mono = tuple(
+            (name, e) for name in names if (e := draw(st.integers(-2, 2)))
+        )
+        coef = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        terms[mono] = terms.get(mono, Q(0)) + coef
+    return PolyExpr(terms)
+
+
+@st.composite
+def poly_triples(draw):
+    """Three polynomials over the same two or three parameters."""
+    names = NAMES[: draw(st.integers(2, 3))]
+    return tuple(draw(laurent_polys(names)) for _ in range(3))
+
+
+def to_sympy(p: PolyExpr):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(SYMBOLS[name] ** e for name, e in mono))
+            for mono, c in p.terms.items()
+        )
+    )
+
+
+def assert_canonical(terms: dict):
+    """The invariant arithmetic results rely on: nonzero Fraction values,
+    monomials sorted by name with nonzero integer exponents."""
+    for mono, coef in terms.items():
+        assert type(coef) is Q and coef != 0
+        names = [name for name, _ in mono]
+        assert names == sorted(set(names))
+        assert all(type(e) is int and e != 0 for _, e in mono)
+
+
+def assert_matches(result: PolyExpr, expected):
+    assert_canonical(result.terms)
+    assert sympy.expand(to_sympy(result) - expected) == 0
+
+
+@ORACLE_SETTINGS
+@given(poly_triples())
+def test_arithmetic_matches_sympy(polys):
+    a, b, c = polys
+    sa, sb, sc = (to_sympy(p) for p in polys)
+    assert_matches(a + b, sa + sb)
+    assert_matches(a - b, sa - sb)
+    assert_matches(a * b, sa * sb)
+    assert_matches(-a, -sa)
+    assert_matches(a * b + c, sa * sb + sc)
+    assert_matches(a - a, 0)
+
+
+@ORACLE_SETTINGS
+@given(poly_triples())
+def test_mul_acc_matches_sympy(polys):
+    a, b, c = polys
+    sa, sb, sc = (to_sympy(p) for p in polys)
+    for negate, expected in ((False, sc + sa * sb), (True, sc - sa * sb)):
+        out = dict(c.terms)
+        mul_acc(out, a, b, negate=negate)
+        assert_canonical(out)
+        assert sympy.expand(to_sympy(PolyExpr(out)) - expected) == 0
+    out = {}
+    mul_acc(out, a, b)
+    mul_acc(out, a, b, negate=True)
+    assert out == {}
+
+
+def count_fractions(fn):
+    """(result, Fraction objects constructed) of one call."""
+    count = 0
+    new = Q.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Q.__new__ = staticmethod(counted)
+    try:
+        result = fn()
+    finally:
+        Q.__new__ = new
+    return result, count
+
+
+def test_arithmetic_constructs_only_result_coefficients():
+    # Results keep canonical coefficients as they are: a sum over disjoint
+    # monomials builds no Fraction, a product one per term, a negation one
+    # per term.  Re-coercing each result would build one more per term.
+    a, b = P("2*eta + 1/3*z^-1"), P("5 - 7/2*eta^2*z")
+    total, built = count_fractions(lambda: a + b)
+    assert built == 0 and total == P("2*eta + 1/3*z^-1 + 5 - 7/2*eta^2*z")
+    product, built = count_fractions(lambda: a * b)
+    assert built == 4 and len(product.terms) == 4
+    negated, built = count_fractions(lambda: -a)
+    assert built == 2 and negated == P("-2*eta - 1/3*z^-1")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .bialgebra import CocommTensor, LieBialgebra, new_bialgebra
 from .errors import DimensionMismatch
-from .exactalg import PolyExpr, Q, as_poly
+from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Matrix, Vector
 from .liealg import LieAlgebra, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
@@ -78,12 +78,13 @@ def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
     """Symmetric bilinear pairing <u, v> on the double."""
     if len(u) != D.dim or len(v) != D.dim:
         raise DimensionMismatch("pairing arguments must have length 2n")
-    u = [as_poly(x) for x in u]
-    v = [as_poly(x) for x in v]
-    total = PolyExpr.zero()
-    for i in range(D.n):
-        total = total + u[i] * v[D.n + i] + u[D.n + i] * v[i]
-    return total
+    n = D.n
+    terms: dict = {}
+    for a, b in zip(u, v[n:] + v[:n]):
+        a, b = as_poly(a), as_poly(b)
+        if not a.is_zero and not b.is_zero:
+            mul_acc(terms, a, b)
+    return _canonical(terms)
 
 
 def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:

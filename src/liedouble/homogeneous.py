@@ -16,6 +16,18 @@ first-order compatibility tensors
 i.e. the π-twisted cocommutator f + (ad ⊗ 1 + 1 ⊗ ad)π in the adapted
 basis, antisymmetric in (α, β).
 
+Membership in l is read from a dual frame.  With m = span{T_α}, the
+complementary Lagrangian m ⊕ m^⊥ of the double has the basis
+
+    φ_i = (0, column i of A⁻¹)  for i < n_h,      φ_{n_h+α} = (T_α, 0),
+
+where A is the adapted basis (h, T) as rows.  Since A A⁻¹ = 1, the pairing
+gives ⟨l_j, φ_k⟩ = δ_jk exactly, whatever π is.  So the vectors of l are
+independent, and the coordinates of any w in l are c_k = ⟨w, φ_k⟩; w lies
+in l iff Σ c_k l_k == w.  :func:`lagrangian_from_pi` keeps this frame on
+the :class:`Subspace` it returns.  A subspace built any other way has no
+frame, and its rank and membership tests run Bareiss elimination.
+
 Rank and membership tests are exact and generic in the parameters: a
 polynomial coefficient counts as nonzero unless identically zero.
 Declared parameter relations (e.g. a curvature expressed through a
@@ -38,16 +50,8 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, as_poly
-from .exactlinalg import (
-    Matrix,
-    Vector,
-    invert,
-    mat,
-    nullspace,
-    rank,
-    solve_in_span,
-)
+from .exactalg import PolyExpr, as_poly, mul_acc
+from .exactlinalg import Matrix, Vector, invert, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
@@ -63,6 +67,8 @@ from .liealg import (
 class Subspace:
     ambient_dim: int
     vectors: list  # list of coefficient vectors (PolyExpr)
+    # dual frame φ_k with <vectors[j], φ_k> = δ_jk, when known (module doc)
+    _frame: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = [
@@ -77,6 +83,8 @@ class Subspace:
         return len(self.vectors)
 
     def rank(self) -> int:
+        if self._frame is not None:
+            return len(self.vectors)  # the frame proves independence
         return rank(self.vectors)
 
 
@@ -178,16 +186,38 @@ def _lagrangian(D: DoubleAlgebra, spec: LagrangianSpec, a_inv: Matrix) -> Subspa
                 primal[j] = primal[j] + coef * spec.complement[b][j]
         dual = [a_inv[j][n_h + a] for j in range(n)]
         vectors.append(primal + dual)
-    return Subspace(2 * n, vectors)
+    l = Subspace(2 * n, vectors)
+    zero = [PolyExpr.zero()] * n
+    l._frame = [zero + [a_inv[j][i] for j in range(n)] for i in range(n_h)] + [
+        list(t) + zero for t in spec.complement
+    ]
+    return l
+
+
+def _coordinates(D: DoubleAlgebra, l: Subspace, w: Vector) -> Vector | None:
+    """Coordinates c with Σ c_k l_k == w, read from the frame of l, or None
+    if w is not in l."""
+    coords = [pairing(D, w, phi) for phi in l._frame]
+    acc = [{} for _ in range(l.ambient_dim)]
+    for c, v in zip(coords, l.vectors):
+        if c.is_zero:
+            continue
+        for terms, x in zip(acc, v):
+            if not x.is_zero:
+                mul_acc(terms, c, x)
+    if any(terms != x.terms for terms, x in zip(acc, w)):
+        return None
+    return coords
 
 
 def is_lagrangian(D: DoubleAlgebra, l: Subspace) -> bool:
     """True iff the pairing vanishes on l × l and dim l = n."""
     if l.ambient_dim != D.dim:
         raise WrongDimension("subspace does not live in this double")
-    if l.rank() != D.n:
+    dim = l.rank()
+    if dim != D.n:
         raise WrongDimension(
-            f"Lagrangian candidate must have dimension {D.n}, got {l.rank()}"
+            f"Lagrangian candidate must have dimension {D.n}, got {dim}"
         )
     for i, u in enumerate(l.vectors):
         for v in l.vectors[i:]:
@@ -197,12 +227,16 @@ def is_lagrangian(D: DoubleAlgebra, l: Subspace) -> bool:
 
 
 def is_subalgebra(D: DoubleAlgebra, l: Subspace) -> bool:
-    """True iff [l, l] ⊆ l (exact rank test, generic parameters)."""
-    base = rank(l.vectors)
+    """True iff [l, l] ⊆ l (generic parameters): read from the frame of l
+    when it has one, else an exact rank test per bracket."""
+    base = l.rank()
     for i, u in enumerate(l.vectors):
         for v in l.vectors[i + 1 :]:
             w = bracket(D.algebra, u, v)
-            if rank(l.vectors + [w]) != base:
+            if l._frame is not None:
+                if _coordinates(D, l, w) is None:
+                    return False
+            elif rank(l.vectors + [w]) != base:
                 return False
     return True
 
@@ -356,7 +390,7 @@ def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgeb
     for i, u in enumerate(l.vectors):
         for j in range(i + 1, n):
             w = bracket(D.algebra, u, l.vectors[j])
-            coords = solve_in_span(l.vectors, w)
+            coords = _coordinates(D, l, w)
             if coords is None:
                 raise NotClosed(
                     f"[{labels[i]}, {labels[j]}] does not lie in the subspace"

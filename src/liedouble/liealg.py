@@ -311,13 +311,18 @@ class BasisChange:
 
 
 def transform_structure(c, m: Matrix, w: Matrix):
-    """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W."""
+    """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W.
+
+    C must be antisymmetric in (i, j), as every construction path keeps it;
+    then so is C'.  Only a < b is computed: (b, a) is its negation and the
+    diagonal is zero.
+    """
     n = len(m)
     sparse = _nonzero_entries(c)
-    out = []
+    out = [[None] * n for _ in range(n)]
     for a in range(n):
-        plane = []
-        for b in range(n):
+        out[a][a] = [PolyExpr.zero()] * n
+        for b in range(a + 1, n):
             acc = [{} for _ in range(n)]
             for i, j, k, coef in sparse:
                 if m[a][i].is_zero or m[b][j].is_zero:
@@ -326,13 +331,19 @@ def transform_structure(c, m: Matrix, w: Matrix):
                 for cc in range(n):
                     if not w[k][cc].is_zero:
                         mul_acc(acc[cc], scale, w[k][cc])
-            plane.append([_canonical(terms) for terms in acc])
-        out.append(plane)
+            row = [_canonical(terms) for terms in acc]
+            out[a][b] = row
+            out[b][a] = [-x for x in row]
     return out
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
-    """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c."""
+    """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c.
+
+    f must be antisymmetric in (j, k), as ``bialgebra.CocommTensor`` checks;
+    then f' is antisymmetric in (b, c).  Only b < c is computed in each
+    plane: (c, b) is its negation and the diagonal is zero.
+    """
     n = len(m)
     sparse = _nonzero_entries(f)
     out = []
@@ -342,14 +353,18 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
             if m[a][i].is_zero:
                 continue
             scale = m[a][i] * coef
-            for b in range(n):
+            for b in range(n - 1):
                 if w[j][b].is_zero:
                     continue
                 row, scale_b = acc[b], scale * w[j][b]
-                for cc in range(n):
+                for cc in range(b + 1, n):
                     if not w[k][cc].is_zero:
                         mul_acc(row[cc], scale_b, w[k][cc])
-        out.append([[_canonical(terms) for terms in row] for row in acc])
+        plane = [[_canonical(terms) for terms in row] for row in acc]
+        for b in range(n):
+            for cc in range(b):
+                plane[b][cc] = -plane[cc][b]
+        out.append(plane)
     return out
 
 

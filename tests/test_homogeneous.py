@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from liedouble import catalog
 from liedouble.double import build_double, double_of_double
 from liedouble.errors import (
     BadPartition,
@@ -12,9 +14,11 @@ from liedouble.errors import (
     WrongDimension,
 )
 from liedouble.exactalg import PolyExpr
+from liedouble.exactlinalg import mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
     Subspace,
+    _coordinates,
     annihilator,
     classify,
     is_lagrangian,
@@ -516,3 +520,155 @@ def test_m_tensor_is_the_twisted_cocommutator():
                                for x in row), (key, h_label, p)
                     assert not any(v.startswith("M^") for v in rep.violations)
     assert n_subalgebra == 96
+
+
+# --- coordinates from the complementary Lagrangian ------------------------
+
+CATALOG = catalog.load()
+BIALGEBRAS = CATALOG.list("bialgebra")
+ETA_VALUES = ["0", "1", "-1", "1/2", "eta", "-eta", "2*eta", "eta + 1"]
+
+
+def unit_complement(B, h):
+    """Unit vectors, in basis order, that complete h to a basis of g."""
+    out = []
+    for i in range(B.dim):
+        e = B.algebra.basis_vector(i)
+        if rank(h + out + [e]) > len(h) + len(out):
+            out.append(e)
+    return out
+
+
+def check_frame(B, h, pi, combos, outsiders):
+    """Frame coordinates against solve_in_span, framed rank and is_subalgebra
+    against the unframed rank path, on l built from (h, π)."""
+    D = build_double(B)
+    h = mat(h)
+    spec = LagrangianSpec(h, unit_complement(B, h), mat(pi))
+    l = lagrangian_from_pi(D, spec)
+    assert l.rank() == rank(l.vectors) == B.dim
+    for coeffs in combos:
+        coeffs = mat([coeffs])[0]
+        w = [sum((c * v[j] for c, v in zip(coeffs, l.vectors)), PolyExpr.zero())
+             for j in range(D.dim)]
+        assert _coordinates(D, l, w) == solve_in_span(l.vectors, w) == coeffs
+    for w in outsiders:
+        w = mat([w])[0]
+        if rank(l.vectors + [w]) > B.dim:
+            assert _coordinates(D, l, w) is None
+            assert solve_in_span(l.vectors, w) is None
+    unframed = Subspace(l.ambient_dim, l.vectors)
+    assert is_subalgebra(D, l) == is_subalgebra(D, unframed)
+
+
+@st.composite
+def frame_cases(draw):
+    """A catalog bialgebra; h dense, or spanned by recombined basis vectors
+    (sometimes a subalgebra); π antisymmetric or not; members and others."""
+    # the 6-dim so(2,2) bialgebras are drawn more often: they carry the sweep
+    so22 = st.sampled_from(["so22-r1", "so22-twisted"])
+    B = CATALOG.bialgebra(draw(st.one_of(st.sampled_from(BIALGEBRAS), so22)))
+    n = B.dim
+    n_h = draw(st.integers(0, n))
+    ints = st.integers(-2, 2)
+    mix = draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n_h, max_size=n_h))
+    if draw(st.booleans()):
+        h = mix
+    else:
+        support = draw(st.permutations(range(n)))[:n_h]
+        h = [[row[support.index(j)] if j in support else 0 for j in range(n)]
+             for row in mix]
+    assume(rank(mat(h)) == n_h)
+    m = n - n_h
+    values = st.sampled_from(ETA_VALUES)
+    pi = mat(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                           min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        pi = [[pi[a][b] if a < b else -pi[b][a] if a > b else PolyExpr.zero()
+               for b in range(m)] for a in range(m)]
+    combos = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=3))
+    outsiders = draw(st.lists(st.lists(values, min_size=2 * n, max_size=2 * n),
+                              min_size=1, max_size=3))
+    return B, h, pi, combos, outsiders
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(frame_cases())
+def test_frame_coordinates_match_elimination(case):
+    check_frame(*case)
+
+
+@pytest.mark.parametrize("key", BIALGEBRAS)
+def test_frame_at_the_boundary_dimensions(key):
+    B = CATALOG.bialgebra(key)
+    n = B.dim
+    rng = random.Random(7)
+    combos = [[rng.choice(ETA_VALUES) for _ in range(n)] for _ in range(2)]
+    outsiders = [[rng.choice(ETA_VALUES) for _ in range(2 * n)] for _ in range(2)]
+    pi = [[rng.choice(ETA_VALUES) for _ in range(n)] for _ in range(n)]
+    full = [[int(i == j) + (i < j) for j in range(n)] for i in range(n)]
+    check_frame(B, [], pi, combos, outsiders)  # span{}: l is the dual factor, twisted
+    check_frame(B, full, [], combos, outsiders)  # n_h = n: l is g itself
+
+
+# --- cost guard -------------------------------------------------------------
+
+SO22_SUBALGEBRAS = (("J", "K1", "K2"), ("J", "P1", "P2"), ("P0", "P1", "K1"), ("P0", "P2", "K2"))
+SO22_PI = [[0, "eta", "1/2"], ["-eta", 0, "-2*eta"], ["-1/2", "2*eta", 0]]
+SO22_DENSE_H = (
+    [[1, 2, 0, -1, 1, 0], [0, 1, 1, 2, -1, 1], [2, 0, -1, 1, 0, 1]],
+    [[1, 1, 1, 0, 0, 1], [-1, 0, 2, 1, 1, 0], [0, 2, 0, -1, 1, 1]],
+)
+
+
+def cost_guard_cases():
+    """(double, bialgebra, spec) for so22-r1 and so22-twisted: each
+    basis-label subalgebra with π = 0 and with SO22_PI, and two dense h."""
+    cases = []
+    for key in ("so22-r1", "so22-twisted"):
+        B = CATALOG.bialgebra(key)
+        D = build_double(B)
+        for labels in SO22_SUBALGEBRAS:
+            h = [B.algebra.basis_vector(lab) for lab in labels]
+            comp = unit_complement(B, h)
+            cases.append((D, B, spec_with_zero_pi(h, comp)))
+            cases.append((D, B, LagrangianSpec(h, comp, SO22_PI)))
+        for h in SO22_DENSE_H:
+            h = mat(h)
+            cases.append((D, B, spec_with_zero_pi(h, unit_complement(B, h))))
+    return cases
+
+
+def fraction_constructions(work) -> int:
+    """Fraction objects built while ``work()`` runs; ``Fraction.__new__`` is
+    patched for the duration, as the benchmark's traced pass does."""
+    new = Q.__dict__["__new__"]
+    count = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Q.__new__ = staticmethod(counted)
+    try:
+        work()
+    finally:
+        Q.__new__ = new
+    return count
+
+
+def test_classify_fraction_cost_guard():
+    # classify plus the bracket table of every subalgebra l on this list
+    # builds 13.3k Fractions.  It built 27.9k when each bracket ran its own
+    # elimination and the transforms filled both halves; 18.0k with only
+    # the full-plane transforms back, 23.2k with only the eliminations back.
+    cases = cost_guard_cases()
+
+    def work():
+        for D, B, spec in cases:
+            if classify(D, B, spec).subalgebra:
+                lagrangian_bracket_table(D, spec)
+
+    work()  # fill the algebras' cached sparse views first
+    assert fraction_constructions(work) <= 16_000

@@ -11,8 +11,9 @@ from liedouble.errors import (
     SingularMatrix,
     SymmetricEntry,
 )
+from liedouble import catalog
 from liedouble.exactalg import PolyExpr
-from liedouble.exactlinalg import mat, mat_mul, mat_vec
+from liedouble.exactlinalg import invert, mat, mat_mul, mat_vec, rank
 from liedouble.liealg import (
     BasisChange,
     SymmetricTensor,
@@ -27,6 +28,8 @@ from liedouble.liealg import (
     jacobi_violations,
     new_lie_algebra,
     substitute_params,
+    transform_cocomm,
+    transform_structure,
 )
 
 P = PolyExpr.parse
@@ -295,3 +298,74 @@ def test_json_round_trip(glambda):
     assert algebras_equal(back, glambda)
     assert back.labels == glambda.labels
     assert back.params == glambda.params
+
+
+# --- basis transforms against full-plane loops --------------------------
+
+
+def full_transform_structure(c, m, w):
+    """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c over every (a, b)."""
+    n = len(m)
+    out = [[[PolyExpr.zero()] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        if c[i][j][k].is_zero:
+                            continue
+                        scale = m[a][i] * m[b][j] * c[i][j][k]
+                        for cc in range(n):
+                            out[a][b][cc] = out[a][b][cc] + scale * w[k][cc]
+    return out
+
+
+def full_transform_cocomm(f, m, w):
+    """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c over every (b, c)."""
+    n = len(m)
+    out = [[[PolyExpr.zero()] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if f[i][j][k].is_zero:
+                        continue
+                    scale = m[a][i] * f[i][j][k]
+                    for b in range(n):
+                        for cc in range(n):
+                            out[a][b][cc] = out[a][b][cc] + scale * w[j][b] * w[k][cc]
+    return out
+
+
+CATALOG = catalog.load()
+TRANSFORM_BIALGEBRAS = sorted(
+    key for key in CATALOG.list("bialgebra")
+    if CATALOG.bialgebra(key).dim == 3 or key in ("so22-r1", "so22-twisted")
+)
+
+
+@st.composite
+def dense_adapted_bases(draw):
+    """A catalog bialgebra and a dense invertible integer basis for it."""
+    B = CATALOG.bialgebra(draw(st.sampled_from(TRANSFORM_BIALGEBRAS)))
+    n = B.dim
+    entry = st.integers(-2, 2).filter(lambda x: x != 0)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n).filter(lambda r: rank(mat(r)) == n))
+    m = mat(rows)
+    return B, m, invert(m)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(dense_adapted_bases())
+def test_halved_transforms_match_full_planes(case):
+    B, m, w = case
+    n = B.dim
+    c = transform_structure(B.algebra.c, m, w)
+    f = transform_cocomm(B.cocomm.f, m, w)
+    assert c == full_transform_structure(B.algebra.c, m, w)
+    assert f == full_transform_cocomm(B.cocomm.f, m, w)
+    for a in range(n):
+        for b in range(n):
+            assert c[a][b] == [-x for x in c[b][a]]
+            assert f[a][b] == [-f[a][x][b] for x in range(n)]

@@ -18,8 +18,8 @@ from .exactalg import PolyExpr, as_poly
 from .exactlinalg import Vector
 from .liealg import (
     LieAlgebra,
+    _algebra_on,
     _nonzero_entries,
-    _used_params,
     from_json as algebra_from_json,
     jacobi_violations,
     substitute_params as substitute_algebra_params,
@@ -130,7 +130,7 @@ def new_bialgebra(
         raise ShapeError("need one dual label per basis element")
 
     c2 = double_structure_tensor(L, cocomm.f)
-    double_alg = LieAlgebra(2 * L.dim, L.labels + dual_labels, _used_params(c2), c2)
+    double_alg = _algebra_on(L.labels + dual_labels, c2)
     violations = jacobi_violations(double_alg)
     if violations:
         sample = ", ".join(str(v) for v in violations[:4])
@@ -152,7 +152,7 @@ def dual_bialgebra(B: LieBialgebra) -> LieBialgebra:
             for k in range(n):
                 c_dual[i][j][k] = B.cocomm.f[k][i][j]
                 f_dual[i][j][k] = B.algebra.c[j][k][i]
-    dual_algebra = LieAlgebra(n, B.dual_labels, _used_params(c_dual), c_dual)
+    dual_algebra = _algebra_on(B.dual_labels, c_dual)
     return new_bialgebra(dual_algebra, f_dual, dual_labels=B.algebra.labels)
 
 

@@ -31,6 +31,8 @@ from .liealg import LieAlgebra, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
+ONE = PolyExpr.one()
+MINUS_ONE = PolyExpr.const(-1)
 
 
 @dataclass
@@ -57,11 +59,10 @@ def build_double(B: LieBialgebra) -> DoubleAlgebra:
     pairing_matrix = zero_matrix(2 * n)
     raw = zero_matrix(2 * n)
     skew = zero_matrix(2 * n)
-    one = PolyExpr.one()
     for i in range(n):
-        pairing_matrix[i][n + i] = one
-        pairing_matrix[n + i][i] = one
-        raw[n + i][i] = one
+        pairing_matrix[i][n + i] = ONE
+        pairing_matrix[n + i][i] = ONE
+        raw[n + i][i] = ONE
         skew[n + i][i] = HALF
         skew[i][n + i] = -HALF
     return DoubleAlgebra(
@@ -186,9 +187,9 @@ def format_combo(labels: Sequence[str], coeffs: Vector) -> str:
         coef = as_poly(coef)
         if coef.is_zero:
             continue
-        if coef == 1:
+        if coef == ONE:
             term = lab
-        elif coef == -1:
+        elif coef == MINUS_ONE:
             term = "-" + lab
         elif coef.is_single_term:
             text = str(coef)

@@ -21,6 +21,9 @@ constructor ``PolyExpr(terms)`` checks and coerces its input into this form.
 Arithmetic results are built by the private :func:`_canonical`, which takes
 a terms dict that already has this form and neither copies nor re-coerces
 it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
+Long sums of products can instead run over integers: :func:`to_int_terms`
+clears the denominators of their factors once and :func:`from_int_terms`
+divides the integer result back.
 
 All values are immutable; instances can be shared freely between threads.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 from .errors import NotDivisible, PolyParseError, UnassignedParameter
@@ -111,11 +115,11 @@ class PolyExpr:
         return not self.terms
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, PolyExpr):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = PolyExpr.const(other)
-        if not isinstance(other, PolyExpr):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == PolyExpr.const(other).terms
+        return NotImplemented
 
     __hash__ = None  # mutable-dict payload; not usable as a dict key
 
@@ -397,6 +401,35 @@ def mul_acc(out: dict, a: PolyExpr, b: PolyExpr, negate: bool = False) -> None:
                     out[mono] = new
                 else:
                     del out[mono]
+
+
+def to_int_terms(polys) -> tuple[int, list]:
+    """Clear denominators once: ``(d, scaled)`` with ``d`` the lcm of every
+    coefficient denominator in ``polys`` and ``scaled[i]`` the terms of
+    ``d * polys[i]`` as a tuple ``((mono, int), ...)``.
+
+    Sums of products of scaled polynomials then run over Python ints: a sum
+    of products of two factors each is ``d**2`` times the rational sum,
+    exactly, so it is zero exactly when the rational sum is, and
+    :func:`from_int_terms` with scale ``d**2`` gives back the rational
+    polynomial.  Nothing is evaluated at parameter values, so the result
+    stays generic in the parameters.  No :class:`~fractions.Fraction` is
+    built here.
+    """
+    polys = list(polys)
+    d = lcm(*(q.denominator for p in polys for q in p.terms.values()))
+    scaled = [
+        tuple((mono, q.numerator * (d // q.denominator)) for mono, q in p.terms.items())
+        for p in polys
+    ]
+    return d, scaled
+
+
+def from_int_terms(terms: dict, scale: int) -> PolyExpr:
+    """The polynomial ``terms / scale`` for a dict ``{mono: int}``, e.g. a
+    sum accumulated over the output of :func:`to_int_terms`; zero
+    coefficients are dropped."""
+    return _canonical({mono: Q(v, scale) for mono, v in terms.items() if v})
 
 
 # -- spec-level operation aliases ---------------------------------------

@@ -55,8 +55,8 @@ from .exactlinalg import Matrix, Vector, invert, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
+    _algebra_on,
     _nonzero_entries,
-    _used_params,
     bracket,
     transform_cocomm,
     transform_structure,
@@ -398,7 +398,7 @@ def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgeb
             for k in range(n):
                 c[i][j][k] = coords[k]
                 c[j][i][k] = -coords[k]
-    return LieAlgebra(n, tuple(labels), _used_params(c), c)
+    return _algebra_on(labels, c)
 
 
 def is_semidirect(

@@ -5,7 +5,9 @@ A :class:`LieAlgebra` stores the dense tensor ``C[i][j][k]`` of
 parameter names.  Antisymmetry in (i, j) is enforced at construction;
 validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
 :func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
-only.
+only.  The residual is summed over integers: the structure constants are
+scaled once by the lcm d of their denominators, so the sum is d² times the
+residual exactly, and only its nonzero components are divided back.
 
 An algebra keeps what it derives from its tensor: the sparse view
 (:meth:`LieAlgebra.nonzero`) and the nonzero Jacobi components, each
@@ -26,7 +28,16 @@ from .errors import (
     ShapeError,
     SymmetricEntry,
 )
-from .exactalg import PolyExpr, PolyLike, _canonical, as_poly, mul_acc
+from .exactalg import (
+    PolyExpr,
+    PolyLike,
+    _canonical,
+    _mono_mul,
+    as_poly,
+    from_int_terms,
+    mul_acc,
+    to_int_terms,
+)
 from .exactlinalg import Matrix, Vector, invert, mat
 
 BracketEntry = tuple  # (i, j, k, coef)
@@ -59,11 +70,18 @@ def _nonzero_entries(t) -> list:
     ]
 
 
-def _used_params(t) -> tuple[str, ...]:
-    """Sorted names of the parameters occurring in a dense 3-tensor."""
-    return tuple(
-        sorted({name for *_, v in _nonzero_entries(t) for name in v.parameters()})
-    )
+def _used_params(entries) -> tuple[str, ...]:
+    """Sorted names of the parameters occurring in a sparse view
+    [(i, j, k, value)] of a 3-tensor."""
+    return tuple(sorted({name for *_, v in entries for name in v.parameters()}))
+
+
+def _algebra_on(labels: Sequence[str], c) -> LieAlgebra:
+    """The algebra with dense structure tensor ``c`` and the parameters that
+    occur in it; the sparse view built to find them is kept as its
+    :meth:`LieAlgebra.nonzero`."""
+    entries = _nonzero_entries(c)
+    return LieAlgebra(len(c), tuple(labels), _used_params(entries), c, _nonzero=entries)
 
 
 @dataclass
@@ -93,12 +111,6 @@ class LieAlgebra:
         if self._jacobi is None:
             self._jacobi = _jacobi_components(self)
         return self._jacobi
-
-    def pair_map(self) -> dict:
-        out: dict = {}
-        for i, j, k, coef in self.nonzero():
-            out.setdefault((i, j), []).append((k, coef))
-        return out
 
     def basis_vector(self, label_or_index) -> Vector:
         i = (
@@ -165,12 +177,13 @@ def new_lie_algebra(
             raise SymmetricEntry(f"nonzero bracket entry ({i},{i},{k})")
         c[i][j][k] = c[i][j][k] + coef
         c[j][i][k] = c[j][i][k] - coef
-    used = _used_params(c)
+    entries = _nonzero_entries(c)
+    used = _used_params(entries)
     declared = tuple(params) or used
     undeclared = sorted(set(used) - set(declared))
     if undeclared:
         raise ShapeError(f"undeclared parameters in brackets: {undeclared}")
-    return LieAlgebra(dim, tuple(labels), declared, c)
+    return LieAlgebra(dim, tuple(labels), declared, c, _nonzero=entries)
 
 
 def from_json(data: Mapping) -> LieAlgebra:
@@ -210,21 +223,38 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     alternating in (i, j, l) because C is antisymmetric in its lower pair,
     which every construction path enforces; so these components, keyed
     (i, j, l, m), determine the whole residual.
+
+    The sum runs over integers.  With d the lcm of the denominators of all
+    structure constants, each C_ab^k is scaled once to d*C_ab^k with
+    integer coefficients (:func:`~liedouble.exactalg.to_int_terms`); every
+    product in R has two factors, so the integer sum is exactly d²·R.  It
+    is zero exactly when R is, and only nonzero components are divided
+    back by d², so the check stays exact and generic in the parameters.
     """
     n = L.dim
-    pm = L.pair_map()
+    entries = L.nonzero()
+    d, scaled = to_int_terms(coef for *_, coef in entries)
+    by_pair: dict = {}
+    for (i, j, k, _), terms in zip(entries, scaled):
+        by_pair.setdefault((i, j), []).append((k, terms))
+    scale = d * d
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(j + 1, n):
                 acc: dict = {}
                 for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                    for k, c1 in pm.get((a, b), ()):
-                        for m, c2 in pm.get((k, c), ()):
-                            mul_acc(acc.setdefault(m, {}), c1, c2)
-                for m, terms in acc.items():
-                    if terms:
-                        out[(i, j, l, m)] = _canonical(terms)
+                    for k, t1 in by_pair.get((a, b), ()):
+                        for m, t2 in by_pair.get((k, c), ()):
+                            row = acc.setdefault(m, {})
+                            for m1, c1 in t1:
+                                for m2, c2 in t2:
+                                    mono = _mono_mul(m1, m2)
+                                    row[mono] = row.get(mono, 0) + c1 * c2
+                for m, row in acc.items():
+                    value = from_int_terms(row, scale)
+                    if value:
+                        out[(i, j, l, m)] = value
     return out
 
 
@@ -385,7 +415,7 @@ def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
     if len(bc.m) != L.dim:
         raise DimensionMismatch("basis change dimension does not match algebra")
     c = transform_structure(L.c, bc.m, bc.inverse)
-    return LieAlgebra(L.dim, bc.labels, _used_params(c), c)
+    return _algebra_on(bc.labels, c)
 
 
 def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlgebra:
@@ -395,7 +425,7 @@ def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlge
          for j in range(L.dim)]
         for i in range(L.dim)
     ]
-    return LieAlgebra(L.dim, L.labels, _used_params(c), c)
+    return _algebra_on(L.labels, c)
 
 
 def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:

@@ -318,6 +318,22 @@ def test_iterated_double_evaluates_its_jacobi_residual_once(so22_twisted, monkey
     assert evaluated == [24]
 
 
+def test_iterated_double_jacobi_fraction_cost_guard(so22_r1, so22_twisted):
+    # The Jacobi check of each 24-dim D(D(so22)) after eta -> 13/17*eta - 19/23
+    # built 23.4k (so22-r1) and 23.1k (so22-twisted) Fractions when it summed
+    # Fraction coefficients.  Summed over integers it builds none: both
+    # residuals vanish, so no component is divided back.
+    from liedouble import liealg
+    from liedouble.bialgebra import substitute_params
+    from test_homogeneous import fraction_constructions
+
+    for B in (so22_r1, so22_twisted):
+        B = substitute_params(B, {"eta": P("13/17*eta - 19/23")})
+        L = double_of_double(B).algebra
+        assert L.dim == 24
+        assert fraction_constructions(lambda: liealg._jacobi_components(L)) <= 1_000
+
+
 def test_kept_jacobi_components_match_oracle(sl2_eta):
     from test_liealg import jacobi_oracle
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,57 @@ def test_jacobi_matches_oracle_on_random_antisymmetric_tensors(L):
     res = jacobi_residual(L)
     for (i, j, l, m), v in oracle.items():
         assert res[i][j][l][m] == v
+
+
+# Coprime denominators, negative powers of eta and a second parameter xi:
+# the residual is summed over integers after clearing a common denominator,
+# and these make that denominator large and the division back non-trivial.
+AWKWARD_COEFFICIENTS = [
+    "1/3", "5/7", "-11/13", "eta^-1", "-2/3*eta^-2", "5/7*eta*xi",
+    "xi - 1/3", "-11/13*xi^2 + eta^-1", "3/5*eta + 7/11*xi^-1",
+]
+
+
+@st.composite
+def awkward_tensors(draw):
+    """Random sparse structure tensors of dim 3-5 over AWKWARD_COEFFICIENTS."""
+    n = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entry = st.tuples(
+        st.sampled_from(pairs),
+        st.integers(0, n - 1),
+        st.sampled_from(AWKWARD_COEFFICIENTS),
+    )
+    entries = draw(st.lists(entry, min_size=1, max_size=8))
+    labels = tuple(f"e{i}" for i in range(n))
+    return new_lie_algebra(n, labels, [(i, j, k, c) for (i, j), k, c in entries])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(awkward_tensors())
+def test_jacobi_matches_oracle_with_awkward_coefficients(L):
+    oracle = jacobi_oracle(L)
+    nonzero = sorted(key for key, v in oracle.items() if not v.is_zero)
+    assert jacobi_violations(L) == nonzero
+    assert is_jacobi_zero(L) == (not nonzero)
+    res = jacobi_residual(L)
+    for (i, j, l, m), v in oracle.items():
+        assert res[i][j][l][m] == v
+
+
+def test_jacobi_residual_with_a_non_trivial_denominator():
+    # [e0,e1] = 1/3*eta^-1 e2 and [e0,e2] = 5/7*xi e0: the cyclic sum on
+    # (e0,e1,e2) is [[e2,e0],e1] = -5/7*xi [e0,e1] = -5/21*eta^-1*xi e2
+    L = new_lie_algebra(
+        3, ("e0", "e1", "e2"), [(0, 1, 2, "1/3*eta^-1"), (0, 2, 0, "5/7*xi")]
+    )
+    assert L.jacobi_components() == {(0, 1, 2, 2): P("-5/21*eta^-1*xi")}
+    res = jacobi_residual(L)
+    assert res[0][1][2][2] == P("-5/21*eta^-1*xi")
+    assert res[1][0][2][2] == P("5/21*eta^-1*xi")
+    assert jacobi_violations(L) == sorted(
+        (i, j, l, 2) for i, j, l in permutations((0, 1, 2))
+    )
 
 
 def test_bracket_examples(sl2_std, ck2d):

@@ -1,0 +1,106 @@
+"""Fingerprint the CLI's output on a fixed command list.
+
+Run from anywhere:  python3 tools/cli_snapshot.py
+
+Each command runs in-process through ``liedouble.cli.main`` (from this
+checkout's ``src``) and gives one line ``sha256  exit  argv``.  The hash
+covers stdout and stderr, less the wall-clock ``elapsed:`` line.  Running
+the script on two checkouts and diffing the outputs shows whether a change
+kept the CLI byte-identical.
+
+The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
+--iterate`` for every bialgebra, ``verify-brackets --seed 42``, each in
+text and json; ``classify`` of the basis-label subalgebras of so22-r1 and
+so22-twisted, in text and json; and ``validate`` of two invalid files this
+script writes to a temporary directory, an algebra that violates Jacobi
+and a bialgebra whose cocommutator is not a cobracket.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from liedouble import catalog, cli
+
+FORMATS = (["--format", "text"], ["--format", "json"])
+SO22_SUBALGEBRAS = ("span{J,K1,K2}", "span{J,P1,P2}", "span{P0,P1,K1}", "span{P0,P2,K2}")
+
+# [e0,e1] = 1/3*eta^-1 e2 and [e0,e2] = 5/7*xi e0 violate Jacobi along e2.
+BAD_ALGEBRA = {
+    "dim": 3,
+    "labels": ["e0", "e1", "e2"],
+    "params": ["eta", "xi"],
+    "brackets": [
+        {"i": 0, "j": 1, "k": 2, "coef": "1/3*eta^-1"},
+        {"i": 0, "j": 2, "k": 0, "coef": "5/7*xi"},
+    ],
+}
+# sl(2,R) with δ(J3) = 5/7 J+ ∧ J-, which is not a cobracket.
+BAD_BIALGEBRA = {
+    "dim": 3,
+    "labels": ["J3", "J+", "J-"],
+    "brackets": [
+        {"i": 0, "j": 1, "k": 1, "coef": "2"},
+        {"i": 0, "j": 2, "k": 2, "coef": "-2"},
+        {"i": 1, "j": 2, "k": 0, "coef": "1"},
+    ],
+    "cocomm": [{"i": 0, "j": 1, "k": 2, "coef": "5/7"}],
+}
+INVALID_FILES = {"bad-algebra.json": BAD_ALGEBRA, "bad-bialgebra.json": BAD_BIALGEBRA}
+
+
+def commands() -> list:
+    cat = catalog.load()
+    argvs = [["validate", f"catalog:{key}", *fmt] for key in cat.list() for fmt in FORMATS]
+    argvs += [
+        ["double", key, "--iterate", *fmt]
+        for key in cat.list("bialgebra")
+        for fmt in FORMATS
+    ]
+    argvs += [["verify-brackets", "--seed", "42", *fmt] for fmt in FORMATS]
+    argvs += [
+        ["classify", key, span, *fmt]
+        for key in ("so22-r1", "so22-twisted")
+        for span in SO22_SUBALGEBRAS
+        for fmt in FORMATS
+    ]
+    argvs += [["validate", name, *fmt] for name in INVALID_FILES for fmt in FORMATS]
+    return argvs
+
+
+def run(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stderr = re.sub(r"(?m)^elapsed: .*\n", "", err.getvalue())
+    digest = hashlib.sha256((out.getvalue() + "\0" + stderr).encode()).hexdigest()
+    return digest, code
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in INVALID_FILES.items():
+            Path(tmp, name).write_text(json.dumps(data, indent=2) + "\n")
+        # the invalid files are named relative to tmp, so reports and the
+        # printed argv do not depend on where tmp is
+        os.chdir(tmp)
+        try:
+            for argv in commands():
+                digest, code = run(argv)
+                print(f"{digest}  {code}  {' '.join(argv)}")
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,6 +27,21 @@ from .liealg import (
 )
 
 
+def _negatives(x: dict, y: dict) -> bool:
+    """Whether two canonical terms dicts are the negatives of each other."""
+    if len(x) != len(y):
+        return False
+    for mono, q in x.items():
+        r = y.get(mono)
+        if (
+            r is None
+            or q.numerator != -r.numerator
+            or q.denominator != r.denominator
+        ):
+            return False
+    return True
+
+
 @dataclass
 class CocommTensor:
     """Cocommutator constants f_i^{jk}, antisymmetric in the upper pair."""
@@ -38,11 +53,15 @@ class CocommTensor:
         return len(self.f)
 
     def __post_init__(self):
+        # The first failing (i, j, k) has j <= k, as the condition is
+        # symmetric in (j, k); pairs of zero entries are skipped, and the
+        # rest compared term by term without building -f[i][k][j].
         n = self.dim
-        for i in range(n):
+        for i, plane in enumerate(self.f):
             for j in range(n):
-                for k in range(n):
-                    if self.f[i][j][k] != -self.f[i][k][j]:
+                for k in range(j, n):
+                    x, y = plane[j][k].terms, plane[k][j].terms
+                    if (x or y) and not _negatives(x, y):
                         raise ShapeError(
                             f"cocommutator not antisymmetric at ({i},{j},{k})"
                         )

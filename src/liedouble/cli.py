@@ -36,7 +36,6 @@ from .exactalg import PolyExpr
 from .homogeneous import (
     LagrangianSpec,
     classify as classify_spec,
-    lagrangian_bracket_table,
 )
 from .liealg import from_json as algebra_from_json, jacobi_violations
 
@@ -252,11 +251,10 @@ def cmd_classify(args) -> int:
     D = build_double(B)
     rep = classify_spec(D, B, spec)
     table_info = None
-    if rep.subalgebra:
-        table = lagrangian_bracket_table(D, spec)
+    if rep.table is not None:
         table_info = {
-            "labels": list(table.labels),
-            "table": bracket_table_text(table).splitlines(),
+            "labels": list(rep.table.labels),
+            "table": bracket_table_text(rep.table).splitlines(),
         }
     verdicts = {
         "lagrangian": "pass" if rep.lagrangian else "fail",

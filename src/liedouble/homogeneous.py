@@ -1,32 +1,46 @@
 """Lagrangian subalgebras of the double and the coisotropy hierarchy.
 
-Given a subalgebra h ⊂ g with complement {T_α} and an antisymmetric matrix
-π^{αβ}, the candidate Lagrangian subspace of D(g) is
+Given a subalgebra h ⊂ g with complement {T_α} and a matrix π^{αβ}, the
+candidate Lagrangian subspace of D(g) is
 
-    l = h ⊕ span{ t^α + π^{αβ} T_β },
+    l = h ⊕ span{ X^α = t^α + π^{αβ} T_β },
 
-where {t^α} are the duals of the complement in the adapted basis.  This
-module builds l, decides Lagrangian / subalgebra / coisotropic /
-Poisson-subgroup, extracts the induced bracket table, and reports the
-first-order compatibility tensors
+where {t^α} are the duals of the complement in the adapted basis (h, T).
+Write T(α) = n_h + α for the adapted index of T_α, and C', f' for the
+structure constants and cocommutator in the adapted basis, where the double
+has [x^a, X_b] = C'_bk^a x^k − f'_b^{ak} X_k.  Every bracket of l's basis
+{H_i, X^α} is then fixed in closed form, and :func:`classify` reads the
+verdicts and the induced bracket table from (C', f', π) alone, in one pass:
 
-    M^{αβ}_γ = f^{αβ}_γ + π^{δβ} C_{γδ}^α + π^{αδ} C_{γδ}^β
-    M^{αβ}_i = f_i^{αβ} + π^{δβ} C_{iδ}^α + π^{αδ} C_{iδ}^β   (must vanish),
+* l is Lagrangian iff π^{αβ} + π^{βα} = 0: the pairing gives
+  <X^α, X^β> = π^{αβ} + π^{βα}, and h pairs to zero with all of l.
+* [H_i, H_j] = C'_ij^k H_k; its T-components C'_ij^{T(γ)} must vanish
+  (h is a subalgebra).
+* [X^α, H_i] has H-coordinates −f'_i^{αj} + π^{αβ} C'_{T(β)i}^j and
+  X-coordinates C'_{iT(γ)}^{T(α)}; the component that must vanish is
+  M^{αε}_i, for any π.
+* [X^α, X^β]: with
 
-i.e. the π-twisted cocommutator f + (ad ⊗ 1 + 1 ⊗ ad)π in the adapted
-basis, antisymmetric in (α, β).
+      R_k = f'_k^{αβ} + π^{βδ} C'_{T(δ)k}^{T(α)} − π^{αγ} C'_{T(γ)k}^{T(β)},
 
-Membership in l is read from a dual frame.  With m = span{T_α}, the
-complementary Lagrangian m ⊕ m^⊥ of the double has the basis
+  its x^j components R_j (j < n_h) must vanish and its X-coordinates are
+  R_{T(γ)}; for antisymmetric π these are M^{αβ}_j and M^{αβ}_γ.  Its
+  H-coordinates are
 
-    φ_i = (0, column i of A⁻¹)  for i < n_h,      φ_{n_h+α} = (T_α, 0),
+      −π^{βδ} f'_{T(δ)}^{αj} + π^{αγ} f'_{T(γ)}^{βj} + π^{αγ} π^{βδ} C'_{T(γ)T(δ)}^j,
 
-where A is the adapted basis (h, T) as rows.  Since A A⁻¹ = 1, the pairing
-gives ⟨l_j, φ_k⟩ = δ_jk exactly, whatever π is.  So the vectors of l are
-independent, and the coordinates of any w in l are c_k = ⟨w, φ_k⟩; w lies
-in l iff Σ c_k l_k == w.  :func:`lagrangian_from_pi` keeps this frame on
-the :class:`Subspace` it returns.  A subspace built any other way has no
-frame, and its rank and membership tests run Bareiss elimination.
+  and the quadratic residual Q^{αβε}, the same expression at T(ε) minus
+  Σ_γ R_{T(γ)} π^{γε}, must vanish.  Q is identically zero at π = 0.
+
+Here M is the π-twisted cocommutator f' + (ad ⊗ 1 + 1 ⊗ ad)π in the
+adapted basis:
+
+    M^{αβ}_γ = f'_γ^{αβ} + π^{δβ} C'_{γδ}^α + π^{αδ} C'_{γδ}^β
+    M^{αβ}_i = f'_i^{αβ} + π^{δβ} C'_{iδ}^α + π^{αδ} C'_{iδ}^β   (must vanish).
+
+:func:`lagrangian_from_pi`, :func:`is_lagrangian` and :func:`is_subalgebra`
+build l inside the double and decide the same questions by the pairing and
+by exact rank tests; they are the reference route.
 
 Rank and membership tests are exact and generic in the parameters: a
 polynomial coefficient counts as nonzero unless identically zero.
@@ -50,7 +64,7 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, as_poly, mul_acc
+from .exactalg import PolyExpr, _canonical, as_poly, mul_acc
 from .exactlinalg import Matrix, Vector, invert, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
@@ -67,8 +81,6 @@ from .liealg import (
 class Subspace:
     ambient_dim: int
     vectors: list  # list of coefficient vectors (PolyExpr)
-    # dual frame φ_k with <vectors[j], φ_k> = δ_jk, when known (module doc)
-    _frame: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors = [
@@ -83,8 +95,6 @@ class Subspace:
         return len(self.vectors)
 
     def rank(self) -> int:
-        if self._frame is not None:
-            return len(self.vectors)  # the frame proves independence
         return rank(self.vectors)
 
 
@@ -168,14 +178,9 @@ def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
 
 def lagrangian_from_pi(D: DoubleAlgebra, spec: LagrangianSpec) -> Subspace:
     """l = h ⊕ span{ t^α + π^{αβ} T_β } inside the double."""
-    return _lagrangian(D, spec, _adapted(spec, D.n)[1])
-
-
-def _lagrangian(D: DoubleAlgebra, spec: LagrangianSpec, a_inv: Matrix) -> Subspace:
-    """:func:`lagrangian_from_pi` given the inverse of the adapted basis."""
     n = D.n
+    a_inv = _adapted(spec, n)[1]
     vectors = [list(v) + [PolyExpr.zero()] * n for v in spec.h_basis]
-    n_h = spec.n_h
     for a in range(spec.n_t):
         primal = [PolyExpr.zero()] * n
         for b in range(spec.n_t):
@@ -184,30 +189,9 @@ def _lagrangian(D: DoubleAlgebra, spec: LagrangianSpec, a_inv: Matrix) -> Subspa
                 continue
             for j in range(n):
                 primal[j] = primal[j] + coef * spec.complement[b][j]
-        dual = [a_inv[j][n_h + a] for j in range(n)]
+        dual = [a_inv[j][spec.n_h + a] for j in range(n)]
         vectors.append(primal + dual)
-    l = Subspace(2 * n, vectors)
-    zero = [PolyExpr.zero()] * n
-    l._frame = [zero + [a_inv[j][i] for j in range(n)] for i in range(n_h)] + [
-        list(t) + zero for t in spec.complement
-    ]
-    return l
-
-
-def _coordinates(D: DoubleAlgebra, l: Subspace, w: Vector) -> Vector | None:
-    """Coordinates c with Σ c_k l_k == w, read from the frame of l, or None
-    if w is not in l."""
-    coords = [pairing(D, w, phi) for phi in l._frame]
-    acc = [{} for _ in range(l.ambient_dim)]
-    for c, v in zip(coords, l.vectors):
-        if c.is_zero:
-            continue
-        for terms, x in zip(acc, v):
-            if not x.is_zero:
-                mul_acc(terms, c, x)
-    if any(terms != x.terms for terms, x in zip(acc, w)):
-        return None
-    return coords
+    return Subspace(2 * n, vectors)
 
 
 def is_lagrangian(D: DoubleAlgebra, l: Subspace) -> bool:
@@ -227,16 +211,12 @@ def is_lagrangian(D: DoubleAlgebra, l: Subspace) -> bool:
 
 
 def is_subalgebra(D: DoubleAlgebra, l: Subspace) -> bool:
-    """True iff [l, l] ⊆ l (generic parameters): read from the frame of l
-    when it has one, else an exact rank test per bracket."""
+    """True iff [l, l] ⊆ l (generic parameters), by an exact rank test per
+    bracket."""
     base = l.rank()
     for i, u in enumerate(l.vectors):
         for v in l.vectors[i + 1 :]:
-            w = bracket(D.algebra, u, v)
-            if l._frame is not None:
-                if _coordinates(D, l, w) is None:
-                    return False
-            elif rank(l.vectors + [w]) != base:
+            if rank(l.vectors + [bracket(D.algebra, u, v)]) != base:
                 return False
     return True
 
@@ -250,6 +230,10 @@ class ClosureReport:
     m_gamma: list = field(repr=False)  # M^{αβ}_γ, indexed [α][β][γ]
     m_i: list = field(repr=False)      # M^{αβ}_i, indexed [α][β][i]
     violations: list = field(default_factory=list)
+    # the induced bracket table, or None when l is not a subalgebra
+    table: LieAlgebra | None = field(default=None, repr=False, compare=False)
+    # nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε) with α < β
+    xx_residual: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self) -> dict:
         def tensor_entries(t, tag):
@@ -269,22 +253,153 @@ class ClosureReport:
         }
 
 
+def _twisted(c, f, left, right, n_h: int):
+    """[α][β][k] ↦ f_k^{T(α)T(β)} + Σ v C_{k T(δ)}^{T(α)} over (δ, β, v) in
+    ``left`` + Σ v C_{k T(δ)}^{T(β)} over (α, δ, v) in ``right``, for every
+    adapted index k, in the adapted basis (module doc)."""
+    n = len(c)
+    n_t = n - n_h
+    acc = [
+        [[dict(f[k][n_h + a][n_h + b].terms) for k in range(n)] for b in range(n_t)]
+        for a in range(n_t)
+    ]
+    for d, b, v in left:
+        for a in range(n_t):
+            row = acc[a][b]
+            for k in range(n):
+                x = c[k][n_h + d][n_h + a]
+                if x.terms:
+                    mul_acc(row[k], v, x)
+    for a, d, v in right:
+        for b in range(n_t):
+            row = acc[a][b]
+            for k in range(n):
+                x = c[k][n_h + d][n_h + b]
+                if x.terms:
+                    mul_acc(row[k], v, x)
+    return [[[_canonical(t) for t in row] for row in plane] for plane in acc]
+
+
+@dataclass
+class _AdaptedPass:
+    """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
+    from (C', f', π), computed once (module doc)."""
+
+    c: list             # C' in the adapted basis
+    f: list             # f' in the adapted basis
+    lagrangian: bool    # π antisymmetric
+    m: list             # M^{αβ}_k, indexed [α][β][k] by adapted index k
+    brackets: dict      # (i, j) ↦ coordinates of [l_i, l_j] in l, for i < j
+    failing: list       # pairs (i, j), i < j, whose bracket leaves l, in order
+    xx_residual: dict   # nonzero Q^{αβε}, keyed (α, β, ε) with α < β
+
+
+def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
+    """The brackets of l's basis {H_i, X^α} from the adapted-basis tensors,
+    with the components that must vanish for each to lie in l."""
+    n = B.dim
+    a_rows, a_inv = _adapted(spec, n)
+    c = transform_structure(B.algebra.c, a_rows, a_inv)
+    f = transform_cocomm(B.cocomm.f, a_rows, a_inv)
+    n_h, n_t = spec.n_h, spec.n_t
+    pi = spec.pi
+    pi_nz = [
+        (a, b, pi[a][b]) for a in range(n_t) for b in range(n_t) if pi[a][b].terms
+    ]
+    pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
+    lagrangian = all(
+        (pi[a][b] + pi[b][a]).is_zero for a in range(n_t) for b in range(a, n_t)
+    )
+    m = _twisted(c, f, pi_nz, pi_nz, n_h)
+    if lagrangian:
+        r = m
+    else:  # the x-components of [X^α, X^β] differ from M (module doc)
+        r = _twisted(c, f, [(d, b, -v) for b, d, v in pi_nz], pi_nz, n_h)
+
+    brackets, failing, residual = {}, [], {}
+    for i in range(n_h):
+        for j in range(i + 1, n_h):  # [H_i, H_j]
+            brackets[(i, j)] = c[i][j][:n_h] + [PolyExpr.zero()] * n_t
+            if any(c[i][j][n_h + g].terms for g in range(n_t)):
+                failing.append((i, j))
+        for a in range(n_t):  # [H_i, X^α] = −[X^α, H_i]
+            h_part = [dict(f[i][n_h + a][j].terms) for j in range(n_h)]
+            for b, v in pi_rows[a]:
+                for j in range(n_h):
+                    x = c[i][n_h + b][j]
+                    if x.terms:
+                        mul_acc(h_part[j], v, x)
+            brackets[(i, n_h + a)] = [_canonical(t) for t in h_part] + [
+                -c[i][n_h + g][n_h + a] for g in range(n_t)
+            ]
+            if any(c[i][j][n_h + a].terms for j in range(n_h)) or any(
+                m[a][e][i].terms for e in range(n_t)
+            ):
+                failing.append((i, n_h + a))
+    for a in range(n_t):
+        for b in range(a + 1, n_t):  # [X^α, X^β]
+            acc = [{} for _ in range(n)]
+            for d, v in pi_rows[b]:
+                for k in range(n):
+                    x = f[n_h + d][n_h + a][k]
+                    if x.terms:
+                        mul_acc(acc[k], v, x, negate=True)
+            for g, v in pi_rows[a]:
+                for k in range(n):
+                    x = f[n_h + g][n_h + b][k]
+                    if x.terms:
+                        mul_acc(acc[k], v, x)
+                for d, w in pi_rows[b]:
+                    vw = v * w
+                    for k in range(n):
+                        x = c[n_h + g][n_h + d][k]
+                        if x.terms:
+                            mul_acc(acc[k], vw, x)
+            x_coords = r[a][b][n_h:]
+            for g, e, v in pi_nz:
+                if x_coords[g].terms:
+                    mul_acc(acc[n_h + e], x_coords[g], v, negate=True)
+            for e in range(n_t):
+                if acc[n_h + e]:
+                    residual[(a, b, e)] = _canonical(acc[n_h + e])
+            brackets[(n_h + a, n_h + b)] = [
+                _canonical(t) for t in acc[:n_h]
+            ] + x_coords
+            if any(r[a][b][j].terms for j in range(n_h)) or any(
+                (a, b, e) in residual for e in range(n_t)
+            ):
+                failing.append((n_h + a, n_h + b))
+    failing.sort()
+    return _AdaptedPass(c, f, lagrangian, m, brackets, failing, residual)
+
+
+def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
+    """The induced Lie algebra on l's basis, labelled by :func:`_labels`."""
+    n = B.dim
+    zero = PolyExpr.zero()
+    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in brackets.items():
+        c[i][j] = row
+        c[j][i] = [-x for x in row]
+    return _algebra_on(_labels(B, spec), c)
+
+
 def classify(
     D: DoubleAlgebra, B: LieBialgebra, spec: LagrangianSpec
 ) -> ClosureReport:
     """Evaluate the Lagrangian / subalgebra / coisotropy / Poisson-subgroup
-    conditions for l built from (h, complement, π)."""
+    conditions for l built from (h, complement, π), and the induced bracket
+    table when l is a subalgebra, in one pass over the adapted-basis
+    tensors (module doc)."""
     n = D.n
     if B.dim != n:
         raise ShapeError("bialgebra does not match the double")
-    a_rows, a_inv = _adapted(spec, n)
-    c_ad = transform_structure(B.algebra.c, a_rows, a_inv)
-    f_ad = transform_cocomm(B.cocomm.f, a_rows, a_inv)
+    p = _adapted_pass(B, spec)
+    c_ad, f_ad = p.c, p.f
     n_h, n_t = spec.n_h, spec.n_t
 
-    l = _lagrangian(D, spec, a_inv)
-    lagr = is_lagrangian(D, l)
-    subalg = is_subalgebra(D, l)
+    lagr = p.lagrangian
+    subalg = not p.failing
     violations = []
     if not lagr:
         violations.append("pairing does not vanish on l (pi not antisymmetric?)")
@@ -322,26 +437,12 @@ def classify(
                         f"delta(H_{i}) has T_{a}^T_{b} component"
                     )
 
-    zero = PolyExpr.zero()
-    m_gamma = [
-        [[zero for _ in range(n_t)] for _ in range(n_t)] for _ in range(n_t)
-    ]
-    m_i = [[[zero for _ in range(n_h)] for _ in range(n_t)] for _ in range(n_t)]
+    m_gamma = [[row[n_h:] for row in plane] for plane in p.m]
+    m_i = [[row[:n_h] for row in plane] for plane in p.m]
     for a in range(n_t):
         for b in range(n_t):
-            for g in range(n_t):
-                val = f_ad[n_h + g][n_h + a][n_h + b]
-                for d in range(n_t):
-                    val = val + spec.pi[d][b] * c_ad[n_h + g][n_h + d][n_h + a]
-                    val = val + spec.pi[a][d] * c_ad[n_h + g][n_h + d][n_h + b]
-                m_gamma[a][b][g] = val
             for i in range(n_h):
-                val = f_ad[i][n_h + a][n_h + b]
-                for d in range(n_t):
-                    val = val + spec.pi[d][b] * c_ad[i][n_h + d][n_h + a]
-                    val = val + spec.pi[a][d] * c_ad[i][n_h + d][n_h + b]
-                m_i[a][b][i] = val
-                if not val.is_zero:
+                if not m_i[a][b][i].is_zero:
                     violations.append(f"M^({a},{b})_{i} != 0")
 
     coisotropic = lagr and subalg and pi_zero
@@ -354,6 +455,8 @@ def classify(
         m_gamma=m_gamma,
         m_i=m_i,
         violations=violations,
+        table=_table(B, spec, p.brackets) if subalg else None,
+        xx_residual=p.xx_residual,
     )
 
 
@@ -368,37 +471,36 @@ def _unit_vector_label(vec: Vector, labels: Sequence[str]) -> str | None:
     return None
 
 
-def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgebra:
-    """Induced Lie algebra on the basis {H_i} ∪ {t^α + π^{αβ} T_β}.
-
-    Raises :class:`NotClosed` if l is not a subalgebra of the double.
-    """
-    n = D.n
-    l = lagrangian_from_pi(D, spec)
-    g_labels = D.source.algebra.labels
-    dual_labels = D.source.dual_labels
+def _labels(B: LieBialgebra, spec: LagrangianSpec) -> list:
+    """Labels of l's basis: a basis label for a unit H_i, else H<i>; the
+    dual label of a unit T_α, else t<α>."""
+    g_labels = B.algebra.labels
     labels = []
     for i, v in enumerate(spec.h_basis):
         labels.append(_unit_vector_label(v, g_labels) or f"H{i}")
     for a, v in enumerate(spec.complement):
         base = _unit_vector_label(v, g_labels)
         if base is not None:
-            labels.append(dual_labels[g_labels.index(base)])
+            labels.append(B.dual_labels[g_labels.index(base)])
         else:
             labels.append(f"t{a}")
-    c = [[[PolyExpr.zero()] * n for _ in range(n)] for _ in range(n)]
-    for i, u in enumerate(l.vectors):
-        for j in range(i + 1, n):
-            w = bracket(D.algebra, u, l.vectors[j])
-            coords = _coordinates(D, l, w)
-            if coords is None:
-                raise NotClosed(
-                    f"[{labels[i]}, {labels[j]}] does not lie in the subspace"
-                )
-            for k in range(n):
-                c[i][j][k] = coords[k]
-                c[j][i][k] = -coords[k]
-    return _algebra_on(labels, c)
+    return labels
+
+
+def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgebra:
+    """Induced Lie algebra on the basis {H_i} ∪ {t^α + π^{αβ} T_β}, from the
+    same adapted pass as :func:`classify`.
+
+    Raises :class:`NotClosed`, naming the first bracket that leaves l, if l
+    is not a subalgebra of the double.
+    """
+    B = D.source
+    p = _adapted_pass(B, spec)
+    if p.failing:
+        labels = _labels(B, spec)
+        i, j = p.failing[0]
+        raise NotClosed(f"[{labels[i]}, {labels[j]}] does not lie in the subspace")
+    return _table(B, spec, p.brackets)
 
 
 def is_semidirect(

@@ -31,11 +31,9 @@ from .errors import (
 from .exactalg import (
     PolyExpr,
     PolyLike,
-    _canonical,
     _mono_mul,
     as_poly,
     from_int_terms,
-    mul_acc,
     to_int_terms,
 )
 from .exactlinalg import Matrix, Vector, invert, mat
@@ -340,61 +338,104 @@ class BasisChange:
         return BasisChange(self.inverse, tuple(labels), inverse=self.m)
 
 
+def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
+    """Clear the denominators of a matrix once: ``(d, rows)`` with
+    ``rows[x]`` listing ``(y, terms)`` over the nonzero entries of row x of
+    ``d*m`` (of column x with ``transpose``), as
+    :func:`~liedouble.exactalg.to_int_terms` gives them."""
+    keyed = [
+        ((y, x) if transpose else (x, y), value)
+        for x, row in enumerate(m)
+        for y, value in enumerate(row)
+        if not value.is_zero
+    ]
+    d, scaled = to_int_terms(value for _, value in keyed)
+    rows: dict = {}
+    for ((x, y), _), terms in zip(keyed, scaled):
+        rows.setdefault(x, []).append((y, terms))
+    return d, rows
+
+
+def _int_tensor(t) -> tuple[int, dict]:
+    """``(d, {(i, j, k): {mono: int}})`` for the nonzero entries of ``d*t``."""
+    entries = _nonzero_entries(t)
+    d, scaled = to_int_terms(value for *_, value in entries)
+    return d, {(i, j, k): dict(terms) for (i, j, k, _), terms in zip(entries, scaled)}
+
+
+def _contract(tensor: dict, slot: int, rows: dict, keep=None) -> dict:
+    """Contract index ``slot`` of an integer 3-tensor with a matrix:
+    out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over Python ints.
+    ``keep(key)`` selects the output keys to compute."""
+    out: dict = {}
+    for key, t1 in tensor.items():
+        for y, t2 in rows.get(key[slot], ()):
+            new = key[:slot] + (y,) + key[slot + 1 :]
+            if keep is not None and not keep(new):
+                continue
+            acc = out.get(new)
+            if acc is None:
+                acc = out[new] = {}
+            for m1, c1 in t1.items():
+                for m2, c2 in t2:
+                    mono = _mono_mul(m1, m2)
+                    acc[mono] = acc.get(mono, 0) + c1 * c2
+    return {key: acc for key, acc in out.items() if any(acc.values())}
+
+
 def transform_structure(c, m: Matrix, w: Matrix):
     """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W.
 
-    C must be antisymmetric in (i, j), as every construction path keeps it;
-    then so is C'.  Only a < b is computed: (b, a) is its negation and the
-    diagonal is zero.
+    The sum runs over integers, one index at a time: the denominators of C,
+    M and W are each cleared once (:func:`~liedouble.exactalg.to_int_terms`),
+    k is contracted with W, then i and j with M, and only the nonzero
+    results are divided back by the product of the scales.  C must be
+    antisymmetric in (i, j), as every construction path keeps it; then so is
+    C', and only a < b is computed: (b, a) is its negation and the diagonal
+    is zero.
     """
     n = len(m)
-    sparse = _nonzero_entries(c)
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        out[a][a] = [PolyExpr.zero()] * n
-        for b in range(a + 1, n):
-            acc = [{} for _ in range(n)]
-            for i, j, k, coef in sparse:
-                if m[a][i].is_zero or m[b][j].is_zero:
-                    continue
-                scale = m[a][i] * m[b][j] * coef
-                for cc in range(n):
-                    if not w[k][cc].is_zero:
-                        mul_acc(acc[cc], scale, w[k][cc])
-            row = [_canonical(terms) for terms in acc]
-            out[a][b] = row
-            out[b][a] = [-x for x in row]
+    d_c, t = _int_tensor(c)
+    d_m, m_rows = _int_matrix(m, transpose=True)
+    d_w, w_rows = _int_matrix(w, transpose=False)
+    t = _contract(t, 2, w_rows)
+    t = _contract(t, 0, m_rows)
+    t = _contract(t, 1, m_rows, keep=lambda key: key[0] < key[1])
+    scale = d_c * d_m * d_m * d_w
+    zero = PolyExpr.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, cc), terms in t.items():
+        value = from_int_terms(terms, scale)
+        out[a][b][cc] = value
+        out[b][a][cc] = -value
     return out
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
     """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c.
 
-    f must be antisymmetric in (j, k), as ``bialgebra.CocommTensor`` checks;
-    then f' is antisymmetric in (b, c).  Only b < c is computed in each
-    plane: (c, b) is its negation and the diagonal is zero.
+    The sum runs over integers, one index at a time: the denominators of f,
+    M and W are each cleared once (:func:`~liedouble.exactalg.to_int_terms`),
+    g_i^bc = f_i^jk W_j^b W_k^c is formed once per i, then contracted with
+    M, and only the nonzero results are divided back by the product of the
+    scales.  f must be antisymmetric in (j, k), as ``bialgebra.CocommTensor``
+    checks; then f' is antisymmetric in (b, c), and only b < c is computed:
+    (c, b) is its negation and the diagonal is zero.
     """
     n = len(m)
-    sparse = _nonzero_entries(f)
-    out = []
-    for a in range(n):
-        acc = [[{} for _ in range(n)] for _ in range(n)]
-        for i, j, k, coef in sparse:
-            if m[a][i].is_zero:
-                continue
-            scale = m[a][i] * coef
-            for b in range(n - 1):
-                if w[j][b].is_zero:
-                    continue
-                row, scale_b = acc[b], scale * w[j][b]
-                for cc in range(b + 1, n):
-                    if not w[k][cc].is_zero:
-                        mul_acc(row[cc], scale_b, w[k][cc])
-        plane = [[_canonical(terms) for terms in row] for row in acc]
-        for b in range(n):
-            for cc in range(b):
-                plane[b][cc] = -plane[cc][b]
-        out.append(plane)
+    d_f, t = _int_tensor(f)
+    d_m, m_rows = _int_matrix(m, transpose=True)
+    d_w, w_rows = _int_matrix(w, transpose=False)
+    t = _contract(t, 2, w_rows)
+    t = _contract(t, 1, w_rows, keep=lambda key: key[1] < key[2])
+    t = _contract(t, 0, m_rows)
+    scale = d_f * d_m * d_w * d_w
+    zero = PolyExpr.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (a, b, cc), terms in t.items():
+        value = from_int_terms(terms, scale)
+        out[a][b][cc] = value
+        out[a][cc][b] = -value
     return out
 
 

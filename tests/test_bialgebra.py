@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from liedouble.bialgebra import (
@@ -153,6 +155,29 @@ def test_shape_errors(sl2_ck):
     bad[0][1][2] = PolyExpr.one()  # not antisymmetrized
     with pytest.raises(ShapeError):
         CocommTensor(bad)
+
+
+@pytest.mark.parametrize(
+    "entries, index",
+    [
+        ({(1, 0, 2): "5/7"}, "(1,0,2)"),                   # partner missing
+        ({(1, 2, 0): "eta"}, "(1,0,2)"),                   # named at j < k
+        ({(2, 1, 1): "-1/3"}, "(2,1,1)"),                  # diagonal entry
+        ({(0, 1, 2): "1", (0, 2, 1): "1"}, "(0,1,2)"),     # same sign
+        ({(0, 1, 2): "eta", (0, 2, 1): "-eta + 1"}, "(0,1,2)"),
+        ({(0, 1, 2): "2/3", (0, 2, 1): "-2/5"}, "(0,1,2)"),  # denominators differ
+    ],
+)
+def test_one_asymmetric_entry_is_named(sl2_hyp, entries, index):
+    # an antisymmetric tensor with one entry pair changed raises at that index
+    f = [[list(row) for row in plane] for plane in sl2_hyp.cocomm.f]
+    for i, j, k in entries:
+        f[i][j][k] = f[i][k][j] = PolyExpr.zero()
+    CocommTensor(f)
+    for (i, j, k), coef in entries.items():
+        f[i][j][k] = PolyExpr.parse(coef)
+    with pytest.raises(ShapeError, match=re.escape(f"not antisymmetric at {index}")):
+        CocommTensor(f)
 
 
 def test_json_round_trip(sl2_hyp, iso11_eta):

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction as Q
 
@@ -18,7 +19,7 @@ from liedouble.exactlinalg import mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
     Subspace,
-    _coordinates,
+    _labels,
     annihilator,
     classify,
     is_lagrangian,
@@ -522,7 +523,7 @@ def test_m_tensor_is_the_twisted_cocommutator():
     assert n_subalgebra == 96
 
 
-# --- coordinates from the complementary Lagrangian ------------------------
+# --- classify against the double route ------------------------------------
 
 CATALOG = catalog.load()
 BIALGEBRAS = CATALOG.list("bialgebra")
@@ -539,32 +540,45 @@ def unit_complement(B, h):
     return out
 
 
-def check_frame(B, h, pi, combos, outsiders):
-    """Frame coordinates against solve_in_span, framed rank and is_subalgebra
-    against the unframed rank path, on l built from (h, π)."""
+def check_against_double(B, h, pi):
+    """classify's verdicts and table, and lagrangian_bracket_table, against
+    l built in the double: the pairing, and each bracket of l's basis solved
+    in its span by elimination."""
     D = build_double(B)
     h = mat(h)
     spec = LagrangianSpec(h, unit_complement(B, h), mat(pi))
+    rep = classify(D, B, spec)
     l = lagrangian_from_pi(D, spec)
-    assert l.rank() == rank(l.vectors) == B.dim
-    for coeffs in combos:
-        coeffs = mat([coeffs])[0]
-        w = [sum((c * v[j] for c, v in zip(coeffs, l.vectors)), PolyExpr.zero())
-             for j in range(D.dim)]
-        assert _coordinates(D, l, w) == solve_in_span(l.vectors, w) == coeffs
-    for w in outsiders:
-        w = mat([w])[0]
-        if rank(l.vectors + [w]) > B.dim:
-            assert _coordinates(D, l, w) is None
-            assert solve_in_span(l.vectors, w) is None
-    unframed = Subspace(l.ambient_dim, l.vectors)
-    assert is_subalgebra(D, l) == is_subalgebra(D, unframed)
+    assert rank(l.vectors) == B.dim
+    assert rep.lagrangian == is_lagrangian(D, l)
+    coords = {}
+    for i in range(B.dim):
+        for j in range(i + 1, B.dim):
+            w = bracket(D.algebra, l.vectors[i], l.vectors[j])
+            coords[(i, j)] = solve_in_span(l.vectors, w)
+    closed = all(c is not None for c in coords.values())
+    assert rep.subalgebra == closed == is_subalgebra(D, l)
+    if not closed:
+        assert rep.table is None
+        i, j = min(key for key, c in coords.items() if c is None)
+        labels = _labels(B, spec)
+        with pytest.raises(NotClosed) as err:
+            lagrangian_bracket_table(D, spec)
+        assert str(err.value) == f"[{labels[i]}, {labels[j]}] does not lie in the subspace"
+        return rep
+    assert rep.table == lagrangian_bracket_table(D, spec)
+    assert not rep.xx_residual
+    for (i, j), c in coords.items():
+        assert rep.table.c[i][j] == c
+        assert rep.table.c[j][i] == [-x for x in c]
+    return rep
 
 
 @st.composite
 def frame_cases(draw):
     """A catalog bialgebra; h dense, or spanned by recombined basis vectors
-    (sometimes a subalgebra); π antisymmetric or not; members and others."""
+    (sometimes a subalgebra), of any dimension from 0 to n; π antisymmetric
+    or not, with constant and eta entries."""
     # the 6-dim so(2,2) bialgebras are drawn more often: they carry the sweep
     so22 = st.sampled_from(["so22-r1", "so22-twisted"])
     B = CATALOG.bialgebra(draw(st.one_of(st.sampled_from(BIALGEBRAS), so22)))
@@ -586,29 +600,80 @@ def frame_cases(draw):
     if draw(st.booleans()):
         pi = [[pi[a][b] if a < b else -pi[b][a] if a > b else PolyExpr.zero()
                for b in range(m)] for a in range(m)]
-    combos = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=3))
-    outsiders = draw(st.lists(st.lists(values, min_size=2 * n, max_size=2 * n),
-                              min_size=1, max_size=3))
-    return B, h, pi, combos, outsiders
+    return B, h, pi
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(frame_cases())
-def test_frame_coordinates_match_elimination(case):
-    check_frame(*case)
+def test_classify_matches_double_route(case):
+    check_against_double(*case)
 
 
 @pytest.mark.parametrize("key", BIALGEBRAS)
 def test_frame_at_the_boundary_dimensions(key):
+    # the adapted frame (h, complement) at n_h = 0, where l is the graph of
+    # a dense, non-antisymmetric π over the dual factor, and at n_h = n,
+    # where l is g itself
     B = CATALOG.bialgebra(key)
     n = B.dim
     rng = random.Random(7)
-    combos = [[rng.choice(ETA_VALUES) for _ in range(n)] for _ in range(2)]
-    outsiders = [[rng.choice(ETA_VALUES) for _ in range(2 * n)] for _ in range(2)]
     pi = [[rng.choice(ETA_VALUES) for _ in range(n)] for _ in range(n)]
     full = [[int(i == j) + (i < j) for j in range(n)] for i in range(n)]
-    check_frame(B, [], pi, combos, outsiders)  # span{}: l is the dual factor, twisted
-    check_frame(B, full, [], combos, outsiders)  # n_h = n: l is g itself
+    check_against_double(B, [], pi)
+    anti = [[pi[a][b] if a < b else P(pi[b][a]) * -1 if a > b else 0
+             for b in range(n)] for a in range(n)]
+    check_against_double(B, [], anti)
+    rep = check_against_double(B, full, [])
+    assert rep.lagrangian and rep.subalgebra
+
+
+def test_pi_tables_match_double_route():
+    # every 3-dim catalog bialgebra, h one basis vector, π antisymmetric or
+    # one diagonal entry (l closes but is not Lagrangian)
+    closed = collections.Counter()
+    for key in BIALGEBRAS:
+        B = CATALOG.bialgebra(key)
+        if B.dim != 3:
+            continue
+        for label in B.algebra.labels:
+            h = [B.algebra.basis_vector(label)]
+            for p in ("1", "eta"):
+                for pi in ([[0, p], [P(p) * -1, 0]], [[p, 0], [0, 0]]):
+                    rep = check_against_double(B, h, pi)
+                    closed[rep.lagrangian] += rep.subalgebra
+    assert closed == {True: 48, False: 14}
+
+
+def test_xx_residual_vanishes_at_zero_pi():
+    for key in BIALGEBRAS:
+        B = CATALOG.bialgebra(key)
+        D = build_double(B)
+        for i in range(B.dim):
+            h = [B.algebra.basis_vector(i)]
+            rep = classify(D, B, spec_with_zero_pi(h, unit_complement(B, h)))
+            assert rep.xx_residual == {}, (key, i)
+        rep = classify(D, B, spec_for(B, []))  # l is the dual factor
+        assert rep.subalgebra and rep.xx_residual == {}
+
+
+def test_quadratic_residual_alone_breaks_closure(so22_twisted):
+    # h = span{K1} with π^{J,K2} = -1 and π^{P0,P1} = eta: every M^{αβ}_i
+    # vanishes, so only the quadratic [X, X] condition fails; found by
+    # searching specs with check_against_double
+    B = so22_twisted
+    pi = [[PolyExpr.zero()] * 5 for _ in range(5)]
+    pi[0][4], pi[4][0] = P("-1"), P("1")
+    pi[1][2], pi[2][1] = P("eta"), P("-eta")
+    rep = check_against_double(B, [B.algebra.basis_vector("K1")], pi)
+    assert rep.lagrangian and not rep.subalgebra
+    assert all(x.is_zero for plane in rep.m_i for row in plane for x in row)
+    assert not any(v.startswith("h is not") for v in rep.violations)
+    assert rep.xx_residual == {
+        (0, 2, 3): P("eta"), (0, 3, 2): P("-eta"), (0, 3, 4): P("-1"),
+        (0, 4, 3): P("1"), (1, 2, 3): P("-eta"), (1, 3, 2): P("eta"),
+        (1, 3, 4): P("eta"), (1, 4, 3): P("-eta"), (2, 3, 0): P("eta"),
+        (2, 3, 1): P("-eta"), (3, 4, 0): P("-1"), (3, 4, 1): P("eta"),
+    }
 
 
 # --- cost guard -------------------------------------------------------------
@@ -660,9 +725,11 @@ def fraction_constructions(work) -> int:
 
 def test_classify_fraction_cost_guard():
     # classify plus the bracket table of every subalgebra l on this list
-    # builds 13.3k Fractions.  It built 27.9k when each bracket ran its own
-    # elimination and the transforms filled both halves; 18.0k with only
-    # the full-plane transforms back, 23.2k with only the eliminations back.
+    # builds 8.1k Fractions; 13.3k when the transforms summed Fractions and
+    # subalgebras were read through a dual frame in the double.  It built
+    # 27.9k when each bracket ran its own elimination and the transforms
+    # filled both halves; 18.0k with only the full-plane transforms back,
+    # 23.2k with only the eliminations back.
     cases = cost_guard_cases()
 
     def work():
@@ -672,3 +739,26 @@ def test_classify_fraction_cost_guard():
 
     work()  # fill the algebras' cached sparse views first
     assert fraction_constructions(work) <= 16_000
+
+
+def test_transform_fraction_cost_guard():
+    # transform_structure + transform_cocomm on both SO22_DENSE_H adapted
+    # bases under so22-r1 and so22-twisted build 1,810 Fractions, only in
+    # dividing the nonzero integer sums back.  Summed over Fractions they
+    # built 5,411.
+    from liedouble.exactlinalg import invert
+    from liedouble.liealg import transform_cocomm, transform_structure
+
+    cases = []
+    for key in ("so22-r1", "so22-twisted"):
+        B = CATALOG.bialgebra(key)
+        for h in SO22_DENSE_H:
+            rows = mat(h) + unit_complement(B, mat(h))
+            cases.append((B, rows, invert(rows)))
+
+    def work():
+        for B, rows, w in cases:
+            transform_structure(B.algebra.c, rows, w)
+            transform_cocomm(B.cocomm.f, rows, w)
+
+    assert fraction_constructions(work) <= 2_500

@@ -31,6 +31,7 @@ from liedouble.liealg import (
     substitute_params,
     transform_cocomm,
     transform_structure,
+    zero_tensor3,
 )
 
 P = PolyExpr.parse
@@ -421,3 +422,40 @@ def test_halved_transforms_match_full_planes(case):
         for b in range(n):
             assert c[a][b] == [-x for x in c[b][a]]
             assert f[a][b] == [-f[a][x][b] for x in range(n)]
+
+
+LAURENT_DIAGONAL = ["1/3", "-5/7*eta", "eta^-1", "11/13*xi", "-2/3*eta^-2"]
+
+
+@st.composite
+def awkward_transforms(draw):
+    """An awkward structure tensor, a cocommutator over the same
+    coefficients, and a basis whose rows are a permuted lower-triangular
+    matrix with Laurent-monomial diagonal: its inverse has Laurent entries
+    (eta^-1, xi^-1, ...) over coprime denominators."""
+    L = draw(awkward_tensors())
+    n = L.dim
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    f = zero_tensor3(n)
+    wedges = st.tuples(
+        st.integers(0, n - 1), st.sampled_from(pairs), st.sampled_from(AWKWARD_COEFFICIENTS)
+    )
+    for i, (j, k), coef in draw(st.lists(wedges, min_size=1, max_size=8)):
+        f[i][j][k] = f[i][j][k] + P(coef)
+        f[i][k][j] = f[i][k][j] - P(coef)
+    off = st.sampled_from(["0", "0", *AWKWARD_COEFFICIENTS])
+    rows = [
+        [draw(st.sampled_from(LAURENT_DIAGONAL)) if j == i else draw(off) if j < i else "0"
+         for j in range(n)]
+        for i in range(n)
+    ]
+    m = mat([rows[i] for i in draw(st.permutations(range(n)))])
+    return L.c, f, m, invert(m)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(awkward_transforms())
+def test_integer_transforms_match_polyexpr_oracle(case):
+    c, f, m, w = case
+    assert transform_structure(c, m, w) == full_transform_structure(c, m, w)
+    assert transform_cocomm(f, m, w) == full_transform_cocomm(f, m, w)

@@ -11,9 +11,11 @@ kept the CLI byte-identical.
 The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
 --iterate`` for every bialgebra, ``verify-brackets --seed 42``, each in
 text and json; ``classify`` of the basis-label subalgebras of so22-r1 and
-so22-twisted, in text and json; and ``validate`` of two invalid files this
-script writes to a temporary directory, an algebra that violates Jacobi
-and a bialgebra whose cocommutator is not a cobracket.
+so22-twisted, and of the ``CLASSIFY_PI`` cases (constant, eta and
+non-antisymmetric π, recombined generators), in text and json; and
+``validate`` of two invalid files this script writes to a temporary
+directory, an algebra that violates Jacobi and a bialgebra whose
+cocommutator is not a cobracket.
 """
 
 import contextlib
@@ -32,6 +34,22 @@ from liedouble import catalog, cli
 
 FORMATS = (["--format", "text"], ["--format", "json"])
 SO22_SUBALGEBRAS = ("span{J,K1,K2}", "span{J,P1,P2}", "span{P0,P1,K1}", "span{P0,P2,K2}")
+# classify with a base-point π: (bialgebra, subalgebra, π rows or None)
+CLASSIFY_PI = (
+    ("sl2-hyp", "span{J12}", [[0, 1], [-1, 0]]),            # closes
+    ("sl2-hyp", "span{P1}", [[0, "1/2"], ["-1/2", 0]]),
+    ("sl2-eta", "span{X1}", [[0, "eta"], ["-eta", 0]]),
+    ("sl2-eta", "span{X0}", [[0, "2*eta"], ["-2*eta", 0]]),
+    ("sl2-hyp", "span{J12}", [[0, 1], [0, 0]]),             # not Lagrangian
+    ("sl2-eta", "span{X1}", [["eta", 0], [0, 0]]),          # closes, not Lagrangian
+    ("sl2-hyp", "span{}", [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    ("so22-twisted", "span{J+K1}", None),
+    ("so22-twisted", "span{J+K1,P0-2*K2}", None),
+    ("so22-twisted", "span{K1}",                            # only [X, X] fails
+     [[0, 0, 0, 0, -1], [0, 0, "eta", 0, 0], [0, "-eta", 0, 0, 0],
+      [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]),
+    ("so22-r1", "span{J,K1,K2}", [[0, "eta", "1/2"], ["-eta", 0, "-2*eta"], ["-1/2", "2*eta", 0]]),
+)
 
 # [e0,e1] = 1/3*eta^-1 e2 and [e0,e2] = 5/7*xi e0 violate Jacobi along e2.
 BAD_ALGEBRA = {
@@ -72,6 +90,9 @@ def commands() -> list:
         for span in SO22_SUBALGEBRAS
         for fmt in FORMATS
     ]
+    for key, span, pi in CLASSIFY_PI:
+        extra = [] if pi is None else ["--pi", json.dumps(pi)]
+        argvs += [["classify", key, span, *extra, *fmt] for fmt in FORMATS]
     argvs += [["validate", name, *fmt] for name in INVALID_FILES for fmt in FORMATS]
     return argvs
 

@@ -13,33 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import NotACobracket, ShapeError
-from .exactalg import PolyExpr, as_poly
-from .exactlinalg import Vector
+from .errors import IndexOutOfRange, NotACobracket, ShapeError
+from .exactalg import _negatives, as_poly
 from .liealg import (
     LieAlgebra,
     _algebra_on,
+    _json_entries,
     _nonzero_entries,
     from_json as algebra_from_json,
     jacobi_violations,
     substitute_params as substitute_algebra_params,
     zero_tensor3,
 )
-
-
-def _negatives(x: dict, y: dict) -> bool:
-    """Whether two canonical terms dicts are the negatives of each other."""
-    if len(x) != len(y):
-        return False
-    for mono, q in x.items():
-        r = y.get(mono)
-        if (
-            r is None
-            or q.numerator != -r.numerator
-            or q.denominator != r.denominator
-        ):
-            return False
-    return True
 
 
 @dataclass
@@ -79,6 +64,10 @@ def cocomm_from_wedge(
     for i, j, k, coef in entries:
         if label_index is not None:
             i, j, k = label_index[i], label_index[j], label_index[k]
+        if not all(0 <= x < dim for x in (i, j, k)):
+            raise IndexOutOfRange(
+                f"wedge entry ({i},{j},{k}) out of range for dim {dim}"
+            )
         coef = as_poly(coef)
         if j == k and not coef.is_zero:
             raise ShapeError(f"wedge entry ({i},{j},{j}) is identically zero")
@@ -160,34 +149,6 @@ def new_bialgebra(
     return LieBialgebra(L, cocomm, dual_labels, double_alg)
 
 
-def dual_bialgebra(B: LieBialgebra) -> LieBialgebra:
-    """Swap the roles of C and f: brackets [x^i,x^j] = f^{ij}_k x^k and
-    cocommutator given by the original structure constants."""
-    n = B.dim
-    c_dual = zero_tensor3(n)
-    f_dual = zero_tensor3(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c_dual[i][j][k] = B.cocomm.f[k][i][j]
-                f_dual[i][j][k] = B.algebra.c[j][k][i]
-    dual_algebra = _algebra_on(B.dual_labels, c_dual)
-    return new_bialgebra(dual_algebra, f_dual, dual_labels=B.algebra.labels)
-
-
-def cocomm_apply(B: LieBialgebra, v: Vector):
-    """δ(v)^{jk} = Σ_i v^i f_i^{jk} as an antisymmetric matrix."""
-    n = B.dim
-    if len(v) != n:
-        raise ShapeError("vector length does not match algebra dimension")
-    v = [as_poly(x) for x in v]
-    out = [[PolyExpr.zero()] * n for _ in range(n)]
-    for i, j, k, coef in B.cocomm.nonzero():
-        if not v[i].is_zero:
-            out[j][k] = out[j][k] + v[i] * coef
-    return out
-
-
 def substitute_params(B: LieBialgebra, mapping) -> LieBialgebra:
     """Exact parameter substitution on both tensors (revalidates)."""
     n = B.dim
@@ -219,7 +180,5 @@ def to_json(B: LieBialgebra) -> dict:
 
 def from_json(data: Mapping) -> LieBialgebra:
     L = algebra_from_json(data)
-    f = cocomm_from_wedge(
-        L.dim, [(e["i"], e["j"], e["k"], e["coef"]) for e in data["cocomm"]]
-    )
+    f = cocomm_from_wedge(L.dim, _json_entries(data, "cocomm"))
     return new_bialgebra(L, f, dual_labels=data.get("dual_labels"))

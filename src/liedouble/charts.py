@@ -318,10 +318,6 @@ def bracket_fn(bracket_id: str) -> BracketFn:
     return _REGISTRY[bracket_id]
 
 
-def bracket_ids() -> list:
-    return sorted(_REGISTRY)
-
-
 def closed_form(bracket_id: str, pair, p: ChartPoint, params: Mapping) -> float:
     """Evaluate the published closed form of {pair[0], pair[1]} at p."""
     fn = bracket_fn(bracket_id)

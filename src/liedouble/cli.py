@@ -25,13 +25,19 @@ from pathlib import Path
 from . import catalog
 from .bialgebra import from_json as bialgebra_from_json
 from .double import (
-    bracket_table_json,
     bracket_table_text,
     build_double,
     crossed_bracket_mismatches,
     double_of_double,
 )
-from .errors import LiedoubleError, ParseError, PolyParseError, ShapeError, UnknownKey
+from .errors import (
+    LiedoubleError,
+    NotACobracket,
+    ParseError,
+    PolyParseError,
+    ShapeError,
+    UnknownKey,
+)
 from .exactalg import PolyExpr
 from .homogeneous import (
     LagrangianSpec,
@@ -83,6 +89,20 @@ def _load_target(target: str):
     return data
 
 
+def _from_file(target: str, from_json, data):
+    """``from_json(data)``, with every fault of the input (a missing key, a
+    malformed entry, an index out of range, a bad polynomial) raised as
+    :class:`ParseError`; only the verdict :class:`NotACobracket` passes."""
+    try:
+        return from_json(data)
+    except NotACobracket:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{target}: missing key {exc}") from exc
+    except (TypeError, LiedoubleError) as exc:
+        raise ParseError(f"{target}: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     target = _load_target(args.target)
     verdicts = {}
@@ -93,18 +113,17 @@ def cmd_validate(args) -> int:
         inputs = {"target": args.target, "kind": target.kind}
     else:
         data = target
+        if not isinstance(data, dict):
+            raise ParseError(f"{args.target}: not a JSON object")
         if "cocomm" in data:
             try:
-                bialgebra_from_json(data)
+                _from_file(args.target, bialgebra_from_json, data)
                 verdicts["double-jacobi"] = "pass"
-            except LiedoubleError as exc:
+            except NotACobracket as exc:
                 verdicts["double-jacobi"] = "fail"
                 notes.append(str(exc))
         elif "brackets" in data:
-            try:
-                alg = algebra_from_json(data)
-            except LiedoubleError as exc:
-                raise ParseError(f"{args.target}: {exc}") from exc
+            alg = _from_file(args.target, algebra_from_json, data)
             bad = jacobi_violations(alg)
             verdicts["jacobi"] = "pass" if not bad else "fail"
             notes.extend(f"residual at (i,j,l,m)={v}" for v in bad[:8])
@@ -143,7 +162,7 @@ def cmd_double(args) -> int:
         if out_dir:
             (out_dir / f"{stem}.txt").write_text(text)
             (out_dir / f"{stem}.json").write_text(
-                json.dumps(bracket_table_json(algebra), indent=2, sort_keys=True)
+                json.dumps(algebra.to_json(), indent=2, sort_keys=True)
                 + "\n"
             )
             artifacts[stem] = str(out_dir / f"{stem}.txt")
@@ -354,6 +373,8 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
 
 
 def cmd_verify_brackets(args) -> int:
+    if args.points < 1:
+        raise ParseError(f"--points must be at least 1, got {args.points}")
     from . import charts  # deferred: charts imports numpy
 
     cat = catalog.load()

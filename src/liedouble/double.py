@@ -26,7 +26,7 @@ from typing import Sequence
 from .bialgebra import CocommTensor, LieBialgebra, new_bialgebra
 from .errors import DimensionMismatch
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
-from .exactlinalg import Matrix, Vector
+from .exactlinalg import Vector
 from .liealg import LieAlgebra, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
@@ -42,9 +42,7 @@ class DoubleAlgebra:
     algebra: LieAlgebra          # dimension 2n, basis {X_i} + {x^i}
     n: int
     source: LieBialgebra
-    pairing_matrix: Matrix       # hyperbolic form <X_i, x^j> = δ_i^j
-    canonical_r_raw: Matrix      # Σ x^i ⊗ X_i (not antisymmetric)
-    canonical_r_skew: RMatrix    # its skew part
+    canonical_r_skew: RMatrix    # skew part of Σ x^i ⊗ X_i
 
     @property
     def dim(self) -> int:
@@ -56,21 +54,14 @@ def build_double(B: LieBialgebra) -> DoubleAlgebra:
     :func:`new_bialgebra` validated."""
     n = B.dim
     algebra = B.double_algebra
-    pairing_matrix = zero_matrix(2 * n)
-    raw = zero_matrix(2 * n)
     skew = zero_matrix(2 * n)
     for i in range(n):
-        pairing_matrix[i][n + i] = ONE
-        pairing_matrix[n + i][i] = ONE
-        raw[n + i][i] = ONE
         skew[n + i][i] = HALF
         skew[i][n + i] = -HALF
     return DoubleAlgebra(
         algebra=algebra,
         n=n,
         source=B,
-        pairing_matrix=pairing_matrix,
-        canonical_r_raw=raw,
         canonical_r_skew=RMatrix(algebra.labels, skew),
     )
 
@@ -223,7 +214,3 @@ def bracket_table_text(L: LieAlgebra) -> str:
             lines.append(f"{heads[idx].ljust(width)} = {rhs}")
             idx += 1
     return "\n".join(lines) + "\n"
-
-
-def bracket_table_json(L: LieAlgebra) -> dict:
-    return L.to_json()

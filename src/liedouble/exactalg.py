@@ -432,27 +432,20 @@ def from_int_terms(terms: dict, scale: int) -> PolyExpr:
     return _canonical({mono: Q(v, scale) for mono, v in terms.items() if v})
 
 
-# -- spec-level operation aliases ---------------------------------------
-
-
-def poly_add(a: PolyLike, b: PolyLike) -> PolyExpr:
-    """Exact sum in canonical form."""
-    return as_poly(a) + as_poly(b)
-
-
-def poly_mul(a: PolyLike, b: PolyLike) -> PolyExpr:
-    """Exact product in canonical form."""
-    return as_poly(a) * as_poly(b)
-
-
-def poly_eval(p: PolyLike, assignment: Mapping[str, object]):
-    """Evaluate ``p`` at the given parameter assignment."""
-    return as_poly(p).evaluate(assignment)
-
-
-def poly_is_zero(p: PolyLike) -> bool:
-    """True iff ``p`` is identically the zero polynomial."""
-    return as_poly(p).is_zero
+def _negatives(x: dict, y: dict) -> bool:
+    """Whether two canonical terms dicts are the negatives of each other;
+    unlike ``PolyExpr(x) == -PolyExpr(y)``, no negated polynomial is built."""
+    if len(x) != len(y):
+        return False
+    for mono, q in x.items():
+        r = y.get(mono)
+        if (
+            r is None
+            or q.numerator != -r.numerator
+            or q.denominator != r.denominator
+        ):
+            return False
+    return True
 
 
 # -- exact division ------------------------------------------------------

@@ -38,27 +38,6 @@ def identity(n: int) -> Matrix:
     ]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[PolyExpr.zero()] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik.is_zero:
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [
-        sum((a[i][k] * v[k] for k in range(len(v))), PolyExpr.zero())
-        for i in range(len(a))
-    ]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 

@@ -38,9 +38,10 @@ adapted basis:
     M^{αβ}_γ = f'_γ^{αβ} + π^{δβ} C'_{γδ}^α + π^{αδ} C'_{γδ}^β
     M^{αβ}_i = f'_i^{αβ} + π^{δβ} C'_{iδ}^α + π^{αδ} C'_{iδ}^β   (must vanish).
 
-:func:`lagrangian_from_pi`, :func:`is_lagrangian` and :func:`is_subalgebra`
-build l inside the double and decide the same questions by the pairing and
-by exact rank tests; they are the reference route.
+The reference route builds l in the double with :func:`lagrangian_from_pi`
+and decides the same questions there: by the pairing (:func:`is_lagrangian`),
+by a rank test per bracket (:func:`is_subalgebra`) and, for the table, by
+``exactlinalg.solve_in_span``; the tests check :func:`classify` against it.
 
 Rank and membership tests are exact and generic in the parameters: a
 polynomial coefficient counts as nonzero unless identically zero.
@@ -90,23 +91,8 @@ class Subspace:
             if len(v) != self.ambient_dim:
                 raise ShapeError("subspace vector has wrong length")
 
-    @property
-    def n_vectors(self) -> int:
-        return len(self.vectors)
-
     def rank(self) -> int:
         return rank(self.vectors)
-
-
-def subspace_in_g(D: DoubleAlgebra, vectors: Sequence[Vector]) -> Subspace:
-    """Embed vectors given in g-coordinates (length n) into the double."""
-    out = []
-    for v in vectors:
-        v = [as_poly(x) for x in v]
-        if len(v) != D.n:
-            raise ShapeError("expected vectors of the primal factor")
-        out.append(v + [PolyExpr.zero()] * D.n)
-    return Subspace(D.dim, out)
 
 
 @dataclass
@@ -132,12 +118,6 @@ class LagrangianSpec:
     @property
     def n_t(self) -> int:
         return len(self.complement)
-
-
-def spec_with_zero_pi(h_basis, complement) -> LagrangianSpec:
-    m = len(complement)
-    zero = PolyExpr.zero()
-    return LagrangianSpec(h_basis, complement, [[zero] * m for _ in range(m)])
 
 
 def _adapted(spec: LagrangianSpec, n: int):

@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    ParseError,
+    PolyParseError,
     ShapeError,
     SymmetricEntry,
 )
@@ -39,10 +41,6 @@ from .exactalg import (
 from .exactlinalg import Matrix, Vector, invert, mat
 
 BracketEntry = tuple  # (i, j, k, coef)
-
-# Parities of the orderings of a triple, in the order itertools.permutations
-# yields them.
-_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 def zero_tensor3(n: int):
@@ -184,11 +182,33 @@ def new_lie_algebra(
     return LieAlgebra(dim, tuple(labels), declared, c, _nonzero=entries)
 
 
+def _json_entries(data: Mapping, key: str) -> list:
+    """The ``{"i", "j", "k", "coef"}`` objects listed under ``data[key]``
+    as tuples (i, j, k, coef); a malformed entry raises :class:`ParseError`
+    naming it."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ParseError(f"{key!r} must be a list of objects")
+    out = []
+    for n, e in enumerate(entries):
+        try:
+            i, j, k = (e[name] for name in "ijk")
+            if not all(type(x) is int for x in (i, j, k)):
+                raise TypeError("indices must be integers")
+            out.append((i, j, k, as_poly(e["coef"])))
+        except (KeyError, TypeError, PolyParseError) as exc:
+            raise ParseError(
+                f"{key}[{n}] must be an object with integer i, j, k and a "
+                f"polynomial coef, not {e!r} ({exc})"
+            ) from exc
+    return out
+
+
 def from_json(data: Mapping) -> LieAlgebra:
     return new_lie_algebra(
         data["dim"],
         data["labels"],
-        [(e["i"], e["j"], e["k"], e["coef"]) for e in data["brackets"]],
+        _json_entries(data, "brackets"),
         params=data.get("params", ()),
     )
 
@@ -205,13 +225,6 @@ def bracket(L: LieAlgebra, v: Vector, w: Vector) -> Vector:
             continue
         out[k] = out[k] + v[i] * w[j] * coef
     return out
-
-
-def adjoint(L: LieAlgebra, i: int) -> Matrix:
-    """Matrix of ad_{X_i}: (ad_i)^k_j = C_ij^k, acting on coordinates."""
-    if not 0 <= i < L.dim:
-        raise IndexOutOfRange(f"basis index {i} out of range")
-    return [[L.c[i][j][k] for j in range(L.dim)] for k in range(L.dim)]
 
 
 def _jacobi_components(L: LieAlgebra) -> dict:
@@ -256,17 +269,6 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     return out
 
 
-def jacobi_residual(L: LieAlgebra):
-    """Dense tensor R_ijl^m = sum_k cyclic(C_ij^k C_kl^m); zero iff Jacobi."""
-    n = L.dim
-    z = PolyExpr.zero()
-    res = [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j, l, m), value in L.jacobi_components().items():
-        for (a, b, c), sign in zip(permutations((i, j, l)), _PERMUTATION_SIGNS):
-            res[a][b][c][m] = value if sign > 0 else -value
-    return res
-
-
 def jacobi_violations(L: LieAlgebra) -> list:
     """Index tuples (i, j, l, m) where the Jacobi residual is nonzero."""
     return sorted(
@@ -278,43 +280,6 @@ def jacobi_violations(L: LieAlgebra) -> list:
 
 def is_jacobi_zero(L: LieAlgebra) -> bool:
     return not L.jacobi_components()
-
-
-@dataclass
-class SymmetricTensor:
-    """Symmetric contravariant 2-tensor K^{ab} (e.g. a quadratic Casimir)."""
-
-    k: Matrix
-
-    def __post_init__(self):
-        n = len(self.k)
-        self.k = mat(self.k)
-        for row in self.k:
-            if len(row) != n:
-                raise ShapeError("symmetric tensor must be square")
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self.k[a][b] != self.k[b][a]:
-                    raise ShapeError(f"tensor not symmetric at ({a},{b})")
-
-
-def casimir_invariant(L: LieAlgebra, K: SymmetricTensor) -> bool:
-    """ad-invariance of K: sum_c (C_ic^a K^cb + C_ic^b K^ac) = 0 for all i,a,b."""
-    n = L.dim
-    if len(K.k) != n:
-        raise DimensionMismatch("tensor dimension does not match algebra")
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = PolyExpr.zero()
-                for c in range(n):
-                    if not L.c[i][c][a].is_zero and not K.k[c][b].is_zero:
-                        total = total + L.c[i][c][a] * K.k[c][b]
-                    if not L.c[i][c][b].is_zero and not K.k[a][c].is_zero:
-                        total = total + L.c[i][c][b] * K.k[a][c]
-                if not total.is_zero:
-                    return False
-    return True
 
 
 @dataclass
@@ -439,18 +404,6 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
     return out
 
 
-def transform_vector(v: Vector, w: Matrix) -> Vector:
-    n = len(w)
-    out = [PolyExpr.zero()] * n
-    for i in range(n):
-        if as_poly(v[i]).is_zero:
-            continue
-        for a in range(n):
-            if not w[i][a].is_zero:
-                out[a] = out[a] + as_poly(v[i]) * w[i][a]
-    return out
-
-
 def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
     """Structure constants in the new basis; bracket commutes with the map."""
     if len(bc.m) != L.dim:
@@ -471,11 +424,4 @@ def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlge
 
 def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
     """Exact equality of dimension and structure tensors (labels ignored)."""
-    if a.dim != b.dim:
-        return False
-    return all(
-        a.c[i][j][k] == b.c[i][j][k]
-        for i in range(a.dim)
-        for j in range(a.dim)
-        for k in range(a.dim)
-    )
+    return a.dim == b.dim and a.c == b.c

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyLike, as_poly
+from .exactalg import PolyLike, _negatives, as_poly
 from .exactlinalg import Matrix
 from .liealg import LieAlgebra, _nonzero_entries, zero_matrix, zero_tensor3
 
@@ -34,9 +34,13 @@ class RMatrix:
         n = len(self.labels)
         if len(self.r) != n or any(len(row) != n for row in self.r):
             raise ShapeError("r-matrix shape does not match labels")
-        for i in range(n):
-            for j in range(n):
-                if self.r[i][j] != -self.r[j][i]:
+        # The first failing (i, j) has i <= j, as the condition is symmetric
+        # in (i, j); pairs of zero entries are skipped, and the rest compared
+        # term by term without building -r[j][i].
+        for i, row in enumerate(self.r):
+            for j in range(i, n):
+                x, y = row[j].terms, self.r[j][i].terms
+                if (x or y) and not _negatives(x, y):
                     raise ShapeError(f"r-matrix not antisymmetric at ({i},{j})")
 
     @property

@@ -62,6 +62,106 @@ def test_validate_malformed_json(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+SL2_HYP_FILE = {
+    "dim": 3,
+    "labels": ["P1", "P2", "J12"],
+    "params": ["eta"],
+    "brackets": [
+        {"i": 0, "j": 1, "k": 2, "coef": "1"},
+        {"i": 0, "j": 2, "k": 1, "coef": "-1"},
+        {"i": 1, "j": 2, "k": 0, "coef": "-1"},
+    ],
+    "cocomm": [
+        {"i": 0, "j": 0, "k": 2, "coef": "2*eta"},
+        {"i": 1, "j": 1, "k": 2, "coef": "2*eta"},
+    ],
+    "dual_labels": ["a1", "a2", "theta"],
+}
+
+
+def _broken(kind, key, change):
+    """SL2_HYP_FILE (without its cocommutator for an algebra file) with
+    ``key`` deleted (change None), its entry 0 updated (a dict) or replaced."""
+    data = json.loads(json.dumps(SL2_HYP_FILE))
+    if kind == "algebra":
+        del data["cocomm"], data["dual_labels"]
+    if isinstance(change, dict):
+        data[key][0].update(change)
+    elif change is None:
+        del data[key]
+    else:
+        data[key][0] = change
+    return data
+
+
+@pytest.mark.parametrize("kind", ["algebra", "bialgebra"])
+@pytest.mark.parametrize(
+    "key, change, message",
+    [
+        ("dim", None, "missing key 'dim'"),
+        ("labels", None, "missing key 'labels'"),
+        ("brackets", [0, 1, 2, "1"], "brackets[0] must be an object"),
+        ("brackets", {"coef": True}, "brackets[0] must be an object"),
+        ("brackets", {"coef": "1+"}, "brackets[0] must be an object"),
+        ("brackets", {"i": "0"}, "brackets[0] must be an object"),
+        ("brackets", {"k": 3}, "index 3 out of range"),
+    ],
+)
+def test_validate_malformed_file_is_an_input_error(
+    tmp_path, capsys, kind, key, change, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_broken(kind, key, change)))
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("not an entry", "cocomm[0] must be an object"),
+        ({"coef": None}, "cocomm[0] must be an object"),
+        ({"coef": True}, "cocomm[0] must be an object"),
+        ({"coef": "1+"}, "cocomm[0] must be an object"),
+        ({"i": 3}, "wedge entry (3,0,2) out of range"),
+        ({"j": -1}, "wedge entry (0,-1,2) out of range"),
+        ({"j": 2}, "wedge entry (0,2,2) is identically zero"),
+    ],
+)
+def test_validate_malformed_cocomm_is_an_input_error(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_broken("bialgebra", "cocomm", change)))
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"brackets": []}, "missing key 'dim'"),
+        ({"cocomm": []}, "missing key 'dim'"),
+        ({**SL2_HYP_FILE, "cocomm": {}}, "'cocomm' must be a list"),
+        (["brackets"], "not a JSON object"),
+        (5, "not a JSON object"),
+    ],
+)
+def test_validate_file_of_the_wrong_shape(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_validate_file_that_is_not_a_cobracket(tmp_path):
+    data = _broken("bialgebra", "cocomm", {"coef": "eta"})
+    path = tmp_path / "not-a-cobracket.json"
+    path.write_text(json.dumps(data))
+    code, report = run(tmp_path, "validate", str(path))
+    assert code == 1
+    assert report["verdicts"] == {"double-jacobi": "fail"}
+    assert "double violates Jacobi" in report["notes"][0]
+
+
 def test_validate_unknown_catalog_key():
     assert main(["validate", "catalog:nosuchkey"]) == 2
 
@@ -218,6 +318,12 @@ def test_verify_brackets_tolerance_floor(tmp_path):
     code, report = run(tmp_path, "verify-brackets", "--tol", "1e-15")
     assert code == 1
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_brackets_needs_a_point(capsys, points):
+    assert main(["verify-brackets", "--points", points]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_brackets_unknown_cell():

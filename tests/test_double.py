@@ -4,7 +4,6 @@ import pytest
 
 from liedouble.bialgebra import new_bialgebra
 from liedouble.double import (
-    bracket_table_json,
     bracket_table_text,
     build_double,
     canonical_cocommutator,
@@ -99,15 +98,18 @@ def test_pairing_ad_invariance(sl2_hyp, iso11_eta):
 
 
 def test_canonical_skew_r_is_half_antisymmetrization(sl2_hyp):
+    # the skew part of r = Σ x^i ⊗ X_i: r[n+i][i] = 1/2, r[i][n+i] = -1/2
     D = build_double(sl2_hyp)
-    n2 = D.dim
-    for a in range(n2):
-        for b in range(n2):
-            skew = D.canonical_r_skew.r[a][b]
-            expected = (D.canonical_r_raw[a][b] - D.canonical_r_raw[b][a]) * P(
-                "1/2"
-            )
-            assert skew == expected
+    n = D.n
+    for a in range(D.dim):
+        for b in range(D.dim):
+            if a == b + n:
+                expected = P("1/2")
+            elif b == a + n:
+                expected = P("-1/2")
+            else:
+                expected = PolyExpr.zero()
+            assert D.canonical_r_skew.r[a][b] == expected
 
 
 def test_canonical_skew_r_is_mcybe_on_double(sl2_hyp, iso11_eta):
@@ -293,7 +295,7 @@ def test_bracket_table_json_round_trip(sl2_hyp):
     from liedouble.liealg import from_json
 
     D = build_double(sl2_hyp)
-    data = bracket_table_json(D.algebra)
+    data = D.algebra.to_json()
     assert algebras_equal(from_json(data), D.algebra)
 
 

@@ -27,12 +27,21 @@ from liedouble.homogeneous import (
     is_subalgebra,
     lagrangian_bracket_table,
     lagrangian_from_pi,
-    spec_with_zero_pi,
-    subspace_in_g,
 )
 from liedouble.liealg import bracket
 
 P = PolyExpr.parse
+
+
+def spec_with_zero_pi(h_basis, complement):
+    """The spec of (h, complement) with π = 0."""
+    m = len(complement)
+    return LagrangianSpec(h_basis, complement, [[0] * m for _ in range(m)])
+
+
+def subspace_in_g(D, vectors):
+    """Vectors given in g-coordinates, embedded in the first factor of D."""
+    return Subspace(D.dim, [list(v) + [0] * D.n for v in vectors])
 
 
 def spec_for(B, h_labels, pi=None):
@@ -68,7 +77,7 @@ def test_annihilator_of_rotation_subalgebra(sl2_hyp):
     D = build_double(sl2_hyp)
     h = subspace_in_g(D, [sl2_hyp.algebra.basis_vector("J12")])
     ann = annihilator(D, h)
-    assert ann.n_vectors == 2
+    assert len(ann.vectors) == 2
     expect = {tuple(str(x) for x in v) for v in ann.vectors}
     a1 = ("0",) * 3 + ("1", "0", "0")
     a2 = ("0",) * 3 + ("0", "1", "0")
@@ -80,7 +89,7 @@ def test_annihilator_of_full_algebra(sl2_hyp):
     h = subspace_in_g(
         D, [sl2_hyp.algebra.basis_vector(i) for i in range(3)]
     )
-    assert annihilator(D, h).n_vectors == 0
+    assert annihilator(D, h).vectors == []
 
 
 def test_annihilator_of_null_generator(sl2_par_j):
@@ -110,7 +119,7 @@ def test_zero_pi_gives_h_plus_annihilator(sl2_hyp):
     D = build_double(sl2_hyp)
     spec = spec_for(sl2_hyp, ["J12"])
     l = lagrangian_from_pi(D, spec)
-    assert l.n_vectors == 3
+    assert len(l.vectors) == 3
     flat = [tuple(str(x) for x in v) for v in l.vectors]
     assert flat[0] == ("0", "0", "1", "0", "0", "0")  # J12
     assert flat[1] == ("0", "0", "0", "1", "0", "0")  # a1

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-the exact paths leave numpy unimported.
+"""Every name a module of the package imports is used in that module, every
+public top-level function or class is used outside the tests, and the
+exact paths leave numpy unimported.
 
 No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
-name anywhere in the module or is listed in ``__all__``.
+name anywhere in the module or is listed in ``__all__``; a public name
+counts as used when code in ``src/``, ``bench/`` or ``tools/`` names it, reads
+it as an attribute or imports it (a mention in a docstring does not count).
 """
 
 import ast
@@ -17,6 +20,21 @@ import pytest
 import liedouble
 
 MODULES = sorted(Path(liedouble.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that only the tests call, each kept for a reason.
+TEST_ONLY = {
+    "annihilator": "h^⊥ in the double, a construction of the paper",
+    "is_semidirect": "the semidirect-product split of a bracket table, from the paper",
+    "is_lagrangian": "reference route that classify is tested against",
+    "is_subalgebra": "reference route that classify is tested against",
+    "solve_in_span": "reference route that the Bareiss kernel is tested against",
+    "change_basis": "applies the catalog basis changes",
+    "algebras_equal": "compares the catalog basis changes with published algebras",
+    "group_matrix": "oracle of test_invariance_oracle_all_fields",
+    "chart_inverse": "oracle of test_invariance_oracle_all_fields",
+    "generator_matrix": "oracle of test_invariance_oracle_all_fields",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -49,6 +67,57 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_definitions(source: str) -> set:
+    """Names of the public top-level functions and classes of a module."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def referenced_names(source: str) -> set:
+    """Names a module uses: as a name, as an attribute or in an import."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used |= {a.name.split(".")[-1] for a in node.names}
+    return used
+
+
+def test_reference_checker_ignores_docstrings():
+    source = (
+        '"""Calls helper."""\n'
+        'def helper():\n    """helper"""\n'
+        "class _Private:\n    pass\n"
+    )
+    assert public_definitions(source) == {"helper"}
+    assert "helper" not in referenced_names(source)
+    assert {"helper", "dumps"} <= referenced_names(
+        "from .x import helper\nimport json\njson.dumps(1)\n"
+    )
+
+
+def test_public_names_are_used_outside_the_tests():
+    sources = [
+        path.read_text()
+        for folder in ("src", "bench", "tools")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    defined = set().union(
+        *(public_definitions(p.read_text()) for p in (ROOT / "src").rglob("*.py"))
+    )
+    used = set().union(*(referenced_names(source) for source in sources))
+    unused = defined - used
+    assert sorted(unused - set(TEST_ONLY)) == []
+    assert sorted(set(TEST_ONLY) - unused) == []  # the list is not stale
 
 
 def test_exact_paths_do_not_import_numpy():

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from liedouble.errors import DimensionMismatch, ShapeError
-from liedouble.exactalg import PolyExpr, poly_eval
+from liedouble.exactalg import PolyExpr
 from liedouble.liealg import substitute_params, zero_matrix
 from liedouble.rmatrix import (
     RMatrix,
@@ -116,6 +117,26 @@ def test_rmatrix_shape_checks(sl2_ck):
         cocommutator_from_r(sl2_ck, rmatrix_from_wedge(("a", "b"), [("a", "b", 1)]))
 
 
+@pytest.mark.parametrize(
+    "entries, index",
+    [
+        ({(4, 1): "eta"}, "(1,4)"),    # partner missing, named at i < j
+        ({(3, 3): "-1/3"}, "(3,3)"),   # diagonal entry
+    ],
+)
+def test_one_asymmetric_entry_is_named(rmats, entries, index):
+    # an antisymmetric r with one entry pair changed raises at that index
+    r = rmats["r1"]
+    m = [list(row) for row in r.r]
+    for i, j in entries:
+        m[i][j] = m[j][i] = PolyExpr.zero()
+    RMatrix(r.labels, m)
+    for (i, j), coef in entries.items():
+        m[i][j] = P(coef)
+    with pytest.raises(ShapeError, match=re.escape(f"not antisymmetric at {index}")):
+        RMatrix(r.labels, m)
+
+
 def test_schouten_zero_r(sl2_ck):
     r = RMatrix(sl2_ck.labels, zero_matrix(3))
     assert schouten(sl2_ck, r).is_zero()
@@ -203,7 +224,7 @@ def test_psc_family_mcybe_on_and_off_variety(glambda):
     on_pts = on_variety_points(rng, 10)
     for pt in on_pts:
         kappa = pt["eta"] ** 2
-        assert poly_eval(constraint, {**pt, "kappa": kappa}) == 0
+        assert constraint.evaluate({**pt, "kappa": kappa}) == 0
         alg = substitute_params(glambda, {"kappa": kappa})
         assert is_mcybe(alg, psc_at_point(pt))
     off = 0
@@ -211,7 +232,7 @@ def test_psc_family_mcybe_on_and_off_variety(glambda):
         pt = dict(pt)
         pt["c2"] = pt["c2"] + 1
         kappa = pt["eta"] ** 2
-        if poly_eval(constraint, {**pt, "kappa": kappa}) == 0:
+        if constraint.evaluate({**pt, "kappa": kappa}) == 0:
             continue
         alg = substitute_params(glambda, {"kappa": kappa})
         assert not is_mcybe(alg, psc_at_point(pt))

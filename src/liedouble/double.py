@@ -200,17 +200,21 @@ def format_combo(labels: Sequence[str], coeffs: Vector) -> str:
 
 
 def bracket_table_text(L: LieAlgebra) -> str:
-    """Aligned plain-text table of all brackets [e_a, e_b] with a < b."""
-    lines = []
-    heads = []
-    for a in range(L.dim):
-        for b in range(a + 1, L.dim):
-            heads.append(f"[{L.labels[a]}, {L.labels[b]}]")
-    width = max(len(h) for h in heads)
-    idx = 0
-    for a in range(L.dim):
-        for b in range(a + 1, L.dim):
-            rhs = format_combo(L.labels, [L.c[a][b][k] for k in range(L.dim)])
-            lines.append(f"{heads[idx].ljust(width)} = {rhs}")
-            idx += 1
-    return "\n".join(lines) + "\n"
+    """Aligned plain-text table of all brackets [e_a, e_b] with a < b, each
+    row formatted from its nonzero entries in :meth:`LieAlgebra.nonzero`."""
+    labels = L.labels
+    rows: dict = {}
+    for a, b, k, coef in L.nonzero():
+        if a < b:
+            row_labels, row_coeffs = rows.setdefault((a, b), ([], []))
+            row_labels.append(labels[k])
+            row_coeffs.append(coef)
+    heads = [
+        (f"[{labels[a]}, {labels[b]}]", rows.get((a, b), ((), ())))
+        for a in range(L.dim)
+        for b in range(a + 1, L.dim)
+    ]
+    width = max(len(head) for head, _ in heads)
+    return "".join(
+        f"{head.ljust(width)} = {format_combo(*row)}\n" for head, row in heads
+    )

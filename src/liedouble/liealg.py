@@ -5,9 +5,21 @@ A :class:`LieAlgebra` stores the dense tensor ``C[i][j][k]`` of
 parameter names.  Antisymmetry in (i, j) is enforced at construction;
 validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
 :func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
-only.  The residual is summed over integers: the structure constants are
-scaled once by the lcm d of their denominators, so the sum is d² times the
-residual exactly, and only its nonzero components are divided back.
+only.
+
+The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
+added with a sign into the one sorted triple it belongs to, and over packed
+integers: the structure constants are scaled once by the lcm d of their
+denominators and each is packed into one Python int by Kronecker
+substitution (:func:`~liedouble.exactalg._kronecker_pack`), with digits
+wide enough for a sum of 3·dim products.  A polynomial product is then one
+integer product, an accumulated int is zero exactly when the residual
+component is, and only the nonzero components are unpacked and divided
+back by d².  The basis transforms (:func:`transform_structure`,
+:func:`transform_cocomm`) keep the per-monomial integer sums of
+:func:`~liedouble.exactalg.to_int_terms`: their factors are mostly
+single-term constants and every output is needed, so packing costs more
+there than it saves.
 
 An algebra keeps what it derives from its tensor: the sparse view
 (:meth:`LieAlgebra.nonzero`) and the nonzero Jacobi components, each
@@ -33,6 +45,7 @@ from .errors import (
 from .exactalg import (
     PolyExpr,
     PolyLike,
+    _kronecker_pack,
     _mono_mul,
     as_poly,
     from_int_terms,
@@ -62,7 +75,7 @@ def _nonzero_entries(t) -> list:
         for i, plane in enumerate(t)
         for j, row in enumerate(plane)
         for k, value in enumerate(row)
-        if not value.is_zero
+        if value.terms
     ]
 
 
@@ -235,38 +248,46 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     which every construction path enforces; so these components, keyed
     (i, j, l, m), determine the whole residual.
 
-    The sum runs over integers.  With d the lcm of the denominators of all
-    structure constants, each C_ab^k is scaled once to d*C_ab^k with
-    integer coefficients (:func:`~liedouble.exactalg.to_int_terms`); every
-    product in R has two factors, so the integer sum is exactly d²·R.  It
-    is zero exactly when R is, and only nonzero components are divided
-    back by d², so the check stays exact and generic in the parameters.
+    The sum is driven by the nonzero products only: for each nonzero
+    t1 = C_ab^k with a < b and each nonzero t2 = C_kc^m with c not in
+    {a, b}, t1·t2 is the term of exactly one sorted triple, with a sign set
+    by where c falls: +t1·t2 into (a, b, c, m) when c > b, into (c, a, b, m)
+    when c < a, and -t1·t2 into (a, c, b, m) when a < c < b (there it is
+    C_li^k C_kj^m with C_li^k = -C_ab^k).
+
+    The sum runs over packed integers.  With d the lcm of the denominators
+    of all structure constants, each d*C_ab^k has integer coefficients
+    (:func:`~liedouble.exactalg.to_int_terms`) and is packed into one int
+    by Kronecker substitution (:func:`~liedouble.exactalg._kronecker_pack`),
+    so each product above is one integer product.  A component is a sum of
+    at most 3·dim products, which sets the packing's digit width: the
+    accumulated int is zero exactly when R is, and only nonzero components
+    are unpacked and divided back by d², so the check stays exact and
+    generic in the parameters.
     """
-    n = L.dim
     entries = L.nonzero()
     d, scaled = to_int_terms(coef for *_, coef in entries)
-    by_pair: dict = {}
-    for (i, j, k, _), terms in zip(entries, scaled):
-        by_pair.setdefault((i, j), []).append((k, terms))
+    packed, unpack = _kronecker_pack(scaled, 3 * L.dim)
+    by_first: dict = {}
+    for (k, c, m, _), t2 in zip(entries, packed):
+        by_first.setdefault(k, []).append((c, m, t2))
+    acc: dict = {}
+    for (a, b, k, _), t1 in zip(entries, packed):
+        if a > b:
+            continue
+        neg = -t1
+        for c, m, t2 in by_first.get(k, ()):
+            if c > b:
+                key, t = (a, b, c, m), t1 * t2
+            elif c < a:
+                key, t = (c, a, b, m), t1 * t2
+            elif a < c < b:
+                key, t = (a, c, b, m), neg * t2
+            else:
+                continue
+            acc[key] = acc.get(key, 0) + t
     scale = d * d
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                acc: dict = {}
-                for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                    for k, t1 in by_pair.get((a, b), ()):
-                        for m, t2 in by_pair.get((k, c), ()):
-                            row = acc.setdefault(m, {})
-                            for m1, c1 in t1:
-                                for m2, c2 in t2:
-                                    mono = _mono_mul(m1, m2)
-                                    row[mono] = row.get(mono, 0) + c1 * c2
-                for m, row in acc.items():
-                    value = from_int_terms(row, scale)
-                    if value:
-                        out[(i, j, l, m)] = value
-    return out
+    return {key: unpack(v, scale) for key, v in acc.items() if v}
 
 
 def jacobi_violations(L: LieAlgebra) -> list:

@@ -1,11 +1,8 @@
-import time
-
 import pytest
 
 from liedouble import catalog
 from liedouble.errors import ParseError, UnknownKey
 from liedouble.liealg import algebras_equal, change_basis, substitute_params
-from liedouble.rmatrix import rmatrix_from_wedge
 
 
 @pytest.fixture(scope="module")

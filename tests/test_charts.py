@@ -7,7 +7,6 @@ import pytest
 
 from liedouble.charts import (
     ADS3,
-    CHART_COORDS,
     CK,
     PM,
     BracketFn,

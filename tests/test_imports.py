@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, every
-public top-level function or class is used outside the tests, and the
-exact paths leave numpy unimported.
+"""Every name a module of the package or of the tests imports is used in
+that module, every public top-level function or class is used outside the
+tests, and the exact paths leave numpy unimported.
 
 No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
@@ -21,6 +21,7 @@ import liedouble
 
 MODULES = sorted(Path(liedouble.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # Public names that only the tests call, each kept for a reason.
 TEST_ONLY = {
@@ -64,7 +65,11 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == ["Any", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -12,6 +12,7 @@ from liedouble.errors import (
     SymmetricEntry,
 )
 from liedouble import catalog
+from liedouble.double import double_of_double
 from liedouble.exactalg import PolyExpr
 from liedouble.exactlinalg import invert, mat, rank
 from liedouble.liealg import (
@@ -28,25 +29,31 @@ from liedouble.liealg import (
     transform_structure,
     zero_tensor3,
 )
+from test_exactalg import laurent_polys
 
 P = PolyExpr.parse
 
 
 def jacobi_oracle(L):
     """Direct dense evaluation of the cyclic residual, independent of the
-    library's sparse accumulation path."""
+    library's sparse accumulation path.  A product with a zero factor adds
+    nothing and is skipped, which keeps a 24-dim D(D(a)) affordable."""
     n = L.dim
+    c = L.c
     res = {}
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                for m in range(n):
-                    total = PolyExpr.zero()
+                totals = [PolyExpr.zero()] * n
+                for a, b, e in ((i, j, l), (j, l, i), (l, i, j)):
                     for k in range(n):
-                        total = total + L.c[i][j][k] * L.c[k][l][m]
-                        total = total + L.c[j][l][k] * L.c[k][i][m]
-                        total = total + L.c[l][i][k] * L.c[k][j][m]
-                    res[(i, j, l, m)] = total
+                        if c[a][b][k].is_zero:
+                            continue
+                        for m in range(n):
+                            if not c[k][e][m].is_zero:
+                                totals[m] = totals[m] + c[a][b][k] * c[k][e][m]
+                for m in range(n):
+                    res[(i, j, l, m)] = totals[m]
     return res
 
 
@@ -182,6 +189,74 @@ def test_jacobi_residual_with_a_non_trivial_denominator():
     assert jacobi_violations(L) == sorted(
         (i, j, l, 2) for i, j, l in permutations((0, 1, 2))
     )
+
+
+@st.composite
+def laurent_tensors(draw):
+    """Random sparse structure tensors of dim 3-5 whose constants are random
+    Laurent polynomials in eta and xi with coprime denominators, so that
+    every packed slot and digit of the Jacobi sum is exercised."""
+    n = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entry = st.tuples(
+        st.sampled_from(pairs), st.integers(0, n - 1), laurent_polys(("eta", "xi"))
+    )
+    entries = draw(st.lists(entry, min_size=1, max_size=10))
+    labels = tuple(f"e{i}" for i in range(n))
+    return new_lie_algebra(n, labels, [(i, j, k, c) for (i, j), k, c in entries])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(laurent_tensors())
+def test_jacobi_matches_oracle_on_random_laurent_tensors(L):
+    assert_jacobi_matches_oracle(L)
+
+
+def test_jacobi_matches_oracle_on_a_perturbed_iterated_double(so22_twisted):
+    # D(D(so22)) satisfies Jacobi; two added brackets with Laurent terms, a
+    # second parameter and large coefficients give it a nonzero residual
+    L = double_of_double(so22_twisted).algebra
+    entries = [(i, j, k, v) for i, j, k, v in L.nonzero() if i < j]
+    entries += [(0, 5, 7, "eta^-1*xi - 1000003/7"), (3, 14, 20, "999983*eta^2")]
+    perturbed = new_lie_algebra(L.dim, L.labels, entries)
+    assert perturbed.params == ("eta", "xi")
+    assert perturbed.jacobi_components()
+    assert_jacobi_matches_oracle(perturbed)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        "eta^2 - eta^-1",  # leading packed digit negative, the lowest positive
+        "xi^2*eta + 3/7",  # all digits negative
+        "-eta^-2*xi + 5",
+        "1099511627689*eta - 1099511627791",  # coefficients near 2**40
+        "-1099511627689/3*xi^-1*eta^2",
+    ],
+)
+def test_jacobi_residual_digit_signs_and_magnitudes(q):
+    # [e0,e1] = c e2 and [e0,e2] = q e0 leave -c*q along e2 on (e0,e1,e2)
+    c = "1099511627791/5"
+    L = new_lie_algebra(3, ("e0", "e1", "e2"), [(0, 1, 2, c), (0, 2, 0, q)])
+    assert L.jacobi_components() == {(0, 1, 2, 2): -P(c) * P(q)}
+    assert_jacobi_matches_oracle(L)
+
+
+@pytest.mark.parametrize(
+    "c_32, expected",
+    [("5/3", None), ("5/3 + xi", "eta*xi")],
+)
+def test_jacobi_residual_cancelling_across_products(c_32, expected):
+    # R_012^3 = C_01^3 C_32^3 + C_12^3 C_30^3 with C_01^3 = C_12^3 = eta and
+    # C_30^3 = -5/3: two nonzero products whose 5/3*eta terms cancel
+    L = new_lie_algebra(
+        4,
+        ("e0", "e1", "e2", "e3"),
+        [(0, 1, 3, "eta"), (1, 2, 3, "eta"), (3, 2, 3, c_32), (0, 3, 3, "5/3")],
+    )
+    got = L.jacobi_components().get((0, 1, 2, 3))
+    assert got == (None if expected is None else P(expected))
+    assert_jacobi_matches_oracle(L)
 
 
 def test_bracket_examples(sl2_std, ck2d):

@@ -23,16 +23,16 @@ a terms dict that already has this form and neither copies nor re-coerces
 it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
 Long sums of products can instead run over integers: :func:`to_int_terms`
 clears the denominators of their factors once and :func:`from_int_terms`
-divides the integer result back.  Where most such sums cancel to zero, as
-in the Jacobi check, :func:`_kronecker_pack` goes one step further and
-packs each scaled polynomial into a single Python int, one signed digit of
-``B`` bits per monomial (Kronecker substitution): with exponents shifted by
-their minimum and slots twice as wide as their range, a polynomial product
-is one integer product, and ``B = bitlen(count*L1²) + 1`` for a sum of
-``count`` products of entries with at most ``L1`` absolute coefficient sum
-keeps every digit exact.  Sums whose factors are mostly single-term
-constants and whose every output is needed, as in the basis transforms,
-stay on the per-monomial terms, where packing costs more than it saves.
+divides the integer result back.  Where such a sum multiplies many
+monomials, as in the Jacobi check, :func:`_monomial_codes` also numbers
+the monomials so that a monomial product is the sum of two small ints
+(Kronecker substitution on the exponents only): each parameter's exponents
+are shifted by their minimum into a mixed-radix digit twice as wide as
+their range, so a code has about as many bits as the exponents it
+encodes, whatever their size; the coefficients stay separate ints.  Sums
+whose factors are mostly constants, as in the basis transforms, stay on
+the monomial tuples, which :func:`_mono_mul` multiplies at once when one
+of them is empty.
 
 All values are immutable; instances can be shared freely between threads.
 """
@@ -441,81 +441,60 @@ def from_int_terms(terms: dict, scale: int) -> PolyExpr:
     return _canonical({mono: Q(v, scale) for mono, v in terms.items() if v})
 
 
-def _kronecker_pack(scaled: list, count: int) -> tuple[list, Callable]:
-    """Pack each polynomial of ``scaled`` (as :func:`to_int_terms` gives
-    them) into one Python int, so that a polynomial product becomes an
-    integer product: ``(packed, unpack)``, where ``unpack(v, scale)`` is the
-    polynomial ``P / scale`` for ``v`` a sum of at most ``count`` products
-    ``±packed[x] * packed[y]`` that adds up to ``P``.
+def _monomial_codes(scaled: list) -> tuple[list, int, Callable]:
+    """Number the monomials of ``scaled`` (as :func:`to_int_terms` gives
+    them) so that a product of two monomials is the sum of their codes:
+    ``(coded, radix, decode)``, with ``coded[i]`` the terms of ``scaled[i]``
+    as ``((code, int), ...)``, every sum of two codes below ``radix``, and
+    ``decode(code)`` the monomial of such a sum.
 
-    Kronecker substitution: each parameter p gets a mixed-radix slot of
-    width ``2*(hi_p - lo_p) + 1``, where lo_p and hi_p bound its exponents
-    (0 included, for monomials without p), so the shifted exponents of a
-    product of two entries never carry into the next slot; a monomial with
-    slot index ``idx`` is packed as ``c << (B*idx)``.  With L1 the largest
-    sum of the absolute coefficients of one entry, every coefficient of P
-    has ``|c| <= count*L1² < 2**(B-1)`` for ``B = bitlen(count*L1²) + 1``.
-    So ``v`` is 0 exactly when P is, and its signed base-``2**B`` digits
-    are P's coefficients, exactly and generically in the parameters.
+    Each parameter p is one mixed-radix digit of width
+    ``2*(hi_p - lo_p) + 1``, where lo_p and hi_p bound its exponents (0
+    included, for monomials without p), and a monomial's digit is its
+    exponent minus lo_p; the digits of a sum of two codes never carry.  A
+    code has about as many bits as the exponents it encodes.
     """
     lo: dict = {}
     hi: dict = {}
-    l1 = 0
     for terms in scaled:
-        l1 = max(l1, sum(abs(c) for _, c in terms))
         for mono, _ in terms:
             for name, e in mono:
                 if e < lo.get(name, 0):
                     lo[name] = e
                 elif e > hi.get(name, 0):
                     hi[name] = e
-    slots = []  # (name, lo_p, stride, width), in packing order
-    stride = 1
+    digits = []  # (name, lo_p, stride, width), lowest digit first
+    radix = 1
     for name in sorted(lo.keys() | hi.keys()):
         low = lo.get(name, 0)
         width = 2 * (hi.get(name, 0) - low) + 1
-        slots.append((name, low, stride, width))
-        stride *= width
-    bits = (count * l1 * l1).bit_length() + 1
+        digits.append((name, low, radix, width))
+        radix *= width
 
-    shifts: dict = {}
-    packed = []
+    codes: dict = {}
+    coded = []
     for terms in scaled:
-        v = 0
+        row = []
         for mono, c in terms:
-            shift = shifts.get(mono)
-            if shift is None:
+            code = codes.get(mono)
+            if code is None:
                 exps = dict(mono)
-                shift = shifts[mono] = bits * sum(
-                    (exps.get(name, 0) - low) * s for name, low, s, _ in slots
+                code = codes[mono] = sum(
+                    (exps.get(name, 0) - low) * stride for name, low, stride, _ in digits
                 )
-            v += c << shift
-        packed.append(v)
+            row.append((code, c))
+        coded.append(tuple(row))
 
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
+    def decode(code: int) -> Monomial:
+        mono = []
+        for name, low, _, width in digits:
+            code, e = divmod(code, width)
+            e += 2 * low
+            if e:
+                mono.append((name, e))
+        return tuple(mono)
 
-    def unpack(v: int, scale: int) -> PolyExpr:
-        terms = {}
-        idx = 0
-        while v:
-            digit = v & mask
-            if digit >= half:
-                digit -= mask + 1
-            if digit:
-                mono = []
-                rest = idx
-                for name, low, _, width in slots:
-                    rest, e = divmod(rest, width)
-                    e += 2 * low
-                    if e:
-                        mono.append((name, e))
-                terms[tuple(mono)] = Q(digit, scale)
-            v = (v - digit) >> bits
-            idx += 1
-        return _canonical(terms)
-
-    return packed, unpack
+    return coded, radix, decode
 
 
 def _negatives(x: dict, y: dict) -> bool:

@@ -8,18 +8,16 @@ validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
 only.
 
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
-added with a sign into the one sorted triple it belongs to, and over packed
+added with a sign into the one sorted triple it belongs to, and over
 integers: the structure constants are scaled once by the lcm d of their
-denominators and each is packed into one Python int by Kronecker
-substitution (:func:`~liedouble.exactalg._kronecker_pack`), with digits
-wide enough for a sum of 3·dim products.  A polynomial product is then one
-integer product, an accumulated int is zero exactly when the residual
-component is, and only the nonzero components are unpacked and divided
-back by d².  The basis transforms (:func:`transform_structure`,
-:func:`transform_cocomm`) keep the per-monomial integer sums of
-:func:`~liedouble.exactalg.to_int_terms`: their factors are mostly
-single-term constants and every output is needed, so packing costs more
-there than it saves.
+denominators, their monomials are numbered so that a monomial product is a
+sum of two ints (:func:`~liedouble.exactalg._monomial_codes`), and every
+term is accumulated under one integer index of its component and
+monomial.  Only the nonzero sums are decoded and divided back by d².  The
+basis transforms (:func:`transform_structure`, :func:`transform_cocomm`)
+keep the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
+their factors are mostly constants and every output is needed, so there is
+little to save.
 
 An algebra keeps what it derives from its tensor: the sparse view
 (:meth:`LieAlgebra.nonzero`) and the nonzero Jacobi components, each
@@ -45,8 +43,8 @@ from .errors import (
 from .exactalg import (
     PolyExpr,
     PolyLike,
-    _kronecker_pack,
     _mono_mul,
+    _monomial_codes,
     as_poly,
     from_int_terms,
     to_int_terms,
@@ -255,39 +253,54 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     when c < a, and -t1·t2 into (a, c, b, m) when a < c < b (there it is
     C_li^k C_kj^m with C_li^k = -C_ab^k).
 
-    The sum runs over packed integers.  With d the lcm of the denominators
-    of all structure constants, each d*C_ab^k has integer coefficients
-    (:func:`~liedouble.exactalg.to_int_terms`) and is packed into one int
-    by Kronecker substitution (:func:`~liedouble.exactalg._kronecker_pack`),
-    so each product above is one integer product.  A component is a sum of
-    at most 3·dim products, which sets the packing's digit width: the
-    accumulated int is zero exactly when R is, and only nonzero components
-    are unpacked and divided back by d², so the check stays exact and
+    The sum runs over integers.  With d the lcm of the denominators of all
+    structure constants, each d*C_ab^k has integer coefficients
+    (:func:`~liedouble.exactalg.to_int_terms`), and each monomial is a code
+    such that a monomial product is a sum of two codes
+    (:func:`~liedouble.exactalg._monomial_codes`).  A term of coefficient
+    c1*c2 and code m1 + m2 in component (i, j, l, m) is added at the one
+    integer index ((((i*n + j)*n + l)*n + m)*radix + m1 + m2).  The integer
+    sum is d²·R exactly, so it is zero exactly when R is; only nonzero sums
+    are decoded and divided back by d², and the check stays exact and
     generic in the parameters.
     """
+    n = L.dim
     entries = L.nonzero()
     d, scaled = to_int_terms(coef for *_, coef in entries)
-    packed, unpack = _kronecker_pack(scaled, 3 * L.dim)
+    coded, radix, decode = _monomial_codes(scaled)
     by_first: dict = {}
-    for (k, c, m, _), t2 in zip(entries, packed):
-        by_first.setdefault(k, []).append((c, m, t2))
+    for (k, c, m, _), t2 in zip(entries, coded):
+        by_first.setdefault(k, []).append((c, m * radix, t2))
+    step = n * radix  # index stride of one triple
     acc: dict = {}
-    for (a, b, k, _), t1 in zip(entries, packed):
+    for (a, b, k, _), t1 in zip(entries, coded):
         if a > b:
             continue
-        neg = -t1
+        neg = tuple((m1, -c1) for m1, c1 in t1)
         for c, m, t2 in by_first.get(k, ()):
             if c > b:
-                key, t = (a, b, c, m), t1 * t2
+                base, f = ((a * n + b) * n + c) * step, t1
             elif c < a:
-                key, t = (c, a, b, m), t1 * t2
+                base, f = ((c * n + a) * n + b) * step, t1
             elif a < c < b:
-                key, t = (a, c, b, m), neg * t2
+                base, f = ((a * n + c) * n + b) * step, neg
             else:
                 continue
-            acc[key] = acc.get(key, 0) + t
+            base += m
+            for m1, c1 in f:
+                for m2, c2 in t2:
+                    idx = base + m1 + m2
+                    acc[idx] = acc.get(idx, 0) + c1 * c2
     scale = d * d
-    return {key: unpack(v, scale) for key, v in acc.items() if v}
+    rows: dict = {}
+    for idx, v in acc.items():
+        if v:
+            idx, code = divmod(idx, radix)
+            idx, m = divmod(idx, n)
+            idx, l = divmod(idx, n)
+            i, j = divmod(idx, n)
+            rows.setdefault((i, j, l, m), {})[decode(code)] = v
+    return {key: from_int_terms(terms, scale) for key, terms in rows.items()}
 
 
 def jacobi_violations(L: LieAlgebra) -> list:

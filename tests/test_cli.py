@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,28 @@ def test_validate_broken_bracket_file(tmp_path):
     assert code == 1
     assert report["verdicts"]["jacobi"] == "fail"
     assert any("(0, 1, 2" in note for note in report["notes"])
+
+
+def test_validate_file_with_wide_exponents_in_three_parameters(tmp_path):
+    # the Jacobi sum numbers monomials by their exponents; exponents of 1000
+    # in three parameters must neither blow up memory nor slow the check
+    wide = {
+        "dim": 3,
+        "labels": ["e1", "e2", "e3"],
+        "params": ["eta", "xi", "zeta"],
+        "brackets": [
+            {"i": 0, "j": 1, "k": 2, "coef": "eta^1000*xi^1000*zeta^1000"},
+            {"i": 0, "j": 2, "k": 0, "coef": "xi^-1000 - zeta^999"},
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    start = time.perf_counter()
+    code, report = run(tmp_path, "validate", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert report["verdicts"]["jacobi"] == "fail"
+    assert "residual at (i,j,l,m)=(0, 1, 2, 2)" in report["notes"]
 
 
 def test_validate_missing_file(tmp_path):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as Q
-from math import isqrt
 
 import pytest
 import sympy
@@ -9,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from liedouble.errors import NotDivisible, PolyParseError, UnassignedParameter
 from liedouble.exactalg import (
     PolyExpr,
-    _kronecker_pack,
+    _mono_mul,
+    _monomial_codes,
     as_poly,
     mul_acc,
     poly_div_exact,
@@ -284,49 +284,36 @@ def test_mul_acc_matches_sympy(polys):
     assert out == {}
 
 
+def assert_codes_multiply(polys):
+    """Every sum of two codes of ``_monomial_codes`` lies in [0, radix) and
+    decodes to the product of the two monomials."""
+    _, scaled = to_int_terms(polys)
+    coded, radix, decode = _monomial_codes(scaled)
+    pairs = []
+    for terms, codes in zip(scaled, coded):
+        assert [c for _, c in codes] == [c for _, c in terms]
+        pairs += [(mono, code) for (mono, _), (code, _) in zip(terms, codes)]
+    for m1, code1 in pairs:
+        for m2, code2 in pairs:
+            assert 0 <= code1 + code2 < radix
+            assert decode(code1 + code2) == _mono_mul(m1, m2)
+    return radix
+
+
 @ORACLE_SETTINGS
-@given(
-    st.lists(
-        st.tuples(laurent_polys(("eta", "xi")), laurent_polys(("eta", "xi")), st.booleans()),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_kronecker_packed_sums_of_products(products):
-    # Σ ±x*y over packed ints unpacks to the PolyExpr sum, and is 0 exactly
-    # when that sum is
-    polys = [p for x, y, _ in products for p in (x, y)]
-    d, scaled = to_int_terms(polys)
-    packed, unpack = _kronecker_pack(scaled, len(products))
-    v = 0
-    expected = {}
-    for n, (x, y, negate) in enumerate(products):
-        t = packed[2 * n] * packed[2 * n + 1]
-        v += -t if negate else t
-        mul_acc(expected, x, y, negate=negate)
-    assert unpack(v, d * d) == PolyExpr(expected)
-    assert (v == 0) == (not expected)
+@given(st.lists(laurent_polys(("eta", "xi", "zeta")), min_size=1, max_size=4))
+def test_monomial_codes_add_under_product(polys):
+    assert_codes_multiply(polys)
 
 
-def test_kronecker_digits_at_the_bound():
-    # Three products of entries with L1 = L give coefficients of magnitude
-    # 3*L**2, the most the digit width allows, chosen just below 2**61; a
-    # leading digit of either sign, and two digits of opposite signs, read
-    # back exactly.
-    L = isqrt(((1 << 61) - 1) // 3)
-    x0, x1 = PolyExpr.const(L), P(f"-{L}*eta^-1*xi^2")
-    d, scaled = to_int_terms([x0, x1])
-    assert d == 1
-    packed, unpack = _kronecker_pack(scaled, 3)
-    p0, p1 = packed
-    assert unpack(3 * p0 * p0, 1) == 3 * x0 * x0
-    assert unpack(3 * p0 * p1, 1) == 3 * x0 * x1
-    assert unpack(3 * p1 * p1, 1) == 3 * x1 * x1
-    assert unpack(-3 * p1 * p1, 1) == -3 * x1 * x1
-    packed, unpack = _kronecker_pack(scaled, 6)
-    p0, p1 = packed
-    assert unpack(3 * p0 * p0 + 3 * p0 * p1, 1) == 3 * x0 * x0 + 3 * x0 * x1
-    assert unpack(-3 * p0 * p0 - 3 * p0 * p1, 1) == -3 * x0 * x0 - 3 * x0 * x1
+def test_monomial_codes_of_wide_exponents():
+    # exponents up to 10**12 in three parameters: a code stays a small int
+    polys = [
+        P("eta^1000000000000*xi^-1000*zeta^1000 - 3/7"),
+        P("eta^-5*zeta^-1000 + xi^999"),
+    ]
+    radix = assert_codes_multiply(polys)
+    assert radix.bit_length() < 80
 
 
 def count_fractions(fn):

@@ -195,7 +195,8 @@ def test_jacobi_residual_with_a_non_trivial_denominator():
 def laurent_tensors(draw):
     """Random sparse structure tensors of dim 3-5 whose constants are random
     Laurent polynomials in eta and xi with coprime denominators, so that
-    every packed slot and digit of the Jacobi sum is exercised."""
+    negative exponents, cancellation and every sign rule of the Jacobi sum
+    are exercised."""
     n = draw(st.integers(3, 5))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     entry = st.tuples(
@@ -227,17 +228,28 @@ def test_jacobi_matches_oracle_on_a_perturbed_iterated_double(so22_twisted):
 @pytest.mark.parametrize(
     "q",
     [
-        "eta^2 - eta^-1",  # leading packed digit negative, the lowest positive
-        "xi^2*eta + 3/7",  # all digits negative
+        "eta^2 - eta^-1",  # a negative exponent, coefficients of both signs
+        "xi^2*eta + 3/7",  # all coefficients of the residual negative
         "-eta^-2*xi + 5",
         "1099511627689*eta - 1099511627791",  # coefficients near 2**40
         "-1099511627689/3*xi^-1*eta^2",
     ],
 )
-def test_jacobi_residual_digit_signs_and_magnitudes(q):
+def test_jacobi_residual_signs_and_magnitudes(q):
     # [e0,e1] = c e2 and [e0,e2] = q e0 leave -c*q along e2 on (e0,e1,e2)
     c = "1099511627791/5"
     L = new_lie_algebra(3, ("e0", "e1", "e2"), [(0, 1, 2, c), (0, 2, 0, q)])
+    assert L.jacobi_components() == {(0, 1, 2, 2): -P(c) * P(q)}
+    assert_jacobi_matches_oracle(L)
+
+
+def test_jacobi_residual_with_wide_exponents_in_three_parameters():
+    # exponents up to 10**12 in eta, xi and zeta; the monomial codes stay
+    # small ints, so the cost does not grow with the exponents
+    c = "eta^1000000000000*xi^-1000*zeta^1000 - 3/7"
+    q = "xi^999 - eta^-5*zeta^-1000"
+    L = new_lie_algebra(3, ("e0", "e1", "e2"), [(0, 1, 2, c), (0, 2, 0, q)])
+    assert L.params == ("eta", "xi", "zeta")
     assert L.jacobi_components() == {(0, 1, 2, 2): -P(c) * P(q)}
     assert_jacobi_matches_oracle(L)
 

@@ -19,6 +19,7 @@ from .liealg import (
     LieAlgebra,
     _algebra_on,
     _json_entries,
+    _json_strings,
     _nonzero_entries,
     from_json as algebra_from_json,
     jacobi_violations,
@@ -181,4 +182,5 @@ def to_json(B: LieBialgebra) -> dict:
 def from_json(data: Mapping) -> LieBialgebra:
     L = algebra_from_json(data)
     f = cocomm_from_wedge(L.dim, _json_entries(data, "cocomm"))
-    return new_bialgebra(L, f, dual_labels=data.get("dual_labels"))
+    duals = _json_strings(data, "dual_labels") if "dual_labels" in data else None
+    return new_bialgebra(L, f, dual_labels=duals)

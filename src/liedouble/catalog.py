@@ -7,7 +7,14 @@ satisfy Jacobi; bialgebras must build a Jacobi-clean double and agree with
 their generating r-matrix, if any; r-matrices must match their declared
 CYBE/mCYBE verdicts (after any declared parameter substitution of their
 carrier algebra); basis changes must be exactly invertible; bracket entries
-must point at a registered closed form.  :data:`CHECKS` names these checks.
+must point at a registered closed form and at the r-matrix it comes from.
+:data:`CHECKS` names these checks.
+
+A bracket entry's ``rmatrix`` is its exact origin.  An entry without
+``isotropy`` is a Sklyanin bracket on the group and is checked against the
+r-matrix numerically; one with ``isotropy`` (the generators of h) is a
+Poisson homogeneous bracket on G/H, checked by properties whose targets
+:mod:`liedouble.cli` derives from the r-matrix and h.
 
 The files live under ``liedouble/data/catalog/<kind>s/`` and use the same
 JSON schemas as the modules' external interfaces, so they can be diffed
@@ -180,8 +187,7 @@ def _build_basis_change(cat: Catalog, data: dict) -> BasisChange:
 def _build_bracket_fn(cat: Catalog, data: dict):
     from . import charts  # deferred: charts imports numpy
 
-    if data["rmatrix"] is not None:
-        cat._ref(data, "rmatrix", "rmatrix")
+    cat._ref(data, "rmatrix", "rmatrix")
     fn = charts.bracket_fn(data["bracket_id"])  # raises UnknownBracket
     if fn.chart_id != data["chart"]:
         raise ParseError(f"bracket {data['key']!r} declares the wrong chart")
@@ -240,9 +246,9 @@ def default_verification_cells(catalog: Catalog | None = None) -> list:
     cat = catalog or load()
     cells = []
     for key in cat.list("bracket_fn"):
-        data = cat.get(key).raw
-        if data["rmatrix"] is None:
+        if "isotropy" in cat._raw[key]:
             continue
+        data = cat.get(key).raw
         cells.append(
             charts.SklyaninCell(
                 bracket_id=data["bracket_id"],
@@ -257,10 +263,8 @@ def default_verification_cells(catalog: Catalog | None = None) -> list:
 
 
 def property_check_ids(catalog: Catalog | None = None) -> list:
-    """Bracket entries verified by property checks instead of Sklyanin."""
+    """Bracket entries on a homogeneous space G/H, verified by property
+    checks instead of Sklyanin; selected unbuilt, as building one builds
+    its r-matrix."""
     cat = catalog or load()
-    return [
-        key
-        for key in cat.list("bracket_fn")
-        if cat.get(key).raw["rmatrix"] is None
-    ]
+    return [key for key in cat.list("bracket_fn") if "isotropy" in cat._raw[key]]

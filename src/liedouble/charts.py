@@ -7,7 +7,8 @@ CK    coordinates (theta, a1, a2) with group element
       g = exp(a1 P1) exp(a2 P2) exp(theta J12) in the 3x3 representation;
 PM    coordinates (a+, a-, chi) with 2x2 element
       T = exp(a- J-) exp(a+ J+) exp(chi J3);
-ADS3  coordinates (x0, x1, x2), carrying only closed-form brackets.
+ADS3  coordinates (x0, x1, x2) on AdS3 = SO(2,2)/SO(2,1), carrying only
+      closed-form brackets.
 
 Coordinate functions are the chart projections, so the directional
 derivative of a coordinate along an invariant field is literally a field
@@ -20,13 +21,19 @@ with the left-invariant fields generating right translations
 translations.  The wedge normalization of the r-matrices is fixed in
 :mod:`liedouble.rmatrix`; the hyperbolic family on the CK chart is the
 calibration case.
+
+The ADS3 brackets have no Sklyanin route here; :func:`linearize`,
+:func:`jacobi_numeric` and :func:`flat_limit_check` give the numbers their
+property checks compare.  The targets are not stored in this module: the
+linear part at the origin and the eta -> 0 limit both come from the exact
+layer (``classify``'s M^{ab}_c, see :mod:`liedouble.cli`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -301,7 +308,6 @@ class BracketFn:
 
     id: str
     chart_id: str
-    param_names: tuple
     pairs: Mapping
 
 
@@ -363,7 +369,6 @@ def _install_builtin_brackets():
         BracketFn(
             "hyp-CK",
             CK,
-            ("eta",),
             {
                 ("theta", "a1"): lambda q, c: -2
                 * q["eta"]
@@ -381,7 +386,6 @@ def _install_builtin_brackets():
         BracketFn(
             "hyp-PM",
             PM,
-            ("eta",),
             {
                 ("a+", "a-"): lambda q, c: -2 * q["eta"] * c[0] * c[1],
                 ("chi", "a+"): lambda q, c: -q["eta"] * c[0],
@@ -394,7 +398,6 @@ def _install_builtin_brackets():
         BracketFn(
             "ell-CK",
             CK,
-            ("z",),
             {
                 ("theta", "a1"): lambda q, c: 2
                 * q["z"]
@@ -412,7 +415,6 @@ def _install_builtin_brackets():
         BracketFn(
             "ell-PM",
             PM,
-            ("z",),
             {
                 ("a+", "a-"): lambda q, c: -2
                 * q["z"]
@@ -429,7 +431,6 @@ def _install_builtin_brackets():
         BracketFn(
             "par-PM",
             PM,
-            (),
             {
                 ("a+", "a-"): lambda q, c: -c[1] * (1.0 + c[0] * c[1]),
                 ("chi", "a+"): lambda q, c: -0.5 * (1.0 - math.exp(2 * c[2])),
@@ -442,7 +443,6 @@ def _install_builtin_brackets():
         BracketFn(
             "par-CK",
             CK,
-            (),
             {
                 ("theta", "a1"): lambda q, c: (math.exp(c[0]) - math.cos(c[1]))
                 / math.cosh(c[2]),
@@ -457,7 +457,6 @@ def _install_builtin_brackets():
         BracketFn(
             "ads3-double1",
             ADS3,
-            ("eta",),
             {
                 ("x0", "x1"): lambda q, c: -_tanh_ratio(q["eta"], c[2])
                 * _upsilon(q["eta"], c[0], c[1]),
@@ -505,7 +504,6 @@ def _install_builtin_brackets():
         BracketFn(
             "ads3-twisted",
             ADS3,
-            ("eta", "xi"),
             {("x0", "x1"): _tw01, ("x0", "x2"): _tw02, ("x1", "x2"): _tw12},
         )
     )
@@ -577,66 +575,20 @@ def jacobi_numeric(bracket_id: str, params: Mapping, p: ChartPoint,
     return abs(total)
 
 
-@dataclass
-class FlatLimitReport:
-    bracket_id: str
-    pair: tuple
-    point: tuple
-    eta_values: tuple
-    bracket_values: tuple
-    extrapolated: float
-    target: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.extrapolated - self.target)
-
-
-# flat-limit targets: value of the bracket at eta -> 0
-_FLAT_TARGETS: dict[str, Callable] = {
-    "ads3-double1": {
-        ("x0", "x1"): lambda q, c: -c[2],
-        ("x0", "x2"): lambda q, c: c[1],
-        ("x1", "x2"): lambda q, c: c[0],
-    },
-    "ads3-twisted": {
-        ("x0", "x1"): lambda q, c: 0.0,
-        ("x0", "x2"): lambda q, c: -0.5 * (c[0] + q["xi"] * c[1]),
-        ("x1", "x2"): lambda q, c: -0.5 * (q["xi"] * c[0] + c[1]),
-    },
-}
-
-
-def flat_limit_target(bracket_id: str, pair, p: ChartPoint, params) -> float:
-    fn = bracket_fn(bracket_id)
-    names = CHART_COORDS[fn.chart_id]
-    ci, cj = coord_index(fn.chart_id, pair[0]), coord_index(fn.chart_id, pair[1])
-    table = _FLAT_TARGETS.get(bracket_id)
-    if table is None:
-        raise UnknownBracket(f"no flat-limit target for {bracket_id!r}")
-    key = (names[ci], names[cj])
-    if key in table:
-        return table[key](params, p.coords)
-    return -table[(key[1], key[0])](params, p.coords)
-
-
 def flat_limit_check(
     bracket_id: str,
     pair,
     p: ChartPoint,
-    eta_sequence: Sequence[float] | None = None,
     params: Mapping | None = None,
-) -> FlatLimitReport:
-    """Evaluate the bracket along a deformation-parameter sequence tending
-    to zero and Richardson-extrapolate.
+) -> float:
+    """The bracket's value at eta = 0, Richardson-extrapolated from its
+    values at eta = 0.1 / 2^k, k = 0..7.
 
     The ladder eliminates successive integer powers of eta (the brackets
-    are generally not even in eta), assuming the sequence halves."""
-    if eta_sequence is None:
-        eta_sequence = tuple(0.1 / 2**k for k in range(8))
+    are generally not even in eta), as the sequence halves."""
     params = dict(params or {})
     values = []
-    for eta in eta_sequence:
+    for eta in (0.1 / 2**k for k in range(8)):
         q = dict(params)
         q["eta"] = eta
         values.append(closed_form(bracket_id, pair, p, q))
@@ -651,19 +603,7 @@ def flat_limit_check(
                 for i in range(len(prev) - 1)
             ]
         )
-    extrapolated = table[-1][0]
-    q0 = dict(params)
-    q0["eta"] = 0.0
-    target = flat_limit_target(bracket_id, pair, p, q0)
-    return FlatLimitReport(
-        bracket_id=bracket_id,
-        pair=tuple(pair),
-        point=p.coords,
-        eta_values=tuple(eta_sequence),
-        bracket_values=tuple(values),
-        extrapolated=extrapolated,
-        target=target,
-    )
+    return table[-1][0]
 
 
 # --- verification harness ----------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -23,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import catalog
-from .bialgebra import from_json as bialgebra_from_json
+from .bialgebra import from_json as bialgebra_from_json, new_bialgebra
 from .double import (
     bracket_table_text,
     build_double,
@@ -44,6 +45,7 @@ from .homogeneous import (
     classify as classify_spec,
 )
 from .liealg import from_json as algebra_from_json, jacobi_violations
+from .rmatrix import cocommutator_from_r
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -299,15 +301,35 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _property_cell(bracket_id, rng, n_points, tol, entry):
-    """Property checks for brackets without a desk-scale Sklyanin route:
-    numerical Jacobi, linearization targets and flat limits."""
-    import numpy as np
+def _origin_report(cat, entry):
+    """``classify`` at π = 0 of a bracket entry's isotropy h in the
+    bialgebra of its r-matrix.  By Drinfel'd's correspondence its M^{ab}_c
+    is the linear part at the origin of the bracket on G/H, in the chart
+    coordinates x_a of the complement of h (x0, x1, x2 ↔ P0, P1, P2)."""
+    key = entry.raw["rmatrix"]
+    alg = cat.rmatrix_algebra(key)
+    B = new_bialgebra(alg, cocommutator_from_r(alg, cat.rmatrix(key)))
+    h = [_parse_generator(label, alg) for label in entry.raw["isotropy"]]
+    complement = _complete_basis(alg, h)
+    m = len(complement)
+    spec = LagrangianSpec(h, complement, [[0] * m for _ in range(m)])
+    return classify_spec(build_double(B), B, spec)
 
+
+def _property_cell(cat, bracket_id, rng, n_points, tol):
+    """Property checks for a bracket on G/H without a desk-scale Sklyanin
+    route: numerical Jacobi, and the linearization and eta -> 0 limit
+    against the linear bracket {x_a, x_b} = Σ_c M^{ab}_c x_c of
+    :func:`_origin_report`."""
     from . import charts  # deferred: charts imports numpy
 
+    entry = cat.get(bracket_id)
     ranges = entry.raw["param_ranges"]
     params = {name: rng.uniform(*bounds) for name, bounds in sorted(ranges.items())}
+    m = [
+        [[float(x.evaluate(params)) for x in row] for row in plane]
+        for plane in _origin_report(cat, entry).m_gamma
+    ]
     results = []
 
     max_jacobi = 0.0
@@ -327,16 +349,8 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
     )
 
     lin = charts.linearize(bracket_id, params)
-    if bracket_id == "ads3-double1":
-        target = np.zeros((3, 3, 3))
-        target[0][1][2], target[0][2][1], target[1][2][0] = -1.0, 1.0, 1.0
-    else:
-        xi = params["xi"]
-        target = np.zeros((3, 3, 3))
-        target[0][2][0], target[0][2][1] = -0.5, -0.5 * xi
-        target[1][2][0], target[1][2][1] = -0.5 * xi, -0.5
     err = max(
-        float(abs(lin[a][b][c] - target[a][b][c]))
+        float(abs(lin[a][b][c] - m[a][b][c]))
         for a in range(3)
         for b in range(a + 1, 3)
         for c in range(3)
@@ -357,10 +371,11 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
     )
     for a in range(3):
         for b in range(a + 1, 3):
-            rep = charts.flat_limit_check(
+            value = charts.flat_limit_check(
                 bracket_id, (names[a], names[b]), p, params=params
             )
-            max_flat = max(max_flat, rep.abs_err)
+            target = sum(m[a][b][c] * p.coords[c] for c in range(3))
+            max_flat = max(max_flat, abs(value - target))
     results.append(
         {
             "bracket_id": bracket_id,
@@ -375,6 +390,11 @@ def _property_cell(bracket_id, rng, n_points, tol, entry):
 def cmd_verify_brackets(args) -> int:
     if args.points < 1:
         raise ParseError(f"--points must be at least 1, got {args.points}")
+    for flag, value in (
+        ("--tol", args.tol), ("--tol-rel", args.tol_rel), ("--tol-abs", args.tol_abs)
+    ):
+        if value is not None and not 0 <= value < math.inf:
+            raise ParseError(f"{flag} must be finite and non-negative, got {value}")
     from . import charts  # deferred: charts imports numpy
 
     cat = catalog.load()
@@ -398,8 +418,7 @@ def cmd_verify_brackets(args) -> int:
         cells.append(bracket_id)
         results.extend(
             _property_cell(
-                bracket_id, rng, max(10, args.points // 2), property_tol,
-                cat.get(bracket_id),
+                cat, bracket_id, rng, max(10, args.points // 2), property_tol
             )
         )
     if not cells:

@@ -215,12 +215,24 @@ def _json_entries(data: Mapping, key: str) -> list:
     return out
 
 
+def _json_strings(data: Mapping, key: str) -> list:
+    """``data[key]``, which must be a list of strings (else
+    :class:`ParseError` naming ``key``)."""
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{key!r} must be a list of strings, not {value!r}")
+    return value
+
+
 def from_json(data: Mapping) -> LieAlgebra:
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ParseError(f"'dim' must be an integer, not {dim!r}")
     return new_lie_algebra(
-        data["dim"],
-        data["labels"],
+        dim,
+        _json_strings(data, "labels"),
         _json_entries(data, "brackets"),
-        params=data.get("params", ()),
+        params=_json_strings(data, "params") if "params" in data else (),
     )
 
 

@@ -1,3 +1,7 @@
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from liedouble import catalog
@@ -90,10 +94,14 @@ def test_catalog_bialgebras_match_reference(cat, sl2_hyp, sl2_eta, iso11_eta,
         assert B.dual_labels == reference.dual_labels, key
 
 
-def test_basis_change_pj_maps_std_to_ck(cat):
-    bc = cat.basis_change("PJ-from-Jpm")
-    moved = change_basis(cat.algebra("sl2.std"), bc)
-    assert algebras_equal(moved, cat.algebra("sl2.ck"))
+@pytest.mark.parametrize(
+    "key", [k for k in catalog.load().list("basis_change") if "target" in catalog.get(k).raw]
+)
+def test_basis_change_maps_source_to_target(cat, key):
+    raw = cat.get(key).raw
+    source = substitute_params(cat.algebra(raw["source"]), raw.get("source_subs", {}))
+    target = substitute_params(cat.algebra(raw["target"]), raw.get("target_subs", {}))
+    assert algebras_equal(change_basis(source, cat.basis_change(key)), target)
 
 
 def test_rmatrix_algebra_applies_substitution(cat):
@@ -109,6 +117,23 @@ def test_default_verification_cells(cat):
         "ell-CK", "ell-PM", "hyp-CK", "hyp-PM", "par-CK", "par-PM",
     ]
     assert catalog.property_check_ids(cat) == ["ads3-double1", "ads3-twisted"]
+
+
+def test_generator_reproduces_the_shipped_catalog():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_catalog.py"
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    root = resources.files("liedouble").joinpath("data", "catalog")
+    shipped = {
+        f"{folder.name}/{item.name}": item.read_text()
+        for folder in root.iterdir()
+        if folder.is_dir()
+        for item in folder.iterdir()
+        if item.name.endswith(".json")
+    }
+    generated = {rel: gen.file_text(data) for rel, data in gen.catalog_files().items()}
+    assert generated == shipped
 
 
 def test_catalog_load_is_cached():

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from liedouble.cli import _parse_generator, main
+from liedouble import catalog
+from liedouble.charts import linearize
+from liedouble.cli import _origin_report, _parse_generator, main
 from liedouble.errors import ParseError
 
 GOLDEN = Path(__file__).parent / "data"
@@ -104,11 +106,14 @@ SL2_HYP_FILE = {
 
 def _broken(kind, key, change):
     """SL2_HYP_FILE (without its cocommutator for an algebra file) with
-    ``key`` deleted (change None), its entry 0 updated (a dict) or replaced."""
+    ``key`` deleted (change None), set to ``value`` (change ``(value,)``), or
+    its entry 0 updated (a dict) or replaced."""
     data = json.loads(json.dumps(SL2_HYP_FILE))
     if kind == "algebra":
         del data["cocomm"], data["dual_labels"]
-    if isinstance(change, dict):
+    if isinstance(change, tuple):
+        (data[key],) = change
+    elif isinstance(change, dict):
         data[key][0].update(change)
     elif change is None:
         del data[key]
@@ -128,6 +133,11 @@ def _broken(kind, key, change):
         ("brackets", {"coef": "1+"}, "brackets[0] must be an object"),
         ("brackets", {"i": "0"}, "brackets[0] must be an object"),
         ("brackets", {"k": 3}, "index 3 out of range"),
+        ("dim", (True,), "'dim' must be an integer, not True"),
+        ("dim", ("3",), "'dim' must be an integer, not '3'"),
+        ("labels", ("abc",), "'labels' must be a list of strings, not 'abc'"),
+        ("labels", ([1, 2, 3],), "'labels' must be a list of strings"),
+        ("params", ("eta",), "'params' must be a list of strings, not 'eta'"),
     ],
 )
 def test_validate_malformed_file_is_an_input_error(
@@ -137,6 +147,14 @@ def test_validate_malformed_file_is_an_input_error(
     path.write_text(json.dumps(_broken(kind, key, change)))
     assert main(["validate", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duals", ["xyz", None, ["a1", 2, "theta"]])
+def test_validate_malformed_dual_labels_is_an_input_error(tmp_path, capsys, duals):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_broken("bialgebra", "dual_labels", (duals,))))
+    assert main(["validate", str(path)]) == 2
+    assert "'dual_labels' must be a list of strings" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -218,7 +236,6 @@ def test_double_iterate_writes_golden_so22_tables(tmp_path):
 
 
 def test_double_matches_catalog_table(tmp_path):
-    from liedouble import catalog
     from liedouble.double import bracket_table_text
 
     code, _ = run(
@@ -329,6 +346,44 @@ def test_verify_brackets_default_passes(tmp_path):
     assert all(r["max_rel_err"] < 1e-9 for r in sklyanin)
 
 
+# M^{ab}_c with a < b, as the literal linear brackets at the origin
+ORIGIN_M = {
+    "ads3-double1": {(0, 1, 2): "-1", (0, 2, 1): "1", (1, 2, 0): "1"},
+    "ads3-twisted": {
+        (0, 2, 0): "-1/2", (0, 2, 1): "-1/2*xi", (1, 2, 0): "-1/2*xi", (1, 2, 1): "-1/2",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "key, poisson_subgroup", [("ads3-double1", True), ("ads3-twisted", False)]
+)
+def test_origin_report_is_the_papers_verdict(key, poisson_subgroup):
+    # SL(2,R) is a Poisson subgroup for the first double structure; the
+    # twisted bracket is coisotropic but not a Poisson-subgroup quotient
+    rep = _origin_report(catalog.load(), catalog.get(key))
+    assert rep.lagrangian and rep.subalgebra and rep.coisotropic
+    assert rep.poisson_subgroup is poisson_subgroup
+    m = {
+        (a, b, c): str(rep.m_gamma[a][b][c])
+        for a in range(3) for b in range(a + 1, 3) for c in range(3)
+        if not rep.m_gamma[a][b][c].is_zero
+    }
+    assert m == ORIGIN_M[key]
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("key", ["ads3-double1", "ads3-twisted"])
+def test_origin_report_is_the_linearized_closed_form(key, xi):
+    params = {"eta": 0.5, "xi": xi}
+    m = _origin_report(catalog.load(), catalog.get(key)).m_gamma
+    lin = linearize(key, params)
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                assert abs(lin[a][b][c] - float(m[a][b][c].evaluate(params))) < 1e-6
+
+
 def test_verify_brackets_filter_and_points(tmp_path):
     code, report = run(
         tmp_path, "verify-brackets", "--cells", "ads3-twisted", "--points", "50"
@@ -347,6 +402,13 @@ def test_verify_brackets_tolerance_floor(tmp_path):
 def test_verify_brackets_needs_a_point(capsys, points):
     assert main(["verify-brackets", "--points", points]) == 2
     assert "--points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--tol-rel", "--tol-abs"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_verify_brackets_rejects_bad_tolerance(capsys, flag, value):
+    assert main(["verify-brackets", "--cells", "hyp-CK", f"{flag}={value}"]) == 2
+    assert f"{flag} must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_verify_brackets_unknown_cell():
@@ -391,8 +453,6 @@ def test_classify_malformed_input_exits_2(argv, capsys):
 
 
 def test_validate_catalog_reports_declared_checks(tmp_path):
-    from liedouble import catalog
-
     for kind, key in (
         ("algebra", "sl2.std"),
         ("bialgebra", "sl2-hyp"),
@@ -414,8 +474,6 @@ DOUBLE_ITERATE_FRACTION_BUDGET = 24_000
 
 def test_double_iterate_fraction_budget(tmp_path, monkeypatch):
     from fractions import Fraction
-
-    from liedouble import catalog
 
     monkeypatch.setattr(catalog, "_CATALOG", None)
     count = 0

@@ -244,48 +244,37 @@ BASIS_CHANGES = {
 # ---------------------------------------------------------------- bracket fns
 
 BRACKETS = {
-    "hyp-CK": dict(chart="CK", rmatrix="sl2.hyperbolic",
-                   params=["eta"], param_ranges={"eta": [0.3, 0.9]},
+    "hyp-CK": dict(chart="CK", rmatrix="sl2.hyperbolic", param_ranges={"eta": [0.3, 0.9]},
                    provenance="hyperbolic family in Cayley-Klein coordinates"),
-    "hyp-PM": dict(chart="PM", rmatrix="sl2.hyperbolic.j",
-                   params=["eta"], param_ranges={"eta": [0.3, 0.9]},
+    "hyp-PM": dict(chart="PM", rmatrix="sl2.hyperbolic.j", param_ranges={"eta": [0.3, 0.9]},
                    provenance="hyperbolic family in (a+, a-, chi) coordinates"),
-    "ell-CK": dict(chart="CK", rmatrix="sl2.elliptic",
-                   params=["z"], param_ranges={"z": [0.3, 0.9]},
+    "ell-CK": dict(chart="CK", rmatrix="sl2.elliptic", param_ranges={"z": [0.3, 0.9]},
                    provenance="elliptic family in Cayley-Klein coordinates"),
-    "ell-PM": dict(chart="PM", rmatrix="sl2.elliptic.j",
-                   params=["z"], param_ranges={"z": [0.3, 0.9]},
+    "ell-PM": dict(chart="PM", rmatrix="sl2.elliptic.j", param_ranges={"z": [0.3, 0.9]},
                    provenance="elliptic family in (a+, a-, chi) coordinates "
                               "(J-basis normalization)"),
-    "par-CK": dict(chart="CK", rmatrix="sl2.parabolic",
-                   params=[], param_ranges={},
+    "par-CK": dict(chart="CK", rmatrix="sl2.parabolic", param_ranges={},
                    provenance="parabolic family in Cayley-Klein coordinates"),
-    "par-PM": dict(chart="PM", rmatrix="sl2.parabolic.j",
-                   params=[], param_ranges={},
+    "par-PM": dict(chart="PM", rmatrix="sl2.parabolic.j", param_ranges={},
                    provenance="parabolic family in (a+, a-, chi) coordinates"),
-    "ads3-double1": dict(chart="ADS3", rmatrix=None,
-                         params=["eta"], param_ranges={"eta": [0.3, 0.8]},
+    # the ADS3 chart (x0, x1, x2) is the complement (P0, P1, P2) of the isotropy
+    "ads3-double1": dict(chart="ADS3", rmatrix="so22.r1", isotropy=["J", "K1", "K2"],
+                         param_ranges={"eta": [0.3, 0.8]},
                          provenance="3d anti-de Sitter bracket of the first double "
                                     "structure; verified by Jacobi, linearization "
                                     "and flat-limit properties"),
-    "ads3-twisted": dict(chart="ADS3", rmatrix=None,
-                         params=["eta", "xi"],
+    "ads3-twisted": dict(chart="ADS3", rmatrix="so22.twisted", isotropy=["J", "K1", "K2"],
                          param_ranges={"eta": [0.3, 0.8], "xi": [0.0, 1.0]},
                          provenance="twisted space-like 3d anti-de Sitter bracket"),
 }
 
-
-def dump(path, obj):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    print("wrote", path.relative_to(ROOT.parents[2]))
-
-
-def main():
+def catalog_files() -> dict:
+    """Every catalog file as {path relative to the catalog root: JSON data}."""
+    files = {}
     for key, (alg, prov) in ALGEBRAS.items():
         data = {"key": key, "kind": "algebra", "provenance": prov}
         data.update(alg.to_json())
-        dump(ROOT / "algebras" / f"{key}.json", data)
+        files[f"algebras/{key}.json"] = data
 
     for key, (B, rkey, prov) in BIALS.items():
         data = {"key": key, "kind": "bialgebra", "provenance": prov}
@@ -294,7 +283,7 @@ def main():
             data["r_matrix"] = rkey
             if rkey == "so22.twisted":
                 data["r_matrix_subs"] = {"xi": "1"}
-        dump(ROOT / "bialgebras" / f"{key}.json", data)
+        files[f"bialgebras/{key}.json"] = data
 
     for key, spec in RMATS.items():
         data = {"key": key, "kind": "rmatrix", "provenance": spec["provenance"],
@@ -305,7 +294,7 @@ def main():
             data["algebra_subs"] = spec["algebra_subs"]
         if "constraint" in spec:
             data["constraint"] = spec["constraint"]
-        dump(ROOT / "rmatrices" / f"{key}.json", data)
+        files[f"rmatrices/{key}.json"] = data
 
     for key, spec in BASIS_CHANGES.items():
         data = {"key": key, "kind": "basis_change",
@@ -314,15 +303,24 @@ def main():
         for opt in ("source_subs", "target", "target_subs"):
             if opt in spec:
                 data[opt] = spec[opt]
-        dump(ROOT / "basis_changes" / f"{key}.json", data)
+        files[f"basis_changes/{key}.json"] = data
 
     for key, spec in BRACKETS.items():
-        data = {"key": key, "kind": "bracket_fn", "bracket_id": key,
-                "provenance": spec["provenance"], "chart": spec["chart"],
-                "rmatrix": spec["rmatrix"], "params": spec["params"],
-                "param_ranges": spec["param_ranges"]}
-        dump(ROOT / "brackets" / f"{key}.json", data)
+        data = {"key": key, "kind": "bracket_fn", "bracket_id": key, **spec}
+        files[f"brackets/{key}.json"] = data
+    return files
 
+
+def file_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def main():
+    for rel, data in catalog_files().items():
+        path = ROOT / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(file_text(data))
+        print("wrote", path.relative_to(ROOT.parents[2]))
 
 if __name__ == "__main__":
     main()

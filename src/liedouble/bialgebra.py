@@ -5,7 +5,8 @@ from it satisfies the Jacobi identity, which simultaneously checks the
 cocycle condition and co-Jacobi.  Construction goes through
 :func:`new_bialgebra`, which performs that check, and a bialgebra carries
 the validated algebra of its double (``double_algebra``), which
-:func:`liedouble.double.build_double` uses rather than rebuilding it.
+:func:`liedouble.double.build_double` uses rather than rebuilding it.  Only
+D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
 """
 
 from __future__ import annotations
@@ -77,35 +78,27 @@ def cocomm_from_wedge(
     return f
 
 
-def double_structure_tensor(L: LieAlgebra, f) -> list:
-    """Dense 2n structure tensor of D(g) from (C, f), on the basis {X_i, x^i}
-    (the brackets are listed in :mod:`liedouble.double`)."""
+def double_structure_tensor(L: LieAlgebra, cocomm: CocommTensor) -> list:
+    """Dense 2n structure tensor of D(g) from the nonzero entries of C and f,
+    on the basis {X_i, x^i}; each entry of one of the brackets listed in
+    :mod:`liedouble.double` comes from one entry of C or f."""
     n = L.dim
     c2 = zero_tensor3(2 * n)
-    for i, j, k, coef in L.nonzero():
+    for i, j, k, coef in L.nonzero():  # C_ij^k in [X_i, X_j] and [x^k, X_i]
         c2[i][j][k] = coef
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                fk_ij = f[k][i][j]
-                if not fk_ij.is_zero:
-                    c2[n + i][n + j][n + k] = c2[n + i][n + j][n + k] + fk_ij
-                # [x^i, X_j] = C_jk^i x^k - f_j^{ik} X_k
-                c_jki = L.c[j][k][i]
-                if not c_jki.is_zero:
-                    c2[n + i][j][n + k] = c2[n + i][j][n + k] + c_jki
-                    c2[j][n + i][n + k] = c2[j][n + i][n + k] - c_jki
-                f_jik = f[j][i][k]
-                if not f_jik.is_zero:
-                    c2[n + i][j][k] = c2[n + i][j][k] - f_jik
-                    c2[j][n + i][k] = c2[j][n + i][k] + f_jik
+        c2[n + k][i][n + j] = coef
+        c2[i][n + k][n + j] = -coef
+    for k, i, j, coef in cocomm.nonzero():  # f_k^{ij} in [x^i, x^j] and [x^i, X_k]
+        c2[n + i][n + j][n + k] = coef
+        c2[n + i][k][j] = -coef
+        c2[k][n + i][j] = coef
     return c2
 
 
 @dataclass
 class LieBialgebra:
     """(g, δ) with the algebra of its double D(g), whose Jacobi identity
-    :func:`new_bialgebra` proved; build one only through that function."""
+    :func:`new_bialgebra` proved (ψ, for D(D(a))); build one only that way."""
 
     algebra: LieAlgebra
     cocomm: CocommTensor
@@ -138,7 +131,7 @@ def new_bialgebra(
     if len(dual_labels) != L.dim:
         raise ShapeError("need one dual label per basis element")
 
-    c2 = double_structure_tensor(L, cocomm.f)
+    c2 = double_structure_tensor(L, cocomm)
     double_alg = _algebra_on(L.labels + dual_labels, c2)
     violations = jacobi_violations(double_alg)
     if violations:

@@ -16,21 +16,29 @@ land exactly on the published quasitriangular r-matrices.
 The canonical cocommutator of the double is
 δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k; feeding it back
 into the construction yields D(D(a)) on the ordered basis {X, x, y, Y}.
+
+D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
+Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
+ψ(u) = (u, u) for u in D(a), ψ(y^j) = (0, −x^j) and ψ(Y_j) = (X_j, 0).
+:func:`double_of_double` checks ψ([e_a, e_b]) = [ψ(e_a), ψ(e_b)] for every
+a < b: D(D(a)) is then D(a) ⊕ D(a) carried back by the bijection ψ, and
+satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .bialgebra import CocommTensor, LieBialgebra, new_bialgebra
-from .errors import DimensionMismatch
+from .bialgebra import CocommTensor, LieBialgebra, double_structure_tensor
+from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, zero_matrix, zero_tensor3
+from .liealg import LieAlgebra, _algebra_on, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
+ZERO = PolyExpr.zero()
 ONE = PolyExpr.one()
 MINUS_ONE = PolyExpr.const(-1)
 
@@ -84,15 +92,10 @@ def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
     δ_D(x^i) = C_jk^i x^j⊗x^k."""
     n = D.n
     f2 = zero_tensor3(2 * n)
-    src_f = D.source.cocomm.f
-    src_c = D.source.algebra.c
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not src_f[i][j][k].is_zero:
-                    f2[i][j][k] = -src_f[i][j][k]
-                if not src_c[j][k][i].is_zero:
-                    f2[n + i][n + j][n + k] = src_c[j][k][i]
+    for i, j, k, coef in D.source.cocomm.nonzero():
+        f2[i][j][k] = -coef
+    for j, k, i, coef in D.source.algebra.nonzero():
+        f2[n + i][n + j][n + k] = coef
     return CocommTensor(f2)
 
 
@@ -101,71 +104,78 @@ def second_dual_labels(n: int) -> tuple[str, ...]:
     return tuple(f"y{i}" for i in range(n)) + tuple(f"Y{i}" for i in range(n))
 
 
-def double_of_double(
-    B: LieBialgebra, dual_labels: Sequence[str] | None = None
-) -> DoubleAlgebra:
+def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
     """D(D(a)) on the ordered basis {X_i, x^i, y^i, Y_i}.
 
     The second application uses the canonical cocommutator of D(a); the
-    pairing of the result satisfies <Y_i, x^j> = <y^j, X_i> = δ_i^j.
+    pairing of the result satisfies <Y_i, x^j> = <y^j, X_i> = δ_i^j.  Its
+    Jacobi identity is proved by ψ; brackets that ψ does not preserve raise
+    :class:`NotACobracket`, which names them.
     """
     inner = build_double(B)
     delta = canonical_cocommutator(inner)
-    labels = (
-        tuple(dual_labels) if dual_labels is not None else second_dual_labels(B.dim)
-    )
-    outer_bialgebra = new_bialgebra(inner.algebra, delta, dual_labels=labels)
-    return build_double(outer_bialgebra)
+    duals = second_dual_labels(B.dim)
+    c2 = double_structure_tensor(inner.algebra, delta)
+    outer = replace(_algebra_on(inner.algebra.labels + duals, c2), _jacobi={})
+    pairs = [(a, b) for a in range(outer.dim) for b in range(a + 1, outer.dim)]
+    bad = _psi_mismatches(outer, inner.algebra, pairs)
+    if bad:
+        sample = ", ".join(f"[{outer.labels[a]}, {outer.labels[b]}]" for a, b in bad[:4])
+        raise NotACobracket(
+            f"ψ is not a Lie isomorphism D(D) → D ⊕ D at {len(bad)} brackets "
+            f"(first: {sample})"
+        )
+    return build_double(LieBialgebra(inner.algebra, delta, duals, outer))
+
+
+def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
+    """The pairs (a, b), in the order given, at which ψ([e_a, e_b]) in
+    ``outer`` = D(D(a)) differs from [ψ(e_a), ψ(e_b)] in ``inner`` ⊕ ``inner``,
+    with ``inner`` = D(a)."""
+    m = inner.dim
+    # ψ(e_a) as ((index, sign), ...), the second summand's indices offset by m
+    psi = [((a, 1), (m + a, 1)) for a in range(m)]  # u to (u, u)
+    psi += [((m + a, -1),) for a in range(m // 2, m)]  # y^j to (0, −x^j)
+    psi += [((a, 1),) for a in range(m // 2)]  # Y_j to (X_j, 0)
+    outer_rows, inner_rows = {}, {}  # (a, b): [(k, coef)]
+    for rows, L in ((outer_rows, outer), (inner_rows, inner)):
+        for a, b, k, coef in L.nonzero():
+            rows.setdefault((a, b), []).append((k, coef))
+    bad = []
+    for a, b in pairs:
+        # the terms (index, sign, coef) of ψ([e_a, e_b]) - [ψ(e_a), ψ(e_b)]
+        parts = [(r, s, v) for k, v in outer_rows.get((a, b), ()) for r, s in psi[k]]
+        parts += [
+            (p - p % m + k, -s * t, v)
+            for p, s in psi[a]
+            for q, t in psi[b]
+            if p // m == q // m  # the same summand
+            for k, v in inner_rows.get((p % m, q % m), ())
+        ]
+        sums: tuple = ({}, {})  # the + and − terms summed apart: none is negated
+        for r, s, v in parts:
+            sums[s < 0][r] = sums[s < 0].get(r, ZERO) + v
+        plus, minus = ({r: v for r, v in d.items() if v.terms} for d in sums)
+        if plus != minus:
+            bad.append((a, b))
+    return bad
 
 
 def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:
-    """Check the iterated double's crossed brackets against the closed forms
-    assembled from the base bialgebra's tensors:
-
-        [Y_i, X_j] = C_ij^k Y_k                 [y^i, x^j] = f_k^{ij} y^k
-        [y^i, X_j] = C_jk^i y^k + f_j^{ik} (X_k - Y_k)
-        [Y_i, x^j] = f_i^{jk} Y_k - C_ik^j (x^k + y^k)
+    """Check the iterated double's crossed brackets [Y_i, X_j], [y^i, x^j],
+    [y^i, X_j] and [Y_i, x^j] against their closed forms ψ⁻¹[ψ(e_a), ψ(e_b)],
+    read from the double of ``B``; e.g. [Y_i, X_j] = C_ij^k Y_k.
 
     Returns a list of human-readable mismatch descriptions (empty = pass).
     """
     n = B.dim
-    alg = D2.algebra
-    C = B.algebra.c
-    f = B.cocomm.f
-    mismatches = []
-
-    def expect(pairs):
-        v = [PolyExpr.zero()] * (4 * n)
-        for idx, coef in pairs:
-            v[idx] = v[idx] + coef
-        return v
-
-    for i in range(n):
-        for j in range(n):
-            cases = (
-                (3 * n + i, j, [(3 * n + k, C[i][j][k]) for k in range(n)]),
-                (2 * n + i, n + j, [(2 * n + k, f[k][i][j]) for k in range(n)]),
-                (
-                    2 * n + i,
-                    j,
-                    [(2 * n + k, C[j][k][i]) for k in range(n)]
-                    + [(k, f[j][i][k]) for k in range(n)]
-                    + [(3 * n + k, -f[j][i][k]) for k in range(n)],
-                ),
-                (
-                    3 * n + i,
-                    n + j,
-                    [(3 * n + k, f[i][j][k]) for k in range(n)]
-                    + [(n + k, -C[i][k][j]) for k in range(n)]
-                    + [(2 * n + k, -C[i][k][j]) for k in range(n)],
-                ),
-            )
-            for a, b, pairs in cases:
-                if alg.c[a][b] != expect(pairs):
-                    mismatches.append(
-                        f"[{alg.labels[a]}, {alg.labels[b]}] differs from the closed form"
-                    )
-    return mismatches
+    blocks = ((3 * n, 0), (2 * n, n), (2 * n, 0), (3 * n, n))  # Y X, y x, y X, Y x
+    pairs = [(a + i, b + j) for i in range(n) for j in range(n) for a, b in blocks]
+    labels = D2.algebra.labels
+    return [
+        f"[{labels[a]}, {labels[b]}] differs from the closed form"
+        for a, b in _psi_mismatches(D2.algebra, B.double_algebra, pairs)
+    ]
 
 
 # --- bracket-table emission ---------------------------------------------

@@ -114,7 +114,8 @@ class LieAlgebra:
 
     def jacobi_components(self) -> dict:
         """Cached nonzero Jacobi residuals R_ijl^m for i < j < l, keyed
-        (i, j, l, m); see :func:`jacobi_violations`."""
+        (i, j, l, m); see :func:`jacobi_violations`.  D(D(a)) from
+        :func:`~liedouble.double.double_of_double` caches none: ψ proved it."""
         if self._jacobi is None:
             self._jacobi = _jacobi_components(self)
         return self._jacobi

@@ -235,6 +235,18 @@ def test_double_iterate_writes_golden_so22_tables(tmp_path):
     assert data["dim"] == 24
 
 
+def test_iterated_double_file_passes_the_jacobi_route(tmp_path):
+    # double_of_double proves D(D) by ψ; validating its written file runs the
+    # 24-dim Jacobi sum instead, and the two routes must give the same verdict
+    code, report = run(tmp_path, "double", "so22-twisted", "--iterate", "--out", str(tmp_path))
+    assert code == 0
+    assert report["verdicts"]["iterated-jacobi"] == "pass"
+    path = tmp_path / "so22-twisted-double-of-double.json"
+    code, report = run(tmp_path, "validate", str(path))
+    assert code == 0
+    assert report["verdicts"] == {"jacobi": "pass"}
+
+
 def test_double_matches_catalog_table(tmp_path):
     from liedouble.double import bracket_table_text
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from liedouble import catalog
 from liedouble.bialgebra import new_bialgebra
 from liedouble.double import (
     bracket_table_text,
@@ -317,7 +318,8 @@ def test_iterated_double_evaluates_its_jacobi_residual_once(so22_twisted, monkey
     monkeypatch.setattr(liealg, "_jacobi_components", counting)
     D2 = double_of_double(so22_twisted)
     assert jacobi_violations(D2.algebra) == []
-    assert evaluated == [24]
+    # ψ proves the identity, so the 24-dim residual is never summed
+    assert evaluated == []
 
 
 def test_iterated_double_jacobi_fraction_cost_guard(so22_r1, so22_twisted):
@@ -365,3 +367,137 @@ def test_crossed_bracket_mismatch_messages(sl2_hyp, sl2_ell):
             ("Y2", "a1"), ("y2", "a2"), ("y2", "P2"), ("y2", "J12"), ("Y2", "theta"),
         )
     ]
+
+
+# --- D(D(a)) ≅ D(a) ⊕ D(a) by ψ ----------------------------------------------
+
+
+# every catalog bialgebra, and so22 after eta -> 13/17*eta - 19/23
+CASES = sorted(catalog.load().list("bialgebra")) + [
+    "so22-r1@13/17*eta - 19/23", "so22-twisted@13/17*eta - 19/23",
+]
+
+
+def case(key):
+    from liedouble.bialgebra import substitute_params
+
+    key, _, eta = key.partition("@")
+    B = catalog.load().bialgebra(key)
+    return substitute_params(B, {"eta": P(eta)}) if eta else B
+
+
+def psi_image(n, a):
+    """ψ(e_a) for the basis {X, x, y, Y} of D(D(a)) as a pair of vectors of
+    D(a): ψ(u) = (u, u), ψ(y^j) = (0, -x^j), ψ(Y_j) = (X_j, 0)."""
+    def unit(i, sign=1):
+        return [PolyExpr.const(sign if k == i else 0) for k in range(2 * n)]
+
+    zero = unit(-1)
+    if a < 2 * n:
+        return unit(a), unit(a)
+    if a < 3 * n:
+        return zero, unit(a - n, -1)
+    return unit(a - 3 * n), zero
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_psi_route_agrees_with_the_jacobi_sum(key):
+    from liedouble import liealg
+
+    B = case(key)
+    D2 = double_of_double(B)  # raises NotACobracket on a mismatch
+    assert D2.algebra.jacobi_components() == {}
+    assert crossed_bracket_mismatches(D2, B) == []
+    # the 4n-dim Jacobi sum, forced on the same outer algebra, agrees
+    assert liealg._jacobi_components(D2.algebra) == {}
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_psi_is_an_isometry_onto_the_difference_pairing(key):
+    # <u, v> on D(D(a)) is <ψ(u)_1, ψ(v)_1> - <ψ(u)_2, ψ(v)_2> on D(a)
+    B = case(key)
+    D, D2 = build_double(B), double_of_double(B)
+    n = B.dim
+    images = [psi_image(n, a) for a in range(4 * n)]
+    for a, (u1, u2) in enumerate(images):
+        for b, (v1, v2) in enumerate(images):
+            expected = pairing(D, u1, v1) - pairing(D, u2, v2)
+            got = pairing(D2, D2.algebra.basis_vector(a), D2.algebra.basis_vector(b))
+            assert got == expected, (key, a, b)
+
+
+def test_psi_is_a_lie_isomorphism_by_an_independent_bracket(sl2_eta, so22_twisted):
+    # ψ([e_a, e_b]) = ([ψ(e_a)_1, ψ(e_b)_1], [ψ(e_a)_2, ψ(e_b)_2]), with both
+    # sides from liealg.bracket rather than the sparse rows double_of_double reads
+    for B in (sl2_eta, so22_twisted):
+        D, D2 = build_double(B), double_of_double(B)
+        n = B.dim
+        images = [psi_image(n, a) for a in range(4 * n)]
+
+        def psi(v):
+            halves = ([PolyExpr.zero()] * (2 * n), [PolyExpr.zero()] * (2 * n))
+            for coef, image in zip(v, images):
+                for half, w in zip(halves, image):
+                    for k, x in enumerate(w):
+                        if not (coef.is_zero or x.is_zero):
+                            half[k] = half[k] + coef * x
+            return halves
+
+        for a in range(4 * n):
+            for b in range(a + 1, 4 * n):
+                e_a, e_b = D2.algebra.basis_vector(a), D2.algebra.basis_vector(b)
+                (u1, u2), (v1, v2) = images[a], images[b]
+                assert psi(bracket(D2.algebra, e_a, e_b)) == (
+                    bracket(D.algebra, u1, v1), bracket(D.algebra, u2, v2)
+                ), (a, b)
+
+
+def perturb_one_outer_bracket(monkeypatch):
+    """Add X1∧X2 to δ_D(X0), which changes [X0, y1], [X0, y2] and [y1, y2]
+    of D(D(a)) and nothing else."""
+    from liedouble import double
+    from liedouble.bialgebra import CocommTensor
+
+    canonical = double.canonical_cocommutator
+
+    def perturbed(D):
+        f = [[list(row) for row in plane] for plane in canonical(D).f]
+        f[0][1][2] = f[0][1][2] + 1
+        f[0][2][1] = f[0][2][1] - 1
+        return CocommTensor(f)
+
+    monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
+
+
+def test_double_of_double_names_the_brackets_psi_does_not_preserve(sl2_eta, monkeypatch):
+    from liedouble import liealg
+    from liedouble.errors import NotACobracket
+
+    evaluated = []
+    evaluate = liealg._jacobi_components
+
+    def counting(L):
+        evaluated.append(L.dim)
+        return evaluate(L)
+
+    monkeypatch.setattr(liealg, "_jacobi_components", counting)
+    perturb_one_outer_bracket(monkeypatch)
+    with pytest.raises(NotACobracket) as err:
+        double_of_double(sl2_eta)
+    assert str(err.value) == (
+        "ψ is not a Lie isomorphism D(D) → D ⊕ D at 3 brackets "
+        "(first: [X0, y1], [X0, y2], [y1, y2])"
+    )
+    assert evaluated == []  # no fallback to the Jacobi sum
+
+
+def test_cli_double_iterate_reports_a_psi_mismatch(tmp_path, capsys, monkeypatch):
+    from liedouble.cli import main
+
+    perturb_one_outer_bracket(monkeypatch)
+    code = main(["double", "sl2-eta", "--iterate", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: ψ is not a Lie isomorphism" in err
+    assert "[X0, y1], [X0, y2], [y1, y2]" in err
+    assert "Traceback" not in err

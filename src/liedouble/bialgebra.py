@@ -7,6 +7,9 @@ cocycle condition and co-Jacobi.  Construction goes through
 the validated algebra of its double (``double_algebra``), which
 :func:`liedouble.double.build_double` uses rather than rebuilding it.  Only
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
+Both doubles come from :func:`_double_algebra`, which assigns each entry of
+the double from one entry of C or f, so no dense tensor of the double is
+scanned.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .errors import IndexOutOfRange, NotACobracket, ShapeError
 from .exactalg import _negatives, as_poly
 from .liealg import (
     LieAlgebra,
-    _algebra_on,
     _json_entries,
     _json_strings,
     _nonzero_entries,
+    _used_params,
     from_json as algebra_from_json,
     jacobi_violations,
     substitute_params as substitute_algebra_params,
@@ -78,21 +81,29 @@ def cocomm_from_wedge(
     return f
 
 
-def double_structure_tensor(L: LieAlgebra, cocomm: CocommTensor) -> list:
-    """Dense 2n structure tensor of D(g) from the nonzero entries of C and f,
-    on the basis {X_i, x^i}; each entry of one of the brackets listed in
-    :mod:`liedouble.double` comes from one entry of C or f."""
+def _double_algebra(
+    L: LieAlgebra, cocomm: CocommTensor, dual_labels: tuple[str, ...]
+) -> LieAlgebra:
+    """The algebra of D(g) on the basis {X_i, x^i}, built from the nonzero
+    entries of C and f.  Each entry of the brackets listed in
+    :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
+    once, so none cancels: those assignments, in index order, are the sparse
+    view, and the parameters are those occurring in C or f."""
     n = L.dim
-    c2 = zero_tensor3(2 * n)
+    cocomm_entries = cocomm.nonzero()
+    entries = []
     for i, j, k, coef in L.nonzero():  # C_ij^k in [X_i, X_j] and [x^k, X_i]
+        entries += [(i, j, k, coef), (n + k, i, n + j, coef), (i, n + k, n + j, -coef)]
+    for k, i, j, coef in cocomm_entries:  # f_k^{ij} in [x^i, x^j] and [x^i, X_k]
+        entries += [
+            (n + i, n + j, n + k, coef), (n + i, k, j, -coef), (k, n + i, j, coef)
+        ]
+    entries.sort(key=lambda entry: entry[:3])
+    c2 = zero_tensor3(2 * n)
+    for i, j, k, coef in entries:
         c2[i][j][k] = coef
-        c2[n + k][i][n + j] = coef
-        c2[i][n + k][n + j] = -coef
-    for k, i, j, coef in cocomm.nonzero():  # f_k^{ij} in [x^i, x^j] and [x^i, X_k]
-        c2[n + i][n + j][n + k] = coef
-        c2[n + i][k][j] = -coef
-        c2[k][n + i][j] = coef
-    return c2
+    params = _used_params([*L.nonzero(), *cocomm_entries])
+    return LieAlgebra(2 * n, L.labels + dual_labels, params, c2, _nonzero=entries)
 
 
 @dataclass
@@ -117,12 +128,7 @@ def new_bialgebra(
 ) -> LieBialgebra:
     """Validated bialgebra; raises :class:`NotACobracket` if the double
     built from (C, f) violates Jacobi."""
-    if isinstance(f, CocommTensor):
-        cocomm = f
-    else:
-        if len(f) != L.dim:
-            raise ShapeError("cocommutator dimension does not match algebra")
-        cocomm = CocommTensor(f)
+    cocomm = f if isinstance(f, CocommTensor) else CocommTensor(f)
     if cocomm.dim != L.dim:
         raise ShapeError("cocommutator dimension does not match algebra")
     if dual_labels is None:
@@ -131,8 +137,7 @@ def new_bialgebra(
     if len(dual_labels) != L.dim:
         raise ShapeError("need one dual label per basis element")
 
-    c2 = double_structure_tensor(L, cocomm)
-    double_alg = _algebra_on(L.labels + dual_labels, c2)
+    double_alg = _double_algebra(L, cocomm, dual_labels)
     violations = jacobi_violations(double_alg)
     if violations:
         sample = ", ".join(str(v) for v in violations[:4])
@@ -145,29 +150,17 @@ def new_bialgebra(
 
 def substitute_params(B: LieBialgebra, mapping) -> LieBialgebra:
     """Exact parameter substitution on both tensors (revalidates)."""
-    n = B.dim
-    f = [
-        [[B.cocomm.f[i][j][k].substitute(mapping) for k in range(n)]
-         for j in range(n)]
-        for i in range(n)
-    ]
+    f = [[[v.substitute(mapping) for v in row] for row in plane] for plane in B.cocomm.f]
     return new_bialgebra(substitute_algebra_params(B.algebra, mapping), f, B.dual_labels)
 
 
 def to_json(B: LieBialgebra) -> dict:
     data = B.algebra.to_json()
-    entries = []
-    params = set(data["params"])
-    n = B.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                coef = B.cocomm.f[i][j][k]
-                if not coef.is_zero:
-                    entries.append({"i": i, "j": j, "k": k, "coef": str(coef)})
-                    params |= coef.parameters()
-    data["params"] = sorted(params)
-    data["cocomm"] = entries
+    entries = [(i, j, k, coef) for i, j, k, coef in B.cocomm.nonzero() if j < k]
+    data["params"] = sorted({*data["params"], *_used_params(entries)})
+    data["cocomm"] = [
+        {"i": i, "j": j, "k": k, "coef": str(coef)} for i, j, k, coef in entries
+    ]
     data["dual_labels"] = list(B.dual_labels)
     return data
 

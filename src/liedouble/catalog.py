@@ -38,6 +38,7 @@ from .liealg import (
 )
 from .rmatrix import (
     RMatrix,
+    _defect_note,
     cocommutator_from_r,
     is_cybe,
     is_mcybe,
@@ -173,10 +174,12 @@ def _build_rmatrix(cat: Catalog, data: dict) -> RMatrix:
         alg.labels, [(t["i"], t["j"], t["coef"]) for t in data["terms"]]
     )
     verdicts = data["verdicts"]
-    if is_cybe(alg, r) != verdicts["cybe"]:
-        raise ParseError(f"r-matrix {key!r} fails its declared CYBE verdict")
-    if is_mcybe(alg, r) != verdicts["mcybe"]:
-        raise ParseError(f"r-matrix {key!r} fails its declared mCYBE verdict")
+    for name, holds, mcybe in (("CYBE", is_cybe, False), ("mCYBE", is_mcybe, True)):
+        if holds(alg, r) != verdicts[name.lower()]:
+            raise ParseError(
+                f"r-matrix {key!r} fails its declared {name} verdict"
+                + _defect_note(alg, r, mcybe)
+            )
     return r
 
 

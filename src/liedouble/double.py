@@ -15,7 +15,9 @@ land exactly on the published quasitriangular r-matrices.
 
 The canonical cocommutator of the double is
 δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k; feeding it back
-into the construction yields D(D(a)) on the ordered basis {X, x, y, Y}.
+into the construction yields D(D(a)) on the ordered basis {X, x, y, Y},
+whose algebra ``bialgebra._double_algebra`` assigns from the entries of
+D(a) and δ_D as it does D(a) from C and f.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
@@ -30,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .bialgebra import CocommTensor, LieBialgebra, double_structure_tensor
+from .bialgebra import CocommTensor, LieBialgebra, _double_algebra
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, _algebra_on, zero_matrix, zero_tensor3
+from .liealg import LieAlgebra, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
@@ -115,8 +117,7 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
     inner = build_double(B)
     delta = canonical_cocommutator(inner)
     duals = second_dual_labels(B.dim)
-    c2 = double_structure_tensor(inner.algebra, delta)
-    outer = replace(_algebra_on(inner.algebra.labels + duals, c2), _jacobi={})
+    outer = replace(_double_algebra(inner.algebra, delta, duals), _jacobi={})
     pairs = [(a, b) for a in range(outer.dim) for b in range(a + 1, outer.dim)]
     bad = _psi_mismatches(outer, inner.algebra, pairs)
     if bad:

@@ -66,7 +66,7 @@ from .errors import (
     WrongDimension,
 )
 from .exactalg import PolyExpr, _canonical, as_poly, mul_acc
-from .exactlinalg import Matrix, Vector, invert, mat, nullspace, rank
+from .exactlinalg import Matrix, Vector, identity, invert, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
@@ -75,6 +75,7 @@ from .liealg import (
     bracket,
     transform_cocomm,
     transform_structure,
+    zero_tensor3,
 )
 
 
@@ -148,8 +149,7 @@ def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
             raise NotInFirstFactor("subspace has components in the dual factor")
         primal_rows.append(list(v[:n]))
     if not primal_rows:
-        basis = [[PolyExpr.one() if j == i else PolyExpr.zero() for j in range(n)]
-                 for i in range(n)]
+        basis = identity(n)
     else:
         basis = nullspace(primal_rows)
     out = [[PolyExpr.zero()] * n + list(alpha) for alpha in basis]
@@ -355,9 +355,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
 
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
     """The induced Lie algebra on l's basis, labelled by :func:`_labels`."""
-    n = B.dim
-    zero = PolyExpr.zero()
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    c = zero_tensor3(B.dim)
     for (i, j), row in brackets.items():
         c[i][j] = row
         c[j][i] = [-x for x in row]
@@ -386,9 +384,7 @@ def classify(
     if not subalg:
         violations.append("[l, l] is not contained in l")
 
-    pi_zero = all(
-        spec.pi[a][b].is_zero for a in range(n_t) for b in range(n_t)
-    )
+    pi_zero = not any(v.terms for row in spec.pi for v in row)
     for i in range(n_h):
         for j in range(n_h):
             for al in range(n_t):
@@ -490,15 +486,11 @@ def is_semidirect(
     h_set, t_set = set(h_indices), set(t_indices)
     if h_set & t_set or h_set | t_set != set(range(table.dim)):
         raise BadPartition("h and t indices must partition the basis")
-    for i in range(table.dim):
-        for j in range(table.dim):
-            for k in range(table.dim):
-                if table.c[i][j][k].is_zero:
-                    continue
-                if i in t_set and j in t_set and k in h_set:
-                    return False
-                if i in h_set and j in h_set and k in t_set:
-                    return False
-                if i in t_set and j in h_set and k in h_set:
-                    return False
+    for i, j, k, _ in table.nonzero():
+        if i in t_set and j in t_set and k in h_set:
+            return False
+        if i in h_set and j in h_set and k in t_set:
+            return False
+        if i in t_set and j in h_set and k in h_set:
+            return False
     return True

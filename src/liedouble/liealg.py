@@ -56,13 +56,12 @@ BracketEntry = tuple  # (i, j, k, coef)
 
 def zero_tensor3(n: int):
     z = PolyExpr.zero()
-    return [[[z for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return [[[z] * n for _ in range(n)] for _ in range(n)]
 
 
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
+def zero_matrix(n: int) -> Matrix:
     z = PolyExpr.zero()
-    return [[z for _ in range(m)] for _ in range(n)]
+    return [[z] * n for _ in range(n)]
 
 
 def _nonzero_entries(t) -> list:
@@ -140,14 +139,11 @@ class LieAlgebra:
         return v
 
     def to_json(self) -> dict:
-        entries = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if not self.c[i][j][k].is_zero:
-                        entries.append(
-                            {"i": i, "j": j, "k": k, "coef": str(self.c[i][j][k])}
-                        )
+        entries = [
+            {"i": i, "j": j, "k": k, "coef": str(coef)}
+            for i, j, k, coef in self.nonzero()
+            if i < j
+        ]
         return {
             "dim": self.dim,
             "labels": list(self.labels),
@@ -414,8 +410,7 @@ def transform_structure(c, m: Matrix, w: Matrix):
     t = _contract(t, 0, m_rows)
     t = _contract(t, 1, m_rows, keep=lambda key: key[0] < key[1])
     scale = d_c * d_m * d_m * d_w
-    zero = PolyExpr.zero()
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    out = zero_tensor3(n)
     for (a, b, cc), terms in t.items():
         value = from_int_terms(terms, scale)
         out[a][b][cc] = value
@@ -442,8 +437,7 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
     t = _contract(t, 1, w_rows, keep=lambda key: key[1] < key[2])
     t = _contract(t, 0, m_rows)
     scale = d_f * d_m * d_w * d_w
-    zero = PolyExpr.zero()
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    out = zero_tensor3(n)
     for (a, b, cc), terms in t.items():
         value = from_int_terms(terms, scale)
         out[a][b][cc] = value
@@ -461,11 +455,7 @@ def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
 
 def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlgebra:
     """Apply an exact parameter substitution to every structure constant."""
-    c = [
-        [[L.c[i][j][k].substitute(mapping) for k in range(L.dim)]
-         for j in range(L.dim)]
-        for i in range(L.dim)
-    ]
+    c = [[[v.substitute(mapping) for v in row] for row in plane] for plane in L.c]
     return _algebra_on(L.labels, c)
 
 

@@ -9,7 +9,18 @@ Conventions (frozen by the chart-calibration tests):
 * Schouten bracket  [[r,r]]^{ijk} = Σ_{l,m} ( C_lm^i r^{lj} r^{mk}
   + C_lm^j r^{il} r^{mk} + C_lm^k r^{il} r^{jm} ).
 
-CYBE means [[r,r]] = 0; mCYBE means [[r,r]] is ad-invariant.
+CYBE means [[r,r]] = 0; mCYBE means [[r,r]] is ad-invariant.  No Schouten
+tensor is built.  Both verdicts are read from δ_r, through the dual bracket
+[x^i, x^j] = f_k^{ij} x^k on g* and the map r(x^i) = r^{ia} X_a, by two
+identities that hold when C satisfies Jacobi, as every caller's algebra
+does (Drinfel'd, 1983; Semenov-Tian-Shansky, "What is a classical
+r-matrix?", 1983):
+
+* r[x^i, x^j] − [r(x^i), r(x^j)] = −[[r,r]]^{ijm} X_m: CYBE holds iff
+  r: g* → g is a homomorphism (:func:`_cybe_residual`);
+* the dual bracket's Jacobi residual is R_jkl^m = −(ad_{X_m}[[r,r]])^{jkl},
+  with (ad_{X_m} T)^{jkl} = Σ_a (C_ma^j T^{akl} + C_ma^k T^{jal} + C_ma^l T^{jka}):
+  mCYBE holds iff δ_r satisfies co-Jacobi (:func:`_dual_algebra`).
 """
 
 from __future__ import annotations
@@ -18,9 +29,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyLike, _negatives, as_poly
+from .exactalg import PolyLike, _canonical, _negatives, as_poly, mul_acc
 from .exactlinalg import Matrix
-from .liealg import LieAlgebra, _nonzero_entries, zero_matrix, zero_tensor3
+from .liealg import (
+    LieAlgebra,
+    _algebra_on,
+    _nonzero_entries,
+    is_jacobi_zero,
+    zero_matrix,
+    zero_tensor3,
+)
 
 
 @dataclass
@@ -50,18 +68,12 @@ class RMatrix:
     def wedge_terms(self) -> list:
         """Sparse upper-triangle view [(i, j, coef)] with i < j."""
         return [
-            (i, j, self.r[i][j])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-            if not self.r[i][j].is_zero
+            (i, j, v) for i, row in enumerate(_rows(self)) for j, v in row if i < j
         ]
 
     def substitute(self, mapping) -> "RMatrix":
-        n = self.dim
-        return RMatrix(
-            self.labels,
-            [[self.r[i][j].substitute(mapping) for j in range(n)] for i in range(n)],
-        )
+        r = [[v.substitute(mapping) for v in row] for row in self.r]
+        return RMatrix(self.labels, r)
 
     def to_json(self) -> list:
         return [
@@ -90,107 +102,89 @@ def rmatrix_from_wedge(
     return RMatrix(labels, r)
 
 
-@dataclass
-class ThreeTensor:
-    """Contravariant 3-tensor, e.g. the Schouten bracket [[r,r]]."""
-
-    t: list  # dense n^3 of PolyExpr
-
-    @property
-    def dim(self) -> int:
-        return len(self.t)
-
-    def is_zero(self) -> bool:
-        return all(
-            self.t[i][j][k].is_zero
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        )
-
-    def nonzero(self) -> list:
-        return _nonzero_entries(self.t)
-
-
-def _check_dims(L: LieAlgebra, r: RMatrix):
-    if r.dim != L.dim:
-        raise DimensionMismatch(
-            f"r-matrix dimension {r.dim} does not match algebra dimension {L.dim}"
-        )
+def _rows(r: RMatrix) -> list:
+    """The nonzero entries of r by row: ``rows[i]`` lists (j, r^{ij})."""
+    return [[(j, v) for j, v in enumerate(row) if v.terms] for row in r.r]
 
 
 def cocommutator_from_r(L: LieAlgebra, r: RMatrix):
     """Coboundary cocommutator constants f_i^{jk} with δ(X_i)=f_i^{jk} X_j⊗X_k.
 
-    f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ).
+    f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated with
+    :func:`~liedouble.exactalg.mul_acc` over the nonzero C_il^j and r^{lk};
+    as r^{jl} = −r^{lj}, each such product gives one term of each sum.
     """
-    _check_dims(L, r)
-    n = L.dim
-    f = zero_tensor3(n)
-    for i, l, target, coef in L.nonzero():
-        # coef = C_il^target
-        for other in range(n):
-            if not r.r[l][other].is_zero:
-                # first term, j = target, k = other
-                f[i][target][other] = f[i][target][other] + coef * r.r[l][other]
-            if not r.r[other][l].is_zero:
-                # second term, j = other, k = target
-                f[i][other][target] = f[i][other][target] + coef * r.r[other][l]
+    if r.dim != L.dim:
+        raise DimensionMismatch(
+            f"r-matrix dimension {r.dim} does not match algebra dimension {L.dim}"
+        )
+    rows = _rows(r)
+    acc: dict = {}
+    for i, l, target, coef in L.nonzero():  # coef = C_il^target
+        for other, value in rows[l]:
+            mul_acc(acc.setdefault((i, target, other), {}), coef, value)
+            mul_acc(acc.setdefault((i, other, target), {}), coef, value, negate=True)
+    f = zero_tensor3(L.dim)
+    for (i, j, k), terms in acc.items():
+        if terms:
+            f[i][j][k] = _canonical(terms)
     return f
 
 
-def schouten(L: LieAlgebra, r: RMatrix) -> ThreeTensor:
-    """[[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] in components."""
-    _check_dims(L, r)
+def _cybe_residual(L: LieAlgebra, r: RMatrix) -> dict:
+    """Nonzero components (i, j, m), i < j, of r[x^i, x^j] − [r(x^i), r(x^j)]
+    with r(x^i) = r^{ia} X_a and [x^i, x^j] = f_k^{ij} x^k, in key order:
+
+        Σ_k f_k^{ij} r^{km} − Σ_{a,b} r^{ia} r^{jb} C_ab^m  =  −[[r,r]]^{ijm}.
+
+    Each r^{ia} r^{jb} is read from rows a and b of r, where the two signs
+    of r^{ai} = −r^{ia} cancel.
+    """
+    f = cocommutator_from_r(L, r)
+    rows = _rows(r)
+    acc: dict = {}
+    for k, i, j, value in _nonzero_entries(f):
+        if i < j:
+            for m, rkm in rows[k]:
+                mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
+    for a, b, m, coef in L.nonzero():
+        for i, rai in rows[a]:
+            product = coef * rai
+            for j, rbj in rows[b]:
+                if i < j:
+                    mul_acc(acc.setdefault((i, j, m), {}), product, rbj, negate=True)
+    return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
+
+
+def _dual_algebra(L: LieAlgebra, r: RMatrix) -> LieAlgebra:
+    """g* with the bracket [x^i, x^j] = f_k^{ij} x^k dual to δ_r, labelled
+    as the basis of g.  Its Jacobi residual R_jkl^m is −(ad_{X_m}[[r,r]])^{jkl}."""
+    f = cocommutator_from_r(L, r)
     n = L.dim
-    t = zero_tensor3(n)
-    for l, m, i, coef in L.nonzero():
-        # coef = C_lm^i contributes to all three cyclic slots
-        for j in range(n):
-            rlj = r.r[l][j]
-            if rlj.is_zero:
-                continue
-            for k in range(n):
-                if not r.r[m][k].is_zero:
-                    t[i][j][k] = t[i][j][k] + coef * rlj * r.r[m][k]
-    out = zero_tensor3(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # with S(p;q,s) = sum C_lm^p r^{lq} r^{ms} and r^{il} = -r^{li}:
-                # term2 = -S(j;i,k), term3 = +S(k;i,j)
-                out[i][j][k] = t[i][j][k] - t[j][i][k] + t[k][i][j]
-    return ThreeTensor(out)
+    dual = [[[f[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
+    return _algebra_on(L.labels, dual)
 
 
 def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:
-    """True iff the Schouten bracket vanishes identically (triangular r)."""
-    return schouten(L, r).is_zero()
-
-
-def ad_invariance_defect(L: LieAlgebra, T: ThreeTensor):
-    """(ad⊗1⊗1 + 1⊗ad⊗1 + 1⊗1⊗ad) T, one dense 3-tensor per basis index."""
-    n = L.dim
-    if T.dim != n:
-        raise DimensionMismatch("tensor dimension does not match algebra")
-    sparse = T.nonzero()
-    defects = []
-    for i in range(n):
-        d = zero_tensor3(n)
-        adi = [[L.c[i][m][j] for m in range(n)] for j in range(n)]
-        for a, b, c, coef in sparse:
-            for j in range(n):
-                if not adi[j][a].is_zero:
-                    d[j][b][c] = d[j][b][c] + adi[j][a] * coef
-                if not adi[j][b].is_zero:
-                    d[a][j][c] = d[a][j][c] + adi[j][b] * coef
-                if not adi[j][c].is_zero:
-                    d[a][b][j] = d[a][b][j] + adi[j][c] * coef
-        defects.append(ThreeTensor(d))
-    return defects
+    """True iff [[r,r]] = 0, i.e. r: g* → g is a homomorphism of the dual
+    bracket; L must be a Lie algebra."""
+    return not _cybe_residual(L, r)
 
 
 def is_mcybe(L: LieAlgebra, r: RMatrix) -> bool:
-    """True iff [[r,r]] is ad-invariant for every basis direction."""
-    T = schouten(L, r)
-    return all(d.is_zero() for d in ad_invariance_defect(L, T))
+    """True iff [[r,r]] is ad-invariant, i.e. δ_r satisfies co-Jacobi (the
+    dual bracket satisfies Jacobi); L must be a Lie algebra."""
+    return is_jacobi_zero(_dual_algebra(L, r))
+
+
+def _defect_note(L: LieAlgebra, r: RMatrix, mcybe: bool) -> str:
+    """``": first nonzero component <component> = <polynomial>"`` for the
+    first nonzero component of [[r,r]] (of ad_{X_m}[[r,r]] with ``mcybe``),
+    by basis labels; empty if there is none."""
+    residual = _dual_algebra(L, r).jacobi_components() if mcybe else _cybe_residual(L, r)
+    if not residual:
+        return ""
+    key = min(residual)
+    labels = [L.labels[x] for x in key]
+    head = f"(ad_{labels.pop()} [[r,r]])" if mcybe else "[[r,r]]"
+    return f": first nonzero component {head}^({', '.join(labels)}) = {-residual[key]}"

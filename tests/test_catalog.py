@@ -162,6 +162,25 @@ def test_broken_entry_fails_only_where_referenced():
     assert broken.list() == catalog.load().list()
 
 
+@pytest.mark.parametrize(
+    "key, verdict, message",
+    [
+        ("sl2.hyperbolic", "cybe",
+         "CYBE verdict: first nonzero component [[r,r]]^(P1, P2, J12) = 4*eta^2"),
+        ("so22.psc", "mcybe",
+         "mCYBE verdict: first nonzero component (ad_P2 [[r,r]])^(J, P0, K1) = "
+         "a2^2 - 4*a6^2*kappa + b2^2 - c2^2"),
+        ("so22.r1", "mcybe", "mCYBE verdict"),  # declared false, holds: no residual
+    ],
+)
+def test_wrong_declared_verdict_names_the_residual(key, verdict, message):
+    raw = catalog._load_raw()
+    raw[key]["verdicts"][verdict] = not raw[key]["verdicts"][verdict]
+    with pytest.raises(ParseError) as err:
+        catalog.Catalog(raw).get(key)
+    assert str(err.value) == f"r-matrix {key!r} fails its declared {message}"
+
+
 def test_missing_reference_is_a_parse_error():
     raw = catalog._load_raw()
     raw["sl2.hyperbolic"]["algebra"] = "no-such-algebra"

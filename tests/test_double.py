@@ -426,6 +426,19 @@ def test_psi_is_an_isometry_onto_the_difference_pairing(key):
             assert got == expected, (key, a, b)
 
 
+@pytest.mark.parametrize("key", CASES)
+def test_double_builder_matches_a_dense_scan(key):
+    # the sparse view and parameters of D and D(D), assigned from C and f,
+    # are what a scan of the dense tensor finds
+    from liedouble.liealg import _algebra_on
+
+    B = case(key)
+    for L in (B.double_algebra, double_of_double(B).algebra):
+        scanned = _algebra_on(L.labels, L.c)
+        assert L.nonzero() == scanned.nonzero()
+        assert L.params == scanned.params
+
+
 def test_psi_is_a_lie_isomorphism_by_an_independent_bracket(sl2_eta, so22_twisted):
     # ψ([e_a, e_b]) = ([ψ(e_a)_1, ψ(e_b)_1], [ψ(e_a)_2, ψ(e_b)_2]), with both
     # sides from liealg.bracket rather than the sparse rows double_of_double reads

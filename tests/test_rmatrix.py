@@ -1,24 +1,27 @@
 import random
 import re
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liedouble import catalog
 from liedouble.errors import DimensionMismatch, ShapeError
 from liedouble.exactalg import PolyExpr
 from liedouble.liealg import substitute_params, zero_matrix
 from liedouble.rmatrix import (
     RMatrix,
-    ThreeTensor,
-    ad_invariance_defect,
+    _cybe_residual,
+    _dual_algebra,
     cocommutator_from_r,
     is_cybe,
     is_mcybe,
     rmatrix_from_wedge,
-    schouten,
 )
 
 P = PolyExpr.parse
+CATALOG_RMATRICES = catalog.load().list("rmatrix")
 
 
 def schouten_oracle(L, r):
@@ -37,6 +40,51 @@ def schouten_oracle(L, r):
                         total = total + c[k] * r.r[i][l] * r.r[j][m]
                 out[(i, j, k)] = total
     return out
+
+
+def ad_oracle(L, t):
+    """(ad_{X_m} T)^{jkl} = Σ_a ( C_ma^j T^{akl} + C_ma^k T^{jal}
+    + C_ma^l T^{jka} ) for a 3-tensor T given as {(j, k, l): value},
+    keyed (m, j, k, l)."""
+    n = L.dim
+    out = {}
+    for m in range(n):
+        c = L.c[m]
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    total = PolyExpr.zero()
+                    for a in range(n):
+                        total = total + c[a][j] * t[(a, k, l)]
+                        total = total + c[a][k] * t[(j, a, l)]
+                        total = total + c[a][l] * t[(j, k, a)]
+                    out[(m, j, k, l)] = total
+    return out
+
+
+def assert_cybe_identity(L, r):
+    """_cybe_residual is −[[r,r]]^{ijm} for i < j, component by component."""
+    oracle = schouten_oracle(L, r)
+    expected = {
+        (i, j, m): -value
+        for (i, j, m), value in oracle.items()
+        if i < j and not value.is_zero
+    }
+    assert _cybe_residual(L, r) == expected
+    return oracle
+
+
+def assert_mcybe_identity(L, r, oracle):
+    """The dual bracket's Jacobi residual R_jkl^m is −(ad_{X_m}[[r,r]])^{jkl}."""
+    ad = ad_oracle(L, oracle)
+    expected = {
+        (j, k, l, m): -ad[(m, j, k, l)]
+        for j, k, l in combinations(range(L.dim), 3)
+        for m in range(L.dim)
+        if not ad[(m, j, k, l)].is_zero
+    }
+    assert _dual_algebra(L, r).jacobi_components() == expected
+    return ad
 
 
 def wedge_coeff(f, L, i_label, j_label, k_label):
@@ -139,11 +187,13 @@ def test_one_asymmetric_entry_is_named(rmats, entries, index):
 
 def test_schouten_zero_r(sl2_ck):
     r = RMatrix(sl2_ck.labels, zero_matrix(3))
-    assert schouten(sl2_ck, r).is_zero()
+    assert all(v.is_zero for v in schouten_oracle(sl2_ck, r).values())
+    assert _cybe_residual(sl2_ck, r) == {}
+    assert is_cybe(sl2_ck, r) and is_mcybe(sl2_ck, r)
 
 
 def test_parabolic_is_triangular(sl2_ck, rmats):
-    assert schouten(sl2_ck, rmats["par_ck"]).is_zero()
+    assert _cybe_residual(sl2_ck, rmats["par_ck"]) == {}
     assert is_cybe(sl2_ck, rmats["par_ck"])
 
 
@@ -153,12 +203,12 @@ def test_carrier_345_is_triangular(glambda, rmats):
 
 def test_hyperbolic_schouten_matches_oracle_and_cybe_fails(sl2_ck, rmats):
     r = rmats["hyp_ck"]
-    t = schouten(sl2_ck, r)
-    oracle = schouten_oracle(sl2_ck, r)
-    for idx, val in oracle.items():
-        i, j, k = idx
-        assert t.t[i][j][k] == val
-    assert not t.is_zero()
+    oracle = assert_cybe_identity(sl2_ck, r)
+    # [[r,r]] = 4η² P1∧P2∧J12: one alternating component
+    assert oracle[(0, 1, 2)] == P("4*eta^2")
+    assert _cybe_residual(sl2_ck, r) == {
+        (0, 1, 2): P("-4*eta^2"), (0, 2, 1): P("4*eta^2"), (1, 2, 0): P("-4*eta^2")
+    }
     assert not is_cybe(sl2_ck, r)
 
 
@@ -246,12 +296,62 @@ def test_psc_symbolic_declared_not_identically_mcybe(glambda, rmats):
     assert not is_mcybe(glambda, rmats["psc"])
 
 
-def test_ad_invariance_defect_dimension_check(sl2_ck):
-    bad = ThreeTensor(
-        [[[PolyExpr.zero()] * 2 for _ in range(2)] for _ in range(2)]
-    )
+@pytest.mark.parametrize("verdict", [is_cybe, is_mcybe])
+def test_verdict_dimension_check(sl2_ck, verdict):
+    r = rmatrix_from_wedge(("a", "b"), [("a", "b", 1)])
     with pytest.raises(DimensionMismatch):
-        ad_invariance_defect(sl2_ck, bad)
+        verdict(sl2_ck, r)
+
+
+@pytest.mark.parametrize("key", CATALOG_RMATRICES)
+def test_residuals_match_oracle_on_catalog(key):
+    # the residual generators of both verdicts, pinned to [[r,r]] and its
+    # ad-action on every shipped r-matrix
+    cat = catalog.load()
+    L, r = cat.rmatrix_algebra(key), cat.rmatrix(key)
+    oracle = assert_cybe_identity(L, r)
+    ad = assert_mcybe_identity(L, r, oracle)
+    declared = cat.get(key).raw["verdicts"]
+    assert all(v.is_zero for v in oracle.values()) == declared["cybe"]
+    assert all(v.is_zero for v in ad.values()) == declared["mcybe"]
+
+
+# The 6-dim carriers, where the oracles take about 0.1 s, are drawn less
+# often than the 3-dim ones.  Every 3-dim carrier here is unimodular, so
+# mCYBE fails only on a 6-dim one.
+_CARRIERS = catalog.load().list("algebra") + catalog.load().list("bialgebra")
+_SMALL = [k for k in _CARRIERS if catalog.load()._raw[k]["dim"] == 3]
+_LARGE = [k for k in _CARRIERS if catalog.load()._raw[k]["dim"] > 3]
+_COEFFS = ("1", "-1", "2", "1/2", "eta", "-eta", "a", "b*eta")
+
+
+@st.composite
+def random_wedge_r(draw):
+    large = draw(st.integers(0, 5)) == 5
+    L = catalog.load().algebra(draw(st.sampled_from(_LARGE if large else _SMALL)))
+    pairs = list(combinations(L.labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    terms = [(i, j, draw(st.sampled_from(_COEFFS))) for i, j in chosen]
+    return L, rmatrix_from_wedge(L.labels, terms)
+
+
+def test_verdicts_agree_with_oracle_on_random_r():
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(random_wedge_r())
+    def check(case):
+        L, r = case
+        oracle = schouten_oracle(L, r)
+        cybe = all(v.is_zero for v in oracle.values())
+        mcybe = all(v.is_zero for v in ad_oracle(L, oracle).values())
+        assert is_cybe(L, r) == cybe
+        assert is_mcybe(L, r) == mcybe
+        seen.add((cybe, mcybe))
+
+    check()
+    assert {cybe for cybe, _ in seen} == {True, False}
+    assert {mcybe for _, mcybe in seen} == {True, False}
 
 
 def test_wedge_terms_and_json_round_trip(rmats):

@@ -21,12 +21,12 @@ from .errors import IndexOutOfRange, NotACobracket, ShapeError
 from .exactalg import _negatives, as_poly
 from .liealg import (
     LieAlgebra,
+    _jacobi_notes,
     _json_entries,
     _json_strings,
     _nonzero_entries,
     _used_params,
     from_json as algebra_from_json,
-    jacobi_violations,
     substitute_params as substitute_algebra_params,
     zero_tensor3,
 )
@@ -88,15 +88,16 @@ def _double_algebra(
     entries of C and f.  Each entry of the brackets listed in
     :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
     once, so none cancels: those assignments, in index order, are the sparse
-    view, and the parameters are those occurring in C or f."""
+    view, and the parameters are those occurring in C or f.  An entry −C_ij^k
+    is read as C_ji^k and −f_k^{ij} as f_k^{ji}, so none is negated."""
     n = L.dim
     cocomm_entries = cocomm.nonzero()
     entries = []
-    for i, j, k, coef in L.nonzero():  # C_ij^k in [X_i, X_j] and [x^k, X_i]
-        entries += [(i, j, k, coef), (n + k, i, n + j, coef), (i, n + k, n + j, -coef)]
-    for k, i, j, coef in cocomm_entries:  # f_k^{ij} in [x^i, x^j] and [x^i, X_k]
+    for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [x^k, X_i], [X_j, x^k]
+        entries += [(i, j, k, coef), (n + k, i, n + j, coef), (j, n + k, n + i, coef)]
+    for k, i, j, coef in cocomm_entries:  # f_k^{ij}: [x^i, x^j], [x^i, X_k], [x^j, X_k]
         entries += [
-            (n + i, n + j, n + k, coef), (n + i, k, j, -coef), (k, n + i, j, coef)
+            (n + i, n + j, n + k, coef), (k, n + i, j, coef), (n + j, k, i, coef)
         ]
     entries.sort(key=lambda entry: entry[:3])
     c2 = zero_tensor3(2 * n)
@@ -138,12 +139,11 @@ def new_bialgebra(
         raise ShapeError("need one dual label per basis element")
 
     double_alg = _double_algebra(L, cocomm, dual_labels)
-    violations = jacobi_violations(double_alg)
-    if violations:
-        sample = ", ".join(str(v) for v in violations[:4])
+    residual = double_alg.jacobi_components()
+    if residual:
+        sample = "; ".join(_jacobi_notes(double_alg, 4))
         raise NotACobracket(
-            f"double violates Jacobi at {len(violations)} index tuples "
-            f"(first: {sample})"
+            f"double violates Jacobi at {len(residual)} components (first: {sample})"
         )
     return LieBialgebra(L, cocomm, dual_labels, double_alg)
 

@@ -38,10 +38,10 @@ from .liealg import (
 )
 from .rmatrix import (
     RMatrix,
+    _cybe_residual,
     _defect_note,
+    _dual_algebra,
     cocommutator_from_r,
-    is_cybe,
-    is_mcybe,
     rmatrix_from_wedge,
 )
 
@@ -173,12 +173,16 @@ def _build_rmatrix(cat: Catalog, data: dict) -> RMatrix:
     r = rmatrix_from_wedge(
         alg.labels, [(t["i"], t["j"], t["coef"]) for t in data["terms"]]
     )
-    verdicts = data["verdicts"]
-    for name, holds, mcybe in (("CYBE", is_cybe, False), ("mCYBE", is_mcybe, True)):
-        if holds(alg, r) != verdicts[name.lower()]:
+    f = cocommutator_from_r(alg, r)
+    residuals = {
+        "CYBE": _cybe_residual(alg, r, f),
+        "mCYBE": _dual_algebra(alg, f).jacobi_components(),
+    }
+    for name, residual in residuals.items():
+        if (not residual) != data["verdicts"][name.lower()]:
             raise ParseError(
                 f"r-matrix {key!r} fails its declared {name} verdict"
-                + _defect_note(alg, r, mcybe)
+                + _defect_note(alg, residual, name == "mCYBE")
             )
     return r
 

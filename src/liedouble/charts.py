@@ -523,6 +523,17 @@ def _pair_value(bracket_id, a, b, coords, params):
     )
 
 
+def _central_difference(bracket_id, a, b, coords, d, step, params) -> float:
+    """d{x_a, x_b}/dx_d at ``coords`` by a central difference."""
+    plus, minus = list(coords), list(coords)
+    plus[d] += step
+    minus[d] -= step
+    return (
+        _pair_value(bracket_id, a, b, tuple(plus), params)
+        - _pair_value(bracket_id, a, b, tuple(minus), params)
+    ) / (2 * step)
+
+
 def linearize(bracket_id: str, params: Mapping, step: float = 1e-5) -> np.ndarray:
     """lin[a][b][c] = d{x_a, x_b}/dx_c at the origin.
 
@@ -531,18 +542,11 @@ def linearize(bracket_id: str, params: Mapping, step: float = 1e-5) -> np.ndarra
     for a in range(3):
         for b in range(a + 1, 3):
             for c in range(3):
-
-                def d(h):
-                    plus = [0.0, 0.0, 0.0]
-                    minus = [0.0, 0.0, 0.0]
-                    plus[c] = h
-                    minus[c] = -h
-                    return (
-                        _pair_value(bracket_id, a, b, tuple(plus), params)
-                        - _pair_value(bracket_id, a, b, tuple(minus), params)
-                    ) / (2 * h)
-
-                val = (4 * d(step / 2) - d(step)) / 3
+                half, full = (
+                    _central_difference(bracket_id, a, b, (0.0,) * 3, c, h, params)
+                    for h in (step / 2, step)
+                )
+                val = (4 * half - full) / 3
                 lin[a][b][c] = val
                 lin[b][a][c] = -val
     return lin
@@ -554,24 +558,13 @@ def jacobi_numeric(bracket_id: str, params: Mapping, p: ChartPoint,
     derivatives: {g, x_c} = sum_d {x_d, x_c} dg/dx_d."""
     fn = bracket_fn(bracket_id)
     _require(p, fn.chart_id)
-    coords = list(p.coords)
-
-    def partial(a, b, d):
-        plus = list(coords)
-        minus = list(coords)
-        plus[d] += step
-        minus[d] -= step
-        return (
-            _pair_value(bracket_id, a, b, tuple(plus), params)
-            - _pair_value(bracket_id, a, b, tuple(minus), params)
-        ) / (2 * step)
-
-    def pv(a, b):
-        return _pair_value(bracket_id, a, b, tuple(coords), params)
-
     total = 0.0
     for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total += sum(pv(d, c) * partial(a, b, d) for d in range(3))
+        total += sum(
+            _pair_value(bracket_id, d, c, p.coords, params)
+            * _central_difference(bracket_id, a, b, p.coords, d, step, params)
+            for d in range(3)
+        )
     return abs(total)
 
 
@@ -587,23 +580,13 @@ def flat_limit_check(
     The ladder eliminates successive integer powers of eta (the brackets
     are generally not even in eta), as the sequence halves."""
     params = dict(params or {})
-    values = []
-    for eta in (0.1 / 2**k for k in range(8)):
-        q = dict(params)
-        q["eta"] = eta
-        values.append(closed_form(bracket_id, pair, p, q))
-    table = [list(values)]
-    k = len(values)
-    for level in range(1, k):
-        prev = table[-1]
+    row = [closed_form(bracket_id, pair, p, {**params, "eta": 0.1 / 2**k})
+           for k in range(8)]
+    for level in range(1, 8):
         factor = 2.0**level
-        table.append(
-            [
-                (factor * prev[i + 1] - prev[i]) / (factor - 1.0)
-                for i in range(len(prev) - 1)
-            ]
-        )
-    return table[-1][0]
+        row = [(factor * row[i + 1] - row[i]) / (factor - 1.0)
+               for i in range(len(row) - 1)]
+    return row[0]
 
 
 # --- verification harness ----------------------------------------------------

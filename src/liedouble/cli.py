@@ -8,13 +8,15 @@ classify         Lagrangian / coisotropy / Poisson-subgroup classification.
 verify-brackets  Numerical verification matrix (Sklyanin vs closed forms,
                  plus property checks for the 3d anti-de Sitter brackets).
 
-Exit codes: 0 pass, 1 verification failure, 2 input error.  Reports are
+Exit codes: 0 pass, 1 verification failure, 2 input error (an unwritable
+``--json`` or ``--out`` path included).  Reports are
 deterministic for a fixed seed; wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -43,17 +45,28 @@ from .homogeneous import (
     LagrangianSpec,
     classify as classify_spec,
 )
-from .liealg import from_json as algebra_from_json, jacobi_violations
+from .liealg import _jacobi_notes, from_json as algebra_from_json
 from .rmatrix import cocommutator_from_r
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an :class:`OSError` in the block into the input error
+    ``cannot write <path>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: dict, args) -> None:
     text_format = getattr(args, "format", "text") == "text"
     blob = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "json", None):
-        Path(args.json).write_text(blob)
+        with _writing(args.json):
+            Path(args.json).write_text(blob)
     if text_format:
         for line in _text_lines(report):
             print(line)
@@ -125,9 +138,9 @@ def cmd_validate(args) -> int:
                 notes.append(str(exc))
         elif "brackets" in data:
             alg = _from_file(args.target, algebra_from_json, data)
-            bad = jacobi_violations(alg)
+            bad = _jacobi_notes(alg, 8)
             verdicts["jacobi"] = "pass" if not bad else "fail"
-            notes.extend(f"residual at (i,j,l,m)={v}" for v in bad[:8])
+            notes.extend(bad)
         else:
             raise ParseError(f"{args.target}: neither an algebra nor a bialgebra")
         inputs = {"target": args.target, "kind": "file"}
@@ -155,17 +168,17 @@ def cmd_double(args) -> int:
     verdicts = {"double-jacobi": "pass"}
     artifacts = {}
     out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_table(stem, algebra):
         text = bracket_table_text(algebra)
         if out_dir:
-            (out_dir / f"{stem}.txt").write_text(text)
-            (out_dir / f"{stem}.json").write_text(
-                json.dumps(algebra.to_json(), indent=2, sort_keys=True)
-                + "\n"
-            )
+            with _writing(out_dir):
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / f"{stem}.txt").write_text(text)
+                (out_dir / f"{stem}.json").write_text(
+                    json.dumps(algebra.to_json(), indent=2, sort_keys=True)
+                    + "\n"
+                )
             artifacts[stem] = str(out_dir / f"{stem}.txt")
         else:
             print(text, end="")
@@ -326,24 +339,15 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
         [[float(x.evaluate(params)) for x in row] for row in plane]
         for plane in _origin_report(cat, entry).m_gamma
     ]
-    results = []
+
+    def result(check, err, **extra):
+        return {"bracket_id": bracket_id, "check": check, **extra,
+                "max_abs_err": err, "pass": err < tol}
 
     max_jacobi = 0.0
     for _ in range(n_points):
-        p = charts.ChartPoint(
-            charts.ADS3, tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
-        )
+        p = charts._sample_point(rng, charts.ADS3)
         max_jacobi = max(max_jacobi, charts.jacobi_numeric(bracket_id, params, p))
-    results.append(
-        {
-            "bracket_id": bracket_id,
-            "check": "jacobi",
-            "n_points": n_points,
-            "max_abs_err": max_jacobi,
-            "pass": max_jacobi < tol,
-        }
-    )
-
     lin = charts.linearize(bracket_id, params)
     err = max(
         float(abs(lin[a][b][c] - m[a][b][c]))
@@ -351,20 +355,9 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
         for b in range(a + 1, 3)
         for c in range(3)
     )
-    results.append(
-        {
-            "bracket_id": bracket_id,
-            "check": "linearization",
-            "max_abs_err": err,
-            "pass": err < tol,
-        }
-    )
-
     max_flat = 0.0
     names = charts.CHART_COORDS[charts.ADS3]
-    p = charts.ChartPoint(
-        charts.ADS3, tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
-    )
+    p = charts._sample_point(rng, charts.ADS3)
     for a in range(3):
         for b in range(a + 1, 3):
             value = charts.flat_limit_check(
@@ -372,15 +365,11 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
             )
             target = sum(m[a][b][c] * p.coords[c] for c in range(3))
             max_flat = max(max_flat, abs(value - target))
-    results.append(
-        {
-            "bracket_id": bracket_id,
-            "check": "flat-limit",
-            "max_abs_err": max_flat,
-            "pass": max_flat < tol,
-        }
-    )
-    return results
+    return [
+        result("jacobi", max_jacobi, n_points=n_points),
+        result("linearization", err),
+        result("flat-limit", max_flat),
+    ]
 
 
 def cmd_verify_brackets(args) -> int:

@@ -17,8 +17,8 @@ verdicts and the induced bracket table from (C', f', π) alone, in one pass:
 * [H_i, H_j] = C'_ij^k H_k; its T-components C'_ij^{T(γ)} must vanish
   (h is a subalgebra).
 * [X^α, H_i] has H-coordinates −f'_i^{αj} + π^{αβ} C'_{T(β)i}^j and
-  X-coordinates C'_{iT(γ)}^{T(α)}; the component that must vanish is
-  M^{αε}_i, for any π.
+  X-coordinates C'_{iT(γ)}^{T(α)}; the components that must vanish are
+  its x^j components C'_ij^{T(α)} and M^{αε}_i, for any π.
 * [X^α, X^β]: with
 
       R_k = f'_k^{αβ} + π^{βδ} C'_{T(δ)k}^{T(α)} − π^{αγ} C'_{T(γ)k}^{T(β)},
@@ -38,6 +38,17 @@ adapted basis:
     M^{αβ}_γ = f'_γ^{αβ} + π^{δβ} C'_{γδ}^α + π^{αδ} C'_{γδ}^β
     M^{αβ}_i = f'_i^{αβ} + π^{δβ} C'_{iδ}^α + π^{αδ} C'_{iδ}^β   (must vanish).
 
+The adapted pass keeps, for each bracket of l's basis that leaves l, its
+first nonzero component that must vanish; l is a subalgebra iff there is
+none.  ``ClosureReport.violations`` names each by basis labels, those of
+h and the complement by their g-labels, with its polynomial.
+
+l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
+subalgebra and δ(h) ⊂ h∧g.  h is then the algebra of a Poisson subgroup,
+δ(h) ⊂ h∧h, when δ(H_i) also has no h∧T part f'_i^{jT(β)}.  The T∧T part
+f'_i^{T(α)T(β)} is not read: at π = 0 it is M^{αβ}_i, which coisotropy
+already forces to zero.
+
 The reference route builds l in the double with :func:`lagrangian_from_pi`
 and decides the same questions there: by the pairing (:func:`is_lagrangian`),
 by a rank test per bracket (:func:`is_subalgebra`) and, for the table, by
@@ -53,6 +64,7 @@ these tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Sequence
 
 from .bialgebra import LieBialgebra
@@ -66,11 +78,12 @@ from .errors import (
     WrongDimension,
 )
 from .exactalg import PolyExpr, _canonical, as_poly, mul_acc
-from .exactlinalg import Matrix, Vector, identity, invert, mat, nullspace, rank
+from .exactlinalg import Matrix, identity, invert, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
     _algebra_on,
+    _component,
     _nonzero_entries,
     bracket,
     transform_cocomm,
@@ -209,11 +222,35 @@ class ClosureReport:
     poisson_subgroup: bool
     m_gamma: list = field(repr=False)  # M^{αβ}_γ, indexed [α][β][γ]
     m_i: list = field(repr=False)      # M^{αβ}_i, indexed [α][β][i]
-    violations: list = field(default_factory=list)
     # the induced bracket table, or None when l is not a subalgebra
     table: LieAlgebra | None = field(default=None, repr=False, compare=False)
     # nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε) with α < β
     xx_residual: dict = field(default_factory=dict, repr=False, compare=False)
+    # what :attr:`violations` formats: the adapted pass's failing components,
+    # the first nonzero h∧T component of each δ(H_i), and (B, spec)
+    _failing: dict = field(default_factory=dict, repr=False)
+    _mixed: list = field(default_factory=list, repr=False)
+    _source: tuple = field(default=(), repr=False, compare=False)
+
+    @property
+    def violations(self) -> list:
+        """The failed conditions by basis labels: the pairing, each bracket
+        of l's basis that leaves l and each δ(H_i) with an h∧T part, with
+        the first nonzero component that must vanish (module doc)."""
+        out = [] if self.lagrangian else [
+            "pairing does not vanish on l (pi not antisymmetric?)"
+        ]
+        if self._failing or self._mixed:
+            B, spec = self._source
+            g = B.algebra.labels
+            frame = _names(spec.h_basis, g, "H") + _names(spec.complement, g, "T")
+            l_labels = _labels(B, spec)
+            out += [
+                f"[{l_labels[i]}, {l_labels[j]}] leaves l: {_component(frame, *comp)}"
+                for (i, j), comp in self._failing.items()
+            ]
+            out += [f"mixed h^T part {_component(frame, *comp)}" for comp in self._mixed]
+        return out
 
     def to_json(self) -> dict:
         def tensor_entries(t, tag):
@@ -229,7 +266,7 @@ class ClosureReport:
             "poisson_subgroup": self.poisson_subgroup,
             "m_gamma_nonzero": tensor_entries(self.m_gamma, "M^{ab}_g"),
             "m_i_nonzero": tensor_entries(self.m_i, "M^{ab}_i"),
-            "violations": list(self.violations),
+            "violations": self.violations,
         }
 
 
@@ -265,18 +302,19 @@ class _AdaptedPass:
     """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
     from (C', f', π), computed once (module doc)."""
 
-    c: list             # C' in the adapted basis
     f: list             # f' in the adapted basis
     lagrangian: bool    # π antisymmetric
     m: list             # M^{αβ}_k, indexed [α][β][k] by adapted index k
     brackets: dict      # (i, j) ↦ coordinates of [l_i, l_j] in l, for i < j
-    failing: list       # pairs (i, j), i < j, whose bracket leaves l, in order
+    # (i, j) ↦ the first nonzero (name, lower, upper, value) that must vanish
+    # for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module doc)
+    failing: dict
     xx_residual: dict   # nonzero Q^{αβε}, keyed (α, β, ε) with α < β
 
 
 def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     """The brackets of l's basis {H_i, X^α} from the adapted-basis tensors,
-    with the components that must vanish for each to lie in l."""
+    with the first nonzero component that must vanish for each to lie in l."""
     n = B.dim
     a_rows, a_inv = _adapted(spec, n)
     c = transform_structure(B.algebra.c, a_rows, a_inv)
@@ -296,26 +334,32 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     else:  # the x-components of [X^α, X^β] differ from M (module doc)
         r = _twisted(c, f, [(d, b, -v) for b, d, v in pi_nz], pi_nz, n_h)
 
-    brackets, failing, residual = {}, [], {}
+    brackets, failing, residual = {}, {}, {}
+
+    def check(pair, components):
+        first = next((comp for comp in components if comp[3].terms), None)
+        if first is not None:
+            failing[pair] = first
+
     for i in range(n_h):
         for j in range(i + 1, n_h):  # [H_i, H_j]
             brackets[(i, j)] = c[i][j][:n_h] + [PolyExpr.zero()] * n_t
-            if any(c[i][j][n_h + g].terms for g in range(n_t)):
-                failing.append((i, j))
+            check((i, j), (("C'", (i, j), (k,), c[i][j][k]) for k in range(n_h, n)))
         for a in range(n_t):  # [H_i, X^α] = −[X^α, H_i]
-            h_part = [dict(f[i][n_h + a][j].terms) for j in range(n_h)]
+            t_a = n_h + a
+            h_part = [dict(f[i][t_a][j].terms) for j in range(n_h)]
             for b, v in pi_rows[a]:
                 for j in range(n_h):
                     x = c[i][n_h + b][j]
                     if x.terms:
                         mul_acc(h_part[j], v, x)
-            brackets[(i, n_h + a)] = [_canonical(t) for t in h_part] + [
-                -c[i][n_h + g][n_h + a] for g in range(n_t)
+            brackets[(i, t_a)] = [_canonical(t) for t in h_part] + [
+                -c[i][k][t_a] for k in range(n_h, n)
             ]
-            if any(c[i][j][n_h + a].terms for j in range(n_h)) or any(
-                m[a][e][i].terms for e in range(n_t)
-            ):
-                failing.append((i, n_h + a))
+            check((i, t_a), chain(
+                (("C'", (i, j), (t_a,), c[i][j][t_a]) for j in range(n_h)),
+                (("M", (i,), (t_a, n_h + e), m[a][e][i]) for e in range(n_t)),
+            ))
     for a in range(n_t):
         for b in range(a + 1, n_t):  # [X^α, X^β]
             acc = [{} for _ in range(n)]
@@ -345,12 +389,13 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             brackets[(n_h + a, n_h + b)] = [
                 _canonical(t) for t in acc[:n_h]
             ] + x_coords
-            if any(r[a][b][j].terms for j in range(n_h)) or any(
-                (a, b, e) in residual for e in range(n_t)
-            ):
-                failing.append((n_h + a, n_h + b))
-    failing.sort()
-    return _AdaptedPass(c, f, lagrangian, m, brackets, failing, residual)
+            pair = (n_h + a, n_h + b)
+            check(pair, chain(
+                (("R", (j,), pair, r[a][b][j]) for j in range(n_h)),
+                (("Q", (), (*pair, n_h + e), residual[(a, b, e)])
+                 for e in range(n_t) if (a, b, e) in residual),
+            ))
+    return _AdaptedPass(f, lagrangian, m, brackets, failing, residual)
 
 
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
@@ -367,100 +412,59 @@ def classify(
 ) -> ClosureReport:
     """Evaluate the Lagrangian / subalgebra / coisotropy / Poisson-subgroup
     conditions for l built from (h, complement, π), and the induced bracket
-    table when l is a subalgebra, in one pass over the adapted-basis
-    tensors (module doc)."""
-    n = D.n
-    if B.dim != n:
+    table when l is a subalgebra, from one pass over the adapted-basis
+    tensors (module doc).
+
+    l is coisotropic when it is a Lagrangian subalgebra at π = 0, and h is
+    then the algebra of a Poisson subgroup when δ(h) also has no h∧T part
+    f'_i^{jT(β)}.  The T∧T part f'_i^{T(α)T(β)} of δ(H_i) is not read: at
+    π = 0 it is M^{αβ}_i, which coisotropy already forces to zero."""
+    if B.dim != D.n:
         raise ShapeError("bialgebra does not match the double")
     p = _adapted_pass(B, spec)
-    c_ad, f_ad = p.c, p.f
-    n_h, n_t = spec.n_h, spec.n_t
-
-    lagr = p.lagrangian
+    n_h, n = spec.n_h, D.n
+    mixed = []
+    for i in range(n_h):  # the h∧T block of δ(H_i)
+        for j, k in product(range(n_h), range(n_h, n)):
+            if p.f[i][j][k].terms:
+                mixed.append(("delta", (i,), (j, k), p.f[i][j][k]))
+                break
     subalg = not p.failing
-    violations = []
-    if not lagr:
-        violations.append("pairing does not vanish on l (pi not antisymmetric?)")
-    if not subalg:
-        violations.append("[l, l] is not contained in l")
-
-    pi_zero = not any(v.terms for row in spec.pi for v in row)
-    for i in range(n_h):
-        for j in range(n_h):
-            for al in range(n_t):
-                if not c_ad[i][j][n_h + al].is_zero:
-                    violations.append(
-                        f"h is not a subalgebra: C[{i}][{j}] has T-component {al}"
-                    )
-
-    # cocommutator blocks on h, adapted basis: δ(H_i) = f_i^{jk} H_j∧H_k
-    # + f_i^{jβ} H_j∧T_β + f_i^{βγ} T_β∧T_γ
-    mixed_zero = True
-    tt_zero = True
-    for i in range(n_h):
-        for j in range(n_h):
-            for b in range(n_t):
-                if not f_ad[i][j][n_h + b].is_zero:
-                    mixed_zero = False
-                    violations.append(
-                        f"delta(H_{i}) has H_{j}^T_{b} mixed component"
-                    )
-        for a in range(n_t):
-            for b in range(n_t):
-                if not f_ad[i][n_h + a][n_h + b].is_zero:
-                    tt_zero = False
-                    violations.append(
-                        f"delta(H_{i}) has T_{a}^T_{b} component"
-                    )
-
-    m_gamma = [[row[n_h:] for row in plane] for plane in p.m]
-    m_i = [[row[:n_h] for row in plane] for plane in p.m]
-    for a in range(n_t):
-        for b in range(n_t):
-            for i in range(n_h):
-                if not m_i[a][b][i].is_zero:
-                    violations.append(f"M^({a},{b})_{i} != 0")
-
-    coisotropic = lagr and subalg and pi_zero
-    poisson_subgroup = coisotropic and mixed_zero and tt_zero
+    coisotropic = (
+        p.lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
+    )
     return ClosureReport(
-        lagrangian=lagr,
+        lagrangian=p.lagrangian,
         subalgebra=subalg,
         coisotropic=coisotropic,
-        poisson_subgroup=poisson_subgroup,
-        m_gamma=m_gamma,
-        m_i=m_i,
-        violations=violations,
+        poisson_subgroup=coisotropic and not mixed,
+        m_gamma=[[row[n_h:] for row in plane] for plane in p.m],
+        m_i=[[row[:n_h] for row in plane] for plane in p.m],
         table=_table(B, spec, p.brackets) if subalg else None,
         xx_residual=p.xx_residual,
+        _failing=p.failing,
+        _mixed=mixed,
+        _source=(B, spec),
     )
 
 
-def _unit_vector_label(vec: Vector, labels: Sequence[str]) -> str | None:
-    hits = [
-        (j, coef)
-        for j, coef in enumerate(vec)
-        if not as_poly(coef).is_zero
-    ]
-    if len(hits) == 1 and as_poly(hits[0][1]) == 1:
-        return labels[hits[0][0]]
-    return None
+def _names(vectors, names: Sequence[str], fallback: str) -> list:
+    """``names[k]`` for each vector that is the unit vector e_k, else
+    ``fallback`` followed by the vector's position."""
+    out = []
+    for i, vec in enumerate(vectors):
+        hits = [(k, x) for k, x in enumerate(vec) if x.terms]
+        unit = len(hits) == 1 and hits[0][1] == 1
+        out.append(names[hits[0][0]] if unit else f"{fallback}{i}")
+    return out
 
 
 def _labels(B: LieBialgebra, spec: LagrangianSpec) -> list:
     """Labels of l's basis: a basis label for a unit H_i, else H<i>; the
     dual label of a unit T_α, else t<α>."""
-    g_labels = B.algebra.labels
-    labels = []
-    for i, v in enumerate(spec.h_basis):
-        labels.append(_unit_vector_label(v, g_labels) or f"H{i}")
-    for a, v in enumerate(spec.complement):
-        base = _unit_vector_label(v, g_labels)
-        if base is not None:
-            labels.append(B.dual_labels[g_labels.index(base)])
-        else:
-            labels.append(f"t{a}")
-    return labels
+    return _names(spec.h_basis, B.algebra.labels, "H") + _names(
+        spec.complement, B.dual_labels, "t"
+    )
 
 
 def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgebra:
@@ -474,7 +478,7 @@ def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgeb
     p = _adapted_pass(B, spec)
     if p.failing:
         labels = _labels(B, spec)
-        i, j = p.failing[0]
+        i, j = min(p.failing)
         raise NotClosed(f"[{labels[i]}, {labels[j]}] does not lie in the subspace")
     return _table(B, spec, p.brackets)
 

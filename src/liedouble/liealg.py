@@ -312,6 +312,20 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     return {key: from_int_terms(terms, scale) for key, terms in rows.items()}
 
 
+def _component(labels, name: str, lower, upper, value) -> str:
+    """One component of a residual, ``name_(lower)^(upper) = value``, each
+    index k named ``labels[k]``; with no lower index, ``name^(upper) = value``."""
+    low = f"_({', '.join(labels[k] for k in lower)})" if lower else ""
+    return f"{name}{low}^({', '.join(labels[k] for k in upper)}) = {value}"
+
+
+def _jacobi_notes(L: LieAlgebra, count: int) -> list:
+    """The first ``count`` nonzero Jacobi residuals R_ijl^m of L, i < j < l,
+    by basis labels: ``Jacobi_(X_i, X_j, X_l)^(X_m) = R_ijl^m``."""
+    residual = sorted(L.jacobi_components().items())[:count]
+    return [_component(L.labels, "Jacobi", key[:3], key[3:], v) for key, v in residual]
+
+
 def jacobi_violations(L: LieAlgebra) -> list:
     """Index tuples (i, j, l, m) where the Jacobi residual is nonzero."""
     return sorted(

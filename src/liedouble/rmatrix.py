@@ -34,6 +34,7 @@ from .exactlinalg import Matrix
 from .liealg import (
     LieAlgebra,
     _algebra_on,
+    _component,
     _nonzero_entries,
     is_jacobi_zero,
     zero_matrix,
@@ -131,16 +132,16 @@ def cocommutator_from_r(L: LieAlgebra, r: RMatrix):
     return f
 
 
-def _cybe_residual(L: LieAlgebra, r: RMatrix) -> dict:
+def _cybe_residual(L: LieAlgebra, r: RMatrix, f) -> dict:
     """Nonzero components (i, j, m), i < j, of r[x^i, x^j] − [r(x^i), r(x^j)]
-    with r(x^i) = r^{ia} X_a and [x^i, x^j] = f_k^{ij} x^k, in key order:
+    with r(x^i) = r^{ia} X_a and [x^i, x^j] = f_k^{ij} x^k, in key order,
+    for f = δ_r (:func:`cocommutator_from_r`):
 
         Σ_k f_k^{ij} r^{km} − Σ_{a,b} r^{ia} r^{jb} C_ab^m  =  −[[r,r]]^{ijm}.
 
     Each r^{ia} r^{jb} is read from rows a and b of r, where the two signs
     of r^{ai} = −r^{ia} cancel.
     """
-    f = cocommutator_from_r(L, r)
     rows = _rows(r)
     acc: dict = {}
     for k, i, j, value in _nonzero_entries(f):
@@ -156,10 +157,10 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix) -> dict:
     return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
 
 
-def _dual_algebra(L: LieAlgebra, r: RMatrix) -> LieAlgebra:
-    """g* with the bracket [x^i, x^j] = f_k^{ij} x^k dual to δ_r, labelled
-    as the basis of g.  Its Jacobi residual R_jkl^m is −(ad_{X_m}[[r,r]])^{jkl}."""
-    f = cocommutator_from_r(L, r)
+def _dual_algebra(L: LieAlgebra, f) -> LieAlgebra:
+    """g* with the bracket [x^i, x^j] = f_k^{ij} x^k dual to f = δ_r,
+    labelled as the basis of g.  Its Jacobi residual R_jkl^m is
+    −(ad_{X_m}[[r,r]])^{jkl}."""
     n = L.dim
     dual = [[[f[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
     return _algebra_on(L.labels, dual)
@@ -168,23 +169,24 @@ def _dual_algebra(L: LieAlgebra, r: RMatrix) -> LieAlgebra:
 def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:
     """True iff [[r,r]] = 0, i.e. r: g* → g is a homomorphism of the dual
     bracket; L must be a Lie algebra."""
-    return not _cybe_residual(L, r)
+    return not _cybe_residual(L, r, cocommutator_from_r(L, r))
 
 
 def is_mcybe(L: LieAlgebra, r: RMatrix) -> bool:
     """True iff [[r,r]] is ad-invariant, i.e. δ_r satisfies co-Jacobi (the
     dual bracket satisfies Jacobi); L must be a Lie algebra."""
-    return is_jacobi_zero(_dual_algebra(L, r))
+    return is_jacobi_zero(_dual_algebra(L, cocommutator_from_r(L, r)))
 
 
-def _defect_note(L: LieAlgebra, r: RMatrix, mcybe: bool) -> str:
+def _defect_note(L: LieAlgebra, residual: dict, mcybe: bool) -> str:
     """``": first nonzero component <component> = <polynomial>"`` for the
-    first nonzero component of [[r,r]] (of ad_{X_m}[[r,r]] with ``mcybe``),
-    by basis labels; empty if there is none."""
-    residual = _dual_algebra(L, r).jacobi_components() if mcybe else _cybe_residual(L, r)
+    first key of ``residual``, :func:`_cybe_residual` or (with ``mcybe``) the
+    Jacobi components of :func:`_dual_algebra`, as a component of [[r,r]]
+    (of ad_{X_m}[[r,r]]) by basis labels; empty if there is none."""
     if not residual:
         return ""
     key = min(residual)
-    labels = [L.labels[x] for x in key]
-    head = f"(ad_{labels.pop()} [[r,r]])" if mcybe else "[[r,r]]"
-    return f": first nonzero component {head}^({', '.join(labels)}) = {-residual[key]}"
+    head = f"(ad_{L.labels[key[-1]]} [[r,r]])" if mcybe else "[[r,r]]"
+    upper = key[:-1] if mcybe else key
+    note = _component(L.labels, head, (), upper, -residual[key])
+    return f": first nonzero component {note}"

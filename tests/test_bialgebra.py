@@ -159,6 +159,7 @@ def test_not_a_cobracket_message(sl2_std):
     with pytest.raises(NotACobracket) as exc:
         new_bialgebra(sl2_std, f)
     assert str(exc.value) == (
-        "double violates Jacobi at 72 index tuples "
-        "(first: (0, 1, 3, 1), (0, 1, 4, 0), (0, 2, 3, 2), (0, 2, 5, 0))"
+        "double violates Jacobi at 12 components (first: "
+        "Jacobi_(J3, J+, d:J3)^(J+) = -1; Jacobi_(J3, J+, d:J+)^(J3) = 1; "
+        "Jacobi_(J3, J-, d:J3)^(J-) = -1; Jacobi_(J3, J-, d:J-)^(J3) = 1)"
     )

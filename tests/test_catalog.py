@@ -181,6 +181,22 @@ def test_wrong_declared_verdict_names_the_residual(key, verdict, message):
     assert str(err.value) == f"r-matrix {key!r} fails its declared {message}"
 
 
+def test_rmatrix_verdicts_share_one_cocommutator(monkeypatch):
+    calls = []
+    real = catalog.cocommutator_from_r
+
+    def counting(L, r):
+        calls.append(r)
+        return real(L, r)
+
+    monkeypatch.setattr(catalog, "cocommutator_from_r", counting)
+    fresh = catalog.Catalog(catalog._load_raw())
+    for key in fresh.list("rmatrix"):
+        calls.clear()
+        fresh.get(key)
+        assert len(calls) == 1, key
+
+
 def test_missing_reference_is_a_parse_error():
     raw = catalog._load_raw()
     raw["sl2.hyperbolic"]["algebra"] = "no-such-algebra"

@@ -439,6 +439,18 @@ def test_double_builder_matches_a_dense_scan(key):
         assert L.params == scanned.params
 
 
+def test_double_builder_negates_no_entry(so22_twisted, monkeypatch):
+    # each −C_ij^k and −f_k^{ij} of the double is read from its partner entry
+    from liedouble.bialgebra import _double_algebra
+
+    negations = []
+    real = PolyExpr.__neg__
+    monkeypatch.setattr(PolyExpr, "__neg__", lambda p: negations.append(p) or real(p))
+    B = so22_twisted
+    _double_algebra(B.algebra, B.cocomm, B.dual_labels)
+    assert negations == []
+
+
 def test_psi_is_a_lie_isomorphism_by_an_independent_bracket(sl2_eta, so22_twisted):
     # ψ([e_a, e_b]) = ([ψ(e_a)_1, ψ(e_b)_1], [ψ(e_a)_2, ψ(e_b)_2]), with both
     # sides from liealg.bracket rather than the sparse rows double_of_double reads

@@ -1,5 +1,7 @@
 import collections
 import random
+import re
+from itertools import combinations
 from fractions import Fraction as Q
 
 import pytest
@@ -683,6 +685,95 @@ def test_quadratic_residual_alone_breaks_closure(so22_twisted):
         (1, 3, 4): P("eta"), (1, 4, 3): P("-eta"), (2, 3, 0): P("eta"),
         (2, 3, 1): P("-eta"), (3, 4, 0): P("-1"), (3, 4, 1): P("eta"),
     }
+
+
+# --- the Poisson-subgroup test and the violations --------------------------
+
+
+def dot(alpha, v):
+    return sum((a * x for a, x in zip(alpha, v) if a.terms and x.terms), PolyExpr.zero())
+
+
+def delta_against(B, x, alpha):
+    """The vector k ↦ <δ(x), α ⊗ x^k> = Σ x^i f_i^{jk} α_j."""
+    out = [PolyExpr.zero()] * B.dim
+    for i, j, k, v in B.cocomm.nonzero():
+        if x[i].terms and alpha[j].terms:
+            out[k] = out[k] + x[i] * alpha[j] * v
+    return out
+
+
+def test_poisson_subgroup_matches_the_annihilator_route():
+    # every catalog bialgebra and every span h of 1 to n - 1 basis labels,
+    # at π = 0.  From h^⊥ alone: coisotropy is [h, h] ⊂ h and δ(h) ⊂ h∧g,
+    # i.e. no T∧T block in δ(h), which is why classify does not read that
+    # block; a Poisson subgroup has [h, h] ⊂ h and δ(h) ⊂ h∧h.
+    kinds = collections.Counter()
+    for key in BIALGEBRAS:
+        B = CATALOG.bialgebra(key)
+        D = build_double(B)
+        for k in range(1, B.dim):
+            for labels in combinations(B.algebra.labels, k):
+                spec = spec_for(B, list(labels))
+                rep = classify(D, B, spec)
+                h = spec.h_basis
+                perp = [v[B.dim:] for v in annihilator(D, Subspace(B.dim, h)).vectors]
+                closed = all(
+                    dot(alpha, bracket(B.algebra, x, y)).is_zero
+                    for x in h for y in h for alpha in perp
+                )
+                against = [delta_against(B, x, alpha) for x in h for alpha in perp]
+                no_tt = all(dot(w, beta).is_zero for w in against for beta in perp)
+                in_h_wedge_h = all(x.is_zero for w in against for x in w)
+                if rep.coisotropic:
+                    assert no_tt, (key, labels)
+                assert rep.coisotropic == (closed and no_tt), (key, labels)
+                assert rep.poisson_subgroup == (closed and in_h_wedge_h), (key, labels)
+                kinds[rep.coisotropic, rep.poisson_subgroup] += 1
+    assert kinds == {(False, False): 128, (True, False): 23, (True, True): 21}
+
+
+LABEL_LISTS = re.compile(r"[\[(]([^\])]*)[\])]")
+
+
+@pytest.mark.parametrize("labels", [["P0", "P1", "K2"], ["P0", "K1"]])
+def test_violations_name_each_failing_pair_once_by_label(labels):
+    B = CATALOG.bialgebra("so22-twisted")
+    D = build_double(B)
+    spec = spec_for(B, labels)
+    rep = classify(D, B, spec)
+    l = lagrangian_from_pi(D, spec).vectors
+    names = _labels(B, spec)
+    leaving = [
+        (names[i], names[j])
+        for i, j in combinations(range(B.dim), 2)
+        if solve_in_span(l, bracket(D.algebra, l[i], l[j])) is None
+    ]
+    assert len(set(rep.violations)) == len(rep.violations)
+    pairs = []
+    known = set(B.algebra.labels) | set(B.dual_labels)
+    for v in rep.violations:
+        head, value = v.split(" = ")
+        assert not P(value).is_zero
+        for group in LABEL_LISTS.findall(head):
+            assert set(group.split(", ")) <= known, v
+        if not v.startswith("mixed"):
+            pairs.append(tuple(LABEL_LISTS.match(v).group(1).split(", ")))
+    assert pairs == leaving
+
+
+def test_violations_pin_the_components():
+    B = CATALOG.bialgebra("so22-twisted")
+    rep = classify(build_double(B), B, spec_for(B, ["P0", "K1"]))
+    assert rep.violations == [
+        "[P0, K1] leaves l: C'_(P0, K1)^(P1) = -1",
+        "[P0, p1] leaves l: C'_(P0, K1)^(P1) = -1",
+        "[P0, p2] leaves l: M_(P0)^(P2, P1) = 1/2",
+        "[K1, p1] leaves l: C'_(K1, P0)^(P1) = 1",
+        "[p1, p2] leaves l: R_(P0)^(P1, P2) = -1/2",
+        "mixed h^T part delta_(P0)^(P0, P2) = -1/2",
+    ]
+    assert rep.to_json()["violations"] == rep.violations
 
 
 # --- cost guard -------------------------------------------------------------

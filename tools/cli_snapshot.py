@@ -12,7 +12,8 @@ The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
 --iterate`` for every bialgebra, ``verify-brackets --seed 42``, each in
 text and json; ``classify`` of the basis-label subalgebras of so22-r1 and
 so22-twisted, and of the ``CLASSIFY_PI`` cases (constant, eta and
-non-antisymmetric π, recombined generators), in text and json; and
+non-antisymmetric π, recombined generators, h not a subalgebra), in text
+and json; and
 ``validate`` of two invalid files this script writes to a temporary
 directory, an algebra that violates Jacobi and a bialgebra whose
 cocommutator is not a cobracket.
@@ -49,6 +50,8 @@ CLASSIFY_PI = (
      [[0, 0, 0, 0, -1], [0, 0, "eta", 0, 0], [0, "-eta", 0, 0, 0],
       [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]),
     ("so22-r1", "span{J,K1,K2}", [[0, "eta", "1/2"], ["-eta", 0, "-2*eta"], ["-1/2", "2*eta", 0]]),
+    ("so22-twisted", "span{P0,P1,K2}", None),                # h not a subalgebra
+    ("so22-twisted", "span{P0,K1}", None),
 )
 
 # [e0,e1] = 1/3*eta^-1 e2 and [e0,e2] = 5/7*xi e0 violate Jacobi along e2.

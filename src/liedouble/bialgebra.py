@@ -21,6 +21,7 @@ from .errors import IndexOutOfRange, NotACobracket, ShapeError
 from .exactalg import _negatives, as_poly
 from .liealg import (
     LieAlgebra,
+    _int_tensor,
     _jacobi_notes,
     _json_entries,
     _json_strings,
@@ -37,6 +38,7 @@ class CocommTensor:
     """Cocommutator constants f_i^{jk}, antisymmetric in the upper pair."""
 
     f: list  # dense dim^3 of PolyExpr
+    _int: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -58,6 +60,13 @@ class CocommTensor:
 
     def nonzero(self) -> list:
         return _nonzero_entries(self.f)
+
+    def int_tensor(self) -> tuple:
+        """Cached integer form of f (``liealg._int_tensor``), which the basis
+        transforms read."""
+        if self._int is None:
+            self._int = _int_tensor(self.nonzero())
+        return self._int
 
 
 def cocomm_from_wedge(

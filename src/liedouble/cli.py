@@ -9,7 +9,8 @@ verify-brackets  Numerical verification matrix (Sklyanin vs closed forms,
                  plus property checks for the 3d anti-de Sitter brackets).
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (an unwritable
-``--json`` or ``--out`` path included).  Reports are
+``--json`` or ``--out`` path included; ``--json`` is checked before any
+work or output).  Reports are
 deterministic for a fixed seed; wall-clock timing goes to stderr only.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -59,6 +61,18 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path) -> None:
+    """Raise the input error of :func:`_writing` now, before any work or
+    output, if ``path`` cannot be opened for writing.  An existing file is
+    left as it is; a file the check creates is removed again."""
+    existed = os.path.lexists(path)
+    with _writing(path):
+        with open(path, "a"):
+            pass
+        if not existed:
+            Path(path).unlink()
 
 
 def _emit(report: dict, args) -> None:
@@ -488,6 +502,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if getattr(args, "json", None):
+            _check_writable(args.json)
         code = args.func(args)
     except (ParseError, UnknownKey) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,16 +23,21 @@ a terms dict that already has this form and neither copies nor re-coerces
 it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
 Long sums of products can instead run over integers: :func:`to_int_terms`
 clears the denominators of their factors once and :func:`from_int_terms`
-divides the integer result back.  Where such a sum multiplies many
-monomials, as in the Jacobi check, :func:`_monomial_codes` also numbers
-the monomials so that a monomial product is the sum of two small ints
-(Kronecker substitution on the exponents only): each parameter's exponents
-are shifted by their minimum into a mixed-radix digit twice as wide as
-their range, so a code has about as many bits as the exponents it
-encodes, whatever their size; the coefficients stay separate ints.  Sums
-whose factors are mostly constants, as in the basis transforms, stay on
-the monomial tuples, which :func:`_mono_mul` multiplies at once when one
-of them is empty.
+divides the integer result back.  Three kernels do so.  The Jacobi check
+multiplies many monomials, so :func:`_monomial_codes` also numbers them
+so that a monomial product is the sum of two small ints (Kronecker
+substitution on the exponents only): each parameter's exponents are
+shifted by their minimum into a mixed-radix digit twice as wide as their
+range, so a code has about as many bits as the exponents it encodes,
+whatever their size; the coefficients stay separate ints.  The basis
+transforms, whose factors are mostly constants, stay on the monomial
+tuples, which :func:`_mono_mul` multiplies at once when one of them is
+empty.  The Bareiss elimination of :mod:`liedouble.exactlinalg` holds each
+entry as ``{monomial: int}`` too.  Its exponents grow with every step, so
+it also keeps the monomial tuples, not codes, and its exact divisions by
+a pivot of several terms run through :func:`_div_exact_terms` over ints.
+Each kernel builds :class:`~fractions.Fraction` objects only for the
+nonzero results it divides back.
 
 All values are immutable; instances can be shared freely between threads.
 """
@@ -42,6 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import truediv
 from typing import Callable, Mapping, Union
 
 from .errors import NotDivisible, PolyParseError, UnassignedParameter
@@ -415,7 +421,7 @@ def mul_acc(out: dict, a: PolyExpr, b: PolyExpr, negate: bool = False) -> None:
 def to_int_terms(polys) -> tuple[int, list]:
     """Clear denominators once: ``(d, scaled)`` with ``d`` the lcm of every
     coefficient denominator in ``polys`` and ``scaled[i]`` the terms of
-    ``d * polys[i]`` as a tuple ``((mono, int), ...)``.
+    ``d * polys[i]`` as a dict ``{mono: int}``.
 
     Sums of products of scaled polynomials then run over Python ints: a sum
     of products of two factors each is ``d**2`` times the rational sum,
@@ -426,9 +432,11 @@ def to_int_terms(polys) -> tuple[int, list]:
     built here.
     """
     polys = list(polys)
-    d = lcm(*(q.denominator for p in polys for q in p.terms.values()))
+    # over the distinct denominators, which are few: one argument per
+    # coefficient left up to 0.4 MB allocated across calls (CPython 3.11)
+    d = lcm(*{q.denominator for p in polys for q in p.terms.values()})
     scaled = [
-        tuple((mono, q.numerator * (d // q.denominator)) for mono, q in p.terms.items())
+        {mono: q.numerator * (d // q.denominator) for mono, q in p.terms.items()}
         for p in polys
     ]
     return d, scaled
@@ -457,7 +465,7 @@ def _monomial_codes(scaled: list) -> tuple[list, int, Callable]:
     lo: dict = {}
     hi: dict = {}
     for terms in scaled:
-        for mono, _ in terms:
+        for mono in terms:
             for name, e in mono:
                 if e < lo.get(name, 0):
                     lo[name] = e
@@ -475,7 +483,7 @@ def _monomial_codes(scaled: list) -> tuple[list, int, Callable]:
     coded = []
     for terms in scaled:
         row = []
-        for mono, c in terms:
+        for mono, c in terms.items():
             code = codes.get(mono)
             if code is None:
                 exps = dict(mono)
@@ -521,11 +529,11 @@ def _graded_key(mono_exps: tuple[int, ...]):
     return (sum(mono_exps), mono_exps)
 
 
-def _content_shift(p: PolyExpr, params: tuple[str, ...]) -> dict[str, int]:
+def _content_shift(terms: dict, params: tuple[str, ...]) -> dict[str, int]:
     """Per-parameter minimum exponent across terms (absent parameter = 0)."""
     shift = {name: 0 for name in params}
     first = True
-    for mono in p.terms:
+    for mono in terms:
         exps = dict(mono)
         for name in params:
             e = exps.get(name, 0)
@@ -552,14 +560,26 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
     if b.is_single_term:
         inv = _invert_single_term(b)
         return a * inv
+    quotient = _div_exact_terms(a.terms, b.terms, truediv)
+    if quotient is None:
+        raise NotDivisible(f"({a}) is not divisible by ({b})")
+    return _canonical(quotient)
 
-    params = tuple(sorted(a.parameters() | b.parameters()))
+
+def _div_exact_terms(a: dict, b: dict, divide: Callable) -> dict | None:
+    """The terms of the Laurent quotient a / b of two nonzero terms dicts,
+    by the long division of :func:`poly_div_exact`, or None when there is
+    none.  ``divide(x, y)`` divides two coefficients: exactly, with
+    :class:`~fractions.Fraction` or int coefficients whose quotient is known
+    to be an integer polynomial, as in the integer Bareiss kernel (the
+    leading coefficient of every remainder is then a multiple of b's)."""
+    params = tuple(sorted({name for mono in (*a, *b) for name, _ in mono}))
     shift_a = _content_shift(a, params)
     shift_b = _content_shift(b, params)
 
-    def to_vec(poly: PolyExpr, shift: dict[str, int]):
+    def to_vec(terms: dict, shift: dict[str, int]):
         out = {}
-        for mono, coef in poly.terms.items():
+        for mono, coef in terms.items():
             exps = dict(mono)
             out[tuple(exps.get(p, 0) - shift[p] for p in params)] = coef
         return out
@@ -567,13 +587,13 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
     rem = to_vec(a, shift_a)
     div = to_vec(b, shift_b)
     lead_b = max(div, key=_graded_key)
-    quo: dict[tuple[int, ...], Fraction] = {}
+    quo: dict = {}
     while rem:
         lead_r = max(rem, key=_graded_key)
         diff = tuple(er - eb for er, eb in zip(lead_r, lead_b))
         if any(d < 0 for d in diff):
-            raise NotDivisible(f"({a}) is not divisible by ({b})")
-        c = rem[lead_r] / div[lead_b]
+            return None
+        c = divide(rem[lead_r], div[lead_b])
         quo[diff] = c
         for exps, coef in div.items():
             mono = tuple(d + e for d, e in zip(diff, exps))
@@ -596,4 +616,4 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
             if e
         )
         terms[mono] = coef
-    return _canonical(terms)
+    return terms

@@ -11,19 +11,43 @@ division raises :class:`NotDivisible` when an answer is a genuine rational
 function rather than a Laurent polynomial (:func:`nullspace` then keeps
 the undivided, fraction-free vector).
 
+The elimination runs over integer terms with one scale.  The denominators
+of the whole input are cleared once (:func:`~liedouble.exactalg.to_int_terms`),
+so it eliminates s·A for one positive integer s, and every entry is held as
+a dict ``{monomial: int}``.  An update is two integer products divided
+exactly by the previous pivot: by ``divmod`` on the coefficients and a
+monomial shift when the pivot is one term, by integer long division
+otherwise.  Every entry of the reduced matrix of s·A is an r×r minor, r
+the rank, so it is s^r times that of A: the answers above, ratios of two
+entries, do not depend on s, and only the fraction-free vector of
+:func:`nullspace` is divided back by s^r.  No
+:class:`~fractions.Fraction` is built before that one division at the end.
+
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NotDivisible, SingularMatrix
-from .exactalg import PolyExpr, _canonical, as_poly, mul_acc, poly_div_exact
+from .exactalg import (
+    PolyExpr,
+    _canonical,
+    _div_exact_terms,
+    _mono_mul,
+    _mono_pow,
+    as_poly,
+    from_int_terms,
+    poly_div_exact,
+    to_int_terms,
+)
 
 Matrix = list  # list[list[PolyExpr]]
 Vector = list  # list[PolyExpr]
 
-_ZERO, _ONE = PolyExpr.zero(), PolyExpr.one()
+_ZERO = PolyExpr.zero()
 
 
 def mat(rows) -> Matrix:
@@ -42,37 +66,73 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _eliminate(rows: Matrix, reduce: bool) -> tuple[Matrix, list[int]]:
-    """Bareiss elimination on a copy of ``rows``: (matrix, pivot columns).
+def _exact_int(x: int, y: int) -> int:
+    q, r = divmod(x, y)
+    assert not r, "Bareiss update not exact"
+    return q
 
-    Row r of the result holds the pivot of column ``pivots[r]``; the rows
-    after the last pivot row are zero.  Each update divides exactly by the
-    previous pivot.  With ``reduce`` the entries above every pivot are
-    cleared too, and every pivot ends equal to the last one.
+
+def _int_mul_acc(out: dict, x: dict, y: dict, sign: int) -> dict:
+    """``out += sign*x*y`` on integer terms dicts, in place; zero
+    coefficients are dropped.  Returns ``out``."""
+    for mx, cx in x.items():
+        cx *= sign
+        for my, cy in y.items():
+            mono = _mono_mul(mx, my)
+            v = out.get(mono, 0) + cx * cy
+            if v:
+                out[mono] = v
+            else:
+                del out[mono]
+    return out
+
+
+def _divider(pivot: dict):
+    """Exact division of an integer terms dict by a nonzero ``pivot`` that
+    is known to divide it (a Bareiss update)."""
+    if len(pivot) != 1:
+        return lambda num: _div_exact_terms(num, pivot, _exact_int)
+    ((mono, c),) = pivot.items()
+    if not mono:
+        return lambda num: {x: _exact_int(v, c) for x, v in num.items()}
+    inv = _mono_pow(mono, -1)
+    return lambda num: {_mono_mul(x, inv): _exact_int(v, c) for x, v in num.items()}
+
+
+def _eliminate(rows: Matrix, reduce: bool) -> tuple[list, list[int], int]:
+    """Bareiss elimination of s·``rows``: (matrix, pivot columns, s).
+
+    s is the lcm of the coefficient denominators of ``rows``, and each entry
+    of the result is a dict ``{monomial: int}`` (module doc).  Row r of the
+    result holds the pivot of column ``pivots[r]``; the rows after the last
+    pivot row are zero.  Each update divides exactly by the previous pivot.
+    With ``reduce`` the entries above every pivot are cleared too, and every
+    pivot ends equal to the last one.
     """
-    m = [list(row) for row in rows]
+    s, scaled = to_int_terms(x for row in rows for x in row)
+    flat = iter(scaled)
+    m = [[next(flat) for _ in row] for row in rows]
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = _ONE
+    divide = None  # by the previous pivot; None before the first
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
             break
         pivot_row = None
         for i in range(r, len(m)):
-            if not m[i][c].is_zero:
+            if m[i][c]:
                 # prefer single-term pivots: their cross-multiples stay small
                 if pivot_row is None or (
-                    m[i][c].is_single_term and not m[pivot_row][c].is_single_term
+                    len(m[i][c]) == 1 and len(m[pivot_row][c]) != 1
                 ):
                     pivot_row = i
-                    if m[i][c].is_single_term:
+                    if len(m[i][c]) == 1:
                         break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         prow, piv = m[r], m[r][c]
-        divide = prev != _ONE
         for i in range(0 if reduce else r + 1, len(m)):
             if i == r:
                 continue
@@ -81,20 +141,29 @@ def _eliminate(rows: Matrix, reduce: bool) -> tuple[Matrix, list[int]]:
                 if j == c:
                     continue
                 a, b = row[j], prow[j]
-                if f.is_zero or b.is_zero:
-                    if a.is_zero:
-                        continue
-                    num = piv * a
+                if f and b:
+                    num = _int_mul_acc(_int_mul_acc({}, piv, a, 1), f, b, -1)
+                elif a:
+                    num = _int_mul_acc({}, piv, a, 1)
                 else:
-                    terms: dict = {}
-                    mul_acc(terms, piv, a)
-                    mul_acc(terms, f, b, negate=True)
-                    num = _canonical(terms)
-                row[j] = poly_div_exact(num, prev) if divide else num
-            row[c] = _ZERO
+                    continue
+                row[j] = divide(num) if divide and num else num
+            row[c] = {}
         pivots.append(c)
-        prev = piv
-    return m, pivots
+        divide = _divider(piv)
+    return m, pivots, s
+
+
+def _quotient(num: dict, den: dict) -> PolyExpr:
+    """The Laurent polynomial num / den of two integer terms dicts, den
+    nonzero, or :class:`NotDivisible`."""
+    if not num:
+        return _ZERO
+    if len(den) == 1:
+        ((mono, d),) = den.items()
+        inv = _mono_pow(mono, -1)
+        return _canonical({_mono_mul(m, inv): Fraction(v, d) for m, v in num.items()})
+    return poly_div_exact(from_int_terms(num, 1), from_int_terms(den, 1))
 
 
 def rank(rows: Matrix) -> int:
@@ -113,13 +182,45 @@ def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
         return None
     k = len(rows)
     augmented = [col + [as_poly(x)] for col, x in zip(transpose(mat(rows)), v)]
-    m, pivots = _eliminate(augmented, reduce=True)
+    m, pivots, _ = _eliminate(augmented, reduce=True)
     if pivots and pivots[-1] == k:
         return None  # a pivot in the right-hand side: inconsistent
     coeffs = [_ZERO] * k
     for r, c in enumerate(pivots):
-        coeffs[c] = poly_div_exact(m[r][k], m[r][c])
+        coeffs[c] = _quotient(m[r][k], m[r][c])
     return coeffs
+
+
+def _inverse(a: Matrix) -> tuple[int, list]:
+    """``(e, rows)`` with a⁻¹ = rows / e: e a positive integer and
+    ``rows[i][j]`` a dict ``{monomial: int}``; errors as :func:`invert`.
+
+    The last pivot d is ±s^n·det(a).  a⁻¹ is a Laurent matrix only if
+    det(a) is a unit of the Laurent ring, one term c·x^k; then a⁻¹ is the
+    reduced right half times x^-k, over e = |c|, and no coefficient is
+    divided."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise SingularMatrix("matrix is not square")
+    augmented = [row + unit for row, unit in zip(mat(a), identity(n))]
+    m, pivots, s = _eliminate(augmented, reduce=True)
+    if pivots and pivots[-1] >= n:
+        raise SingularMatrix("matrix has no inverse (rank deficient)")
+    if not m:
+        return 1, []
+    d = m[-1][n - 1]
+    if len(d) != 1:
+        raise NotDivisible(
+            f"matrix has no Laurent inverse: its determinant "
+            f"±({from_int_terms(d, s**n)}) is not one term"
+        )
+    ((mono, c),) = d.items()
+    inv = _mono_pow(mono, -1)
+    sign = 1 if c > 0 else -1
+    return abs(c), [
+        [{_mono_mul(x, inv): sign * v for x, v in t.items()} for t in row[n:]]
+        for row in m
+    ]
 
 
 def invert(a: Matrix) -> Matrix:
@@ -128,32 +229,25 @@ def invert(a: Matrix) -> Matrix:
     Raises :class:`NotDivisible` when the inverse exists over rational
     functions but not over Laurent polynomials.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise SingularMatrix("matrix is not square")
-    augmented = [row + unit for row, unit in zip(mat(a), identity(n))]
-    m, pivots = _eliminate(augmented, reduce=True)
-    if pivots and pivots[-1] >= n:
-        raise SingularMatrix("matrix has no inverse (rank deficient)")
-    return [[poly_div_exact(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]
+    e, rows = _inverse(a)
+    return [[from_int_terms(t, e) for t in row] for row in rows]
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {x : a x = 0}, scaled to clear denominators."""
     n_cols = len(a[0]) if a else 0
-    m, pivots = _eliminate(mat(a), reduce=True)
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else _ONE
+    m, pivots, s = _eliminate(mat(a), reduce=True)
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else {(): 1}
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        x = [_ZERO] * n_cols
+        x = [{}] * n_cols
         x[free] = d
         for r, c in enumerate(pivots):
-            x[c] = -m[r][free]
+            x[c] = {mono: -v for mono, v in m[r][free].items()}
         try:
-            x = [poly_div_exact(y, d) for y in x]
-        except NotDivisible:
-            pass  # keep the fraction-free vector
-        basis.append(x)
+            basis.append([_quotient(y, d) for y in x])
+        except NotDivisible:  # keep the fraction-free vector of a
+            basis.append([from_int_terms(y, s ** len(pivots)) for y in x])
     return basis

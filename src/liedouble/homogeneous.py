@@ -40,8 +40,10 @@ adapted basis:
 
 The adapted pass keeps, for each bracket of l's basis that leaves l, its
 first nonzero component that must vanish; l is a subalgebra iff there is
-none.  ``ClosureReport.violations`` names each by basis labels, those of
-h and the complement by their g-labels, with its polynomial.
+none.  It also keeps the first nonzero pairing <X^α, X^β> = π^{αβ} + π^{βα}.
+``ClosureReport.violations`` names each by basis labels, with its
+polynomial: the pairing by the labels of l, the components by those of h
+and the complement in g.
 
 l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
 subalgebra and δ(h) ⊂ h∧g.  h is then the algebra of a Poisson subgroup,
@@ -77,17 +79,19 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, _canonical, as_poly, mul_acc
-from .exactlinalg import Matrix, identity, invert, mat, nullspace, rank
+from .exactalg import PolyExpr, _canonical, as_poly, from_int_terms, mul_acc
+from .exactlinalg import Matrix, _inverse, identity, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
     _algebra_on,
+    _cocomm_in,
     _component,
+    _int_matrix,
+    _int_rows,
     _nonzero_entries,
+    _structure_in,
     bracket,
-    transform_cocomm,
-    transform_structure,
     zero_tensor3,
 )
 
@@ -135,14 +139,15 @@ class LagrangianSpec:
 
 
 def _adapted(spec: LagrangianSpec, n: int):
-    """Rows A = (h, T) of the adapted basis and its exact inverse."""
+    """Rows A = (h, T) of the adapted basis and its exact inverse in the
+    integer form ``(e, rows)`` of the Bareiss kernel, A⁻¹ = rows / e."""
     rows = [list(v) for v in spec.h_basis] + [list(v) for v in spec.complement]
     if len(rows) != n:
         raise BasisNotComplete(
             f"adapted basis has {len(rows)} vectors for dimension {n}"
         )
     try:
-        a_inv = invert(rows)
+        a_inv = _inverse(rows)
     except SingularMatrix:
         raise BasisNotComplete("h-basis plus complement do not span g") from None
     return rows, a_inv
@@ -172,7 +177,7 @@ def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
 def lagrangian_from_pi(D: DoubleAlgebra, spec: LagrangianSpec) -> Subspace:
     """l = h ⊕ span{ t^α + π^{αβ} T_β } inside the double."""
     n = D.n
-    a_inv = _adapted(spec, n)[1]
+    e, inv_rows = _adapted(spec, n)[1]
     vectors = [list(v) + [PolyExpr.zero()] * n for v in spec.h_basis]
     for a in range(spec.n_t):
         primal = [PolyExpr.zero()] * n
@@ -182,7 +187,7 @@ def lagrangian_from_pi(D: DoubleAlgebra, spec: LagrangianSpec) -> Subspace:
                 continue
             for j in range(n):
                 primal[j] = primal[j] + coef * spec.complement[b][j]
-        dual = [a_inv[j][spec.n_h + a] for j in range(n)]
+        dual = [from_int_terms(inv_rows[j][spec.n_h + a], e) for j in range(n)]
         vectors.append(primal + dual)
     return Subspace(2 * n, vectors)
 
@@ -227,24 +232,31 @@ class ClosureReport:
     # nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε) with α < β
     xx_residual: dict = field(default_factory=dict, repr=False, compare=False)
     # what :attr:`violations` formats: the adapted pass's failing components,
-    # the first nonzero h∧T component of each δ(H_i), and (B, spec)
+    # the first nonzero h∧T component of each δ(H_i), the first nonzero
+    # pairing (α, β, π^{αβ} + π^{βα}) of a non-Lagrangian l, and (B, spec)
     _failing: dict = field(default_factory=dict, repr=False)
     _mixed: list = field(default_factory=list, repr=False)
+    _pairing: tuple | None = field(default=None, repr=False)
     _source: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def violations(self) -> list:
-        """The failed conditions by basis labels: the pairing, each bracket
-        of l's basis that leaves l and each δ(H_i) with an h∧T part, with
-        the first nonzero component that must vanish (module doc)."""
-        out = [] if self.lagrangian else [
-            "pairing does not vanish on l (pi not antisymmetric?)"
-        ]
-        if self._failing or self._mixed:
+        """The failed conditions by basis labels: the first pair of l's
+        basis on which the pairing does not vanish, with its value
+        π^{αβ} + π^{βα}, then each bracket of l's basis that leaves l and
+        each δ(H_i) with an h∧T part, with the first nonzero component that
+        must vanish (module doc)."""
+        out = []
+        if self._pairing or self._failing or self._mixed:
             B, spec = self._source
             g = B.algebra.labels
             frame = _names(spec.h_basis, g, "H") + _names(spec.complement, g, "T")
             l_labels = _labels(B, spec)
+            if self._pairing:
+                a, b, value = self._pairing
+                pair = (spec.n_h + a, spec.n_h + b)
+                comp = _component(l_labels, "pairing", pair, (), value)
+                out.append(f"l is not Lagrangian: {comp}")
             out += [
                 f"[{l_labels[i]}, {l_labels[j]}] leaves l: {_component(frame, *comp)}"
                 for (i, j), comp in self._failing.items()
@@ -268,6 +280,17 @@ class ClosureReport:
             "m_i_nonzero": tensor_entries(self.m_i, "M^{ab}_i"),
             "violations": self.violations,
         }
+
+
+def _first_pairing(pi: Matrix) -> tuple | None:
+    """``(α, β, π^{αβ} + π^{βα})`` for the first α ≤ β at which it is
+    nonzero, or None when π is antisymmetric."""
+    for a, row in enumerate(pi):
+        for b in range(a, len(pi)):
+            value = row[b] + pi[b][a]
+            if value.terms:
+                return a, b, value
+    return None
 
 
 def _twisted(c, f, left, right, n_h: int):
@@ -302,8 +325,11 @@ class _AdaptedPass:
     """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
     from (C', f', π), computed once (module doc)."""
 
+    c: list             # C' in the adapted basis
     f: list             # f' in the adapted basis
-    lagrangian: bool    # π antisymmetric
+    # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, value);
+    # None when π is antisymmetric, i.e. l is Lagrangian
+    pairing: tuple | None
     m: list             # M^{αβ}_k, indexed [α][β][k] by adapted index k
     brackets: dict      # (i, j) ↦ coordinates of [l_i, l_j] in l, for i < j
     # (i, j) ↦ the first nonzero (name, lower, upper, value) that must vanish
@@ -316,20 +342,21 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     """The brackets of l's basis {H_i, X^α} from the adapted-basis tensors,
     with the first nonzero component that must vanish for each to lie in l."""
     n = B.dim
-    a_rows, a_inv = _adapted(spec, n)
-    c = transform_structure(B.algebra.c, a_rows, a_inv)
-    f = transform_cocomm(B.cocomm.f, a_rows, a_inv)
+    a_rows, (e, inv_rows) = _adapted(spec, n)
+    # both transforms read one integer form of A's columns and of A⁻¹
+    m_cols = _int_matrix(a_rows, transpose=True)
+    w = (e, _int_rows(inv_rows, transpose=False))
+    c = _structure_in(B.algebra.int_tensor(), m_cols, w, n)
+    f = _cocomm_in(B.cocomm.int_tensor(), m_cols, w, n)
     n_h, n_t = spec.n_h, spec.n_t
     pi = spec.pi
     pi_nz = [
         (a, b, pi[a][b]) for a in range(n_t) for b in range(n_t) if pi[a][b].terms
     ]
     pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
-    lagrangian = all(
-        (pi[a][b] + pi[b][a]).is_zero for a in range(n_t) for b in range(a, n_t)
-    )
+    pairing = _first_pairing(pi)
     m = _twisted(c, f, pi_nz, pi_nz, n_h)
-    if lagrangian:
+    if pairing is None:
         r = m
     else:  # the x-components of [X^α, X^β] differ from M (module doc)
         r = _twisted(c, f, [(d, b, -v) for b, d, v in pi_nz], pi_nz, n_h)
@@ -395,7 +422,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 (("Q", (), (*pair, n_h + e), residual[(a, b, e)])
                  for e in range(n_t) if (a, b, e) in residual),
             ))
-    return _AdaptedPass(f, lagrangian, m, brackets, failing, residual)
+    return _AdaptedPass(c, f, pairing, m, brackets, failing, residual)
 
 
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
@@ -423,6 +450,7 @@ def classify(
         raise ShapeError("bialgebra does not match the double")
     p = _adapted_pass(B, spec)
     n_h, n = spec.n_h, D.n
+    lagrangian = p.pairing is None
     mixed = []
     for i in range(n_h):  # the h∧T block of δ(H_i)
         for j, k in product(range(n_h), range(n_h, n)):
@@ -431,10 +459,10 @@ def classify(
                 break
     subalg = not p.failing
     coisotropic = (
-        p.lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
+        lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
     )
     return ClosureReport(
-        lagrangian=p.lagrangian,
+        lagrangian=lagrangian,
         subalgebra=subalg,
         coisotropic=coisotropic,
         poisson_subgroup=coisotropic and not mixed,
@@ -444,6 +472,7 @@ def classify(
         xx_residual=p.xx_residual,
         _failing=p.failing,
         _mixed=mixed,
+        _pairing=p.pairing,
         _source=(B, spec),
     )
 

@@ -17,10 +17,14 @@ monomial.  Only the nonzero sums are decoded and divided back by d².  The
 basis transforms (:func:`transform_structure`, :func:`transform_cocomm`)
 keep the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
 their factors are mostly constants and every output is needed, so there is
-little to save.
+little to save.  Both are thin wrappers over one integer contraction path,
+which takes the tensor and the matrices in integer form; the adapted pass
+of :mod:`liedouble.homogeneous` feeds it the cached tensors below and the
+inverse straight from the integer Bareiss kernel.
 
 An algebra keeps what it derives from its tensor: the sparse view
-(:meth:`LieAlgebra.nonzero`) and the nonzero Jacobi components, each
+(:meth:`LieAlgebra.nonzero`), its integer form
+(:meth:`LieAlgebra.int_tensor`) and the nonzero Jacobi components, each
 computed on first use.  So an algebra must not be mutated after
 construction; build a new one instead.  Instances are then safe to share
 between threads.
@@ -98,6 +102,7 @@ class LieAlgebra:
     c: list  # dense dim^3 tensor of PolyExpr, antisymmetric in (i, j)
     _nonzero: list | None = field(default=None, repr=False, compare=False)
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
+    _int: tuple | None = field(default=None, repr=False, compare=False)
 
     def index(self, label: str) -> int:
         try:
@@ -110,6 +115,14 @@ class LieAlgebra:
         if self._nonzero is None:
             self._nonzero = _nonzero_entries(self.c)
         return self._nonzero
+
+    def int_tensor(self) -> tuple:
+        """Cached integer form ``(d, {(i, j, k): {mono: int}})`` of the
+        structure tensor (:func:`_int_tensor`), which the basis transforms
+        read."""
+        if self._int is None:
+            self._int = _int_tensor(self.nonzero())
+        return self._int
 
     def jacobi_components(self) -> dict:
         """Cached nonzero Jacobi residuals R_ijl^m for i < j < l, keyed
@@ -314,9 +327,11 @@ def _jacobi_components(L: LieAlgebra) -> dict:
 
 def _component(labels, name: str, lower, upper, value) -> str:
     """One component of a residual, ``name_(lower)^(upper) = value``, each
-    index k named ``labels[k]``; with no lower index, ``name^(upper) = value``."""
+    index k named ``labels[k]``; an empty index group is left out, as in
+    ``name^(upper) = value``."""
     low = f"_({', '.join(labels[k] for k in lower)})" if lower else ""
-    return f"{name}{low}^({', '.join(labels[k] for k in upper)}) = {value}"
+    up = f"^({', '.join(labels[k] for k in upper)})" if upper else ""
+    return f"{name}{low}{up} = {value}"
 
 
 def _jacobi_notes(L: LieAlgebra, count: int) -> list:
@@ -360,29 +375,36 @@ class BasisChange:
         return BasisChange(self.inverse, tuple(labels), inverse=self.m)
 
 
+def _int_rows(rows: list, transpose: bool) -> dict:
+    """``{x: [(y, terms)]}`` over the nonzero entries of row x of a dense
+    matrix of integer terms dicts (of column x with ``transpose``)."""
+    out: dict = {}
+    for x, row in enumerate(rows):
+        for y, terms in enumerate(row):
+            if terms:
+                if transpose:
+                    out.setdefault(y, []).append((x, terms))
+                else:
+                    out.setdefault(x, []).append((y, terms))
+    return out
+
+
 def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
-    """Clear the denominators of a matrix once: ``(d, rows)`` with
-    ``rows[x]`` listing ``(y, terms)`` over the nonzero entries of row x of
-    ``d*m`` (of column x with ``transpose``), as
-    :func:`~liedouble.exactalg.to_int_terms` gives them."""
-    keyed = [
-        ((y, x) if transpose else (x, y), value)
-        for x, row in enumerate(m)
-        for y, value in enumerate(row)
-        if not value.is_zero
-    ]
-    d, scaled = to_int_terms(value for _, value in keyed)
-    rows: dict = {}
-    for ((x, y), _), terms in zip(keyed, scaled):
-        rows.setdefault(x, []).append((y, terms))
-    return d, rows
+    """Clear the denominators of a matrix once: ``(d, rows)`` with ``rows``
+    the :func:`_int_rows` of ``d*m`` as
+    :func:`~liedouble.exactalg.to_int_terms` gives it.  The integer
+    inverse of the Bareiss kernel (:func:`~liedouble.exactlinalg._inverse`)
+    takes this form through :func:`_int_rows`."""
+    d, scaled = to_int_terms(x for row in m for x in row)
+    flat = iter(scaled)
+    return d, _int_rows([[next(flat) for _ in row] for row in m], transpose)
 
 
-def _int_tensor(t) -> tuple[int, dict]:
-    """``(d, {(i, j, k): {mono: int}})`` for the nonzero entries of ``d*t``."""
-    entries = _nonzero_entries(t)
+def _int_tensor(entries) -> tuple[int, dict]:
+    """``(d, {(i, j, k): {mono: int}})`` for a sparse view [(i, j, k, value)]
+    of a 3-tensor t: the nonzero entries of ``d*t``."""
     d, scaled = to_int_terms(value for *_, value in entries)
-    return d, {(i, j, k): dict(terms) for (i, j, k, _), terms in zip(entries, scaled)}
+    return d, {(i, j, k): terms for (i, j, k, _), terms in zip(entries, scaled)}
 
 
 def _contract(tensor: dict, slot: int, rows: dict, keep=None) -> dict:
@@ -398,11 +420,48 @@ def _contract(tensor: dict, slot: int, rows: dict, keep=None) -> dict:
             acc = out.get(new)
             if acc is None:
                 acc = out[new] = {}
-            for m1, c1 in t1.items():
-                for m2, c2 in t2:
-                    mono = _mono_mul(m1, m2)
+            for m2, c2 in t2.items():
+                for m1, c1 in t1.items():
+                    mono = _mono_mul(m1, m2) if m2 else m1
                     acc[mono] = acc.get(mono, 0) + c1 * c2
     return {key: acc for key, acc in out.items() if any(acc.values())}
+
+
+def _transformed(tensor: tuple, steps, pair: tuple, n: int):
+    """The dense tensor of ``tensor`` = (d, integer entries) contracted one
+    slot at a time, each step ``(slot, (e, rows))`` a matrix in the form of
+    :func:`_int_matrix`, and divided back once by d times every e.  The
+    result is antisymmetric in the two slots of ``pair`` = (p, q), p < q:
+    only entries with key[p] < key[q] are computed, and each is also set,
+    negated, at the swapped key."""
+    d, t = tensor
+    p, q = pair
+    last = max(i for i, (slot, _) in enumerate(steps) if slot in pair)
+    for i, (slot, (e, rows)) in enumerate(steps):
+        # the pair is fixed once both of its slots are contracted
+        keep = (lambda key: key[p] < key[q]) if i == last else None
+        t = _contract(t, slot, rows, keep)
+        d *= e
+    out = zero_tensor3(n)
+    for key, terms in t.items():
+        value = from_int_terms(terms, d)
+        swapped = list(key)
+        swapped[p], swapped[q] = key[q], key[p]
+        out[key[0]][key[1]][key[2]] = value
+        out[swapped[0]][swapped[1]][swapped[2]] = -value
+    return out
+
+
+def _structure_in(t: tuple, m_cols: tuple, w: tuple, n: int):
+    """C' of :func:`transform_structure` from the integer forms of C, of the
+    columns of M and of the rows of W."""
+    return _transformed(t, ((2, w), (0, m_cols), (1, m_cols)), (0, 1), n)
+
+
+def _cocomm_in(t: tuple, m_cols: tuple, w: tuple, n: int):
+    """f' of :func:`transform_cocomm` from the integer forms of f, of the
+    columns of M and of the rows of W."""
+    return _transformed(t, ((2, w), (1, w), (0, m_cols)), (1, 2), n)
 
 
 def transform_structure(c, m: Matrix, w: Matrix):
@@ -416,20 +475,12 @@ def transform_structure(c, m: Matrix, w: Matrix):
     C', and only a < b is computed: (b, a) is its negation and the diagonal
     is zero.
     """
-    n = len(m)
-    d_c, t = _int_tensor(c)
-    d_m, m_rows = _int_matrix(m, transpose=True)
-    d_w, w_rows = _int_matrix(w, transpose=False)
-    t = _contract(t, 2, w_rows)
-    t = _contract(t, 0, m_rows)
-    t = _contract(t, 1, m_rows, keep=lambda key: key[0] < key[1])
-    scale = d_c * d_m * d_m * d_w
-    out = zero_tensor3(n)
-    for (a, b, cc), terms in t.items():
-        value = from_int_terms(terms, scale)
-        out[a][b][cc] = value
-        out[b][a][cc] = -value
-    return out
+    return _structure_in(
+        _int_tensor(_nonzero_entries(c)),
+        _int_matrix(m, transpose=True),
+        _int_matrix(w, transpose=False),
+        len(m),
+    )
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
@@ -443,20 +494,12 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
     checks; then f' is antisymmetric in (b, c), and only b < c is computed:
     (c, b) is its negation and the diagonal is zero.
     """
-    n = len(m)
-    d_f, t = _int_tensor(f)
-    d_m, m_rows = _int_matrix(m, transpose=True)
-    d_w, w_rows = _int_matrix(w, transpose=False)
-    t = _contract(t, 2, w_rows)
-    t = _contract(t, 1, w_rows, keep=lambda key: key[1] < key[2])
-    t = _contract(t, 0, m_rows)
-    scale = d_f * d_m * d_w * d_w
-    out = zero_tensor3(n)
-    for (a, b, cc), terms in t.items():
-        value = from_int_terms(terms, scale)
-        out[a][b][cc] = value
-        out[a][cc][b] = -value
-    return out
+    return _cocomm_in(
+        _int_tensor(_nonzero_entries(f)),
+        _int_matrix(m, transpose=True),
+        _int_matrix(w, transpose=False),
+        len(m),
+    )
 
 
 def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:

@@ -318,6 +318,28 @@ def test_classify_with_pi(tmp_path):
     assert cls["coisotropic"] is False  # nonzero pi
 
 
+def test_classify_names_the_nonvanishing_pairing(tmp_path):
+    """A non-antisymmetric π names its first nonzero π^{αβ} + π^{βα} by the
+    labels of l, like every other violation line."""
+    code, report = run(
+        tmp_path, "classify", "sl2-hyp", "span{J12}", "--pi", "[[0, 1], [0, 0]]"
+    )
+    assert code == 1
+    cls = report["classification"]
+    assert cls["lagrangian"] is False
+    assert cls["violations"] == [
+        "l is not Lagrangian: pairing_(a1, a2) = 1",
+        "[J12, a1] leaves l: M_(J12)^(P1, P1) = 1",
+        "[J12, a2] leaves l: M_(J12)^(P2, P2) = 1",
+    ]
+    code, report = run(
+        tmp_path, "classify", "sl2-eta", "span{X1}", "--pi", '[["eta", 0], [0, 0]]'
+    )
+    assert report["classification"]["violations"][0] == (
+        "l is not Lagrangian: pairing_(x0, x0) = 2*eta"
+    )
+
+
 @pytest.mark.parametrize(
     "expr, expected",
     [
@@ -473,6 +495,11 @@ def test_classify_malformed_input_exits_2(argv, capsys):
          "No such file or directory"),
         (["classify", "sl2-hyp", "span{J12}", "--json"], "missing/r.json",
          "No such file or directory"),
+        # double prints its tables before the report: nothing may reach stdout
+        (["double", "sl2-hyp", "--json"], "missing/r.json",
+         "No such file or directory"),
+        (["double", "sl2-hyp", "--iterate", "--json"], "file/r.json", "Not a directory"),
+        (["verify-brackets", "--cells", "hyp", "--json"], ".", "Is a directory"),
         (["double", "sl2-hyp", "--out"], "file/x", "Not a directory"),
         (["double", "sl2-hyp", "--out"], "file", "File exists"),
     ],
@@ -484,6 +511,14 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv, target, rea
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_writable_check_leaves_no_file_behind(tmp_path, capsys):
+    """The up-front --json check creates nothing a failed command leaves."""
+    path = tmp_path / "r.json"
+    assert main(["classify", "sl2-hyp", "span{Q}", "--json", str(path)]) == 2
+    assert not path.exists()
+    assert capsys.readouterr().err.startswith("error: cannot parse")
 
 
 def test_validate_catalog_reports_declared_checks(tmp_path):

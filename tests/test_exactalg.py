@@ -291,8 +291,8 @@ def assert_codes_multiply(polys):
     coded, radix, decode = _monomial_codes(scaled)
     pairs = []
     for terms, codes in zip(scaled, coded):
-        assert [c for _, c in codes] == [c for _, c in terms]
-        pairs += [(mono, code) for (mono, _), (code, _) in zip(terms, codes)]
+        assert [c for _, c in codes] == list(terms.values())
+        pairs += [(mono, code) for mono, (code, _) in zip(terms, codes)]
     for m1, code1 in pairs:
         for m2, code2 in pairs:
             assert 0 <= code1 + code2 < radix

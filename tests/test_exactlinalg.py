@@ -1,18 +1,26 @@
-"""Exact linear algebra against sympy's DomainMatrix over QQ(eta).
+"""Exact linear algebra against sympy's DomainMatrix over QQ(eta, xi).
 
-Matrices are small, with entries b, a*eta or a*eta + b, drawn by a
-derandomized hypothesis so every run sees the same examples.
+Matrices are small, with entries of one or two terms: a rational
+coefficient (0, ±1, ±2, ±1/2 or 2/3) times 1, eta, xi, eta^-1 or eta*xi,
+drawn by a derandomized hypothesis so every run sees the same examples.
+The Bareiss kernel clears these denominators once and eliminates over
+integers; the 6x6 adapted bases are those of the Lagrangian sweep, integer
+h rows completed by unit rows.
 """
+
+from fractions import Fraction as Q
+from operator import add
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from liedouble.errors import NotDivisible, SingularMatrix
 from liedouble.exactalg import PolyExpr, as_poly
 from liedouble.exactlinalg import (
+    _inverse,
     invert,
     mat,
     nullspace,
@@ -21,15 +29,17 @@ from liedouble.exactlinalg import (
 )
 
 ETA = PolyExpr.param("eta")
-K = QQ.frac_field(sympy.Symbol("eta"))
+XI = PolyExpr.param("xi")
+K = QQ.frac_field(sympy.Symbol("eta"), sympy.Symbol("xi"))
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
-ENTRY = st.one_of(
-    st.integers(-2, 2).map(PolyExpr.const),
-    st.integers(-2, 2).map(lambda a: a * ETA),
-    st.builds(lambda a, b: a * ETA + b, st.integers(-2, 2), st.integers(-2, 2)),
+COEFFICIENT = st.sampled_from([0, 1, -1, 2, -2, Q(1, 2), Q(-1, 2), Q(2, 3)])
+MONOMIAL = st.sampled_from(
+    [PolyExpr.one(), ETA, XI, PolyExpr.param("eta", -1), ETA * XI]
 )
+TERM = st.builds(lambda c, x: c * x, COEFFICIENT, MONOMIAL)
+ENTRY = st.one_of(TERM, st.builds(add, TERM, TERM))
 
 
 @st.composite
@@ -46,7 +56,9 @@ def laurent_invertible(draw, max_n=3):
     single-term diagonal: the determinant is one term, so the inverse is a
     Laurent matrix."""
     n = draw(st.integers(1, max_n))
-    pivot = st.sampled_from([1, -1, 2, ETA, -ETA, 2 * ETA]).map(as_poly)
+    pivot = st.sampled_from(
+        [1, -1, 2, Q(-2, 3), ETA, -ETA, Q(1, 2) * XI, 2 * PolyExpr.param("eta", -1)]
+    ).map(as_poly)
     lower = [[PolyExpr.const(int(i == j)) for j in range(n)] for i in range(n)]
     upper = [[PolyExpr.zero()] * n for _ in range(n)]
     for i in range(n):
@@ -109,6 +121,8 @@ def test_invert_matches_sympy(a):
 def test_invert_errors():
     with pytest.raises(NotDivisible):
         invert(mat([["1 + eta"]]))
+    with pytest.raises(NotDivisible):
+        invert(mat([["1/2", "eta"], ["xi", "2/3"]]))
     with pytest.raises(SingularMatrix):
         invert(mat([[1, "eta"], [2, "2*eta"]]))
     with pytest.raises(SingularMatrix):
@@ -163,3 +177,56 @@ def test_nullspace_is_a_kernel_basis(a):
             assert sum((y * z for y, z in zip(row, x)), PolyExpr.zero()).is_zero
     if basis:
         assert rank(basis) == len(basis)
+
+
+def test_nullspace_keeps_the_fraction_free_vector():
+    """When the kernel vector is not Laurent, the undivided vector of the
+    reduced matrix of A is kept; the kernel eliminates 18*A over integers
+    and divides that vector back by 18^2.  The value is that of the
+    elimination over Fractions."""
+    a = mat([["1/2", "eta", "1/3"], ["2/3*eta", "1 + xi", "-1/2*eta^-1"]])
+    assert [[str(x) for x in v] for v in nullspace(a)] == [
+        ["-5/6 - 1/3*xi", "1/4*eta^-1 + 2/9*eta", "1/2 - 2/3*eta^2 + 1/2*xi"]
+    ]
+
+
+@st.composite
+def adapted_bases(draw, n=6):
+    """k integer rows h with entries in [-2, 2] (rank k, checked by sympy)
+    followed by the unit rows that complete them, first unit first, as the
+    sweep builds an adapted basis."""
+    k = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    h = draw(st.lists(row, min_size=k, max_size=k))
+    assume(sympy.Matrix(h).rank() == k)
+    rows = [list(r) for r in h]
+    for i in range(n):
+        unit = [int(i == j) for j in range(n)]
+        if sympy.Matrix(rows + [unit]).rank() > len(rows):
+            rows.append(unit)
+    return k, rows
+
+
+@SETTINGS
+@given(adapted_bases())
+def test_adapted_basis_inverse_matches_sympy(case):
+    k, rows = case
+    a = mat(rows)
+    expected = sympy.Matrix(rows).inv()
+    e, scaled = _inverse(a)
+    assert e > 0
+    assert all(type(v) is int for row in scaled for t in row for v in t.values())
+    got = invert(a)
+    assert [[to_field(x) for x in row] for row in got] == [
+        [K.from_sympy(x) for x in expected.row(i)] for i in range(len(rows))
+    ]
+    assert got == [[PolyExpr({m: Q(v, e) for m, v in t.items()}) for t in row]
+                   for row in scaled]
+    assert rank(a) == len(rows)
+    assert rank(a[:k]) == k
+    kernel = nullspace(a[:k])
+    assert len(kernel) == len(rows) - k
+    assert all(
+        sum((y * z for y, z in zip(r, x)), PolyExpr.zero()).is_zero
+        for r in a[:k] for x in kernel
+    )

@@ -825,7 +825,9 @@ def fraction_constructions(work) -> int:
 
 def test_classify_fraction_cost_guard():
     # classify plus the bracket table of every subalgebra l on this list
-    # builds 8.1k Fractions; 13.3k when the transforms summed Fractions and
+    # builds 4.2k Fractions; 8.1k when the adapted basis was inverted over
+    # Fractions and read back into integers for the transforms, 13.3k when
+    # the transforms summed Fractions and
     # subalgebras were read through a dual frame in the double.  It built
     # 27.9k when each bracket ran its own elimination and the transforms
     # filled both halves; 18.0k with only the full-plane transforms back,
@@ -838,7 +840,17 @@ def test_classify_fraction_cost_guard():
                 lagrangian_bracket_table(D, spec)
 
     work()  # fill the algebras' cached sparse views first
-    assert fraction_constructions(work) <= 16_000
+    assert fraction_constructions(work) <= 6_000
+
+
+def test_invert_fraction_cost_guard():
+    # Inverting the 20 adapted bases of cost_guard_cases builds 288
+    # Fractions, only in dividing A⁻¹ back once; eliminating over Fractions
+    # built 3,634.
+    from liedouble.exactlinalg import invert
+
+    rows = [spec.h_basis + spec.complement for _, _, spec in cost_guard_cases()]
+    assert fraction_constructions(lambda: [invert(r) for r in rows]) <= 600
 
 
 def test_transform_fraction_cost_guard():

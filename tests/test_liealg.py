@@ -12,11 +12,16 @@ from liedouble.errors import (
     SymmetricEntry,
 )
 from liedouble import catalog
-from liedouble.double import double_of_double
+from liedouble.bialgebra import from_json as bialgebra_from_json
+from liedouble.bialgebra import substitute_params as substitute_bialgebra_params
+from liedouble.bialgebra import to_json as bialgebra_to_json
+from liedouble.double import build_double, double_of_double
 from liedouble.exactalg import PolyExpr
 from liedouble.exactlinalg import invert, mat, rank
+from liedouble.homogeneous import LagrangianSpec, _adapted_pass, classify
 from liedouble.liealg import (
     BasisChange,
+    _int_tensor,
     algebras_equal,
     bracket,
     change_basis,
@@ -534,3 +539,86 @@ def test_integer_transforms_match_polyexpr_oracle(case):
     c, f, m, w = case
     assert transform_structure(c, m, w) == full_transform_structure(c, m, w)
     assert transform_cocomm(f, m, w) == full_transform_cocomm(f, m, w)
+
+
+# --- the shared integer contraction path and the cached integer tensors ------
+
+
+def dual_tensor(c):
+    """f_i^{jk} = C_jk^i: an input of transform_cocomm, antisymmetric in
+    (j, k), over the coefficients of C."""
+    n = len(c)
+    return [[[c[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("key", CATALOG.list("basis_change"))
+def test_transforms_match_dense_contraction_on_catalog_basis_changes(key):
+    bc = CATALOG.basis_change(key)
+    L = CATALOG.algebra(CATALOG.get(key).raw["source"])
+    f = dual_tensor(L.c)
+    assert transform_structure(L.c, bc.m, bc.inverse) == full_transform_structure(
+        L.c, bc.m, bc.inverse
+    )
+    assert transform_cocomm(f, bc.m, bc.inverse) == full_transform_cocomm(
+        f, bc.m, bc.inverse
+    )
+
+
+@st.composite
+def so22_adapted_specs(draw):
+    """so22-r1 or so22-twisted and an adapted basis of the sweep's shape:
+    three integer rows h with entries in [-2, 2], then the unit rows that
+    complete them, first unit first."""
+    B = CATALOG.bialgebra(draw(st.sampled_from(["so22-r1", "so22-twisted"])))
+    n = B.dim
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    h = mat(draw(st.lists(row, min_size=3, max_size=3).filter(
+        lambda r: rank(mat(r)) == 3)))
+    complement = []
+    for i in range(n):
+        e = B.algebra.basis_vector(i)
+        if rank(h + complement + [e]) > len(h) + len(complement):
+            complement.append(e)
+    return B, LagrangianSpec(h, complement, [[0] * 3 for _ in range(3)])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(so22_adapted_specs())
+def test_adapted_pass_transforms_match_dense_contraction(case):
+    """The adapted pass reads C and f from the algebras' cached integer
+    tensors and A⁻¹ straight from the integer Bareiss kernel; the public
+    wrappers take the dense tensors and matrices.  Both equal the dense
+    contraction."""
+    B, spec = case
+    a = spec.h_basis + spec.complement
+    w = invert(a)
+    c_full = full_transform_structure(B.algebra.c, a, w)
+    f_full = full_transform_cocomm(B.cocomm.f, a, w)
+    p = _adapted_pass(B, spec)
+    assert p.c == c_full
+    assert p.f == f_full
+    assert transform_structure(B.algebra.c, a, w) == c_full
+    assert transform_cocomm(B.cocomm.f, a, w) == f_full
+
+
+def test_substituted_bialgebra_has_its_own_integer_tensors():
+    B = CATALOG.bialgebra("so22-twisted")
+    h = [B.algebra.basis_vector(label) for label in ("J", "K1", "K2")]
+    rest = [B.algebra.basis_vector(label) for label in ("P0", "P1", "P2")]
+    spec = LagrangianSpec(h, rest, [[0, "eta", "1/2"], ["-eta", 0, 0], ["-1/2", 0, 0]])
+    classify(build_double(B), B, spec)  # fills B's caches
+    sub = substitute_bialgebra_params(B, {"eta": "2*eta + 1/3"})
+    for old, new in ((B.algebra, sub.algebra), (B.cocomm, sub.cocomm)):
+        assert new.int_tensor() is not old.int_tensor()
+        assert new.int_tensor() == _int_tensor(new.nonzero())
+    fresh = bialgebra_from_json(bialgebra_to_json(sub))
+    got = classify(build_double(sub), sub, spec)
+    expected = classify(build_double(fresh), fresh, spec)
+    assert got.to_json() == expected.to_json()
+    assert got.xx_residual == expected.xx_residual
+    assert (got.table is None) == (expected.table is None)
+    if got.table is not None:
+        assert got.table.c == expected.table.c
+    plain = substitute_params(B.algebra, {"eta": "2*eta + 1/3"})
+    assert plain.int_tensor() is not B.algebra.int_tensor()
+    assert plain.int_tensor() == _int_tensor(plain.nonzero())

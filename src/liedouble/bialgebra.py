@@ -9,12 +9,13 @@ the validated algebra of its double (``double_algebra``), which
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
 Both doubles come from :func:`_double_algebra`, which assigns each entry of
 the double from one entry of C or f, so no dense tensor of the double is
-scanned.
+scanned, and assigns its integer form from theirs, so none is scaled again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotACobracket, ShapeError
@@ -38,6 +39,7 @@ class CocommTensor:
     """Cocommutator constants f_i^{jk}, antisymmetric in the upper pair."""
 
     f: list  # dense dim^3 of PolyExpr
+    _nonzero: list | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -59,11 +61,17 @@ class CocommTensor:
                         )
 
     def nonzero(self) -> list:
-        return _nonzero_entries(self.f)
+        """Cached sparse view [(i, j, k, coef)] of f, in index order; like a
+        :class:`~liedouble.liealg.LieAlgebra`, a tensor is not mutated after
+        construction."""
+        if self._nonzero is None:
+            self._nonzero = _nonzero_entries(self.f)
+        return self._nonzero
 
     def int_tensor(self) -> tuple:
         """Cached integer form of f (``liealg._int_tensor``), which the basis
-        transforms read."""
+        transforms and :func:`_double_algebra` read; assigned on construction
+        by :func:`liedouble.double.canonical_cocommutator`."""
         if self._int is None:
             self._int = _int_tensor(self.nonzero())
         return self._int
@@ -90,6 +98,16 @@ def cocomm_from_wedge(
     return f
 
 
+def _rescaled(form: tuple, d: int) -> dict:
+    """The entries of an integer form ``(e, entries)`` (``liealg._int_tensor``)
+    at the scale d, a multiple of e; the same dict when d = e."""
+    e, entries = form
+    if d == e:
+        return entries
+    s = d // e
+    return {key: {m: v * s for m, v in terms.items()} for key, terms in entries.items()}
+
+
 def _double_algebra(
     L: LieAlgebra, cocomm: CocommTensor, dual_labels: tuple[str, ...]
 ) -> LieAlgebra:
@@ -98,22 +116,31 @@ def _double_algebra(
     :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
     once, so none cancels: those assignments, in index order, are the sparse
     view, and the parameters are those occurring in C or f.  An entry −C_ij^k
-    is read as C_ji^k and −f_k^{ij} as f_k^{ji}, so none is negated."""
+    is read as C_ji^k and −f_k^{ij} as f_k^{ji}, so none is negated.  The
+    integer form is assigned the same way from those of C and f, both at the
+    scale lcm(d_C, d_f), which is the lcm of the double's denominators."""
     n = L.dim
     cocomm_entries = cocomm.nonzero()
-    entries = []
+    c_form, f_form = L.int_tensor(), cocomm.int_tensor()
+    d = lcm(c_form[0], f_form[0])
+    c_int, f_int = _rescaled(c_form, d), _rescaled(f_form, d)
+    entries, ints = [], {}
     for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [x^k, X_i], [X_j, x^k]
         entries += [(i, j, k, coef), (n + k, i, n + j, coef), (j, n + k, n + i, coef)]
+        ints[i, j, k] = ints[n + k, i, n + j] = ints[j, n + k, n + i] = c_int[i, j, k]
     for k, i, j, coef in cocomm_entries:  # f_k^{ij}: [x^i, x^j], [x^i, X_k], [x^j, X_k]
         entries += [
             (n + i, n + j, n + k, coef), (k, n + i, j, coef), (n + j, k, i, coef)
         ]
+        ints[n + i, n + j, n + k] = ints[k, n + i, j] = ints[n + j, k, i] = f_int[k, i, j]
     entries.sort(key=lambda entry: entry[:3])
     c2 = zero_tensor3(2 * n)
     for i, j, k, coef in entries:
         c2[i][j][k] = coef
     params = _used_params([*L.nonzero(), *cocomm_entries])
-    return LieAlgebra(2 * n, L.labels + dual_labels, params, c2, _nonzero=entries)
+    return LieAlgebra(
+        2 * n, L.labels + dual_labels, params, c2, _nonzero=entries, _int=(d, ints)
+    )
 
 
 @dataclass

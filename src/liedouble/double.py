@@ -25,6 +25,10 @@ Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
 :func:`double_of_double` checks ψ([e_a, e_b]) = [ψ(e_a), ψ(e_b)] for every
 a < b: D(D(a)) is then D(a) ⊕ D(a) carried back by the bijection ψ, and
 satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
+The check runs over Python ints, on the integer form that D(D(a)) inherits
+from C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C
+or f, so their integer forms are assigned from the scaled C and f, and
+nothing is scaled again.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from .liealg import LieAlgebra, zero_matrix, zero_tensor3
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
-ZERO = PolyExpr.zero()
-ONE = PolyExpr.one()
-MINUS_ONE = PolyExpr.const(-1)
 
 
 @dataclass
@@ -91,14 +92,24 @@ def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
 
 def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
     """δ_D from the canonical element: δ_D(X_i) = −f_i^{jk} X_j⊗X_k,
-    δ_D(x^i) = C_jk^i x^j⊗x^k."""
+    δ_D(x^i) = C_jk^i x^j⊗x^k.  Its sparse view and integer form are
+    assigned, the latter at the scale of D(a), as each entry is ± one entry
+    of D(a): f_i^{jk} is the x^i entry of [x^j, x^k], C_jk^i the X_i entry
+    of [X_j, X_k]."""
     n = D.n
+    d, ints = D.algebra.int_tensor()
     f2 = zero_tensor3(2 * n)
+    entries, f_int = [], {}
     for i, j, k, coef in D.source.cocomm.nonzero():
-        f2[i][j][k] = -coef
-    for j, k, i, coef in D.source.algebra.nonzero():
+        f2[i][j][k] = coef = -coef
+        entries.append((i, j, k, coef))
+        f_int[i, j, k] = {m: -v for m, v in ints[n + j, n + k, n + i].items()}
+    by_upper = sorted(D.source.algebra.nonzero(), key=lambda e: (e[2], e[0], e[1]))
+    for j, k, i, coef in by_upper:  # in the index order of (n + i, n + j, n + k)
         f2[n + i][n + j][n + k] = coef
-    return CocommTensor(f2)
+        entries.append((n + i, n + j, n + k, coef))
+        f_int[n + i, n + j, n + k] = ints[j, k, i]
+    return CocommTensor(f2, _nonzero=entries, _int=(d, f_int))
 
 
 def second_dual_labels(n: int) -> tuple[str, ...]:
@@ -132,32 +143,45 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
 def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     """The pairs (a, b), in the order given, at which ψ([e_a, e_b]) in
     ``outer`` = D(D(a)) differs from [ψ(e_a), ψ(e_b)] in ``inner`` ⊕ ``inner``,
-    with ``inner`` = D(a)."""
+    with ``inner`` = D(a).
+
+    Both sides are read from the integer forms of the two algebras
+    (:meth:`LieAlgebra.int_tensor`), which D(D(a)) inherits from C and f:
+    with d_out and d_in their scales, d_in·d_out times the difference is
+    summed over ints, per (index, monomial), the outer terms times d_in and
+    the inner ones times d_out.  A pair is bad iff one of its sums is
+    nonzero, so the check stays exact and generic in the parameters."""
     m = inner.dim
     # ψ(e_a) as ((index, sign), ...), the second summand's indices offset by m
     psi = [((a, 1), (m + a, 1)) for a in range(m)]  # u to (u, u)
     psi += [((m + a, -1),) for a in range(m // 2, m)]  # y^j to (0, −x^j)
     psi += [((a, 1),) for a in range(m // 2)]  # Y_j to (X_j, 0)
-    outer_rows, inner_rows = {}, {}  # (a, b): [(k, coef)]
-    for rows, L in ((outer_rows, outer), (inner_rows, inner)):
-        for a, b, k, coef in L.nonzero():
-            rows.setdefault((a, b), []).append((k, coef))
+    d_out, outer_int = outer.int_tensor()
+    d_in, inner_int = inner.int_tensor()
+    outer_rows, inner_rows = {}, {}  # (a, b): [(k, {mono: int})]
+    for rows, ints in ((outer_rows, outer_int), (inner_rows, inner_int)):
+        for (a, b, k), terms in ints.items():
+            rows.setdefault((a, b), []).append((k, terms))
     bad = []
     for a, b in pairs:
-        # the terms (index, sign, coef) of ψ([e_a, e_b]) - [ψ(e_a), ψ(e_b)]
-        parts = [(r, s, v) for k, v in outer_rows.get((a, b), ()) for r, s in psi[k]]
-        parts += [
-            (p - p % m + k, -s * t, v)
-            for p, s in psi[a]
-            for q, t in psi[b]
-            if p // m == q // m  # the same summand
-            for k, v in inner_rows.get((p % m, q % m), ())
-        ]
-        sums: tuple = ({}, {})  # the + and − terms summed apart: none is negated
-        for r, s, v in parts:
-            sums[s < 0][r] = sums[s < 0].get(r, ZERO) + v
-        plus, minus = ({r: v for r, v in d.items() if v.terms} for d in sums)
-        if plus != minus:
+        # d_in·d_out·(ψ([e_a, e_b]) − [ψ(e_a), ψ(e_b)]) by (index, monomial)
+        sums: dict = {}
+        for k, terms in outer_rows.get((a, b), ()):
+            for r, s in psi[k]:
+                s *= d_in
+                for mono, c in terms.items():
+                    key = (r, mono)
+                    sums[key] = sums.get(key, 0) + s * c
+        for p, s in psi[a]:
+            for q, t in psi[b]:
+                if p // m != q // m:  # not the same summand
+                    continue
+                base, st = p - p % m, -s * t * d_out
+                for k, terms in inner_rows.get((p % m, q % m), ()):
+                    for mono, c in terms.items():
+                        key = (base + k, mono)
+                        sums[key] = sums.get(key, 0) + st * c
+        if any(sums.values()):
             bad.append((a, b))
     return bad
 
@@ -182,38 +206,49 @@ def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:
 # --- bracket-table emission ---------------------------------------------
 
 
-def format_combo(labels: Sequence[str], coeffs: Vector) -> str:
-    """Render Σ coeff_k · label_k, e.g. ``x2 + 1/2*eta*X1``."""
-    pieces = []
+def _term_prefix(coef: PolyExpr) -> str:
+    """The text before the label in the term coef·label of
+    :func:`format_combo`: ``""`` for 1, ``"-"`` for −1, ``"c*"`` for one
+    term c and ``"(p)*"`` for a polynomial p of several terms."""
+    terms = coef.terms
+    if len(terms) != 1:
+        return f"({coef})*"
+    q = terms.get(())
+    if q is not None and q.denominator == 1 and q.numerator in (1, -1):
+        return "" if q.numerator == 1 else "-"
+    return f"{coef}*"
+
+
+def format_combo(labels: Sequence[str], coeffs: Vector, prefix=_term_prefix) -> str:
+    """Render Σ coeff_k · label_k, e.g. ``x2 + 1/2*eta*X1``; ``prefix(coef)``
+    gives the text before a label (:func:`_term_prefix`)."""
+    terms = []
     for lab, coef in zip(labels, coeffs):
         coef = as_poly(coef)
-        if coef.is_zero:
-            continue
-        if coef == ONE:
-            term = lab
-        elif coef == MINUS_ONE:
-            term = "-" + lab
-        elif coef.is_single_term:
-            text = str(coef)
-            term = f"{text}*{lab}"
-        else:
-            term = f"({coef})*{lab}"
-        pieces.append(term)
-    if not pieces:
+        if coef.terms:
+            terms.append(prefix(coef) + lab)
+    if not terms:
         return "0"
-    out = pieces[0]
-    for term in pieces[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
+    out = terms[0]
+    for term in terms[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
     return out
 
 
 def bracket_table_text(L: LieAlgebra) -> str:
     """Aligned plain-text table of all brackets [e_a, e_b] with a < b, each
-    row formatted from its nonzero entries in :meth:`LieAlgebra.nonzero`."""
+    row formatted from its nonzero entries in :meth:`LieAlgebra.nonzero`.
+    A coefficient shared by several entries, as the entries of a double
+    share those of C and f, is rendered once per call."""
     labels = L.labels
+    prefixes: dict = {}  # id(coef): its term prefix; every coef lives in L
+
+    def prefix(coef: PolyExpr) -> str:
+        text = prefixes.get(id(coef))
+        if text is None:
+            text = prefixes[id(coef)] = _term_prefix(coef)
+        return text
+
     rows: dict = {}
     for a, b, k, coef in L.nonzero():
         if a < b:
@@ -227,5 +262,5 @@ def bracket_table_text(L: LieAlgebra) -> str:
     ]
     width = max(len(head) for head, _ in heads)
     return "".join(
-        f"{head.ljust(width)} = {format_combo(*row)}\n" for head, row in heads
+        f"{head.ljust(width)} = {format_combo(*row, prefix)}\n" for head, row in heads
     )

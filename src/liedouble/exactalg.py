@@ -256,20 +256,19 @@ class PolyExpr:
         parts = []
         for mono in sorted(self.terms):
             coef = self.terms[mono]
-            factors = [
-                name if e == 1 else f"{name}^{e}" for name, e in mono
-            ]
-            mag = abs(coef)
+            num, den = coef.numerator, coef.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag, *factors])
             if not parts:
-                parts.append(body if coef > 0 else "-" + body)
+                parts.append(body if num > 0 else "-" + body)
             else:
-                parts.append(("+ " if coef > 0 else "- ") + body)
+                parts.append(("+ " if num > 0 else "- ") + body)
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -9,13 +9,14 @@ only.
 
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
 added with a sign into the one sorted triple it belongs to, and over
-integers: the structure constants are scaled once by the lcm d of their
-denominators, their monomials are numbered so that a monomial product is a
-sum of two ints (:func:`~liedouble.exactalg._monomial_codes`), and every
-term is accumulated under one integer index of its component and
-monomial.  Only the nonzero sums are decoded and divided back by d².  The
-basis transforms (:func:`transform_structure`, :func:`transform_cocomm`)
-keep the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
+integers: the structure constants are read, scaled by the lcm d of their
+denominators, from the algebra's integer form, their monomials are
+numbered so that a monomial product is a sum of two ints
+(:func:`~liedouble.exactalg._monomial_codes`), and every term is
+accumulated under one integer index of its component and monomial.  Only
+the nonzero sums are decoded and divided back by d².  The basis
+transforms (:func:`transform_structure`, :func:`transform_cocomm`) keep
+the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
 their factors are mostly constants and every output is needed, so there is
 little to save.  Both are thin wrappers over one integer contraction path,
 which takes the tensor and the matrices in integer form; the adapted pass
@@ -118,8 +119,9 @@ class LieAlgebra:
 
     def int_tensor(self) -> tuple:
         """Cached integer form ``(d, {(i, j, k): {mono: int}})`` of the
-        structure tensor (:func:`_int_tensor`), which the basis transforms
-        read."""
+        structure tensor (:func:`_int_tensor`), which the basis transforms,
+        the Jacobi sum and the ψ check read; a double is given its form by
+        ``bialgebra._double_algebra``, keyed in no particular order."""
         if self._int is None:
             self._int = _int_tensor(self.nonzero())
         return self._int
@@ -276,8 +278,8 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     C_li^k C_kj^m with C_li^k = -C_ab^k).
 
     The sum runs over integers.  With d the lcm of the denominators of all
-    structure constants, each d*C_ab^k has integer coefficients
-    (:func:`~liedouble.exactalg.to_int_terms`), and each monomial is a code
+    structure constants, each d*C_ab^k has integer coefficients, read from
+    :meth:`LieAlgebra.int_tensor`, and each monomial is a code
     such that a monomial product is a sum of two codes
     (:func:`~liedouble.exactalg._monomial_codes`).  A term of coefficient
     c1*c2 and code m1 + m2 in component (i, j, l, m) is added at the one
@@ -288,8 +290,8 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     """
     n = L.dim
     entries = L.nonzero()
-    d, scaled = to_int_terms(coef for *_, coef in entries)
-    coded, radix, decode = _monomial_codes(scaled)
+    d, ints = L.int_tensor()
+    coded, radix, decode = _monomial_codes([ints[i, j, k] for i, j, k, _ in entries])
     by_first: dict = {}
     for (k, c, m, _), t2 in zip(entries, coded):
         by_first.setdefault(k, []).append((c, m * radix, t2))

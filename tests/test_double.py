@@ -283,6 +283,38 @@ def test_format_combo():
     assert format_combo(labels, [P("-1"), P("2*eta")]) == "-A + 2*eta*B"
     assert format_combo(labels, [P("0"), P("1 + eta")]) == "(1 + eta)*B"
     assert format_combo(labels, [P("0"), P("0")]) == "0"
+    # ±1, one term and several terms, each in either place
+    assert format_combo(labels, [P("1"), P("-1")]) == "A - B"
+    assert format_combo(labels, [P("1/2*eta"), P("-1/2*eta")]) == "1/2*eta*A - 1/2*eta*B"
+    assert format_combo(labels, [P("-eta^-1"), P("2")]) == "-eta^-1*A + 2*B"
+    assert format_combo(labels, [P("1 - eta"), P("-1")]) == "(1 - eta)*A - B"
+    assert format_combo(labels, [P("-1"), P("eta^-1 - 2/3*eta*kappa")]) == (
+        "-A + (eta^-1 - 2/3*eta*kappa)*B"
+    )
+
+
+def test_bracket_table_renders_each_shared_coefficient_once(so22_twisted, monkeypatch):
+    # the entries of D(D(a)) share the coefficients of C and f; each distinct
+    # coefficient object is rendered once per table, and every row is still
+    # format_combo of the dense row
+    from liedouble import double
+
+    L = double_of_double(so22_twisted).algebra
+    rendered = []
+    real = double._term_prefix
+    monkeypatch.setattr(double, "_term_prefix", lambda c: rendered.append(c) or real(c))
+    lines = bracket_table_text(L).splitlines()
+    pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
+    assert len(lines) == len(pairs)
+    for line, (a, b) in zip(lines, pairs):
+        head, _, row = line.partition(" = ")
+        assert head.rstrip() == f"[{L.labels[a]}, {L.labels[b]}]"
+        assert row == format_combo(L.labels, L.c[a][b], real)
+    upper = [coef for a, b, _, coef in L.nonzero() if a < b]
+    distinct = len({id(coef) for coef in upper})
+    assert len(rendered) == distinct < len(upper)
+    bracket_table_text(L)
+    assert len(rendered) == 2 * distinct  # nothing is kept across calls
 
 
 def test_bracket_table_text_golden(sl2_hyp):
@@ -477,9 +509,9 @@ def test_psi_is_a_lie_isomorphism_by_an_independent_bracket(sl2_eta, so22_twiste
                 ), (a, b)
 
 
-def perturb_one_outer_bracket(monkeypatch):
-    """Add X1∧X2 to δ_D(X0), which changes [X0, y1], [X0, y2] and [y1, y2]
-    of D(D(a)) and nothing else."""
+def perturb_one_outer_bracket(monkeypatch, coef=1):
+    """Add coef·X1∧X2 to δ_D(X0), which changes [X0, y1], [X0, y2] and
+    [y1, y2] of D(D(a)) and nothing else."""
     from liedouble import double
     from liedouble.bialgebra import CocommTensor
 
@@ -487,8 +519,8 @@ def perturb_one_outer_bracket(monkeypatch):
 
     def perturbed(D):
         f = [[list(row) for row in plane] for plane in canonical(D).f]
-        f[0][1][2] = f[0][1][2] + 1
-        f[0][2][1] = f[0][2][1] - 1
+        f[0][1][2] = f[0][1][2] + coef
+        f[0][2][1] = f[0][2][1] - coef
         return CocommTensor(f)
 
     monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
@@ -526,3 +558,46 @@ def test_cli_double_iterate_reports_a_psi_mismatch(tmp_path, capsys, monkeypatch
     assert "error: ψ is not a Lie isomorphism" in err
     assert "[X0, y1], [X0, y2], [y1, y2]" in err
     assert "Traceback" not in err
+
+
+def test_integer_psi_names_the_brackets_of_a_fractional_perturbation(
+    so22_twisted, monkeypatch
+):
+    # D(so22-twisted) has scale 2; 1/3*eta on P0∧P1 in δ_D(J) gives δ_D scale
+    # 6, so the outer and inner integer forms that ψ compares are scaled apart
+    from liedouble import double
+    from liedouble.errors import NotACobracket
+
+    scales = []
+    check = double._psi_mismatches
+
+    def recording(outer, inner, pairs):
+        scales.append((outer.int_tensor()[0], inner.int_tensor()[0]))
+        return check(outer, inner, pairs)
+
+    monkeypatch.setattr(double, "_psi_mismatches", recording)
+    perturb_one_outer_bracket(monkeypatch, P("1/3*eta"))
+    with pytest.raises(NotACobracket) as err:
+        double_of_double(so22_twisted)
+    assert str(err.value) == (
+        "ψ is not a Lie isomorphism D(D) → D ⊕ D at 3 brackets "
+        "(first: [J, y1], [J, y2], [y1, y2])"
+    )
+    assert scales == [(6, 2)]
+
+
+@pytest.mark.parametrize("key", sorted(catalog.load().list("bialgebra")))
+def test_assigned_integer_forms_equal_the_computed_ones(key):
+    # D(a), δ_D and D(D(a)) are given their integer forms and sparse views
+    # from those of C and f; so22-twisted (d_C = 1, d_f = 2) and sl2-eta
+    # rescale C to the common scale
+    from liedouble.liealg import _int_tensor, _nonzero_entries
+
+    B = catalog.load().bialgebra(key)
+    delta = canonical_cocommutator(build_double(B))
+    for L in (B.double_algebra, double_of_double(B).algebra, delta):
+        assert L.int_tensor() == _int_tensor(L.nonzero())
+    assert delta.nonzero() == _nonzero_entries(delta.f)
+    if key == "so22-twisted":
+        assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
+        assert B.double_algebra.int_tensor()[0] == 2

@@ -345,3 +345,50 @@ def test_arithmetic_constructs_only_result_coefficients():
     assert built == 4 and len(product.terms) == 4
     negated, built = count_fractions(lambda: -a)
     assert built == 2 and negated == P("-2*eta - 1/3*z^-1")
+
+
+# -- the canonical text form against a Fraction-based formatter -------------
+
+
+def fraction_text(p: PolyExpr) -> str:
+    """The text form as built from Fraction magnitudes and comparisons."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for mono in sorted(p.terms):
+        coef = p.terms[mono]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
+        mag = abs(coef)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coef > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coef > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+@st.composite
+def wide_polys(draw):
+    """Laurent polynomials in up to three parameters whose coefficients are
+    signed, often ±1, and have numerators and denominators up to 10**6."""
+    names = NAMES[: draw(st.integers(1, 3))]
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = tuple((name, e) for name in names if (e := draw(st.integers(-3, 3))))
+        num = draw(st.sampled_from((1, -1)) | st.integers(-10**6, 10**6))
+        den = draw(st.sampled_from((1, 1, 2)) | st.integers(1, 10**6))
+        terms[mono] = terms.get(mono, Q(0)) + Q(num, den)
+    return PolyExpr(terms)
+
+
+@ORACLE_SETTINGS
+@given(laurent_polys(NAMES) | wide_polys())
+def test_text_form_matches_the_fraction_formatter(p):
+    assert str(p) == fraction_text(p)
+    assert P(str(p)) == p
+

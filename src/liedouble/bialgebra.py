@@ -9,7 +9,12 @@ the validated algebra of its double (``double_algebra``), which
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
 Both doubles come from :func:`_double_algebra`, which assigns each entry of
 the double from one entry of C or f, so no dense tensor of the double is
-scanned, and assigns its integer form from theirs, so none is scaled again.
+filled or scanned, and assigns its integer form from theirs, so none is
+scaled again.
+
+Like a :class:`~liedouble.liealg.LieAlgebra`, a :class:`CocommTensor` is
+its nonzero entries; the dense tensor ``f`` is a read-only view built on
+first read, and equality does not depend on whether it has been.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import IndexOutOfRange, NotACobracket, ShapeError
 from .exactalg import _negatives, as_poly
 from .liealg import (
     LieAlgebra,
+    _dense,
     _int_tensor,
     _jacobi_notes,
     _json_entries,
@@ -38,42 +44,51 @@ from .liealg import (
 class CocommTensor:
     """Cocommutator constants f_i^{jk}, antisymmetric in the upper pair."""
 
-    f: list  # dense dim^3 of PolyExpr
-    _nonzero: list | None = field(default=None, repr=False, compare=False)
+    dim: int
+    # the nonzero f_i^{jk} as (i, j, k, coef), in index order; (i, k, j,
+    # -coef) is listed too
+    entries: list
+    _f: list | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.f)
-
     def __post_init__(self):
-        # The first failing (i, j, k) has j <= k, as the condition is
-        # symmetric in (j, k); pairs of zero entries are skipped, and the
-        # rest compared term by term without building -f[i][k][j].
-        n = self.dim
-        for i, plane in enumerate(self.f):
-            for j in range(n):
-                for k in range(j, n):
-                    x, y = plane[j][k].terms, plane[k][j].terms
-                    if (x or y) and not _negatives(x, y):
-                        raise ShapeError(
-                            f"cocommutator not antisymmetric at ({i},{j},{k})"
-                        )
+        # Each entry needs j != k and a partner (i, k, j) of opposite terms,
+        # compared term by term without building a negated polynomial.  The
+        # failing (i, j, k) named is the first with j <= k in index order,
+        # as the condition is symmetric in (j, k).
+        terms = {(i, j, k): v.terms for i, j, k, v in self.entries}
+        bad = [
+            (i, min(j, k), max(j, k))
+            for (i, j, k), x in terms.items()
+            if j == k or not _negatives(x, terms.get((i, k, j), {}))
+        ]
+        if bad:
+            i, j, k = min(bad)
+            raise ShapeError(f"cocommutator not antisymmetric at ({i},{j},{k})")
+
+    @classmethod
+    def from_dense(cls, f) -> "CocommTensor":
+        """The tensor of a dense dim³ list ``f[i][j][k]`` of PolyExpr."""
+        return cls(len(f), _nonzero_entries(f))
+
+    @property
+    def f(self) -> list:
+        """Dense dim³ tensor f[i][j][k] of PolyExpr, a read-only view of
+        :attr:`entries` built on first read."""
+        if self._f is None:
+            self._f = _dense(self.dim, self.entries)
+        return self._f
 
     def nonzero(self) -> list:
-        """Cached sparse view [(i, j, k, coef)] of f, in index order; like a
-        :class:`~liedouble.liealg.LieAlgebra`, a tensor is not mutated after
-        construction."""
-        if self._nonzero is None:
-            self._nonzero = _nonzero_entries(self.f)
-        return self._nonzero
+        """Sparse view [(i, j, k, coef)] of f: :attr:`entries`."""
+        return self.entries
 
     def int_tensor(self) -> tuple:
         """Cached integer form of f (``liealg._int_tensor``), which the basis
         transforms and :func:`_double_algebra` read; assigned on construction
         by :func:`liedouble.double.canonical_cocommutator`."""
         if self._int is None:
-            self._int = _int_tensor(self.nonzero())
+            self._int = _int_tensor(self.entries)
         return self._int
 
 
@@ -134,13 +149,8 @@ def _double_algebra(
         ]
         ints[n + i, n + j, n + k] = ints[k, n + i, j] = ints[n + j, k, i] = f_int[k, i, j]
     entries.sort(key=lambda entry: entry[:3])
-    c2 = zero_tensor3(2 * n)
-    for i, j, k, coef in entries:
-        c2[i][j][k] = coef
     params = _used_params([*L.nonzero(), *cocomm_entries])
-    return LieAlgebra(
-        2 * n, L.labels + dual_labels, params, c2, _nonzero=entries, _int=(d, ints)
-    )
+    return LieAlgebra(2 * n, L.labels + dual_labels, params, entries, _int=(d, ints))
 
 
 @dataclass
@@ -165,7 +175,7 @@ def new_bialgebra(
 ) -> LieBialgebra:
     """Validated bialgebra; raises :class:`NotACobracket` if the double
     built from (C, f) violates Jacobi."""
-    cocomm = f if isinstance(f, CocommTensor) else CocommTensor(f)
+    cocomm = f if isinstance(f, CocommTensor) else CocommTensor.from_dense(f)
     if cocomm.dim != L.dim:
         raise ShapeError("cocommutator dimension does not match algebra")
     if dual_labels is None:
@@ -186,7 +196,8 @@ def new_bialgebra(
 
 def substitute_params(B: LieBialgebra, mapping) -> LieBialgebra:
     """Exact parameter substitution on both tensors (revalidates)."""
-    f = [[[v.substitute(mapping) for v in row] for row in plane] for plane in B.cocomm.f]
+    entries = [(i, j, k, v.substitute(mapping)) for i, j, k, v in B.cocomm.entries]
+    f = CocommTensor(B.dim, [entry for entry in entries if entry[3].terms])
     return new_bialgebra(substitute_algebra_params(B.algebra, mapping), f, B.dual_labels)
 
 

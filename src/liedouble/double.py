@@ -17,7 +17,8 @@ The canonical cocommutator of the double is
 δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k; feeding it back
 into the construction yields D(D(a)) on the ordered basis {X, x, y, Y},
 whose algebra ``bialgebra._double_algebra`` assigns from the entries of
-D(a) and δ_D as it does D(a) from C and f.
+D(a) and δ_D as it does D(a) from C and f.  δ_D is built from entries too;
+no dense tensor of D(a), δ_D or D(D(a)) is filled unless it is read.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
@@ -28,19 +29,20 @@ satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
 The check runs over Python ints, on the integer form that D(D(a)) inherits
 from C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C
 or f, so their integer forms are assigned from the scaled C and f, and
-nothing is scaled again.
+nothing is scaled again; the bracket rows of those forms are cached on the
+algebras (:meth:`~liedouble.liealg.LieAlgebra.int_rows`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .bialgebra import CocommTensor, LieBialgebra, _double_algebra
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, zero_matrix, zero_tensor3
+from .liealg import LieAlgebra, zero_matrix
 from .rmatrix import RMatrix
 
 HALF = PolyExpr.const(Q(1, 2))
@@ -53,28 +55,29 @@ class DoubleAlgebra:
     algebra: LieAlgebra          # dimension 2n, basis {X_i} + {x^i}
     n: int
     source: LieBialgebra
-    canonical_r_skew: RMatrix    # skew part of Σ x^i ⊗ X_i
+    _r_skew: RMatrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    @property
+    def canonical_r_skew(self) -> RMatrix:
+        """The skew part of Σ x^i ⊗ X_i, built on first read."""
+        if self._r_skew is None:
+            n = self.n
+            skew = zero_matrix(2 * n)
+            for i in range(n):
+                skew[n + i][i] = HALF
+                skew[i][n + i] = -HALF
+            self._r_skew = RMatrix(self.algebra.labels, skew)
+        return self._r_skew
+
 
 def build_double(B: LieBialgebra) -> DoubleAlgebra:
     """Construct D(g) for a validated bialgebra, on the algebra that
     :func:`new_bialgebra` validated."""
-    n = B.dim
-    algebra = B.double_algebra
-    skew = zero_matrix(2 * n)
-    for i in range(n):
-        skew[n + i][i] = HALF
-        skew[i][n + i] = -HALF
-    return DoubleAlgebra(
-        algebra=algebra,
-        n=n,
-        source=B,
-        canonical_r_skew=RMatrix(algebra.labels, skew),
-    )
+    return DoubleAlgebra(algebra=B.double_algebra, n=B.dim, source=B)
 
 
 def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
@@ -98,18 +101,15 @@ def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
     of [X_j, X_k]."""
     n = D.n
     d, ints = D.algebra.int_tensor()
-    f2 = zero_tensor3(2 * n)
     entries, f_int = [], {}
     for i, j, k, coef in D.source.cocomm.nonzero():
-        f2[i][j][k] = coef = -coef
-        entries.append((i, j, k, coef))
+        entries.append((i, j, k, -coef))
         f_int[i, j, k] = {m: -v for m, v in ints[n + j, n + k, n + i].items()}
     by_upper = sorted(D.source.algebra.nonzero(), key=lambda e: (e[2], e[0], e[1]))
     for j, k, i, coef in by_upper:  # in the index order of (n + i, n + j, n + k)
-        f2[n + i][n + j][n + k] = coef
         entries.append((n + i, n + j, n + k, coef))
         f_int[n + i, n + j, n + k] = ints[j, k, i]
-    return CocommTensor(f2, _nonzero=entries, _int=(d, f_int))
+    return CocommTensor(2 * n, entries, _int=(d, f_int))
 
 
 def second_dual_labels(n: int) -> tuple[str, ...]:
@@ -145,8 +145,9 @@ def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     ``outer`` = D(D(a)) differs from [ψ(e_a), ψ(e_b)] in ``inner`` ⊕ ``inner``,
     with ``inner`` = D(a).
 
-    Both sides are read from the integer forms of the two algebras
-    (:meth:`LieAlgebra.int_tensor`), which D(D(a)) inherits from C and f:
+    Both sides are read from the cached bracket rows of the integer forms of
+    the two algebras (:meth:`LieAlgebra.int_rows`), which D(D(a)) inherits
+    from C and f:
     with d_out and d_in their scales, d_in·d_out times the difference is
     summed over ints, per (index, monomial), the outer terms times d_in and
     the inner ones times d_out.  A pair is bad iff one of its sums is
@@ -156,12 +157,8 @@ def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     psi = [((a, 1), (m + a, 1)) for a in range(m)]  # u to (u, u)
     psi += [((m + a, -1),) for a in range(m // 2, m)]  # y^j to (0, −x^j)
     psi += [((a, 1),) for a in range(m // 2)]  # Y_j to (X_j, 0)
-    d_out, outer_int = outer.int_tensor()
-    d_in, inner_int = inner.int_tensor()
-    outer_rows, inner_rows = {}, {}  # (a, b): [(k, {mono: int})]
-    for rows, ints in ((outer_rows, outer_int), (inner_rows, inner_int)):
-        for (a, b, k), terms in ints.items():
-            rows.setdefault((a, b), []).append((k, terms))
+    d_out, d_in = outer.int_tensor()[0], inner.int_tensor()[0]
+    outer_rows, inner_rows = outer.int_rows(), inner.int_rows()
     bad = []
     for a, b in pairs:
         # d_in·d_out·(ψ([e_a, e_b]) − [ψ(e_a), ψ(e_b)]) by (index, monomial)

@@ -45,6 +45,19 @@ none.  It also keeps the first nonzero pairing <X^α, X^β> = π^{αβ} + π^{β
 polynomial: the pairing by the labels of l, the components by those of h
 and the complement in g.
 
+The pass runs over integers.  C' and f' reach it in the integer form of
+the basis transforms (``liealg._structure_int``, ``liealg._cocomm_int``),
+scaled by d_C and d_f, with one entry per antisymmetric pair: C'_ab^k for
+a < b and f'_i^{bc} for b < c; the other half is read as the negation.
+π's denominators are cleared once, at the scale d_π.  M, R and the
+H-part of [H_i, X^α] are then sums over ints at the scale
+s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
+is exactly s1 or s2 times its rational value, so a component vanishes iff
+its integer terms do, and the test stays generic in the parameters.
+Polynomials are built only for what leaves the pass: M, the first
+failing component of each bracket, Q, and the rows of the bracket table
+when l is a subalgebra.
+
 l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
 subalgebra and δ(h) ⊂ h∧g.  h is then the algebra of a Poisson subgroup,
 δ(h) ⊂ h∧h, when δ(H_i) also has no h∧T part f'_i^{jT(β)}.  The T∧T part
@@ -79,20 +92,19 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, _canonical, as_poly, from_int_terms, mul_acc
+from .exactalg import PolyExpr, _mono_mul, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import Matrix, _inverse, identity, mat, nullspace, rank
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
-    _algebra_on,
-    _cocomm_in,
+    _algebra_of,
+    _cocomm_int,
     _component,
     _int_matrix,
     _int_rows,
     _nonzero_entries,
-    _structure_in,
+    _structure_int,
     bracket,
-    zero_tensor3,
 )
 
 
@@ -293,45 +305,36 @@ def _first_pairing(pi: Matrix) -> tuple | None:
     return None
 
 
-def _twisted(c, f, left, right, n_h: int):
-    """[α][β][k] ↦ f_k^{T(α)T(β)} + Σ v C_{k T(δ)}^{T(α)} over (δ, β, v) in
-    ``left`` + Σ v C_{k T(δ)}^{T(β)} over (α, δ, v) in ``right``, for every
-    adapted index k, in the adapted basis (module doc)."""
-    n = len(c)
-    n_t = n - n_h
-    acc = [
-        [[dict(f[k][n_h + a][n_h + b].terms) for k in range(n)] for b in range(n_t)]
-        for a in range(n_t)
-    ]
-    for d, b, v in left:
-        for a in range(n_t):
-            row = acc[a][b]
-            for k in range(n):
-                x = c[k][n_h + d][n_h + a]
-                if x.terms:
-                    mul_acc(row[k], v, x)
-    for a, d, v in right:
-        for b in range(n_t):
-            row = acc[a][b]
-            for k in range(n):
-                x = c[k][n_h + d][n_h + b]
-                if x.terms:
-                    mul_acc(row[k], v, x)
-    return [[[_canonical(t) for t in row] for row in plane] for plane in acc]
+def _add_scaled(out: dict, s: int, t: dict) -> None:
+    """``out += s·t`` on ``{mono: int}`` terms dicts, in place."""
+    for mono, c in t.items():
+        out[mono] = out.get(mono, 0) + s * c
+
+
+def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
+    """``out += s·t1·t2`` on ``{mono: int}`` terms dicts, in place."""
+    for m1, c1 in t1.items():
+        c1 *= s
+        for m2, c2 in t2.items():
+            mono = _mono_mul(m1, m2) if m2 else m1
+            out[mono] = out.get(mono, 0) + c1 * c2
 
 
 @dataclass
 class _AdaptedPass:
     """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
-    from (C', f', π), computed once (module doc)."""
+    from (C', f', π), computed once over integers (module doc)."""
 
-    c: list             # C' in the adapted basis
-    f: list             # f' in the adapted basis
+    c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
+    f_int: tuple        # (d_f, {(i, b, c): terms}): f' in integer form, b < c
     # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, value);
     # None when π is antisymmetric, i.e. l is Lagrangian
     pairing: tuple | None
-    m: list             # M^{αβ}_k, indexed [α][β][k] by adapted index k
-    brackets: dict      # (i, j) ↦ coordinates of [l_i, l_j] in l, for i < j
+    # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
+    m_int: tuple
+    # (i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i < j, as
+    # [(k, {mono: int}, scale)], coordinate k the terms divided by the scale
+    brackets: dict
     # (i, j) ↦ the first nonzero (name, lower, upper, value) that must vanish
     # for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module doc)
     failing: dict
@@ -340,98 +343,159 @@ class _AdaptedPass:
 
 def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     """The brackets of l's basis {H_i, X^α} from the adapted-basis tensors,
-    with the first nonzero component that must vanish for each to lie in l."""
+    with the first nonzero component that must vanish for each to lie in l,
+    summed over integers at the scales s1 and s2 (module doc)."""
     n = B.dim
     a_rows, (e, inv_rows) = _adapted(spec, n)
     # both transforms read one integer form of A's columns and of A⁻¹
     m_cols = _int_matrix(a_rows, transpose=True)
     w = (e, _int_rows(inv_rows, transpose=False))
-    c = _structure_in(B.algebra.int_tensor(), m_cols, w, n)
-    f = _cocomm_in(B.cocomm.int_tensor(), m_cols, w, n)
+    d_c, c = c_int = _structure_int(B.algebra.int_tensor(), m_cols, w)
+    d_f, f = f_int = _cocomm_int(B.cocomm.int_tensor(), m_cols, w)
     n_h, n_t = spec.n_h, spec.n_t
     pi = spec.pi
-    pi_nz = [
-        (a, b, pi[a][b]) for a in range(n_t) for b in range(n_t) if pi[a][b].terms
-    ]
-    pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
     pairing = _first_pairing(pi)
-    m = _twisted(c, f, pi_nz, pi_nz, n_h)
-    if pairing is None:
-        r = m
-    else:  # the x-components of [X^α, X^β] differ from M (module doc)
-        r = _twisted(c, f, [(d, b, -v) for b, d, v in pi_nz], pi_nz, n_h)
+    keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
+    d_pi, scaled = to_int_terms(pi[a][b] for a, b in keys)
+    pi_nz = [(a, b, v) for (a, b), v in zip(keys, scaled)]
+    pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
+    s1 = d_f * d_pi * d_c  # scale of M, R and the H-part of [H_i, X^α]
+    s2 = s1 * d_pi         # scale of the H-part of [X^α, X^β] and of Q
+    f_mul, c_mul = d_pi * d_c, d_f  # f'·π^j and C'·π^(j+1) to a common scale
 
+    # signed rows of the stored halves: C'_{k T(δ)}^{T(α)} as (k, α, sign,
+    # terms) under δ, f'_{T(δ)}^{T(α) k} as (k, sign, terms) under (δ, α),
+    # C'_{T(γ)T(δ)}^k as (k, sign, terms) under (γ, δ)
+    c_kt, f_tt, c_tt = [[] for _ in range(n_t)], {}, {}
+    for (a, b, u), t in c.items():
+        if u >= n_h:
+            if b >= n_h:
+                c_kt[b - n_h].append((a, u - n_h, 1, t))
+            if a >= n_h:
+                c_kt[a - n_h].append((b, u - n_h, -1, t))
+        if a >= n_h:
+            c_tt.setdefault((a - n_h, b - n_h), []).append((u, 1, t))
+            c_tt.setdefault((b - n_h, a - n_h), []).append((u, -1, t))
+    m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
+    for (i, b, u), t in f.items():
+        if i >= n_h:
+            if b >= n_h:
+                f_tt.setdefault((i - n_h, b - n_h), []).append((u, 1, t))
+            if u >= n_h:
+                f_tt.setdefault((i - n_h, u - n_h), []).append((b, -1, t))
+        if b >= n_h:
+            _add_scaled(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t)
+            _add_scaled(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t)
+    # R has M's f' part; it differs from M only for π not antisymmetric
+    r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
+    for p, q, v in pi_nz:  # v = d_π·π^{pq}
+        for k, a, sign, t in c_kt[p]:  # π^{pq} C'_{kT(p)}^{T(α)} in M^{αq}
+            _add_product(m_acc.setdefault((a, q, k), {}), sign * c_mul, v, t)
+        for k, a, sign, t in c_kt[q]:  # π^{pq} C'_{kT(q)}^{T(α)} in M^{pα}
+            x = sign * c_mul
+            _add_product(m_acc.setdefault((p, a, k), {}), x, v, t)
+            if pairing:  # and in R^{pα}, and −π^{pq} C'_{kT(q)}^{T(α)} in R^{αp}
+                _add_product(r_acc.setdefault((p, a, k), {}), x, v, t)
+                _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
+
+    no_terms: dict = {}
     brackets, failing, residual = {}, {}, {}
 
     def check(pair, components):
-        first = next((comp for comp in components if comp[3].terms), None)
-        if first is not None:
-            failing[pair] = first
+        """Keep the first (name, lower, upper, terms, scale) with a nonzero
+        term as the failing component of ``pair``, divided back."""
+        for name, lower, upper, t, scale in components:
+            if any(t.values()):
+                failing[pair] = (name, lower, upper, from_int_terms(t, scale))
+                return
+
+    def c_at(a, b, k):
+        """(terms, scale) of C'_ab^k, a != b, from the stored half."""
+        if a < b:
+            return c.get((a, b, k), no_terms), d_c
+        return c.get((b, a, k), no_terms), -d_c
 
     for i in range(n_h):
         for j in range(i + 1, n_h):  # [H_i, H_j]
-            brackets[(i, j)] = c[i][j][:n_h] + [PolyExpr.zero()] * n_t
-            check((i, j), (("C'", (i, j), (k,), c[i][j][k]) for k in range(n_h, n)))
+            brackets[(i, j)] = [
+                (k, c[i, j, k], d_c) for k in range(n_h) if (i, j, k) in c
+            ]
+            check((i, j), (
+                ("C'", (i, j), (k,), c.get((i, j, k), no_terms), d_c)
+                for k in range(n_h, n)
+            ))
         for a in range(n_t):  # [H_i, X^α] = −[X^α, H_i]
             t_a = n_h + a
-            h_part = [dict(f[i][t_a][j].terms) for j in range(n_h)]
-            for b, v in pi_rows[a]:
-                for j in range(n_h):
-                    x = c[i][n_h + b][j]
-                    if x.terms:
-                        mul_acc(h_part[j], v, x)
-            brackets[(i, t_a)] = [_canonical(t) for t in h_part] + [
-                -c[i][k][t_a] for k in range(n_h, n)
+            row = []
+            for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
+                h = {}
+                _add_scaled(h, -f_mul, f.get((i, j, t_a), no_terms))
+                for b, v in pi_rows[a]:
+                    _add_product(h, c_mul, v, c.get((i, n_h + b, j), no_terms))
+                if any(h.values()):
+                    row.append((j, h, s1))
+            row += [
+                (k, c[i, k, t_a], -d_c) for k in range(n_h, n) if (i, k, t_a) in c
             ]
+            brackets[(i, t_a)] = row
             check((i, t_a), chain(
-                (("C'", (i, j), (t_a,), c[i][j][t_a]) for j in range(n_h)),
-                (("M", (i,), (t_a, n_h + e), m[a][e][i]) for e in range(n_t)),
+                (("C'", (i, j), (t_a,), *c_at(i, j, t_a)) for j in range(n_h)
+                 if j != i),
+                (("M", (i,), (t_a, n_h + e), m_acc.get((a, e, i), no_terms), s1)
+                 for e in range(n_t)),
             ))
     for a in range(n_t):
         for b in range(a + 1, n_t):  # [X^α, X^β]
             acc = [{} for _ in range(n)]
-            for d, v in pi_rows[b]:
-                for k in range(n):
-                    x = f[n_h + d][n_h + a][k]
-                    if x.terms:
-                        mul_acc(acc[k], v, x, negate=True)
+            for d, v in pi_rows[b]:  # −π^{βδ} f'_{T(δ)}^{T(α)k}
+                for k, sign, t in f_tt.get((d, a), ()):
+                    _add_product(acc[k], -sign * f_mul, v, t)
             for g, v in pi_rows[a]:
-                for k in range(n):
-                    x = f[n_h + g][n_h + b][k]
-                    if x.terms:
-                        mul_acc(acc[k], v, x)
-                for d, w in pi_rows[b]:
-                    vw = v * w
-                    for k in range(n):
-                        x = c[n_h + g][n_h + d][k]
-                        if x.terms:
-                            mul_acc(acc[k], vw, x)
-            x_coords = r[a][b][n_h:]
-            for g, e, v in pi_nz:
-                if x_coords[g].terms:
-                    mul_acc(acc[n_h + e], x_coords[g], v, negate=True)
+                for k, sign, t in f_tt.get((g, b), ()):  # π^{αγ} f'_{T(γ)}^{T(β)k}
+                    _add_product(acc[k], sign * f_mul, v, t)
+                for d, u in pi_rows[b]:  # π^{αγ} π^{βδ} C'_{T(γ)T(δ)}^k
+                    rows = c_tt.get((g, d))
+                    if rows:
+                        vu: dict = {}
+                        _add_product(vu, 1, v, u)
+                        for k, sign, t in rows:
+                            _add_product(acc[k], sign * c_mul, vu, t)
+            x_coords = [r_acc.get((a, b, n_h + g), no_terms) for g in range(n_t)]
+            for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
+                _add_product(acc[n_h + e], -1, x_coords[g], v)
             for e in range(n_t):
-                if acc[n_h + e]:
-                    residual[(a, b, e)] = _canonical(acc[n_h + e])
+                if any(acc[n_h + e].values()):
+                    residual[(a, b, e)] = acc[n_h + e]
             brackets[(n_h + a, n_h + b)] = [
-                _canonical(t) for t in acc[:n_h]
-            ] + x_coords
+                (k, acc[k], s2) for k in range(n_h) if any(acc[k].values())
+            ] + [
+                (n_h + g, t, s1) for g, t in enumerate(x_coords) if any(t.values())
+            ]
             pair = (n_h + a, n_h + b)
             check(pair, chain(
-                (("R", (j,), pair, r[a][b][j]) for j in range(n_h)),
-                (("Q", (), (*pair, n_h + e), residual[(a, b, e)])
+                (("R", (j,), pair, r_acc.get((a, b, j), no_terms), s1)
+                 for j in range(n_h)),
+                (("Q", (), (*pair, n_h + e), residual[(a, b, e)], s2)
                  for e in range(n_t) if (a, b, e) in residual),
             ))
-    return _AdaptedPass(c, f, pairing, m, brackets, failing, residual)
+    xx_residual = {key: from_int_terms(t, s2) for key, t in residual.items()}
+    return _AdaptedPass(
+        c_int, f_int, pairing, (s1, m_acc), brackets, failing, xx_residual
+    )
 
 
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
-    """The induced Lie algebra on l's basis, labelled by :func:`_labels`."""
-    c = zero_tensor3(B.dim)
-    for (i, j), row in brackets.items():
-        c[i][j] = row
-        c[j][i] = [-x for x in row]
-    return _algebra_on(_labels(B, spec), c)
+    """The induced Lie algebra on l's basis, labelled by :func:`_labels`,
+    from the integer bracket rows of the adapted pass: [l_j, l_i] is read
+    as [l_i, l_j] at the negated scale."""
+    n = B.dim
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                row, sign = (brackets[i, j], 1) if i < j else (brackets[j, i], -1)
+                entries += [(i, j, k, from_int_terms(t, sign * s)) for k, t, s in row]
+    return _algebra_of(_labels(B, spec), entries)
 
 
 def classify(
@@ -451,12 +515,19 @@ def classify(
     p = _adapted_pass(B, spec)
     n_h, n = spec.n_h, D.n
     lagrangian = p.pairing is None
+    d_f, f = p.f_int
     mixed = []
-    for i in range(n_h):  # the h∧T block of δ(H_i)
+    for i in range(n_h):  # the h∧T block of δ(H_i), stored as j < k
         for j, k in product(range(n_h), range(n_h, n)):
-            if p.f[i][j][k].terms:
-                mixed.append(("delta", (i,), (j, k), p.f[i][j][k]))
+            if (i, j, k) in f:
+                mixed.append(("delta", (i,), (j, k), from_int_terms(f[i, j, k], d_f)))
                 break
+    s1, m_int = p.m_int
+    zero = PolyExpr.zero()
+    m = [[[zero] * n for _ in range(spec.n_t)] for _ in range(spec.n_t)]
+    for (a, b, k), t in m_int.items():
+        if any(t.values()):
+            m[a][b][k] = from_int_terms(t, s1)
     subalg = not p.failing
     coisotropic = (
         lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
@@ -466,8 +537,8 @@ def classify(
         subalgebra=subalg,
         coisotropic=coisotropic,
         poisson_subgroup=coisotropic and not mixed,
-        m_gamma=[[row[n_h:] for row in plane] for plane in p.m],
-        m_i=[[row[:n_h] for row in plane] for plane in p.m],
+        m_gamma=[[row[n_h:] for row in plane] for plane in m],
+        m_i=[[row[:n_h] for row in plane] for plane in m],
         table=_table(B, spec, p.brackets) if subalg else None,
         xx_residual=p.xx_residual,
         _failing=p.failing,

@@ -1,8 +1,9 @@
 """Lie algebras from structure constants, with exact polynomial scalars.
 
-A :class:`LieAlgebra` stores the dense tensor ``C[i][j][k]`` of
-``[X_i, X_j] = C_ij^k X_k`` together with basis labels and declared
-parameter names.  Antisymmetry in (i, j) is enforced at construction;
+A :class:`LieAlgebra` stores the nonzero structure constants C_ij^k of
+``[X_i, X_j] = C_ij^k X_k`` as sparse entries, together with basis labels
+and declared parameter names; the dense tensor ``C[i][j][k]`` is a cached
+view of them.  Antisymmetry in (i, j) is enforced at construction;
 validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
 :func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
 only.
@@ -18,14 +19,20 @@ the nonzero sums are decoded and divided back by d².  The basis
 transforms (:func:`transform_structure`, :func:`transform_cocomm`) keep
 the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
 their factors are mostly constants and every output is needed, so there is
-little to save.  Both are thin wrappers over one integer contraction path,
-which takes the tensor and the matrices in integer form; the adapted pass
-of :mod:`liedouble.homogeneous` feeds it the cached tensors below and the
-inverse straight from the integer Bareiss kernel.
+little to save.  Both are thin dense wrappers over one integer contraction
+path, which takes the tensor and the matrices in integer form and returns
+the transformed tensor in integer form, one entry per antisymmetric pair
+(:func:`_structure_int`, :func:`_cocomm_int`); the adapted pass of
+:mod:`liedouble.homogeneous` feeds it the cached tensors below and the
+inverse straight from the integer Bareiss kernel, and reads its output
+as it is.
 
-An algebra keeps what it derives from its tensor: the sparse view
-(:meth:`LieAlgebra.nonzero`), its integer form
-(:meth:`LieAlgebra.int_tensor`) and the nonzero Jacobi components, each
+An algebra is its sparse view, the nonzero C_ij^k as (i, j, k, coef) in
+index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
+keeps what it derives from it: the dense tensor :attr:`LieAlgebra.c`, a
+read-only view built on first read, its integer form
+(:meth:`LieAlgebra.int_tensor`) with that form's bracket rows
+(:meth:`LieAlgebra.int_rows`), and the nonzero Jacobi components, each
 computed on first use.  So an algebra must not be mutated after
 construction; build a new one instead.  Instances are then safe to share
 between threads.
@@ -69,6 +76,14 @@ def zero_matrix(n: int) -> Matrix:
     return [[z] * n for _ in range(n)]
 
 
+def _dense(n: int, entries) -> list:
+    """The dense n³ tensor of a sparse view [(i, j, k, value)]."""
+    t = zero_tensor3(n)
+    for i, j, k, value in entries:
+        t[i][j][k] = value
+    return t
+
+
 def _nonzero_entries(t) -> list:
     """Sparse view [(i, j, k, value)] of the nonzero entries of a dense
     3-tensor, in index order."""
@@ -89,10 +104,14 @@ def _used_params(entries) -> tuple[str, ...]:
 
 def _algebra_on(labels: Sequence[str], c) -> LieAlgebra:
     """The algebra with dense structure tensor ``c`` and the parameters that
-    occur in it; the sparse view built to find them is kept as its
-    :meth:`LieAlgebra.nonzero`."""
-    entries = _nonzero_entries(c)
-    return LieAlgebra(len(c), tuple(labels), _used_params(entries), c, _nonzero=entries)
+    occur in it."""
+    return _algebra_of(labels, _nonzero_entries(c))
+
+
+def _algebra_of(labels: Sequence[str], entries: list) -> LieAlgebra:
+    """The algebra with sparse view ``entries`` (in index order) and the
+    parameters that occur in it."""
+    return LieAlgebra(len(labels), tuple(labels), _used_params(entries), entries)
 
 
 @dataclass
@@ -100,10 +119,13 @@ class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
     params: tuple[str, ...]
-    c: list  # dense dim^3 tensor of PolyExpr, antisymmetric in (i, j)
-    _nonzero: list | None = field(default=None, repr=False, compare=False)
+    # the nonzero C_ij^k as (i, j, k, coef), in index order; antisymmetric in
+    # (i, j): (j, i, k, -coef) is listed too
+    entries: list
+    _c: list | None = field(default=None, repr=False, compare=False)
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
+    _rows: dict | None = field(default=None, repr=False, compare=False)
 
     def index(self, label: str) -> int:
         try:
@@ -111,11 +133,17 @@ class LieAlgebra:
         except ValueError:
             raise IndexOutOfRange(f"unknown basis label {label!r}") from None
 
+    @property
+    def c(self) -> list:
+        """Dense dim³ tensor C[i][j][k] of PolyExpr, a read-only view of
+        :attr:`entries` built on first read."""
+        if self._c is None:
+            self._c = _dense(self.dim, self.entries)
+        return self._c
+
     def nonzero(self) -> list:
-        """Cached sparse view [(i, j, k, coef)] of the structure tensor."""
-        if self._nonzero is None:
-            self._nonzero = _nonzero_entries(self.c)
-        return self._nonzero
+        """Sparse view [(i, j, k, coef)] of the structure tensor: :attr:`entries`."""
+        return self.entries
 
     def int_tensor(self) -> tuple:
         """Cached integer form ``(d, {(i, j, k): {mono: int}})`` of the
@@ -123,8 +151,19 @@ class LieAlgebra:
         the Jacobi sum and the ψ check read; a double is given its form by
         ``bialgebra._double_algebra``, keyed in no particular order."""
         if self._int is None:
-            self._int = _int_tensor(self.nonzero())
+            self._int = _int_tensor(self.entries)
         return self._int
+
+    def int_rows(self) -> dict:
+        """Cached bracket rows ``{(a, b): [(k, {mono: int})]}`` of
+        :meth:`int_tensor`, which the ψ check of
+        :mod:`liedouble.double` reads."""
+        if self._rows is None:
+            rows: dict = {}
+            for (a, b, k), terms in self.int_tensor()[1].items():
+                rows.setdefault((a, b), []).append((k, terms))
+            self._rows = rows
+        return self._rows
 
     def jacobi_components(self) -> dict:
         """Cached nonzero Jacobi residuals R_ijl^m for i < j < l, keyed
@@ -184,7 +223,7 @@ def new_lie_algebra(
         raise DimensionMismatch(f"{len(labels)} labels for dimension {dim}")
     if len(set(labels)) != dim:
         raise ShapeError("basis labels must be unique")
-    c = zero_tensor3(dim)
+    acc: dict = {}
     for i, j, k, coef in brackets:
         for idx in (i, j, k):
             if not 0 <= idx < dim:
@@ -194,15 +233,15 @@ def new_lie_algebra(
             continue
         if i == j:
             raise SymmetricEntry(f"nonzero bracket entry ({i},{i},{k})")
-        c[i][j][k] = c[i][j][k] + coef
-        c[j][i][k] = c[j][i][k] - coef
-    entries = _nonzero_entries(c)
+        acc[i, j, k] = acc.get((i, j, k), PolyExpr.zero()) + coef
+        acc[j, i, k] = acc.get((j, i, k), PolyExpr.zero()) - coef
+    entries = [(*key, acc[key]) for key in sorted(acc) if acc[key].terms]
     used = _used_params(entries)
     declared = tuple(params) or used
     undeclared = sorted(set(used) - set(declared))
     if undeclared:
         raise ShapeError(f"undeclared parameters in brackets: {undeclared}")
-    return LieAlgebra(dim, tuple(labels), declared, c, _nonzero=entries)
+    return LieAlgebra(dim, tuple(labels), declared, entries)
 
 
 def _json_entries(data: Mapping, key: str) -> list:
@@ -429,13 +468,14 @@ def _contract(tensor: dict, slot: int, rows: dict, keep=None) -> dict:
     return {key: acc for key, acc in out.items() if any(acc.values())}
 
 
-def _transformed(tensor: tuple, steps, pair: tuple, n: int):
-    """The dense tensor of ``tensor`` = (d, integer entries) contracted one
-    slot at a time, each step ``(slot, (e, rows))`` a matrix in the form of
-    :func:`_int_matrix`, and divided back once by d times every e.  The
-    result is antisymmetric in the two slots of ``pair`` = (p, q), p < q:
-    only entries with key[p] < key[q] are computed, and each is also set,
-    negated, at the swapped key."""
+def _transformed(tensor: tuple, steps, pair: tuple) -> tuple[int, dict]:
+    """``tensor`` = (d, integer entries) contracted one slot at a time, each
+    step ``(slot, (e, rows))`` a matrix in the form of :func:`_int_matrix`:
+    ``(d·Πe, entries)``, the integer form of the result at the product of
+    the scales.  The result is antisymmetric in the two slots of ``pair`` =
+    (p, q), p < q, and only its entries with key[p] < key[q] are computed
+    and returned: the swapped key holds the negation and the diagonal is
+    zero."""
     d, t = tensor
     p, q = pair
     last = max(i for i, (slot, _) in enumerate(steps) if slot in pair)
@@ -444,26 +484,37 @@ def _transformed(tensor: tuple, steps, pair: tuple, n: int):
         keep = (lambda key: key[p] < key[q]) if i == last else None
         t = _contract(t, slot, rows, keep)
         d *= e
-    out = zero_tensor3(n)
+    return d, t
+
+
+def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
+    """C' of :func:`transform_structure` in integer form, its entries with
+    a < b only, from the integer forms of C, of the columns of M and of the
+    rows of W."""
+    return _transformed(t, ((2, w), (0, m_cols), (1, m_cols)), (0, 1))
+
+
+def _cocomm_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
+    """f' of :func:`transform_cocomm` in integer form, its entries with
+    b < c only, from the integer forms of f, of the columns of M and of the
+    rows of W."""
+    return _transformed(t, ((2, w), (1, w), (0, m_cols)), (1, 2))
+
+
+def _antisymmetric_entries(form: tuple, pair: tuple) -> list:
+    """The nonzero entries (i, j, k, value), in no particular order, of a
+    tensor antisymmetric in the slots ``pair`` = (p, q) from its integer
+    form ``(d, entries)`` with key[p] < key[q] only: each entry divided back
+    by d, and by −d at the swapped key."""
+    d, t = form
+    p, q = pair
+    out = []
     for key, terms in t.items():
-        value = from_int_terms(terms, d)
         swapped = list(key)
         swapped[p], swapped[q] = key[q], key[p]
-        out[key[0]][key[1]][key[2]] = value
-        out[swapped[0]][swapped[1]][swapped[2]] = -value
+        out.append((*key, from_int_terms(terms, d)))
+        out.append((*swapped, from_int_terms(terms, -d)))
     return out
-
-
-def _structure_in(t: tuple, m_cols: tuple, w: tuple, n: int):
-    """C' of :func:`transform_structure` from the integer forms of C, of the
-    columns of M and of the rows of W."""
-    return _transformed(t, ((2, w), (0, m_cols), (1, m_cols)), (0, 1), n)
-
-
-def _cocomm_in(t: tuple, m_cols: tuple, w: tuple, n: int):
-    """f' of :func:`transform_cocomm` from the integer forms of f, of the
-    columns of M and of the rows of W."""
-    return _transformed(t, ((2, w), (1, w), (0, m_cols)), (1, 2), n)
 
 
 def transform_structure(c, m: Matrix, w: Matrix):
@@ -475,14 +526,14 @@ def transform_structure(c, m: Matrix, w: Matrix):
     results are divided back by the product of the scales.  C must be
     antisymmetric in (i, j), as every construction path keeps it; then so is
     C', and only a < b is computed: (b, a) is its negation and the diagonal
-    is zero.
+    is zero.  A dense wrapper over :func:`_structure_int`.
     """
-    return _structure_in(
+    form = _structure_int(
         _int_tensor(_nonzero_entries(c)),
         _int_matrix(m, transpose=True),
         _int_matrix(w, transpose=False),
-        len(m),
     )
+    return _dense(len(m), _antisymmetric_entries(form, (0, 1)))
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
@@ -494,30 +545,38 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
     M, and only the nonzero results are divided back by the product of the
     scales.  f must be antisymmetric in (j, k), as ``bialgebra.CocommTensor``
     checks; then f' is antisymmetric in (b, c), and only b < c is computed:
-    (c, b) is its negation and the diagonal is zero.
+    (c, b) is its negation and the diagonal is zero.  A dense wrapper over
+    :func:`_cocomm_int`.
     """
-    return _cocomm_in(
+    form = _cocomm_int(
         _int_tensor(_nonzero_entries(f)),
         _int_matrix(m, transpose=True),
         _int_matrix(w, transpose=False),
-        len(m),
     )
+    return _dense(len(m), _antisymmetric_entries(form, (1, 2)))
 
 
 def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
-    """Structure constants in the new basis; bracket commutes with the map."""
+    """Structure constants in the new basis; bracket commutes with the map.
+    Computed as :func:`transform_structure` does, from L's integer form."""
     if len(bc.m) != L.dim:
         raise DimensionMismatch("basis change dimension does not match algebra")
-    c = transform_structure(L.c, bc.m, bc.inverse)
-    return _algebra_on(bc.labels, c)
+    form = _structure_int(
+        L.int_tensor(),
+        _int_matrix(bc.m, transpose=True),
+        _int_matrix(bc.inverse, transpose=False),
+    )
+    entries = _antisymmetric_entries(form, (0, 1))
+    entries.sort(key=lambda entry: entry[:3])
+    return _algebra_of(bc.labels, entries)
 
 
 def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlgebra:
     """Apply an exact parameter substitution to every structure constant."""
-    c = [[[v.substitute(mapping) for v in row] for row in plane] for plane in L.c]
-    return _algebra_on(L.labels, c)
+    entries = [(i, j, k, v.substitute(mapping)) for i, j, k, v in L.entries]
+    return _algebra_of(L.labels, [entry for entry in entries if entry[3].terms])
 
 
 def algebras_equal(a: LieAlgebra, b: LieAlgebra) -> bool:
     """Exact equality of dimension and structure tensors (labels ignored)."""
-    return a.dim == b.dim and a.c == b.c
+    return a.dim == b.dim and a.entries == b.entries

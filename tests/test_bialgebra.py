@@ -119,7 +119,7 @@ def test_shape_errors(sl2_ck):
     bad = zero_tensor3(3)
     bad[0][1][2] = PolyExpr.one()  # not antisymmetrized
     with pytest.raises(ShapeError):
-        CocommTensor(bad)
+        CocommTensor.from_dense(bad)
 
 
 @pytest.mark.parametrize(
@@ -138,11 +138,11 @@ def test_one_asymmetric_entry_is_named(sl2_hyp, entries, index):
     f = [[list(row) for row in plane] for plane in sl2_hyp.cocomm.f]
     for i, j, k in entries:
         f[i][j][k] = f[i][k][j] = PolyExpr.zero()
-    CocommTensor(f)
+    CocommTensor.from_dense(f)
     for (i, j, k), coef in entries.items():
         f[i][j][k] = PolyExpr.parse(coef)
     with pytest.raises(ShapeError, match=re.escape(f"not antisymmetric at {index}")):
-        CocommTensor(f)
+        CocommTensor.from_dense(f)
 
 
 def test_json_round_trip(sl2_hyp, iso11_eta):

@@ -521,7 +521,7 @@ def perturb_one_outer_bracket(monkeypatch, coef=1):
         f = [[list(row) for row in plane] for plane in canonical(D).f]
         f[0][1][2] = f[0][1][2] + coef
         f[0][2][1] = f[0][2][1] - coef
-        return CocommTensor(f)
+        return CocommTensor.from_dense(f)
 
     monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
 
@@ -601,3 +601,58 @@ def test_assigned_integer_forms_equal_the_computed_ones(key):
     if key == "so22-twisted":
         assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
         assert B.double_algebra.int_tensor()[0] == 2
+
+
+def dense_scan(n, entries):
+    """The dense n³ tensor of a sparse view, filled here entry by entry."""
+    t = [[[PolyExpr.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in entries:
+        t[i][j][k] = v
+    return t
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_dense_tensors_are_cached_views_of_the_entries(key):
+    # D(a), δ_D and D(D(a)) are built from entries alone; .c and .f are
+    # dense views built on first read, and == does not depend on them
+    from dataclasses import replace
+
+    from liedouble.bialgebra import from_json, to_json
+    from liedouble.liealg import _nonzero_entries, algebras_equal
+
+    B = from_json(to_json(case(key)))  # fresh objects, no view read yet
+    D = build_double(B)
+    delta = canonical_cocommutator(D)
+    D2 = double_of_double(B)
+    assert D._r_skew is None
+    for T, view, name in (
+        (B.algebra, "_c", "c"),
+        (B.double_algebra, "_c", "c"),
+        (D2.algebra, "_c", "c"),
+        (B.cocomm, "_f", "f"),
+        (delta, "_f", "f"),
+    ):
+        assert getattr(T, view) is None  # no builder filled a dense tensor
+        twin = replace(T, **{view: None, "_int": None})
+        assert twin == T
+        dense = getattr(T, name)
+        assert getattr(T, name) is dense
+        assert dense == dense_scan(len(dense), T.nonzero())
+        assert _nonzero_entries(dense) == T.nonzero()
+        assert getattr(twin, view) is None and twin == T
+        getattr(twin, name)
+        assert twin == T
+    for L in (B.algebra, B.double_algebra, D2.algebra):
+        assert algebras_equal(replace(L, _c=None), L)
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_psi_rows_are_cached_on_the_algebra(key):
+    B = case(key)
+    L = double_of_double(B).algebra
+    rows = L.int_rows()
+    assert L.int_rows() is rows
+    expected = {}
+    for (a, b, k), terms in L.int_tensor()[1].items():
+        expected.setdefault((a, b), []).append((k, terms))
+    assert rows == expected

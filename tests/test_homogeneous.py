@@ -687,6 +687,155 @@ def test_quadratic_residual_alone_breaks_closure(so22_twisted):
     }
 
 
+# --- the integer pass against the module formulas --------------------------
+
+
+def formula_oracle(B, spec):
+    """M^{αβ}_k, R^{αβ}_k and Q^{αβε} of the module doc, summed over PolyExpr
+    from the dense adapted-basis tensors of the public transforms."""
+    from liedouble.exactlinalg import invert
+    from liedouble.liealg import transform_cocomm, transform_structure
+
+    n, n_h, n_t = B.dim, spec.n_h, spec.n_t
+    rows = spec.h_basis + spec.complement
+    w = invert(rows)
+    c = transform_structure(B.algebra.c, rows, w)
+    f = transform_cocomm(B.cocomm.f, rows, w)
+    pi = spec.pi
+
+    def total(terms):
+        return sum(terms, PolyExpr.zero())
+
+    ts = range(n_t)
+    m, r, q = {}, {}, {}
+    for a in ts:
+        for b in ts:
+            for k in range(n):
+                m[a, b, k] = f[k][n_h + a][n_h + b] + total(
+                    pi[d][b] * c[k][n_h + d][n_h + a] + pi[a][d] * c[k][n_h + d][n_h + b]
+                    for d in ts
+                )
+                r[a, b, k] = f[k][n_h + a][n_h + b] + total(
+                    pi[b][d] * c[n_h + d][k][n_h + a] - pi[a][d] * c[n_h + d][k][n_h + b]
+                    for d in ts
+                )
+    for a in ts:
+        for b in ts:
+            for e in ts:
+                h_part = total(
+                    -pi[b][d] * f[n_h + d][n_h + a][n_h + e]
+                    + pi[a][d] * f[n_h + d][n_h + b][n_h + e]
+                    + total(pi[a][g] * pi[b][d] * c[n_h + g][n_h + d][n_h + e] for g in ts)
+                    for d in ts
+                )
+                q[a, b, e] = h_part - total(r[a, b, n_h + g] * pi[g][e] for g in ts)
+    return m, r, q
+
+
+def check_against_formulas(B, h, pi):
+    """classify's M, xx_residual and the failing component of each
+    [X^α, X^β] against :func:`formula_oracle`, and its verdicts and table
+    against the double route."""
+    rep = check_against_double(B, h, pi)
+    h = mat(h)
+    spec = LagrangianSpec(h, unit_complement(B, h), mat(pi))
+    m, r, q = formula_oracle(B, spec)
+    n_h, n_t = spec.n_h, spec.n_t
+    for (a, b, k), value in m.items():
+        got = rep.m_i[a][b][k] if k < n_h else rep.m_gamma[a][b][k - n_h]
+        assert got == value, (a, b, k)
+    assert rep.xx_residual == {
+        (a, b, e): v for (a, b, e), v in q.items() if a < b and v.terms
+    }
+    for a in range(n_t):
+        for b in range(a + 1, n_t):
+            pair = (n_h + a, n_h + b)
+            components = [("R", (j,), pair, r[a, b, j]) for j in range(n_h)]
+            components += [("Q", (), (*pair, n_h + e), q[a, b, e]) for e in range(n_t)]
+            first = next((comp for comp in components if comp[3].terms), None)
+            assert rep._failing.get(pair) == first, pair
+            if rep.table is not None:
+                assert rep.table.c[pair[0]][pair[1]][n_h:] == [
+                    r[a, b, n_h + g] for g in range(n_t)
+                ]
+    return rep
+
+
+FRACTIONAL_PI = ["1/2", "-2/3*eta", "3/4", "1/3*eta - 1/2"]
+
+
+def fractional_pi(m: int, antisymmetric: bool) -> list:
+    """An m×m π over FRACTIONAL_PI, so its denominators do not clear at 1;
+    antisymmetric, or with a nonzero diagonal and (0, 1) entry not the
+    negative of the (1, 0) one."""
+    entries = iter(FRACTIONAL_PI * m * m)
+    pi = [[PolyExpr.zero()] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            pi[a][b] = P(next(entries))
+            pi[b][a] = -pi[a][b]
+    if not antisymmetric:
+        pi[m - 1][m - 1] = P(next(entries))
+        if m > 1:
+            pi[1][0] = pi[1][0] + P("1/5")
+    return pi
+
+
+def pi_cases(B):
+    """h, in basis order, of one basis vector for the 3-dim bialgebras, and
+    the basis-label subalgebras and a dense h for so(2,2)."""
+    if B.dim == 3:
+        return [[B.algebra.basis_vector(i)] for i in range(3)]
+    return [[B.algebra.basis_vector(lab) for lab in labels]
+            for labels in SO22_SUBALGEBRAS] + [mat(SO22_DENSE_H[0])]
+
+
+def test_integer_pass_at_fractional_pi_matches_the_double_route():
+    # π with denominators 2, 3 and 4 and eta entries, so the pass's scale
+    # d_π is 12 and s2 = s1·d_π differs from s1
+    from liedouble.exactalg import to_int_terms
+
+    closed = collections.Counter()
+    for key in BIALGEBRAS:
+        B = CATALOG.bialgebra(key)
+        for h in pi_cases(B):
+            pi = fractional_pi(B.dim - len(h), antisymmetric=True)
+            assert to_int_terms(x for row in pi for x in row)[0] > 1
+            rep = check_against_formulas(B, h, pi)
+            assert rep.lagrangian
+            closed[B.dim] += rep.subalgebra
+    assert closed == {3: 24, 6: 0}
+
+
+def test_non_antisymmetric_pi_reads_r_apart_from_m():
+    # the x-components R of [X^α, X^β] differ from M when π is not
+    # antisymmetric; the pass then sums them apart
+    differ = 0
+    for key in BIALGEBRAS:
+        B = CATALOG.bialgebra(key)
+        for h in pi_cases(B):
+            pi = fractional_pi(B.dim - len(h), antisymmetric=False)
+            rep = check_against_formulas(B, h, pi)
+            assert not rep.lagrangian
+            m, r, _ = formula_oracle(B, LagrangianSpec(
+                mat(h), unit_complement(B, mat(h)), pi))
+            differ += any(m[key] != r[key] for key in m if key[0] < key[1])
+    assert differ == 32
+
+
+def test_so22_twisted_pass_at_cocommutator_scale_two():
+    # so22-twisted has d_f = 2 and d_C = 1, so f' and C' reach the pass at
+    # different scales; zero, antisymmetric and non-antisymmetric π
+    B = CATALOG.bialgebra("so22-twisted")
+    assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
+    verdicts = collections.Counter()
+    for h in pi_cases(B) + [mat(SO22_DENSE_H[1])]:
+        for pi in ([[0] * 3] * 3, SO22_PI, fractional_pi(3, True), fractional_pi(3, False)):
+            rep = check_against_formulas(B, h, pi)
+            verdicts[rep.lagrangian, rep.subalgebra] += 1
+    assert verdicts == {(True, True): 2, (True, False): 16, (False, False): 6}
+
+
 # --- the Poisson-subgroup test and the violations --------------------------
 
 
@@ -825,7 +974,9 @@ def fraction_constructions(work) -> int:
 
 def test_classify_fraction_cost_guard():
     # classify plus the bracket table of every subalgebra l on this list
-    # builds 4.2k Fractions; 8.1k when the adapted basis was inverted over
+    # builds 1.3k Fractions; 4.2k when the adapted pass summed M, R, Q and
+    # the bracket rows over PolyExpr from dense C' and f', and 8.1k when the
+    # adapted basis was inverted over
     # Fractions and read back into integers for the transforms, 13.3k when
     # the transforms summed Fractions and
     # subalgebras were read through a dual frame in the double.  It built
@@ -840,7 +991,7 @@ def test_classify_fraction_cost_guard():
                 lagrangian_bracket_table(D, spec)
 
     work()  # fill the algebras' cached sparse views first
-    assert fraction_constructions(work) <= 6_000
+    assert fraction_constructions(work) <= 2_000
 
 
 def test_invert_fraction_cost_guard():

@@ -16,7 +16,7 @@ from liedouble.bialgebra import from_json as bialgebra_from_json
 from liedouble.bialgebra import substitute_params as substitute_bialgebra_params
 from liedouble.bialgebra import to_json as bialgebra_to_json
 from liedouble.double import build_double, double_of_double
-from liedouble.exactalg import PolyExpr
+from liedouble.exactalg import PolyExpr, from_int_terms
 from liedouble.exactlinalg import invert, mat, rank
 from liedouble.homogeneous import LagrangianSpec, _adapted_pass, classify
 from liedouble.liealg import (
@@ -564,6 +564,23 @@ def test_transforms_match_dense_contraction_on_catalog_basis_changes(key):
     )
 
 
+def dense_of_half(form, pair, n):
+    """The dense tensor of an integer form ``(d, entries)`` that stores one
+    entry per pair of slots ``pair`` = (p, q), at key[p] < key[q]: each entry
+    divided back by d, and its negation at the swapped key."""
+    d, entries = form
+    p, q = pair
+    t = zero_tensor3(n)
+    for key, terms in entries.items():
+        assert key[p] < key[q] and any(terms.values())
+        value = from_int_terms(terms, d)
+        swapped = list(key)
+        swapped[p], swapped[q] = key[q], key[p]
+        t[key[0]][key[1]][key[2]] = value
+        t[swapped[0]][swapped[1]][swapped[2]] = -value
+    return t
+
+
 @st.composite
 def so22_adapted_specs(draw):
     """so22-r1 or so22-twisted and an adapted basis of the sweep's shape:
@@ -586,7 +603,8 @@ def so22_adapted_specs(draw):
 @given(so22_adapted_specs())
 def test_adapted_pass_transforms_match_dense_contraction(case):
     """The adapted pass reads C and f from the algebras' cached integer
-    tensors and A⁻¹ straight from the integer Bareiss kernel; the public
+    tensors and A⁻¹ straight from the integer Bareiss kernel, and keeps C'
+    and f' in integer form, one entry per antisymmetric pair; the public
     wrappers take the dense tensors and matrices.  Both equal the dense
     contraction."""
     B, spec = case
@@ -595,8 +613,8 @@ def test_adapted_pass_transforms_match_dense_contraction(case):
     c_full = full_transform_structure(B.algebra.c, a, w)
     f_full = full_transform_cocomm(B.cocomm.f, a, w)
     p = _adapted_pass(B, spec)
-    assert p.c == c_full
-    assert p.f == f_full
+    assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
+    assert dense_of_half(p.f_int, (1, 2), B.dim) == f_full
     assert transform_structure(B.algebra.c, a, w) == c_full
     assert transform_cocomm(B.cocomm.f, a, w) == f_full
 

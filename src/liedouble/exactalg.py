@@ -448,6 +448,15 @@ def from_int_terms(terms: dict, scale: int) -> PolyExpr:
     return _canonical({mono: Q(v, scale) for mono, v in terms.items() if v})
 
 
+def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
+    """``out += s·t1·t2`` on ``{mono: int}`` terms dicts, in place."""
+    for m1, c1 in t1.items():
+        c1 *= s
+        for m2, c2 in t2.items():
+            mono = _mono_mul(m1, m2) if m2 else m1
+            out[mono] = out.get(mono, 0) + c1 * c2
+
+
 def _monomial_codes(scaled: list) -> tuple[list, int, Callable]:
     """Number the monomials of ``scaled`` (as :func:`to_int_terms` gives
     them) so that a product of two monomials is the sum of their codes:

@@ -12,9 +12,14 @@ function rather than a Laurent polynomial (:func:`nullspace` then keeps
 the undivided, fraction-free vector).
 
 The elimination runs over integer terms with one scale.  The denominators
-of the whole input are cleared once (:func:`~liedouble.exactalg.to_int_terms`),
-so it eliminates s·A for one positive integer s, and every entry is held as
-a dict ``{monomial: int}``.  An update is two integer products divided
+of the whole input are cleared once (:func:`_cleared`, over
+:func:`~liedouble.exactalg.to_int_terms`), so it eliminates s·A for one
+positive integer s, and every entry is held as a dict ``{monomial: int}``.
+The integer core, :func:`_bareiss`, takes that cleared matrix, and so
+does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
+appends the identity half as integer unit dicts, so the adapted pass of
+:mod:`liedouble.homogeneous` inverts the s·A its transforms read without
+clearing it again.  An update is two integer products divided
 exactly by the previous pivot: by ``divmod`` on the coefficients and a
 monomial shift when the pivot is one term, by integer long division
 otherwise.  Every entry of the reduced matrix of s·A is an r×r minor, r
@@ -99,19 +104,27 @@ def _divider(pivot: dict):
     return lambda num: {_mono_mul(x, inv): _exact_int(v, c) for x, v in num.items()}
 
 
-def _eliminate(rows: Matrix, reduce: bool) -> tuple[list, list[int], int]:
-    """Bareiss elimination of s·``rows``: (matrix, pivot columns, s).
-
-    s is the lcm of the coefficient denominators of ``rows``, and each entry
-    of the result is a dict ``{monomial: int}`` (module doc).  Row r of the
-    result holds the pivot of column ``pivots[r]``; the rows after the last
-    pivot row are zero.  Each update divides exactly by the previous pivot.
-    With ``reduce`` the entries above every pivot are cleared too, and every
-    pivot ends equal to the last one.
-    """
+def _cleared(rows: Matrix) -> tuple[int, list]:
+    """Clear the denominators of a matrix once: ``(s, m)`` with s the lcm
+    of its coefficient denominators and ``m[i][j]`` the terms of
+    s·``rows[i][j]`` as a dict ``{monomial: int}``
+    (:func:`~liedouble.exactalg.to_int_terms`)."""
     s, scaled = to_int_terms(x for row in rows for x in row)
     flat = iter(scaled)
-    m = [[next(flat) for _ in row] for row in rows]
+    return s, [[next(flat) for _ in row] for row in rows]
+
+
+def _bareiss(m: list, reduce: bool) -> list[int]:
+    """Bareiss elimination of an integer matrix, each entry a dict
+    ``{monomial: int}``, in place; returns the pivot columns.
+
+    Row r of the result holds the pivot of column ``pivots[r]``; the rows
+    after the last pivot row are zero.  Each update divides exactly by the
+    previous pivot.  With ``reduce`` the entries above every pivot are
+    cleared too, and every pivot ends equal to the last one.  The rows of
+    ``m`` are reordered and replaced entry by entry; no entry dict is
+    changed, so a dict shared with another matrix stays as it was.
+    """
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     divide = None  # by the previous pivot; None before the first
@@ -151,7 +164,7 @@ def _eliminate(rows: Matrix, reduce: bool) -> tuple[list, list[int], int]:
             row[c] = {}
         pivots.append(c)
         divide = _divider(piv)
-    return m, pivots, s
+    return pivots
 
 
 def _quotient(num: dict, den: dict) -> PolyExpr:
@@ -168,7 +181,7 @@ def _quotient(num: dict, den: dict) -> PolyExpr:
 
 def rank(rows: Matrix) -> int:
     """Rank over the field of rational functions of the parameters."""
-    return len(_eliminate(rows, reduce=False)[1])
+    return len(_bareiss(_cleared(rows)[1], reduce=False))
 
 
 def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
@@ -182,7 +195,8 @@ def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
         return None
     k = len(rows)
     augmented = [col + [as_poly(x)] for col, x in zip(transpose(mat(rows)), v)]
-    m, pivots, _ = _eliminate(augmented, reduce=True)
+    m = _cleared(augmented)[1]
+    pivots = _bareiss(m, reduce=True)
     if pivots and pivots[-1] == k:
         return None  # a pivot in the right-hand side: inconsistent
     coeffs = [_ZERO] * k
@@ -193,22 +207,32 @@ def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
 
 def _inverse(a: Matrix) -> tuple[int, list]:
     """``(e, rows)`` with a⁻¹ = rows / e: e a positive integer and
-    ``rows[i][j]`` a dict ``{monomial: int}``; errors as :func:`invert`.
+    ``rows[i][j]`` a dict ``{monomial: int}``; errors as :func:`invert`."""
+    return _int_inverse(*_cleared(mat(a)))
 
-    The last pivot d is ±s^n·det(a).  a⁻¹ is a Laurent matrix only if
-    det(a) is a unit of the Laurent ring, one term c·x^k; then a⁻¹ is the
+
+def _int_inverse(s: int, m: list) -> tuple[int, list]:
+    """:func:`_inverse` of a = m / s, from the integer matrix m = s·a that
+    :func:`_cleared` gives; m is left as it was.
+
+    The identity half is appended as integer unit dicts, and [s·a | I] is
+    reduced: its right half ends as d·(s·a)⁻¹, with d the last pivot,
+    ±s^n·det(a).  a⁻¹ = s·(s·a)⁻¹ is a Laurent matrix only if det(a) is a
+    unit of the Laurent ring, one term c·x^k; then a⁻¹ is s times the
     reduced right half times x^-k, over e = |c|, and no coefficient is
     divided."""
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise SingularMatrix("matrix is not square")
-    augmented = [row + unit for row, unit in zip(mat(a), identity(n))]
-    m, pivots, s = _eliminate(augmented, reduce=True)
+    augmented = [
+        row + [{(): 1} if j == i else {} for j in range(n)] for i, row in enumerate(m)
+    ]
+    pivots = _bareiss(augmented, reduce=True)
     if pivots and pivots[-1] >= n:
         raise SingularMatrix("matrix has no inverse (rank deficient)")
     if not m:
         return 1, []
-    d = m[-1][n - 1]
+    d = augmented[-1][n - 1]
     if len(d) != 1:
         raise NotDivisible(
             f"matrix has no Laurent inverse: its determinant "
@@ -216,10 +240,10 @@ def _inverse(a: Matrix) -> tuple[int, list]:
         )
     ((mono, c),) = d.items()
     inv = _mono_pow(mono, -1)
-    sign = 1 if c > 0 else -1
+    sign = s if c > 0 else -s
     return abs(c), [
         [{_mono_mul(x, inv): sign * v for x, v in t.items()} for t in row[n:]]
-        for row in m
+        for row in augmented
     ]
 
 
@@ -236,7 +260,8 @@ def invert(a: Matrix) -> Matrix:
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {x : a x = 0}, scaled to clear denominators."""
     n_cols = len(a[0]) if a else 0
-    m, pivots, s = _eliminate(mat(a), reduce=True)
+    s, m = _cleared(mat(a))
+    pivots = _bareiss(m, reduce=True)
     d = m[len(pivots) - 1][pivots[-1]] if pivots else {(): 1}
     basis = []
     for free in range(n_cols):

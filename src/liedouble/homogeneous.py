@@ -45,8 +45,11 @@ none.  It also keeps the first nonzero pairing <X^α, X^β> = π^{αβ} + π^{β
 polynomial: the pairing by the labels of l, the components by those of h
 and the complement in g.
 
-The pass runs over integers.  C' and f' reach it in the integer form of
-the basis transforms (``liealg._structure_int``, ``liealg._cocomm_int``),
+The pass runs over integers.  The adapted basis A = (h, T) is cleared of
+its denominators once (:func:`_adapted`): the integer Bareiss kernel
+inverts that integer matrix, and the transforms read its columns as M and
+the inverse as W.  C' and f' reach the pass in the integer form of the
+basis transforms (``liealg._structure_int``, ``liealg._cocomm_int``),
 scaled by d_C and d_f, with one entry per antisymmetric pair: C'_ab^k for
 a < b and f'_i^{bc} for b < c; the other half is read as the negation.
 π's denominators are cleared once, at the scale d_π.  M, R and the
@@ -92,15 +95,22 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, _mono_mul, as_poly, from_int_terms, to_int_terms
-from .exactlinalg import Matrix, _inverse, identity, mat, nullspace, rank
+from .exactalg import PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
+from .exactlinalg import (
+    Matrix,
+    _cleared,
+    _int_inverse,
+    identity,
+    mat,
+    nullspace,
+    rank,
+)
 from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
     _algebra_of,
     _cocomm_int,
     _component,
-    _int_matrix,
     _int_rows,
     _nonzero_entries,
     _structure_int,
@@ -151,18 +161,22 @@ class LagrangianSpec:
 
 
 def _adapted(spec: LagrangianSpec, n: int):
-    """Rows A = (h, T) of the adapted basis and its exact inverse in the
-    integer form ``(e, rows)`` of the Bareiss kernel, A⁻¹ = rows / e."""
-    rows = [list(v) for v in spec.h_basis] + [list(v) for v in spec.complement]
+    """The adapted basis A = (h, T), cleared of its denominators once, and
+    its exact inverse: ``(m_cols, a_inv)`` with ``m_cols`` = (s, columns
+    of s·A) in the form of ``liealg._int_matrix(A, transpose=True)``, and
+    ``a_inv`` = (e, rows) with A⁻¹ = rows / e from the integer Bareiss
+    kernel (``exactlinalg._inverse``)."""
+    rows = spec.h_basis + spec.complement
     if len(rows) != n:
         raise BasisNotComplete(
             f"adapted basis has {len(rows)} vectors for dimension {n}"
         )
+    s, a = _cleared(rows)
     try:
-        a_inv = _inverse(rows)
+        a_inv = _int_inverse(s, a)
     except SingularMatrix:
         raise BasisNotComplete("h-basis plus complement do not span g") from None
-    return rows, a_inv
+    return (s, _int_rows(a, transpose=True)), a_inv
 
 
 def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
@@ -311,15 +325,6 @@ def _add_scaled(out: dict, s: int, t: dict) -> None:
         out[mono] = out.get(mono, 0) + s * c
 
 
-def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
-    """``out += s·t1·t2`` on ``{mono: int}`` terms dicts, in place."""
-    for m1, c1 in t1.items():
-        c1 *= s
-        for m2, c2 in t2.items():
-            mono = _mono_mul(m1, m2) if m2 else m1
-            out[mono] = out.get(mono, 0) + c1 * c2
-
-
 @dataclass
 class _AdaptedPass:
     """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
@@ -346,9 +351,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     with the first nonzero component that must vanish for each to lie in l,
     summed over integers at the scales s1 and s2 (module doc)."""
     n = B.dim
-    a_rows, (e, inv_rows) = _adapted(spec, n)
+    m_cols, (e, inv_rows) = _adapted(spec, n)
     # both transforms read one integer form of A's columns and of A⁻¹
-    m_cols = _int_matrix(a_rows, transpose=True)
     w = (e, _int_rows(inv_rows, transpose=False))
     d_c, c = c_int = _structure_int(B.algebra.int_tensor(), m_cols, w)
     d_f, f = f_int = _cocomm_int(B.cocomm.int_tensor(), m_cols, w)

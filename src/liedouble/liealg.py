@@ -17,15 +17,20 @@ numbered so that a monomial product is a sum of two ints
 accumulated under one integer index of its component and monomial.  Only
 the nonzero sums are decoded and divided back by d².  The basis
 transforms (:func:`transform_structure`, :func:`transform_cocomm`) keep
-the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`:
-their factors are mostly constants and every output is needed, so there is
-little to save.  Both are thin dense wrappers over one integer contraction
-path, which takes the tensor and the matrices in integer form and returns
-the transformed tensor in integer form, one entry per antisymmetric pair
+the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`, whose
+factors are mostly constants.  Each reads one antisymmetric half of its
+tensor, C_ij^k with i < j or f_i^{jk} with j < k, and contracts that pair
+in one step with the 2×2 minors of the matrix, M_a^i M_b^j − M_a^j M_b^i
+for C' and W_j^b W_k^c − W_j^c W_k^b for f', built only for the pairs
+that occur; every output pair a < b is then one sum over half the
+entries.  The remaining slot is contracted with the matrix itself.  Both
+are thin dense wrappers over one integer contraction path, which takes
+the tensor and the matrices in integer form and returns the transformed
+tensor in integer form, one entry per antisymmetric pair
 (:func:`_structure_int`, :func:`_cocomm_int`); the adapted pass of
-:mod:`liedouble.homogeneous` feeds it the cached tensors below and the
-inverse straight from the integer Bareiss kernel, and reads its output
-as it is.
+:mod:`liedouble.homogeneous` feeds it the cached tensors below, the
+adapted basis cleared once and its inverse straight from the integer
+Bareiss kernel, and reads its output as it is.
 
 An algebra is its sparse view, the nonzero C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
@@ -55,13 +60,13 @@ from .errors import (
 from .exactalg import (
     PolyExpr,
     PolyLike,
-    _mono_mul,
+    _add_product,
     _monomial_codes,
     as_poly,
     from_int_terms,
     to_int_terms,
 )
-from .exactlinalg import Matrix, Vector, invert, mat
+from .exactlinalg import Matrix, Vector, _cleared, invert, mat
 
 BracketEntry = tuple  # (i, j, k, coef)
 
@@ -433,12 +438,10 @@ def _int_rows(rows: list, transpose: bool) -> dict:
 def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
     """Clear the denominators of a matrix once: ``(d, rows)`` with ``rows``
     the :func:`_int_rows` of ``d*m`` as
-    :func:`~liedouble.exactalg.to_int_terms` gives it.  The integer
-    inverse of the Bareiss kernel (:func:`~liedouble.exactlinalg._inverse`)
-    takes this form through :func:`_int_rows`."""
-    d, scaled = to_int_terms(x for row in m for x in row)
-    flat = iter(scaled)
-    return d, _int_rows([[next(flat) for _ in row] for row in m], transpose)
+    :func:`~liedouble.exactlinalg._cleared` gives it.  The adapted pass
+    builds the same form from the adapted basis it inverts."""
+    d, scaled = _cleared(m)
+    return d, _int_rows(scaled, transpose)
 
 
 def _int_tensor(entries) -> tuple[int, dict]:
@@ -448,57 +451,78 @@ def _int_tensor(entries) -> tuple[int, dict]:
     return d, {(i, j, k): terms for (i, j, k, _), terms in zip(entries, scaled)}
 
 
-def _contract(tensor: dict, slot: int, rows: dict, keep=None) -> dict:
+def _nonzero(out: dict) -> dict:
+    """The entries of ``{key: {mono: int}}`` with a nonzero term."""
+    return {key: acc for key, acc in out.items() if any(acc.values())}
+
+
+def _contract(tensor: dict, slot: int, rows: dict) -> dict:
     """Contract index ``slot`` of an integer 3-tensor with a matrix:
-    out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over Python ints.
-    ``keep(key)`` selects the output keys to compute."""
+    out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over Python ints."""
     out: dict = {}
     for key, t1 in tensor.items():
         for y, t2 in rows.get(key[slot], ()):
             new = key[:slot] + (y,) + key[slot + 1 :]
-            if keep is not None and not keep(new):
-                continue
-            acc = out.get(new)
-            if acc is None:
-                acc = out[new] = {}
-            for m2, c2 in t2.items():
-                for m1, c1 in t1.items():
-                    mono = _mono_mul(m1, m2) if m2 else m1
-                    acc[mono] = acc.get(mono, 0) + c1 * c2
-    return {key: acc for key, acc in out.items() if any(acc.values())}
+            _add_product(out.setdefault(new, {}), 1, t1, t2)
+    return _nonzero(out)
 
 
-def _transformed(tensor: tuple, steps, pair: tuple) -> tuple[int, dict]:
-    """``tensor`` = (d, integer entries) contracted one slot at a time, each
-    step ``(slot, (e, rows))`` a matrix in the form of :func:`_int_matrix`:
-    ``(d·Πe, entries)``, the integer form of the result at the product of
-    the scales.  The result is antisymmetric in the two slots of ``pair`` =
-    (p, q), p < q, and only its entries with key[p] < key[q] are computed
-    and returned: the swapped key holds the negation and the diagonal is
-    zero."""
-    d, t = tensor
-    p, q = pair
-    last = max(i for i, (slot, _) in enumerate(steps) if slot in pair)
-    for i, (slot, (e, rows)) in enumerate(steps):
-        # the pair is fixed once both of its slots are contracted
-        keep = (lambda key: key[p] < key[q]) if i == last else None
-        t = _contract(t, slot, rows, keep)
-        d *= e
-    return d, t
+def _minors(rows: dict, x: int, y: int) -> list:
+    """The nonzero 2×2 minors rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b]
+    of rows x and y of a matrix in the form of :func:`_int_rows`, a < b, as
+    ``[((a, b), terms)]``.  Each product rows[x][a]·rows[y][b] of two
+    nonzero entries is a term of one minor: added at (a, b) when a < b,
+    subtracted at (b, a) when a > b."""
+    out: dict = {}
+    ys = rows.get(y, ())
+    for a, t1 in rows.get(x, ()):
+        for b, t2 in ys:
+            if a < b:
+                _add_product(out.setdefault((a, b), {}), 1, t1, t2)
+            elif a > b:
+                _add_product(out.setdefault((b, a), {}), -1, t1, t2)
+    return list(_nonzero(out).items())
+
+
+def _contract_pair(tensor: dict, slot: int, rows: dict) -> dict:
+    """Contract the pair of slots (slot, slot + 1), in which ``tensor`` is
+    antisymmetric, with a matrix: out[.., a, b, ..] =
+    Σ_{x<y} tensor[.., x, y, ..] · (rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b])
+    for a < b, over Python ints.  Only the entries with x < y are read, and
+    the minors (:func:`_minors`) are built once for each pair among them."""
+    minors: dict = {}
+    out: dict = {}
+    for key, t1 in tensor.items():
+        pair = key[slot : slot + 2]
+        if pair[0] >= pair[1]:
+            continue
+        lam = minors.get(pair)
+        if lam is None:
+            lam = minors[pair] = _minors(rows, *pair)
+        for ab, t2 in lam:
+            new = key[:slot] + ab + key[slot + 2 :]
+            _add_product(out.setdefault(new, {}), 1, t1, t2)
+    return _nonzero(out)
 
 
 def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     """C' of :func:`transform_structure` in integer form, its entries with
-    a < b only, from the integer forms of C, of the columns of M and of the
-    rows of W."""
-    return _transformed(t, ((2, w), (0, m_cols), (1, m_cols)), (0, 1))
+    a < b only, from the integer forms of C (only its entries with i < j
+    are read), of the columns of M and of the rows of W, each ``(scale,
+    entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
+    ``(d·e_M²·e_W, entries)``."""
+    (d, c), (e_m, cols), (e_w, rows) = t, m_cols, w
+    return d * e_m * e_m * e_w, _contract(_contract_pair(c, 0, cols), 2, rows)
 
 
 def _cocomm_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     """f' of :func:`transform_cocomm` in integer form, its entries with
-    b < c only, from the integer forms of f, of the columns of M and of the
-    rows of W."""
-    return _transformed(t, ((2, w), (1, w), (0, m_cols)), (1, 2))
+    b < c only, from the integer forms of f (only its entries with j < k
+    are read), of the columns of M and of the rows of W, each ``(scale,
+    entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
+    ``(d·e_M·e_W², entries)``."""
+    (d, f), (e_m, cols), (e_w, rows) = t, m_cols, w
+    return d * e_m * e_w * e_w, _contract(_contract_pair(f, 1, rows), 0, cols)
 
 
 def _antisymmetric_entries(form: tuple, pair: tuple) -> list:
@@ -520,13 +544,15 @@ def _antisymmetric_entries(form: tuple, pair: tuple) -> list:
 def transform_structure(c, m: Matrix, w: Matrix):
     """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W.
 
-    The sum runs over integers, one index at a time: the denominators of C,
-    M and W are each cleared once (:func:`~liedouble.exactalg.to_int_terms`),
-    k is contracted with W, then i and j with M, and only the nonzero
-    results are divided back by the product of the scales.  C must be
-    antisymmetric in (i, j), as every construction path keeps it; then so is
-    C', and only a < b is computed: (b, a) is its negation and the diagonal
-    is zero.  A dense wrapper over :func:`_structure_int`.
+    The sum runs over integers: the denominators of C, M and W are each
+    cleared once (:func:`~liedouble.exactalg.to_int_terms`).  C must be
+    antisymmetric in (i, j), as every construction path keeps it; then so
+    is C', and C'_ab^c for a < b is Σ_{i<j} (M_a^i M_b^j − M_a^j M_b^i)
+    C_ij^k W_k^c: the pair (i, j) is contracted in one step with the 2×2
+    minors of M, from the entries with i < j only, then k with W, and only
+    the nonzero results are divided back by the product of the scales.
+    (b, a) is the negation and the diagonal is zero.  A dense wrapper over
+    :func:`_structure_int`.
     """
     form = _structure_int(
         _int_tensor(_nonzero_entries(c)),
@@ -539,14 +565,15 @@ def transform_structure(c, m: Matrix, w: Matrix):
 def transform_cocomm(f, m: Matrix, w: Matrix):
     """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c.
 
-    The sum runs over integers, one index at a time: the denominators of f,
-    M and W are each cleared once (:func:`~liedouble.exactalg.to_int_terms`),
-    g_i^bc = f_i^jk W_j^b W_k^c is formed once per i, then contracted with
-    M, and only the nonzero results are divided back by the product of the
-    scales.  f must be antisymmetric in (j, k), as ``bialgebra.CocommTensor``
-    checks; then f' is antisymmetric in (b, c), and only b < c is computed:
-    (c, b) is its negation and the diagonal is zero.  A dense wrapper over
-    :func:`_cocomm_int`.
+    The sum runs over integers: the denominators of f, M and W are each
+    cleared once (:func:`~liedouble.exactalg.to_int_terms`).  f must be
+    antisymmetric in (j, k), as ``bialgebra.CocommTensor`` checks; then f'
+    is antisymmetric in (b, c), and f'_a^bc for b < c is
+    M_a^i Σ_{j<k} f_i^jk (W_j^b W_k^c − W_j^c W_k^b): the pair (j, k) is
+    contracted in one step with the 2×2 minors of W, from the entries with
+    j < k only, then i with M, and only the nonzero results are divided
+    back by the product of the scales.  (c, b) is the negation and the
+    diagonal is zero.  A dense wrapper over :func:`_cocomm_int`.
     """
     form = _cocomm_int(
         _int_tensor(_nonzero_entries(f)),

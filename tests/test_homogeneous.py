@@ -13,14 +13,17 @@ from liedouble.errors import (
     BadPartition,
     BasisNotComplete,
     NotClosed,
+    NotDivisible,
     NotInFirstFactor,
+    SingularMatrix,
     WrongDimension,
 )
 from liedouble.exactalg import PolyExpr
-from liedouble.exactlinalg import mat, rank, solve_in_span
+from liedouble.exactlinalg import _inverse, mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
     Subspace,
+    _adapted,
     _labels,
     annihilator,
     classify,
@@ -30,7 +33,7 @@ from liedouble.homogeneous import (
     lagrangian_bracket_table,
     lagrangian_from_pi,
 )
-from liedouble.liealg import bracket
+from liedouble.liealg import _int_matrix, bracket
 
 P = PolyExpr.parse
 
@@ -834,6 +837,78 @@ def test_so22_twisted_pass_at_cocommutator_scale_two():
             rep = check_against_formulas(B, h, pi)
             verdicts[rep.lagrangian, rep.subalgebra] += 1
     assert verdicts == {(True, True): 2, (True, False): 16, (False, False): 6}
+
+
+# --- the adapted basis, cleared of its denominators once -------------------
+
+
+def test_adapted_returns_the_integer_basis_and_its_inverse():
+    """_adapted clears A = (h, T) once: its columns are those of
+    _int_matrix(A, transpose=True), and its inverse is _inverse(A)."""
+    # upper triangular, det = 1/6*eta^-1: cleared at s = 6, Laurent inverse
+    laurent = spec_with_zero_pi([["1/2", "eta", 0]], [[0, "1/3", 0], [0, 0, "eta^-1"]])
+    cases = [(B.dim, spec) for _, B, spec in cost_guard_cases()] + [(3, laurent)]
+    for n, spec in cases:
+        rows = spec.h_basis + spec.complement
+        m_cols, a_inv = _adapted(spec, n)
+        assert m_cols == _int_matrix(rows, transpose=True)
+        assert a_inv == _inverse(rows)
+    assert m_cols[0] == 6
+
+
+ADAPTED_ERRORS = [
+    # not a basis: T repeats h
+    ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0]],
+     BasisNotComplete, "h-basis plus complement do not span g",
+     SingularMatrix, "matrix has no inverse (rank deficient)"),
+    # det = 1/2*eta^-1 - 1/3 has two terms: A⁻¹ is not a Laurent matrix
+    ([["1/2", "eta", 0]], [["1/3", 1, 0], [0, 0, "eta^-1"]],
+     NotDivisible,
+     "matrix has no Laurent inverse: its determinant ±(-1/3 + 1/2*eta^-1) is not one term",
+     NotDivisible,
+     "matrix has no Laurent inverse: its determinant ±(-1/3 + 1/2*eta^-1) is not one term"),
+    # too many vectors
+    ([[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 1]],
+     BasisNotComplete, "adapted basis has 4 vectors for dimension 3",
+     SingularMatrix, "matrix is not square"),
+]
+
+
+@pytest.mark.parametrize("h, comp, error, message, inv_error, inv_message", ADAPTED_ERRORS)
+def test_adapted_basis_errors(sl2_hyp, h, comp, error, message, inv_error, inv_message):
+    spec = spec_with_zero_pi(h, comp)
+    for call in (
+        lambda: _adapted(spec, 3),
+        lambda: classify(build_double(sl2_hyp), sl2_hyp, spec),
+    ):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+    with pytest.raises(inv_error) as exc:
+        _inverse(spec.h_basis + spec.complement)
+    assert str(exc.value) == inv_message
+
+
+# --- the paper's sl(2,R) table ----------------------------------------------
+
+# h in the CK basis: compact (the hyperbolic plane H2), a boost (AdS2) and
+# null (the lightcone)
+SL2_SPACES = {"H2": {"P1": 1}, "AdS2": {"J12": 1}, "lightcone": {"P1": 1, "P2": 1}}
+# the one bialgebra under which each h is a Poisson subgroup
+SL2_DIAGONAL = {"sl2-ell": "H2", "sl2-hyp": "AdS2", "sl2-par": "lightcone"}
+
+
+@pytest.mark.parametrize("space", SL2_SPACES)
+@pytest.mark.parametrize("key", SL2_DIAGONAL)
+def test_sl2_table_cell(key, space):
+    """Each cell of the 3×3 table of the paper's sl(2,R) case: h at π = 0
+    is coisotropic under each of sl2-ell, sl2-hyp and sl2-par, and a
+    Poisson subgroup exactly on the diagonal."""
+    B = CATALOG.bialgebra(key)
+    h = [B.algebra.vector(SL2_SPACES[space])]
+    rep = classify(build_double(B), B, spec_with_zero_pi(h, unit_complement(B, h)))
+    assert rep.lagrangian and rep.subalgebra and rep.coisotropic
+    assert rep.poisson_subgroup == (SL2_DIAGONAL[key] == space)
 
 
 # --- the Poisson-subgroup test and the violations --------------------------

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liedouble.errors import (
     DimensionMismatch,
@@ -16,12 +17,18 @@ from liedouble.bialgebra import from_json as bialgebra_from_json
 from liedouble.bialgebra import substitute_params as substitute_bialgebra_params
 from liedouble.bialgebra import to_json as bialgebra_to_json
 from liedouble.double import build_double, double_of_double
-from liedouble.exactalg import PolyExpr, from_int_terms
+from liedouble.exactalg import PolyExpr, from_int_terms, poly_div_exact
 from liedouble.exactlinalg import invert, mat, rank
-from liedouble.homogeneous import LagrangianSpec, _adapted_pass, classify
+from liedouble.homogeneous import LagrangianSpec, _adapted, _adapted_pass, classify
 from liedouble.liealg import (
     BasisChange,
+    _cocomm_int,
+    _int_matrix,
+    _int_rows,
     _int_tensor,
+    _minors,
+    _nonzero_entries,
+    _structure_int,
     algebras_equal,
     bracket,
     change_basis,
@@ -508,13 +515,9 @@ LAURENT_DIAGONAL = ["1/3", "-5/7*eta", "eta^-1", "11/13*xi", "-2/3*eta^-2"]
 
 
 @st.composite
-def awkward_transforms(draw):
-    """An awkward structure tensor, a cocommutator over the same
-    coefficients, and a basis whose rows are a permuted lower-triangular
-    matrix with Laurent-monomial diagonal: its inverse has Laurent entries
-    (eta^-1, xi^-1, ...) over coprime denominators."""
-    L = draw(awkward_tensors())
-    n = L.dim
+def awkward_cocomms(draw, n):
+    """A dense n³ tensor f_i^{jk}, antisymmetric in (j, k), over
+    AWKWARD_COEFFICIENTS."""
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     f = zero_tensor3(n)
     wedges = st.tuples(
@@ -523,6 +526,18 @@ def awkward_transforms(draw):
     for i, (j, k), coef in draw(st.lists(wedges, min_size=1, max_size=8)):
         f[i][j][k] = f[i][j][k] + P(coef)
         f[i][k][j] = f[i][k][j] - P(coef)
+    return f
+
+
+@st.composite
+def awkward_transforms(draw):
+    """An awkward structure tensor, a cocommutator over the same
+    coefficients, and a basis whose rows are a permuted lower-triangular
+    matrix with Laurent-monomial diagonal: its inverse has Laurent entries
+    (eta^-1, xi^-1, ...) over coprime denominators."""
+    L = draw(awkward_tensors())
+    n = L.dim
+    f = draw(awkward_cocomms(n))
     off = st.sampled_from(["0", "0", *AWKWARD_COEFFICIENTS])
     rows = [
         [draw(st.sampled_from(LAURENT_DIAGONAL)) if j == i else draw(off) if j < i else "0"
@@ -617,6 +632,125 @@ def test_adapted_pass_transforms_match_dense_contraction(case):
     assert dense_of_half(p.f_int, (1, 2), B.dim) == f_full
     assert transform_structure(B.algebra.c, a, w) == c_full
     assert transform_cocomm(B.cocomm.f, a, w) == f_full
+
+
+# --- the transforms read one antisymmetric half, through 2×2 minors --------
+
+
+def pascal(n):
+    """Pascal's matrix binom(i + j, i): every minor is positive and the
+    determinant is 1, so its inverse is an integer matrix."""
+    return mat([[comb(i + j, i) for j in range(n)] for i in range(n)])
+
+
+def upper_half(form, pair):
+    """An integer tensor form ``(d, entries)`` cut to its entries with
+    key[p] < key[q], ``pair`` = (p, q)."""
+    d, entries = form
+    p, q = pair
+    return d, {key: t for key, t in entries.items() if key[p] < key[q]}
+
+
+def assert_transforms_read_one_half(B, m_cols, w):
+    c, f = B.algebra.int_tensor(), B.cocomm.int_tensor()
+    c_half, f_half = upper_half(c, (0, 1)), upper_half(f, (1, 2))
+    assert len(c_half[1]) * 2 == len(c[1])
+    assert len(f_half[1]) * 2 == len(f[1])
+    assert _structure_int(c, m_cols, w) == _structure_int(c_half, m_cols, w)
+    assert _cocomm_int(f, m_cols, w) == _cocomm_int(f_half, m_cols, w)
+
+
+@pytest.mark.parametrize("key", CATALOG.list("bialgebra"))
+def test_transforms_read_only_the_upper_half_on_catalog_bialgebras(key):
+    """C' and f' come out the same from the whole integer tensor as from
+    its entries with i < j (with j < k for f): the lower half is not read."""
+    B = CATALOG.bialgebra(key)
+    m = pascal(B.dim)
+    w = invert(m)
+    assert_transforms_read_one_half(
+        B, _int_matrix(m, transpose=True), _int_matrix(w, transpose=False)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(so22_adapted_specs())
+def test_transforms_read_only_the_upper_half_on_sweep_bases(case):
+    B, spec = case
+    m_cols, (e, rows) = _adapted(spec, B.dim)
+    assert_transforms_read_one_half(B, m_cols, (e, _int_rows(rows, transpose=False)))
+
+
+FRACTIONAL_SCALES = ["1/3", "-5/7*eta", "-2/3*eta^-2", "11/13*xi^-1"]
+LAURENT_SCALES = ["1", "-1", "eta^-1", *FRACTIONAL_SCALES]
+
+
+@st.composite
+def minor_bases(draw):
+    """(c, f, m, cancelled): an awkward structure tensor, a cocommutator
+    over the same coefficients, and the basis diag(r)·Pascal·diag(s) with
+    its rows and columns permuted, r and s Laurent monomials with
+    fractional coefficients.  Every 2×2 minor of m is then nonzero, and so
+    is every one of its inverse.  With ``cancelled`` = (a, b, i, j), entry
+    (b, j) was replaced so that columns i and j are proportional on rows a
+    and b: that one minor of m cancels to zero."""
+    L = draw(awkward_tensors())
+    n = L.dim
+    f = draw(awkward_cocomms(n))
+    r = [P(draw(st.sampled_from(FRACTIONAL_SCALES)))]
+    r += [P(draw(st.sampled_from(LAURENT_SCALES))) for _ in range(n - 1)]
+    s = [P(draw(st.sampled_from(LAURENT_SCALES))) for _ in range(n)]
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    m = [[r[a] * s[i] * comb(rows[a] + cols[i], rows[a]) for i in range(n)]
+         for a in range(n)]
+    cancelled = None
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(list(combinations(range(n), 2))))
+        i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+        m[b][j] = poly_div_exact(m[a][j] * m[b][i], m[a][i])
+        assume(rank(m) == n)
+        cancelled = (a, b, i, j)
+    return L.c, f, m, cancelled
+
+
+def minors_of(m, transpose):
+    """{(x, y): {(a, b) with a nonzero minor}} of the rows of m (of its
+    columns with ``transpose``), as the transforms build them."""
+    rows = _int_matrix(m, transpose)[1]
+    n = len(m)
+    return {(x, y): {ab for ab, _ in _minors(rows, x, y)}
+            for x, y in combinations(range(n), 2)}
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(minor_bases())
+def test_minor_transforms_match_full_planes(case):
+    """The transforms of c and f by (m, m⁻¹) and by (m⁻¹, m) equal the
+    full-plane contraction; so each minor of m, the cancelled one too,
+    enters C' in the first and f' in the second.  Every stored entry of
+    the integer forms has key[p] < key[q] and a nonzero term."""
+    c, f, m, cancelled = case
+    c_int, f_int = _int_tensor(_nonzero_entries(c)), _int_tensor(_nonzero_entries(f))
+    assume(c_int[0] > 1 and f_int[0] > 1)
+    assert _int_matrix(m, transpose=True)[0] > 1
+    n = len(m)
+    w = invert(m)
+    pairs = set(combinations(range(n), 2))
+    m_minors = minors_of(m, transpose=True)
+    if cancelled is None:
+        assert all(found == pairs for found in m_minors.values())
+        assert all(found == pairs for found in minors_of(w, transpose=False).values())
+    else:
+        a, b, i, j = cancelled
+        assert m_minors[i, j] == pairs - {(a, b)}
+    for basis, inverse in ((m, w), (w, m)):
+        m_cols = _int_matrix(basis, transpose=True)
+        w_rows = _int_matrix(inverse, transpose=False)
+        c_full = full_transform_structure(c, basis, inverse)
+        f_full = full_transform_cocomm(f, basis, inverse)
+        assert dense_of_half(_structure_int(c_int, m_cols, w_rows), (0, 1), n) == c_full
+        assert dense_of_half(_cocomm_int(f_int, m_cols, w_rows), (1, 2), n) == f_full
+        assert transform_structure(c, basis, inverse) == c_full
+        assert transform_cocomm(f, basis, inverse) == f_full
 
 
 def test_substituted_bialgebra_has_its_own_integer_tensors():

@@ -13,7 +13,8 @@ The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
 text and json; ``classify`` of the basis-label subalgebras of so22-r1 and
 so22-twisted, and of the ``CLASSIFY_PI`` cases (constant, eta and
 non-antisymmetric π, recombined generators, h not a subalgebra), in text
-and json; and
+and json; ``classify`` of the nine cells of the paper's sl(2,R) table
+(``SL2_TABLE``), in text and json; and
 ``validate`` of two invalid files this script writes to a temporary
 directory, an algebra that violates Jacobi and a bialgebra whose
 cocommutator is not a cobracket.
@@ -52,6 +53,13 @@ CLASSIFY_PI = (
     ("so22-r1", "span{J,K1,K2}", [[0, "eta", "1/2"], ["-eta", 0, "-2*eta"], ["-1/2", "2*eta", 0]]),
     ("so22-twisted", "span{P0,P1,K2}", None),                # h not a subalgebra
     ("so22-twisted", "span{P0,K1}", None),
+)
+# the sl(2,R) table in the CK basis: h = P1 (H2), J12 (AdS2) and P1+P2 (the
+# lightcone) under the elliptic, hyperbolic and parabolic bialgebras
+SL2_TABLE = tuple(
+    (key, span)
+    for key in ("sl2-ell", "sl2-hyp", "sl2-par")
+    for span in ("span{P1}", "span{J12}", "span{P1+P2}")
 )
 
 # [e0,e1] = 1/3*eta^-1 e2 and [e0,e2] = 5/7*xi e0 violate Jacobi along e2.
@@ -96,6 +104,7 @@ def commands() -> list:
     for key, span, pi in CLASSIFY_PI:
         extra = [] if pi is None else ["--pi", json.dumps(pi)]
         argvs += [["classify", key, span, *extra, *fmt] for fmt in FORMATS]
+    argvs += [["classify", key, span, *fmt] for key, span in SL2_TABLE for fmt in FORMATS]
     argvs += [["validate", name, *fmt] for name in INVALID_FILES for fmt in FORMATS]
     return argvs
 

@@ -86,56 +86,25 @@ def coord_index(chart_id: str, name) -> int:
         ) from None
 
 
-# --- generalized trigonometry for the two-parameter family -----------------
-
-
-def _ck_cos(kappa: float, x: float) -> float:
-    if kappa > 0:
-        return math.cos(math.sqrt(kappa) * x)
-    if kappa < 0:
-        return math.cosh(math.sqrt(-kappa) * x)
-    return 1.0
-
-
-def _ck_sin(kappa: float, x: float) -> float:
-    if kappa > 0:
-        w = math.sqrt(kappa)
-        return math.sin(w * x) / w
-    if kappa < 0:
-        w = math.sqrt(-kappa)
-        return math.sinh(w * x) / w
-    return x
-
-
-def ck_matrix(p: ChartPoint, k1: float = 1.0, k2: float = -1.0) -> np.ndarray:
-    """3x3 matrix of exp(a1 P1) exp(a2 P2) exp(theta J12).
-
-    Coordinate a1 lives at curvature k1, a2 at k1*k2, theta at k2; the
-    default (1, -1) is the Lorentzian chart used throughout."""
+def ck_matrix(p: ChartPoint) -> np.ndarray:
+    """3x3 matrix of exp(a1 P1) exp(a2 P2) exp(theta J12) in the Lorentzian
+    chart: a1 is a rotation angle, a2 and theta are rapidities."""
     _require(p, CK)
     theta, a1, a2 = p.coords
-    c1, s1 = _ck_cos(k1, a1), _ck_sin(k1, a1)
-    c2, s2 = _ck_cos(k1 * k2, a2), _ck_sin(k1 * k2, a2)
-    ct, st = _ck_cos(k2, theta), _ck_sin(k2, theta)
+    c1, s1 = math.cos(a1), math.sin(a1)
+    c2, s2 = math.cosh(a2), math.sinh(a2)
+    ct, st = math.cosh(theta), math.sinh(theta)
     return np.array(
         [
-            [
-                c1 * c2,
-                -k1 * s1 * ct - k1 * k2 * c1 * s2 * st,
-                k1 * k2 * s1 * st - k1 * k2 * c1 * s2 * ct,
-            ],
-            [
-                s1 * c2,
-                c1 * ct - k1 * k2 * s1 * s2 * st,
-                -k2 * c1 * st - k1 * k2 * s1 * s2 * ct,
-            ],
+            [c1 * c2, -s1 * ct + c1 * s2 * st, -s1 * st + c1 * s2 * ct],
+            [s1 * c2, c1 * ct + s1 * s2 * st, c1 * st + s1 * s2 * ct],
             [s2, c2 * st, c2 * ct],
         ]
     )
 
 
 def ck_chart_inverse(m: np.ndarray) -> ChartPoint:
-    """Invert :func:`ck_matrix` at (k1, k2) = (1, -1).
+    """Invert :func:`ck_matrix`.
 
     a2 = asinh m31, a1 = atan2(m21, m11), theta = atanh(m32/m33); raises
     :class:`OutOfChart` when the formulas are singular or the matrix does
@@ -342,20 +311,10 @@ def closed_form(bracket_id: str, pair, p: ChartPoint, params: Mapping) -> float:
     raise UnknownBracket(f"bracket {bracket_id} has no pair {key}")
 
 
-def _tanh_ratio(eta: float, x: float) -> float:
-    return math.tanh(eta * x) / eta if eta != 0.0 else x
-
-
-def _tan_ratio(eta: float, x: float) -> float:
-    return math.tan(eta * x) / eta if eta != 0.0 else x
-
-
-def _sin_ratio(eta: float, x: float) -> float:
-    return math.sin(eta * x) / eta if eta != 0.0 else x
-
-
-def _sinh_ratio(eta: float, x: float) -> float:
-    return math.sinh(eta * x) / eta if eta != 0.0 else x
+def _ratio(fn, eta: float, x: float) -> float:
+    """fn(eta·x)/eta, which tends to x as eta -> 0 for fn = sin, sinh, tan
+    and tanh."""
+    return fn(eta * x) / eta if eta != 0.0 else x
 
 
 def _upsilon(eta: float, x0: float, x1: float) -> float:
@@ -458,11 +417,11 @@ def _install_builtin_brackets():
             "ads3-double1",
             ADS3,
             {
-                ("x0", "x1"): lambda q, c: -_tanh_ratio(q["eta"], c[2])
+                ("x0", "x1"): lambda q, c: -_ratio(math.tanh, q["eta"], c[2])
                 * _upsilon(q["eta"], c[0], c[1]),
-                ("x0", "x2"): lambda q, c: _tanh_ratio(q["eta"], c[1])
+                ("x0", "x2"): lambda q, c: _ratio(math.tanh, q["eta"], c[1])
                 * _upsilon(q["eta"], c[0], c[1]),
-                ("x1", "x2"): lambda q, c: _tan_ratio(q["eta"], c[0])
+                ("x1", "x2"): lambda q, c: _ratio(math.tan, q["eta"], c[0])
                 * _upsilon(q["eta"], c[0], c[1]),
             },
         )
@@ -479,7 +438,7 @@ def _install_builtin_brackets():
         return (
             0.5
             * xi
-            * _tanh_ratio(eta, c[2])
+            * _ratio(math.tanh, eta, c[2])
             / math.cosh(eta * c[1])
             * (cos0 * cos0 * sinh1 * sinh1 - sin0 * sin0)
         )
@@ -487,8 +446,8 @@ def _install_builtin_brackets():
     def _tw02(q, c):
         eta, xi = q["eta"], q["xi"]
         cos0 = math.cos(eta * c[0])
-        return -0.5 * _sin_ratio(eta, c[0]) * math.cosh(eta * c[1]) + (
-            _sinh_ratio(eta, c[1]) / 2.0
+        return -0.5 * _ratio(math.sin, eta, c[0]) * math.cosh(eta * c[1]) + (
+            _ratio(math.sinh, eta, c[1]) / 2.0
         ) * (
             math.sin(eta * c[0]) * math.tanh(eta * c[1]) - xi * cos0 * cos0
         )
@@ -496,8 +455,8 @@ def _install_builtin_brackets():
     def _tw12(q, c):
         eta, xi = q["eta"], q["xi"]
         cos0 = math.cos(eta * c[0])
-        return -0.5 * _sinh_ratio(eta, c[1]) * cos0 - 0.5 * xi * _sin_ratio(
-            eta, c[0]
+        return -0.5 * _ratio(math.sinh, eta, c[1]) * cos0 - 0.5 * xi * _ratio(
+            math.sin, eta, c[0]
         ) * cos0 * math.cosh(eta * c[1])
 
     register_bracket(

@@ -92,6 +92,11 @@ def _text_lines(report: dict):
     yield f"command: {report['command']}"
     for name, verdict in sorted(report.get("verdicts", {}).items()):
         yield f"  {'PASS' if verdict == 'pass' else 'FAIL'}  {name}"
+    classification = report.get("classification")
+    if classification is not None:  # classify: coisotropy and Poisson subgroup
+        for key in ("coisotropic", "poisson_subgroup"):
+            answer = "yes" if classification[key] else "no"
+            yield f"  {key.replace('_', '-')}: {answer}"
     for extra in report.get("notes", []):
         yield f"  note: {extra}"
     yield f"overall: {'PASS' if report['pass'] else 'FAIL'}"

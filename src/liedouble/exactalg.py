@@ -23,21 +23,18 @@ a terms dict that already has this form and neither copies nor re-coerces
 it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
 Long sums of products can instead run over integers: :func:`to_int_terms`
 clears the denominators of their factors once and :func:`from_int_terms`
-divides the integer result back.  Three kernels do so.  The Jacobi check
-multiplies many monomials, so :func:`_monomial_codes` also numbers them
-so that a monomial product is the sum of two small ints (Kronecker
-substitution on the exponents only): each parameter's exponents are
-shifted by their minimum into a mixed-radix digit twice as wide as their
-range, so a code has about as many bits as the exponents it encodes,
-whatever their size; the coefficients stay separate ints.  The basis
-transforms, whose factors are mostly constants, stay on the monomial
-tuples, which :func:`_mono_mul` multiplies at once when one of them is
-empty.  The Bareiss elimination of :mod:`liedouble.exactlinalg` holds each
-entry as ``{monomial: int}`` too.  Its exponents grow with every step, so
-it also keeps the monomial tuples, not codes, and its exact divisions by
-a pivot of several terms run through :func:`_div_exact_terms` over ints.
-Each kernel builds :class:`~fractions.Fraction` objects only for the
-nonzero results it divides back.
+divides the integer result back.  Such a sum holds each polynomial as a
+terms dict ``{monomial: int}``, zero-free like ``terms``: the same
+monomial tuples, integer coefficients, no zero stored.  One kernel,
+:func:`_add_product`, forms every product in it and keeps it zero-free; the
+Jacobi check, the basis transforms, the adapted pass of
+:mod:`liedouble.homogeneous` and the Bareiss elimination of
+:mod:`liedouble.exactlinalg` all accumulate through it, and
+:func:`_mono_mul` returns a monomial at once when the other factor is
+constant.  The exact divisions of the Bareiss elimination by a pivot of
+several terms run through :func:`_div_exact_terms` over ints.
+:class:`~fractions.Fraction` objects are built only for the nonzero
+results divided back.
 
 All values are immutable; instances can be shared freely between threads.
 """
@@ -449,68 +446,18 @@ def from_int_terms(terms: dict, scale: int) -> PolyExpr:
 
 
 def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
-    """``out += s·t1·t2`` on ``{mono: int}`` terms dicts, in place."""
+    """``out += s·t1·t2`` on zero-free ``{mono: int}`` terms dicts, in place,
+    s a nonzero int; a monomial whose coefficient cancels is deleted, so
+    ``out`` stays zero-free."""
     for m1, c1 in t1.items():
         c1 *= s
         for m2, c2 in t2.items():
             mono = _mono_mul(m1, m2) if m2 else m1
-            out[mono] = out.get(mono, 0) + c1 * c2
-
-
-def _monomial_codes(scaled: list) -> tuple[list, int, Callable]:
-    """Number the monomials of ``scaled`` (as :func:`to_int_terms` gives
-    them) so that a product of two monomials is the sum of their codes:
-    ``(coded, radix, decode)``, with ``coded[i]`` the terms of ``scaled[i]``
-    as ``((code, int), ...)``, every sum of two codes below ``radix``, and
-    ``decode(code)`` the monomial of such a sum.
-
-    Each parameter p is one mixed-radix digit of width
-    ``2*(hi_p - lo_p) + 1``, where lo_p and hi_p bound its exponents (0
-    included, for monomials without p), and a monomial's digit is its
-    exponent minus lo_p; the digits of a sum of two codes never carry.  A
-    code has about as many bits as the exponents it encodes.
-    """
-    lo: dict = {}
-    hi: dict = {}
-    for terms in scaled:
-        for mono in terms:
-            for name, e in mono:
-                if e < lo.get(name, 0):
-                    lo[name] = e
-                elif e > hi.get(name, 0):
-                    hi[name] = e
-    digits = []  # (name, lo_p, stride, width), lowest digit first
-    radix = 1
-    for name in sorted(lo.keys() | hi.keys()):
-        low = lo.get(name, 0)
-        width = 2 * (hi.get(name, 0) - low) + 1
-        digits.append((name, low, radix, width))
-        radix *= width
-
-    codes: dict = {}
-    coded = []
-    for terms in scaled:
-        row = []
-        for mono, c in terms.items():
-            code = codes.get(mono)
-            if code is None:
-                exps = dict(mono)
-                code = codes[mono] = sum(
-                    (exps.get(name, 0) - low) * stride for name, low, stride, _ in digits
-                )
-            row.append((code, c))
-        coded.append(tuple(row))
-
-    def decode(code: int) -> Monomial:
-        mono = []
-        for name, low, _, width in digits:
-            code, e = divmod(code, width)
-            e += 2 * low
-            if e:
-                mono.append((name, e))
-        return tuple(mono)
-
-    return coded, radix, decode
+            new = out.get(mono, 0) + c1 * c2
+            if new:
+                out[mono] = new
+            else:
+                del out[mono]
 
 
 def _negatives(x: dict, y: dict) -> bool:

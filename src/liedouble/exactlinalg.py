@@ -19,14 +19,16 @@ The integer core, :func:`_bareiss`, takes that cleared matrix, and so
 does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
 appends the identity half as integer unit dicts, so the adapted pass of
 :mod:`liedouble.homogeneous` inverts the s·A its transforms read without
-clearing it again.  An update is two integer products divided
-exactly by the previous pivot: by ``divmod`` on the coefficients and a
-monomial shift when the pivot is one term, by integer long division
-otherwise.  Every entry of the reduced matrix of s·A is an r×r minor, r
-the rank, so it is s^r times that of A: the answers above, ratios of two
-entries, do not depend on s, and only the fraction-free vector of
-:func:`nullspace` is divided back by s^r.  No
-:class:`~fractions.Fraction` is built before that one division at the end.
+clearing it again.  An update piv·a − f·b is formed by two calls of
+:func:`~liedouble.exactalg._add_product`, the one kernel of every integer
+sum of products, into one zero-free terms dict, and divided exactly by the
+previous pivot: by ``divmod`` on the coefficients and a monomial shift
+when the pivot is one term, by integer long division otherwise.  Every
+entry of the reduced matrix of s·A is an r×r minor, r the rank, so it is
+s^r times that of A: the answers above, ratios of two entries, do not
+depend on s, and only the fraction-free vector of :func:`nullspace` is
+divided back by s^r.  No :class:`~fractions.Fraction` is built before that
+one division at the end.
 
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
@@ -39,6 +41,7 @@ from fractions import Fraction
 from .errors import NotDivisible, SingularMatrix
 from .exactalg import (
     PolyExpr,
+    _add_product,
     _canonical,
     _div_exact_terms,
     _mono_mul,
@@ -75,21 +78,6 @@ def _exact_int(x: int, y: int) -> int:
     q, r = divmod(x, y)
     assert not r, "Bareiss update not exact"
     return q
-
-
-def _int_mul_acc(out: dict, x: dict, y: dict, sign: int) -> dict:
-    """``out += sign*x*y`` on integer terms dicts, in place; zero
-    coefficients are dropped.  Returns ``out``."""
-    for mx, cx in x.items():
-        cx *= sign
-        for my, cy in y.items():
-            mono = _mono_mul(mx, my)
-            v = out.get(mono, 0) + cx * cy
-            if v:
-                out[mono] = v
-            else:
-                del out[mono]
-    return out
 
 
 def _divider(pivot: dict):
@@ -154,12 +142,11 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
                 if j == c:
                     continue
                 a, b = row[j], prow[j]
-                if f and b:
-                    num = _int_mul_acc(_int_mul_acc({}, piv, a, 1), f, b, -1)
-                elif a:
-                    num = _int_mul_acc({}, piv, a, 1)
-                else:
+                if not a and not (f and b):
                     continue
+                num: dict = {}  # piv·a − f·b
+                _add_product(num, 1, piv, a)
+                _add_product(num, -1, f, b)
                 row[j] = divide(num) if divide and num else num
             row[c] = {}
         pivots.append(c)

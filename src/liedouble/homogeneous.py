@@ -55,8 +55,10 @@ a < b and f'_i^{bc} for b < c; the other half is read as the negation.
 π's denominators are cleared once, at the scale d_π.  M, R and the
 H-part of [H_i, X^α] are then sums over ints at the scale
 s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
-is exactly s1 or s2 times its rational value, so a component vanishes iff
-its integer terms do, and the test stays generic in the parameters.
+is exactly s1 or s2 times its rational value, summed by
+:func:`~liedouble.exactalg._add_product` into a zero-free terms dict, so a
+component vanishes iff its dict is empty, and the test stays generic in
+the parameters.
 Polynomials are built only for what leaves the pass: M, the first
 failing component of each bracket, Q, and the rows of the bracket table
 when l is a subalgebra.
@@ -319,12 +321,6 @@ def _first_pairing(pi: Matrix) -> tuple | None:
     return None
 
 
-def _add_scaled(out: dict, s: int, t: dict) -> None:
-    """``out += s·t`` on ``{mono: int}`` terms dicts, in place."""
-    for mono, c in t.items():
-        out[mono] = out.get(mono, 0) + s * c
-
-
 @dataclass
 class _AdaptedPass:
     """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
@@ -380,6 +376,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
         if a >= n_h:
             c_tt.setdefault((a - n_h, b - n_h), []).append((u, 1, t))
             c_tt.setdefault((b - n_h, a - n_h), []).append((u, -1, t))
+    no_terms: dict = {}
+    unit = {(): 1}  # the constant 1, to add s·t as the product s·t·1
     m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
     for (i, b, u), t in f.items():
         if i >= n_h:
@@ -388,8 +386,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             if u >= n_h:
                 f_tt.setdefault((i - n_h, u - n_h), []).append((b, -1, t))
         if b >= n_h:
-            _add_scaled(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t)
-            _add_scaled(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t)
+            _add_product(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t, unit)
+            _add_product(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t, unit)
     # R has M's f' part; it differs from M only for π not antisymmetric
     r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
     for p, q, v in pi_nz:  # v = d_π·π^{pq}
@@ -402,14 +400,13 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 _add_product(r_acc.setdefault((p, a, k), {}), x, v, t)
                 _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
 
-    no_terms: dict = {}
     brackets, failing, residual = {}, {}, {}
 
     def check(pair, components):
         """Keep the first (name, lower, upper, terms, scale) with a nonzero
         term as the failing component of ``pair``, divided back."""
         for name, lower, upper, t, scale in components:
-            if any(t.values()):
+            if t:
                 failing[pair] = (name, lower, upper, from_int_terms(t, scale))
                 return
 
@@ -433,10 +430,10 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             row = []
             for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
                 h = {}
-                _add_scaled(h, -f_mul, f.get((i, j, t_a), no_terms))
+                _add_product(h, -f_mul, f.get((i, j, t_a), no_terms), unit)
                 for b, v in pi_rows[a]:
                     _add_product(h, c_mul, v, c.get((i, n_h + b, j), no_terms))
-                if any(h.values()):
+                if h:
                     row.append((j, h, s1))
             row += [
                 (k, c[i, k, t_a], -d_c) for k in range(n_h, n) if (i, k, t_a) in c
@@ -468,12 +465,12 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
                 _add_product(acc[n_h + e], -1, x_coords[g], v)
             for e in range(n_t):
-                if any(acc[n_h + e].values()):
+                if acc[n_h + e]:
                     residual[(a, b, e)] = acc[n_h + e]
             brackets[(n_h + a, n_h + b)] = [
-                (k, acc[k], s2) for k in range(n_h) if any(acc[k].values())
+                (k, acc[k], s2) for k in range(n_h) if acc[k]
             ] + [
-                (n_h + g, t, s1) for g, t in enumerate(x_coords) if any(t.values())
+                (n_h + g, t, s1) for g, t in enumerate(x_coords) if t
             ]
             pair = (n_h + a, n_h + b)
             check(pair, chain(
@@ -530,7 +527,7 @@ def classify(
     zero = PolyExpr.zero()
     m = [[[zero] * n for _ in range(spec.n_t)] for _ in range(spec.n_t)]
     for (a, b, k), t in m_int.items():
-        if any(t.values()):
+        if t:
             m[a][b][k] = from_int_terms(t, s1)
     subalg = not p.failing
     coisotropic = (

@@ -11,22 +11,20 @@ only.
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
 added with a sign into the one sorted triple it belongs to, and over
 integers: the structure constants are read, scaled by the lcm d of their
-denominators, from the algebra's integer form, their monomials are
-numbered so that a monomial product is a sum of two ints
-(:func:`~liedouble.exactalg._monomial_codes`), and every term is
-accumulated under one integer index of its component and monomial.  Only
-the nonzero sums are decoded and divided back by d².  The basis
-transforms (:func:`transform_structure`, :func:`transform_cocomm`) keep
-the monomial tuples of :func:`~liedouble.exactalg.to_int_terms`, whose
-factors are mostly constants.  Each reads one antisymmetric half of its
-tensor, C_ij^k with i < j or f_i^{jk} with j < k, and contracts that pair
-in one step with the 2×2 minors of the matrix, M_a^i M_b^j − M_a^j M_b^i
-for C' and W_j^b W_k^c − W_j^c W_k^b for f', built only for the pairs
-that occur; every output pair a < b is then one sum over half the
-entries.  The remaining slot is contracted with the matrix itself.  Both
-are thin dense wrappers over one integer contraction path, which takes
-the tensor and the matrices in integer form and returns the transformed
-tensor in integer form, one entry per antisymmetric pair
+denominators, from the algebra's integer form, and every product is
+accumulated by :func:`~liedouble.exactalg._add_product` into the terms dict
+of its component.  Only the nonzero sums are divided back by d².  The basis
+transforms (:func:`transform_structure`, :func:`transform_cocomm`) run on
+the same integer terms dicts and the same kernel.  Each reads one
+antisymmetric half of its tensor, C_ij^k with i < j or f_i^{jk} with
+j < k, and contracts that pair in one step with the 2×2 minors of the
+matrix, M_a^i M_b^j − M_a^j M_b^i for C' and W_j^b W_k^c − W_j^c W_k^b
+for f', built only for the pairs that occur; every output pair a < b is
+then one sum over half the entries.  The remaining slot is contracted
+with the matrix itself.  Both are thin dense wrappers over one integer
+contraction path, which takes the tensor and the matrices in integer
+form and returns the transformed tensor in integer form, one entry per
+antisymmetric pair
 (:func:`_structure_int`, :func:`_cocomm_int`); the adapted pass of
 :mod:`liedouble.homogeneous` feeds it the cached tensors below, the
 adapted basis cleared once and its inverse straight from the integer
@@ -61,7 +59,6 @@ from .exactalg import (
     PolyExpr,
     PolyLike,
     _add_product,
-    _monomial_codes,
     as_poly,
     from_int_terms,
     to_int_terms,
@@ -323,52 +320,34 @@ def _jacobi_components(L: LieAlgebra) -> dict:
 
     The sum runs over integers.  With d the lcm of the denominators of all
     structure constants, each d*C_ab^k has integer coefficients, read from
-    :meth:`LieAlgebra.int_tensor`, and each monomial is a code
-    such that a monomial product is a sum of two codes
-    (:func:`~liedouble.exactalg._monomial_codes`).  A term of coefficient
-    c1*c2 and code m1 + m2 in component (i, j, l, m) is added at the one
-    integer index ((((i*n + j)*n + l)*n + m)*radix + m1 + m2).  The integer
-    sum is d²·R exactly, so it is zero exactly when R is; only nonzero sums
-    are decoded and divided back by d², and the check stays exact and
-    generic in the parameters.
+    :meth:`LieAlgebra.int_tensor`, and each term ±t1·t2 is added by
+    :func:`~liedouble.exactalg._add_product` into the terms dict of its
+    component, which stays zero-free.  The integer sum is d²·R exactly, so
+    it is zero exactly when R is; only the nonzero sums are divided back by
+    d², and the check stays exact and generic in the parameters.
     """
-    n = L.dim
     entries = L.nonzero()
     d, ints = L.int_tensor()
-    coded, radix, decode = _monomial_codes([ints[i, j, k] for i, j, k, _ in entries])
     by_first: dict = {}
-    for (k, c, m, _), t2 in zip(entries, coded):
-        by_first.setdefault(k, []).append((c, m * radix, t2))
-    step = n * radix  # index stride of one triple
+    for k, c, m, _ in entries:
+        by_first.setdefault(k, []).append((c, m, ints[k, c, m]))
     acc: dict = {}
-    for (a, b, k, _), t1 in zip(entries, coded):
+    for a, b, k, _ in entries:
         if a > b:
             continue
-        neg = tuple((m1, -c1) for m1, c1 in t1)
+        t1 = ints[a, b, k]
         for c, m, t2 in by_first.get(k, ()):
             if c > b:
-                base, f = ((a * n + b) * n + c) * step, t1
+                key, s = (a, b, c, m), 1
             elif c < a:
-                base, f = ((c * n + a) * n + b) * step, t1
+                key, s = (c, a, b, m), 1
             elif a < c < b:
-                base, f = ((a * n + c) * n + b) * step, neg
+                key, s = (a, c, b, m), -1
             else:
                 continue
-            base += m
-            for m1, c1 in f:
-                for m2, c2 in t2:
-                    idx = base + m1 + m2
-                    acc[idx] = acc.get(idx, 0) + c1 * c2
+            _add_product(acc.setdefault(key, {}), s, t1, t2)
     scale = d * d
-    rows: dict = {}
-    for idx, v in acc.items():
-        if v:
-            idx, code = divmod(idx, radix)
-            idx, m = divmod(idx, n)
-            idx, l = divmod(idx, n)
-            i, j = divmod(idx, n)
-            rows.setdefault((i, j, l, m), {})[decode(code)] = v
-    return {key: from_int_terms(terms, scale) for key, terms in rows.items()}
+    return {key: from_int_terms(t, scale) for key, t in acc.items() if t}
 
 
 def _component(labels, name: str, lower, upper, value) -> str:
@@ -452,8 +431,9 @@ def _int_tensor(entries) -> tuple[int, dict]:
 
 
 def _nonzero(out: dict) -> dict:
-    """The entries of ``{key: {mono: int}}`` with a nonzero term."""
-    return {key: acc for key, acc in out.items() if any(acc.values())}
+    """The entries of ``{key: {mono: int}}`` whose zero-free terms dict is
+    not empty."""
+    return {key: acc for key, acc in out.items() if acc}
 
 
 def _contract(tensor: dict, slot: int, rows: dict) -> dict:

@@ -300,6 +300,21 @@ def test_classify_coisotropic_only(tmp_path):
     assert cls["coisotropic"] and not cls["poisson_subgroup"]
 
 
+# the paper's sl(2,R) table: h = P1, J12 or P1+P2 is a Poisson subgroup
+# under exactly one of the three bialgebras, and coisotropic under each
+SL2_DIAGONAL = {"sl2-ell": "span{P1}", "sl2-hyp": "span{J12}", "sl2-par": "span{P1+P2}"}
+
+
+@pytest.mark.parametrize("span", sorted(SL2_DIAGONAL.values()))
+@pytest.mark.parametrize("key", sorted(SL2_DIAGONAL))
+def test_classify_text_names_the_table_cell(key, span, capsys):
+    assert main(["classify", key, span, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  coisotropic: yes" in lines
+    expected = "yes" if SL2_DIAGONAL[key] == span else "no"
+    assert f"  poisson-subgroup: {expected}" in lines
+
+
 def test_classify_twisted_lorentz(tmp_path):
     code, report = run(tmp_path, "classify", "so22-twisted", "J,K1,K2")
     assert code == 0

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from liedouble.errors import NotDivisible, PolyParseError, UnassignedParameter
 from liedouble.exactalg import (
     PolyExpr,
-    _mono_mul,
-    _monomial_codes,
+    _add_product,
     as_poly,
     mul_acc,
     poly_div_exact,
-    to_int_terms,
 )
 
 P = PolyExpr.parse
@@ -284,36 +282,21 @@ def test_mul_acc_matches_sympy(polys):
     assert out == {}
 
 
-def assert_codes_multiply(polys):
-    """Every sum of two codes of ``_monomial_codes`` lies in [0, radix) and
-    decodes to the product of the two monomials."""
-    _, scaled = to_int_terms(polys)
-    coded, radix, decode = _monomial_codes(scaled)
-    pairs = []
-    for terms, codes in zip(scaled, coded):
-        assert [c for _, c in codes] == list(terms.values())
-        pairs += [(mono, code) for mono, (code, _) in zip(terms, codes)]
-    for m1, code1 in pairs:
-        for m2, code2 in pairs:
-            assert 0 <= code1 + code2 < radix
-            assert decode(code1 + code2) == _mono_mul(m1, m2)
-    return radix
-
-
-@ORACLE_SETTINGS
-@given(st.lists(laurent_polys(("eta", "xi", "zeta")), min_size=1, max_size=4))
-def test_monomial_codes_add_under_product(polys):
-    assert_codes_multiply(polys)
-
-
-def test_monomial_codes_of_wide_exponents():
-    # exponents up to 10**12 in three parameters: a code stays a small int
-    polys = [
-        P("eta^1000000000000*xi^-1000*zeta^1000 - 3/7"),
-        P("eta^-5*zeta^-1000 + xi^999"),
-    ]
-    radix = assert_codes_multiply(polys)
-    assert radix.bit_length() < 80
+@pytest.mark.parametrize("s", [1, -1, 3, -3])
+def test_add_product_deletes_cancelled_monomials(s):
+    # eta*(xi + 2) + (-eta)*(xi - 5): the eta*xi terms cancel, 7*eta is left
+    eta, xi = (("eta", 1),), (("xi", 1),)
+    out = {}
+    _add_product(out, s, {eta: 1}, {xi: 1, (): 2})
+    assert out == {(("eta", 1), ("xi", 1)): s, eta: 2 * s}
+    _add_product(out, s, {eta: -1}, {xi: 1, (): -5})
+    assert out == {eta: 7 * s}
+    # and a sum that cancels completely leaves no key behind
+    _add_product(out, -s, {eta: 7}, {(): 1})
+    assert out == {}
+    _add_product(out, s, {xi: 2, eta: -1}, {(("xi", -1),): 3})
+    _add_product(out, -s, {(): 6, (("eta", 1), ("xi", -1)): -3}, {(): 1})
+    assert out == {}
 
 
 def count_fractions(fn):

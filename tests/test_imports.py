@@ -4,9 +4,10 @@ tests, and the exact paths leave numpy unimported.
 
 No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
-name anywhere in the module or is listed in ``__all__``; a public name
-counts as used when code in ``src/``, ``bench/`` or ``tools/`` names it, reads
-it as an attribute or imports it (a mention in a docstring does not count).
+name anywhere in the module or is listed in ``__all__``; a public name, or
+a private top-level function, counts as used when code in ``src/``,
+``bench/`` or ``tools/`` names it, reads it as an attribute or imports it
+(a mention in a docstring does not count).
 """
 
 import ast
@@ -123,6 +124,34 @@ def test_public_names_are_used_outside_the_tests():
     unused = defined - used
     assert sorted(unused - set(TEST_ONLY)) == []
     assert sorted(set(TEST_ONLY) - unused) == []  # the list is not stale
+
+
+def private_functions(source: str) -> set:
+    """Names of the private top-level functions of a module."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+
+
+def test_private_functions_are_used_outside_the_tests():
+    # a helper left behind when its callers are deleted is flagged, even
+    # while a test still imports it
+    assert private_functions(
+        "def _helper():\n    pass\nclass _Private:\n    pass\ndef public():\n    pass\n"
+    ) == {"_helper"}
+    defined = set().union(
+        *(private_functions(p.read_text()) for p in (ROOT / "src").rglob("*.py"))
+    )
+    used = set().union(
+        *(
+            referenced_names(path.read_text())
+            for folder in ("src", "bench", "tools")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        )
+    )
+    assert sorted(defined - used) == []
 
 
 def test_exact_paths_do_not_import_numpy():

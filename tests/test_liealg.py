@@ -256,8 +256,7 @@ def test_jacobi_residual_signs_and_magnitudes(q):
 
 
 def test_jacobi_residual_with_wide_exponents_in_three_parameters():
-    # exponents up to 10**12 in eta, xi and zeta; the monomial codes stay
-    # small ints, so the cost does not grow with the exponents
+    # exponents up to 10**12 in eta, xi and zeta, of both signs
     c = "eta^1000000000000*xi^-1000*zeta^1000 - 3/7"
     q = "xi^999 - eta^-5*zeta^-1000"
     L = new_lie_algebra(3, ("e0", "e1", "e2"), [(0, 1, 2, c), (0, 2, 0, q)])
@@ -280,6 +279,29 @@ def test_jacobi_residual_cancelling_across_products(c_32, expected):
     )
     got = L.jacobi_components().get((0, 1, 2, 3))
     assert got == (None if expected is None else P(expected))
+    assert_jacobi_matches_oracle(L)
+
+
+WIDE = "eta^1000000000000*xi^-1000"
+
+
+@pytest.mark.parametrize(
+    "c_32, expected",
+    [("5/3", None), ("5/3 - 2*zeta^-7", f"-2*{WIDE}*zeta^-7")],
+)
+def test_jacobi_residual_cancelling_with_wide_exponents(c_32, expected):
+    # the products above with C_01^3 = C_12^3 = eta^(10^12)*xi^-1000: their
+    # 5/3 terms cancel in R_012^3; [e1, e3] adds components in the same
+    # parameters that do not cancel
+    L = new_lie_algebra(
+        4,
+        ("e0", "e1", "e2", "e3"),
+        [(0, 1, 3, WIDE), (1, 2, 3, WIDE), (3, 2, 3, c_32), (0, 3, 3, "5/3"),
+         (1, 3, 0, "xi^-1000 - 3/7*eta^-1000000000000")],
+    )
+    got = L.jacobi_components().get((0, 1, 2, 3))
+    assert got == (None if expected is None else P(expected))
+    assert len(L.jacobi_components()) > 1
     assert_jacobi_matches_oracle(L)
 
 

@@ -15,6 +15,8 @@ scaled again.
 Like a :class:`~liedouble.liealg.LieAlgebra`, a :class:`CocommTensor` is
 its nonzero entries; the dense tensor ``f`` is a read-only view built on
 first read, and equality does not depend on whether it has been.
+:func:`cocomm_from_wedge` builds one from wedge entries, and
+:func:`new_bialgebra` takes one.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from .liealg import (
     _jacobi_notes,
     _json_entries,
     _json_strings,
-    _nonzero_entries,
     _used_params,
     from_json as algebra_from_json,
     substitute_params as substitute_algebra_params,
-    zero_tensor3,
 )
 
 
@@ -66,11 +66,6 @@ class CocommTensor:
             i, j, k = min(bad)
             raise ShapeError(f"cocommutator not antisymmetric at ({i},{j},{k})")
 
-    @classmethod
-    def from_dense(cls, f) -> "CocommTensor":
-        """The tensor of a dense dim³ list ``f[i][j][k]`` of PolyExpr."""
-        return cls(len(f), _nonzero_entries(f))
-
     @property
     def f(self) -> list:
         """Dense dim³ tensor f[i][j][k] of PolyExpr, a read-only view of
@@ -94,10 +89,11 @@ class CocommTensor:
 
 def cocomm_from_wedge(
     dim: int, entries, label_index: Mapping[str, int] | None = None
-) -> list:
-    """Dense f tensor from sparse wedge entries (i; j, k, coef) meaning
-    δ(X_i) ⊇ coef · X_j ∧ X_k.  Indices may be labels when a map is given."""
-    f = zero_tensor3(dim)
+) -> CocommTensor:
+    """The tensor of sparse wedge entries (i; j, k, coef) meaning
+    δ(X_i) ⊇ coef · X_j ∧ X_k: duplicates are summed and entries that cancel
+    are dropped.  Indices may be labels when a map is given."""
+    acc: dict = {}
     for i, j, k, coef in entries:
         if label_index is not None:
             i, j, k = label_index[i], label_index[j], label_index[k]
@@ -108,9 +104,9 @@ def cocomm_from_wedge(
         coef = as_poly(coef)
         if j == k and not coef.is_zero:
             raise ShapeError(f"wedge entry ({i},{j},{j}) is identically zero")
-        f[i][j][k] = f[i][j][k] + coef
-        f[i][k][j] = f[i][k][j] - coef
-    return f
+        for key, value in (((i, j, k), coef), ((i, k, j), -coef)):
+            acc[key] = acc[key] + value if key in acc else value
+    return CocommTensor(dim, [(*key, v) for key, v in sorted(acc.items()) if v.terms])
 
 
 def _rescaled(form: tuple, d: int) -> dict:
@@ -170,12 +166,11 @@ class LieBialgebra:
 
 def new_bialgebra(
     L: LieAlgebra,
-    f,
+    cocomm: CocommTensor,
     dual_labels: Sequence[str] | None = None,
 ) -> LieBialgebra:
     """Validated bialgebra; raises :class:`NotACobracket` if the double
     built from (C, f) violates Jacobi."""
-    cocomm = f if isinstance(f, CocommTensor) else CocommTensor.from_dense(f)
     if cocomm.dim != L.dim:
         raise ShapeError("cocommutator dimension does not match algebra")
     if dual_labels is None:

@@ -27,11 +27,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .bialgebra import LieBialgebra, from_json as bialgebra_from_json
+from .bialgebra import CocommTensor, LieBialgebra, from_json as bialgebra_from_json
 from .errors import ParseError, UnknownKey
+from .exactalg import PolyExpr
 from .liealg import (
     BasisChange,
     LieAlgebra,
+    _component,
     from_json as algebra_from_json,
     is_jacobi_zero,
     substitute_params,
@@ -160,11 +162,28 @@ def _build_bialgebra(cat: Catalog, data: dict) -> LieBialgebra:
     if r is not None:
         if data.get("r_matrix_subs"):
             r = r.substitute(data["r_matrix_subs"])
-        if cocommutator_from_r(bial.algebra, r) != bial.cocomm.f:
+        mismatch = _first_difference(
+            bial.algebra.labels, bial.cocomm, cocommutator_from_r(bial.algebra, r)
+        )
+        if mismatch:
             raise ParseError(
-                f"bialgebra {data['key']!r} disagrees with its generating r-matrix"
+                f"bialgebra {data['key']!r} disagrees with its generating "
+                f"r-matrix: {mismatch}"
             )
     return bial
+
+
+def _first_difference(labels, f: CocommTensor, g: CocommTensor) -> str:
+    """``"f_(X_i)^(X_j, X_k) = <f value>, but δ_r gives <g value>"`` at the
+    first (i, j, k), j < k, where two cocommutators (antisymmetric in (j, k))
+    differ; empty if they agree."""
+    ours, theirs = ({e[:3]: e[3] for e in t.nonzero() if e[1] < e[2]} for t in (f, g))
+    for key in sorted(ours.keys() | theirs.keys()):
+        mine, other = (t.get(key, PolyExpr.zero()) for t in (ours, theirs))
+        if mine != other:
+            note = _component(labels, "f", key[:1], key[1:], mine)
+            return f"{note}, but δ_r gives {other}"
+    return ""
 
 
 def _build_rmatrix(cat: Catalog, data: dict) -> RMatrix:

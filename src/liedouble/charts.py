@@ -249,18 +249,12 @@ def sklyanin_numeric(
     left = invariant_fields(chart_id, "left", p)
     right = invariant_fields(chart_id, "right", p)
     total = 0.0
-    n = len(r.labels)
-    for a in range(n):
-        la = r.labels[a]
-        for b in range(a + 1, n):
-            coef = r.r[a][b]
-            if coef.is_zero:
-                continue
-            lb = r.labels[b]
-            w = float(coef.evaluate(params))
-            lterm = left[la][i] * left[lb][j] - left[lb][i] * left[la][j]
-            rterm = right[la][i] * right[lb][j] - right[lb][i] * right[la][j]
-            total += w * (lterm - rterm)
+    for a, b, coef in r.wedge_terms():
+        la, lb = r.labels[a], r.labels[b]
+        w = float(coef.evaluate(params))
+        lterm = left[la][i] * left[lb][j] - left[lb][i] * left[la][j]
+        rterm = right[la][i] * right[lb][j] - right[lb][i] * right[la][j]
+        total += w * (lterm - rterm)
     return sign * total
 
 

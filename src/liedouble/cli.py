@@ -93,10 +93,12 @@ def _text_lines(report: dict):
     for name, verdict in sorted(report.get("verdicts", {}).items()):
         yield f"  {'PASS' if verdict == 'pass' else 'FAIL'}  {name}"
     classification = report.get("classification")
-    if classification is not None:  # classify: coisotropy and Poisson subgroup
+    if classification is not None:  # classify: coisotropy, Poisson subgroup, violations
         for key in ("coisotropic", "poisson_subgroup"):
             answer = "yes" if classification[key] else "no"
             yield f"  {key.replace('_', '-')}: {answer}"
+        for violation in classification["violations"]:
+            yield f"  violation: {violation}"
     for extra in report.get("notes", []):
         yield f"  note: {extra}"
     yield f"overall: {'PASS' if report['pass'] else 'FAIL'}"

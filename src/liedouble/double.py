@@ -42,10 +42,8 @@ from .bialgebra import CocommTensor, LieBialgebra, _double_algebra
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, zero_matrix
+from .liealg import LieAlgebra
 from .rmatrix import RMatrix
-
-HALF = PolyExpr.const(Q(1, 2))
 
 
 @dataclass
@@ -63,14 +61,12 @@ class DoubleAlgebra:
 
     @property
     def canonical_r_skew(self) -> RMatrix:
-        """The skew part of Σ x^i ⊗ X_i, built on first read."""
+        """The skew part (1/2) Σ x^i ∧ X_i of Σ x^i ⊗ X_i, the terms
+        r^{i, n+i} = −1/2, built on first read."""
         if self._r_skew is None:
-            n = self.n
-            skew = zero_matrix(2 * n)
-            for i in range(n):
-                skew[n + i][i] = HALF
-                skew[i][n + i] = -HALF
-            self._r_skew = RMatrix(self.algebra.labels, skew)
+            coef, n = PolyExpr.const(Q(-1, 2)), self.n
+            terms = {(i, n + i): coef for i in range(n)}
+            self._r_skew = RMatrix(self.algebra.labels, terms)
         return self._r_skew
 
 

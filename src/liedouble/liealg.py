@@ -73,11 +73,6 @@ def zero_tensor3(n: int):
     return [[[z] * n for _ in range(n)] for _ in range(n)]
 
 
-def zero_matrix(n: int) -> Matrix:
-    z = PolyExpr.zero()
-    return [[z] * n for _ in range(n)]
-
-
 def _dense(n: int, entries) -> list:
     """The dense n³ tensor of a sparse view [(i, j, k, value)]."""
     t = zero_tensor3(n)
@@ -102,12 +97,6 @@ def _used_params(entries) -> tuple[str, ...]:
     """Sorted names of the parameters occurring in a sparse view
     [(i, j, k, value)] of a 3-tensor."""
     return tuple(sorted({name for *_, v in entries for name in v.parameters()}))
-
-
-def _algebra_on(labels: Sequence[str], c) -> LieAlgebra:
-    """The algebra with dense structure tensor ``c`` and the parameters that
-    occur in it."""
-    return _algebra_of(labels, _nonzero_entries(c))
 
 
 def _algebra_of(labels: Sequence[str], entries: list) -> LieAlgebra:
@@ -395,9 +384,6 @@ class BasisChange:
             raise ShapeError("one label per basis row required")
         if self.inverse is None:
             self.inverse = invert(self.m)  # raises SingularMatrix
-
-    def inverted(self, labels: Sequence[str]) -> "BasisChange":
-        return BasisChange(self.inverse, tuple(labels), inverse=self.m)
 
 
 def _int_rows(rows: list, transpose: bool) -> dict:

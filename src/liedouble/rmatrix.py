@@ -21,25 +21,23 @@ r-matrix?", 1983):
 * the dual bracket's Jacobi residual is R_jkl^m = −(ad_{X_m}[[r,r]])^{jkl},
   with (ad_{X_m} T)^{jkl} = Σ_a (C_ma^j T^{akl} + C_ma^k T^{jal} + C_ma^l T^{jka}):
   mCYBE holds iff δ_r satisfies co-Jacobi (:func:`_dual_algebra`).
+
+An :class:`RMatrix` is its wedge terms, the nonzero r^{ij} with i < j, so
+it is antisymmetric by construction; the dense ``r`` is a read-only view
+built on first read.  δ_r and the dual bracket are built as entries, so no
+dense tensor is filled or scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .bialgebra import CocommTensor
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyLike, _canonical, _negatives, as_poly, mul_acc
+from .exactalg import PolyExpr, PolyLike, _canonical, as_poly, mul_acc
 from .exactlinalg import Matrix
-from .liealg import (
-    LieAlgebra,
-    _algebra_on,
-    _component,
-    _nonzero_entries,
-    is_jacobi_zero,
-    zero_matrix,
-    zero_tensor3,
-)
+from .liealg import LieAlgebra, _algebra_of, _component, is_jacobi_zero
 
 
 @dataclass
@@ -47,34 +45,38 @@ class RMatrix:
     """Antisymmetric contravariant 2-tensor r^{ij} over a labelled basis."""
 
     labels: tuple[str, ...]
-    r: Matrix
+    # the nonzero r^{ij} with i < j, {(i, j): coef}; r^{ji} = -r^{ij}
+    terms: dict
+    _r: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(self.r) != n or any(len(row) != n for row in self.r):
-            raise ShapeError("r-matrix shape does not match labels")
-        # The first failing (i, j) has i <= j, as the condition is symmetric
-        # in (i, j); pairs of zero entries are skipped, and the rest compared
-        # term by term without building -r[j][i].
-        for i, row in enumerate(self.r):
-            for j in range(i, n):
-                x, y = row[j].terms, self.r[j][i].terms
-                if (x or y) and not _negatives(x, y):
-                    raise ShapeError(f"r-matrix not antisymmetric at ({i},{j})")
+        for i, j in self.terms:
+            if not 0 <= i < j < n:
+                raise ShapeError(f"r-matrix term ({i},{j}) needs 0 <= i < j < {n}")
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    @property
+    def r(self) -> Matrix:
+        """Dense dim² matrix r[i][j] of PolyExpr, a read-only view of
+        :attr:`terms` built on first read."""
+        if self._r is None:
+            r = [[PolyExpr.zero()] * self.dim for _ in range(self.dim)]
+            for i, j, v in self.wedge_terms():
+                r[i][j], r[j][i] = v, -v
+            self._r = r
+        return self._r
+
     def wedge_terms(self) -> list:
-        """Sparse upper-triangle view [(i, j, coef)] with i < j."""
-        return [
-            (i, j, v) for i, row in enumerate(_rows(self)) for j, v in row if i < j
-        ]
+        """Sparse upper-triangle view [(i, j, coef)] with i < j, in index order."""
+        return [(i, j, self.terms[i, j]) for i, j in sorted(self.terms)]
 
     def substitute(self, mapping) -> "RMatrix":
-        r = [[v.substitute(mapping) for v in row] for row in self.r]
-        return RMatrix(self.labels, r)
+        terms = {key: v.substitute(mapping) for key, v in self.terms.items()}
+        return RMatrix(self.labels, {key: v for key, v in terms.items() if v.terms})
 
     def to_json(self) -> list:
         return [
@@ -86,11 +88,11 @@ class RMatrix:
 def rmatrix_from_wedge(
     labels: Sequence[str], terms: Iterable[tuple[str, str, PolyLike]]
 ) -> RMatrix:
-    """Assemble r = Σ coef · X_i ∧ X_j from labelled wedge terms."""
+    """Assemble r = Σ coef · X_i ∧ X_j from labelled wedge terms, X_j ∧ X_i
+    as −X_i ∧ X_j; duplicates are summed and terms that cancel dropped."""
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    r = zero_matrix(n)
+    acc: dict = {}
     for li, lj, coef in terms:
         if li not in index or lj not in index:
             raise ShapeError(f"unknown label in wedge term ({li},{lj})")
@@ -98,17 +100,22 @@ def rmatrix_from_wedge(
         if i == j:
             raise ShapeError(f"wedge of {li} with itself is zero")
         coef = as_poly(coef)
-        r[i][j] = r[i][j] + coef
-        r[j][i] = r[j][i] - coef
-    return RMatrix(labels, r)
+        if i > j:
+            i, j, coef = j, i, -coef
+        acc[i, j] = acc[i, j] + coef if (i, j) in acc else coef
+    return RMatrix(labels, {key: v for key, v in acc.items() if v.terms})
 
 
 def _rows(r: RMatrix) -> list:
-    """The nonzero entries of r by row: ``rows[i]`` lists (j, r^{ij})."""
-    return [[(j, v) for j, v in enumerate(row) if v.terms] for row in r.r]
+    """The nonzero entries of r by row: ``rows[i]`` lists (j, r^{ij}) by j."""
+    rows: list = [[] for _ in range(r.dim)]
+    for i, j, v in r.wedge_terms():
+        rows[i].append((j, v))
+        rows[j].append((i, -v))
+    return rows
 
 
-def cocommutator_from_r(L: LieAlgebra, r: RMatrix):
+def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> CocommTensor:
     """Coboundary cocommutator constants f_i^{jk} with δ(X_i)=f_i^{jk} X_j⊗X_k.
 
     f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated with
@@ -125,14 +132,12 @@ def cocommutator_from_r(L: LieAlgebra, r: RMatrix):
         for other, value in rows[l]:
             mul_acc(acc.setdefault((i, target, other), {}), coef, value)
             mul_acc(acc.setdefault((i, other, target), {}), coef, value, negate=True)
-    f = zero_tensor3(L.dim)
-    for (i, j, k), terms in acc.items():
-        if terms:
-            f[i][j][k] = _canonical(terms)
-    return f
+    return CocommTensor(
+        L.dim, [(*key, _canonical(acc[key])) for key in sorted(acc) if acc[key]]
+    )
 
 
-def _cybe_residual(L: LieAlgebra, r: RMatrix, f) -> dict:
+def _cybe_residual(L: LieAlgebra, r: RMatrix, f: CocommTensor) -> dict:
     """Nonzero components (i, j, m), i < j, of r[x^i, x^j] − [r(x^i), r(x^j)]
     with r(x^i) = r^{ia} X_a and [x^i, x^j] = f_k^{ij} x^k, in key order,
     for f = δ_r (:func:`cocommutator_from_r`):
@@ -144,7 +149,7 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f) -> dict:
     """
     rows = _rows(r)
     acc: dict = {}
-    for k, i, j, value in _nonzero_entries(f):
+    for k, i, j, value in f.nonzero():
         if i < j:
             for m, rkm in rows[k]:
                 mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
@@ -157,13 +162,12 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f) -> dict:
     return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
 
 
-def _dual_algebra(L: LieAlgebra, f) -> LieAlgebra:
+def _dual_algebra(L: LieAlgebra, f: CocommTensor) -> LieAlgebra:
     """g* with the bracket [x^i, x^j] = f_k^{ij} x^k dual to f = δ_r,
     labelled as the basis of g.  Its Jacobi residual R_jkl^m is
     −(ad_{X_m}[[r,r]])^{jkl}."""
-    n = L.dim
-    dual = [[[f[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return _algebra_on(L.labels, dual)
+    entries = sorted(((i, j, k, v) for k, i, j, v in f.nonzero()), key=lambda e: e[:3])
+    return _algebra_of(L.labels, entries)
 
 
 def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:

@@ -245,3 +245,65 @@ def test_typed_accessors_check_kind_before_building():
             accessor(key)
     assert fresh._entries == {}
     assert fresh.algebra("sl2-hyp") is fresh.bialgebra("sl2-hyp").algebra
+
+
+def test_wrong_generating_rmatrix_names_the_first_differing_component():
+    raw = catalog._load_raw()
+    raw["so22-twisted"]["r_matrix_subs"] = {"xi": "2"}
+    with pytest.raises(ParseError) as err:
+        catalog.Catalog(raw).get("so22-twisted")
+    assert str(err.value) == (
+        "bialgebra 'so22-twisted' disagrees with its generating r-matrix: "
+        "f_(J)^(P1, K1) = 1/2, but δ_r gives 1"
+    )
+    # that is the first (i, j, k) with j < k where the dense tensors differ
+    from liedouble.rmatrix import cocommutator_from_r
+
+    B = catalog.load().bialgebra("so22-twisted")
+    r = catalog.load().rmatrix("so22.twisted").substitute({"xi": 2})
+    shipped, generated = B.cocomm.f, cocommutator_from_r(B.algebra, r).f
+    n = B.dim
+    first = next(
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(j + 1, n)
+        if shipped[i][j][k] != generated[i][j][k]
+    )
+    i, j, k = first
+    assert [B.algebra.labels[x] for x in first] == ["J", "P1", "K1"]
+    assert (str(shipped[i][j][k]), str(generated[i][j][k])) == ("1/2", "1")
+
+
+def test_catalog_double_and_classify_fill_no_dense_view(monkeypatch):
+    # every builder works on entries: building the catalog, the doubles and
+    # their tables, and one classify fill no LieAlgebra.c or CocommTensor.f
+    from liedouble.bialgebra import CocommTensor
+    from liedouble.double import bracket_table_text, build_double, double_of_double
+    from liedouble.homogeneous import LagrangianSpec, classify
+    from liedouble.liealg import LieAlgebra
+
+    filled = []
+    for cls, name in ((LieAlgebra, "c"), (CocommTensor, "f")):
+        view = getattr(cls, name)
+
+        def recording(self, view=view, name=name):
+            if getattr(self, "_" + name) is None:
+                filled.append((type(self).__name__, name))
+            return view.fget(self)
+
+        monkeypatch.setattr(cls, name, property(recording))
+    fresh = catalog.Catalog(catalog._load_raw())
+    for key in fresh.list():
+        fresh.get(key)
+    for key in fresh.list("bialgebra"):
+        B = fresh.bialgebra(key)
+        D2 = double_of_double(B)
+        bracket_table_text(B.double_algebra)
+        bracket_table_text(D2.algebra)
+    B = fresh.bialgebra("sl2-hyp")
+    h = [B.algebra.vector({"J12": 1})]
+    complement = [B.algebra.basis_vector("P1"), B.algebra.basis_vector("P2")]
+    rep = classify(build_double(B), B, LagrangianSpec(h, complement, [[0, 0], [0, 0]]))
+    assert rep.poisson_subgroup
+    assert filled == []

@@ -315,6 +315,20 @@ def test_classify_text_names_the_table_cell(key, span, capsys):
     assert f"  poisson-subgroup: {expected}" in lines
 
 
+def test_classify_text_names_the_violations(tmp_path, capsys):
+    # the text report lists the JSON's violations, one line each
+    argv = ["classify", "so22-twisted", "span{P0,K1}"]
+    assert main([*argv, "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  violation: [P0, K1] leaves l: C'_(P0, K1)^(P1) = -1" in lines
+    code, report = run(tmp_path, *argv)
+    assert code == 1
+    violations = report["classification"]["violations"]
+    assert [line for line in lines if line.startswith("  violation: ")] == [
+        f"  violation: {v}" for v in violations
+    ]
+
+
 def test_classify_twisted_lorentz(tmp_path):
     code, report = run(tmp_path, "classify", "so22-twisted", "J,K1,K2")
     assert code == 0

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from liedouble import catalog
-from liedouble.bialgebra import new_bialgebra
+from liedouble.bialgebra import CocommTensor, new_bialgebra
 from liedouble.double import (
     bracket_table_text,
     build_double,
@@ -21,7 +21,6 @@ from liedouble.liealg import (
     is_jacobi_zero,
     jacobi_violations,
     new_lie_algebra,
-    zero_tensor3,
 )
 from liedouble.rmatrix import is_mcybe
 
@@ -57,7 +56,7 @@ def test_double_iso11_eta_reproduces_published_table(
 
 def test_double_of_trivial_abelian_bialgebra():
     abelian = new_lie_algebra(2, ("e1", "e2"), [])
-    B = new_bialgebra(abelian, zero_tensor3(2))
+    B = new_bialgebra(abelian, CocommTensor(2, []))
     D = build_double(B)
     assert all(
         D.algebra.c[i][j][k].is_zero
@@ -244,7 +243,7 @@ def test_double_of_double_restricts_to_double(sl2_eta, iso11_eta):
 
 def test_double_of_double_trivial_abelian():
     abelian = new_lie_algebra(2, ("e1", "e2"), [])
-    B = new_bialgebra(abelian, zero_tensor3(2))
+    B = new_bialgebra(abelian, CocommTensor(2, []))
     D2 = double_of_double(B)
     crossed = [
         (a, b)
@@ -462,11 +461,11 @@ def test_psi_is_an_isometry_onto_the_difference_pairing(key):
 def test_double_builder_matches_a_dense_scan(key):
     # the sparse view and parameters of D and D(D), assigned from C and f,
     # are what a scan of the dense tensor finds
-    from liedouble.liealg import _algebra_on
+    from liedouble.liealg import _algebra_of, _nonzero_entries
 
     B = case(key)
     for L in (B.double_algebra, double_of_double(B).algebra):
-        scanned = _algebra_on(L.labels, L.c)
+        scanned = _algebra_of(L.labels, _nonzero_entries(L.c))
         assert L.nonzero() == scanned.nonzero()
         assert L.params == scanned.params
 
@@ -513,7 +512,7 @@ def perturb_one_outer_bracket(monkeypatch, coef=1):
     """Add coef·X1∧X2 to δ_D(X0), which changes [X0, y1], [X0, y2] and
     [y1, y2] of D(D(a)) and nothing else."""
     from liedouble import double
-    from liedouble.bialgebra import CocommTensor
+    from liedouble.liealg import _nonzero_entries
 
     canonical = double.canonical_cocommutator
 
@@ -521,7 +520,7 @@ def perturb_one_outer_bracket(monkeypatch, coef=1):
         f = [[list(row) for row in plane] for plane in canonical(D).f]
         f[0][1][2] = f[0][1][2] + coef
         f[0][2][1] = f[0][2][1] - coef
-        return CocommTensor.from_dense(f)
+        return CocommTensor(len(f), _nonzero_entries(f))
 
     monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
 

@@ -496,11 +496,13 @@ def _twisted_cocommutator_oracle(B, spec):
     labels = tuple(f"e{k}" for k in range(n))
     bc = BasisChange(spec.h_basis + spec.complement, labels)
     f_ad = transform_cocomm(B.cocomm.f, bc.m, bc.inverse)
-    r = [[PolyExpr.zero()] * n for _ in range(n)]
-    for a in range(spec.n_t):
-        for b in range(spec.n_t):
-            r[n_h + a][n_h + b] = spec.pi[a][b]
-    twist = cocommutator_from_r(change_basis(B.algebra, bc), RMatrix(labels, r))
+    r = {
+        (n_h + a, n_h + b): spec.pi[a][b]
+        for a in range(spec.n_t)
+        for b in range(a + 1, spec.n_t)
+        if spec.pi[a][b].terms
+    }
+    twist = cocommutator_from_r(change_basis(B.algebra, bc), RMatrix(labels, r)).f
     return [
         [[f_ad[i][j][k] + twist[i][j][k] for k in range(n)] for j in range(n)]
         for i in range(n)

@@ -4,10 +4,11 @@ tests, and the exact paths leave numpy unimported.
 
 No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
-name anywhere in the module or is listed in ``__all__``; a public name, or
-a private top-level function, counts as used when code in ``src/``,
-``bench/`` or ``tools/`` names it, reads it as an attribute or imports it
-(a mention in a docstring does not count).
+name anywhere in the module or is listed in ``__all__``; a public name, a
+public method or property of a class, or a private top-level function,
+counts as used when code in ``src/``, ``bench/`` or ``tools/`` names it,
+reads it as an attribute or imports it (a mention in a docstring does not
+count).
 """
 
 import ast
@@ -124,6 +125,49 @@ def test_public_names_are_used_outside_the_tests():
     unused = defined - used
     assert sorted(unused - set(TEST_ONLY)) == []
     assert sorted(set(TEST_ONLY) - unused) == []  # the list is not stale
+
+
+# Public class members that only the tests call, each kept for a reason.
+TEST_ONLY_MEMBERS = {
+    "canonical_r_skew": "the paper's canonical r of D(g), from which the so22 "
+    "r-matrices are to be derived (ROADMAP item 2)",
+    "basis_change": "the catalog's basis changes, which nothing in src/ applies "
+    "yet (CHANGES.md, FOUND on basis_changes; ROADMAP item 2)",
+}
+
+
+def public_members(source: str) -> set:
+    """Names of the public methods and properties of the top-level classes
+    of a module."""
+    return {
+        item.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def test_public_members_are_used_outside_the_tests():
+    assert public_members(
+        "class A:\n    def run(self):\n        pass\n"
+        "    @property\n    def size(self):\n        pass\n"
+        "    def __len__(self):\n        pass\n"
+        "def top():\n    pass\n"
+    ) == {"run", "size"}
+    defined = set().union(
+        *(public_members(p.read_text()) for p in (ROOT / "src").rglob("*.py"))
+    )
+    used = set().union(
+        *(
+            referenced_names(path.read_text())
+            for folder in ("src", "bench", "tools")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        )
+    )
+    unused = defined - used
+    assert sorted(unused - set(TEST_ONLY_MEMBERS)) == []
+    assert sorted(set(TEST_ONLY_MEMBERS) - unused) == []  # the list is not stale
 
 
 def private_functions(source: str) -> set:

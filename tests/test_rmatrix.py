@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from liedouble import catalog
 from liedouble.errors import DimensionMismatch, ShapeError
 from liedouble.exactalg import PolyExpr
-from liedouble.liealg import substitute_params, zero_matrix
+from liedouble.liealg import substitute_params
 from liedouble.rmatrix import (
     RMatrix,
     _cybe_residual,
@@ -94,7 +94,7 @@ def wedge_coeff(f, L, i_label, j_label, k_label):
 
 
 def test_hyperbolic_cocommutator_is_deltastandard(sl2_ck, rmats):
-    f = cocommutator_from_r(sl2_ck, rmats["hyp_ck"])
+    f = cocommutator_from_r(sl2_ck, rmats["hyp_ck"]).f
     # δ(J12) = 0
     assert all(x.is_zero for row in f[sl2_ck.index("J12")] for x in row)
     # δ(P1) = 2η P1∧J12, δ(P2) = 2η P2∧J12
@@ -112,13 +112,13 @@ def test_hyperbolic_cocommutator_is_deltastandard(sl2_ck, rmats):
 
 
 def test_zero_r_gives_zero_cocommutator(sl2_ck):
-    r = RMatrix(sl2_ck.labels, zero_matrix(3))
-    f = cocommutator_from_r(sl2_ck, r)
+    r = RMatrix(sl2_ck.labels, {})
+    f = cocommutator_from_r(sl2_ck, r).f
     assert all(x.is_zero for plane in f for row in plane for x in row)
 
 
 def test_generic_cocommutator_matches_published_coefficients(glambda, rmats):
-    f = cocommutator_from_r(glambda, rmats["generic"])
+    f = cocommutator_from_r(glambda, rmats["generic"]).f
     # selected coefficients of the 15-parameter cocommutator on (J,K1,K2)
     assert wedge_coeff(f, glambda, "K1", "J", "K1") == P("c2")
     assert wedge_coeff(f, glambda, "K1", "J", "P0") == P("a1 + b4")
@@ -149,7 +149,7 @@ def test_cocommutator_upper_antisymmetry_random(glambda):
                 if rng.random() < 0.4:
                     terms.append((labels[a], labels[b], Q(rng.randint(-3, 3))))
         r = rmatrix_from_wedge(labels, terms)
-        f = cocommutator_from_r(glambda, r)
+        f = cocommutator_from_r(glambda, r).f
         for i in range(6):
             for j in range(6):
                 for k in range(6):
@@ -158,35 +158,15 @@ def test_cocommutator_upper_antisymmetry_random(glambda):
 
 def test_rmatrix_shape_checks(sl2_ck):
     with pytest.raises(ShapeError):
-        RMatrix(("a", "b"), [[PolyExpr.zero()]])
+        RMatrix(("a", "b"), {(1, 0): PolyExpr.one()})
     with pytest.raises(ShapeError):
         rmatrix_from_wedge(("a", "b"), [("a", "a", 1)])
     with pytest.raises(DimensionMismatch):
         cocommutator_from_r(sl2_ck, rmatrix_from_wedge(("a", "b"), [("a", "b", 1)]))
 
 
-@pytest.mark.parametrize(
-    "entries, index",
-    [
-        ({(4, 1): "eta"}, "(1,4)"),    # partner missing, named at i < j
-        ({(3, 3): "-1/3"}, "(3,3)"),   # diagonal entry
-    ],
-)
-def test_one_asymmetric_entry_is_named(rmats, entries, index):
-    # an antisymmetric r with one entry pair changed raises at that index
-    r = rmats["r1"]
-    m = [list(row) for row in r.r]
-    for i, j in entries:
-        m[i][j] = m[j][i] = PolyExpr.zero()
-    RMatrix(r.labels, m)
-    for (i, j), coef in entries.items():
-        m[i][j] = P(coef)
-    with pytest.raises(ShapeError, match=re.escape(f"not antisymmetric at {index}")):
-        RMatrix(r.labels, m)
-
-
 def test_schouten_zero_r(sl2_ck):
-    r = RMatrix(sl2_ck.labels, zero_matrix(3))
+    r = RMatrix(sl2_ck.labels, {})
     assert all(v.is_zero for v in schouten_oracle(sl2_ck, r).values())
     assert _cybe_residual(sl2_ck, r, cocommutator_from_r(sl2_ck, r)) == {}
     assert is_cybe(sl2_ck, r) and is_mcybe(sl2_ck, r)
@@ -367,3 +347,65 @@ def test_wedge_terms_and_json_round_trip(rmats):
         r.labels, [(e["i"], e["j"], e["coef"]) for e in as_json]
     )
     assert again.r == r.r
+
+
+def test_rmatrix_from_wedge_orders_sums_and_cancels():
+    # X_j ∧ X_i is −X_i ∧ X_j, duplicates are summed, cancelled terms dropped
+    r = rmatrix_from_wedge(
+        ("a", "b", "c"),
+        [("b", "a", "eta"), ("a", "b", 2), ("a", "c", 1), ("c", "a", 1),
+         ("b", "c", "1/2"), ("b", "c", "1/2")],
+    )
+    assert r.terms == {(0, 1): P("2 - eta"), (1, 2): P("1")}
+    assert r.wedge_terms() == [(0, 1, P("2 - eta")), (1, 2, P("1"))]
+    assert r.r == [
+        [P("0"), P("2 - eta"), P("0")],
+        [P("eta - 2"), P("0"), P("1")],
+        [P("0"), P("-1"), P("0")],
+    ]
+    assert rmatrix_from_wedge(("a", "b"), [("a", "b", 1), ("b", "a", 1)]).terms == {}
+
+
+@pytest.mark.parametrize("key", [(1, 0), (1, 1), (0, 3), (-1, 2)])
+def test_rmatrix_names_a_term_out_of_order_or_range(key):
+    with pytest.raises(ShapeError, match=re.escape(f"r-matrix term ({key[0]},{key[1]})")):
+        RMatrix(("a", "b", "c"), {(0, 1): PolyExpr.one(), key: PolyExpr.one()})
+
+
+def dense_r_oracle(labels, terms):
+    """r^{ij} from labelled wedge terms, filled into a dense matrix."""
+    n = len(labels)
+    r = [[PolyExpr.zero()] * n for _ in range(n)]
+    for li, lj, coef in terms:
+        i, j, coef = labels.index(li), labels.index(lj), P(coef)
+        r[i][j] = r[i][j] + coef
+        r[j][i] = r[j][i] - coef
+    return r
+
+
+def dense_cocommutator_oracle(L, r):
+    """f_i^{jk} = Σ_l (C_il^j r^{lk} + C_il^k r^{jl}) over dense loops."""
+    n = L.dim
+    return [
+        [
+            [
+                sum(
+                    (L.c[i][l][j] * r[l][k] + L.c[i][l][k] * r[j][l] for l in range(n)),
+                    PolyExpr.zero(),
+                )
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("key", CATALOG_RMATRICES)
+def test_catalog_rmatrix_and_cocommutator_match_dense_oracles(key):
+    cat = catalog.load()
+    L, r = cat.rmatrix_algebra(key), cat.rmatrix(key)
+    terms = [(t["i"], t["j"], t["coef"]) for t in cat.get(key).raw["terms"]]
+    dense = dense_r_oracle(list(r.labels), terms)
+    assert r.r == dense
+    assert cocommutator_from_r(L, r).f == dense_cocommutator_oracle(L, dense)

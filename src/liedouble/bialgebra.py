@@ -120,13 +120,17 @@ def _rescaled(form: tuple, d: int) -> dict:
 
 
 def _double_algebra(
-    L: LieAlgebra, cocomm: CocommTensor, dual_labels: tuple[str, ...]
+    L: LieAlgebra,
+    cocomm: CocommTensor,
+    dual_labels: tuple[str, ...],
+    params: tuple[str, ...] | None = None,
 ) -> LieAlgebra:
     """The algebra of D(g) on the basis {X_i, x^i}, built from the nonzero
     entries of C and f.  Each entry of the brackets listed in
     :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
     once, so none cancels: those assignments, in index order, are the sparse
-    view, and the parameters are those occurring in C or f.  An entry −C_ij^k
+    view, and the parameters are those occurring in C or f, scanned for
+    unless the caller knows them as ``params``.  An entry −C_ij^k
     is read as C_ji^k and −f_k^{ij} as f_k^{ji}, so none is negated.  The
     integer form is assigned the same way from those of C and f, both at the
     scale lcm(d_C, d_f), which is the lcm of the double's denominators."""
@@ -144,8 +148,9 @@ def _double_algebra(
             (n + i, n + j, n + k, coef), (k, n + i, j, coef), (n + j, k, i, coef)
         ]
         ints[n + i, n + j, n + k] = ints[k, n + i, j] = ints[n + j, k, i] = f_int[k, i, j]
-    entries.sort(key=lambda entry: entry[:3])
-    params = _used_params([*L.nonzero(), *cocomm_entries])
+    entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
+    if params is None:
+        params = _used_params([*L.nonzero(), *cocomm_entries])
     return LieAlgebra(2 * n, L.labels + dual_labels, params, entries, _int=(d, ints))
 
 

@@ -36,7 +36,6 @@ algebras (:meth:`~liedouble.liealg.LieAlgebra.int_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .bialgebra import CocommTensor, LieBialgebra, _double_algebra
 from .errors import DimensionMismatch, NotACobracket
@@ -92,17 +91,21 @@ def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
 def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
     """δ_D from the canonical element: δ_D(X_i) = −f_i^{jk} X_j⊗X_k,
     δ_D(x^i) = C_jk^i x^j⊗x^k.  Its sparse view and integer form are
-    assigned, the latter at the scale of D(a), as each entry is ± one entry
-    of D(a): f_i^{jk} is the x^i entry of [x^j, x^k], C_jk^i the X_i entry
-    of [X_j, X_k]."""
+    assigned, the latter at the scale of D(a), as each entry is one entry
+    of D(a): −f_i^{jk} = f_i^{kj} is the x^i entry of [x^k, x^j], C_jk^i
+    the X_i entry of [X_j, X_k].  So no entry is negated."""
     n = D.n
     d, ints = D.algebra.int_tensor()
     entries, f_int = [], {}
-    for i, j, k, coef in D.source.cocomm.nonzero():
-        entries.append((i, j, k, -coef))
-        f_int[i, j, k] = {m: -v for m, v in ints[n + j, n + k, n + i].items()}
-    by_upper = sorted(D.source.algebra.nonzero(), key=lambda e: (e[2], e[0], e[1]))
-    for j, k, i, coef in by_upper:  # in the index order of (n + i, n + j, n + k)
+    f = D.source.cocomm.nonzero()
+    partner = {(i, k, j): coef for i, j, k, coef in f}  # f_i^{kj} at (i, j, k)
+    for i, j, k, _ in f:
+        entries.append((i, j, k, partner[i, j, k]))
+        f_int[i, j, k] = ints[n + k, n + j, n + i]
+    # C_jk^i in the index order of (n + i, n + j, n + k); the (i, j, k) are
+    # distinct, so the sort compares no coefficient
+    by_upper = sorted([(i, j, k, coef) for j, k, i, coef in D.source.algebra.nonzero()])
+    for i, j, k, coef in by_upper:
         entries.append((n + i, n + j, n + k, coef))
         f_int[n + i, n + j, n + k] = ints[j, k, i]
     return CocommTensor(2 * n, entries, _int=(d, f_int))
@@ -124,7 +127,9 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
     inner = build_double(B)
     delta = canonical_cocommutator(inner)
     duals = second_dual_labels(B.dim)
-    outer = replace(_double_algebra(inner.algebra, delta, duals), _jacobi={})
+    # every entry of δ_D is one of D(a), so D(D(a)) has the parameters of D(a)
+    outer = _double_algebra(inner.algebra, delta, duals, inner.algebra.params)
+    outer = replace(outer, _jacobi={})
     pairs = [(a, b) for a in range(outer.dim) for b in range(a + 1, outer.dim)]
     bad = _psi_mismatches(outer, inner.algebra, pairs)
     if bad:
@@ -200,9 +205,9 @@ def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:
 
 
 def _term_prefix(coef: PolyExpr) -> str:
-    """The text before the label in the term coef·label of
-    :func:`format_combo`: ``""`` for 1, ``"-"`` for −1, ``"c*"`` for one
-    term c and ``"(p)*"`` for a polynomial p of several terms."""
+    """The text before the label in the term coef·label of a table row:
+    ``""`` for 1, ``"-"`` for −1, ``"c*"`` for one term c and ``"(p)*"`` for
+    a polynomial p of several terms."""
     terms = coef.terms
     if len(terms) != 1:
         return f"({coef})*"
@@ -212,48 +217,33 @@ def _term_prefix(coef: PolyExpr) -> str:
     return f"{coef}*"
 
 
-def format_combo(labels: Sequence[str], coeffs: Vector, prefix=_term_prefix) -> str:
-    """Render Σ coeff_k · label_k, e.g. ``x2 + 1/2*eta*X1``; ``prefix(coef)``
-    gives the text before a label (:func:`_term_prefix`)."""
-    terms = []
-    for lab, coef in zip(labels, coeffs):
-        coef = as_poly(coef)
-        if coef.terms:
-            terms.append(prefix(coef) + lab)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for term in terms[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
-
-
 def bracket_table_text(L: LieAlgebra) -> str:
-    """Aligned plain-text table of all brackets [e_a, e_b] with a < b, each
-    row formatted from its nonzero entries in :meth:`LieAlgebra.nonzero`.
-    A coefficient shared by several entries, as the entries of a double
-    share those of C and f, is rendered once per call."""
+    """Aligned plain-text table of all brackets [e_a, e_b] with a < b, e.g.
+    ``[X0, X1] = 2*X1``, each row rendered from its nonzero
+    entries in :meth:`LieAlgebra.nonzero`, in one pass that appends each
+    term to its row (``" - "`` before a term that starts with ``-``).  A
+    coefficient shared by several entries, as the entries of a double share
+    those of C and f, is rendered once per call; ``""`` for dim < 2."""
     labels = L.labels
     prefixes: dict = {}  # id(coef): its term prefix; every coef lives in L
-
-    def prefix(coef: PolyExpr) -> str:
-        text = prefixes.get(id(coef))
-        if text is None:
-            text = prefixes[id(coef)] = _term_prefix(coef)
-        return text
-
     rows: dict = {}
     for a, b, k, coef in L.nonzero():
         if a < b:
-            row_labels, row_coeffs = rows.setdefault((a, b), ([], []))
-            row_labels.append(labels[k])
-            row_coeffs.append(coef)
+            prefix = prefixes.get(id(coef))
+            if prefix is None:
+                prefix = prefixes[id(coef)] = _term_prefix(coef)
+            term = prefix + labels[k]
+            row = rows.get((a, b))
+            if row is None:
+                rows[a, b] = term
+            elif term[:1] == "-":
+                rows[a, b] = row + " - " + term[1:]
+            else:
+                rows[a, b] = row + " + " + term
     heads = [
-        (f"[{labels[a]}, {labels[b]}]", rows.get((a, b), ((), ())))
+        (f"[{labels[a]}, {labels[b]}]", rows.get((a, b), "0"))
         for a in range(L.dim)
         for b in range(a + 1, L.dim)
     ]
-    width = max(len(head) for head, _ in heads)
-    return "".join(
-        f"{head.ljust(width)} = {format_combo(*row, prefix)}\n" for head, row in heads
-    )
+    width = max((len(head) for head, _ in heads), default=0)
+    return "".join(f"{head.ljust(width)} = {row}\n" for head, row in heads)

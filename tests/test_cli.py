@@ -589,3 +589,17 @@ def test_double_iterate_fraction_budget(tmp_path, monkeypatch):
         Fraction.__new__ = new
     assert code == 0
     assert count <= DOUBLE_ITERATE_FRACTION_BUDGET
+
+
+def test_cli_snapshot_matches_the_committed_one(capsys):
+    # tools/cli_snapshot.py, run in-process, prints the committed fingerprints;
+    # an intended output change regenerates tests/data/cli_snapshot.txt
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    assert snapshot.main() == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got == (GOLDEN / "cli_snapshot.txt").read_text().splitlines()

@@ -5,12 +5,12 @@ import pytest
 from liedouble import catalog
 from liedouble.bialgebra import CocommTensor, new_bialgebra
 from liedouble.double import (
+    _term_prefix,
     bracket_table_text,
     build_double,
     canonical_cocommutator,
     crossed_bracket_mismatches,
     double_of_double,
-    format_combo,
     pairing,
 )
 from liedouble.errors import DimensionMismatch
@@ -276,6 +276,19 @@ def test_double_of_double_pairing(sl2_eta):
         ).is_zero
 
 
+def format_combo(labels, coeffs, prefix=_term_prefix):
+    """Render Σ coeff_k · label_k from a dense row, e.g. ``x2 + 1/2*eta*X1``;
+    ``prefix(coef)`` gives the text before a label.  The oracle that the
+    one-pass rows of :func:`bracket_table_text` are checked against."""
+    terms = [prefix(coef) + lab for lab, coef in zip(labels, coeffs) if coef.terms]
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
+
+
 def test_format_combo():
     labels = ("A", "B")
     assert format_combo(labels, [P("1"), P("0")]) == "A"
@@ -292,6 +305,18 @@ def test_format_combo():
     )
 
 
+def assert_rows_match_the_dense_oracle(L, prefix=_term_prefix):
+    """Each line of the table of L is ``[e_a, e_b] = `` and the oracle's
+    rendering of the dense row C_ab^·, in the order a < b."""
+    lines = bracket_table_text(L).splitlines()
+    pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
+    assert len(lines) == len(pairs)
+    for line, (a, b) in zip(lines, pairs):
+        head, _, row = line.partition(" = ")
+        assert head.rstrip() == f"[{L.labels[a]}, {L.labels[b]}]"
+        assert row == format_combo(L.labels, L.c[a][b], prefix), (a, b)
+
+
 def test_bracket_table_renders_each_shared_coefficient_once(so22_twisted, monkeypatch):
     # the entries of D(D(a)) share the coefficients of C and f; each distinct
     # coefficient object is rendered once per table, and every row is still
@@ -302,18 +327,57 @@ def test_bracket_table_renders_each_shared_coefficient_once(so22_twisted, monkey
     rendered = []
     real = double._term_prefix
     monkeypatch.setattr(double, "_term_prefix", lambda c: rendered.append(c) or real(c))
-    lines = bracket_table_text(L).splitlines()
-    pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
-    assert len(lines) == len(pairs)
-    for line, (a, b) in zip(lines, pairs):
-        head, _, row = line.partition(" = ")
-        assert head.rstrip() == f"[{L.labels[a]}, {L.labels[b]}]"
-        assert row == format_combo(L.labels, L.c[a][b], real)
+    assert_rows_match_the_dense_oracle(L, real)
     upper = [coef for a, b, _, coef in L.nonzero() if a < b]
     distinct = len({id(coef) for coef in upper})
     assert len(rendered) == distinct < len(upper)
     bracket_table_text(L)
     assert len(rendered) == 2 * distinct  # nothing is kept across calls
+
+
+@pytest.mark.parametrize("key", sorted(catalog.load().list("bialgebra")))
+def test_bracket_tables_of_both_doubles_match_the_dense_oracle(key):
+    B = catalog.load().bialgebra(key)
+    for L in (B.double_algebra, double_of_double(B).algebra):
+        assert_rows_match_the_dense_oracle(L)
+
+
+def test_bracket_table_renders_every_kind_of_coefficient():
+    # 1, −1, a rational, a parameter term, several terms and a Laurent term,
+    # each after another term of its row and each but the rational also
+    # first in one; [e0, e3] has no term
+    rows = {
+        (0, 1): [(0, "1"), (1, "-1"), (2, "-3/4"), (3, "2*eta")],
+        (0, 2): [(3, "-3/4"), (2, "2*eta"), (1, "1 - eta"), (0, "-eta^-1*kappa")],
+        (1, 2): [(0, "2*eta"), (3, "-eta^-1*kappa")],
+        (1, 3): [(0, "1 - eta"), (2, "1")],
+        (2, 3): [(1, "-1"), (2, "-3/4")],
+    }
+    brackets = [(a, b, k, P(c)) for (a, b), terms in rows.items() for k, c in terms]
+    L = new_lie_algebra(4, ("e0", "e1", "e2", "e3"), brackets)
+    assert_rows_match_the_dense_oracle(L)
+    assert bracket_table_text(L) == (
+        "[e0, e1] = e0 - e1 - 3/4*e2 + 2*eta*e3\n"
+        "[e0, e2] = -eta^-1*kappa*e0 + (1 - eta)*e1 + 2*eta*e2 - 3/4*e3\n"
+        "[e0, e3] = 0\n"
+        "[e1, e2] = 2*eta*e0 - eta^-1*kappa*e3\n"
+        "[e1, e3] = (1 - eta)*e0 + e2\n"
+        "[e2, e3] = -e1 - 3/4*e2\n"
+    )
+
+
+def test_bracket_table_of_an_algebra_with_no_pairs_is_empty():
+    from liedouble.homogeneous import LagrangianSpec, lagrangian_bracket_table
+
+    assert bracket_table_text(new_lie_algebra(0, (), [])) == ""
+    assert bracket_table_text(new_lie_algebra(1, ("a",), [])) == ""
+    # the table of the 1-dim Lagrangian l = span{a} of D(a) for the 1-dim a
+    B = new_bialgebra(new_lie_algebra(1, ("a",), []), CocommTensor(1, []))
+    D = build_double(B)
+    table = lagrangian_bracket_table(D, LagrangianSpec([B.algebra.basis_vector(0)], [], []))
+    assert table.dim == 1
+    assert bracket_table_text(table) == ""
+    assert bracket_table_text(D.algebra) == "[a, d:a] = 0\n"
 
 
 def test_bracket_table_text_golden(sl2_hyp):
@@ -470,8 +534,21 @@ def test_double_builder_matches_a_dense_scan(key):
         assert L.params == scanned.params
 
 
+@pytest.mark.parametrize("key", CASES)
+def test_double_of_double_takes_the_parameters_of_the_inner_double(key, monkeypatch):
+    # every entry of δ_D is an entry of D(a), so no entry is scanned again
+    B = case(key)
+    calls = []
+    real = PolyExpr.parameters
+    monkeypatch.setattr(PolyExpr, "parameters", lambda p: calls.append(p) or real(p))
+    D2 = double_of_double(B)
+    assert calls == []
+    assert D2.algebra.params == B.double_algebra.params
+
+
 def test_double_builder_negates_no_entry(so22_twisted, monkeypatch):
-    # each −C_ij^k and −f_k^{ij} of the double is read from its partner entry
+    # each −C_ij^k and −f_k^{ij} of the double, and each −f_i^{jk} of δ_D, is
+    # read from its partner entry
     from liedouble.bialgebra import _double_algebra
 
     negations = []
@@ -479,6 +556,7 @@ def test_double_builder_negates_no_entry(so22_twisted, monkeypatch):
     monkeypatch.setattr(PolyExpr, "__neg__", lambda p: negations.append(p) or real(p))
     B = so22_twisted
     _double_algebra(B.algebra, B.cocomm, B.dual_labels)
+    canonical_cocommutator(build_double(B))
     assert negations == []
 
 

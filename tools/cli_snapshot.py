@@ -6,7 +6,9 @@ Each command runs in-process through ``liedouble.cli.main`` (from this
 checkout's ``src``) and gives one line ``sha256  exit  argv``.  The hash
 covers stdout and stderr, less the wall-clock ``elapsed:`` line.  Running
 the script on two checkouts and diffing the outputs shows whether a change
-kept the CLI byte-identical.
+kept the CLI byte-identical.  ``tests/data/cli_snapshot.txt`` holds the
+output, and a test compares a fresh run with it; a change meant to alter the
+output regenerates that file.
 
 The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
 --iterate`` for every bialgebra, ``verify-brackets --seed 42``, each in

@@ -37,6 +37,7 @@ from .double import (
 from .errors import (
     LiedoubleError,
     NotACobracket,
+    NotDivisible,
     ParseError,
     PolyParseError,
     ShapeError,
@@ -45,6 +46,7 @@ from .errors import (
 from .exactalg import PolyExpr
 from .homogeneous import (
     LagrangianSpec,
+    _names,
     classify as classify_spec,
 )
 from .liealg import _jacobi_notes, from_json as algebra_from_json
@@ -300,7 +302,14 @@ def cmd_classify(args) -> int:
             f"--pi must be a {m}x{m} matrix of polynomials: {exc}"
         ) from exc
     D = build_double(B)
-    rep = classify_spec(D, B, spec)
+    try:
+        rep = classify_spec(D, B, spec)
+    except NotDivisible as exc:  # A⁻¹ is not a Laurent matrix: nothing was verified
+        completion = ", ".join(_names(complement, B.algebra.labels, "T"))
+        raise ParseError(
+            f"the generators {args.subalgebra}, completed by "
+            f"{completion or 'no vector'}, give an adapted basis whose {exc}"
+        ) from exc
     table_info = None
     if rep.table is not None:
         table_info = {

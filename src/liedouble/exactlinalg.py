@@ -19,16 +19,16 @@ The integer core, :func:`_bareiss`, takes that cleared matrix, and so
 does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
 appends the identity half as integer unit dicts, so the adapted pass of
 :mod:`liedouble.homogeneous` inverts the s·A its transforms read without
-clearing it again.  An update piv·a − f·b is formed by two calls of
+clearing it again.  An update piv·a − f·b is formed by one call of
 :func:`~liedouble.exactalg._add_product`, the one kernel of every integer
-sum of products, into one zero-free terms dict, and divided exactly by the
-previous pivot: by ``divmod`` on the coefficients and a monomial shift
-when the pivot is one term, by integer long division otherwise.  Every
-entry of the reduced matrix of s·A is an r×r minor, r the rank, so it is
-s^r times that of A: the answers above, ratios of two entries, do not
-depend on s, and only the fraction-free vector of :func:`nullspace` is
-divided back by s^r.  No :class:`~fractions.Fraction` is built before that
-one division at the end.
+sum of products, per nonzero product, into one zero-free terms dict, and
+divided exactly by the previous pivot: by ``divmod`` on the coefficients
+and a monomial shift when the pivot is one term, by integer long division
+otherwise.  Every entry of the reduced matrix of s·A is an r×r minor, r
+the rank, so it is s^r times that of A: the answers above, ratios of two
+entries, do not depend on s, and only the fraction-free vector of
+:func:`nullspace` is divided back by s^r.  No :class:`~fractions.Fraction`
+is built before that one division at the end.
 
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
@@ -112,9 +112,18 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
     cleared too, and every pivot ends equal to the last one.  The rows of
     ``m`` are reordered and replaced entry by entry; no entry dict is
     changed, so a dict shared with another matrix stays as it was.
+
+    The pivot of a column is, among its nonzero entries at or below row r,
+    the first single-term one equal to the previous pivot (1 before the
+    first), else the first single-term one, else the first.  Single-term
+    pivots keep the cross-multiples small, and a pivot equal to the
+    previous one leaves every row with no entry in its column as it is: the
+    update piv·a/prev of such a row is a, so the row is skipped and keeps
+    its entry dicts.
     """
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    prev: dict = {(): 1}
     divide = None  # by the previous pivot; None before the first
     for c in range(ncols):
         r = len(pivots)
@@ -122,22 +131,23 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
             break
         pivot_row = None
         for i in range(r, len(m)):
-            if m[i][c]:
-                # prefer single-term pivots: their cross-multiples stay small
-                if pivot_row is None or (
-                    len(m[i][c]) == 1 and len(m[pivot_row][c]) != 1
-                ):
-                    pivot_row = i
-                    if len(m[i][c]) == 1:
-                        break
+            x = m[i][c]
+            if not x:
+                continue
+            if len(x) == 1 and x == prev:
+                pivot_row = i
+                break
+            if pivot_row is None or (len(x) == 1 and len(m[pivot_row][c]) != 1):
+                pivot_row = i
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         prow, piv = m[r], m[r][c]
+        keep = piv == prev  # rows with no entry in column c stay as they are
         for i in range(0 if reduce else r + 1, len(m)):
-            if i == r:
-                continue
             row, f = m[i], m[i][c]
+            if i == r or (keep and not f):
+                continue
             for j in range(ncols):
                 if j == c:
                     continue
@@ -145,12 +155,14 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
                 if not a and not (f and b):
                     continue
                 num: dict = {}  # piv·a − f·b
-                _add_product(num, 1, piv, a)
-                _add_product(num, -1, f, b)
+                if a:
+                    _add_product(num, 1, piv, a)
+                if f and b:
+                    _add_product(num, -1, f, b)
                 row[j] = divide(num) if divide and num else num
             row[c] = {}
         pivots.append(c)
-        divide = _divider(piv)
+        prev, divide = piv, _divider(piv)
     return pivots
 
 

@@ -58,10 +58,15 @@ s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
 is exactly s1 or s2 times its rational value, summed by
 :func:`~liedouble.exactalg._add_product` into a zero-free terms dict, so a
 component vanishes iff its dict is empty, and the test stays generic in
-the parameters.
-Polynomials are built only for what leaves the pass: M, the first
-failing component of each bracket, Q, and the rows of the bracket table
-when l is a subalgebra.
+the parameters.  The pairing π^{αβ} + π^{βα} is summed the same way, at
+the scale d_π.
+
+:func:`classify` decides its four verdicts from these integer forms alone
+and stores them on the :class:`ClosureReport`.  The polynomials the report
+gives, M, the bracket table, Q, and the failing and mixed components that
+``violations`` prints, are divided back from them
+(:func:`~liedouble.exactalg.from_int_terms`) on first read and cached on
+the report, so a caller that reads only the verdicts builds none of them.
 
 l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
 subalgebra and δ(h) ⊂ h∧g.  h is then the algebra of a Poisson subgroup,
@@ -84,6 +89,7 @@ these tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, product
 from typing import Sequence
 
@@ -167,7 +173,7 @@ def _adapted(spec: LagrangianSpec, n: int):
     its exact inverse: ``(m_cols, a_inv)`` with ``m_cols`` = (s, columns
     of s·A) in the form of ``liealg._int_matrix(A, transpose=True)``, and
     ``a_inv`` = (e, rows) with A⁻¹ = rows / e from the integer Bareiss
-    kernel (``exactlinalg._inverse``)."""
+    kernel (``exactlinalg._int_inverse`` of s·A)."""
     rows = spec.h_basis + spec.complement
     if len(rows) != n:
         raise BasisNotComplete(
@@ -247,27 +253,84 @@ def is_subalgebra(D: DoubleAlgebra, l: Subspace) -> bool:
     return True
 
 
+def _divided(component: tuple) -> tuple:
+    """``(name, lower, upper, value)`` of an integer component
+    ``(name, lower, upper, terms, scale)``, its value the terms divided by
+    the scale."""
+    name, lower, upper, terms, scale = component
+    return name, lower, upper, from_int_terms(terms, scale)
+
+
 @dataclass
 class ClosureReport:
+    """The verdicts of :func:`classify`, decided from the adapted pass's
+    integer forms; only they are compared.  The polynomials the report
+    gives are divided back from those forms on first read and cached on the
+    report (module doc)."""
+
     lagrangian: bool
     subalgebra: bool
     coisotropic: bool
     poisson_subgroup: bool
-    m_gamma: list = field(repr=False)  # M^{αβ}_γ, indexed [α][β][γ]
-    m_i: list = field(repr=False)      # M^{αβ}_i, indexed [α][β][i]
-    # the induced bracket table, or None when l is not a subalgebra
-    table: LieAlgebra | None = field(default=None, repr=False, compare=False)
-    # nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε) with α < β
-    xx_residual: dict = field(default_factory=dict, repr=False, compare=False)
-    # what :attr:`violations` formats: the adapted pass's failing components,
-    # the first nonzero h∧T component of each δ(H_i), the first nonzero
-    # pairing (α, β, π^{αβ} + π^{βα}) of a non-Lagrangian l, and (B, spec)
-    _failing: dict = field(default_factory=dict, repr=False)
-    _mixed: list = field(default_factory=list, repr=False)
-    _pairing: tuple | None = field(default=None, repr=False)
-    _source: tuple = field(default=(), repr=False, compare=False)
+    # the integer forms the values below are read from: the adapted pass,
+    # the first nonzero h∧T component of each δ(H_i) as (name, lower, upper,
+    # terms, scale), and (B, spec)
+    _pass: _AdaptedPass = field(repr=False, compare=False)
+    _mixed: list = field(repr=False, compare=False)
+    _source: tuple = field(repr=False, compare=False)
 
-    @property
+    @cached_property
+    def _m(self) -> list:
+        """M^{αβ}_k, indexed [α][β][k] by adapted index k."""
+        s1, m_int = self._pass.m_int
+        spec = self._source[1]
+        zero = PolyExpr.zero()
+        n = spec.n_h + spec.n_t
+        m = [[[zero] * n for _ in range(spec.n_t)] for _ in range(spec.n_t)]
+        for (a, b, k), t in m_int.items():
+            if t:
+                m[a][b][k] = from_int_terms(t, s1)
+        return m
+
+    @cached_property
+    def m_gamma(self) -> list:
+        """M^{αβ}_γ, indexed [α][β][γ]."""
+        n_h = self._source[1].n_h
+        return [[row[n_h:] for row in plane] for plane in self._m]
+
+    @cached_property
+    def m_i(self) -> list:
+        """M^{αβ}_i, indexed [α][β][i]."""
+        n_h = self._source[1].n_h
+        return [[row[:n_h] for row in plane] for plane in self._m]
+
+    @cached_property
+    def table(self) -> LieAlgebra | None:
+        """The induced bracket table, or None when l is not a subalgebra."""
+        if not self.subalgebra:
+            return None
+        return _table(*self._source, self._pass.brackets)
+
+    @cached_property
+    def xx_residual(self) -> dict:
+        """The nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε)
+        with α < β."""
+        s2, residual = self._pass.xx_residual
+        return {key: from_int_terms(t, s2) for key, t in residual.items()}
+
+    @cached_property
+    def failing(self) -> dict:
+        """(i, j) ↦ the first nonzero (name, lower, upper, value) that must
+        vanish for [l_i, l_j] ∈ l, i < j, by adapted index (module doc)."""
+        return {pair: _divided(comp) for pair, comp in self._pass.failing.items()}
+
+    @cached_property
+    def mixed(self) -> list:
+        """The first nonzero h∧T component (name, lower, upper, value) of
+        each δ(H_i) that has one."""
+        return [_divided(comp) for comp in self._mixed]
+
+    @cached_property
     def violations(self) -> list:
         """The failed conditions by basis labels: the first pair of l's
         basis on which the pairing does not vanish, with its value
@@ -275,21 +338,23 @@ class ClosureReport:
         each δ(H_i) with an h∧T part, with the first nonzero component that
         must vanish (module doc)."""
         out = []
-        if self._pairing or self._failing or self._mixed:
+        pairing = self._pass.pairing
+        if pairing or self._pass.failing or self._mixed:
             B, spec = self._source
             g = B.algebra.labels
             frame = _names(spec.h_basis, g, "H") + _names(spec.complement, g, "T")
             l_labels = _labels(B, spec)
-            if self._pairing:
-                a, b, value = self._pairing
+            if pairing:
+                a, b, terms, scale = pairing
                 pair = (spec.n_h + a, spec.n_h + b)
+                value = from_int_terms(terms, scale)
                 comp = _component(l_labels, "pairing", pair, (), value)
                 out.append(f"l is not Lagrangian: {comp}")
             out += [
                 f"[{l_labels[i]}, {l_labels[j]}] leaves l: {_component(frame, *comp)}"
-                for (i, j), comp in self._failing.items()
+                for (i, j), comp in self.failing.items()
             ]
-            out += [f"mixed h^T part {_component(frame, *comp)}" for comp in self._mixed]
+            out += [f"mixed h^T part {_component(frame, *comp)}" for comp in self.mixed]
         return out
 
     def to_json(self) -> dict:
@@ -310,14 +375,19 @@ class ClosureReport:
         }
 
 
-def _first_pairing(pi: Matrix) -> tuple | None:
-    """``(α, β, π^{αβ} + π^{βα})`` for the first α ≤ β at which it is
-    nonzero, or None when π is antisymmetric."""
-    for a, row in enumerate(pi):
-        for b in range(a, len(pi)):
-            value = row[b] + pi[b][a]
-            if value.terms:
-                return a, b, value
+def _first_pairing(pi_int: dict, n_t: int, d_pi: int) -> tuple | None:
+    """``(α, β, terms, d_π)`` for the first α ≤ β at which π^{αβ} + π^{βα}
+    is nonzero, the terms d_π times it, from π's nonzero entries
+    ``{(α, β): terms}`` at the scale d_π; None when π is antisymmetric."""
+    unit = {(): 1}
+    for a in range(n_t):
+        for b in range(a, n_t):
+            value: dict = {}
+            for key in ((a, b), (b, a)):
+                if key in pi_int:
+                    _add_product(value, 1, pi_int[key], unit)
+            if value:
+                return a, b, value, d_pi
     return None
 
 
@@ -328,18 +398,21 @@ class _AdaptedPass:
 
     c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
     f_int: tuple        # (d_f, {(i, b, c): terms}): f' in integer form, b < c
-    # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, value);
-    # None when π is antisymmetric, i.e. l is Lagrangian
+    # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, terms,
+    # d_π), the value the terms divided by d_π; None when π is antisymmetric,
+    # i.e. l is Lagrangian
     pairing: tuple | None
     # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
     m_int: tuple
     # (i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i < j, as
     # [(k, {mono: int}, scale)], coordinate k the terms divided by the scale
     brackets: dict
-    # (i, j) ↦ the first nonzero (name, lower, upper, value) that must vanish
-    # for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module doc)
+    # (i, j) ↦ the first nonzero (name, lower, upper, terms, scale) that must
+    # vanish for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module
+    # doc), its value the terms divided by the scale
     failing: dict
-    xx_residual: dict   # nonzero Q^{αβε}, keyed (α, β, ε) with α < β
+    # (s2, {(α, β, ε): terms}): s2·Q^{αβε} over ints, nonzero, α < β
+    xx_residual: tuple
 
 
 def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
@@ -354,9 +427,9 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     d_f, f = f_int = _cocomm_int(B.cocomm.int_tensor(), m_cols, w)
     n_h, n_t = spec.n_h, spec.n_t
     pi = spec.pi
-    pairing = _first_pairing(pi)
     keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
     d_pi, scaled = to_int_terms(pi[a][b] for a, b in keys)
+    pairing = _first_pairing(dict(zip(keys, scaled)), n_t, d_pi)
     pi_nz = [(a, b, v) for (a, b), v in zip(keys, scaled)]
     pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
     s1 = d_f * d_pi * d_c  # scale of M, R and the H-part of [H_i, X^α]
@@ -404,10 +477,10 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
 
     def check(pair, components):
         """Keep the first (name, lower, upper, terms, scale) with a nonzero
-        term as the failing component of ``pair``, divided back."""
-        for name, lower, upper, t, scale in components:
-            if t:
-                failing[pair] = (name, lower, upper, from_int_terms(t, scale))
+        term as the failing component of ``pair``."""
+        for comp in components:
+            if comp[3]:
+                failing[pair] = comp
                 return
 
     def c_at(a, b, k):
@@ -479,9 +552,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 (("Q", (), (*pair, n_h + e), residual[(a, b, e)], s2)
                  for e in range(n_t) if (a, b, e) in residual),
             ))
-    xx_residual = {key: from_int_terms(t, s2) for key, t in residual.items()}
     return _AdaptedPass(
-        c_int, f_int, pairing, (s1, m_acc), brackets, failing, xx_residual
+        c_int, f_int, pairing, (s1, m_acc), brackets, failing, (s2, residual)
     )
 
 
@@ -521,14 +593,8 @@ def classify(
     for i in range(n_h):  # the h∧T block of δ(H_i), stored as j < k
         for j, k in product(range(n_h), range(n_h, n)):
             if (i, j, k) in f:
-                mixed.append(("delta", (i,), (j, k), from_int_terms(f[i, j, k], d_f)))
+                mixed.append(("delta", (i,), (j, k), f[i, j, k], d_f))
                 break
-    s1, m_int = p.m_int
-    zero = PolyExpr.zero()
-    m = [[[zero] * n for _ in range(spec.n_t)] for _ in range(spec.n_t)]
-    for (a, b, k), t in m_int.items():
-        if t:
-            m[a][b][k] = from_int_terms(t, s1)
     subalg = not p.failing
     coisotropic = (
         lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
@@ -538,13 +604,8 @@ def classify(
         subalgebra=subalg,
         coisotropic=coisotropic,
         poisson_subgroup=coisotropic and not mixed,
-        m_gamma=[[row[n_h:] for row in plane] for plane in m],
-        m_i=[[row[:n_h] for row in plane] for plane in m],
-        table=_table(B, spec, p.brackets) if subalg else None,
-        xx_residual=p.xx_residual,
-        _failing=p.failing,
+        _pass=p,
         _mixed=mixed,
-        _pairing=p.pairing,
         _source=(B, spec),
     )
 

@@ -400,6 +400,23 @@ def test_classify_bad_generator(tmp_path):
     assert main(["classify", "sl2-hyp", "span{Q9}"]) == 2
 
 
+@pytest.mark.parametrize("span, completion", [
+    ("span{J+eta*K1,J+K1}", "P0, P1, P2, K2"),
+    ("span{J+eta*K1,J+K1,P0,P1,P2,K2}", "no vector"),
+])
+def test_classify_basis_with_no_laurent_inverse_is_an_input_error(span, completion, capsys):
+    # det of the adapted basis is ±(1 - eta): A⁻¹ is not a Laurent matrix,
+    # so nothing is verified and the generators are what to change
+    assert main(["classify", "so22-r1", span]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: the generators {span}, completed by {completion}, give an "
+        "adapted basis whose matrix has no Laurent inverse: its determinant "
+        "±(1 - eta) is not one term\n"
+    )
+
+
 def test_verify_brackets_default_passes(tmp_path):
     code, report = run(tmp_path, "verify-brackets", "--format", "json")
     assert code == 0

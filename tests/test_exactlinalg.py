@@ -3,9 +3,12 @@
 Matrices are small, with entries of one or two terms: a rational
 coefficient (0, ±1, ±2, ±1/2 or 2/3) times 1, eta, xi, eta^-1 or eta*xi,
 drawn by a derandomized hypothesis so every run sees the same examples.
-The Bareiss kernel clears these denominators once and eliminates over
+Some rows are unit rows, or unit rows times one single-term value shared
+by the matrix, among the others: a pivot then often equals the previous
+one, and the Bareiss kernel leaves the rows with no entry in its column as
+they are.  The kernel clears the denominators once and eliminates over
 integers; the 6x6 adapted bases are those of the Lagrangian sweep, integer
-h rows completed by unit rows.
+h rows, some of them unit or repeated-value rows, completed by unit rows.
 """
 
 from fractions import Fraction as Q
@@ -20,6 +23,7 @@ from sympy.polys.matrices import DomainMatrix
 from liedouble.errors import NotDivisible, SingularMatrix
 from liedouble.exactalg import PolyExpr, as_poly
 from liedouble.exactlinalg import (
+    _bareiss,
     _inverse,
     invert,
     mat,
@@ -44,10 +48,21 @@ ENTRY = st.one_of(TERM, st.builds(add, TERM, TERM))
 
 @st.composite
 def matrices(draw, max_rows=4, max_cols=4, square=False):
+    """Rows of ENTRYs, unit rows e_j and rows v·e_j for one nonzero
+    single-term v per matrix, in any order."""
     n_rows = draw(st.integers(1, max_rows))
     n_cols = n_rows if square else draw(st.integers(1, max_cols))
-    row = st.lists(ENTRY, min_size=n_cols, max_size=n_cols)
-    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    value = draw(TERM.filter(lambda x: x.terms))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["entries", "entries", "unit", "value"]),
+                              min_size=n_rows, max_size=n_rows)):
+        if kind == "entries":
+            rows.append(draw(st.lists(ENTRY, min_size=n_cols, max_size=n_cols)))
+            continue
+        row = [PolyExpr.zero()] * n_cols
+        row[draw(st.integers(0, n_cols - 1))] = PolyExpr.one() if kind == "unit" else value
+        rows.append(row)
+    return rows
 
 
 @st.composite
@@ -190,14 +205,47 @@ def test_nullspace_keeps_the_fraction_free_vector():
     ]
 
 
+def test_bareiss_leaves_a_row_with_no_entry_under_a_repeated_pivot():
+    """A pivot equal to the previous one, 1 at the first step, leaves a row
+    with no entry in its column as it is: its update piv·a/prev is a, and
+    the row keeps its entry dicts."""
+    eta = (("eta", 1),)
+    m = [
+        [{(): 1}, {(): 2}, {eta: 3}],
+        [{}, {(): 5}, {(): 7}],
+        [{(): 2}, {}, {(): 1}],
+    ]
+    row = m[1]
+    entries = list(row)
+    assert _bareiss(m, reduce=False) == [0, 1, 2]
+    assert m[1] is row
+    assert all(got is kept for got, kept in zip(row, entries))
+    # no row was swapped: the last pivot is det = 33 - 30·eta
+    assert m[2][2] == {(): 33, eta: -30}
+
+
+def test_bareiss_prefers_a_pivot_equal_to_the_previous_one():
+    """Among single-term candidates the first pivot is 1, the previous
+    pivot's starting value, though a single-term 2 comes first."""
+    m = [[{(): 2}, {(): 1}], [{(): 1}, {(): 3}]]
+    assert _bareiss(m, reduce=True) == [0, 1]
+    assert m == [[{(): -5}, {}], [{}, {(): -5}]]
+
+
 @st.composite
 def adapted_bases(draw, n=6):
-    """k integer rows h with entries in [-2, 2] (rank k, checked by sympy)
-    followed by the unit rows that complete them, first unit first, as the
-    sweep builds an adapted basis."""
+    """k integer rows h (rank k, checked by sympy) followed by the unit rows
+    that complete them, first unit first, as the sweep builds an adapted
+    basis.  An h row has entries in [-2, 2], or is a unit row e_j, or is
+    c·e_j for one c in {2, -2, -1} shared by the basis."""
     k = draw(st.integers(1, 4))
-    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-    h = draw(st.lists(row, min_size=k, max_size=k))
+    c = draw(st.sampled_from([2, -2, -1]))
+    dense = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    scaled_unit = st.builds(
+        lambda j, v: [v * int(i == j) for i in range(n)],
+        st.integers(0, n - 1), st.sampled_from([1, c]),
+    )
+    h = draw(st.lists(st.one_of(dense, scaled_unit), min_size=k, max_size=k))
     assume(sympy.Matrix(h).rank() == k)
     rows = [list(r) for r in h]
     for i in range(n):

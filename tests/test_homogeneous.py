@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from liedouble import catalog
+from liedouble import catalog, exactlinalg, homogeneous, liealg
 from liedouble.double import build_double, double_of_double
 from liedouble.errors import (
     BadPartition,
@@ -18,7 +18,7 @@ from liedouble.errors import (
     SingularMatrix,
     WrongDimension,
 )
-from liedouble.exactalg import PolyExpr
+from liedouble.exactalg import PolyExpr, from_int_terms
 from liedouble.exactlinalg import _inverse, mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
@@ -758,7 +758,7 @@ def check_against_formulas(B, h, pi):
             components = [("R", (j,), pair, r[a, b, j]) for j in range(n_h)]
             components += [("Q", (), (*pair, n_h + e), q[a, b, e]) for e in range(n_t)]
             first = next((comp for comp in components if comp[3].terms), None)
-            assert rep._failing.get(pair) == first, pair
+            assert rep.failing.get(pair) == first, pair
             if rep.table is not None:
                 assert rep.table.c[pair[0]][pair[1]][n_h:] == [
                     r[a, b, n_h + g] for g in range(n_t)
@@ -1002,6 +1002,49 @@ def test_violations_pin_the_components():
     assert rep.to_json()["violations"] == rep.violations
 
 
+# --- report values, divided back on first read ------------------------------
+
+REPORT_VALUES = ("m_gamma", "m_i", "table", "xx_residual", "failing", "mixed", "violations")
+
+
+def first_read_cases():
+    """A spec that fails closure, a π ≠ 0 Lagrangian and a closing spec, with
+    their verdicts (lagrangian, subalgebra, coisotropic, poisson_subgroup)."""
+    twisted, r1 = CATALOG.bialgebra("so22-twisted"), CATALOG.bialgebra("so22-r1")
+    return [
+        (twisted, spec_for(twisted, ["P0", "K1"]), (True, False, False, False)),
+        (r1, spec_for(r1, ["J", "K1", "K2"], SO22_PI), (True, False, False, False)),
+        (r1, spec_for(r1, ["J", "K1", "K2"]), (True, True, True, True)),
+    ]
+
+
+def test_classify_divides_nothing_back_until_a_value_is_read(monkeypatch):
+    calls = []
+
+    def counted(terms, scale):
+        calls.append(scale)
+        return from_int_terms(terms, scale)
+
+    for module in (homogeneous, exactlinalg, liealg):
+        monkeypatch.setattr(module, "from_int_terms", counted)
+    for B, spec, verdicts in first_read_cases():
+        rep = classify(build_double(B), B, spec)
+        got = (rep.lagrangian, rep.subalgebra, rep.coisotropic, rep.poisson_subgroup)
+        assert got == verdicts
+        assert calls == []
+        for name in REPORT_VALUES:
+            getattr(rep, name)
+        assert calls  # each case has a polynomial to divide back
+        calls.clear()
+
+
+@pytest.mark.parametrize("name", REPORT_VALUES)
+def test_a_second_read_returns_the_same_object(name):
+    for B, spec, _ in first_read_cases():
+        rep = classify(build_double(B), B, spec)
+        assert getattr(rep, name) is getattr(rep, name)
+
+
 # --- cost guard -------------------------------------------------------------
 
 SO22_SUBALGEBRAS = (("J", "K1", "K2"), ("J", "P1", "P2"), ("P0", "P1", "K1"), ("P0", "P2", "K2"))
@@ -1051,7 +1094,9 @@ def fraction_constructions(work) -> int:
 
 def test_classify_fraction_cost_guard():
     # classify plus the bracket table of every subalgebra l on this list
-    # builds 1.3k Fractions; 4.2k when the adapted pass summed M, R, Q and
+    # builds 214 Fractions, all in the bracket tables; 1,155 when classify
+    # divided M, Q, the failing components and the table back as it ran,
+    # and 1.3k earlier; 4.2k when the adapted pass summed M, R, Q and
     # the bracket rows over PolyExpr from dense C' and f', and 8.1k when the
     # adapted basis was inverted over
     # Fractions and read back into integers for the transforms, 13.3k when

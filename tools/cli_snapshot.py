@@ -14,8 +14,9 @@ The list: ``validate catalog:<key>`` for every catalog key, ``double <key>
 --iterate`` for every bialgebra, ``verify-brackets --seed 42``, each in
 text and json; ``classify`` of the basis-label subalgebras of so22-r1 and
 so22-twisted, and of the ``CLASSIFY_PI`` cases (constant, eta and
-non-antisymmetric π, recombined generators, h not a subalgebra), in text
-and json; ``classify`` of the nine cells of the paper's sl(2,R) table
+non-antisymmetric π, recombined generators, h not a subalgebra, an adapted
+basis with a Laurent inverse and one without), in text and json;
+``classify`` of the nine cells of the paper's sl(2,R) table
 (``SL2_TABLE``), in text and json; and
 ``validate`` of two invalid files this script writes to a temporary
 directory, an algebra that violates Jacobi and a bialgebra whose
@@ -55,6 +56,8 @@ CLASSIFY_PI = (
     ("so22-r1", "span{J,K1,K2}", [[0, "eta", "1/2"], ["-eta", 0, "-2*eta"], ["-1/2", "2*eta", 0]]),
     ("so22-twisted", "span{P0,P1,K2}", None),                # h not a subalgebra
     ("so22-twisted", "span{P0,K1}", None),
+    ("so22-r1", "span{J+eta*K1}", None),                    # A⁻¹ has eta^-1 entries
+    ("so22-r1", "span{J+eta*K1,J+K1}", None),               # det A = ±(1 - eta): exit 2
 )
 # the sl(2,R) table in the CK basis: h = P1 (H2), J12 (AdS2) and P1+P2 (the
 # lightcone) under the elliptic, hyperbolic and parabolic bialgebras

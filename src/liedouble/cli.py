@@ -275,7 +275,8 @@ def _complete_basis(algebra, h_vectors) -> list:
         if len(current) == algebra.dim:
             break
         candidate = algebra.basis_vector(i)
-        if rank(current + [candidate]) > rank(current):
+        # current stays independent, so its rank is its length
+        if rank(current + [candidate]) > len(current):
             current.append(candidate)
             complement.append(candidate)
     if len(current) != algebra.dim:

@@ -22,26 +22,34 @@ no dense tensor of D(a), δ_D or D(D(a)) is filled unless it is read.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
-ψ(u) = (u, u) for u in D(a), ψ(y^j) = (0, −x^j) and ψ(Y_j) = (X_j, 0).
-:func:`double_of_double` checks ψ([e_a, e_b]) = [ψ(e_a), ψ(e_b)] for every
+ψ(u) = (u, u) for u in D(a), ψ(y^j) = (0, −x^j) and ψ(Y_j) = (X_j, 0),
+so ψ⁻¹(p, q) has X = q_X, x = p_x, y = p_x − q_x and Y = p_X − q_X.
+:func:`double_of_double` checks [e_a, e_b] = ψ⁻¹[ψ(e_a), ψ(e_b)] for every
 a < b: D(D(a)) is then D(a) ⊕ D(a) carried back by the bijection ψ, and
 satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
-The check runs over Python ints, on the integer form that D(D(a)) inherits
-from C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C
-or f, so their integer forms are assigned from the scaled C and f, and
-nothing is scaled again; the bracket rows of those forms are cached on the
-algebras (:meth:`~liedouble.liealg.LieAlgebra.int_rows`).
+Each ψ(e_a) has at most one component in each summand, so
+[ψ(e_a), ψ(e_b)] = (p, q) with p and q each zero or ± one row of D(a).  Both
+are nonzero only for a, b < 2n, and then both are [e_a, e_b], its own image;
+otherwise the image relabels one row [e_i, e_j] and, for q, the swapped row
+[e_j, e_i], which D(a) stores as −[e_i, e_j].  So the check negates and sums
+nothing: it compares that image with the row of D(D(a)), one ``==`` per
+bracket.  The rows are those of the integer forms that D(D(a)) inherits from
+C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C or f,
+so their integer forms are assigned from the scaled C and f, at one scale,
+and nothing is scaled again; the rows are cached on the algebras
+(:meth:`~liedouble.liealg.LieAlgebra.int_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import lcm
 
-from .bialgebra import CocommTensor, LieBialgebra, _double_algebra
+from .bialgebra import CocommTensor, LieBialgebra, _double_algebra, _rescaled
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _bracket_rows
 from .rmatrix import RMatrix
 
 
@@ -142,46 +150,53 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
 
 
 def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
-    """The pairs (a, b), in the order given, at which ψ([e_a, e_b]) in
-    ``outer`` = D(D(a)) differs from [ψ(e_a), ψ(e_b)] in ``inner`` ⊕ ``inner``,
-    with ``inner`` = D(a).
-
-    Both sides are read from the cached bracket rows of the integer forms of
-    the two algebras (:meth:`LieAlgebra.int_rows`), which D(D(a)) inherits
-    from C and f:
-    with d_out and d_in their scales, d_in·d_out times the difference is
-    summed over ints, per (index, monomial), the outer terms times d_in and
-    the inner ones times d_out.  A pair is bad iff one of its sums is
-    nonzero, so the check stays exact and generic in the parameters."""
+    """The pairs (a, b), in the order given, at which the bracket [e_a, e_b]
+    of ``outer`` = D(D(a)) differs from ψ⁻¹[ψ(e_a), ψ(e_b)], read from the
+    brackets of ``inner`` = D(a) as the module doc says: the image relabels
+    a row of D(a) and, for q, its swap, and a pair is bad iff it and the row
+    of ``outer`` differ as ``{k: terms}`` dicts (:meth:`LieAlgebra.int_rows`),
+    both at the lcm of the two integer scales.  The check stays exact and
+    generic in the parameters."""
     m = inner.dim
-    # ψ(e_a) as ((index, sign), ...), the second summand's indices offset by m
-    psi = [((a, 1), (m + a, 1)) for a in range(m)]  # u to (u, u)
-    psi += [((m + a, -1),) for a in range(m // 2, m)]  # y^j to (0, −x^j)
-    psi += [((a, 1),) for a in range(m // 2)]  # Y_j to (X_j, 0)
-    d_out, d_in = outer.int_tensor()[0], inner.int_tensor()[0]
-    outer_rows, inner_rows = outer.int_rows(), inner.int_rows()
+    n, shift = m // 2, 3 * m // 2  # y^j is x^j + n, Y_j is X_j + 3n
+    d = lcm(outer.int_tensor()[0], inner.int_tensor()[0])
+    got, rows = _rows_at(outer, d), _rows_at(inner, d)
+    # ψ(u) = (u, u), ψ(y^j) = (0, −x^j), ψ(Y_j) = (X_j, 0): the D(a) index
+    # of each component, and the kind 0, 1 or 2 of e_a (u, y or Y)
+    index = [*range(m), *range(n, m), *range(n)]
+    kind = [0] * m + [1] * n + [2] * n
+    none: dict = {}
     bad = []
     for a, b in pairs:
-        # d_in·d_out·(ψ([e_a, e_b]) − [ψ(e_a), ψ(e_b)]) by (index, monomial)
-        sums: dict = {}
-        for k, terms in outer_rows.get((a, b), ()):
-            for r, s in psi[k]:
-                s *= d_in
-                for mono, c in terms.items():
-                    key = (r, mono)
-                    sums[key] = sums.get(key, 0) + s * c
-        for p, s in psi[a]:
-            for q, t in psi[b]:
-                if p // m != q // m:  # not the same summand
-                    continue
-                base, st = p - p % m, -s * t * d_out
-                for k, terms in inner_rows.get((p % m, q % m), ()):
-                    for mono, c in terms.items():
-                        key = (base + k, mono)
-                        sums[key] = sums.get(key, 0) + st * c
-        if any(sums.values()):
+        i, j, ka, kb = index[a], index[b], kind[a], kind[b]
+        kinds = ka | kb
+        if not kinds:  # p = q = [e_a, e_b]
+            want = rows.get((a, b), none)
+        elif kinds == 2:  # p = [e_i, e_j], q = 0
+            want = {}
+            for k, t in rows.get((i, j), none).items():
+                if k < n:
+                    want[k + shift] = t  # Y = p_X
+                else:
+                    want[k] = want[k + n] = t  # x = y = p_x
+        elif kinds == 1:  # p = 0, q = [e_i, e_j] times −1 per y
+            if ka != kb:
+                i, j = j, i
+            want = {k: t for k, t in rows.get((i, j), none).items() if k < n}
+            for k, t in rows.get((j, i), none).items():  # −q
+                want[k + shift if k < n else k + n] = t  # Y = −q_X, y = −q_x
+        else:  # [ψ(y^i), ψ(Y_j)] = (0, 0)
+            want = none
+        if got.get((a, b), none) != want:
             bad.append((a, b))
     return bad
+
+
+def _rows_at(L: LieAlgebra, d: int) -> dict:
+    """The bracket rows of the integer form of L at the scale d, a multiple
+    of its own: the cached :meth:`LieAlgebra.int_rows` when d is that scale."""
+    form = L.int_tensor()
+    return L.int_rows() if form[0] == d else _bracket_rows(_rescaled(form, d))
 
 
 def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:

@@ -22,12 +22,12 @@ appends the identity half as integer unit dicts, so the adapted pass of
 clearing it again.  An update piv·a − f·b is formed by one call of
 :func:`~liedouble.exactalg._add_product`, the one kernel of every integer
 sum of products, per nonzero product, into one zero-free terms dict, and
-divided exactly by the previous pivot: by ``divmod`` on the coefficients
-and a monomial shift when the pivot is one term, by integer long division
-otherwise.  Every entry of the reduced matrix of s·A is an r×r minor, r
-the rank, so it is s^r times that of A: the answers above, ratios of two
-entries, do not depend on s, and only the fraction-free vector of
-:func:`nullspace` is divided back by s^r.  No :class:`~fractions.Fraction`
+divided exactly by the previous pivot: not at all when the pivot is 1, by
+``divmod`` on the coefficients and a monomial shift when it is one other
+term, by integer long division otherwise.  Every entry of the reduced
+matrix of s·A is an r×r minor, r the rank, so it is s^r times that of A:
+the answers above, ratios of two entries, do not depend on s, and only the
+fraction-free vector of :func:`nullspace` is divided back by s^r.  No :class:`~fractions.Fraction`
 is built before that one division at the end.
 
 Semantics are generic in the parameters: a polynomial entry counts as
@@ -82,11 +82,14 @@ def _exact_int(x: int, y: int) -> int:
 
 def _divider(pivot: dict):
     """Exact division of an integer terms dict by a nonzero ``pivot`` that
-    is known to divide it (a Bareiss update)."""
+    is known to divide it (a Bareiss update); by the pivot 1 the quotient is
+    the numerator dict itself."""
     if len(pivot) != 1:
         return lambda num: _div_exact_terms(num, pivot, _exact_int)
     ((mono, c),) = pivot.items()
     if not mono:
+        if c == 1:
+            return lambda num: num
         return lambda num: {x: _exact_int(v, c) for x, v in num.items()}
     inv = _mono_pow(mono, -1)
     return lambda num: {_mono_mul(x, inv): _exact_int(v, c) for x, v in num.items()}
@@ -124,7 +127,7 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     prev: dict = {(): 1}
-    divide = None  # by the previous pivot; None before the first
+    divide = _divider(prev)  # by the previous pivot
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -159,7 +162,7 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
                     _add_product(num, 1, piv, a)
                 if f and b:
                     _add_product(num, -1, f, b)
-                row[j] = divide(num) if divide and num else num
+                row[j] = divide(num) if num else num
             row[c] = {}
         pivots.append(c)
         prev, divide = piv, _divider(piv)

@@ -503,9 +503,13 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             row = []
             for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
                 h = {}
-                _add_product(h, -f_mul, f.get((i, j, t_a), no_terms), unit)
+                t = f.get((i, j, t_a))
+                if t:
+                    _add_product(h, -f_mul, t, unit)
                 for b, v in pi_rows[a]:
-                    _add_product(h, c_mul, v, c.get((i, n_h + b, j), no_terms))
+                    t = c.get((i, n_h + b, j))
+                    if t:
+                        _add_product(h, c_mul, v, t)
                 if h:
                     row.append((j, h, s1))
             row += [
@@ -536,7 +540,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                             _add_product(acc[k], sign * c_mul, vu, t)
             x_coords = [r_acc.get((a, b, n_h + g), no_terms) for g in range(n_t)]
             for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
-                _add_product(acc[n_h + e], -1, x_coords[g], v)
+                if x_coords[g]:
+                    _add_product(acc[n_h + e], -1, x_coords[g], v)
             for e in range(n_t):
                 if acc[n_h + e]:
                     residual[(a, b, e)] = acc[n_h + e]

@@ -146,14 +146,11 @@ class LieAlgebra:
         return self._int
 
     def int_rows(self) -> dict:
-        """Cached bracket rows ``{(a, b): [(k, {mono: int})]}`` of
-        :meth:`int_tensor`, which the ψ check of
-        :mod:`liedouble.double` reads."""
+        """Cached bracket rows ``{(a, b): {k: {mono: int}}}`` of
+        :meth:`int_tensor` (:func:`_bracket_rows`), which the ψ check of
+        :mod:`liedouble.double` compares whole, one ``==`` per bracket."""
         if self._rows is None:
-            rows: dict = {}
-            for (a, b, k), terms in self.int_tensor()[1].items():
-                rows.setdefault((a, b), []).append((k, terms))
-            self._rows = rows
+            self._rows = _bracket_rows(self.int_tensor()[1])
         return self._rows
 
     def jacobi_components(self) -> dict:
@@ -407,6 +404,19 @@ def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
     builds the same form from the adapted basis it inverts."""
     d, scaled = _cleared(m)
     return d, _int_rows(scaled, transpose)
+
+
+def _bracket_rows(ints: dict) -> dict:
+    """``{(a, b): {k: terms}}`` of the entries ``{(a, b, k): terms}`` of an
+    integer form: the nonzero components of each bracket [e_a, e_b]."""
+    rows: dict = {}
+    for (a, b, k), terms in ints.items():
+        row = rows.get((a, b))
+        if row is None:
+            rows[a, b] = {k: terms}
+        else:
+            row[k] = terms
+    return rows
 
 
 def _int_tensor(entries) -> tuple[int, dict]:

@@ -400,6 +400,19 @@ def test_classify_bad_generator(tmp_path):
     assert main(["classify", "sl2-hyp", "span{Q9}"]) == 2
 
 
+def test_classify_completes_the_basis_with_one_rank_per_candidate(monkeypatch, capsys):
+    # one rank for the generators, then one per candidate basis vector: the
+    # basis built so far is independent, so its rank is its length
+    from liedouble import exactlinalg
+
+    calls = []
+    rank = exactlinalg.rank
+    monkeypatch.setattr(exactlinalg, "rank", lambda rows: calls.append(len(rows)) or rank(rows))
+    assert main(["classify", "so22-r1", "span{J,K1,K2}"]) == 0
+    capsys.readouterr()
+    assert calls == [3, 4, 4, 5, 6]  # rows per call; one candidate is dependent
+
+
 @pytest.mark.parametrize("span, completion", [
     ("span{J+eta*K1,J+K1}", "P0, P1, P2, K2"),
     ("span{J+eta*K1,J+K1,P0,P1,P2,K2}", "no vector"),

@@ -5,6 +5,7 @@ import pytest
 from liedouble import catalog
 from liedouble.bialgebra import CocommTensor, new_bialgebra
 from liedouble.double import (
+    _psi_mismatches,
     _term_prefix,
     bracket_table_text,
     build_double,
@@ -731,5 +732,100 @@ def test_psi_rows_are_cached_on_the_algebra(key):
     assert L.int_rows() is rows
     expected = {}
     for (a, b, k), terms in L.int_tensor()[1].items():
-        expected.setdefault((a, b), []).append((k, terms))
+        expected.setdefault((a, b), {})[k] = terms
     assert rows == expected
+
+
+def psi_oracle(outer, inner, pairs):
+    """The pairs (a, b), in the order given, at which ψ([e_a, e_b]) in
+    ``outer`` = D(D(a)) differs from [ψ(e_a), ψ(e_b)] in ``inner`` ⊕ ``inner``,
+    by summation: with d_out and d_in the scales of the two integer forms,
+    d_in·d_out times the difference is summed per (index, monomial), the
+    outer terms times d_in and the inner ones times d_out, and a pair is bad
+    iff a sum is nonzero.  The oracle that the row comparison of
+    :func:`_psi_mismatches` is checked against."""
+    def rows_of(L):
+        rows = {}
+        for (a, b, k), terms in L.int_tensor()[1].items():
+            rows.setdefault((a, b), []).append((k, terms))
+        return rows
+
+    m = inner.dim
+    # ψ(e_a) as ((index, sign), ...), the second summand's indices offset by m
+    psi = [((a, 1), (m + a, 1)) for a in range(m)]  # u to (u, u)
+    psi += [((m + a, -1),) for a in range(m // 2, m)]  # y^j to (0, −x^j)
+    psi += [((a, 1),) for a in range(m // 2)]  # Y_j to (X_j, 0)
+    d_out, d_in = outer.int_tensor()[0], inner.int_tensor()[0]
+    outer_rows, inner_rows = rows_of(outer), rows_of(inner)
+    bad = []
+    for a, b in pairs:
+        sums = {}
+        for k, terms in outer_rows.get((a, b), ()):
+            for r, s in psi[k]:
+                for mono, c in terms.items():
+                    sums[r, mono] = sums.get((r, mono), 0) + s * d_in * c
+        for p, s in psi[a]:
+            for q, t in psi[b]:
+                if p // m != q // m:  # not the same summand
+                    continue
+                base = p - p % m
+                for k, terms in inner_rows.get((p % m, q % m), ()):
+                    for mono, c in terms.items():
+                        key = (base + k, mono)
+                        sums[key] = sums.get(key, 0) - s * t * d_out * c
+        if any(sums.values()):
+            bad.append((a, b))
+    return bad
+
+
+def psi_against_the_oracle(outer, inner):
+    """:func:`_psi_mismatches` over every ordered pair a != b of ``outer``,
+    asserted equal to :func:`psi_oracle`."""
+    pairs = [(a, b) for a in range(outer.dim) for b in range(outer.dim) if a != b]
+    bad = _psi_mismatches(outer, inner, pairs)
+    assert bad == psi_oracle(outer, inner, pairs)
+    return bad
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_psi_rows_agree_with_the_summing_oracle(key):
+    B = case(key)
+    assert psi_against_the_oracle(double_of_double(B).algebra, B.double_algebra) == []
+
+
+@pytest.mark.parametrize("fixture", ["sl2_eta", "so22_twisted"])
+@pytest.mark.parametrize("coef", ["1", "1/3*eta"])
+def test_psi_rows_of_a_perturbed_double_agree_with_the_summing_oracle(
+    fixture, coef, request, monkeypatch
+):
+    from liedouble import double
+    from liedouble.errors import NotACobracket
+
+    calls = []
+    check = double._psi_mismatches
+    monkeypatch.setattr(
+        double, "_psi_mismatches",
+        lambda outer, inner, pairs: calls.append((outer, inner)) or check(outer, inner, pairs),
+    )
+    perturb_one_outer_bracket(monkeypatch, P(coef))
+    with pytest.raises(NotACobracket):
+        double_of_double(request.getfixturevalue(fixture))
+    ((outer, inner),) = calls
+    assert len(psi_against_the_oracle(outer, inner)) == 6  # the 3 brackets, both orders
+
+
+def test_psi_rows_across_two_bialgebras_agree_with_the_summing_oracle(sl2_hyp, sl2_ell):
+    outer = double_of_double(sl2_hyp).algebra
+    assert len(psi_against_the_oracle(outer, sl2_ell.double_algebra)) == 66
+
+
+def test_psi_rows_at_two_integer_scales_agree_with_the_summing_oracle():
+    # D(D) of so22-r1 after eta -> 13/17*eta - 19/23 against D(so22-r1), and
+    # the other way round: the row maps are brought to one scale first
+    B, C = case("so22-r1@13/17*eta - 19/23"), case("so22-r1")
+    for outer, inner in (
+        (double_of_double(B).algebra, C.double_algebra),
+        (double_of_double(C).algebra, B.double_algebra),
+    ):
+        assert outer.int_tensor()[0] != inner.int_tensor()[0]
+        assert len(psi_against_the_oracle(outer, inner)) == 176

@@ -22,8 +22,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from liedouble.errors import NotDivisible, SingularMatrix
 from liedouble.exactalg import PolyExpr, as_poly
+from liedouble import exactlinalg
 from liedouble.exactlinalg import (
     _bareiss,
+    _divider,
     _inverse,
     invert,
     mat,
@@ -230,6 +232,25 @@ def test_bareiss_prefers_a_pivot_equal_to_the_previous_one():
     m = [[{(): 2}, {(): 1}], [{(): 1}, {(): 3}]]
     assert _bareiss(m, reduce=True) == [0, 1]
     assert m == [[{(): -5}, {}], [{}, {(): -5}]]
+
+
+def test_bareiss_keeps_the_update_it_divides_by_a_pivot_of_1(monkeypatch):
+    """Division by the pivot 1 returns the numerator dict itself; by any
+    other single-term pivot, a new dict."""
+    eta = (("eta", 1),)
+    num = {(): 6, eta: -4}
+    assert _divider({(): 1})(num) is num
+    assert _divider({(): 2})(num) == {(): 3, eta: -2}
+    assert _divider({eta: 1})(num) == {(("eta", -1),): 6, (): -4}
+    built = []
+    real = exactlinalg._add_product
+    monkeypatch.setattr(
+        exactlinalg, "_add_product", lambda out, *args: built.append(out) or real(out, *args)
+    )
+    m = [[{(): 1}, {(): 2}], [{(): 3}, {(): 5}]]
+    assert _bareiss(m, reduce=False) == [0, 1]
+    assert m[1][1] == {(): -1}
+    assert m[1][1] is built[0]  # 1·5 − 3·2, divided by the first pivot 1
 
 
 @st.composite

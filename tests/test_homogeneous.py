@@ -1116,6 +1116,22 @@ def test_classify_fraction_cost_guard():
     assert fraction_constructions(work) <= 2_000
 
 
+def test_adapted_pass_calls_the_kernel_with_nonempty_operands(monkeypatch):
+    # a product with an empty terms dict adds nothing, so the pass skips it
+    calls = []
+    real = homogeneous._add_product
+
+    def checked(out, s, t1, t2):
+        calls.append((bool(t1), bool(t2)))
+        real(out, s, t1, t2)
+
+    monkeypatch.setattr(homogeneous, "_add_product", checked)
+    for D, B, spec in cost_guard_cases():
+        if classify(D, B, spec).subalgebra:
+            lagrangian_bracket_table(D, spec)
+    assert calls and set(calls) == {(True, True)}
+
+
 def test_invert_fraction_cost_guard():
     # Inverting the 20 adapted bases of cost_guard_cases builds 288
     # Fractions, only in dividing A⁻¹ back once; eliminating over Fractions

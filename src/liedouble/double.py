@@ -28,28 +28,30 @@ so ψ⁻¹(p, q) has X = q_X, x = p_x, y = p_x − q_x and Y = p_X − q_X.
 a < b: D(D(a)) is then D(a) ⊕ D(a) carried back by the bijection ψ, and
 satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
 Each ψ(e_a) has at most one component in each summand, so
-[ψ(e_a), ψ(e_b)] = (p, q) with p and q each zero or ± one row of D(a).  Both
-are nonzero only for a, b < 2n, and then both are [e_a, e_b], its own image;
-otherwise the image relabels one row [e_i, e_j] and, for q, the swapped row
-[e_j, e_i], which D(a) stores as −[e_i, e_j].  So the check negates and sums
-nothing: it compares that image with the row of D(D(a)), one ``==`` per
-bracket.  The rows are those of the integer forms that D(D(a)) inherits from
-C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C or f,
-so their integer forms are assigned from the scaled C and f, at one scale,
-and nothing is scaled again; the rows are cached on the algebras
-(:meth:`~liedouble.liealg.LieAlgebra.int_rows`).
+[ψ(e_a), ψ(e_b)] = (p, q) with p and q each zero or ± one bracket of D(a),
+and each entry of D(a) lands, unchanged, on a few entries of the right-hand
+sides: its own, for a, b < 2n, and relabelled ones for the pairs with a y
+or a Y.  A minus sign is read from the swapped entry, which D(a) stores.
+Those entries, keyed as the integer form of D(D(a)), are the ψ⁻¹ image of
+D(a) (:func:`_psi_image`), and the check is one ``==`` of the two integer
+forms, which share most of their terms dicts; only on a mismatch are the
+brackets that differ named.  The forms are those that D(D(a)) inherits from
+C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C or
+f, so their integer forms are assigned from the scaled C and f, at one
+scale, and nothing is scaled again.  D(a) caches its image at its own scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from math import lcm
 
 from .bialgebra import CocommTensor, LieBialgebra, _double_algebra, _rescaled
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
-from .liealg import LieAlgebra, _bracket_rows
+from .liealg import LieAlgebra
 from .rmatrix import RMatrix
 
 
@@ -138,8 +140,7 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
     # every entry of δ_D is one of D(a), so D(D(a)) has the parameters of D(a)
     outer = _double_algebra(inner.algebra, delta, duals, inner.algebra.params)
     outer = replace(outer, _jacobi={})
-    pairs = [(a, b) for a in range(outer.dim) for b in range(a + 1, outer.dim)]
-    bad = _psi_mismatches(outer, inner.algebra, pairs)
+    bad = _psi_mismatches(outer, inner.algebra, combinations(range(outer.dim), 2))
     if bad:
         sample = ", ".join(f"[{outer.labels[a]}, {outer.labels[b]}]" for a, b in bad[:4])
         raise NotACobracket(
@@ -152,51 +153,71 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
 def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     """The pairs (a, b), in the order given, at which the bracket [e_a, e_b]
     of ``outer`` = D(D(a)) differs from ψ⁻¹[ψ(e_a), ψ(e_b)], read from the
-    brackets of ``inner`` = D(a) as the module doc says: the image relabels
-    a row of D(a) and, for q, its swap, and a pair is bad iff it and the row
-    of ``outer`` differ as ``{k: terms}`` dicts (:meth:`LieAlgebra.int_rows`),
-    both at the lcm of the two integer scales.  The check stays exact and
-    generic in the parameters."""
-    m = inner.dim
-    n, shift = m // 2, 3 * m // 2  # y^j is x^j + n, Y_j is X_j + 3n
-    d = lcm(outer.int_tensor()[0], inner.int_tensor()[0])
-    got, rows = _rows_at(outer, d), _rows_at(inner, d)
-    # ψ(u) = (u, u), ψ(y^j) = (0, −x^j), ψ(Y_j) = (X_j, 0): the D(a) index
-    # of each component, and the kind 0, 1 or 2 of e_a (u, y or Y)
-    index = [*range(m), *range(n, m), *range(n)]
-    kind = [0] * m + [1] * n + [2] * n
-    none: dict = {}
-    bad = []
-    for a, b in pairs:
-        i, j, ka, kb = index[a], index[b], kind[a], kind[b]
-        kinds = ka | kb
-        if not kinds:  # p = q = [e_a, e_b]
-            want = rows.get((a, b), none)
-        elif kinds == 2:  # p = [e_i, e_j], q = 0
-            want = {}
-            for k, t in rows.get((i, j), none).items():
-                if k < n:
-                    want[k + shift] = t  # Y = p_X
-                else:
-                    want[k] = want[k + n] = t  # x = y = p_x
-        elif kinds == 1:  # p = 0, q = [e_i, e_j] times −1 per y
-            if ka != kb:
-                i, j = j, i
-            want = {k: t for k, t in rows.get((i, j), none).items() if k < n}
-            for k, t in rows.get((j, i), none).items():  # −q
-                want[k + shift if k < n else k + n] = t  # Y = −q_X, y = −q_x
-        else:  # [ψ(y^i), ψ(Y_j)] = (0, 0)
-            want = none
-        if got.get((a, b), none) != want:
-            bad.append((a, b))
-    return bad
+    brackets of ``inner`` = D(a): the integer form of ``outer`` is compared
+    whole with the ψ⁻¹ image of that of ``inner`` (:func:`_psi_image`), both
+    at the lcm of the two scales, and ``pairs`` is read only if they differ.
+    ``inner`` caches its image at its own scale; an image at another scale
+    is built from the rescaled form and not cached.  The check stays exact
+    and generic in the parameters."""
+    form, inner_form = outer.int_tensor(), inner.int_tensor()
+    d = lcm(form[0], inner_form[0])
+    if d != inner_form[0]:
+        want = _psi_image(_rescaled(inner_form, d), inner.dim // 2)
+    else:
+        if inner._psi is None:
+            inner._psi = _psi_image(inner_form[1], inner.dim // 2)
+        want = inner._psi
+    got = _rescaled(form, d)
+    if got == want:
+        return []
+    differ = {key[:2] for key in got.keys() | want.keys() if got.get(key) != want.get(key)}
+    return [pair for pair in pairs if pair in differ]
 
 
-def _rows_at(L: LieAlgebra, d: int) -> dict:
-    """The bracket rows of the integer form of L at the scale d, a multiple
-    of its own: the cached :meth:`LieAlgebra.int_rows` when d is that scale."""
-    form = L.int_tensor()
-    return L.int_rows() if form[0] == d else _bracket_rows(_rescaled(form, d))
+def _psi_image(ints: dict, n: int) -> dict:
+    """The entries ``{(a, b, k): terms}`` of ψ⁻¹[ψ(e_a), ψ(e_b)] over every
+    ordered pair (a, b) of D(D(a)), from the entries ``ints`` of the integer
+    form of D(a), of dim 2n; y^j is x^j + n and Y_j is X_j + 3n.  Each entry
+    (i, j, k) = t of D(a) is copied to:
+
+    - (i, j, k) itself: ψ(e_i) = (e_i, e_i), so p = q = [e_i, e_j];
+    - for the pairs with a Y, where p = [e_i, e_j] and q = 0, the Y entry
+      k + 3n if k < n (Y = p_X), else the x and y entries k and k + n;
+    - for the pairs with a y, where p = 0 and q = ±[e_i, e_j] with one minus
+      per y, the Y entry k + 3n and the swapped pair's X entry k if k < n
+      (Y = −q_X, X = q_X), else the y entry k + n (y = −q_x).  The pairs are
+      those at which −q = [e_i, e_j]; the swapped entry (j, i, k) = −t, which
+      D(a) stores too, gives those at which q = [e_i, e_j].
+
+    No entry is negated or summed: each entry of the image has one source."""
+    image = {}
+    shift = 3 * n
+    for (i, j, k), t in ints.items():
+        image[i, j, k] = t
+        big, small = [], []  # pairs with a Y_i = (X_i, 0), with a y^i = (0, −x^i)
+        if i < n:
+            big.append((i + shift, j))
+        else:
+            small.append((i + n, j))
+        if j < n:
+            big.append((i, j + shift))
+            if i < n:
+                big.append((i + shift, j + shift))
+        else:
+            small.append((i, j + n))
+            if i >= n:
+                small.append((j + n, i + n))  # [y, y] has q = [e_j, e_i]
+        for a, b in big:
+            if k < n:
+                image[a, b, k + shift] = t
+            else:
+                image[a, b, k] = image[a, b, k + n] = t
+        for a, b in small:
+            if k < n:
+                image[a, b, k + shift] = image[b, a, k] = t
+            else:
+                image[a, b, k + n] = t
+    return image
 
 
 def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:

@@ -34,11 +34,11 @@ An algebra is its sparse view, the nonzero C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
 keeps what it derives from it: the dense tensor :attr:`LieAlgebra.c`, a
 read-only view built on first read, its integer form
-(:meth:`LieAlgebra.int_tensor`) with that form's bracket rows
-(:meth:`LieAlgebra.int_rows`), and the nonzero Jacobi components, each
-computed on first use.  So an algebra must not be mutated after
-construction; build a new one instead.  Instances are then safe to share
-between threads.
+(:meth:`LieAlgebra.int_tensor`) and the nonzero Jacobi components, each
+computed on first use, and the ψ⁻¹ image of that form once
+:mod:`liedouble.double` has read the algebra as a double D(a).  So an
+algebra must not be mutated after construction; build a new one instead.
+Instances are then safe to share between threads.
 """
 
 from __future__ import annotations
@@ -116,7 +116,9 @@ class LieAlgebra:
     _c: list | None = field(default=None, repr=False, compare=False)
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
-    _rows: dict | None = field(default=None, repr=False, compare=False)
+    # the ψ⁻¹ image of the integer form, at its scale, that
+    # liedouble.double caches on a double D(a) it checks ψ against
+    _psi: dict | None = field(default=None, repr=False, compare=False)
 
     def index(self, label: str) -> int:
         try:
@@ -140,18 +142,12 @@ class LieAlgebra:
         """Cached integer form ``(d, {(i, j, k): {mono: int}})`` of the
         structure tensor (:func:`_int_tensor`), which the basis transforms,
         the Jacobi sum and the ψ check read; a double is given its form by
-        ``bialgebra._double_algebra``, keyed in no particular order."""
+        ``bialgebra._double_algebra``, keyed in no particular order.  ψ
+        compares the form of D(D(a)) whole with the ψ⁻¹ image of that of
+        D(a), keyed the same way."""
         if self._int is None:
             self._int = _int_tensor(self.entries)
         return self._int
-
-    def int_rows(self) -> dict:
-        """Cached bracket rows ``{(a, b): {k: {mono: int}}}`` of
-        :meth:`int_tensor` (:func:`_bracket_rows`), which the ψ check of
-        :mod:`liedouble.double` compares whole, one ``==`` per bracket."""
-        if self._rows is None:
-            self._rows = _bracket_rows(self.int_tensor()[1])
-        return self._rows
 
     def jacobi_components(self) -> dict:
         """Cached nonzero Jacobi residuals R_ijl^m for i < j < l, keyed
@@ -404,19 +400,6 @@ def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
     builds the same form from the adapted basis it inverts."""
     d, scaled = _cleared(m)
     return d, _int_rows(scaled, transpose)
-
-
-def _bracket_rows(ints: dict) -> dict:
-    """``{(a, b): {k: terms}}`` of the entries ``{(a, b, k): terms}`` of an
-    integer form: the nonzero components of each bracket [e_a, e_b]."""
-    rows: dict = {}
-    for (a, b, k), terms in ints.items():
-        row = rows.get((a, b))
-        if row is None:
-            rows[a, b] = {k: terms}
-        else:
-            row[k] = terms
-    return rows
 
 
 def _int_tensor(entries) -> tuple[int, dict]:

@@ -724,16 +724,57 @@ def test_dense_tensors_are_cached_views_of_the_entries(key):
         assert algebras_equal(replace(L, _c=None), L)
 
 
+def counting_psi_images(monkeypatch) -> list:
+    """Record the dimension n of each call of ``double._psi_image``."""
+    from liedouble import double
+
+    calls = []
+    real = double._psi_image
+    monkeypatch.setattr(double, "_psi_image", lambda ints, n: calls.append(n) or real(ints, n))
+    return calls
+
+
 @pytest.mark.parametrize("key", CASES)
-def test_psi_rows_are_cached_on_the_algebra(key):
-    B = case(key)
-    L = double_of_double(B).algebra
-    rows = L.int_rows()
-    assert L.int_rows() is rows
-    expected = {}
-    for (a, b, k), terms in L.int_tensor()[1].items():
-        expected.setdefault((a, b), {})[k] = terms
-    assert rows == expected
+def test_psi_image_is_cached_on_the_inner_double(key, monkeypatch):
+    # the first check builds D(a)'s image from its integer form, at its own
+    # scale, and every later check against the same D(a) reads it back
+    from liedouble.bialgebra import from_json, to_json
+
+    calls = counting_psi_images(monkeypatch)
+    B = from_json(to_json(case(key)))  # fresh objects, no image cached yet
+    inner = B.double_algebra
+    assert inner._psi is None
+    D2 = double_of_double(B)
+    image = inner._psi
+    assert calls == [B.dim] and image is not None
+    double_of_double(B)
+    assert crossed_bracket_mismatches(D2, B) == []
+    assert calls == [B.dim] and inner._psi is image
+    # every entry is one of D(a)'s own terms dicts, so none was rescaled
+    terms = {id(t) for t in inner.int_tensor()[1].values()}
+    assert {id(t) for t in image.values()} <= terms
+
+
+def test_psi_image_at_another_scale_is_not_cached(monkeypatch):
+    # so22-r1 after eta -> 13/17*eta - 19/23 has another integer scale than
+    # so22-r1: a check of one's D(D) against the other's D(a) builds the
+    # rescaled image each time and neither reads nor fills the cache
+    from itertools import combinations
+
+    B, C = case("so22-r1@13/17*eta - 19/23"), case("so22-r1")
+    outer, inner = double_of_double(B).algebra, C.double_algebra
+    assert outer.int_tensor()[0] != inner.int_tensor()[0]
+    monkeypatch.setattr(inner, "_psi", None)  # the catalog's objects are shared
+    calls = counting_psi_images(monkeypatch)
+    pairs = list(combinations(range(outer.dim), 2))
+    bad = _psi_mismatches(outer, inner, pairs)
+    assert len(bad) == 88  # the 176 ordered pairs of the oracle test
+    assert _psi_mismatches(outer, inner, pairs) == bad
+    assert calls == [C.dim, C.dim] and inner._psi is None
+    # a wrong image in the cache is not read at another scale either
+    monkeypatch.setattr(inner, "_psi", {})
+    assert _psi_mismatches(outer, inner, pairs) == bad
+    assert calls == [C.dim] * 3 and inner._psi == {}
 
 
 def psi_oracle(outer, inner, pairs):
@@ -821,7 +862,7 @@ def test_psi_rows_across_two_bialgebras_agree_with_the_summing_oracle(sl2_hyp, s
 
 def test_psi_rows_at_two_integer_scales_agree_with_the_summing_oracle():
     # D(D) of so22-r1 after eta -> 13/17*eta - 19/23 against D(so22-r1), and
-    # the other way round: the row maps are brought to one scale first
+    # the other way round: the integer forms are brought to one scale first
     B, C = case("so22-r1@13/17*eta - 19/23"), case("so22-r1")
     for outer, inner in (
         (double_of_double(B).algebra, C.double_algebra),

@@ -8,15 +8,16 @@ the validated algebra of its double (``double_algebra``), which
 :func:`liedouble.double.build_double` uses rather than rebuilding it.  Only
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
 Both doubles come from :func:`_double_algebra`, which assigns each entry of
-the double from one entry of C or f, so no dense tensor of the double is
+the double from ± one entry of C or f, so no dense tensor of the double is
 filled or scanned, and assigns its integer form from theirs, so none is
 scaled again.
 
-Like a :class:`~liedouble.liealg.LieAlgebra`, a :class:`CocommTensor` is
-its nonzero entries; the dense tensor ``f`` is a read-only view built on
-first read, and equality does not depend on whether it has been.
-:func:`cocomm_from_wedge` builds one from wedge entries, and
-:func:`new_bialgebra` takes one.
+δ takes values in g∧g, so a :class:`CocommTensor`, like a
+:class:`~liedouble.liealg.LieAlgebra`, stores its nonzero f_i^{jk} with
+j < k only; any other key raises :class:`ShapeError` naming it.  The dense
+``f``, both signs written, is a read-only view built on first read, and
+equality does not depend on whether it has been.  :func:`cocomm_from_wedge`
+builds one from wedge entries in either order.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotACobracket, ShapeError
-from .exactalg import _negatives, as_poly
+from .exactalg import as_poly
 from .liealg import (
     LieAlgebra,
+    _check_keys,
     _dense,
     _int_tensor,
     _jacobi_notes,
@@ -45,37 +47,25 @@ class CocommTensor:
     """Cocommutator constants f_i^{jk}, antisymmetric in the upper pair."""
 
     dim: int
-    # the nonzero f_i^{jk} as (i, j, k, coef), in index order; (i, k, j,
-    # -coef) is listed too
+    # the nonzero f_i^{jk} with j < k as (i, j, k, coef), in index order;
+    # f_i^{kj} = -f_i^{jk} is not stored
     entries: list
     _f: list | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # Each entry needs j != k and a partner (i, k, j) of opposite terms,
-        # compared term by term without building a negated polynomial.  The
-        # failing (i, j, k) named is the first with j <= k in index order,
-        # as the condition is symmetric in (j, k).
-        terms = {(i, j, k): v.terms for i, j, k, v in self.entries}
-        bad = [
-            (i, min(j, k), max(j, k))
-            for (i, j, k), x in terms.items()
-            if j == k or not _negatives(x, terms.get((i, k, j), {}))
-        ]
-        if bad:
-            i, j, k = min(bad)
-            raise ShapeError(f"cocommutator not antisymmetric at ({i},{j},{k})")
+        _check_keys(self.entries, self.dim, "cocommutator entry", upper=True)
 
     @property
     def f(self) -> list:
-        """Dense dim³ tensor f[i][j][k] of PolyExpr, a read-only view of
-        :attr:`entries` built on first read."""
+        """Dense dim³ tensor f[i][j][k] of PolyExpr, both signs, a read-only
+        view of :attr:`entries` built on first read."""
         if self._f is None:
-            self._f = _dense(self.dim, self.entries)
+            self._f = _dense(self.dim, self.entries, upper=True)
         return self._f
 
     def nonzero(self) -> list:
-        """Sparse view [(i, j, k, coef)] of f: :attr:`entries`."""
+        """Sparse view [(i, j, k, coef)], j < k, of f: :attr:`entries`."""
         return self.entries
 
     def int_tensor(self) -> tuple:
@@ -91,7 +81,8 @@ def cocomm_from_wedge(
     dim: int, entries, label_index: Mapping[str, int] | None = None
 ) -> CocommTensor:
     """The tensor of sparse wedge entries (i; j, k, coef) meaning
-    δ(X_i) ⊇ coef · X_j ∧ X_k: duplicates are summed and entries that cancel
+    δ(X_i) ⊇ coef · X_j ∧ X_k: an entry with j > k is stored as (i, k, j) at
+    −coef, entries with the same stored key are summed and those that cancel
     are dropped.  Indices may be labels when a map is given."""
     acc: dict = {}
     for i, j, k, coef in entries:
@@ -104,8 +95,9 @@ def cocomm_from_wedge(
         coef = as_poly(coef)
         if j == k and not coef.is_zero:
             raise ShapeError(f"wedge entry ({i},{j},{j}) is identically zero")
-        for key, value in (((i, j, k), coef), ((i, k, j), -coef)):
-            acc[key] = acc[key] + value if key in acc else value
+        if j > k:
+            j, k, coef = k, j, -coef
+        acc[i, j, k] = acc[i, j, k] + coef if (i, j, k) in acc else coef
     return CocommTensor(dim, [(*key, v) for key, v in sorted(acc.items()) if v.terms])
 
 
@@ -125,29 +117,34 @@ def _double_algebra(
     dual_labels: tuple[str, ...],
     params: tuple[str, ...] | None = None,
 ) -> LieAlgebra:
-    """The algebra of D(g) on the basis {X_i, x^i}, built from the nonzero
-    entries of C and f.  Each entry of the brackets listed in
+    """The algebra of D(g) on the basis {X_i, x^i}, built from the stored
+    entries of C and f.  Each stored entry of the brackets listed in
     :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
-    once, so none cancels: those assignments, in index order, are the sparse
-    view, and the parameters are those occurring in C or f, scanned for
-    unless the caller knows them as ``params``.  An entry −C_ij^k
-    is read as C_ji^k and −f_k^{ij} as f_k^{ji}, so none is negated.  The
-    integer form is assigned the same way from those of C and f, both at the
-    scale lcm(d_C, d_f), which is the lcm of the double's denominators."""
+    once, so none cancels: each C_ij^k or f_k^{ij} gives three, one negated
+    to put its key in order, e.g. (i, n + k, n + j) = −C_ij^k, the negation
+    the coefficient keeps.  Those assignments, in index order, are the
+    sparse view, and the parameters are those occurring in C or f, scanned
+    for unless the caller knows them as ``params``.  The integer form is
+    assigned the same way from those of C and f, both at the scale
+    lcm(d_C, d_f), which is the lcm of the double's denominators."""
     n = L.dim
     cocomm_entries = cocomm.nonzero()
     c_form, f_form = L.int_tensor(), cocomm.int_tensor()
     d = lcm(c_form[0], f_form[0])
     c_int, f_int = _rescaled(c_form, d), _rescaled(f_form, d)
     entries, ints = [], {}
-    for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [x^k, X_i], [X_j, x^k]
-        entries += [(i, j, k, coef), (n + k, i, n + j, coef), (j, n + k, n + i, coef)]
-        ints[i, j, k] = ints[n + k, i, n + j] = ints[j, n + k, n + i] = c_int[i, j, k]
-    for k, i, j, coef in cocomm_entries:  # f_k^{ij}: [x^i, x^j], [x^i, X_k], [x^j, X_k]
+    for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [X_i, x^k], [X_j, x^k]
+        entries += [(i, j, k, coef), (i, n + k, n + j, -coef), (j, n + k, n + i, coef)]
+        t = c_int[i, j, k]
+        ints[i, j, k] = ints[j, n + k, n + i] = t
+        ints[i, n + k, n + j] = {m: -v for m, v in t.items()}
+    for k, i, j, coef in cocomm_entries:  # f_k^{ij}: [x^i, x^j], [X_k, x^i], [X_k, x^j]
         entries += [
-            (n + i, n + j, n + k, coef), (k, n + i, j, coef), (n + j, k, i, coef)
+            (n + i, n + j, n + k, coef), (k, n + i, j, coef), (k, n + j, i, -coef)
         ]
-        ints[n + i, n + j, n + k] = ints[k, n + i, j] = ints[n + j, k, i] = f_int[k, i, j]
+        t = f_int[k, i, j]
+        ints[n + i, n + j, n + k] = ints[k, n + i, j] = t
+        ints[k, n + j, i] = {m: -v for m, v in t.items()}
     entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
     if params is None:
         params = _used_params([*L.nonzero(), *cocomm_entries])
@@ -203,7 +200,7 @@ def substitute_params(B: LieBialgebra, mapping) -> LieBialgebra:
 
 def to_json(B: LieBialgebra) -> dict:
     data = B.algebra.to_json()
-    entries = [(i, j, k, coef) for i, j, k, coef in B.cocomm.nonzero() if j < k]
+    entries = B.cocomm.nonzero()
     data["params"] = sorted({*data["params"], *_used_params(entries)})
     data["cocomm"] = [
         {"i": i, "j": j, "k": k, "coef": str(coef)} for i, j, k, coef in entries

@@ -177,7 +177,7 @@ def _first_difference(labels, f: CocommTensor, g: CocommTensor) -> str:
     """``"f_(X_i)^(X_j, X_k) = <f value>, but δ_r gives <g value>"`` at the
     first (i, j, k), j < k, where two cocommutators (antisymmetric in (j, k))
     differ; empty if they agree."""
-    ours, theirs = ({e[:3]: e[3] for e in t.nonzero() if e[1] < e[2]} for t in (f, g))
+    ours, theirs = ({e[:3]: e[3] for e in t.nonzero()} for t in (f, g))
     for key in sorted(ours.keys() | theirs.keys()):
         mine, other = (t.get(key, PolyExpr.zero()) for t in (ours, theirs))
         if mine != other:

@@ -29,21 +29,22 @@ a < b: D(D(a)) is then D(a) ⊕ D(a) carried back by the bijection ψ, and
 satisfies Jacobi because the validated D(a) does, with no 4n-dim Jacobi sum.
 Each ψ(e_a) has at most one component in each summand, so
 [ψ(e_a), ψ(e_b)] = (p, q) with p and q each zero or ± one bracket of D(a),
-and each entry of D(a) lands, unchanged, on a few entries of the right-hand
-sides: its own, for a, b < 2n, and relabelled ones for the pairs with a y
-or a Y.  A minus sign is read from the swapped entry, which D(a) stores.
-Those entries, keyed as the integer form of D(D(a)), are the ψ⁻¹ image of
-D(a) (:func:`_psi_image`), and the check is one ``==`` of the two integer
-forms, which share most of their terms dicts; only on a mismatch are the
-brackets that differ named.  The forms are those that D(D(a)) inherits from
-C and f: each entry of D(a), of δ_D and of D(D(a)) is ± one entry of C or
-f, so their integer forms are assigned from the scaled C and f, at one
-scale, and nothing is scaled again.  D(a) caches its image at its own scale.
+and each stored entry of D(a) lands, up to sign, on a few entries of the
+right-hand sides: its own, for a, b < 2n, and relabelled ones for the pairs
+with a y or a Y.  A minus sign, from ψ or from a pair stored the other way
+round, is taken when the entry is read.  Those entries, keyed as the
+integer form of D(D(a)), are the ψ⁻¹ image of D(a) (:func:`_psi_image`),
+and the check is one ``==`` of the two integer forms, which share most of
+their terms dicts; only on a mismatch are the brackets that differ named.
+The forms are those that D(D(a)) inherits from C and f: each entry of D(a),
+of δ_D and of D(D(a)) is ± one entry of C or f, so their integer forms are
+assigned from the scaled C and f, at one scale, and nothing is scaled
+again.  D(a) caches its image at its own scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 
@@ -101,23 +102,22 @@ def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
 def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
     """δ_D from the canonical element: δ_D(X_i) = −f_i^{jk} X_j⊗X_k,
     δ_D(x^i) = C_jk^i x^j⊗x^k.  Its sparse view and integer form are
-    assigned, the latter at the scale of D(a), as each entry is one entry
-    of D(a): −f_i^{jk} = f_i^{kj} is the x^i entry of [x^k, x^j], C_jk^i
-    the X_i entry of [X_j, X_k].  So no entry is negated."""
+    assigned, the latter at the scale of D(a), as each stored entry is one
+    stored entry of D(a): −f_i^{jk} = f_i^{kj} (j < k) is the X_j entry of
+    [X_i, x^k], and C_jk^i the X_i entry of [X_j, X_k]."""
     n = D.n
     d, ints = D.algebra.int_tensor()
     entries, f_int = [], {}
-    f = D.source.cocomm.nonzero()
-    partner = {(i, k, j): coef for i, j, k, coef in f}  # f_i^{kj} at (i, j, k)
-    for i, j, k, _ in f:
-        entries.append((i, j, k, partner[i, j, k]))
-        f_int[i, j, k] = ints[n + k, n + j, n + i]
-    # C_jk^i in the index order of (n + i, n + j, n + k); the (i, j, k) are
-    # distinct, so the sort compares no coefficient
-    by_upper = sorted([(i, j, k, coef) for j, k, i, coef in D.source.algebra.nonzero()])
-    for i, j, k, coef in by_upper:
-        entries.append((n + i, n + j, n + k, coef))
-        f_int[n + i, n + j, n + k] = ints[j, k, i]
+    for a, b, c, coef in D.algebra.nonzero():
+        if b < n:  # C_ab^c
+            key = (n + c, n + a, n + b)
+        elif a < n and c < b - n:  # f_a^{(b-n)c} = −f_a^{c(b-n)}
+            key = (a, c, b - n)
+        else:
+            continue
+        entries.append((*key, coef))
+        f_int[key] = ints[a, b, c]
+    entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
     return CocommTensor(2 * n, entries, _int=(d, f_int))
 
 
@@ -139,7 +139,7 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
     duals = second_dual_labels(B.dim)
     # every entry of δ_D is one of D(a), so D(D(a)) has the parameters of D(a)
     outer = _double_algebra(inner.algebra, delta, duals, inner.algebra.params)
-    outer = replace(outer, _jacobi={})
+    outer._jacobi = {}
     bad = _psi_mismatches(outer, inner.algebra, combinations(range(outer.dim), 2))
     if bad:
         sample = ", ".join(f"[{outer.labels[a]}, {outer.labels[b]}]" for a, b in bad[:4])
@@ -155,10 +155,10 @@ def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     of ``outer`` = D(D(a)) differs from ψ⁻¹[ψ(e_a), ψ(e_b)], read from the
     brackets of ``inner`` = D(a): the integer form of ``outer`` is compared
     whole with the ψ⁻¹ image of that of ``inner`` (:func:`_psi_image`), both
-    at the lcm of the two scales, and ``pairs`` is read only if they differ.
-    ``inner`` caches its image at its own scale; an image at another scale
-    is built from the rescaled form and not cached.  The check stays exact
-    and generic in the parameters."""
+    at the lcm of the two scales, and ``pairs`` is read only if they differ,
+    each (a, b) as the stored pair (min, max).  ``inner`` caches its image at
+    its own scale; an image at another scale is built from the rescaled form
+    and not cached.  The check stays exact and generic in the parameters."""
     form, inner_form = outer.int_tensor(), inner.int_tensor()
     d = lcm(form[0], inner_form[0])
     if d != inner_form[0]:
@@ -171,52 +171,50 @@ def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     if got == want:
         return []
     differ = {key[:2] for key in got.keys() | want.keys() if got.get(key) != want.get(key)}
-    return [pair for pair in pairs if pair in differ]
+    return [(a, b) for a, b in pairs if (min(a, b), max(a, b)) in differ]
 
 
 def _psi_image(ints: dict, n: int) -> dict:
-    """The entries ``{(a, b, k): terms}`` of ψ⁻¹[ψ(e_a), ψ(e_b)] over every
-    ordered pair (a, b) of D(D(a)), from the entries ``ints`` of the integer
-    form of D(a), of dim 2n; y^j is x^j + n and Y_j is X_j + 3n.  Each entry
-    (i, j, k) = t of D(a) is copied to:
+    """The stored entries ``{(a, b, k): terms}``, a < b, of
+    ψ⁻¹[ψ(e_a), ψ(e_b)] over the pairs of D(D(a)), from the stored entries
+    ``ints`` of the integer form of D(a), of dim 2n; y^j is x^j + n and Y_j
+    is X_j + 3n.  Each entry (i, j, k) = t of D(a), i < j, is copied to:
 
     - (i, j, k) itself: ψ(e_i) = (e_i, e_i), so p = q = [e_i, e_j];
     - for the pairs with a Y, where p = [e_i, e_j] and q = 0, the Y entry
       k + 3n if k < n (Y = p_X), else the x and y entries k and k + n;
     - for the pairs with a y, where p = 0 and q = ±[e_i, e_j] with one minus
-      per y, the Y entry k + 3n and the swapped pair's X entry k if k < n
-      (Y = −q_X, X = q_X), else the y entry k + n (y = −q_x).  The pairs are
-      those at which −q = [e_i, e_j]; the swapped entry (j, i, k) = −t, which
-      D(a) stores too, gives those at which q = [e_i, e_j].
+      per y, the Y entry k + 3n and the X entry k at −t if k < n
+      (Y = −q_X, X = q_X), else the y entry k + n (y = −q_x).
 
-    No entry is negated or summed: each entry of the image has one source."""
+    A pair the relabelling puts out of order is stored negated: [Y_i, e_j]
+    as [e_j, Y_i], [y^i, e_j] as [e_j, y^i] and [y^j, y^i] as [y^i, y^j].
+    No entry is summed: each entry of the image has one source."""
     image = {}
     shift = 3 * n
     for (i, j, k), t in ints.items():
         image[i, j, k] = t
-        big, small = [], []  # pairs with a Y_i = (X_i, 0), with a y^i = (0, −x^i)
+        m = {mono: -v for mono, v in t.items()}
+        big, small = [], []  # (a, b, ±t, ∓t) with a Y_i = (X_i, 0), a y^i = (0, −x^i)
         if i < n:
-            big.append((i + shift, j))
-        else:
-            small.append((i + n, j))
-        if j < n:
-            big.append((i, j + shift))
-            if i < n:
-                big.append((i + shift, j + shift))
-        else:
-            small.append((i, j + n))
-            if i >= n:
-                small.append((j + n, i + n))  # [y, y] has q = [e_j, e_i]
-        for a, b in big:
-            if k < n:
-                image[a, b, k + shift] = t
+            big.append((j, i + shift, m, t))
+            if j < n:
+                big += [(i, j + shift, t, m), (i + shift, j + shift, t, m)]
             else:
-                image[a, b, k] = image[a, b, k + n] = t
-        for a, b in small:
+                small.append((i, j + n, t, m))
+        else:
+            small += [(j, i + n, m, t), (i, j + n, t, m), (i + n, j + n, m, t)]
+        for a, b, v, _ in big:
             if k < n:
-                image[a, b, k + shift] = image[b, a, k] = t
+                image[a, b, k + shift] = v
             else:
-                image[a, b, k + n] = t
+                image[a, b, k] = image[a, b, k + n] = v
+        for a, b, v, minus in small:
+            if k < n:
+                image[a, b, k + shift] = v
+                image[a, b, k] = minus
+            else:
+                image[a, b, k + n] = v
     return image
 
 
@@ -264,18 +262,17 @@ def bracket_table_text(L: LieAlgebra) -> str:
     prefixes: dict = {}  # id(coef): its term prefix; every coef lives in L
     rows: dict = {}
     for a, b, k, coef in L.nonzero():
-        if a < b:
-            prefix = prefixes.get(id(coef))
-            if prefix is None:
-                prefix = prefixes[id(coef)] = _term_prefix(coef)
-            term = prefix + labels[k]
-            row = rows.get((a, b))
-            if row is None:
-                rows[a, b] = term
-            elif term[:1] == "-":
-                rows[a, b] = row + " - " + term[1:]
-            else:
-                rows[a, b] = row + " + " + term
+        prefix = prefixes.get(id(coef))
+        if prefix is None:
+            prefix = prefixes[id(coef)] = _term_prefix(coef)
+        term = prefix + labels[k]
+        row = rows.get((a, b))
+        if row is None:
+            rows[a, b] = term
+        elif term[:1] == "-":
+            rows[a, b] = row + " - " + term[1:]
+        else:
+            rows[a, b] = row + " + " + term
     heads = [
         (f"[{labels[a]}, {labels[b]}]", rows.get((a, b), "0"))
         for a in range(L.dim)

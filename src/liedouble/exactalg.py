@@ -37,6 +37,8 @@ several terms run through :func:`_div_exact_terms` over ints.
 results divided back.
 
 All values are immutable; instances can be shared freely between threads.
+``-p`` is built once and kept on p and on −p, so ``-(-p) is p``; two
+threads negating p at once may each build an equal one.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def _mono_pow(a: Monomial, n: int) -> Monomial:
 class PolyExpr:
     """Exact polynomial (Laurent) in named real parameters over ℚ."""
 
-    __slots__ = ("terms",)
+    # _neg: the negation, set on both polynomials by the first ``-p``
+    __slots__ = ("terms", "_neg")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean = {}
@@ -157,7 +160,14 @@ class PolyExpr:
     __radd__ = __add__
 
     def __neg__(self) -> PolyExpr:
-        return _canonical({m: -c for m, c in self.terms.items()})
+        """−p, built on the first call and kept on p and −p: ``-(-p) is p``."""
+        try:
+            return self._neg
+        except AttributeError:
+            neg = _canonical({m: -c for m, c in self.terms.items()})
+            _set_neg(neg, self)
+            _set_neg(self, neg)
+            return neg
 
     def __sub__(self, other: PolyLike) -> PolyExpr:
         return self + (-as_poly(other))
@@ -385,6 +395,7 @@ def _invert_single_term(p: PolyExpr) -> PolyExpr:
 
 
 _set_terms = PolyExpr.terms.__set__
+_set_neg = PolyExpr._neg.__set__
 
 
 def _canonical(terms: dict) -> PolyExpr:
@@ -458,22 +469,6 @@ def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
                 out[mono] = new
             else:
                 del out[mono]
-
-
-def _negatives(x: dict, y: dict) -> bool:
-    """Whether two canonical terms dicts are the negatives of each other;
-    unlike ``PolyExpr(x) == -PolyExpr(y)``, no negated polynomial is built."""
-    if len(x) != len(y):
-        return False
-    for mono, q in x.items():
-        r = y.get(mono)
-        if (
-            r is None
-            or q.numerator != -r.numerator
-            or q.denominator != r.denominator
-        ):
-            return False
-    return True
 
 
 # -- exact division ------------------------------------------------------

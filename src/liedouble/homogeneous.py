@@ -564,15 +564,14 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
 
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
     """The induced Lie algebra on l's basis, labelled by :func:`_labels`,
-    from the integer bracket rows of the adapted pass: [l_j, l_i] is read
-    as [l_i, l_j] at the negated scale."""
+    from the integer bracket rows [l_i, l_j], i < j, of the adapted pass."""
     n = B.dim
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                row, sign = (brackets[i, j], 1) if i < j else (brackets[j, i], -1)
-                entries += [(i, j, k, from_int_terms(t, sign * s)) for k, t, s in row]
+    entries = [
+        (i, j, k, from_int_terms(t, s))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k, t, s in brackets[i, j]
+    ]
     return _algebra_of(_labels(B, spec), entries)
 
 
@@ -653,15 +652,16 @@ def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgeb
 def is_semidirect(
     table: LieAlgebra, h_indices: Sequence[int], t_indices: Sequence[int]
 ) -> bool:
-    """[t,t] ⊆ t, [h,h] ⊆ h and [t,h] ⊆ t on a bracket table."""
+    """[t,t] ⊆ t, [h,h] ⊆ h and [t,h] ⊆ t on a bracket table.  A stored
+    [e_i, e_j], i < j, stands for [e_j, e_i] too, so each condition is read
+    in both orders: an h part breaks [t,t] ⊆ t and [t,h] ⊆ t when i or j is
+    in t, and a t part breaks [h,h] ⊆ h when both are in h."""
     h_set, t_set = set(h_indices), set(t_indices)
     if h_set & t_set or h_set | t_set != set(range(table.dim)):
         raise BadPartition("h and t indices must partition the basis")
     for i, j, k, _ in table.nonzero():
-        if i in t_set and j in t_set and k in h_set:
+        if k in h_set and (i in t_set or j in t_set):
             return False
-        if i in h_set and j in h_set and k in t_set:
-            return False
-        if i in t_set and j in h_set and k in h_set:
+        if k in t_set and i in h_set and j in h_set:
             return False
     return True

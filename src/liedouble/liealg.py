@@ -1,12 +1,14 @@
 """Lie algebras from structure constants, with exact polynomial scalars.
 
 A :class:`LieAlgebra` stores the nonzero structure constants C_ij^k of
-``[X_i, X_j] = C_ij^k X_k`` as sparse entries, together with basis labels
-and declared parameter names; the dense tensor ``C[i][j][k]`` is a cached
-view of them.  Antisymmetry in (i, j) is enforced at construction;
-validity (the Jacobi identity) is checked by :func:`jacobi_violations` and
-:func:`is_jacobi_zero`, which evaluate the residual on sorted index triples
-only.
+``[X_i, X_j] = C_ij^k X_k`` with i < j only, the half that fixes a map
+g∧g → g, with basis labels and declared parameter names.  Any other key
+raises :class:`ShapeError` naming it, so no tensor that is not
+antisymmetric can be stored, and code that needs C_ji^k = −C_ij^k takes
+the sign when it reads C_ij^k.  The dense ``C[i][j][k]``, both signs
+written, is a cached view.  Validity (the Jacobi identity) is checked by
+:func:`jacobi_violations` and :func:`is_jacobi_zero`, which evaluate the
+residual on sorted index triples only.
 
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
 added with a sign into the one sorted triple it belongs to, and over
@@ -15,9 +17,9 @@ denominators, from the algebra's integer form, and every product is
 accumulated by :func:`~liedouble.exactalg._add_product` into the terms dict
 of its component.  Only the nonzero sums are divided back by d².  The basis
 transforms (:func:`transform_structure`, :func:`transform_cocomm`) run on
-the same integer terms dicts and the same kernel.  Each reads one
-antisymmetric half of its tensor, C_ij^k with i < j or f_i^{jk} with
-j < k, and contracts that pair in one step with the 2×2 minors of the
+the same integer terms dicts and the same kernel.  Each reads the stored
+half of its tensor, C_ij^k with i < j or f_i^{jk} with j < k, and
+contracts that pair in one step with the 2×2 minors of the
 matrix, M_a^i M_b^j − M_a^j M_b^i for C' and W_j^b W_k^c − W_j^c W_k^b
 for f', built only for the pairs that occur; every output pair a < b is
 then one sum over half the entries.  The remaining slot is contracted
@@ -30,7 +32,7 @@ antisymmetric pair
 adapted basis cleared once and its inverse straight from the integer
 Bareiss kernel, and reads its output as it is.
 
-An algebra is its sparse view, the nonzero C_ij^k as (i, j, k, coef) in
+An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
 keeps what it derives from it: the dense tensor :attr:`LieAlgebra.c`, a
 read-only view built on first read, its integer form
@@ -73,12 +75,28 @@ def zero_tensor3(n: int):
     return [[[z] * n for _ in range(n)] for _ in range(n)]
 
 
-def _dense(n: int, entries) -> list:
-    """The dense n³ tensor of a sparse view [(i, j, k, value)]."""
+def _dense(n: int, entries, upper: bool = False) -> list:
+    """The dense n³ tensor of the stored half [(i, j, k, value)] of a tensor
+    antisymmetric in (i, j), or in (j, k) with ``upper``: each value is
+    written at its key and its negation at the swapped one."""
     t = zero_tensor3(n)
     for i, j, k, value in entries:
         t[i][j][k] = value
+        if upper:
+            t[i][k][j] = -value
+        else:
+            t[j][i][k] = -value
     return t
+
+
+def _check_keys(entries, n: int, what: str, upper: bool = False) -> None:
+    """Raise :class:`ShapeError` naming the first (i, j, k) of ``entries``
+    that is not a stored key, i < j (j < k with ``upper``) in [0, n)."""
+    for i, j, k, _ in entries:
+        ok = 0 <= j < k < n and 0 <= i < n if upper else 0 <= i < j < n and 0 <= k < n
+        if not ok:
+            need = "j < k" if upper else "i < j"
+            raise ShapeError(f"{what} ({i},{j},{k}) needs {need} and indices in [0, {n})")
 
 
 def _nonzero_entries(t) -> list:
@@ -110,8 +128,8 @@ class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
     params: tuple[str, ...]
-    # the nonzero C_ij^k as (i, j, k, coef), in index order; antisymmetric in
-    # (i, j): (j, i, k, -coef) is listed too
+    # the nonzero C_ij^k with i < j as (i, j, k, coef), in index order;
+    # C_ji^k = -C_ij^k is not stored
     entries: list
     _c: list | None = field(default=None, repr=False, compare=False)
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
@@ -119,6 +137,9 @@ class LieAlgebra:
     # the ψ⁻¹ image of the integer form, at its scale, that
     # liedouble.double caches on a double D(a) it checks ψ against
     _psi: dict | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_keys(self.entries, self.dim, "structure constant")
 
     def index(self, label: str) -> int:
         try:
@@ -128,19 +149,19 @@ class LieAlgebra:
 
     @property
     def c(self) -> list:
-        """Dense dim³ tensor C[i][j][k] of PolyExpr, a read-only view of
-        :attr:`entries` built on first read."""
+        """Dense dim³ tensor C[i][j][k] of PolyExpr, both signs, a read-only
+        view of :attr:`entries` built on first read."""
         if self._c is None:
             self._c = _dense(self.dim, self.entries)
         return self._c
 
     def nonzero(self) -> list:
-        """Sparse view [(i, j, k, coef)] of the structure tensor: :attr:`entries`."""
+        """Sparse view [(i, j, k, coef)], i < j, of C: :attr:`entries`."""
         return self.entries
 
     def int_tensor(self) -> tuple:
-        """Cached integer form ``(d, {(i, j, k): {mono: int}})`` of the
-        structure tensor (:func:`_int_tensor`), which the basis transforms,
+        """Cached integer form ``(d, {(i, j, k): {mono: int}})``, i < j, of
+        the structure tensor (:func:`_int_tensor`), which the basis transforms,
         the Jacobi sum and the ψ check read; a double is given its form by
         ``bialgebra._double_algebra``, keyed in no particular order.  ψ
         compares the form of D(D(a)) whole with the ψ⁻¹ image of that of
@@ -180,7 +201,6 @@ class LieAlgebra:
         entries = [
             {"i": i, "j": j, "k": k, "coef": str(coef)}
             for i, j, k, coef in self.nonzero()
-            if i < j
         ]
         return {
             "dim": self.dim,
@@ -198,9 +218,9 @@ def new_lie_algebra(
 ) -> LieAlgebra:
     """Build an algebra from sparse oriented entries [X_i, X_j] += coef X_k.
 
-    Each unordered pair should be supplied in one orientation (duplicates
-    with the same (i, j, k) are summed); the (j, i) component is derived by
-    antisymmetry.  Entries (i, i, k) with nonzero coefficient raise
+    An entry (j, i, k) with j > i is stored as (i, j, k) at −coef, and
+    entries with the same stored key are summed; those that cancel are
+    dropped.  Entries (i, i, k) with nonzero coefficient raise
     :class:`SymmetricEntry`.
     """
     if len(labels) != dim:
@@ -217,8 +237,9 @@ def new_lie_algebra(
             continue
         if i == j:
             raise SymmetricEntry(f"nonzero bracket entry ({i},{i},{k})")
-        acc[i, j, k] = acc.get((i, j, k), PolyExpr.zero()) + coef
-        acc[j, i, k] = acc.get((j, i, k), PolyExpr.zero()) - coef
+        if i > j:
+            i, j, coef = j, i, -coef
+        acc[i, j, k] = acc[i, j, k] + coef if (i, j, k) in acc else coef
     entries = [(*key, acc[key]) for key in sorted(acc) if acc[key].terms]
     used = _used_params(entries)
     declared = tuple(params) or used
@@ -278,10 +299,11 @@ def bracket(L: LieAlgebra, v: Vector, w: Vector) -> Vector:
     v = [as_poly(x) for x in v]
     w = [as_poly(x) for x in w]
     out = [PolyExpr.zero()] * L.dim
-    for i, j, k, coef in L.nonzero():
-        if v[i].is_zero or w[j].is_zero:
-            continue
-        out[k] = out[k] + v[i] * w[j] * coef
+    for i, j, k, coef in L.nonzero():  # (v_i w_j − v_j w_i)·C_ij^k
+        if v[i].terms and w[j].terms:
+            out[k] = out[k] + v[i] * w[j] * coef
+        if v[j].terms and w[i].terms:
+            out[k] = out[k] + v[j] * w[i] * -coef
     return out
 
 
@@ -290,15 +312,16 @@ def _jacobi_components(L: LieAlgebra) -> dict:
 
     R_ijl^m = sum_k (C_ij^k C_kl^m + C_jl^k C_ki^m + C_li^k C_kj^m) is
     alternating in (i, j, l) because C is antisymmetric in its lower pair,
-    which every construction path enforces; so these components, keyed
-    (i, j, l, m), determine the whole residual.
+    which its storage is; so these components, keyed (i, j, l, m),
+    determine the whole residual.
 
-    The sum is driven by the nonzero products only: for each nonzero
-    t1 = C_ab^k with a < b and each nonzero t2 = C_kc^m with c not in
+    The sum is driven by the nonzero products only: for each stored
+    t1 = C_ab^k (a < b) and each nonzero t2 = C_kc^m with c not in
     {a, b}, t1·t2 is the term of exactly one sorted triple, with a sign set
     by where c falls: +t1·t2 into (a, b, c, m) when c > b, into (c, a, b, m)
     when c < a, and -t1·t2 into (a, c, b, m) when a < c < b (there it is
-    C_li^k C_kj^m with C_li^k = -C_ab^k).
+    C_li^k C_kj^m with C_li^k = -C_ab^k).  The second factor is read in both
+    orders: a stored C_kc^m is t2 under k, and C_ck^m = −C_kc^m under c.
 
     The sum runs over integers.  With d the lcm of the denominators of all
     structure constants, each d*C_ab^k has integer coefficients, read from
@@ -308,23 +331,20 @@ def _jacobi_components(L: LieAlgebra) -> dict:
     it is zero exactly when R is; only the nonzero sums are divided back by
     d², and the check stays exact and generic in the parameters.
     """
-    entries = L.nonzero()
     d, ints = L.int_tensor()
-    by_first: dict = {}
-    for k, c, m, _ in entries:
-        by_first.setdefault(k, []).append((c, m, ints[k, c, m]))
+    by_first: dict = {}  # k: [(c, m, sign, terms)] with C_kc^m = sign·terms
+    for (k, c, m), t in ints.items():
+        by_first.setdefault(k, []).append((c, m, 1, t))
+        by_first.setdefault(c, []).append((k, m, -1, t))
     acc: dict = {}
-    for a, b, k, _ in entries:
-        if a > b:
-            continue
-        t1 = ints[a, b, k]
-        for c, m, t2 in by_first.get(k, ()):
+    for (a, b, k), t1 in ints.items():
+        for c, m, s, t2 in by_first.get(k, ()):
             if c > b:
-                key, s = (a, b, c, m), 1
+                key = (a, b, c, m)
             elif c < a:
-                key, s = (c, a, b, m), 1
+                key = (c, a, b, m)
             elif a < c < b:
-                key, s = (a, c, b, m), -1
+                key, s = (a, c, b, m), -s
             else:
                 continue
             _add_product(acc.setdefault(key, {}), s, t1, t2)
@@ -445,16 +465,14 @@ def _minors(rows: dict, x: int, y: int) -> list:
 
 def _contract_pair(tensor: dict, slot: int, rows: dict) -> dict:
     """Contract the pair of slots (slot, slot + 1), in which ``tensor`` is
-    antisymmetric, with a matrix: out[.., a, b, ..] =
+    antisymmetric and stored with x < y, with a matrix: out[.., a, b, ..] =
     Σ_{x<y} tensor[.., x, y, ..] · (rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b])
-    for a < b, over Python ints.  Only the entries with x < y are read, and
-    the minors (:func:`_minors`) are built once for each pair among them."""
+    for a < b, over Python ints.  The minors (:func:`_minors`) are built
+    once for each pair (x, y) that occurs."""
     minors: dict = {}
     out: dict = {}
     for key, t1 in tensor.items():
         pair = key[slot : slot + 2]
-        if pair[0] >= pair[1]:
-            continue
         lam = minors.get(pair)
         if lam is None:
             lam = minors[pair] = _minors(rows, *pair)
@@ -466,8 +484,8 @@ def _contract_pair(tensor: dict, slot: int, rows: dict) -> dict:
 
 def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     """C' of :func:`transform_structure` in integer form, its entries with
-    a < b only, from the integer forms of C (only its entries with i < j
-    are read), of the columns of M and of the rows of W, each ``(scale,
+    a < b only, from the integer forms of C (its stored half, i < j), of
+    the columns of M and of the rows of W, each ``(scale,
     entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
     ``(d·e_M²·e_W, entries)``."""
     (d, c), (e_m, cols), (e_w, rows) = t, m_cols, w
@@ -476,28 +494,12 @@ def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
 
 def _cocomm_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     """f' of :func:`transform_cocomm` in integer form, its entries with
-    b < c only, from the integer forms of f (only its entries with j < k
-    are read), of the columns of M and of the rows of W, each ``(scale,
+    b < c only, from the integer forms of f (its stored half, j < k), of
+    the columns of M and of the rows of W, each ``(scale,
     entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
     ``(d·e_M·e_W², entries)``."""
     (d, f), (e_m, cols), (e_w, rows) = t, m_cols, w
     return d * e_m * e_w * e_w, _contract(_contract_pair(f, 1, rows), 0, cols)
-
-
-def _antisymmetric_entries(form: tuple, pair: tuple) -> list:
-    """The nonzero entries (i, j, k, value), in no particular order, of a
-    tensor antisymmetric in the slots ``pair`` = (p, q) from its integer
-    form ``(d, entries)`` with key[p] < key[q] only: each entry divided back
-    by d, and by −d at the swapped key."""
-    d, t = form
-    p, q = pair
-    out = []
-    for key, terms in t.items():
-        swapped = list(key)
-        swapped[p], swapped[q] = key[q], key[p]
-        out.append((*key, from_int_terms(terms, d)))
-        out.append((*swapped, from_int_terms(terms, -d)))
-    return out
 
 
 def transform_structure(c, m: Matrix, w: Matrix):
@@ -505,20 +507,20 @@ def transform_structure(c, m: Matrix, w: Matrix):
 
     The sum runs over integers: the denominators of C, M and W are each
     cleared once (:func:`~liedouble.exactalg.to_int_terms`).  C must be
-    antisymmetric in (i, j), as every construction path keeps it; then so
-    is C', and C'_ab^c for a < b is Σ_{i<j} (M_a^i M_b^j − M_a^j M_b^i)
-    C_ij^k W_k^c: the pair (i, j) is contracted in one step with the 2×2
-    minors of M, from the entries with i < j only, then k with W, and only
-    the nonzero results are divided back by the product of the scales.
+    antisymmetric in (i, j), as a :class:`LieAlgebra` is by its storage;
+    then so is C', and C'_ab^c for a < b is Σ_{i<j} (M_a^i M_b^j − M_a^j
+    M_b^i) C_ij^k W_k^c: the pair (i, j) is contracted in one step with the
+    2×2 minors of M, from the entries with i < j only, then k with W, and
+    only the nonzero results are divided back by the product of the scales.
     (b, a) is the negation and the diagonal is zero.  A dense wrapper over
     :func:`_structure_int`.
     """
-    form = _structure_int(
-        _int_tensor(_nonzero_entries(c)),
+    d, t = _structure_int(
+        _int_tensor([e for e in _nonzero_entries(c) if e[0] < e[1]]),
         _int_matrix(m, transpose=True),
         _int_matrix(w, transpose=False),
     )
-    return _dense(len(m), _antisymmetric_entries(form, (0, 1)))
+    return _dense(len(m), [(*key, from_int_terms(v, d)) for key, v in t.items()])
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
@@ -526,20 +528,20 @@ def transform_cocomm(f, m: Matrix, w: Matrix):
 
     The sum runs over integers: the denominators of f, M and W are each
     cleared once (:func:`~liedouble.exactalg.to_int_terms`).  f must be
-    antisymmetric in (j, k), as ``bialgebra.CocommTensor`` checks; then f'
-    is antisymmetric in (b, c), and f'_a^bc for b < c is
+    antisymmetric in (j, k), as a ``bialgebra.CocommTensor`` is by its
+    storage; then f' is antisymmetric in (b, c), and f'_a^bc for b < c is
     M_a^i Σ_{j<k} f_i^jk (W_j^b W_k^c − W_j^c W_k^b): the pair (j, k) is
     contracted in one step with the 2×2 minors of W, from the entries with
     j < k only, then i with M, and only the nonzero results are divided
     back by the product of the scales.  (c, b) is the negation and the
     diagonal is zero.  A dense wrapper over :func:`_cocomm_int`.
     """
-    form = _cocomm_int(
-        _int_tensor(_nonzero_entries(f)),
+    d, t = _cocomm_int(
+        _int_tensor([e for e in _nonzero_entries(f) if e[1] < e[2]]),
         _int_matrix(m, transpose=True),
         _int_matrix(w, transpose=False),
     )
-    return _dense(len(m), _antisymmetric_entries(form, (1, 2)))
+    return _dense(len(m), [(*key, from_int_terms(v, d)) for key, v in t.items()], upper=True)
 
 
 def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
@@ -547,14 +549,12 @@ def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:
     Computed as :func:`transform_structure` does, from L's integer form."""
     if len(bc.m) != L.dim:
         raise DimensionMismatch("basis change dimension does not match algebra")
-    form = _structure_int(
+    d, t = _structure_int(
         L.int_tensor(),
         _int_matrix(bc.m, transpose=True),
         _int_matrix(bc.inverse, transpose=False),
     )
-    entries = _antisymmetric_entries(form, (0, 1))
-    entries.sort(key=lambda entry: entry[:3])
-    return _algebra_of(bc.labels, entries)
+    return _algebra_of(bc.labels, [(*key, from_int_terms(t[key], d)) for key in sorted(t)])
 
 
 def substitute_params(L: LieAlgebra, mapping: Mapping[str, PolyLike]) -> LieAlgebra:

@@ -24,8 +24,8 @@ r-matrix?", 1983):
 
 An :class:`RMatrix` is its wedge terms, the nonzero r^{ij} with i < j, so
 it is antisymmetric by construction; the dense ``r`` is a read-only view
-built on first read.  δ_r and the dual bracket are built as entries, so no
-dense tensor is filled or scanned.
+built on first read.  δ_r and the dual bracket are built as their stored
+halves, so no dense tensor is filled or scanned.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> CocommTensor:
     """Coboundary cocommutator constants f_i^{jk} with δ(X_i)=f_i^{jk} X_j⊗X_k.
 
     f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated with
-    :func:`~liedouble.exactalg.mul_acc` over the nonzero C_il^j and r^{lk};
-    as r^{jl} = −r^{lj}, each such product gives one term of each sum.
+    :func:`~liedouble.exactalg.mul_acc` over the nonzero C_il^t, each stored
+    C_ab^t read in both orders, and r^{lo}.  As r^{jl} = −r^{lj}, each such
+    product is a term of f_i^{to} and, negated, of f_i^{ot}; only the stored
+    one, to < ot, is accumulated.
     """
     if r.dim != L.dim:
         raise DimensionMismatch(
@@ -128,10 +130,13 @@ def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> CocommTensor:
         )
     rows = _rows(r)
     acc: dict = {}
-    for i, l, target, coef in L.nonzero():  # coef = C_il^target
-        for other, value in rows[l]:
-            mul_acc(acc.setdefault((i, target, other), {}), coef, value)
-            mul_acc(acc.setdefault((i, other, target), {}), coef, value, negate=True)
+    for a, b, target, coef in L.nonzero():
+        for i, l, negate in ((a, b, False), (b, a, True)):  # ±coef = C_il^target
+            for other, value in rows[l]:
+                if target < other:
+                    mul_acc(acc.setdefault((i, target, other), {}), coef, value, negate)
+                elif other < target:
+                    mul_acc(acc.setdefault((i, other, target), {}), coef, value, not negate)
     return CocommTensor(
         L.dim, [(*key, _canonical(acc[key])) for key in sorted(acc) if acc[key]]
     )
@@ -145,20 +150,24 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f: CocommTensor) -> dict:
         Σ_k f_k^{ij} r^{km} − Σ_{a,b} r^{ia} r^{jb} C_ab^m  =  −[[r,r]]^{ijm}.
 
     Each r^{ia} r^{jb} is read from rows a and b of r, where the two signs
-    of r^{ai} = −r^{ia} cancel.
+    of r^{ai} = −r^{ia} cancel.  A stored C_ab^m (a < b) stands for C_ba^m
+    too, whose term r^{ib} r^{ja} C_ba^m is r^{ja} r^{ib} C_ab^m with its
+    sign changed: the product of rows a and b at (i, j) goes to (i, j) when
+    i < j, and negated to (j, i) when i > j.
     """
     rows = _rows(r)
     acc: dict = {}
     for k, i, j, value in f.nonzero():
-        if i < j:
-            for m, rkm in rows[k]:
-                mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
+        for m, rkm in rows[k]:
+            mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
     for a, b, m, coef in L.nonzero():
         for i, rai in rows[a]:
             product = coef * rai
             for j, rbj in rows[b]:
                 if i < j:
                     mul_acc(acc.setdefault((i, j, m), {}), product, rbj, negate=True)
+                elif i > j:
+                    mul_acc(acc.setdefault((j, i, m), {}), product, rbj)
     return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
 
 

@@ -117,32 +117,26 @@ def test_shape_errors(sl2_ck):
     with pytest.raises(ShapeError):
         new_bialgebra(sl2_ck, CocommTensor(4, []))
     bad = zero_tensor3(3)
-    bad[0][1][2] = PolyExpr.one()  # not antisymmetrized
-    with pytest.raises(ShapeError):
+    bad[0][1][2] = PolyExpr.one()
+    bad[0][2][1] = -PolyExpr.one()
+    # the dense entries list f_0^{21} too, which the storage does not hold
+    with pytest.raises(ShapeError, match=re.escape("cocommutator entry (0,2,1)")):
         CocommTensor(len(bad), _nonzero_entries(bad))
 
 
 @pytest.mark.parametrize(
-    "entries, index",
-    [
-        ({(1, 0, 2): "5/7"}, "(1,0,2)"),                   # partner missing
-        ({(1, 2, 0): "eta"}, "(1,0,2)"),                   # named at j < k
-        ({(2, 1, 1): "-1/3"}, "(2,1,1)"),                  # diagonal entry
-        ({(0, 1, 2): "1", (0, 2, 1): "1"}, "(0,1,2)"),     # same sign
-        ({(0, 1, 2): "eta", (0, 2, 1): "-eta + 1"}, "(0,1,2)"),
-        ({(0, 1, 2): "2/3", (0, 2, 1): "-2/5"}, "(0,1,2)"),  # denominators differ
-    ],
+    "key",
+    [(1, 2, 0), (0, 2, 1), (2, 1, 1), (0, 0, 0), (3, 0, 1), (0, 1, 3), (-1, 0, 1)],
 )
-def test_one_asymmetric_entry_is_named(sl2_hyp, entries, index):
-    # an antisymmetric tensor with one entry pair changed raises at that index
-    f = [[list(row) for row in plane] for plane in sl2_hyp.cocomm.f]
-    for i, j, k in entries:
-        f[i][j][k] = f[i][k][j] = PolyExpr.zero()
-    CocommTensor(len(f), _nonzero_entries(f))
-    for (i, j, k), coef in entries.items():
-        f[i][j][k] = PolyExpr.parse(coef)
-    with pytest.raises(ShapeError, match=re.escape(f"not antisymmetric at {index}")):
-        CocommTensor(len(f), _nonzero_entries(f))
+def test_cocomm_names_a_key_out_of_order_or_range(sl2_hyp, key):
+    # f_i^{jk} is stored at j < k only, each index in range: any other key,
+    # such as a lower-half partner, a diagonal entry or an index outside
+    # [0, 3), raises and is named; the valid entries before it are kept
+    i, j, k = key
+    entries = [*sl2_hyp.cocomm.nonzero(), (i, j, k, P("5/7"))]
+    with pytest.raises(ShapeError, match=re.escape(f"cocommutator entry ({i},{j},{k})")):
+        CocommTensor(3, entries)
+    assert CocommTensor(3, entries[:-1]) == sl2_hyp.cocomm
 
 
 def test_json_round_trip(sl2_hyp, iso11_eta):
@@ -170,8 +164,8 @@ def test_cocomm_from_wedge_sums_duplicates_and_drops_cancelled():
         3,
         [(0, 1, 2, 1), (0, 2, 1, "eta"), (1, 0, 2, 1), (1, 2, 0, 1), (2, 0, 1, 0)],
     )
-    assert f.nonzero() == [(0, 1, 2, P("1 - eta")), (0, 2, 1, P("eta - 1"))]
+    assert f.nonzero() == [(0, 1, 2, P("1 - eta"))]
     labels = {"a": 0, "b": 1, "c": 2}
     assert cocomm_from_wedge(3, [("c", "a", "b", 2), ("c", "a", "b", 3)], labels) == (
-        CocommTensor(3, [(2, 0, 1, P("5")), (2, 1, 0, P("-5"))])
+        CocommTensor(3, [(2, 0, 1, P("5"))])
     )

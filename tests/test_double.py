@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from liedouble import catalog
-from liedouble.bialgebra import CocommTensor, new_bialgebra
+from liedouble.bialgebra import CocommTensor, cocomm_from_wedge, new_bialgebra
 from liedouble.double import (
     _psi_mismatches,
     _term_prefix,
@@ -530,7 +530,7 @@ def test_double_builder_matches_a_dense_scan(key):
 
     B = case(key)
     for L in (B.double_algebra, double_of_double(B).algebra):
-        scanned = _algebra_of(L.labels, _nonzero_entries(L.c))
+        scanned = _algebra_of(L.labels, [e for e in _nonzero_entries(L.c) if e[0] < e[1]])
         assert L.nonzero() == scanned.nonzero()
         assert L.params == scanned.params
 
@@ -548,17 +548,23 @@ def test_double_of_double_takes_the_parameters_of_the_inner_double(key, monkeypa
 
 
 def test_double_builder_negates_no_entry(so22_twisted, monkeypatch):
-    # each −C_ij^k and −f_k^{ij} of the double, and each −f_i^{jk} of δ_D, is
-    # read from its partner entry
+    # each −C_ij^k and −f_k^{ij} the double stores is the negation that its
+    # coefficient keeps, computed when B's double was first built, and each
+    # −f_i^{jk} of δ_D is read from D(a): building them again computes no
+    # negation and builds no polynomial
+    from liedouble import exactalg
     from liedouble.bialgebra import _double_algebra
 
-    negations = []
-    real = PolyExpr.__neg__
-    monkeypatch.setattr(PolyExpr, "__neg__", lambda p: negations.append(p) or real(p))
+    built = []
+    real = exactalg._canonical
+    monkeypatch.setattr(exactalg, "_canonical", lambda terms: built.append(terms) or real(terms))
     B = so22_twisted
-    _double_algebra(B.algebra, B.cocomm, B.dual_labels)
-    canonical_cocommutator(build_double(B))
-    assert negations == []
+    again = _double_algebra(B.algebra, B.cocomm, B.dual_labels)
+    delta = canonical_cocommutator(build_double(B))
+    assert built == []
+    assert again == B.double_algebra
+    coefs = {id(coef) for *_, coef in B.double_algebra.nonzero()}
+    assert all(id(coef) in coefs for *_, coef in [*again.nonzero(), *delta.nonzero()])
 
 
 def test_psi_is_a_lie_isomorphism_by_an_independent_bracket(sl2_eta, so22_twisted):
@@ -591,15 +597,11 @@ def perturb_one_outer_bracket(monkeypatch, coef=1):
     """Add coef·X1∧X2 to δ_D(X0), which changes [X0, y1], [X0, y2] and
     [y1, y2] of D(D(a)) and nothing else."""
     from liedouble import double
-    from liedouble.liealg import _nonzero_entries
 
     canonical = double.canonical_cocommutator
 
     def perturbed(D):
-        f = [[list(row) for row in plane] for plane in canonical(D).f]
-        f[0][1][2] = f[0][1][2] + coef
-        f[0][2][1] = f[0][2][1] - coef
-        return CocommTensor(len(f), _nonzero_entries(f))
+        return cocomm_from_wedge(D.dim, [*canonical(D).nonzero(), (0, 1, 2, coef)])
 
     monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
 
@@ -675,17 +677,22 @@ def test_assigned_integer_forms_equal_the_computed_ones(key):
     delta = canonical_cocommutator(build_double(B))
     for L in (B.double_algebra, double_of_double(B).algebra, delta):
         assert L.int_tensor() == _int_tensor(L.nonzero())
-    assert delta.nonzero() == _nonzero_entries(delta.f)
+    assert delta.nonzero() == [e for e in _nonzero_entries(delta.f) if e[1] < e[2]]
     if key == "so22-twisted":
         assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
         assert B.double_algebra.int_tensor()[0] == 2
 
 
-def dense_scan(n, entries):
-    """The dense n³ tensor of a sparse view, filled here entry by entry."""
+def dense_scan(n, entries, upper):
+    """The dense n³ tensor of a stored half, antisymmetric in (i, j), or in
+    (j, k) with ``upper``, filled here entry by entry, both signs."""
     t = [[[PolyExpr.zero()] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, v in entries:
         t[i][j][k] = v
+        if upper:
+            t[i][k][j] = -v
+        else:
+            t[j][i][k] = -v
     return t
 
 
@@ -703,25 +710,53 @@ def test_dense_tensors_are_cached_views_of_the_entries(key):
     delta = canonical_cocommutator(D)
     D2 = double_of_double(B)
     assert D._r_skew is None
-    for T, view, name in (
-        (B.algebra, "_c", "c"),
-        (B.double_algebra, "_c", "c"),
-        (D2.algebra, "_c", "c"),
-        (B.cocomm, "_f", "f"),
-        (delta, "_f", "f"),
+    for T, view, name, pair in (
+        (B.algebra, "_c", "c", (0, 1)),
+        (B.double_algebra, "_c", "c", (0, 1)),
+        (D2.algebra, "_c", "c", (0, 1)),
+        (B.cocomm, "_f", "f", (1, 2)),
+        (delta, "_f", "f", (1, 2)),
     ):
         assert getattr(T, view) is None  # no builder filled a dense tensor
         twin = replace(T, **{view: None, "_int": None})
         assert twin == T
         dense = getattr(T, name)
         assert getattr(T, name) is dense
-        assert dense == dense_scan(len(dense), T.nonzero())
-        assert _nonzero_entries(dense) == T.nonzero()
+        assert dense == dense_scan(len(dense), T.nonzero(), pair == (1, 2))
+        p, q = pair
+        assert [e for e in _nonzero_entries(dense) if e[p] < e[q]] == T.nonzero()
         assert getattr(twin, view) is None and twin == T
         getattr(twin, name)
         assert twin == T
     for L in (B.algebra, B.double_algebra, D2.algebra):
         assert algebras_equal(replace(L, _c=None), L)
+
+
+@pytest.mark.parametrize("key", ["so22-r1", "so22-twisted@13/17*eta - 19/23"])
+def test_a_warm_iterated_double_builds_no_fraction(key):
+    # once D(D(a)) has been built, building it again and rendering both
+    # bracket tables, the work of a warm `double --iterate` op, builds no
+    # Fraction: each coefficient D(D(a)) stores is one of D(a) or the
+    # negation that coefficient keeps, and the ψ⁻¹ image is cached on D(a)
+    from test_homogeneous import fraction_constructions
+
+    B = case(key)
+    D = build_double(B)
+    double_of_double(B)
+
+    def op():
+        D2 = double_of_double(B)
+        bracket_table_text(D.algebra)
+        bracket_table_text(D2.algebra)
+        return D2
+
+    assert fraction_constructions(op) == 0
+    inner = {id(coef) for *_, coef in D.algebra.nonzero()}
+    for *_, coef in op().algebra.nonzero():
+        assert -(-coef) is coef
+        assert id(coef) in inner or id(-coef) in inner
+    p = P("2*eta - 1/3")
+    assert -(-p) is p and -p is -p and -p == P("1/3 - 2*eta")
 
 
 def counting_psi_images(monkeypatch) -> list:
@@ -750,9 +785,12 @@ def test_psi_image_is_cached_on_the_inner_double(key, monkeypatch):
     double_of_double(B)
     assert crossed_bracket_mismatches(D2, B) == []
     assert calls == [B.dim] and inner._psi is image
-    # every entry is one of D(a)'s own terms dicts, so none was rescaled
-    terms = {id(t) for t in inner.int_tensor()[1].values()}
-    assert {id(t) for t in image.values()} <= terms
+    # every entry is one of D(a)'s own terms dicts, or its negation where the
+    # image reads a pair in the other order, so none was rescaled
+    own = list(inner.int_tensor()[1].values())
+    terms = {id(t) for t in own}
+    negated = [{mono: -c for mono, c in t.items()} for t in own]
+    assert all(id(t) in terms or t in negated for t in image.values())
 
 
 def test_psi_image_at_another_scale_is_not_cached(monkeypatch):
@@ -786,9 +824,12 @@ def psi_oracle(outer, inner, pairs):
     iff a sum is nonzero.  The oracle that the row comparison of
     :func:`_psi_mismatches` is checked against."""
     def rows_of(L):
+        """The rows (a, b) of every ordered pair: the stored ones, a < b, and
+        each swapped (b, a) with its terms negated."""
         rows = {}
         for (a, b, k), terms in L.int_tensor()[1].items():
             rows.setdefault((a, b), []).append((k, terms))
+            rows.setdefault((b, a), []).append((k, {m: -c for m, c in terms.items()}))
         return rows
 
     m = inner.dim

@@ -445,6 +445,34 @@ def test_semidirect_abelian_and_partition_errors():
         is_semidirect(abelian, [0], [2, 3])
 
 
+# One small Lie algebra per condition of is_semidirect that breaks it, as
+# (h labels, t labels, [a, b] = c that breaks it, [a, b] = c that keeps it)
+SEMIDIRECT_BREAKS = {
+    "[t,t] in t": (("h0",), ("t0", "t1"), ("t0", "t1", "h0"), ("t0", "t1", "t0")),
+    "[h,h] in h": (("h0", "h1"), ("t0",), ("h0", "h1", "t0"), ("h0", "h1", "h0")),
+    "[t,h] in t": (("h0",), ("t0",), ("t0", "h0", "h0"), ("t0", "h0", "t0")),
+}
+
+
+@pytest.mark.parametrize("h_first", [True, False], ids=["h-then-t", "t-then-h"])
+@pytest.mark.parametrize("condition", sorted(SEMIDIRECT_BREAKS))
+def test_is_semidirect_fails_each_condition_in_either_index_order(condition, h_first):
+    # the table stores [e_i, e_j] at i < j only, so with h before t the
+    # broken [t, h] is stored as [h, t] at the negated value, and with t
+    # before h the broken [t, t] or [h, h] has its indices the other way
+    from liedouble.liealg import is_jacobi_zero, new_lie_algebra
+
+    h, t, bad, good = SEMIDIRECT_BREAKS[condition]
+    labels = h + t if h_first else t + h
+    index = {label: i for i, label in enumerate(labels)}
+    h_idx, t_idx = [index[x] for x in h], [index[x] for x in t]
+    for bracket_, verdict in ((bad, False), (good, True)):
+        a, b, c = (index[x] for x in bracket_)
+        table = new_lie_algebra(len(labels), labels, [(a, b, c, "2/3")])
+        assert is_jacobi_zero(table)
+        assert is_semidirect(table, h_idx, t_idx) is verdict, (bracket_, labels)
+
+
 def test_poisson_subgroup_implies_semidirect_catalog(sl2_hyp, sl2_ell, sl2_par_j):
     cases = [(sl2_hyp, ["J12"]), (sl2_ell, ["P1"]), (sl2_par_j, ["J+"])]
     for B, h_labels in cases:
@@ -921,11 +949,13 @@ def dot(alpha, v):
 
 
 def delta_against(B, x, alpha):
-    """The vector k ↦ <δ(x), α ⊗ x^k> = Σ x^i f_i^{jk} α_j."""
+    """The vector k ↦ <δ(x), α ⊗ x^k> = Σ x^i f_i^{jk} α_j, each stored
+    f_i^{jk} (j < k) read in both orders, f_i^{kj} = −f_i^{jk}."""
     out = [PolyExpr.zero()] * B.dim
     for i, j, k, v in B.cocomm.nonzero():
-        if x[i].terms and alpha[j].terms:
-            out[k] = out[k] + x[i] * alpha[j] * v
+        for a, b, value in ((j, k, v), (k, j, -v)):
+            if x[i].terms and alpha[a].terms:
+                out[b] = out[b] + x[i] * alpha[a] * value
     return out
 
 

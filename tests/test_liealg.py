@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations, permutations
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from liedouble.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    ShapeError,
     SingularMatrix,
     SymmetricEntry,
 )
@@ -22,6 +24,7 @@ from liedouble.exactlinalg import invert, mat, rank
 from liedouble.homogeneous import LagrangianSpec, _adapted, _adapted_pass, classify
 from liedouble.liealg import (
     BasisChange,
+    LieAlgebra,
     _cocomm_int,
     _int_matrix,
     _int_rows,
@@ -111,6 +114,30 @@ def test_index_out_of_range_rejected():
 def test_duplicate_entries_sum():
     L = new_lie_algebra(2, ("a", "b"), [(0, 1, 0, 1), (0, 1, 0, 2)])
     assert L.c[0][1][0] == 3
+
+
+def test_entries_are_folded_into_the_stored_half():
+    # [b, a] = c is stored as [a, b] = -c and summed with [a, b] = 2c; the
+    # two orders of [a, c] cancel and are dropped
+    L = new_lie_algebra(
+        3, ("a", "b", "c"), [(1, 0, 2, 1), (0, 1, 2, 2), (0, 2, 1, "eta"), (2, 0, 1, "eta")]
+    )
+    assert L.nonzero() == [(0, 1, 2, P("1"))]
+    assert L.c[1][0][2] == -1
+
+
+@pytest.mark.parametrize(
+    "key", [(1, 0, 2), (2, 1, 0), (1, 1, 0), (0, 1, 3), (0, 3, 1), (-1, 1, 0)]
+)
+def test_lie_algebra_names_a_key_out_of_order_or_range(sl2_std, key):
+    # C_ij^k is stored at i < j only, each index in range: any other key,
+    # such as a lower-half partner, a diagonal entry or an index outside
+    # [0, 3), raises and is named; the valid entries before it are kept
+    i, j, k = key
+    entries = [*sl2_std.nonzero(), (i, j, k, P("5/7"))]
+    with pytest.raises(ShapeError, match=re.escape(f"structure constant ({i},{j},{k})")):
+        LieAlgebra(3, sl2_std.labels, (), entries)
+    assert LieAlgebra(3, sl2_std.labels, (), entries[:-1]) == sl2_std
 
 
 def test_jacobi_zero_known_algebras(sl2_std, sl2_ck, ck2d, glambda, iso11):
@@ -229,7 +256,7 @@ def test_jacobi_matches_oracle_on_a_perturbed_iterated_double(so22_twisted):
     # D(D(so22)) satisfies Jacobi; two added brackets with Laurent terms, a
     # second parameter and large coefficients give it a nonzero residual
     L = double_of_double(so22_twisted).algebra
-    entries = [(i, j, k, v) for i, j, k, v in L.nonzero() if i < j]
+    entries = list(L.nonzero())
     entries += [(0, 5, 7, "eta^-1*xi - 1000003/7"), (3, 14, 20, "999983*eta^2")]
     perturbed = new_lie_algebra(L.dim, L.labels, entries)
     assert perturbed.params == ("eta", "xi")
@@ -406,10 +433,12 @@ def test_singular_basis_change_rejected():
 def ad_invariant(L, k):
     """Whether the symmetric 2-tensor K is ad-invariant:
     sum_c (C_ic^a K^cb + C_ic^b K^ac) = 0 for all i, a, b, summed over the
-    nonzero structure constants C_ic^t."""
+    nonzero structure constants C_ic^t, each stored C_ic^t (i < c) read in
+    both orders, C_ci^t = −C_ic^t."""
     k = mat(k)
     defect = {}
-    for i, c, t, coef in L.nonzero():
+    stored = L.nonzero()
+    for i, c, t, coef in stored + [(c, i, t, -coef) for i, c, t, coef in stored]:
         for x in range(L.dim):
             for key, kv in (((i, t, x), k[c][x]), ((i, x, t), k[x][c])):
                 defect[key] = defect.get(key, PolyExpr.zero()) + coef * kv
@@ -665,32 +694,31 @@ def pascal(n):
     return mat([[comb(i + j, i) for j in range(n)] for i in range(n)])
 
 
-def upper_half(form, pair):
-    """An integer tensor form ``(d, entries)`` cut to its entries with
-    key[p] < key[q], ``pair`` = (p, q)."""
-    d, entries = form
-    p, q = pair
-    return d, {key: t for key, t in entries.items() if key[p] < key[q]}
-
-
-def assert_transforms_read_one_half(B, m_cols, w):
+def assert_transforms_read_one_half(B, m, w, m_cols, w_rows):
+    """The integer forms of C and f hold only their entries with i < j
+    (with j < k for f), and C' and f' transformed from them by M = m, read
+    as ``m_cols``, and W = w, read as ``w_rows``, equal the full-plane
+    contraction of the dense tensors, both signs written."""
     c, f = B.algebra.int_tensor(), B.cocomm.int_tensor()
-    c_half, f_half = upper_half(c, (0, 1)), upper_half(f, (1, 2))
-    assert len(c_half[1]) * 2 == len(c[1])
-    assert len(f_half[1]) * 2 == len(f[1])
-    assert _structure_int(c, m_cols, w) == _structure_int(c_half, m_cols, w)
-    assert _cocomm_int(f, m_cols, w) == _cocomm_int(f_half, m_cols, w)
+    assert all(i < j for i, j, _ in c[1]) and all(j < k for _, j, k in f[1])
+    n = B.dim
+    assert dense_of_half(_structure_int(c, m_cols, w_rows), (0, 1), n) == (
+        full_transform_structure(B.algebra.c, m, w)
+    )
+    assert dense_of_half(_cocomm_int(f, m_cols, w_rows), (1, 2), n) == (
+        full_transform_cocomm(B.cocomm.f, m, w)
+    )
 
 
 @pytest.mark.parametrize("key", CATALOG.list("bialgebra"))
 def test_transforms_read_only_the_upper_half_on_catalog_bialgebras(key):
-    """C' and f' come out the same from the whole integer tensor as from
-    its entries with i < j (with j < k for f): the lower half is not read."""
+    """C' and f' are read from the stored half alone, i < j (j < k for f),
+    and equal the contraction over every plane."""
     B = CATALOG.bialgebra(key)
     m = pascal(B.dim)
     w = invert(m)
     assert_transforms_read_one_half(
-        B, _int_matrix(m, transpose=True), _int_matrix(w, transpose=False)
+        B, m, w, _int_matrix(m, transpose=True), _int_matrix(w, transpose=False)
     )
 
 
@@ -698,8 +726,11 @@ def test_transforms_read_only_the_upper_half_on_catalog_bialgebras(key):
 @given(so22_adapted_specs())
 def test_transforms_read_only_the_upper_half_on_sweep_bases(case):
     B, spec = case
+    a = spec.h_basis + spec.complement
     m_cols, (e, rows) = _adapted(spec, B.dim)
-    assert_transforms_read_one_half(B, m_cols, (e, _int_rows(rows, transpose=False)))
+    assert_transforms_read_one_half(
+        B, a, invert(a), m_cols, (e, _int_rows(rows, transpose=False))
+    )
 
 
 FRACTIONAL_SCALES = ["1/3", "-5/7*eta", "-2/3*eta^-2", "11/13*xi^-1"]
@@ -751,7 +782,8 @@ def test_minor_transforms_match_full_planes(case):
     enters C' in the first and f' in the second.  Every stored entry of
     the integer forms has key[p] < key[q] and a nonzero term."""
     c, f, m, cancelled = case
-    c_int, f_int = _int_tensor(_nonzero_entries(c)), _int_tensor(_nonzero_entries(f))
+    c_int = _int_tensor([e for e in _nonzero_entries(c) if e[0] < e[1]])
+    f_int = _int_tensor([e for e in _nonzero_entries(f) if e[1] < e[2]])
     assume(c_int[0] > 1 and f_int[0] > 1)
     assert _int_matrix(m, transpose=True)[0] > 1
     n = len(m)

@@ -45,6 +45,7 @@ again.  D(a) caches its image at its own scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -251,21 +252,27 @@ def _term_prefix(coef: PolyExpr) -> str:
     return f"{coef}*"
 
 
+@lru_cache(maxsize=16)
+def _heads(labels: tuple) -> tuple:
+    """``((a, b), "[e_a, e_b] = ")`` for a < b, padded to the widest head."""
+    pairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    heads = [f"[{labels[a]}, {labels[b]}]" for a, b in pairs]
+    width = max(map(len, heads), default=0)
+    return tuple((pair, head.ljust(width) + " = ") for pair, head in zip(pairs, heads))
+
+
 def bracket_table_text(L: LieAlgebra) -> str:
     """Aligned plain-text table of all brackets [e_a, e_b] with a < b, e.g.
     ``[X0, X1] = 2*X1``, each row rendered from its nonzero
     entries in :meth:`LieAlgebra.nonzero`, in one pass that appends each
-    term to its row (``" - "`` before a term that starts with ``-``).  A
-    coefficient shared by several entries, as the entries of a double share
-    those of C and f, is rendered once per call; ``""`` for dim < 2."""
+    term to its row (``" - "`` before a term that starts with ``-``).  Each
+    coefficient keeps its text, so one shared by several entries or tables,
+    as the entries of a double share those of C and f, is rendered once;
+    ``""`` for dim < 2."""
     labels = L.labels
-    prefixes: dict = {}  # id(coef): its term prefix; every coef lives in L
     rows: dict = {}
     for a, b, k, coef in L.nonzero():
-        prefix = prefixes.get(id(coef))
-        if prefix is None:
-            prefix = prefixes[id(coef)] = _term_prefix(coef)
-        term = prefix + labels[k]
+        term = _term_prefix(coef) + labels[k]
         row = rows.get((a, b))
         if row is None:
             rows[a, b] = term
@@ -273,10 +280,4 @@ def bracket_table_text(L: LieAlgebra) -> str:
             rows[a, b] = row + " - " + term[1:]
         else:
             rows[a, b] = row + " + " + term
-    heads = [
-        (f"[{labels[a]}, {labels[b]}]", rows.get((a, b), "0"))
-        for a in range(L.dim)
-        for b in range(a + 1, L.dim)
-    ]
-    width = max((len(head) for head, _ in heads), default=0)
-    return "".join(f"{head.ljust(width)} = {row}\n" for head, row in heads)
+    return "".join([head + rows.get(pair, "0") + "\n" for pair, head in _heads(labels)])

@@ -37,8 +37,9 @@ several terms run through :func:`_div_exact_terms` over ints.
 results divided back.
 
 All values are immutable; instances can be shared freely between threads.
-``-p`` is built once and kept on p and on −p, so ``-(-p) is p``; two
-threads negating p at once may each build an equal one.
+``-p`` is built once and kept on p and on −p, so ``-(-p) is p``, and
+``str(p)`` is rendered on the first call and kept on p; two threads
+negating or rendering p at once may each build an equal one.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def _mono_pow(a: Monomial, n: int) -> Monomial:
 class PolyExpr:
     """Exact polynomial (Laurent) in named real parameters over ℚ."""
 
-    # _neg: the negation, set on both polynomials by the first ``-p``
-    __slots__ = ("terms", "_neg")
+    # _neg: the negation, set on both polynomials by the first ``-p``;
+    # _str: the text, set by the first ``str(p)``
+    __slots__ = ("terms", "_neg", "_str")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean = {}
@@ -258,6 +260,16 @@ class PolyExpr:
     # -- canonical text form --------------------------------------------
 
     def __str__(self) -> str:
+        """The canonical text, rendered on the first call and kept on p."""
+        try:
+            return self._str
+        except AttributeError:
+            text = self._render()
+            _set_str(self, text)
+            return text
+
+    def _render(self) -> str:
+        """The canonical text, rendered anew."""
         if not self.terms:
             return "0"
         parts = []
@@ -396,6 +408,7 @@ def _invert_single_term(p: PolyExpr) -> PolyExpr:
 
 _set_terms = PolyExpr.terms.__set__
 _set_neg = PolyExpr._neg.__set__
+_set_str = PolyExpr._str.__set__
 
 
 def _canonical(terms: dict) -> PolyExpr:

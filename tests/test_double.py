@@ -318,22 +318,64 @@ def assert_rows_match_the_dense_oracle(L, prefix=_term_prefix):
         assert row == format_combo(L.labels, L.c[a][b], prefix), (a, b)
 
 
-def test_bracket_table_renders_each_shared_coefficient_once(so22_twisted, monkeypatch):
-    # the entries of D(D(a)) share the coefficients of C and f; each distinct
-    # coefficient object is rendered once per table, and every row is still
-    # format_combo of the dense row
-    from liedouble import double
-
-    L = double_of_double(so22_twisted).algebra
+def count_renders(monkeypatch):
+    """The list of polynomials whose text is rendered anew from now on."""
     rendered = []
-    real = double._term_prefix
-    monkeypatch.setattr(double, "_term_prefix", lambda c: rendered.append(c) or real(c))
-    assert_rows_match_the_dense_oracle(L, real)
-    upper = [coef for a, b, _, coef in L.nonzero() if a < b]
-    distinct = len({id(coef) for coef in upper})
-    assert len(rendered) == distinct < len(upper)
-    bracket_table_text(L)
-    assert len(rendered) == 2 * distinct  # nothing is kept across calls
+    real = PolyExpr._render
+    monkeypatch.setattr(PolyExpr, "_render", lambda p: rendered.append(p) or real(p))
+    return rendered
+
+
+def coefficient_ids(*algebras):
+    return {id(coef) for L in algebras for *_, coef in L.nonzero()}
+
+
+def test_bracket_table_renders_each_shared_coefficient_once(so22_twisted, monkeypatch):
+    # the entries of D(D(a)) share the coefficients of C and f, and each
+    # coefficient keeps its text: the first table renders each distinct
+    # coefficient object at most once, a second table renders none, and
+    # every row is still format_combo of the dense row
+    L = double_of_double(so22_twisted).algebra
+    rendered = count_renders(monkeypatch)
+    first = bracket_table_text(L)
+    ids = [id(p) for p in rendered]
+    assert len(set(ids)) == len(ids) and set(ids) <= coefficient_ids(L)
+    rendered.clear()
+    assert bracket_table_text(L) == first and rendered == []
+    assert_rows_match_the_dense_oracle(L)
+
+
+@pytest.mark.parametrize("key", ["so22-r1", "so22-twisted@13/17*eta - 19/23"])
+def test_a_double_iterate_op_renders_each_coefficient_once(key, monkeypatch):
+    # the tables of D(a) and then D(D(a)), as `double --iterate` prints them:
+    # D(D(a))'s renders only coefficients that D(a)'s did not, and a second
+    # op on the same bialgebra renders none
+    B = case(key)
+    rendered = count_renders(monkeypatch)
+    D = build_double(B)
+    bracket_table_text(D.algebra)
+    in_first = len(rendered)
+    D2 = double_of_double(B)
+    tables = bracket_table_text(D.algebra), bracket_table_text(D2.algebra)
+    ids = [id(p) for p in rendered]
+    assert len(set(ids)) == len(ids) and set(ids) <= coefficient_ids(D.algebra, D2.algebra)
+    assert not set(ids[in_first:]) & coefficient_ids(D.algebra)
+    rendered.clear()
+    D, D2 = build_double(B), double_of_double(B)
+    assert (bracket_table_text(D.algebra), bracket_table_text(D2.algebra)) == tables
+    assert rendered == []
+
+
+def test_shared_table_heads_keep_each_algebras_rows(so22_r1, so22_twisted):
+    # the doubles of so22-r1 and so22-twisted have the same 12 labels, so
+    # their tables share one set of row heads, but not their rows
+    r1, tw = build_double(so22_r1).algebra, build_double(so22_twisted).algebra
+    assert r1.labels == tw.labels and r1.dim == 12
+    texts = []
+    for L in (r1, tw, r1, tw):
+        assert_rows_match_the_dense_oracle(L)
+        texts.append(bracket_table_text(L))
+    assert texts[0] == texts[2] != texts[1] == texts[3]
 
 
 @pytest.mark.parametrize("key", sorted(catalog.load().list("bialgebra")))

@@ -372,6 +372,21 @@ def wide_polys(draw):
 @ORACLE_SETTINGS
 @given(laurent_polys(NAMES) | wide_polys())
 def test_text_form_matches_the_fraction_formatter(p):
-    assert str(p) == fraction_text(p)
-    assert P(str(p)) == p
+    for _ in range(2):  # rendered, then kept
+        assert str(p) == fraction_text(p)
+        assert P(str(p)) == p
+
+
+def test_text_is_rendered_once_and_kept(monkeypatch):
+    rendered = []
+    real = PolyExpr._render
+    monkeypatch.setattr(PolyExpr, "_render", lambda p: rendered.append(p) or real(p))
+    p = P("2*eta - 1/3*z^-1")
+    first = str(p)
+    assert str(p) is first and rendered == [p]
+    assert PolyExpr.parse(first) == p and PolyExpr.parse(str(p)) == p
+    neg = -p  # built after p has its text: renders its own
+    assert str(neg) == "-2*eta + 1/3*z^-1" and PolyExpr.parse(str(neg)) == neg
+    assert str(-(-p)) is first and len(rendered) == 2
+    assert str(PolyExpr.zero()) == "0" and str(P("x") - P("x")) == "0"
 

@@ -230,9 +230,11 @@ def cmd_double(args) -> int:
 def _parse_generator(expr: str, algebra) -> list:
     """Parse a linear combination like 'P1+P2', '2*K1 - J' or 'J++J-' into a
     vector.  Terms are ``[sign][coef*]label``; labels may contain '+' and
-    '-', so they are matched against the algebra's own, longest first."""
+    '-', so they are matched against the algebra's own, longest first.  A
+    coefficient contains no '+' or '-' except in a negative exponent, as in
+    'eta^-1*K1'."""
     labels = "|".join(map(re.escape, sorted(algebra.labels, key=len, reverse=True)))
-    term = re.compile(rf"([+-]?)(?:([^+-]+?)\*)?({labels})(?=[+-]|$)")
+    term = re.compile(rf"([+-]?)(?:((?:\^-|[^+-])+?)\*)?({labels})(?=[+-]|$)")
     text = expr.replace(" ", "")
     if not text:
         raise ParseError("empty generator expression")

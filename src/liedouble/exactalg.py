@@ -26,13 +26,14 @@ clears the denominators of their factors once and :func:`from_int_terms`
 divides the integer result back.  Such a sum holds each polynomial as a
 terms dict ``{monomial: int}``, zero-free like ``terms``: the same
 monomial tuples, integer coefficients, no zero stored.  One kernel,
-:func:`_add_product`, forms every product in it and keeps it zero-free; the
-Jacobi check, the basis transforms, the adapted pass of
-:mod:`liedouble.homogeneous` and the Bareiss elimination of
-:mod:`liedouble.exactlinalg` all accumulate through it, and
-:func:`_mono_mul` returns a monomial at once when the other factor is
-constant.  The exact divisions of the Bareiss elimination by a pivot of
-several terms run through :func:`_div_exact_terms` over ints.
+:func:`_add_product`, forms a product in it and keeps it zero-free; the
+Jacobi check, the adapted pass of :mod:`liedouble.homogeneous` and the
+Bareiss elimination of :mod:`liedouble.exactlinalg` accumulate through it,
+and :func:`_mono_mul` returns a monomial at once when the other factor is
+constant.  The basis transforms of :mod:`liedouble.liealg` instead regroup
+such dicts by monomial and sum one layer of ints at a time.  The exact
+divisions of the Bareiss elimination by a pivot of several terms run
+through :func:`_div_exact_terms` over ints.
 :class:`~fractions.Fraction` objects are built only for the nonzero
 results divided back.
 

@@ -20,11 +20,11 @@ does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
 appends the identity half as integer unit dicts, so the adapted pass of
 :mod:`liedouble.homogeneous` inverts the s·A its transforms read without
 clearing it again.  An update piv·a − f·b is formed by one call of
-:func:`~liedouble.exactalg._add_product`, the one kernel of every integer
-sum of products, per nonzero product, into one zero-free terms dict, and
-divided exactly by the previous pivot: not at all when the pivot is 1, by
-``divmod`` on the coefficients and a monomial shift when it is one other
-term, by integer long division otherwise.  Every entry of the reduced
+:func:`~liedouble.exactalg._add_product`, the kernel of the integer sums
+of products outside the basis transforms, per nonzero product, into one
+zero-free terms dict, and divided exactly by the previous pivot: not at
+all when the pivot is 1, by ``divmod`` on the coefficients and a monomial
+shift when it is one other term, by integer long division otherwise.  Every entry of the reduced
 matrix of s·A is an r×r minor, r the rank, so it is s^r times that of A:
 the answers above, ratios of two entries, do not depend on s, and only the
 fraction-free vector of :func:`nullspace` is divided back by s^r.  No :class:`~fractions.Fraction`

@@ -47,8 +47,9 @@ and the complement in g.
 
 The pass runs over integers.  The adapted basis A = (h, T) is cleared of
 its denominators once (:func:`_adapted`): the integer Bareiss kernel
-inverts that integer matrix, and the transforms read its columns as M and
-the inverse as W.  C' and f' reach the pass in the integer form of the
+inverts that integer matrix.  Its columns, as M, and the inverse, as W,
+are each regrouped once into monomial layers (``liealg._int_rows``), which
+both transforms read.  C' and f' reach the pass in the integer form of the
 basis transforms (``liealg._structure_int``, ``liealg._cocomm_int``),
 scaled by d_C and d_f, with one entry per antisymmetric pair: C'_ab^k for
 a < b and f'_i^{bc} for b < c; the other half is read as the negation.
@@ -170,10 +171,11 @@ class LagrangianSpec:
 
 def _adapted(spec: LagrangianSpec, n: int):
     """The adapted basis A = (h, T), cleared of its denominators once, and
-    its exact inverse: ``(m_cols, a_inv)`` with ``m_cols`` = (s, columns
-    of s·A) in the form of ``liealg._int_matrix(A, transpose=True)``, and
-    ``a_inv`` = (e, rows) with A⁻¹ = rows / e from the integer Bareiss
-    kernel (``exactlinalg._int_inverse`` of s·A)."""
+    its exact inverse: ``(m_cols, a_inv)`` with ``m_cols`` = (s, the columns
+    of s·A in monomial layers), the form of ``liealg._int_matrix(A,
+    transpose=True)``, which both transforms read as M, and ``a_inv`` =
+    (e, rows) with A⁻¹ = rows / e, dense, from the integer Bareiss kernel
+    (``exactlinalg._int_inverse`` of s·A)."""
     rows = spec.h_basis + spec.complement
     if len(rows) != n:
         raise BasisNotComplete(
@@ -421,7 +423,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     summed over integers at the scales s1 and s2 (module doc)."""
     n = B.dim
     m_cols, (e, inv_rows) = _adapted(spec, n)
-    # both transforms read one integer form of A's columns and of A⁻¹
+    # both transforms read one layered form of A's columns and of A⁻¹
     w = (e, _int_rows(inv_rows, transpose=False))
     d_c, c = c_int = _structure_int(B.algebra.int_tensor(), m_cols, w)
     d_f, f = f_int = _cocomm_int(B.cocomm.int_tensor(), m_cols, w)

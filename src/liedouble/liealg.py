@@ -15,22 +15,24 @@ added with a sign into the one sorted triple it belongs to, and over
 integers: the structure constants are read, scaled by the lcm d of their
 denominators, from the algebra's integer form, and every product is
 accumulated by :func:`~liedouble.exactalg._add_product` into the terms dict
-of its component.  Only the nonzero sums are divided back by d².  The basis
-transforms (:func:`transform_structure`, :func:`transform_cocomm`) run on
-the same integer terms dicts and the same kernel.  Each reads the stored
-half of its tensor, C_ij^k with i < j or f_i^{jk} with j < k, and
-contracts that pair in one step with the 2×2 minors of the
-matrix, M_a^i M_b^j − M_a^j M_b^i for C' and W_j^b W_k^c − W_j^c W_k^b
-for f', built only for the pairs that occur; every output pair a < b is
-then one sum over half the entries.  The remaining slot is contracted
-with the matrix itself.  Both are thin dense wrappers over one integer
-contraction path, which takes the tensor and the matrices in integer
-form and returns the transformed tensor in integer form, one entry per
-antisymmetric pair
-(:func:`_structure_int`, :func:`_cocomm_int`); the adapted pass of
-:mod:`liedouble.homogeneous` feeds it the cached tensors below, the
-adapted basis cleared once and its inverse straight from the integer
-Bareiss kernel, and reads its output as it is.
+of its component.  Only the nonzero sums are divided back by d².
+
+The basis transforms (:func:`transform_structure`, :func:`transform_cocomm`)
+read the same integer form, regrouped by monomial once into layers
+``{mono: {key: int}}``, and each matrix as layers ``{mono: {x: [(y, int)]}}``
+(:func:`_int_rows`): a pair of layers multiplies its monomials once and
+sums its ints by plain multiply-adds.  Each transform contracts the stored
+half of its tensor, C_ij^k with i < j or f_i^{jk} with j < k, in one step
+with the 2×2 minors of the matrix, M_a^i M_b^j − M_a^j M_b^i for C' and
+W_j^b W_k^c − W_j^c W_k^b for f', built only for the pairs that occur, so
+every output pair a < b is one sum over half the entries; then the
+remaining slot with the matrix itself.  Both are thin dense wrappers over
+one integer contraction path (:func:`_structure_int`, :func:`_cocomm_int`),
+which returns the transformed tensor in the zero-free integer form, one
+entry per antisymmetric pair; the adapted pass of
+:mod:`liedouble.homogeneous` feeds it the cached tensors below and the
+layers of the adapted basis, cleared once, and of its inverse from the
+integer Bareiss kernel, and reads its output as it is.
 
 An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
@@ -61,6 +63,7 @@ from .exactalg import (
     PolyExpr,
     PolyLike,
     _add_product,
+    _mono_mul,
     as_poly,
     from_int_terms,
     to_int_terms,
@@ -400,22 +403,25 @@ class BasisChange:
 
 
 def _int_rows(rows: list, transpose: bool) -> dict:
-    """``{x: [(y, terms)]}`` over the nonzero entries of row x of a dense
-    matrix of integer terms dicts (of column x with ``transpose``)."""
+    """The nonzero entries of a dense matrix of integer terms dicts as
+    layers, one per monomial: ``{mono: {x: [(y, int)]}}`` over row x (over
+    column x with ``transpose``), so entry (x, y) is the sum of its layers'
+    ints times their monomials."""
     out: dict = {}
     for x, row in enumerate(rows):
         for y, terms in enumerate(row):
-            if terms:
+            for mono, v in terms.items():
+                layer = out.setdefault(mono, {})
                 if transpose:
-                    out.setdefault(y, []).append((x, terms))
+                    layer.setdefault(y, []).append((x, v))
                 else:
-                    out.setdefault(x, []).append((y, terms))
+                    layer.setdefault(x, []).append((y, v))
     return out
 
 
 def _int_matrix(m: Matrix, transpose: bool) -> tuple[int, dict]:
-    """Clear the denominators of a matrix once: ``(d, rows)`` with ``rows``
-    the :func:`_int_rows` of ``d*m`` as
+    """Clear the denominators of a matrix once: ``(d, layers)`` with
+    ``layers`` the :func:`_int_rows` of ``d*m`` as
     :func:`~liedouble.exactlinalg._cleared` gives it.  The adapted pass
     builds the same form from the adapted basis it inverts."""
     d, scaled = _cleared(m)
@@ -429,77 +435,103 @@ def _int_tensor(entries) -> tuple[int, dict]:
     return d, {(i, j, k): terms for (i, j, k, _), terms in zip(entries, scaled)}
 
 
-def _nonzero(out: dict) -> dict:
-    """The entries of ``{key: {mono: int}}`` whose zero-free terms dict is
-    not empty."""
-    return {key: acc for key, acc in out.items() if acc}
+def _regroup(nested: dict) -> dict:
+    """``{b: {a: v}}`` for the nonzero ints v of ``{a: {b: v}}``: an integer
+    tensor ``{key: {mono: int}}`` regrouped into layers ``{mono: {key:
+    int}}``, or layers back into a zero-free tensor."""
+    out: dict = {}
+    for a, inner in nested.items():
+        for b, v in inner.items():
+            if v:
+                out.setdefault(b, {})[a] = v
+    return out
 
 
 def _contract(tensor: dict, slot: int, rows: dict) -> dict:
-    """Contract index ``slot`` of an integer 3-tensor with a matrix:
-    out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over Python ints."""
+    """Contract index ``slot`` of an integer 3-tensor with a matrix, both as
+    layers: out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over
+    Python ints, one monomial product per pair of layers.  The layers out
+    keep an int that cancels as 0; :func:`_regroup` drops it."""
     out: dict = {}
-    for key, t1 in tensor.items():
-        for y, t2 in rows.get(key[slot], ()):
-            new = key[:slot] + (y,) + key[slot + 1 :]
-            _add_product(out.setdefault(new, {}), 1, t1, t2)
-    return _nonzero(out)
+    for m1, t1 in tensor.items():
+        for m2, r in rows.items():
+            acc = out.setdefault(_mono_mul(m1, m2), {})
+            for key, c1 in t1.items():
+                for y, c2 in r.get(key[slot], ()):
+                    new = key[:slot] + (y,) + key[slot + 1 :]
+                    acc[new] = acc.get(new, 0) + c1 * c2
+    return out
 
 
-def _minors(rows: dict, x: int, y: int) -> list:
-    """The nonzero 2×2 minors rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b]
-    of rows x and y of a matrix in the form of :func:`_int_rows`, a < b, as
-    ``[((a, b), terms)]``.  Each product rows[x][a]·rows[y][b] of two
-    nonzero entries is a term of one minor: added at (a, b) when a < b,
-    subtracted at (b, a) when a > b."""
+def _minors(rows: dict, pairs) -> dict:
+    """The nonzero 2×2 minors rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b],
+    a < b, of the pairs of rows (x, y) in ``pairs`` of a matrix in the
+    layered form of :func:`_int_rows`, as layers ``{mono: {(x, y): [((a, b),
+    int)]}}``.  Each product of two nonzero entries is a term of one minor:
+    added at (a, b) when a < b, subtracted at (b, a) when a > b.  A minor
+    that cancels is in no layer."""
+    acc: dict = {}
+    for m1, l1 in rows.items():
+        for m2, l2 in rows.items():
+            layer = acc.setdefault(_mono_mul(m1, m2), {})
+            for x, y in pairs:
+                xs, ys = l1.get(x), l2.get(y)
+                if xs and ys:
+                    lam = layer.setdefault((x, y), {})
+                    for a, c1 in xs:
+                        for b, c2 in ys:
+                            if a < b:
+                                lam[a, b] = lam.get((a, b), 0) + c1 * c2
+                            elif a > b:
+                                lam[b, a] = lam.get((b, a), 0) - c1 * c2
     out: dict = {}
-    ys = rows.get(y, ())
-    for a, t1 in rows.get(x, ()):
-        for b, t2 in ys:
-            if a < b:
-                _add_product(out.setdefault((a, b), {}), 1, t1, t2)
-            elif a > b:
-                _add_product(out.setdefault((b, a), {}), -1, t1, t2)
-    return list(_nonzero(out).items())
+    for mono, layer in acc.items():
+        for pair, lam in layer.items():
+            nonzero = [(ab, v) for ab, v in lam.items() if v]
+            if nonzero:
+                out.setdefault(mono, {})[pair] = nonzero
+    return out
 
 
 def _contract_pair(tensor: dict, slot: int, rows: dict) -> dict:
     """Contract the pair of slots (slot, slot + 1), in which ``tensor`` is
-    antisymmetric and stored with x < y, with a matrix: out[.., a, b, ..] =
-    Σ_{x<y} tensor[.., x, y, ..] · (rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b])
-    for a < b, over Python ints.  The minors (:func:`_minors`) are built
-    once for each pair (x, y) that occurs."""
-    minors: dict = {}
+    antisymmetric and stored with x < y, with a matrix, both as layers:
+    out[.., a, b, ..] = Σ_{x<y} tensor[.., x, y, ..] · (rows[x][a]·rows[y][b]
+    − rows[y][a]·rows[x][b]) for a < b, over Python ints, as
+    :func:`_contract` sums.  The minors (:func:`_minors`) are built once for
+    the pairs (x, y) that occur."""
+    minors = _minors(rows, {key[slot : slot + 2] for t in tensor.values() for key in t})
     out: dict = {}
-    for key, t1 in tensor.items():
-        pair = key[slot : slot + 2]
-        lam = minors.get(pair)
-        if lam is None:
-            lam = minors[pair] = _minors(rows, *pair)
-        for ab, t2 in lam:
-            new = key[:slot] + ab + key[slot + 2 :]
-            _add_product(out.setdefault(new, {}), 1, t1, t2)
-    return _nonzero(out)
+    for m1, t1 in tensor.items():
+        for m2, lams in minors.items():
+            acc = out.setdefault(_mono_mul(m1, m2), {})
+            for key, c1 in t1.items():
+                for ab, c2 in lams.get(key[slot : slot + 2], ()):
+                    new = key[:slot] + ab + key[slot + 2 :]
+                    acc[new] = acc.get(new, 0) + c1 * c2
+    return out
 
 
 def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
-    """C' of :func:`transform_structure` in integer form, its entries with
-    a < b only, from the integer forms of C (its stored half, i < j), of
-    the columns of M and of the rows of W, each ``(scale,
-    entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
-    ``(d·e_M²·e_W, entries)``."""
+    """C' of :func:`transform_structure` in integer form, ``(d·e_M²·e_W,
+    entries)`` with its entries a < b only, from the integer forms ``(scale,
+    entries)`` of C (its stored half, i < j, as :func:`_int_tensor` gives
+    it) and of the columns of M and the rows of W (in the layers of
+    :func:`_int_matrix`)."""
     (d, c), (e_m, cols), (e_w, rows) = t, m_cols, w
-    return d * e_m * e_m * e_w, _contract(_contract_pair(c, 0, cols), 2, rows)
+    c2 = _contract(_contract_pair(_regroup(c), 0, cols), 2, rows)
+    return d * e_m * e_m * e_w, _regroup(c2)
 
 
 def _cocomm_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
-    """f' of :func:`transform_cocomm` in integer form, its entries with
-    b < c only, from the integer forms of f (its stored half, j < k), of
-    the columns of M and of the rows of W, each ``(scale,
-    entries)`` as :func:`_int_tensor` and :func:`_int_matrix` give them:
-    ``(d·e_M·e_W², entries)``."""
+    """f' of :func:`transform_cocomm` in integer form, ``(d·e_M·e_W²,
+    entries)`` with its entries b < c only, from the integer forms ``(scale,
+    entries)`` of f (its stored half, j < k, as :func:`_int_tensor` gives
+    it) and of the columns of M and the rows of W (in the layers of
+    :func:`_int_matrix`)."""
     (d, f), (e_m, cols), (e_w, rows) = t, m_cols, w
-    return d * e_m * e_w * e_w, _contract(_contract_pair(f, 1, rows), 0, cols)
+    f2 = _contract(_contract_pair(_regroup(f), 1, rows), 0, cols)
+    return d * e_m * e_w * e_w, _regroup(f2)
 
 
 def transform_structure(c, m: Matrix, w: Matrix):

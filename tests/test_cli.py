@@ -377,6 +377,7 @@ def test_classify_names_the_nonvanishing_pairing(tmp_path):
         ("2*J+ - J3", ["-1", "2", "0"]),
         ("-J-", ["0", "0", "-1"]),
         ("1/2*eta*J3-J+", ["1/2*eta", "-1", "0"]),
+        ("eta^-2*J-+J3", ["1", "0", "eta^-2"]),
     ],
 )
 def test_parse_generator_signed_labels(sl2_std, expr, expected):
@@ -398,6 +399,23 @@ def test_parse_generator_rejects_malformed(sl2_std, expr):
 
 def test_classify_bad_generator(tmp_path):
     assert main(["classify", "sl2-hyp", "span{Q9}"]) == 2
+    assert main(["classify", "so22-r1", "span{1/0*J}"]) == 2
+
+
+@pytest.mark.parametrize("span, combos, code", [
+    # a subalgebra: l passes
+    ("span{J-eta^-1*K1}", [{"J": "1", "K1": "-eta^-1"}], 0),
+    # not a subalgebra: l fails verification, which is no input error
+    ("span{eta*J+eta^-1*K1,K2}", [{"J": "eta", "K1": "eta^-1"}, {"K2": "1"}], 1),
+])
+def test_classify_generator_with_a_negative_exponent(tmp_path, span, combos, code):
+    # the '-' of 'eta^-1' belongs to the coefficient, not to the next term
+    L = catalog.load().bialgebra("so22-r1").algebra
+    generators = span[len("span{"):-1].split(",")
+    assert [_parse_generator(g, L) for g in generators] == [L.vector(c) for c in combos]
+    got, report = run(tmp_path, "classify", "so22-r1", span)
+    assert got == code
+    assert report["verdicts"]["subalgebra"] == ("pass" if code == 0 else "fail")
 
 
 def test_classify_completes_the_basis_with_one_rank_per_candidate(monkeypatch, capsys):

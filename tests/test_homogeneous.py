@@ -19,7 +19,7 @@ from liedouble.errors import (
     WrongDimension,
 )
 from liedouble.exactalg import PolyExpr, from_int_terms
-from liedouble.exactlinalg import _inverse, mat, rank, solve_in_span
+from liedouble.exactlinalg import _cleared, _inverse, mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
     Subspace,
@@ -34,6 +34,12 @@ from liedouble.homogeneous import (
     lagrangian_from_pi,
 )
 from liedouble.liealg import _int_matrix, bracket
+from test_liealg import (
+    dense_of_half,
+    dense_of_layers,
+    full_transform_cocomm,
+    full_transform_structure,
+)
 
 P = PolyExpr.parse
 
@@ -584,13 +590,16 @@ def unit_complement(B, h):
     return out
 
 
-def check_against_double(B, h, pi):
+def check_against_double(B, h, pi, complement=None):
     """classify's verdicts and table, and lagrangian_bracket_table, against
     l built in the double: the pairing, and each bracket of l's basis solved
-    in its span by elimination."""
+    in its span by elimination.  The complement defaults to the unit
+    vectors that complete h."""
     D = build_double(B)
     h = mat(h)
-    spec = LagrangianSpec(h, unit_complement(B, h), mat(pi))
+    if complement is None:
+        complement = unit_complement(B, h)
+    spec = LagrangianSpec(h, complement, mat(pi))
     rep = classify(D, B, spec)
     l = lagrangian_from_pi(D, spec)
     assert rank(l.vectors) == B.dim
@@ -651,6 +660,65 @@ def frame_cases(draw):
 @given(frame_cases())
 def test_classify_matches_double_route(case):
     check_against_double(*case)
+
+
+SO22_LABEL_SUBALGEBRAS = [
+    ("J", "K1", "K2"), ("J", "P1", "P2"), ("P0", "P1", "K1"), ("P0", "P2", "K2"),
+]
+PARAMETRIC_ENTRIES = ["0", "1", "-1", "eta", "-eta", "eta^-1"]
+
+
+@st.composite
+def parametric_so22_specs(draw):
+    """so22-r1 or so22-twisted, h with rows over 0, ±1, ±eta and eta^-1, the
+    unit vectors off three pivot columns as the complement, and π zero or
+    antisymmetric.  On the pivot columns h is triangular with a nonzero
+    diagonal, so det A is one term and A⁻¹ is a Laurent matrix; M and W then
+    have several monomial layers.  Half the time h is confined to the pivot
+    columns, and when those are a label subalgebra's, h spans it."""
+    B = CATALOG.bialgebra(draw(st.sampled_from(["so22-r1", "so22-twisted"])))
+    L = B.algebra
+    n = B.dim
+    pivots = draw(st.one_of(
+        st.sampled_from(SO22_LABEL_SUBALGEBRAS).map(lambda labels: [L.index(x) for x in labels]),
+        st.permutations(range(n)).map(lambda cols: cols[:3]),
+    ))
+    confined = draw(st.booleans())
+    entry = st.sampled_from(PARAMETRIC_ENTRIES)
+    h = []
+    for r, p in enumerate(pivots):
+        row = []
+        for col in range(n):
+            if col == p:
+                row.append(draw(entry.filter(lambda x: x != "0")))
+            elif col in pivots[:r] or (confined and col not in pivots):
+                row.append("0")
+            else:
+                row.append(draw(entry))
+        h.append(row)
+    h = mat([h[r] for r in draw(st.permutations(range(3)))])
+    complement = [L.basis_vector(i) for i in range(n) if i not in pivots]
+    pi = [[0] * 3 for _ in range(3)]
+    if draw(st.booleans()):
+        for a, b in combinations(range(3), 2):
+            pi[a][b] = draw(st.sampled_from(ETA_VALUES))
+            pi[b][a] = -P(pi[a][b])
+    return B, h, complement, mat(pi)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(parametric_so22_specs())
+def test_adapted_pass_on_parametric_bases(case):
+    """C' and f' of the adapted pass equal the full-plane contraction, and
+    classify's verdicts and table the reference route, on adapted bases
+    whose M and W have several monomial layers and Laurent entries."""
+    B, h, complement, pi = case
+    a = h + complement
+    w = exactlinalg.invert(a)
+    p = homogeneous._adapted_pass(B, LagrangianSpec(h, complement, pi))
+    assert dense_of_half(p.c_int, (0, 1), B.dim) == full_transform_structure(B.algebra.c, a, w)
+    assert dense_of_half(p.f_int, (1, 2), B.dim) == full_transform_cocomm(B.cocomm.f, a, w)
+    check_against_double(B, h, pi, complement)
 
 
 @pytest.mark.parametrize("key", BIALGEBRAS)
@@ -874,7 +942,8 @@ def test_so22_twisted_pass_at_cocommutator_scale_two():
 
 def test_adapted_returns_the_integer_basis_and_its_inverse():
     """_adapted clears A = (h, T) once: its columns are those of
-    _int_matrix(A, transpose=True), and its inverse is _inverse(A)."""
+    _int_matrix(A, transpose=True), one layer per monomial that together
+    hold s·A, and its inverse is _inverse(A)."""
     # upper triangular, det = 1/6*eta^-1: cleared at s = 6, Laurent inverse
     laurent = spec_with_zero_pi([["1/2", "eta", 0]], [[0, "1/3", 0], [0, 0, "eta^-1"]])
     cases = [(B.dim, spec) for _, B, spec in cost_guard_cases()] + [(3, laurent)]
@@ -882,8 +951,10 @@ def test_adapted_returns_the_integer_basis_and_its_inverse():
         rows = spec.h_basis + spec.complement
         m_cols, a_inv = _adapted(spec, n)
         assert m_cols == _int_matrix(rows, transpose=True)
+        assert dense_of_layers(m_cols[1], n, transpose=True) == _cleared(rows)[1]
         assert a_inv == _inverse(rows)
     assert m_cols[0] == 6
+    assert set(m_cols[1]) == {(), (("eta", 1),), (("eta", -1),)}
 
 
 ADAPTED_ERRORS = [

@@ -20,7 +20,7 @@ from liedouble.bialgebra import substitute_params as substitute_bialgebra_params
 from liedouble.bialgebra import to_json as bialgebra_to_json
 from liedouble.double import build_double, double_of_double
 from liedouble.exactalg import PolyExpr, from_int_terms, poly_div_exact
-from liedouble.exactlinalg import invert, mat, rank
+from liedouble.exactlinalg import _cleared, invert, mat, rank
 from liedouble.homogeneous import LagrangianSpec, _adapted, _adapted_pass, classify
 from liedouble.liealg import (
     BasisChange,
@@ -725,12 +725,16 @@ def test_transforms_read_only_the_upper_half_on_catalog_bialgebras(key):
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(so22_adapted_specs())
 def test_transforms_read_only_the_upper_half_on_sweep_bases(case):
+    """The sweep's integer bases give M and W one layer each, the constant
+    monomial, which holds every nonzero entry of s·A and of e·A⁻¹."""
     B, spec = case
     a = spec.h_basis + spec.complement
     m_cols, (e, rows) = _adapted(spec, B.dim)
-    assert_transforms_read_one_half(
-        B, a, invert(a), m_cols, (e, _int_rows(rows, transpose=False))
-    )
+    w_rows = (e, _int_rows(rows, transpose=False))
+    for (_, layers), dense, transpose in ((m_cols, _cleared(a)[1], True), (w_rows, rows, False)):
+        assert list(layers) == [()]
+        assert dense_of_layers(layers, B.dim, transpose) == dense
+    assert_transforms_read_one_half(B, a, invert(a), m_cols, w_rows)
 
 
 FRACTIONAL_SCALES = ["1/3", "-5/7*eta", "-2/3*eta^-2", "11/13*xi^-1"]
@@ -765,13 +769,35 @@ def minor_bases(draw):
     return L.c, f, m, cancelled
 
 
+def dense_of_layers(layers, n, transpose):
+    """The dense n×n matrix of integer terms dicts that the layers
+    ``{mono: {x: [(y, int)]}}`` of :func:`_int_rows` hold, entry (x, y), or
+    (y, x) with ``transpose``; each int is nonzero and each entry occurs
+    at most once in a layer."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for mono, layer in layers.items():
+        for x, entries in layer.items():
+            for y, v in entries:
+                row, col = (y, x) if transpose else (x, y)
+                assert v and mono not in out[row][col]
+                out[row][col][mono] = v
+    return out
+
+
 def minors_of(m, transpose):
     """{(x, y): {(a, b) with a nonzero minor}} of the rows of m (of its
-    columns with ``transpose``), as the transforms build them."""
-    rows = _int_matrix(m, transpose)[1]
-    n = len(m)
-    return {(x, y): {ab for ab, _ in _minors(rows, x, y)}
-            for x, y in combinations(range(n), 2)}
+    columns with ``transpose``), as the transforms build them: in monomial
+    layers, each holding a pair (a, b) at most once and only with a nonzero
+    int, so a minor that cancels is in no layer."""
+    layers = _int_matrix(m, transpose)[1]
+    pairs = list(combinations(range(len(m)), 2))
+    found = {pair: set() for pair in pairs}
+    for layer in _minors(layers, pairs).values():
+        for pair, lam in layer.items():
+            assert lam and all(v for _, v in lam)
+            assert len({ab for ab, _ in lam}) == len(lam)
+            found[pair] |= {ab for ab, _ in lam}
+    return found
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .bialgebra import CocommTensor, LieBialgebra, from_json as bialgebra_from_json
+from .bialgebra import LieBialgebra, from_json as bialgebra_from_json
 from .errors import ParseError, UnknownKey
 from .exactalg import PolyExpr
 from .liealg import (
@@ -42,7 +42,6 @@ from .rmatrix import (
     RMatrix,
     _cybe_residual,
     _defect_note,
-    _dual_algebra,
     cocommutator_from_r,
     rmatrix_from_wedge,
 )
@@ -162,9 +161,7 @@ def _build_bialgebra(cat: Catalog, data: dict) -> LieBialgebra:
     if r is not None:
         if data.get("r_matrix_subs"):
             r = r.substitute(data["r_matrix_subs"])
-        mismatch = _first_difference(
-            bial.algebra.labels, bial.cocomm, cocommutator_from_r(bial.algebra, r)
-        )
+        mismatch = _first_difference(bial.cocomm, cocommutator_from_r(bial.algebra, r))
         if mismatch:
             raise ParseError(
                 f"bialgebra {data['key']!r} disagrees with its generating "
@@ -173,15 +170,15 @@ def _build_bialgebra(cat: Catalog, data: dict) -> LieBialgebra:
     return bial
 
 
-def _first_difference(labels, f: CocommTensor, g: CocommTensor) -> str:
+def _first_difference(f: LieAlgebra, g: LieAlgebra) -> str:
     """``"f_(X_i)^(X_j, X_k) = <f value>, but δ_r gives <g value>"`` at the
-    first (i, j, k), j < k, where two cocommutators (antisymmetric in (j, k))
-    differ; empty if they agree."""
-    ours, theirs = ({e[:3]: e[3] for e in t.nonzero()} for t in (f, g))
+    first f_i^{jk} in (i, j, k) order, j < k, where two cocommutators, held
+    as g* with C*_jk^i = f_i^{jk}, differ; empty if they agree."""
+    ours, theirs = ({(i, j, k): v for j, k, i, v in t.nonzero()} for t in (f, g))
     for key in sorted(ours.keys() | theirs.keys()):
         mine, other = (t.get(key, PolyExpr.zero()) for t in (ours, theirs))
         if mine != other:
-            note = _component(labels, "f", key[:1], key[1:], mine)
+            note = _component(f.labels, "f", key[:1], key[1:], mine)
             return f"{note}, but δ_r gives {other}"
     return ""
 
@@ -195,7 +192,7 @@ def _build_rmatrix(cat: Catalog, data: dict) -> RMatrix:
     f = cocommutator_from_r(alg, r)
     residuals = {
         "CYBE": _cybe_residual(alg, r, f),
-        "mCYBE": _dual_algebra(alg, f).jacobi_components(),
+        "mCYBE": f.jacobi_components(),
     }
     for name, residual in residuals.items():
         if (not residual) != data["verdicts"][name.lower()]:

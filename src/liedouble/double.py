@@ -14,11 +14,12 @@ normalization u∧v = u⊗v − v⊗u this is the tensor whose basis transports
 land exactly on the published quasitriangular r-matrices.
 
 The canonical cocommutator of the double is
-δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k; feeding it back
+δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k, held, as every
+δ is, as the algebra it is dual to: D(g)* = (g*)ᵒᵖ ⊕ g.  Feeding it back
 into the construction yields D(D(a)) on the ordered basis {X, x, y, Y},
 whose algebra ``bialgebra._double_algebra`` assigns from the entries of
-D(a) and δ_D as it does D(a) from C and f.  δ_D is built from entries too;
-no dense tensor of D(a), δ_D or D(D(a)) is filled unless it is read.
+D(a) and D(g)* as it does D(a) from C and g*.  D(g)* is built from entries
+too; no dense tensor of D(a), δ_D or D(D(a)) is filled unless it is read.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
@@ -49,7 +50,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from .bialgebra import CocommTensor, LieBialgebra, _double_algebra, _rescaled
+from .bialgebra import LieBialgebra, _double_algebra, _rescaled
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
 from .exactlinalg import Vector
@@ -100,26 +101,30 @@ def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
     return _canonical(terms)
 
 
-def canonical_cocommutator(D: DoubleAlgebra) -> CocommTensor:
-    """δ_D from the canonical element: δ_D(X_i) = −f_i^{jk} X_j⊗X_k,
-    δ_D(x^i) = C_jk^i x^j⊗x^k.  Its sparse view and integer form are
-    assigned, the latter at the scale of D(a), as each stored entry is one
-    stored entry of D(a): −f_i^{jk} = f_i^{kj} (j < k) is the X_j entry of
-    [X_i, x^k], and C_jk^i the X_i entry of [X_j, X_k]."""
+def canonical_cocommutator(D: DoubleAlgebra) -> LieAlgebra:
+    """δ_D from the canonical element, δ_D(X_i) = −f_i^{jk} X_j⊗X_k and
+    δ_D(x^i) = C_jk^i x^j⊗x^k, as the algebra D(g)* it is dual to,
+    labelled by D(g)'s basis: [x^j, x^k] = −f_i^{jk} x^i on the X-duals and
+    [x^j, x^k] = C_jk^i x^i on the x-duals, so D(g)* = (g*)ᵒᵖ ⊕ g.  Its
+    sparse view and integer form are assigned, the latter at the scale of
+    D(a), as each stored entry is one stored entry of D(a): −f_i^{jk} =
+    f_i^{kj} (j < k) is the X_j entry of [X_i, x^k], and C_jk^i the X_i
+    entry of [X_j, X_k]."""
     n = D.n
     d, ints = D.algebra.int_tensor()
     entries, f_int = [], {}
     for a, b, c, coef in D.algebra.nonzero():
         if b < n:  # C_ab^c
-            key = (n + c, n + a, n + b)
+            key = (n + a, n + b, n + c)
         elif a < n and c < b - n:  # f_a^{(b-n)c} = −f_a^{c(b-n)}
-            key = (a, c, b - n)
+            key = (c, b - n, a)
         else:
             continue
         entries.append((*key, coef))
         f_int[key] = ints[a, b, c]
     entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
-    return CocommTensor(2 * n, entries, _int=(d, f_int))
+    # every entry of D(a) is ± one of C or f, each of which is one of δ_D
+    return LieAlgebra(2 * n, D.algebra.labels, D.algebra.params, entries, _int=(d, f_int))
 
 
 def second_dual_labels(n: int) -> tuple[str, ...]:

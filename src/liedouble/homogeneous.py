@@ -50,9 +50,10 @@ its denominators once (:func:`_adapted`): the integer Bareiss kernel
 inverts that integer matrix.  Its columns, as M, and the inverse, as W,
 are each regrouped once into monomial layers (``liealg._int_rows``), which
 both transforms read.  C' and f' reach the pass in the integer form of the
-basis transforms (``liealg._structure_int``, ``liealg._cocomm_int``),
-scaled by d_C and d_f, with one entry per antisymmetric pair: C'_ab^k for
-a < b and f'_i^{bc} for b < c; the other half is read as the negation.
+basis transform ``liealg._structure_int``, C' from C with (M, W) and f'
+from g* with (Wᵀ, Mᵀ), scaled by d_C and d_f, with one entry per
+antisymmetric pair: C'_ab^k for a < b and f'_i^{bc}, keyed (b, c, i), for
+b < c; the other half is read as the negation.
 π's denominators are cleared once, at the scale d_π.  M, R and the
 H-part of [H_i, X^α] are then sums over ints at the scale
 s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
@@ -118,7 +119,6 @@ from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
     _algebra_of,
-    _cocomm_int,
     _component,
     _int_rows,
     _nonzero_entries,
@@ -171,10 +171,8 @@ class LagrangianSpec:
 
 def _adapted(spec: LagrangianSpec, n: int):
     """The adapted basis A = (h, T), cleared of its denominators once, and
-    its exact inverse: ``(m_cols, a_inv)`` with ``m_cols`` = (s, the columns
-    of s·A in monomial layers), the form of ``liealg._int_matrix(A,
-    transpose=True)``, which both transforms read as M, and ``a_inv`` =
-    (e, rows) with A⁻¹ = rows / e, dense, from the integer Bareiss kernel
+    its exact inverse, both dense: ``((s, a), (e, rows))`` with A = a / s
+    and A⁻¹ = rows / e, from the integer Bareiss kernel
     (``exactlinalg._int_inverse`` of s·A)."""
     rows = spec.h_basis + spec.complement
     if len(rows) != n:
@@ -183,10 +181,9 @@ def _adapted(spec: LagrangianSpec, n: int):
         )
     s, a = _cleared(rows)
     try:
-        a_inv = _int_inverse(s, a)
+        return (s, a), _int_inverse(s, a)
     except SingularMatrix:
         raise BasisNotComplete("h-basis plus complement do not span g") from None
-    return (s, _int_rows(a, transpose=True)), a_inv
 
 
 def annihilator(D: DoubleAlgebra, h: Subspace) -> Subspace:
@@ -399,7 +396,7 @@ class _AdaptedPass:
     from (C', f', π), computed once over integers (module doc)."""
 
     c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
-    f_int: tuple        # (d_f, {(i, b, c): terms}): f' in integer form, b < c
+    f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c
     # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, terms,
     # d_π), the value the terms divided by d_π; None when π is antisymmetric,
     # i.e. l is Lagrangian
@@ -422,11 +419,13 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     with the first nonzero component that must vanish for each to lie in l,
     summed over integers at the scales s1 and s2 (module doc)."""
     n = B.dim
-    m_cols, (e, inv_rows) = _adapted(spec, n)
-    # both transforms read one layered form of A's columns and of A⁻¹
+    (s, a_int), (e, inv_rows) = _adapted(spec, n)
+    # both transforms read one layered form of A's columns and of A⁻¹: C by
+    # (M, W) and g* by (Wᵀ, Mᵀ), whose columns and rows those are
+    m_cols = (s, _int_rows(a_int, transpose=True))
     w = (e, _int_rows(inv_rows, transpose=False))
     d_c, c = c_int = _structure_int(B.algebra.int_tensor(), m_cols, w)
-    d_f, f = f_int = _cocomm_int(B.cocomm.int_tensor(), m_cols, w)
+    d_f, f = f_int = _structure_int(B.cocomm.int_tensor(), w, m_cols)
     n_h, n_t = spec.n_h, spec.n_t
     pi = spec.pi
     keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
@@ -454,7 +453,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     no_terms: dict = {}
     unit = {(): 1}  # the constant 1, to add s·t as the product s·t·1
     m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
-    for (i, b, u), t in f.items():
+    for (b, u, i), t in f.items():
         if i >= n_h:
             if b >= n_h:
                 f_tt.setdefault((i - n_h, b - n_h), []).append((u, 1, t))
@@ -505,7 +504,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             row = []
             for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
                 h = {}
-                t = f.get((i, j, t_a))
+                t = f.get((j, t_a, i))
                 if t:
                     _add_product(h, -f_mul, t, unit)
                 for b, v in pi_rows[a]:
@@ -598,8 +597,8 @@ def classify(
     mixed = []
     for i in range(n_h):  # the h∧T block of δ(H_i), stored as j < k
         for j, k in product(range(n_h), range(n_h, n)):
-            if (i, j, k) in f:
-                mixed.append(("delta", (i,), (j, k), f[i, j, k], d_f))
+            if (j, k, i) in f:
+                mixed.append(("delta", (i,), (j, k), f[j, k, i], d_f))
                 break
     subalg = not p.failing
     coisotropic = (

@@ -17,21 +17,25 @@ denominators, from the algebra's integer form, and every product is
 accumulated by :func:`~liedouble.exactalg._add_product` into the terms dict
 of its component.  Only the nonzero sums are divided back by d².
 
-The basis transforms (:func:`transform_structure`, :func:`transform_cocomm`)
-read the same integer form, regrouped by monomial once into layers
-``{mono: {key: int}}``, and each matrix as layers ``{mono: {x: [(y, int)]}}``
-(:func:`_int_rows`): a pair of layers multiplies its monomials once and
-sums its ints by plain multiply-adds.  Each transform contracts the stored
-half of its tensor, C_ij^k with i < j or f_i^{jk} with j < k, in one step
-with the 2×2 minors of the matrix, M_a^i M_b^j − M_a^j M_b^i for C' and
-W_j^b W_k^c − W_j^c W_k^b for f', built only for the pairs that occur, so
-every output pair a < b is one sum over half the entries; then the
-remaining slot with the matrix itself.  Both are thin dense wrappers over
-one integer contraction path (:func:`_structure_int`, :func:`_cocomm_int`),
-which returns the transformed tensor in the zero-free integer form, one
-entry per antisymmetric pair; the adapted pass of
-:mod:`liedouble.homogeneous` feeds it the cached tensors below and the
-layers of the adapted basis, cleared once, and of its inverse from the
+The cocommutator δ(X_i) = f_i^{jk} X_j⊗X_k of a Lie bialgebra is stored
+as the algebra g* it is dual to, [x^j, x^k] = f_i^{jk} x^i, labelled by
+the basis of g: its C*_jk^i = f_i^{jk}, j < k, is the half C keeps, and
+:attr:`LieAlgebra.f` reads the dense f back.
+
+The basis transform (:func:`transform_structure`) reads the same integer
+form, regrouped by monomial once into layers ``{mono: {key: int}}``, and
+each matrix as layers ``{mono: {x: [(y, int)]}}`` (:func:`_int_rows`): a
+pair of layers multiplies its monomials once and sums its ints by plain
+multiply-adds.  It contracts the stored half C_ij^k, i < j, in one step
+with the 2×2 minors M_a^i M_b^j − M_a^j M_b^i, built only for the pairs
+that occur, so every output pair a < b is one sum over half the entries;
+then k with W.  It is a thin dense wrapper over one integer contraction
+path (:func:`_structure_int`), which returns the transformed tensor in the
+zero-free integer form, one entry per antisymmetric pair.  When g moves by
+(M, W), g* moves by (Wᵀ, Mᵀ), so f' is the same path with the two matrices
+swapped (:func:`transform_cocomm`).  The adapted pass of
+:mod:`liedouble.homogeneous` feeds the path the cached tensors below and
+the layers of the adapted basis, cleared once, and of its inverse from the
 integer Bareiss kernel, and reads its output as it is.
 
 An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
@@ -68,7 +72,7 @@ from .exactalg import (
     from_int_terms,
     to_int_terms,
 )
-from .exactlinalg import Matrix, Vector, _cleared, invert, mat
+from .exactlinalg import Matrix, Vector, _cleared, invert, mat, transpose
 
 BracketEntry = tuple  # (i, j, k, coef)
 
@@ -78,28 +82,25 @@ def zero_tensor3(n: int):
     return [[[z] * n for _ in range(n)] for _ in range(n)]
 
 
-def _dense(n: int, entries, upper: bool = False) -> list:
+def _dense(n: int, entries) -> list:
     """The dense n³ tensor of the stored half [(i, j, k, value)] of a tensor
-    antisymmetric in (i, j), or in (j, k) with ``upper``: each value is
-    written at its key and its negation at the swapped one."""
+    antisymmetric in (i, j): each value is written at its key and its
+    negation at the swapped one."""
     t = zero_tensor3(n)
     for i, j, k, value in entries:
         t[i][j][k] = value
-        if upper:
-            t[i][k][j] = -value
-        else:
-            t[j][i][k] = -value
+        t[j][i][k] = -value
     return t
 
 
-def _check_keys(entries, n: int, what: str, upper: bool = False) -> None:
+def _check_keys(entries, n: int) -> None:
     """Raise :class:`ShapeError` naming the first (i, j, k) of ``entries``
-    that is not a stored key, i < j (j < k with ``upper``) in [0, n)."""
+    that is not a stored key, i < j in [0, n)."""
     for i, j, k, _ in entries:
-        ok = 0 <= j < k < n and 0 <= i < n if upper else 0 <= i < j < n and 0 <= k < n
-        if not ok:
-            need = "j < k" if upper else "i < j"
-            raise ShapeError(f"{what} ({i},{j},{k}) needs {need} and indices in [0, {n})")
+        if not (0 <= i < j < n and 0 <= k < n):
+            raise ShapeError(
+                f"structure constant ({i},{j},{k}) needs i < j and indices in [0, {n})"
+            )
 
 
 def _nonzero_entries(t) -> list:
@@ -142,7 +143,7 @@ class LieAlgebra:
     _psi: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_keys(self.entries, self.dim, "structure constant")
+        _check_keys(self.entries, self.dim)
 
     def index(self, label: str) -> int:
         try:
@@ -157,6 +158,13 @@ class LieAlgebra:
         if self._c is None:
             self._c = _dense(self.dim, self.entries)
         return self._c
+
+    @property
+    def f(self) -> list:
+        """Dense f[i][j][k] = C[j][k][i]: the cocommutator constants f_i^{jk}
+        of g when this algebra is g*, a read-only view of :attr:`c`."""
+        c, n = self.c, range(self.dim)
+        return [[[c[j][k][i] for k in n] for j in n] for i in n]
 
     def nonzero(self) -> list:
         """Sparse view [(i, j, k, coef)], i < j, of C: :attr:`entries`."""
@@ -523,17 +531,6 @@ def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     return d * e_m * e_m * e_w, _regroup(c2)
 
 
-def _cocomm_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
-    """f' of :func:`transform_cocomm` in integer form, ``(d·e_M·e_W²,
-    entries)`` with its entries b < c only, from the integer forms ``(scale,
-    entries)`` of f (its stored half, j < k, as :func:`_int_tensor` gives
-    it) and of the columns of M and the rows of W (in the layers of
-    :func:`_int_matrix`)."""
-    (d, f), (e_m, cols), (e_w, rows) = t, m_cols, w
-    f2 = _contract(_contract_pair(_regroup(f), 1, rows), 0, cols)
-    return d * e_m * e_w * e_w, _regroup(f2)
-
-
 def transform_structure(c, m: Matrix, w: Matrix):
     """C'_ab^c = M_a^i M_b^j C_ij^k W_k^c for basis rows M, inverse W.
 
@@ -556,24 +553,15 @@ def transform_structure(c, m: Matrix, w: Matrix):
 
 
 def transform_cocomm(f, m: Matrix, w: Matrix):
-    """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c.
-
-    The sum runs over integers: the denominators of f, M and W are each
-    cleared once (:func:`~liedouble.exactalg.to_int_terms`).  f must be
-    antisymmetric in (j, k), as a ``bialgebra.CocommTensor`` is by its
-    storage; then f' is antisymmetric in (b, c), and f'_a^bc for b < c is
-    M_a^i Σ_{j<k} f_i^jk (W_j^b W_k^c − W_j^c W_k^b): the pair (j, k) is
-    contracted in one step with the 2×2 minors of W, from the entries with
-    j < k only, then i with M, and only the nonzero results are divided
-    back by the product of the scales.  (c, b) is the negation and the
-    diagonal is zero.  A dense wrapper over :func:`_cocomm_int`.
-    """
-    d, t = _cocomm_int(
-        _int_tensor([e for e in _nonzero_entries(f) if e[1] < e[2]]),
-        _int_matrix(m, transpose=True),
-        _int_matrix(w, transpose=False),
+    """f'_a^bc = M_a^i f_i^jk W_j^b W_k^c: the structure constants
+    C*_jk^i = f_i^jk of g*, whose basis moves by (Wᵀ, Mᵀ) when that of g
+    moves by (M, W), transformed by :func:`transform_structure` and read
+    back as f'.  f must be antisymmetric in (j, k)."""
+    n = range(len(m))
+    c = transform_structure(
+        [[[f[i][j][k] for i in n] for k in n] for j in n], transpose(w), transpose(m)
     )
-    return _dense(len(m), [(*key, from_int_terms(v, d)) for key, v in t.items()], upper=True)
+    return [[[c[j][k][i] for k in n] for j in n] for i in n]
 
 
 def change_basis(L: LieAlgebra, bc: BasisChange) -> LieAlgebra:

@@ -10,22 +10,23 @@ Conventions (frozen by the chart-calibration tests):
   + C_lm^j r^{il} r^{mk} + C_lm^k r^{il} r^{jm} ).
 
 CYBE means [[r,r]] = 0; mCYBE means [[r,r]] is ad-invariant.  No Schouten
-tensor is built.  Both verdicts are read from δ_r, through the dual bracket
-[x^i, x^j] = f_k^{ij} x^k on g* and the map r(x^i) = r^{ia} X_a, by two
+tensor is built.  Both verdicts are read from δ_r, which
+:func:`cocommutator_from_r` returns as the algebra g* it is dual to,
+[x^i, x^j] = f_k^{ij} x^k, and from the map r(x^i) = r^{ia} X_a, by two
 identities that hold when C satisfies Jacobi, as every caller's algebra
 does (Drinfel'd, 1983; Semenov-Tian-Shansky, "What is a classical
 r-matrix?", 1983):
 
 * r[x^i, x^j] − [r(x^i), r(x^j)] = −[[r,r]]^{ijm} X_m: CYBE holds iff
   r: g* → g is a homomorphism (:func:`_cybe_residual`);
-* the dual bracket's Jacobi residual is R_jkl^m = −(ad_{X_m}[[r,r]])^{jkl},
+* the Jacobi residual of g* is R_jkl^m = −(ad_{X_m}[[r,r]])^{jkl},
   with (ad_{X_m} T)^{jkl} = Σ_a (C_ma^j T^{akl} + C_ma^k T^{jal} + C_ma^l T^{jka}):
-  mCYBE holds iff δ_r satisfies co-Jacobi (:func:`_dual_algebra`).
+  mCYBE holds iff δ_r satisfies co-Jacobi, i.e. g* satisfies Jacobi.
 
 An :class:`RMatrix` is its wedge terms, the nonzero r^{ij} with i < j, so
 it is antisymmetric by construction; the dense ``r`` is a read-only view
-built on first read.  δ_r and the dual bracket are built as their stored
-halves, so no dense tensor is filled or scanned.
+built on first read.  δ_r is built as its stored half, so no dense tensor
+is filled or scanned.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .bialgebra import CocommTensor
 from .errors import DimensionMismatch, ShapeError
 from .exactalg import PolyExpr, PolyLike, _canonical, as_poly, mul_acc
 from .exactlinalg import Matrix
@@ -115,8 +115,9 @@ def _rows(r: RMatrix) -> list:
     return rows
 
 
-def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> CocommTensor:
-    """Coboundary cocommutator constants f_i^{jk} with δ(X_i)=f_i^{jk} X_j⊗X_k.
+def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> LieAlgebra:
+    """Coboundary cocommutator δ(X_i) = f_i^{jk} X_j⊗X_k as g*,
+    [x^j, x^k] = f_i^{jk} x^i, labelled by the basis of L.
 
     f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated with
     :func:`~liedouble.exactalg.mul_acc` over the nonzero C_il^t, each stored
@@ -134,18 +135,18 @@ def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> CocommTensor:
         for i, l, negate in ((a, b, False), (b, a, True)):  # ±coef = C_il^target
             for other, value in rows[l]:
                 if target < other:
-                    mul_acc(acc.setdefault((i, target, other), {}), coef, value, negate)
+                    mul_acc(acc.setdefault((target, other, i), {}), coef, value, negate)
                 elif other < target:
-                    mul_acc(acc.setdefault((i, other, target), {}), coef, value, not negate)
-    return CocommTensor(
-        L.dim, [(*key, _canonical(acc[key])) for key in sorted(acc) if acc[key]]
+                    mul_acc(acc.setdefault((other, target, i), {}), coef, value, not negate)
+    return _algebra_of(
+        L.labels, [(*key, _canonical(acc[key])) for key in sorted(acc) if acc[key]]
     )
 
 
-def _cybe_residual(L: LieAlgebra, r: RMatrix, f: CocommTensor) -> dict:
+def _cybe_residual(L: LieAlgebra, r: RMatrix, f: LieAlgebra) -> dict:
     """Nonzero components (i, j, m), i < j, of r[x^i, x^j] − [r(x^i), r(x^j)]
     with r(x^i) = r^{ia} X_a and [x^i, x^j] = f_k^{ij} x^k, in key order,
-    for f = δ_r (:func:`cocommutator_from_r`):
+    for g* = δ_r (:func:`cocommutator_from_r`):
 
         Σ_k f_k^{ij} r^{km} − Σ_{a,b} r^{ia} r^{jb} C_ab^m  =  −[[r,r]]^{ijm}.
 
@@ -157,7 +158,7 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f: CocommTensor) -> dict:
     """
     rows = _rows(r)
     acc: dict = {}
-    for k, i, j, value in f.nonzero():
+    for i, j, k, value in f.nonzero():
         for m, rkm in rows[k]:
             mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
     for a, b, m, coef in L.nonzero():
@@ -171,14 +172,6 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f: CocommTensor) -> dict:
     return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
 
 
-def _dual_algebra(L: LieAlgebra, f: CocommTensor) -> LieAlgebra:
-    """g* with the bracket [x^i, x^j] = f_k^{ij} x^k dual to f = δ_r,
-    labelled as the basis of g.  Its Jacobi residual R_jkl^m is
-    −(ad_{X_m}[[r,r]])^{jkl}."""
-    entries = sorted(((i, j, k, v) for k, i, j, v in f.nonzero()), key=lambda e: e[:3])
-    return _algebra_of(L.labels, entries)
-
-
 def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:
     """True iff [[r,r]] = 0, i.e. r: g* → g is a homomorphism of the dual
     bracket; L must be a Lie algebra."""
@@ -188,13 +181,13 @@ def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:
 def is_mcybe(L: LieAlgebra, r: RMatrix) -> bool:
     """True iff [[r,r]] is ad-invariant, i.e. δ_r satisfies co-Jacobi (the
     dual bracket satisfies Jacobi); L must be a Lie algebra."""
-    return is_jacobi_zero(_dual_algebra(L, cocommutator_from_r(L, r)))
+    return is_jacobi_zero(cocommutator_from_r(L, r))
 
 
 def _defect_note(L: LieAlgebra, residual: dict, mcybe: bool) -> str:
     """``": first nonzero component <component> = <polynomial>"`` for the
     first key of ``residual``, :func:`_cybe_residual` or (with ``mcybe``) the
-    Jacobi components of :func:`_dual_algebra`, as a component of [[r,r]]
+    Jacobi components of g* = δ_r, as a component of [[r,r]]
     (of ad_{X_m}[[r,r]]) by basis labels; empty if there is none."""
     if not residual:
         return ""

@@ -181,8 +181,7 @@ DUAL_LABELS = {
 def build_bialgebra(algebra, key, duals):
     from liedouble.bialgebra import cocomm_from_wedge, new_bialgebra
 
-    index = {lab: i for i, lab in enumerate(algebra.labels)}
-    f = cocomm_from_wedge(algebra.dim, COCOMM_TERMS[key], index)
+    f = cocomm_from_wedge(algebra, COCOMM_TERMS[key])
     return new_bialgebra(algebra, f, dual_labels=duals)
 
 

@@ -2,16 +2,16 @@ import re
 
 import pytest
 
-from liedouble.bialgebra import (
-    CocommTensor,
-    cocomm_from_wedge,
-    from_json,
-    new_bialgebra,
-    to_json,
-)
+from liedouble.bialgebra import cocomm_from_wedge, from_json, new_bialgebra, to_json
 from liedouble.errors import NotACobracket, ShapeError
 from liedouble.exactalg import PolyExpr
-from liedouble.liealg import _nonzero_entries, algebras_equal, zero_tensor3
+from liedouble.liealg import (
+    LieAlgebra,
+    _nonzero_entries,
+    algebras_equal,
+    new_lie_algebra,
+    zero_tensor3,
+)
 from liedouble.rmatrix import cocommutator_from_r
 
 P = PolyExpr.parse
@@ -55,12 +55,12 @@ def test_hyperbolic_bialgebra_is_valid(sl2_hyp):
 
 
 def test_trivial_bialgebra_is_valid(sl2_ck):
-    B = new_bialgebra(sl2_ck, CocommTensor(3, []))
+    B = new_bialgebra(sl2_ck, cocomm_from_wedge(sl2_ck, []))
     assert all(x.is_zero for plane in B.cocomm.f for row in plane for x in row)
 
 
 def test_not_a_cobracket(sl2_std):
-    f = cocomm_from_wedge(3, [(0, 1, 2, 1)])  # δ(J3) = J+ ∧ J-
+    f = cocomm_from_wedge(sl2_std, [(0, 1, 2, 1)])  # δ(J3) = J+ ∧ J-
     assert brute_double_jacobi_violations(sl2_std, f.f)
     with pytest.raises(NotACobracket):
         new_bialgebra(sl2_std, f)
@@ -115,13 +115,14 @@ def test_coboundary_of_mcybe_is_valid_bialgebra(sl2_ck, so22_eta, rmats):
 
 def test_shape_errors(sl2_ck):
     with pytest.raises(ShapeError):
-        new_bialgebra(sl2_ck, CocommTensor(4, []))
+        new_bialgebra(sl2_ck, new_lie_algebra(4, ("a", "b", "c", "d"), []))
     bad = zero_tensor3(3)
-    bad[0][1][2] = PolyExpr.one()
-    bad[0][2][1] = -PolyExpr.one()
-    # the dense entries list f_0^{21} too, which the storage does not hold
-    with pytest.raises(ShapeError, match=re.escape("cocommutator entry (0,2,1)")):
-        CocommTensor(len(bad), _nonzero_entries(bad))
+    bad[1][2][0] = PolyExpr.one()
+    bad[2][1][0] = -PolyExpr.one()
+    # g* holds f_0^{12} as C*_12^0; the dense entries list f_0^{21} = C*_21^0
+    # too, which the storage does not hold
+    with pytest.raises(ShapeError, match=re.escape("structure constant (2,1,0)")):
+        LieAlgebra(len(bad), sl2_ck.labels, (), _nonzero_entries(bad))
 
 
 @pytest.mark.parametrize(
@@ -129,14 +130,16 @@ def test_shape_errors(sl2_ck):
     [(1, 2, 0), (0, 2, 1), (2, 1, 1), (0, 0, 0), (3, 0, 1), (0, 1, 3), (-1, 0, 1)],
 )
 def test_cocomm_names_a_key_out_of_order_or_range(sl2_hyp, key):
-    # f_i^{jk} is stored at j < k only, each index in range: any other key,
-    # such as a lower-half partner, a diagonal entry or an index outside
-    # [0, 3), raises and is named; the valid entries before it are kept
+    # f_i^{jk} is stored as C*_jk^i of g*, at j < k only, each index in
+    # range: any other key, such as a lower-half partner, a diagonal entry
+    # or an index outside [0, 3), raises and is named; the valid entries
+    # before it are kept
     i, j, k = key
-    entries = [*sl2_hyp.cocomm.nonzero(), (i, j, k, P("5/7"))]
-    with pytest.raises(ShapeError, match=re.escape(f"cocommutator entry ({i},{j},{k})")):
-        CocommTensor(3, entries)
-    assert CocommTensor(3, entries[:-1]) == sl2_hyp.cocomm
+    g_star = sl2_hyp.cocomm
+    entries = [*g_star.nonzero(), (j, k, i, P("5/7"))]
+    with pytest.raises(ShapeError, match=re.escape(f"structure constant ({j},{k},{i})")):
+        LieAlgebra(3, g_star.labels, g_star.params, entries)
+    assert LieAlgebra(3, g_star.labels, g_star.params, entries[:-1]) == g_star
 
 
 def test_json_round_trip(sl2_hyp, iso11_eta):
@@ -149,7 +152,7 @@ def test_json_round_trip(sl2_hyp, iso11_eta):
 
 
 def test_not_a_cobracket_message(sl2_std):
-    f = cocomm_from_wedge(3, [(0, 1, 2, 1)])  # δ(J3) = J+ ∧ J-
+    f = cocomm_from_wedge(sl2_std, [(0, 1, 2, 1)])  # δ(J3) = J+ ∧ J-
     with pytest.raises(NotACobracket) as exc:
         new_bialgebra(sl2_std, f)
     assert str(exc.value) == (
@@ -160,12 +163,13 @@ def test_not_a_cobracket_message(sl2_std):
 
 
 def test_cocomm_from_wedge_sums_duplicates_and_drops_cancelled():
+    abc = new_lie_algebra(3, ("a", "b", "c"), [])
     f = cocomm_from_wedge(
-        3,
+        abc,
         [(0, 1, 2, 1), (0, 2, 1, "eta"), (1, 0, 2, 1), (1, 2, 0, 1), (2, 0, 1, 0)],
     )
-    assert f.nonzero() == [(0, 1, 2, P("1 - eta"))]
-    labels = {"a": 0, "b": 1, "c": 2}
-    assert cocomm_from_wedge(3, [("c", "a", "b", 2), ("c", "a", "b", 3)], labels) == (
-        CocommTensor(3, [(2, 0, 1, P("5"))])
+    assert f.nonzero() == [(1, 2, 0, P("1 - eta"))]  # f_0^{12} as C*_12^0
+    assert f.params == ("eta",) and f.labels == abc.labels
+    assert cocomm_from_wedge(abc, [("c", "a", "b", 2), ("c", "a", "b", 3)]) == (
+        new_lie_algebra(3, abc.labels, [(0, 1, 2, 5)])
     )

@@ -277,22 +277,21 @@ def test_wrong_generating_rmatrix_names_the_first_differing_component():
 
 def test_catalog_double_and_classify_fill_no_dense_view(monkeypatch):
     # every builder works on entries: building the catalog, the doubles and
-    # their tables, and one classify fill no LieAlgebra.c or CocommTensor.f
-    from liedouble.bialgebra import CocommTensor
+    # their tables, and one classify fill no LieAlgebra.c, of g or of g*,
+    # and so no LieAlgebra.f, which is a view of it
     from liedouble.double import bracket_table_text, build_double, double_of_double
     from liedouble.homogeneous import LagrangianSpec, classify
     from liedouble.liealg import LieAlgebra
 
     filled = []
-    for cls, name in ((LieAlgebra, "c"), (CocommTensor, "f")):
-        view = getattr(cls, name)
+    view = LieAlgebra.c
 
-        def recording(self, view=view, name=name):
-            if getattr(self, "_" + name) is None:
-                filled.append((type(self).__name__, name))
-            return view.fget(self)
+    def recording(self):
+        if self._c is None:
+            filled.append(self.labels)
+        return view.fget(self)
 
-        monkeypatch.setattr(cls, name, property(recording))
+    monkeypatch.setattr(LieAlgebra, "c", property(recording))
     fresh = catalog.Catalog(catalog._load_raw())
     for key in fresh.list():
         fresh.get(key)

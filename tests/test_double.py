@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from liedouble import catalog
-from liedouble.bialgebra import CocommTensor, cocomm_from_wedge, new_bialgebra
+from liedouble.bialgebra import cocomm_from_wedge, new_bialgebra
 from liedouble.double import (
     _psi_mismatches,
     _term_prefix,
@@ -57,7 +57,7 @@ def test_double_iso11_eta_reproduces_published_table(
 
 def test_double_of_trivial_abelian_bialgebra():
     abelian = new_lie_algebra(2, ("e1", "e2"), [])
-    B = new_bialgebra(abelian, CocommTensor(2, []))
+    B = new_bialgebra(abelian, cocomm_from_wedge(abelian, []))
     D = build_double(B)
     assert all(
         D.algebra.c[i][j][k].is_zero
@@ -244,7 +244,7 @@ def test_double_of_double_restricts_to_double(sl2_eta, iso11_eta):
 
 def test_double_of_double_trivial_abelian():
     abelian = new_lie_algebra(2, ("e1", "e2"), [])
-    B = new_bialgebra(abelian, CocommTensor(2, []))
+    B = new_bialgebra(abelian, cocomm_from_wedge(abelian, []))
     D2 = double_of_double(B)
     crossed = [
         (a, b)
@@ -415,7 +415,8 @@ def test_bracket_table_of_an_algebra_with_no_pairs_is_empty():
     assert bracket_table_text(new_lie_algebra(0, (), [])) == ""
     assert bracket_table_text(new_lie_algebra(1, ("a",), [])) == ""
     # the table of the 1-dim Lagrangian l = span{a} of D(a) for the 1-dim a
-    B = new_bialgebra(new_lie_algebra(1, ("a",), []), CocommTensor(1, []))
+    a = new_lie_algebra(1, ("a",), [])
+    B = new_bialgebra(a, cocomm_from_wedge(a, []))
     D = build_double(B)
     table = lagrangian_bracket_table(D, LagrangianSpec([B.algebra.basis_vector(0)], [], []))
     assert table.dim == 1
@@ -643,7 +644,8 @@ def perturb_one_outer_bracket(monkeypatch, coef=1):
     canonical = double.canonical_cocommutator
 
     def perturbed(D):
-        return cocomm_from_wedge(D.dim, [*canonical(D).nonzero(), (0, 1, 2, coef)])
+        wedges = [(k, i, j, v) for i, j, k, v in canonical(D).nonzero()]
+        return cocomm_from_wedge(D.algebra, [*wedges, (0, 1, 2, coef)])
 
     monkeypatch.setattr(double, "canonical_cocommutator", perturbed)
 
@@ -719,7 +721,11 @@ def test_assigned_integer_forms_equal_the_computed_ones(key):
     delta = canonical_cocommutator(build_double(B))
     for L in (B.double_algebra, double_of_double(B).algebra, delta):
         assert L.int_tensor() == _int_tensor(L.nonzero())
-    assert delta.nonzero() == [e for e in _nonzero_entries(delta.f) if e[1] < e[2]]
+    # δ_D's f_i^{jk}, j < k, stored as C*_jk^i of D(g)* (keys distinct, so
+    # the sort compares no coefficient)
+    assert delta.nonzero() == sorted(
+        (j, k, i, v) for i, j, k, v in _nonzero_entries(delta.f) if j < k
+    )
     if key == "so22-twisted":
         assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
         assert B.double_algebra.int_tensor()[0] == 2
@@ -740,8 +746,9 @@ def dense_scan(n, entries, upper):
 
 @pytest.mark.parametrize("key", CASES)
 def test_dense_tensors_are_cached_views_of_the_entries(key):
-    # D(a), δ_D and D(D(a)) are built from entries alone; .c and .f are
-    # dense views built on first read, and == does not depend on them
+    # D(a), g*, D(g)* and D(D(a)) are built from entries alone; .c is a
+    # dense view built on first read, == does not depend on it, and .f of
+    # g* and D(g)* is the view of f_i^{jk} = C*_jk^i
     from dataclasses import replace
 
     from liedouble.bialgebra import from_json, to_json
@@ -752,23 +759,26 @@ def test_dense_tensors_are_cached_views_of_the_entries(key):
     delta = canonical_cocommutator(D)
     D2 = double_of_double(B)
     assert D._r_skew is None
-    for T, view, name, pair in (
-        (B.algebra, "_c", "c", (0, 1)),
-        (B.double_algebra, "_c", "c", (0, 1)),
-        (D2.algebra, "_c", "c", (0, 1)),
-        (B.cocomm, "_f", "f", (1, 2)),
-        (delta, "_f", "f", (1, 2)),
+    for T, dual in (
+        (B.algebra, False),
+        (B.double_algebra, False),
+        (D2.algebra, False),
+        (B.cocomm, True),
+        (delta, True),
     ):
-        assert getattr(T, view) is None  # no builder filled a dense tensor
-        twin = replace(T, **{view: None, "_int": None})
+        assert T._c is None  # no builder filled a dense tensor
+        twin = replace(T, _c=None, _int=None)
         assert twin == T
-        dense = getattr(T, name)
-        assert getattr(T, name) is dense
-        assert dense == dense_scan(len(dense), T.nonzero(), pair == (1, 2))
-        p, q = pair
-        assert [e for e in _nonzero_entries(dense) if e[p] < e[q]] == T.nonzero()
-        assert getattr(twin, view) is None and twin == T
-        getattr(twin, name)
+        dense = T.c
+        assert T.c is dense
+        assert dense == dense_scan(len(dense), T.nonzero(), False)
+        assert [e for e in _nonzero_entries(dense) if e[0] < e[1]] == T.nonzero()
+        if dual:
+            upper = sorted((k, i, j, v) for i, j, k, v in T.nonzero())
+            assert T.f == dense_scan(len(dense), upper, True)
+            assert sorted(e for e in _nonzero_entries(T.f) if e[1] < e[2]) == upper
+        assert twin._c is None and twin == T
+        twin.c
         assert twin == T
     for L in (B.algebra, B.double_algebra, D2.algebra):
         assert algebras_equal(replace(L, _c=None), L)

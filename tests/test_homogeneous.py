@@ -33,12 +33,13 @@ from liedouble.homogeneous import (
     lagrangian_bracket_table,
     lagrangian_from_pi,
 )
-from liedouble.liealg import _int_matrix, bracket
+from liedouble.liealg import _int_matrix, _int_rows, bracket
 from test_liealg import (
     dense_of_half,
     dense_of_layers,
     full_transform_cocomm,
     full_transform_structure,
+    star,
 )
 
 P = PolyExpr.parse
@@ -717,7 +718,8 @@ def test_adapted_pass_on_parametric_bases(case):
     w = exactlinalg.invert(a)
     p = homogeneous._adapted_pass(B, LagrangianSpec(h, complement, pi))
     assert dense_of_half(p.c_int, (0, 1), B.dim) == full_transform_structure(B.algebra.c, a, w)
-    assert dense_of_half(p.f_int, (1, 2), B.dim) == full_transform_cocomm(B.cocomm.f, a, w)
+    f_full = full_transform_cocomm(B.cocomm.f, a, w)
+    assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)  # keyed (b, c, i)
     check_against_double(B, h, pi, complement)
 
 
@@ -941,17 +943,19 @@ def test_so22_twisted_pass_at_cocommutator_scale_two():
 
 
 def test_adapted_returns_the_integer_basis_and_its_inverse():
-    """_adapted clears A = (h, T) once: its columns are those of
-    _int_matrix(A, transpose=True), one layer per monomial that together
-    hold s·A, and its inverse is _inverse(A)."""
+    """_adapted clears A = (h, T) once, to s·A, whose columns in layers are
+    those of _int_matrix(A, transpose=True), one layer per monomial that
+    together hold s·A, and its inverse is _inverse(A)."""
     # upper triangular, det = 1/6*eta^-1: cleared at s = 6, Laurent inverse
     laurent = spec_with_zero_pi([["1/2", "eta", 0]], [[0, "1/3", 0], [0, 0, "eta^-1"]])
     cases = [(B.dim, spec) for _, B, spec in cost_guard_cases()] + [(3, laurent)]
     for n, spec in cases:
         rows = spec.h_basis + spec.complement
-        m_cols, a_inv = _adapted(spec, n)
+        (s, a), a_inv = _adapted(spec, n)
+        assert (s, a) == _cleared(rows)
+        m_cols = (s, _int_rows(a, transpose=True))
         assert m_cols == _int_matrix(rows, transpose=True)
-        assert dense_of_layers(m_cols[1], n, transpose=True) == _cleared(rows)[1]
+        assert dense_of_layers(m_cols[1], n, transpose=True) == a
         assert a_inv == _inverse(rows)
     assert m_cols[0] == 6
     assert set(m_cols[1]) == {(), (("eta", 1),), (("eta", -1),)}
@@ -1023,7 +1027,7 @@ def delta_against(B, x, alpha):
     """The vector k ↦ <δ(x), α ⊗ x^k> = Σ x^i f_i^{jk} α_j, each stored
     f_i^{jk} (j < k) read in both orders, f_i^{kj} = −f_i^{jk}."""
     out = [PolyExpr.zero()] * B.dim
-    for i, j, k, v in B.cocomm.nonzero():
+    for j, k, i, v in B.cocomm.nonzero():  # f_i^{jk} as C*_jk^i
         for a, b, value in ((j, k, v), (k, j, -v)):
             if x[i].terms and alpha[a].terms:
                 out[b] = out[b] + x[i] * alpha[a] * value

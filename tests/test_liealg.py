@@ -25,7 +25,6 @@ from liedouble.homogeneous import LagrangianSpec, _adapted, _adapted_pass, class
 from liedouble.liealg import (
     BasisChange,
     LieAlgebra,
-    _cocomm_int,
     _int_matrix,
     _int_rows,
     _int_tensor,
@@ -630,6 +629,13 @@ def test_transforms_match_dense_contraction_on_catalog_basis_changes(key):
     )
 
 
+def star(f):
+    """C*_jk^i = f_i^{jk}: the structure tensor of g* for a dense f, the
+    inverse of :func:`dual_tensor`."""
+    n = len(f)
+    return [[[f[i][j][k] for i in range(n)] for k in range(n)] for j in range(n)]
+
+
 def dense_of_half(form, pair, n):
     """The dense tensor of an integer form ``(d, entries)`` that stores one
     entry per pair of slots ``pair`` = (p, q), at key[p] < key[q]: each entry
@@ -680,7 +686,7 @@ def test_adapted_pass_transforms_match_dense_contraction(case):
     f_full = full_transform_cocomm(B.cocomm.f, a, w)
     p = _adapted_pass(B, spec)
     assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
-    assert dense_of_half(p.f_int, (1, 2), B.dim) == f_full
+    assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)
     assert transform_structure(B.algebra.c, a, w) == c_full
     assert transform_cocomm(B.cocomm.f, a, w) == f_full
 
@@ -695,18 +701,19 @@ def pascal(n):
 
 
 def assert_transforms_read_one_half(B, m, w, m_cols, w_rows):
-    """The integer forms of C and f hold only their entries with i < j
-    (with j < k for f), and C' and f' transformed from them by M = m, read
-    as ``m_cols``, and W = w, read as ``w_rows``, equal the full-plane
+    """The integer forms of C and g* hold only their entries with i < j
+    (f_i^{jk} with j < k, keyed (j, k, i)), and C' and f' transformed from
+    them by M = m, read as ``m_cols``, and W = w, read as ``w_rows`` (g* by
+    (Wᵀ, Mᵀ), whose columns and rows those are), equal the full-plane
     contraction of the dense tensors, both signs written."""
     c, f = B.algebra.int_tensor(), B.cocomm.int_tensor()
-    assert all(i < j for i, j, _ in c[1]) and all(j < k for _, j, k in f[1])
+    assert all(i < j for i, j, _ in c[1]) and all(j < k for j, k, _ in f[1])
     n = B.dim
     assert dense_of_half(_structure_int(c, m_cols, w_rows), (0, 1), n) == (
         full_transform_structure(B.algebra.c, m, w)
     )
-    assert dense_of_half(_cocomm_int(f, m_cols, w_rows), (1, 2), n) == (
-        full_transform_cocomm(B.cocomm.f, m, w)
+    assert dense_of_half(_structure_int(f, w_rows, m_cols), (0, 1), n) == (
+        star(full_transform_cocomm(B.cocomm.f, m, w))
     )
 
 
@@ -729,9 +736,11 @@ def test_transforms_read_only_the_upper_half_on_sweep_bases(case):
     monomial, which holds every nonzero entry of s·A and of e·A⁻¹."""
     B, spec = case
     a = spec.h_basis + spec.complement
-    m_cols, (e, rows) = _adapted(spec, B.dim)
+    (s, a_int), (e, rows) = _adapted(spec, B.dim)
+    assert (s, a_int) == _cleared(a)
+    m_cols = (s, _int_rows(a_int, transpose=True))
     w_rows = (e, _int_rows(rows, transpose=False))
-    for (_, layers), dense, transpose in ((m_cols, _cleared(a)[1], True), (w_rows, rows, False)):
+    for (_, layers), dense, transpose in ((m_cols, a_int, True), (w_rows, rows, False)):
         assert list(layers) == [()]
         assert dense_of_layers(layers, B.dim, transpose) == dense
     assert_transforms_read_one_half(B, a, invert(a), m_cols, w_rows)
@@ -809,7 +818,7 @@ def test_minor_transforms_match_full_planes(case):
     the integer forms has key[p] < key[q] and a nonzero term."""
     c, f, m, cancelled = case
     c_int = _int_tensor([e for e in _nonzero_entries(c) if e[0] < e[1]])
-    f_int = _int_tensor([e for e in _nonzero_entries(f) if e[1] < e[2]])
+    f_int = _int_tensor([e for e in _nonzero_entries(star(f)) if e[0] < e[1]])
     assume(c_int[0] > 1 and f_int[0] > 1)
     assert _int_matrix(m, transpose=True)[0] > 1
     n = len(m)
@@ -828,7 +837,7 @@ def test_minor_transforms_match_full_planes(case):
         c_full = full_transform_structure(c, basis, inverse)
         f_full = full_transform_cocomm(f, basis, inverse)
         assert dense_of_half(_structure_int(c_int, m_cols, w_rows), (0, 1), n) == c_full
-        assert dense_of_half(_cocomm_int(f_int, m_cols, w_rows), (1, 2), n) == f_full
+        assert dense_of_half(_structure_int(f_int, w_rows, m_cols), (0, 1), n) == star(f_full)
         assert transform_structure(c, basis, inverse) == c_full
         assert transform_cocomm(f, basis, inverse) == f_full
 

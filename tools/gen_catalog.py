@@ -54,8 +54,7 @@ COC = {
 
 
 def bial(algebra, coc_key, duals):
-    idx = {lab: i for i, lab in enumerate(algebra.labels)}
-    f = cocomm_from_wedge(algebra.dim, COC[coc_key], idx)
+    f = cocomm_from_wedge(algebra, COC[coc_key])
     return new_bialgebra(algebra, f, dual_labels=duals)
 
 
@@ -166,7 +165,7 @@ BIALS = {
     "iso11-eta": (B_ISO11_ETA, None,
                   "iso(1,1) bialgebra base of the second 6d double (not coboundary)"),
     "sl2-trivial": (new_bialgebra(ALGEBRAS["sl2.std"][0],
-                                  cocomm_from_wedge(3, []),
+                                  cocomm_from_wedge(ALGEBRAS["sl2.std"][0], []),
                                   dual_labels=("chi", "a+", "a-")), None,
                     "sl(2,R) with the zero cocommutator"),
 }

@@ -75,15 +75,16 @@ def _double_algebra(
     params: tuple[str, ...] | None = None,
 ) -> LieAlgebra:
     """The algebra of D(g) on the basis {X_i, x^i}, built from the stored
-    entries of C and of g* = ``dual``, C*_ij^k = f_k^{ij}.  Each stored entry of the brackets listed in
-    :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
-    once, so none cancels: each C_ij^k or f_k^{ij} gives three, one negated
-    to put its key in order, e.g. (i, n + k, n + j) = −C_ij^k, the negation
-    the coefficient keeps.  Those assignments, in index order, are the
-    sparse view, and the parameters are those occurring in C or f, scanned
-    for unless the caller knows them as ``params``.  The integer form is
-    assigned the same way from those of C and f, both at the scale
-    lcm(d_C, d_f), which is the lcm of the double's denominators."""
+    entries of C and of g* = ``dual``, C*_ij^k = f_k^{ij}.  Each stored
+    entry of the brackets listed in :mod:`liedouble.double` is ± exactly one
+    entry of C or f and is assigned once, so none cancels: each C_ij^k or
+    f_k^{ij} gives three, one negated to put its key in order, e.g.
+    (i, n + k, n + j) = −C_ij^k, the negation the coefficient keeps.  Those
+    assignments, in index order, are the sparse view, and the parameters are
+    those occurring in C or f, scanned for unless the caller knows them as
+    ``params``.  The integer form is assigned the same way from those of C
+    and f, both at the scale lcm(d_C, d_f), which is the lcm of the double's
+    denominators."""
     n = L.dim
     c_form, f_form = L.int_tensor(), dual.int_tensor()
     d = lcm(c_form[0], f_form[0])

@@ -123,8 +123,9 @@ def canonical_cocommutator(D: DoubleAlgebra) -> LieAlgebra:
         entries.append((*key, coef))
         f_int[key] = ints[a, b, c]
     entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
-    # every entry of D(a) is ± one of C or f, each of which is one of δ_D
-    return LieAlgebra(2 * n, D.algebra.labels, D.algebra.params, entries, _int=(d, f_int))
+    # each entry of C and f is one of δ_D, so D(g)* has the parameters of D(a)
+    params = D.algebra.params
+    return LieAlgebra(2 * n, D.algebra.labels, params, entries, _int=(d, f_int))
 
 
 def second_dual_labels(n: int) -> tuple[str, ...]:

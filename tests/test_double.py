@@ -130,6 +130,23 @@ def test_canonical_cocommutator_tensor(sl2_eta):
                 assert delta.f[n + i][n + j][n + k] == sl2_eta.algebra.c[j][k][i]
 
 
+@pytest.mark.parametrize("key", sorted(catalog.load().list("bialgebra")))
+def test_dual_of_the_double_is_opposite_dual_plus_g(key):
+    # D(g)* = (g*)ᵒᵖ ⊕ g: δ_D holds −(the entries of g*) on the X-duals and
+    # C on the x-duals, and no entry mixes the two; g* and D(g)* are Lie
+    B = catalog.load().bialgebra(key)
+    delta = canonical_cocommutator(build_double(B))
+    n = B.dim
+    low = [e for e in delta.nonzero() if max(e[:3]) < n]
+    high = [(i - n, j - n, k - n, v) for i, j, k, v in delta.nonzero() if min(i, j, k) >= n]
+    assert len(low) + len(high) == len(delta.nonzero())
+    assert low == [(i, j, k, -v) for i, j, k, v in B.cocomm.nonzero()]
+    assert high == B.algebra.nonzero()
+    assert delta.labels == B.double_algebra.labels
+    assert is_jacobi_zero(B.cocomm)
+    assert is_jacobi_zero(delta)
+
+
 def test_double_split_pattern_h_t_partition(sl2_hyp):
     # partition the base {H} = {J12}, {T} = {P1, P2}; the mixed bracket
     # [t^a, H_i] must equal C^a_{i b} t^b + C^a_{i j} h^j - f_i^{a j} H_j

@@ -994,6 +994,27 @@ def test_adapted_basis_errors(sl2_hyp, h, comp, error, message, inv_error, inv_m
     assert str(exc.value) == inv_message
 
 
+@pytest.mark.parametrize("h, comp, message", [
+    # short: two vectors for dimension 3
+    ([[1, 0, 0]], [[0, 1, 0]], "adapted basis has 2 vectors for dimension 3"),
+    # singular: T repeats h
+    ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0]], "h-basis plus complement do not span g"),
+])
+def test_both_routes_reject_a_short_or_singular_basis_alike(sl2_hyp, h, comp, message):
+    # lagrangian_from_pi reads A⁻¹ from _adapted, the adapted pass also s·A:
+    # both raise the same BasisNotComplete, as does the table
+    D = build_double(sl2_hyp)
+    spec = spec_with_zero_pi(h, comp)
+    for call in (
+        lambda: lagrangian_from_pi(D, spec),
+        lambda: classify(D, sl2_hyp, spec),
+        lambda: lagrangian_bracket_table(D, spec),
+    ):
+        with pytest.raises(BasisNotComplete) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 # --- the paper's sl(2,R) table ----------------------------------------------
 
 # h in the CK basis: compact (the hyperbolic plane H2), a boost (AdS2) and

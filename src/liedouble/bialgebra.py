@@ -27,7 +27,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotACobracket, ShapeError
-from .exactalg import as_poly
+from .exactalg import _times, as_poly
 from .liealg import (
     LieAlgebra,
     _jacobi_notes,
@@ -64,8 +64,7 @@ def _rescaled(form: tuple, d: int) -> dict:
     e, entries = form
     if d == e:
         return entries
-    s = d // e
-    return {key: {m: v * s for m, v in terms.items()} for key, terms in entries.items()}
+    return {key: _times(terms, d // e) for key, terms in entries.items()}
 
 
 def _double_algebra(

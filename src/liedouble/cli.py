@@ -298,6 +298,13 @@ def cmd_classify(args) -> int:
             pi_rows = json.loads(args.pi)
         except json.JSONDecodeError as exc:
             raise ParseError(f"--pi is not valid JSON: {exc}") from exc
+        # a string or object row would be read as its characters or keys
+        rows = pi_rows if isinstance(pi_rows, list) else [pi_rows]
+        for row in rows:
+            if not isinstance(row, list):
+                what = "row " if rows is pi_rows else ""
+                raise ParseError(f"--pi must be a {m}x{m} matrix of polynomials: "
+                                 f"{what}{json.dumps(row)} is not a JSON list")
     try:
         spec = LagrangianSpec(h, complement, pi_rows)
     except (TypeError, PolyParseError, ShapeError) as exc:

@@ -52,7 +52,7 @@ from math import lcm
 
 from .bialgebra import LieBialgebra, _double_algebra, _rescaled
 from .errors import DimensionMismatch, NotACobracket
-from .exactalg import PolyExpr, Q, _canonical, as_poly, mul_acc
+from .exactalg import PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import Vector
 from .liealg import LieAlgebra
 from .rmatrix import RMatrix
@@ -76,7 +76,7 @@ class DoubleAlgebra:
         """The skew part (1/2) Σ x^i ∧ X_i of Σ x^i ⊗ X_i, the terms
         r^{i, n+i} = −1/2, built on first read."""
         if self._r_skew is None:
-            coef, n = PolyExpr.const(Q(-1, 2)), self.n
+            coef, n = as_poly("-1/2"), self.n
             terms = {(i, n + i): coef for i in range(n)}
             self._r_skew = RMatrix(self.algebra.labels, terms)
         return self._r_skew
@@ -89,16 +89,17 @@ def build_double(B: LieBialgebra) -> DoubleAlgebra:
 
 
 def pairing(D: DoubleAlgebra, u: Vector, v: Vector) -> PolyExpr:
-    """Symmetric bilinear pairing <u, v> on the double."""
+    """Symmetric bilinear pairing <u, v> on the double, summed over integer
+    terms at one scale."""
     if len(u) != D.dim or len(v) != D.dim:
         raise DimensionMismatch("pairing arguments must have length 2n")
     n = D.n
+    pairs = [(as_poly(a), as_poly(b)) for a, b in zip(u, v[n:] + v[:n])]
+    d, scaled = to_int_terms(x for pair in pairs if all(pair) for x in pair)
     terms: dict = {}
-    for a, b in zip(u, v[n:] + v[:n]):
-        a, b = as_poly(a), as_poly(b)
-        if not a.is_zero and not b.is_zero:
-            mul_acc(terms, a, b)
-    return _canonical(terms)
+    for t1, t2 in zip(scaled[::2], scaled[1::2]):
+        _add_product(terms, 1, t1, t2)
+    return from_int_terms(terms, d * d)
 
 
 def canonical_cocommutator(D: DoubleAlgebra) -> LieAlgebra:
@@ -249,13 +250,10 @@ def _term_prefix(coef: PolyExpr) -> str:
     """The text before the label in the term coef·label of a table row:
     ``""`` for 1, ``"-"`` for −1, ``"c*"`` for one term c and ``"(p)*"`` for
     a polynomial p of several terms."""
-    terms = coef.terms
-    if len(terms) != 1:
-        return f"({coef})*"
-    q = terms.get(())
-    if q is not None and q.denominator == 1 and q.numerator in (1, -1):
-        return "" if q.numerator == 1 else "-"
-    return f"{coef}*"
+    text = str(coef)
+    if len(coef.terms) != 1:
+        return f"({text})*"
+    return "" if text == "1" else "-" if text == "-1" else text + "*"
 
 
 @lru_cache(maxsize=16)

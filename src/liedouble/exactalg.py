@@ -1,43 +1,42 @@
 """Exact scalar arithmetic: rationals and sparse multivariate polynomials.
 
 A :class:`PolyExpr` is a finite sum of terms ``coef * p1^e1 * p2^e2 * ...``
-with ``coef`` a :class:`fractions.Fraction` and the ``p_i`` named real
-parameters.  Exponents are integers and may be negative (Laurent terms),
-which is needed for basis changes whose coefficients contain inverse
-powers of a deformation parameter.
+with a rational ``coef`` and the ``p_i`` named real parameters.  Exponents
+are integers and may be negative (Laurent terms), which is needed for basis
+changes whose coefficients contain inverse powers of a deformation
+parameter.
 
-Representation::
+Representation, the layout of FLINT's ``fmpq_poly`` (an integer polynomial
+over one common denominator)::
 
-    terms : dict[Monomial, Fraction]
+    terms : dict[Monomial, int]    zero-free numerators
+    den   : int > 0                gcd(den, every numerator) = 1
     Monomial = tuple[(name, exponent), ...]   sorted by name, exponent != 0
 
-Zero coefficients are never stored, so equality of the ``terms`` dicts is
-equality of polynomials, and the textual serialization is canonical: for
-every polynomial ``p``, ``PolyExpr.parse(str(p)) == p`` bit-exactly.
+The polynomial is terms / den in lowest terms, so equality of polynomials is
+equality of the two fields, and the text is canonical: for every ``p``,
+``PolyExpr.parse(str(p)) == p`` bit-exactly.  ``PolyExpr(terms)`` takes int
+or :class:`~fractions.Fraction` coefficients; a Fraction is otherwise built
+only by :meth:`PolyExpr.evaluate` at an exact point and in the rational long
+division of :func:`poly_div_exact`.  Results are built by :func:`_canonical`,
+which takes over a dict already in this form, or by :func:`from_int_terms`,
+which divides a zero-free ``{monomial: int}`` dict by an int scale with one
+gcd.
 
-Canonical terms: every value is a nonzero :class:`~fractions.Fraction` and
-every monomial is sorted by name with nonzero exponents.  The public
-constructor ``PolyExpr(terms)`` checks and coerces its input into this form.
-Arithmetic results are built by the private :func:`_canonical`, which takes
-a terms dict that already has this form and neither copies nor re-coerces
-it; :func:`mul_acc` accumulates ``±a*b`` into such a dict in place.
-Long sums of products can instead run over integers: :func:`to_int_terms`
-clears the denominators of their factors once and :func:`from_int_terms`
-divides the integer result back.  Such a sum holds each polynomial as a
-terms dict ``{monomial: int}``, zero-free like ``terms``: the same
-monomial tuples, integer coefficients, no zero stored.  One kernel,
-:func:`_add_product`, forms a product in it and keeps it zero-free; the
-Jacobi check, the adapted pass of :mod:`liedouble.homogeneous` and the
-Bareiss elimination of :mod:`liedouble.exactlinalg` accumulate through it,
-and :func:`_mono_mul` returns a monomial at once when the other factor is
-constant.  The basis transforms of :mod:`liedouble.liealg` instead regroup
-such dicts by monomial and sum one layer of ints at a time.  The exact
-divisions of the Bareiss elimination by a pivot of several terms run
-through :func:`_div_exact_terms` over ints.
-:class:`~fractions.Fraction` objects are built only for the nonzero
-results divided back.
+One kernel, :func:`_add_product`, forms every product, ``out += s·t1·t2`` on
+such dicts in place: ``*`` and ``+``, and the long sums (the Jacobi check, δ_r
+and the CYBE residual, the pairing of a double, the adapted pass of
+:mod:`liedouble.homogeneous` and the Bareiss elimination of
+:mod:`liedouble.exactlinalg`).  A sum brings its factors to one scale with
+:func:`to_int_terms`, the lcm of their ``den``, adds plain ints and divides
+back once.  The basis transforms of :mod:`liedouble.liealg` regroup such
+dicts by monomial and sum one layer of ints at a time, and the Bareiss
+divisions by a pivot of several terms run through :func:`_div_exact_terms`.
 
-All values are immutable; instances can be shared freely between threads.
+All values are immutable and can be shared between threads.  Polynomials
+and integer sums share terms dicts (:func:`to_int_terms` hands out
+``p.terms`` when ``p.den`` is the lcm, and :func:`_canonical` and
+:func:`from_int_terms` keep the dict given), so no such dict may be changed.
 ``-p`` is built once and kept on p and on −p, so ``-(-p) is p``, and
 ``str(p)`` is rendered on the first call and kept on p; two threads
 negating or rendering p at once may each build an equal one.
@@ -47,8 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from operator import truediv
+from math import gcd, lcm
 from typing import Callable, Mapping, Union
 
 from .errors import NotDivisible, PolyParseError, UnassignedParameter
@@ -59,6 +57,7 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 PolyLike = Union["PolyExpr", Fraction, int, str]
 
 _ONE_MONOMIAL: Monomial = ()
+_UNIT = {_ONE_MONOMIAL: 1}  # the constant 1, to add s·t as the product s·t·1
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -84,18 +83,21 @@ def _mono_pow(a: Monomial, n: int) -> Monomial:
 class PolyExpr:
     """Exact polynomial (Laurent) in named real parameters over ℚ."""
 
-    # _neg: the negation, set on both polynomials by the first ``-p``;
-    # _str: the text, set by the first ``str(p)``
-    __slots__ = ("terms", "_neg", "_str")
+    # terms / den (module doc); _neg: the negation, set on both polynomials
+    # by the first ``-p``; _str: the text, set by the first ``str(p)``
+    __slots__ = ("terms", "den", "_neg", "_str")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for mono, coef in terms.items():
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        coefs = {}
+        for mono, coef in (terms or {}).items():
+            if not isinstance(coef, (int, Fraction)):
                 coef = Q(coef)
-                if coef != 0:
-                    clean[mono] = coef
-        object.__setattr__(self, "terms", clean)
+            if coef:
+                coefs[mono] = coef
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*{c.denominator for c in coefs.values()})
+        _set_terms(self, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()})
+        _set_den(self, den)
 
     # -- construction -------------------------------------------------
 
@@ -109,8 +111,10 @@ class PolyExpr:
 
     @classmethod
     def const(cls, value: int | Fraction) -> PolyExpr:
-        value = Q(value)
-        return _canonical({_ONE_MONOMIAL: value} if value else {})
+        if not isinstance(value, (int, Fraction)):
+            value = Q(value)
+        terms = {_ONE_MONOMIAL: value.numerator} if value else {}
+        return _canonical(terms, value.denominator)
 
     @classmethod
     def param(cls, name: str, exponent: int = 1) -> PolyExpr:
@@ -118,7 +122,7 @@ class PolyExpr:
             raise PolyParseError(f"invalid parameter name: {name!r}")
         if exponent == 0:
             return cls.one()
-        return _canonical({((name, exponent),): Q(1)})
+        return _canonical({((name, exponent),): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -134,9 +138,15 @@ class PolyExpr:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyExpr):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == PolyExpr.const(other).terms
+            return self.den == other.den and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):  # a constant, read as it is
+            if not other:
+                return not self.terms
+            return (
+                self.den == other.denominator
+                and len(self.terms) == 1
+                and self.terms.get(_ONE_MONOMIAL) == other.numerator
+            )
         return NotImplemented
 
     __hash__ = None  # mutable-dict payload; not usable as a dict key
@@ -147,18 +157,11 @@ class PolyExpr:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            old = out.get(mono)
-            if old is None:
-                out[mono] = coef
-            else:
-                new = old + coef
-                if new:
-                    out[mono] = new
-                else:
-                    del out[mono]
-        return _canonical(out)
+        d = lcm(self.den, other.den)
+        s = d // self.den
+        out = dict(self.terms) if s == 1 else _times(self.terms, s)
+        _add_product(out, d // other.den, other.terms, _UNIT)
+        return from_int_terms(out, d)
 
     __radd__ = __add__
 
@@ -167,7 +170,7 @@ class PolyExpr:
         try:
             return self._neg
         except AttributeError:
-            neg = _canonical({m: -c for m, c in self.terms.items()})
+            neg = _canonical({m: -v for m, v in self.terms.items()}, self.den)
             _set_neg(neg, self)
             _set_neg(self, neg)
             return neg
@@ -179,9 +182,10 @@ class PolyExpr:
         return as_poly(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> PolyExpr:
-        out: dict[Monomial, Fraction] = {}
-        mul_acc(out, self, as_poly(other))
-        return _canonical(out)
+        other = as_poly(other)
+        out: dict[Monomial, int] = {}
+        _add_product(out, 1, self.terms, other.terms)
+        return from_int_terms(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -203,10 +207,6 @@ class PolyExpr:
         """Names of all parameters occurring with nonzero exponent."""
         return frozenset(name for mono in self.terms for name, _ in mono)
 
-    @property
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, assignment: Mapping[str, object]):
@@ -215,25 +215,28 @@ class PolyExpr:
         Every parameter occurring in the polynomial must be assigned,
         otherwise :class:`UnassignedParameter` is raised.  The result type
         follows the inputs: all-exact assignments (int/Fraction) give a
-        Fraction, floats give a float.
+        Fraction, as a constant does, and floats give a float.  Each
+        coefficient is read as a Fraction, or at a point of floats as the
+        float ``Fraction * float`` reads it, the correctly rounded quotient.
         """
-        missing = self.parameters() - set(assignment)
+        used = self.parameters()
+        missing = used - set(assignment)
         if missing:
             raise UnassignedParameter(
                 "no value for parameter(s): " + ", ".join(sorted(missing))
             )
-        values = {
-            k: Q(v) if isinstance(v, int) else v for k, v in assignment.items()
-        }
+        values = {k: Q(v) if isinstance(v, int) else v for k, v in assignment.items()}
+        floats = used and all(isinstance(values[k], float) for k in used)
+        den = self.den
         total = None
-        for mono, coef in self.terms.items():
-            term = coef
+        for mono, v in self.terms.items():
+            term = v if den == 1 else v / den if floats else Q(v, den)
             for name, e in mono:
                 term = term * values[name] ** e
             total = term if total is None else total + term
         if total is None:
             return Q(0)
-        return total
+        return Q(total) if type(total) is int else total
 
     def substitute(self, mapping: Mapping[str, PolyLike]) -> PolyExpr:
         """Replace parameters by polynomials, exactly.
@@ -244,8 +247,8 @@ class PolyExpr:
         """
         polys = {name: as_poly(v) for name, v in mapping.items()}
         out = PolyExpr.zero()
-        for mono, coef in self.terms.items():
-            term = PolyExpr.const(coef)
+        for mono, v in self.terms.items():  # the numerators, divided by den below
+            term = _canonical({_ONE_MONOMIAL: v})
             for name, e in mono:
                 if name not in polys:
                     term = term * PolyExpr.param(name, e)
@@ -256,7 +259,7 @@ class PolyExpr:
                 else:
                     term = term * _invert_single_term(rep) ** (-e)
             out = out + term
-        return out
+        return from_int_terms(out.terms, out.den * self.den)
 
     # -- canonical text form --------------------------------------------
 
@@ -275,8 +278,10 @@ class PolyExpr:
             return "0"
         parts = []
         for mono in sorted(self.terms):
-            coef = self.terms[mono]
-            num, den = coef.numerator, coef.denominator
+            num, den = self.terms[mono], self.den
+            if den != 1:  # the coefficient num/den in lowest terms
+                g = gcd(num, den)
+                num, den = num // g, den // g
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
             if not factors:
@@ -344,17 +349,17 @@ def _parse_poly(text: str) -> PolyExpr:
             kind, val = tokens[i]
             if expect_factor:
                 if kind == "num":
-                    coef = Q(int(val))
+                    num, den = int(val), 1
                     i += 1
                     if i < n and tokens[i] == ("op", "/"):
                         if i + 1 < n and tokens[i + 1][0] == "num":
-                            if int(tokens[i + 1][1]) == 0:
+                            den = int(tokens[i + 1][1])
+                            if den == 0:
                                 raise PolyParseError(f"zero denominator in {text!r}")
-                            coef = coef / int(tokens[i + 1][1])
                             i += 2
                         else:
                             raise PolyParseError(f"bad rational in {text!r}")
-                    term = term * PolyExpr.const(coef)
+                    term = term * from_int_terms({_ONE_MONOMIAL: num} if num else {}, den)
                 elif kind == "name":
                     exponent = 1
                     i += 1
@@ -403,71 +408,55 @@ def as_poly(value: PolyLike) -> PolyExpr:
 def _invert_single_term(p: PolyExpr) -> PolyExpr:
     if len(p.terms) != 1:
         raise NotDivisible(f"cannot invert multi-term polynomial {p}")
-    (mono, coef), = p.terms.items()
-    return _canonical({_mono_pow(mono, -1): Q(coef.denominator, coef.numerator)})
+    (mono, v), = p.terms.items()  # v/den in lowest terms, so den/v is too
+    return _canonical({_mono_pow(mono, -1): p.den if v > 0 else -p.den}, abs(v))
 
 
 _set_terms = PolyExpr.terms.__set__
+_set_den = PolyExpr.den.__set__
 _set_neg = PolyExpr._neg.__set__
 _set_str = PolyExpr._str.__set__
 
 
-def _canonical(terms: dict) -> PolyExpr:
-    """The polynomial over ``terms``, which must already be canonical (see
-    the module docstring); the dict is taken over, not copied."""
+def _canonical(terms: dict, den: int = 1) -> PolyExpr:
+    """The polynomial terms / den, which must already be canonical and in
+    lowest terms (see the module docstring); the dict is taken over, not
+    copied."""
     p = object.__new__(PolyExpr)
     _set_terms(p, terms)
+    _set_den(p, den)
     return p
 
 
-def mul_acc(out: dict, a: PolyExpr, b: PolyExpr, negate: bool = False) -> None:
-    """``out += a*b`` (``out -= a*b`` with ``negate``) on a canonical terms
-    dict, in place; ``out`` stays canonical."""
-    for ma, ca in a.terms.items():
-        if negate:
-            ca = -ca
-        for mb, cb in b.terms.items():
-            mono = _mono_mul(ma, mb)
-            old = out.get(mono)
-            if old is None:
-                out[mono] = ca * cb
-            else:
-                new = old + ca * cb
-                if new:
-                    out[mono] = new
-                else:
-                    del out[mono]
-
-
 def to_int_terms(polys) -> tuple[int, list]:
-    """Clear denominators once: ``(d, scaled)`` with ``d`` the lcm of every
-    coefficient denominator in ``polys`` and ``scaled[i]`` the terms of
-    ``d * polys[i]`` as a dict ``{mono: int}``.
-
-    Sums of products of scaled polynomials then run over Python ints: a sum
-    of products of two factors each is ``d**2`` times the rational sum,
-    exactly, so it is zero exactly when the rational sum is, and
-    :func:`from_int_terms` with scale ``d**2`` gives back the rational
-    polynomial.  Nothing is evaluated at parameter values, so the result
-    stays generic in the parameters.  No :class:`~fractions.Fraction` is
-    built here.
-    """
+    """One scale for several polynomials: ``(d, scaled)`` with ``d`` the lcm
+    of their ``den`` and ``scaled[i]`` the terms of ``d * polys[i]``
+    (``polys[i].terms`` itself when its den is d).  A sum of products of two
+    scaled factors each is then ``d**2`` times the rational sum, exactly and
+    generically in the parameters; :func:`from_int_terms` divides it back."""
     polys = list(polys)
-    # over the distinct denominators, which are few: one argument per
-    # coefficient left up to 0.4 MB allocated across calls (CPython 3.11)
-    d = lcm(*{q.denominator for p in polys for q in p.terms.values()})
-    scaled = [
-        {mono: q.numerator * (d // q.denominator) for mono, q in p.terms.items()}
-        for p in polys
-    ]
-    return d, scaled
+    d = lcm(*{p.den for p in polys})
+    return d, [p.terms if p.den == d else _times(p.terms, d // p.den) for p in polys]
+
+
+def _times(terms: dict, s: int) -> dict:
+    """The terms of s·t for the terms of t, s a nonzero int."""
+    return {mono: v * s for mono, v in terms.items()}
 
 
 def from_int_terms(terms: dict, scale: int) -> PolyExpr:
-    """The polynomial ``terms / scale`` for a dict ``{mono: int}``, e.g. a
-    sum accumulated over the output of :func:`to_int_terms`; zero
-    coefficients are dropped."""
-    return _canonical({mono: Q(v, scale) for mono, v in terms.items() if v})
+    """The polynomial ``terms / scale`` for a zero-free dict ``{mono: int}``
+    and a nonzero int scale, e.g. a sum accumulated over the output of
+    :func:`to_int_terms`, reduced to lowest terms by one gcd.  The dict is
+    taken over when the scale is positive and shares no factor with it."""
+    if scale != 1:
+        g = gcd(scale, *terms.values())
+        if scale < 0:
+            g = -g
+        if g != 1:
+            terms = {mono: v // g for mono, v in terms.items()}
+            scale //= g
+    return _canonical(terms, scale)
 
 
 def _add_product(out: dict, s: int, t1: dict, t2: dict) -> None:
@@ -495,15 +484,7 @@ def _graded_key(mono_exps: tuple[int, ...]):
 
 def _content_shift(terms: dict, params: tuple[str, ...]) -> dict[str, int]:
     """Per-parameter minimum exponent across terms (absent parameter = 0)."""
-    shift = {name: 0 for name in params}
-    first = True
-    for mono in terms:
-        exps = dict(mono)
-        for name in params:
-            e = exps.get(name, 0)
-            shift[name] = e if first else min(shift[name], e)
-        first = False
-    return shift
+    return {name: min(dict(mono).get(name, 0) for mono in terms) for name in params}
 
 
 def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
@@ -513,7 +494,9 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
     polynomials with per-parameter minimum exponent zero), then multivariate
     long division runs under a graded ordering; the content quotient is a
     Laurent monomial reattached at the end.  In the Laurent ring this finds
-    the quotient whenever one exists.
+    the quotient whenever one exists.  The division runs over the
+    numerators, with :class:`~fractions.Fraction` quotients of their
+    coefficients, and the two denominators are applied at the end.
     """
     a = as_poly(a)
     b = as_poly(b)
@@ -521,22 +504,22 @@ def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
         raise NotDivisible("division by the zero polynomial")
     if a.is_zero:
         return PolyExpr.zero()
-    if b.is_single_term:
-        inv = _invert_single_term(b)
-        return a * inv
-    quotient = _div_exact_terms(a.terms, b.terms, truediv)
+    if len(b.terms) == 1:
+        return a * _invert_single_term(b)
+    quotient = _div_exact_terms(a.terms, b.terms, Q)
     if quotient is None:
         raise NotDivisible(f"({a}) is not divisible by ({b})")
-    return _canonical(quotient)
+    return PolyExpr(quotient) * from_int_terms({_ONE_MONOMIAL: b.den}, a.den)
 
 
 def _div_exact_terms(a: dict, b: dict, divide: Callable) -> dict | None:
     """The terms of the Laurent quotient a / b of two nonzero terms dicts,
     by the long division of :func:`poly_div_exact`, or None when there is
-    none.  ``divide(x, y)`` divides two coefficients: exactly, with
-    :class:`~fractions.Fraction` or int coefficients whose quotient is known
-    to be an integer polynomial, as in the integer Bareiss kernel (the
-    leading coefficient of every remainder is then a multiple of b's)."""
+    none.  ``divide(x, y)`` divides two coefficients exactly: as
+    :class:`~fractions.Fraction` in :func:`poly_div_exact`, or as ints when
+    the quotient is known to be an integer polynomial, as in the integer
+    Bareiss kernel (the leading coefficient of every remainder is then a
+    multiple of b's)."""
     params = tuple(sorted({name for mono in (*a, *b) for name, _ in mono}))
     shift_a = _content_shift(a, params)
     shift_b = _content_shift(b, params)

@@ -11,24 +11,26 @@ division raises :class:`NotDivisible` when an answer is a genuine rational
 function rather than a Laurent polynomial (:func:`nullspace` then keeps
 the undivided, fraction-free vector).
 
-The elimination runs over integer terms with one scale.  The denominators
-of the whole input are cleared once (:func:`_cleared`, over
-:func:`~liedouble.exactalg.to_int_terms`), so it eliminates s·A for one
+The elimination runs over integer terms with one scale.  The whole input
+is brought to one scale once (:func:`_cleared`, over
+:func:`~liedouble.exactalg.to_int_terms`): each entry's integer terms are
+rescaled to the lcm s of the denominators, so it eliminates s·A for one
 positive integer s, and every entry is held as a dict ``{monomial: int}``.
 The integer core, :func:`_bareiss`, takes that cleared matrix, and so
 does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
 appends the identity half as integer unit dicts, so the adapted pass of
 :mod:`liedouble.homogeneous` inverts the s·A its transforms read without
 clearing it again.  An update piv·a − f·b is formed by one call of
-:func:`~liedouble.exactalg._add_product`, the kernel of the integer sums
-of products outside the basis transforms, per nonzero product, into one
-zero-free terms dict, and divided exactly by the previous pivot: not at
-all when the pivot is 1, by ``divmod`` on the coefficients and a monomial
-shift when it is one other term, by integer long division otherwise.  Every entry of the reduced
+:func:`~liedouble.exactalg._add_product`, the one product kernel, per
+nonzero product, into one zero-free terms dict, and divided exactly by the
+previous pivot: not at all when the pivot is 1, by ``divmod`` on the
+coefficients and a monomial shift when it is one other term, by integer
+long division otherwise.  Every entry of the reduced
 matrix of s·A is an r×r minor, r the rank, so it is s^r times that of A:
 the answers above, ratios of two entries, do not depend on s, and only the
-fraction-free vector of :func:`nullspace` is divided back by s^r.  No :class:`~fractions.Fraction`
-is built before that one division at the end.
+fraction-free vector of :func:`nullspace` is divided back by s^r.  Each
+answer is divided back once, by
+:func:`~liedouble.exactalg.from_int_terms`.
 
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
@@ -36,13 +38,10 @@ invertible unless it is identically zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotDivisible, SingularMatrix
 from .exactalg import (
     PolyExpr,
     _add_product,
-    _canonical,
     _div_exact_terms,
     _mono_mul,
     _mono_pow,
@@ -114,7 +113,8 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
     previous pivot.  With ``reduce`` the entries above every pivot are
     cleared too, and every pivot ends equal to the last one.  The rows of
     ``m`` are reordered and replaced entry by entry; no entry dict is
-    changed, so a dict shared with another matrix stays as it was.
+    changed, so a dict shared with another matrix or a polynomial stays as
+    it was.
 
     The pivot of a column is, among its nonzero entries at or below row r,
     the first single-term one equal to the previous pivot (1 before the
@@ -177,7 +177,7 @@ def _quotient(num: dict, den: dict) -> PolyExpr:
     if len(den) == 1:
         ((mono, d),) = den.items()
         inv = _mono_pow(mono, -1)
-        return _canonical({_mono_mul(m, inv): Fraction(v, d) for m, v in num.items()})
+        return from_int_terms({_mono_mul(m, inv): v for m, v in num.items()}, d)
     return poly_div_exact(from_int_terms(num, 1), from_int_terms(den, 1))
 
 

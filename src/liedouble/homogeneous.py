@@ -45,16 +45,16 @@ none.  It also keeps the first nonzero pairing <X^α, X^β> = π^{αβ} + π^{β
 polynomial: the pairing by the labels of l, the components by those of h
 and the complement in g.
 
-The pass runs over integers.  The adapted basis A = (h, T) is cleared of
-its denominators once (:func:`_adapted`): the integer Bareiss kernel
-inverts that integer matrix.  Its columns, as M, and the inverse, as W,
+The pass runs over integers.  The adapted basis A = (h, T) is brought to
+one scale once, the lcm s of its denominators (:func:`_adapted`), and the
+integer Bareiss kernel inverts that integer matrix s·A.  Its columns, as M, and the inverse, as W,
 are each regrouped once into monomial layers (``liealg._int_rows``), which
 both transforms read.  C' and f' reach the pass in the integer form of the
 basis transform ``liealg._structure_int``, C' from C with (M, W) and f'
 from g* with (Wᵀ, Mᵀ), scaled by d_C and d_f, with one entry per
 antisymmetric pair: C'_ab^k for a < b and f'_i^{bc}, keyed (b, c, i), for
 b < c; the other half is read as the negation.
-π's denominators are cleared once, at the scale d_π.  M, R and the
+π is brought to one scale d_π the same way.  M, R and the
 H-part of [H_i, X^α] are then sums over ints at the scale
 s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
 is exactly s1 or s2 times its rational value, summed by
@@ -105,7 +105,7 @@ from .errors import (
     ShapeError,
     WrongDimension,
 )
-from .exactalg import PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
+from .exactalg import _UNIT, PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import (
     Matrix,
     _cleared,
@@ -378,13 +378,12 @@ def _first_pairing(pi_int: dict, n_t: int, d_pi: int) -> tuple | None:
     """``(α, β, terms, d_π)`` for the first α ≤ β at which π^{αβ} + π^{βα}
     is nonzero, the terms d_π times it, from π's nonzero entries
     ``{(α, β): terms}`` at the scale d_π; None when π is antisymmetric."""
-    unit = {(): 1}
     for a in range(n_t):
         for b in range(a, n_t):
             value: dict = {}
             for key in ((a, b), (b, a)):
                 if key in pi_int:
-                    _add_product(value, 1, pi_int[key], unit)
+                    _add_product(value, 1, pi_int[key], _UNIT)
             if value:
                 return a, b, value, d_pi
     return None
@@ -451,7 +450,6 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             c_tt.setdefault((a - n_h, b - n_h), []).append((u, 1, t))
             c_tt.setdefault((b - n_h, a - n_h), []).append((u, -1, t))
     no_terms: dict = {}
-    unit = {(): 1}  # the constant 1, to add s·t as the product s·t·1
     m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
     for (b, u, i), t in f.items():
         if i >= n_h:
@@ -460,8 +458,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             if u >= n_h:
                 f_tt.setdefault((i - n_h, u - n_h), []).append((b, -1, t))
         if b >= n_h:
-            _add_product(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t, unit)
-            _add_product(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t, unit)
+            _add_product(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t, _UNIT)
+            _add_product(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t, _UNIT)
     # R has M's f' part; it differs from M only for π not antisymmetric
     r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
     for p, q, v in pi_nz:  # v = d_π·π^{pq}
@@ -506,7 +504,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 h = {}
                 t = f.get((j, t_a, i))
                 if t:
-                    _add_product(h, -f_mul, t, unit)
+                    _add_product(h, -f_mul, t, _UNIT)
                 for b, v in pi_rows[a]:
                     t = c.get((i, n_h + b, j))
                     if t:

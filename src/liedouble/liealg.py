@@ -11,11 +11,11 @@ written, is a cached view.  Validity (the Jacobi identity) is checked by
 residual on sorted index triples only.
 
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
-added with a sign into the one sorted triple it belongs to, and over
-integers: the structure constants are read, scaled by the lcm d of their
-denominators, from the algebra's integer form, and every product is
-accumulated by :func:`~liedouble.exactalg._add_product` into the terms dict
-of its component.  Only the nonzero sums are divided back by d².
+added with a sign into the one sorted triple it belongs to, over integers:
+the algebra's integer form holds the constants' integer terms at the lcm d
+of their denominators, and every product is accumulated by the kernel
+:func:`~liedouble.exactalg._add_product` into the terms dict of its
+component.  Only the nonzero sums are divided back by d².
 
 The cocommutator δ(X_i) = f_i^{jk} X_j⊗X_k of a Lie bialgebra is stored
 as the algebra g* it is dual to, [x^j, x^k] = f_i^{jk} x^i, labelled by

@@ -26,7 +26,8 @@ r-matrix?", 1983):
 An :class:`RMatrix` is its wedge terms, the nonzero r^{ij} with i < j, so
 it is antisymmetric by construction; the dense ``r`` is a read-only view
 built on first read.  δ_r is built as its stored half, so no dense tensor
-is filled or scanned.
+is filled or scanned.  Both are summed, as the Jacobi check is, over the
+integer terms of C, f and r at one scale through ``exactalg._add_product``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyExpr, PolyLike, _canonical, as_poly, mul_acc
+from .exactalg import PolyExpr, PolyLike, _add_product, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import Matrix
 from .liealg import LieAlgebra, _algebra_of, _component, is_jacobi_zero
 
@@ -106,41 +107,45 @@ def rmatrix_from_wedge(
     return RMatrix(labels, {key: v for key, v in acc.items() if v.terms})
 
 
-def _rows(r: RMatrix) -> list:
-    """The nonzero entries of r by row: ``rows[i]`` lists (j, r^{ij}) by j."""
+def _rows(r: RMatrix) -> tuple[int, list]:
+    """The nonzero entries of r by row over ints: ``(d, rows)``, ``rows[i]``
+    listing (j, sign, terms) by j with r^{ij} = sign·terms / d."""
+    keys = sorted(r.terms)
+    d, scaled = to_int_terms(r.terms[key] for key in keys)
     rows: list = [[] for _ in range(r.dim)]
-    for i, j, v in r.wedge_terms():
-        rows[i].append((j, v))
-        rows[j].append((i, -v))
-    return rows
+    for (i, j), t in zip(keys, scaled):
+        rows[i].append((j, 1, t))
+        rows[j].append((i, -1, t))
+    return d, rows
 
 
 def cocommutator_from_r(L: LieAlgebra, r: RMatrix) -> LieAlgebra:
     """Coboundary cocommutator δ(X_i) = f_i^{jk} X_j⊗X_k as g*,
     [x^j, x^k] = f_i^{jk} x^i, labelled by the basis of L.
 
-    f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated with
-    :func:`~liedouble.exactalg.mul_acc` over the nonzero C_il^t, each stored
-    C_ab^t read in both orders, and r^{lo}.  As r^{jl} = −r^{lj}, each such
-    product is a term of f_i^{to} and, negated, of f_i^{ot}; only the stored
-    one, to < ot, is accumulated.
+    f_i^{jk} = Σ_l ( C_il^j r^{lk} + C_il^k r^{jl} ), accumulated over the
+    nonzero C_il^t, each stored C_ab^t read in both orders, and r^{lo}.  As
+    r^{jl} = −r^{lj}, each such product is a term of f_i^{to} and, negated,
+    of f_i^{ot}; only the stored one, to < ot, is accumulated, over the
+    integer form of C and the integer rows of r, at the scale d_C·d_r.
     """
     if r.dim != L.dim:
         raise DimensionMismatch(
             f"r-matrix dimension {r.dim} does not match algebra dimension {L.dim}"
         )
-    rows = _rows(r)
+    d_c, c_int = L.int_tensor()
+    d_r, rows = _rows(r)
     acc: dict = {}
-    for a, b, target, coef in L.nonzero():
-        for i, l, negate in ((a, b, False), (b, a, True)):  # ±coef = C_il^target
-            for other, value in rows[l]:
+    for a, b, target, _ in L.nonzero():
+        t = c_int[a, b, target]
+        for i, l, s in ((a, b, 1), (b, a, -1)):  # s·t = d_C·C_il^target
+            for other, sign, v in rows[l]:
                 if target < other:
-                    mul_acc(acc.setdefault((target, other, i), {}), coef, value, negate)
+                    _add_product(acc.setdefault((target, other, i), {}), s * sign, t, v)
                 elif other < target:
-                    mul_acc(acc.setdefault((other, target, i), {}), coef, value, not negate)
-    return _algebra_of(
-        L.labels, [(*key, _canonical(acc[key])) for key in sorted(acc) if acc[key]]
-    )
+                    _add_product(acc.setdefault((other, target, i), {}), -s * sign, t, v)
+    entries = [(*key, from_int_terms(acc[key], d_c * d_r)) for key in sorted(acc) if acc[key]]
+    return _algebra_of(L.labels, entries)
 
 
 def _cybe_residual(L: LieAlgebra, r: RMatrix, f: LieAlgebra) -> dict:
@@ -154,22 +159,31 @@ def _cybe_residual(L: LieAlgebra, r: RMatrix, f: LieAlgebra) -> dict:
     of r^{ai} = −r^{ia} cancel.  A stored C_ab^m (a < b) stands for C_ba^m
     too, whose term r^{ib} r^{ja} C_ba^m is r^{ja} r^{ib} C_ab^m with its
     sign changed: the product of rows a and b at (i, j) goes to (i, j) when
-    i < j, and negated to (j, i) when i > j.
+    i < j, and negated to (j, i) when i > j.  Both sums run over integers,
+    the first at d_f·d_r and the second at d_r²·d_C, each multiplied up to
+    the common scale d_f·d_r²·d_C.
     """
-    rows = _rows(r)
+    d_r, rows = _rows(r)
+    d_f, f_int = f.int_tensor()
+    d_c, c_int = L.int_tensor()
+    f_mul, c_mul = d_r * d_c, d_f
     acc: dict = {}
-    for i, j, k, value in f.nonzero():
-        for m, rkm in rows[k]:
-            mul_acc(acc.setdefault((i, j, m), {}), value, rkm)
-    for a, b, m, coef in L.nonzero():
-        for i, rai in rows[a]:
-            product = coef * rai
-            for j, rbj in rows[b]:
+    for i, j, k, _ in f.nonzero():
+        t = f_int[i, j, k]
+        for m, sign, v in rows[k]:
+            _add_product(acc.setdefault((i, j, m), {}), sign * f_mul, t, v)
+    for a, b, m, _ in L.nonzero():
+        t = c_int[a, b, m]
+        for i, si, v in rows[a]:
+            product: dict = {}  # d_C·d_r·C_ab^m r^{ai}
+            _add_product(product, si, t, v)
+            for j, sj, w in rows[b]:
                 if i < j:
-                    mul_acc(acc.setdefault((i, j, m), {}), product, rbj, negate=True)
+                    _add_product(acc.setdefault((i, j, m), {}), -sj * c_mul, product, w)
                 elif i > j:
-                    mul_acc(acc.setdefault((j, i, m), {}), product, rbj)
-    return {key: _canonical(terms) for key, terms in sorted(acc.items()) if terms}
+                    _add_product(acc.setdefault((j, i, m), {}), sj * c_mul, product, w)
+    scale = d_f * d_r * d_r * d_c
+    return {key: from_int_terms(t, scale) for key, t in sorted(acc.items()) if t}
 
 
 def is_cybe(L: LieAlgebra, r: RMatrix) -> bool:

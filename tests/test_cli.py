@@ -558,6 +558,7 @@ def test_exit_zero_iff_all_pass(tmp_path):
         ["span{P1,P1}"],
         ["span{P1, 2*P1}"],
         ["span{J12}", "--pi", "[[0, true], [false, 0]]"],
+        ["span{J12}", "--pi", '["ab", "cd"]'],
     ],
 )
 def test_classify_malformed_input_exits_2(argv, capsys):

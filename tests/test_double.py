@@ -617,7 +617,7 @@ def test_double_builder_negates_no_entry(so22_twisted, monkeypatch):
 
     built = []
     real = exactalg._canonical
-    monkeypatch.setattr(exactalg, "_canonical", lambda terms: built.append(terms) or real(terms))
+    monkeypatch.setattr(exactalg, "_canonical", lambda *args: built.append(args) or real(*args))
     B = so22_twisted
     again = _double_algebra(B.algebra, B.cocomm, B.dual_labels)
     delta = canonical_cocommutator(build_double(B))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 import sympy
@@ -10,7 +11,7 @@ from liedouble.exactalg import (
     PolyExpr,
     _add_product,
     as_poly,
-    mul_acc,
+    from_int_terms,
     poly_div_exact,
 )
 
@@ -196,9 +197,10 @@ def test_as_poly_rejects_booleans():
 
 
 def test_public_constructor_coerces():
+    # 2 + 1/2*z^2 is (4 + z^2) / 2: integer terms over one denominator
     p = PolyExpr({(): 2, (("eta", 1),): Q(0), (("z", 2),): Q(3, 6)})
-    assert p.terms == {(): Q(2), (("z", 2),): Q(1, 2)}
-    assert all(type(c) is Q for c in p.terms.values())
+    assert p.terms == {(): 4, (("z", 2),): 1} and p.den == 2
+    assert all(type(c) is int for c in p.terms.values())
 
 
 # -- PolyExpr arithmetic against sympy -----------------------------------
@@ -231,25 +233,28 @@ def poly_triples(draw):
 def to_sympy(p: PolyExpr):
     return sympy.Add(
         *(
-            sympy.Rational(c.numerator, c.denominator)
+            sympy.Rational(Q(v, p.den))
             * sympy.Mul(*(SYMBOLS[name] ** e for name, e in mono))
-            for mono, c in p.terms.items()
+            for mono, v in p.terms.items()
         )
     )
 
 
-def assert_canonical(terms: dict):
-    """The invariant arithmetic results rely on: nonzero Fraction values,
-    monomials sorted by name with nonzero integer exponents."""
-    for mono, coef in terms.items():
-        assert type(coef) is Q and coef != 0
+def assert_canonical(p: PolyExpr):
+    """The invariant arithmetic results rely on: nonzero int values over a
+    positive den in lowest terms, monomials sorted by name with nonzero
+    integer exponents."""
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.terms.values()) == 1
+    for mono, v in p.terms.items():
+        assert type(v) is int and v != 0
         names = [name for name, _ in mono]
         assert names == sorted(set(names))
         assert all(type(e) is int and e != 0 for _, e in mono)
 
 
 def assert_matches(result: PolyExpr, expected):
-    assert_canonical(result.terms)
+    assert_canonical(result)
     assert sympy.expand(to_sympy(result) - expected) == 0
 
 
@@ -268,18 +273,23 @@ def test_arithmetic_matches_sympy(polys):
 
 @ORACLE_SETTINGS
 @given(poly_triples())
-def test_mul_acc_matches_sympy(polys):
+def test_add_product_matches_sympy(polys):
+    # c ± a·b by __mul__, and accumulated at the scale a.den·b.den·c.den by
+    # the kernel into c's terms, which are not changed
     a, b, c = polys
     sa, sb, sc = (to_sympy(p) for p in polys)
-    for negate, expected in ((False, sc + sa * sb), (True, sc - sa * sb)):
-        out = dict(c.terms)
-        mul_acc(out, a, b, negate=negate)
-        assert_canonical(out)
-        assert sympy.expand(to_sympy(PolyExpr(out)) - expected) == 0
+    kept = dict(c.terms)
+    for s, expected in ((1, sc + sa * sb), (-1, sc - sa * sb)):
+        assert_matches(c + a * b * s, expected)
+        out = {m: v * a.den * b.den for m, v in c.terms.items()}
+        _add_product(out, s * c.den, a.terms, b.terms)
+        assert_matches(from_int_terms(out, a.den * b.den * c.den), expected)
+    assert c.terms == kept
     out = {}
-    mul_acc(out, a, b)
-    mul_acc(out, a, b, negate=True)
+    _add_product(out, 1, a.terms, b.terms)
+    _add_product(out, -1, a.terms, b.terms)
     assert out == {}
+    assert a * b - a * b == PolyExpr.zero()
 
 
 @pytest.mark.parametrize("s", [1, -1, 3, -3])
@@ -318,16 +328,18 @@ def count_fractions(fn):
 
 
 def test_arithmetic_constructs_only_result_coefficients():
-    # Results keep canonical coefficients as they are: a sum over disjoint
-    # monomials builds no Fraction, a product one per term, a negation one
-    # per term.  Re-coercing each result would build one more per term.
+    # Results are integer terms over one denominator, so a sum, a product, a
+    # negation and the text build no Fraction.  With Fraction coefficients a
+    # product built one per term and a negation one per term.
     a, b = P("2*eta + 1/3*z^-1"), P("5 - 7/2*eta^2*z")
     total, built = count_fractions(lambda: a + b)
     assert built == 0 and total == P("2*eta + 1/3*z^-1 + 5 - 7/2*eta^2*z")
     product, built = count_fractions(lambda: a * b)
-    assert built == 4 and len(product.terms) == 4
+    assert built == 0 and len(product.terms) == 4
     negated, built = count_fractions(lambda: -a)
-    assert built == 2 and negated == P("-2*eta - 1/3*z^-1")
+    assert built == 0 and negated == P("-2*eta - 1/3*z^-1")
+    text, built = count_fractions(lambda: str(product))
+    assert built == 0 and P(text) == product
 
 
 # -- the canonical text form against a Fraction-based formatter -------------
@@ -339,7 +351,7 @@ def fraction_text(p: PolyExpr) -> str:
         return "0"
     parts = []
     for mono in sorted(p.terms):
-        coef = p.terms[mono]
+        coef = Q(p.terms[mono], p.den)
         factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
         mag = abs(coef)
         if not factors:
@@ -390,3 +402,17 @@ def test_text_is_rendered_once_and_kept(monkeypatch):
     assert str(-(-p)) is first and len(rendered) == 2
     assert str(PolyExpr.zero()) == "0" and str(P("x") - P("x")) == "0"
 
+
+# -- the canonical form: integer terms over one denominator -----------------
+
+
+@ORACLE_SETTINGS
+@given(laurent_polys(NAMES) | wide_polys(), st.integers(1, 10**6))
+def test_canonical_form_is_integer_terms_in_lowest_terms(p, k):
+    assert_canonical(p)
+    scaled = from_int_terms({m: k * v for m, v in p.terms.items()}, k * p.den)
+    assert scaled.terms == p.terms and scaled.den == p.den
+    negated = from_int_terms({m: -k * v for m, v in p.terms.items()}, -k * p.den)
+    assert negated.terms == p.terms and negated.den == p.den
+    assert PolyExpr({m: Q(v, p.den) for m, v in p.terms.items()}) == p
+    assert PolyExpr.parse(str(p)) == p

@@ -92,8 +92,8 @@ def laurent_invertible(draw, max_n=3):
 
 def to_field(p: PolyExpr):
     expr = sympy.Integer(0)
-    for mono, coef in p.terms.items():
-        term = sympy.Rational(coef.numerator, coef.denominator)
+    for mono, v in p.terms.items():
+        term = sympy.Rational(Q(v, p.den))
         for name, e in mono:
             term *= sympy.Symbol(name) ** e
         expr += term
@@ -181,6 +181,35 @@ def test_solve_in_span_matches_sympy(problem):
     else:
         with pytest.raises(NotDivisible):
             solve_in_span(rows, v)
+
+
+def terms_of(rows) -> list:
+    """A copy of each entry's terms dict and den."""
+    return [[(dict(x.terms), x.den) for x in row] for row in rows]
+
+
+@SETTINGS
+@given(matrices())
+def test_elimination_leaves_the_input_terms_as_they_are(rows):
+    # the cleared matrix shares the terms dict of each entry whose den is the
+    # common scale, and an answer may share a dict of the kernel's: running
+    # every routine again changes none of them
+    def run() -> list:
+        answers = [nullspace(rows)]
+        for route in (lambda: invert(rows), lambda: [solve_in_span(rows, rows[0])]):
+            try:
+                answers.append(route())
+            except (NotDivisible, SingularMatrix):
+                pass
+        rank(rows)
+        return answers
+
+    before = terms_of(rows)
+    answers = run()
+    kept = [terms_of(a) for a in answers]
+    run()
+    assert terms_of(rows) == before
+    assert [terms_of(a) for a in answers] == kept
 
 
 @SETTINGS

@@ -1171,6 +1171,26 @@ def test_a_second_read_returns_the_same_object(name):
         assert getattr(rep, name) is getattr(rep, name)
 
 
+def test_classify_leaves_the_input_terms_as_they_are():
+    # the adapted pass reads the terms dicts of C, g* and the spec themselves
+    # where their den is the pass's scale, and the report values share the
+    # pass's dicts: reading every value and running the pass again changes none
+    def terms(B, spec) -> list:
+        polys = [c for *_, c in (*B.algebra.nonzero(), *B.cocomm.nonzero())]
+        polys += [x for m in (spec.h_basis, spec.complement, spec.pi) for row in m for x in row]
+        return [(dict(p.terms), p.den) for p in polys]
+
+    cases = [(build_double(B), B, spec) for B, spec, _ in first_read_cases()]
+    for D, B, spec in cost_guard_cases()[::3] + cases:
+        before = terms(B, spec)
+        rep = classify(D, B, spec)
+        for name in REPORT_VALUES:
+            getattr(rep, name)
+        if rep.subalgebra:
+            lagrangian_bracket_table(D, spec)
+        assert terms(B, spec) == before
+
+
 # --- cost guard -------------------------------------------------------------
 
 SO22_SUBALGEBRAS = (("J", "K1", "K2"), ("J", "P1", "P2"), ("P0", "P1", "K1"), ("P0", "P2", "K2"))

@@ -198,6 +198,43 @@ def test_private_functions_are_used_outside_the_tests():
     assert sorted(defined - used) == []
 
 
+def scalar_format_uses(source: str, may_import_q: bool = False) -> list:
+    """Lines at which a module reaches into the exact scalar format: it
+    imports ``fractions`` or exactalg's ``Q`` (unless ``may_import_q``), or
+    reads ``.numerator`` or ``.denominator``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "fractions" or (
+                not may_import_q and any(a.name == "Q" for a in node.names)
+            )
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr in (
+                "numerator", "denominator"
+            )
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_exactalg_knows_the_scalar_format():
+    # a PolyExpr is integer terms over one denominator; only exactalg reads
+    # or builds its coefficients as Fractions, and __init__ re-exports Q
+    assert scalar_format_uses(
+        "import fractions\nfrom .exactalg import PolyExpr, Q\n"
+        "q.denominator == 1 and q.numerator in (1, -1)\n"
+    ) == [1, 2, 3, 3]
+    assert scalar_format_uses("from .exactalg import Q\n", may_import_q=True) == []
+    found = {
+        path.name: scalar_format_uses(path.read_text(), path.name == "__init__.py")
+        for path in MODULES
+        if path.name != "exactalg.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_exact_paths_do_not_import_numpy():
     # numpy is imported only where a numeric chart is evaluated
     probe = (

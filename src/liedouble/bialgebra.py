@@ -17,7 +17,8 @@ scaled again.
 :class:`~liedouble.liealg.LieAlgebra` labelled by g's basis, with
 [x^j, x^k] = f_i^{jk} x^i stored as C*_jk^i for j < k.
 :func:`cocomm_from_wedge` builds it from wedge entries (i; j, k) in either
-order, and the dense f is its read-only view ``cocomm.f``.
+order.  No dense f is kept: ``cocomm.f`` builds it on each read, and
+nothing in the package reads it.
 """
 
 from __future__ import annotations

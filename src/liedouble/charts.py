@@ -64,10 +64,6 @@ class ChartPoint:
         object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
 
 
-def point(chart_id: str, *coords) -> ChartPoint:
-    return ChartPoint(chart_id, tuple(coords))
-
-
 def _require(p: ChartPoint, chart_id: str):
     if p.chart_id != chart_id:
         raise WrongChart(f"expected a {chart_id} point, got {p.chart_id}")

@@ -375,10 +375,11 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
     entry = cat.get(bracket_id)
     ranges = entry.raw["param_ranges"]
     params = {name: rng.uniform(*bounds) for name, bounds in sorted(ranges.items())}
-    m = [
-        [[float(x.evaluate(params)) for x in row] for row in plane]
-        for plane in _origin_report(cat, entry).m_gamma
-    ]
+    n_h = len(entry.raw["isotropy"])
+    m = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]  # M^{ab}_c as floats
+    for (a, b, k), x in _origin_report(cat, entry).m.items():
+        if k >= n_h:
+            m[a][b][k - n_h] = float(x.evaluate(params))
 
     def result(check, err, **extra):
         return {"bracket_id": bracket_id, "check": check, **extra,

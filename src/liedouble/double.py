@@ -19,7 +19,7 @@ The canonical cocommutator of the double is
 into the construction yields D(D(a)) on the ordered basis {X, x, y, Y},
 whose algebra ``bialgebra._double_algebra`` assigns from the entries of
 D(a) and D(g)* as it does D(a) from C and g*.  D(g)* is built from entries
-too; no dense tensor of D(a), δ_D or D(D(a)) is filled unless it is read.
+too; no dense tensor of D(a), δ_D or D(D(a)) is built.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with

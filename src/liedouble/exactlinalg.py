@@ -207,15 +207,11 @@ def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
     return coeffs
 
 
-def _inverse(a: Matrix) -> tuple[int, list]:
-    """``(e, rows)`` with a⁻¹ = rows / e: e a positive integer and
-    ``rows[i][j]`` a dict ``{monomial: int}``; errors as :func:`invert`."""
-    return _int_inverse(*_cleared(mat(a)))
-
-
 def _int_inverse(s: int, m: list) -> tuple[int, list]:
-    """:func:`_inverse` of a = m / s, from the integer matrix m = s·a that
-    :func:`_cleared` gives; m is left as it was.
+    """``(e, rows)`` with a⁻¹ = rows / e, for a = m / s, from the integer
+    matrix m = s·a that :func:`_cleared` gives: e a positive integer and
+    ``rows[i][j]`` a dict ``{monomial: int}``; m is left as it was, and
+    errors are those of :func:`invert`.
 
     The identity half is appended as integer unit dicts, and [s·a | I] is
     reduced: its right half ends as d·(s·a)⁻¹, with d the last pivot,
@@ -255,7 +251,7 @@ def invert(a: Matrix) -> Matrix:
     Raises :class:`NotDivisible` when the inverse exists over rational
     functions but not over Laurent polynomials.
     """
-    e, rows = _inverse(a)
+    e, rows = _int_inverse(*_cleared(mat(a)))
     return [[from_int_terms(t, e) for t in row] for row in rows]
 
 

@@ -65,10 +65,12 @@ the scale d_π.
 
 :func:`classify` decides its four verdicts from these integer forms alone
 and stores them on the :class:`ClosureReport`.  The polynomials the report
-gives, M, the bracket table, Q, and the failing and mixed components that
-``violations`` prints, are divided back from them
-(:func:`~liedouble.exactalg.from_int_terms`) on first read and cached on
-the report, so a caller that reads only the verdicts builds none of them.
+gives, the nonzero M^{αβ}_k keyed (α, β, k) by adapted index, the bracket
+table, Q, and the failing and mixed components that ``violations`` prints,
+are divided back from them (:func:`~liedouble.exactalg.from_int_terms`) on
+first read and cached on the report, so a caller that reads only the
+verdicts builds none of them.  No dense tensor is built.
+:func:`lagrangian_bracket_table` is the table of :func:`classify`.
 
 l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
 subalgebra and δ(h) ⊂ h∧g.  h is then the algebra of a Poisson subgroup,
@@ -121,7 +123,6 @@ from .liealg import (
     _algebra_of,
     _component,
     _int_rows,
-    _nonzero_entries,
     _structure_int,
     bracket,
 )
@@ -279,29 +280,11 @@ class ClosureReport:
     _source: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def _m(self) -> list:
-        """M^{αβ}_k, indexed [α][β][k] by adapted index k."""
+    def m(self) -> dict:
+        """The nonzero M^{αβ}_k, keyed (α, β, k) by adapted index k, in key
+        order: M^{αβ}_i for k = i < n_h, M^{αβ}_γ for k = n_h + γ."""
         s1, m_int = self._pass.m_int
-        spec = self._source[1]
-        zero = PolyExpr.zero()
-        n = spec.n_h + spec.n_t
-        m = [[[zero] * n for _ in range(spec.n_t)] for _ in range(spec.n_t)]
-        for (a, b, k), t in m_int.items():
-            if t:
-                m[a][b][k] = from_int_terms(t, s1)
-        return m
-
-    @cached_property
-    def m_gamma(self) -> list:
-        """M^{αβ}_γ, indexed [α][β][γ]."""
-        n_h = self._source[1].n_h
-        return [[row[n_h:] for row in plane] for plane in self._m]
-
-    @cached_property
-    def m_i(self) -> list:
-        """M^{αβ}_i, indexed [α][β][i]."""
-        n_h = self._source[1].n_h
-        return [[row[:n_h] for row in plane] for plane in self._m]
+        return {key: from_int_terms(t, s1) for key, t in sorted(m_int.items()) if t}
 
     @cached_property
     def table(self) -> LieAlgebra | None:
@@ -357,10 +340,13 @@ class ClosureReport:
         return out
 
     def to_json(self) -> dict:
-        def tensor_entries(t, tag):
+        n_h = self._source[1].n_h
+
+        def tensor_entries(gamma, tag):  # M split at n_h, γ = k − n_h
             return [
-                {"index": [a, b, c], "value": str(val), "tensor": tag}
-                for a, b, c, val in _nonzero_entries(t)
+                {"index": [a, b, k - n_h if gamma else k], "value": str(v), "tensor": tag}
+                for (a, b, k), v in self.m.items()
+                if (k >= n_h) == gamma
             ]
 
         return {
@@ -368,8 +354,8 @@ class ClosureReport:
             "subalgebra": self.subalgebra,
             "coisotropic": self.coisotropic,
             "poisson_subgroup": self.poisson_subgroup,
-            "m_gamma_nonzero": tensor_entries(self.m_gamma, "M^{ab}_g"),
-            "m_i_nonzero": tensor_entries(self.m_i, "M^{ab}_i"),
+            "m_gamma_nonzero": tensor_entries(True, "M^{ab}_g"),
+            "m_i_nonzero": tensor_entries(False, "M^{ab}_i"),
             "violations": self.violations,
         }
 
@@ -391,8 +377,8 @@ def _first_pairing(pi_int: dict, n_t: int, d_pi: int) -> tuple | None:
 
 @dataclass
 class _AdaptedPass:
-    """Everything :func:`classify` and :func:`lagrangian_bracket_table` read
-    from (C', f', π), computed once over integers (module doc)."""
+    """Everything :func:`classify` reads from (C', f', π), computed once over
+    integers (module doc)."""
 
     c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
     f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c
@@ -633,19 +619,18 @@ def _labels(B: LieBialgebra, spec: LagrangianSpec) -> list:
 
 
 def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgebra:
-    """Induced Lie algebra on the basis {H_i} ∪ {t^α + π^{αβ} T_β}, from the
-    same adapted pass as :func:`classify`.
+    """Induced Lie algebra on the basis {H_i} ∪ {t^α + π^{αβ} T_β}: the
+    :attr:`ClosureReport.table` of :func:`classify` on the source of D.
 
     Raises :class:`NotClosed`, naming the first bracket that leaves l, if l
     is not a subalgebra of the double.
     """
-    B = D.source
-    p = _adapted_pass(B, spec)
-    if p.failing:
-        labels = _labels(B, spec)
-        i, j = min(p.failing)
+    rep = classify(D, D.source, spec)
+    if not rep.subalgebra:
+        labels = _labels(D.source, spec)
+        i, j = min(rep.failing)
         raise NotClosed(f"[{labels[i]}, {labels[j]}] does not lie in the subspace")
-    return _table(B, spec, p.brackets)
+    return rep.table
 
 
 def is_semidirect(

@@ -5,10 +5,12 @@ A :class:`LieAlgebra` stores the nonzero structure constants C_ij^k of
 g∧g → g, with basis labels and declared parameter names.  Any other key
 raises :class:`ShapeError` naming it, so no tensor that is not
 antisymmetric can be stored, and code that needs C_ji^k = −C_ij^k takes
-the sign when it reads C_ij^k.  The dense ``C[i][j][k]``, both signs
-written, is a cached view.  Validity (the Jacobi identity) is checked by
-:func:`jacobi_violations` and :func:`is_jacobi_zero`, which evaluate the
-residual on sorted index triples only.
+the sign when it reads C_ij^k.  No dense tensor is kept: the dense
+``C[i][j][k]``, both signs written, is built on each read of
+:attr:`LieAlgebra.c`, which nothing in the package reads.  Validity (the
+Jacobi identity) is checked by :func:`jacobi_violations` and
+:func:`is_jacobi_zero`, which evaluate the residual on sorted index
+triples only.
 
 The residual is summed over the nonzero products C_ab^k C_kc^m alone, each
 added with a sign into the one sorted triple it belongs to, over integers:
@@ -20,7 +22,7 @@ component.  Only the nonzero sums are divided back by d².
 The cocommutator δ(X_i) = f_i^{jk} X_j⊗X_k of a Lie bialgebra is stored
 as the algebra g* it is dual to, [x^j, x^k] = f_i^{jk} x^i, labelled by
 the basis of g: its C*_jk^i = f_i^{jk}, j < k, is the half C keeps, and
-:attr:`LieAlgebra.f` reads the dense f back.
+:attr:`LieAlgebra.f` builds the dense f from it.
 
 The basis transform (:func:`transform_structure`) reads the same integer
 form, regrouped by monomial once into layers ``{mono: {key: int}}``, and
@@ -40,8 +42,7 @@ integer Bareiss kernel, and reads its output as it is.
 
 An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
-keeps what it derives from it: the dense tensor :attr:`LieAlgebra.c`, a
-read-only view built on first read, its integer form
+keeps what it derives from it: its integer form
 (:meth:`LieAlgebra.int_tensor`) and the nonzero Jacobi components, each
 computed on first use, and the ψ⁻¹ image of that form once
 :mod:`liedouble.double` has read the algebra as a double D(a).  So an
@@ -77,16 +78,12 @@ from .exactlinalg import Matrix, Vector, _cleared, invert, mat, transpose
 BracketEntry = tuple  # (i, j, k, coef)
 
 
-def zero_tensor3(n: int):
-    z = PolyExpr.zero()
-    return [[[z] * n for _ in range(n)] for _ in range(n)]
-
-
 def _dense(n: int, entries) -> list:
     """The dense n³ tensor of the stored half [(i, j, k, value)] of a tensor
     antisymmetric in (i, j): each value is written at its key and its
-    negation at the swapped one."""
-    t = zero_tensor3(n)
+    negation at the swapped one, every other entry is zero."""
+    z = PolyExpr.zero()
+    t = [[[z] * n for _ in range(n)] for _ in range(n)]
     for i, j, k, value in entries:
         t[i][j][k] = value
         t[j][i][k] = -value
@@ -135,7 +132,6 @@ class LieAlgebra:
     # the nonzero C_ij^k with i < j as (i, j, k, coef), in index order;
     # C_ji^k = -C_ij^k is not stored
     entries: list
-    _c: list | None = field(default=None, repr=False, compare=False)
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
     # the ψ⁻¹ image of the integer form, at its scale, that
@@ -153,16 +149,14 @@ class LieAlgebra:
 
     @property
     def c(self) -> list:
-        """Dense dim³ tensor C[i][j][k] of PolyExpr, both signs, a read-only
-        view of :attr:`entries` built on first read."""
-        if self._c is None:
-            self._c = _dense(self.dim, self.entries)
-        return self._c
+        """Dense dim³ tensor C[i][j][k] of PolyExpr, both signs, built from
+        :attr:`entries` on each read; nothing in the package reads it."""
+        return _dense(self.dim, self.entries)
 
     @property
     def f(self) -> list:
         """Dense f[i][j][k] = C[j][k][i]: the cocommutator constants f_i^{jk}
-        of g when this algebra is g*, a read-only view of :attr:`c`."""
+        of g when this algebra is g*, built from :attr:`c` on each read."""
         c, n = self.c, range(self.dim)
         return [[[c[j][k][i] for k in n] for j in n] for i in n]
 

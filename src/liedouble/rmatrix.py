@@ -24,20 +24,19 @@ r-matrix?", 1983):
   mCYBE holds iff δ_r satisfies co-Jacobi, i.e. g* satisfies Jacobi.
 
 An :class:`RMatrix` is its wedge terms, the nonzero r^{ij} with i < j, so
-it is antisymmetric by construction; the dense ``r`` is a read-only view
-built on first read.  δ_r is built as its stored half, so no dense tensor
-is filled or scanned.  Both are summed, as the Jacobi check is, over the
-integer terms of C, f and r at one scale through ``exactalg._add_product``.
+it is antisymmetric by construction, and it keeps no dense matrix.  δ_r is
+built as its stored half, so no dense tensor is filled or scanned.  Both
+are summed, as the Jacobi check is, over the integer terms of C, f and r
+at one scale through ``exactalg._add_product``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ShapeError
-from .exactalg import PolyExpr, PolyLike, _add_product, as_poly, from_int_terms, to_int_terms
-from .exactlinalg import Matrix
+from .exactalg import PolyLike, _add_product, as_poly, from_int_terms, to_int_terms
 from .liealg import LieAlgebra, _algebra_of, _component, is_jacobi_zero
 
 
@@ -48,7 +47,6 @@ class RMatrix:
     labels: tuple[str, ...]
     # the nonzero r^{ij} with i < j, {(i, j): coef}; r^{ji} = -r^{ij}
     terms: dict
-    _r: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -59,17 +57,6 @@ class RMatrix:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @property
-    def r(self) -> Matrix:
-        """Dense dim² matrix r[i][j] of PolyExpr, a read-only view of
-        :attr:`terms` built on first read."""
-        if self._r is None:
-            r = [[PolyExpr.zero()] * self.dim for _ in range(self.dim)]
-            for i, j, v in self.wedge_terms():
-                r[i][j], r[j][i] = v, -v
-            self._r = r
-        return self._r
 
     def wedge_terms(self) -> list:
         """Sparse upper-triangle view [(i, j, coef)] with i < j, in index order."""

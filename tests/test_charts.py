@@ -25,7 +25,6 @@ from liedouble.charts import (
     linearize,
     pm_chart_inverse,
     pm_matrix,
-    point,
     register_bracket,
     sklyanin_numeric,
     verify_sklyanin_cell,
@@ -50,12 +49,12 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def test_ck_matrix_identity():
-    assert np.allclose(ck_matrix(point(CK, 0, 0, 0)), np.eye(3))
+    assert np.allclose(ck_matrix(ChartPoint(CK, (0, 0, 0))), np.eye(3))
 
 
 def test_ck_matrix_pure_boost():
     theta = 0.7
-    m = ck_matrix(point(CK, theta, 0, 0))
+    m = ck_matrix(ChartPoint(CK, (theta, 0, 0)))
     expected = np.array(
         [
             [1, 0, 0],
@@ -70,7 +69,7 @@ def test_ck_matrix_product_property():
     rng = random.Random(12)
     for _ in range(10):
         theta, a1, a2 = (rng.uniform(-1.2, 1.2) for _ in range(3))
-        m = ck_matrix(point(CK, theta, a1, a2))
+        m = ck_matrix(ChartPoint(CK, (theta, a1, a2)))
         prod = (
             expm(a1 * generator_matrix(CK, "P1"))
             @ expm(a2 * generator_matrix(CK, "P2"))
@@ -83,7 +82,7 @@ def test_pm_matrix_product_property():
     rng = random.Random(13)
     for _ in range(10):
         ap, am, chi = (rng.uniform(-1.0, 1.0) for _ in range(3))
-        m = pm_matrix(point(PM, ap, am, chi))
+        m = pm_matrix(ChartPoint(PM, (ap, am, chi)))
         prod = (
             expm(am * generator_matrix(PM, "J-"))
             @ expm(ap * generator_matrix(PM, "J+"))
@@ -99,17 +98,12 @@ def test_ck_chart_inverse_identity():
 
 
 def test_ck_chart_round_trip():
-    p = point(CK, 0.3, -0.4, 0.5)
+    p = ChartPoint(CK, (0.3, -0.4, 0.5))
     q = ck_chart_inverse(ck_matrix(p))
     assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
     rng = random.Random(99)
     for _ in range(20):
-        p = point(
-            CK,
-            rng.uniform(-1.2, 1.2),
-            rng.uniform(-1.2, 1.2),
-            rng.uniform(-1.2, 1.2),
-        )
+        p = ChartPoint(CK, tuple(rng.uniform(-1.2, 1.2) for _ in range(3)))
         q = ck_chart_inverse(ck_matrix(p))
         assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
 
@@ -126,12 +120,7 @@ def test_ck_chart_inverse_out_of_chart():
 def test_pm_chart_round_trip():
     rng = random.Random(5)
     for _ in range(20):
-        p = point(
-            PM,
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-        )
+        p = ChartPoint(PM, tuple(rng.uniform(-1.0, 1.0) for _ in range(3)))
         q = pm_chart_inverse(pm_matrix(p))
         assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
     with pytest.raises(OutOfChart):
@@ -139,22 +128,22 @@ def test_pm_chart_round_trip():
 
 
 def test_invariant_field_examples():
-    p = point(CK, 0.4, -0.3, 0.8)
+    p = ChartPoint(CK, (0.4, -0.3, 0.8))
     left = invariant_fields(CK, "left", p)
     assert np.allclose(left["J12"], [1, 0, 0])
     right = invariant_fields(CK, "right", p)
     assert np.allclose(right["P1"], [0, 1, 0])
-    pm_left = invariant_fields(PM, "left", point(PM, 0.2, 0.7, 0.0))
+    pm_left = invariant_fields(PM, "left", ChartPoint(PM, (0.2, 0.7, 0.0)))
     assert np.allclose(pm_left["J+"], [1, 0, 0])
 
 
 def test_wrong_chart_errors():
     with pytest.raises(WrongChart):
-        invariant_fields(CK, "left", point(PM, 0, 0, 0))
+        invariant_fields(CK, "left", ChartPoint(PM, (0, 0, 0)))
     with pytest.raises(WrongChart):
-        invariant_fields(ADS3, "left", point(ADS3, 0, 0, 0))
+        invariant_fields(ADS3, "left", ChartPoint(ADS3, (0, 0, 0)))
     with pytest.raises(WrongChart):
-        point("XY", 0, 0, 0)
+        ChartPoint("XY", (0, 0, 0))
 
 
 def test_invariance_oracle_all_fields():
@@ -187,20 +176,20 @@ def test_invariance_oracle_all_fields():
 
 def test_sklyanin_hyperbolic_origin_is_zero(rmats):
     val = sklyanin_numeric(
-        CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", point(CK, 0, 0, 0)
+        CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", ChartPoint(CK, (0, 0, 0))
     )
     assert val == 0.0
 
 
 def test_sklyanin_hyperbolic_specific_point(rmats):
-    p = point(CK, 0.3, -0.4, 0.5)
+    p = ChartPoint(CK, (0.3, -0.4, 0.5))
     val = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", p)
     expected = 2.0 * (1.0 / math.cosh(0.5) - math.cos(0.4))
     assert abs(val - expected) < 1e-9
 
 
 def test_sklyanin_parabolic_pm_point(rmats):
-    p = point(PM, 0.2, 0.7, -0.1)
+    p = ChartPoint(PM, (0.2, 0.7, -0.1))
     val = sklyanin_numeric(PM, rmats["par_j"], {}, "chi", "a-", p)
     assert abs(val - (-0.5 * 0.7**2)) < 1e-9
 
@@ -208,7 +197,7 @@ def test_sklyanin_parabolic_pm_point(rmats):
 def test_sklyanin_antisymmetry_is_exact(rmats):
     rng = random.Random(3)
     for _ in range(10):
-        p = point(CK, *(rng.uniform(-1, 1) for _ in range(3)))
+        p = ChartPoint(CK, tuple(rng.uniform(-1, 1) for _ in range(3)))
         a = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 0.7}, "theta", "a2", p)
         b = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 0.7}, "a2", "theta", p)
         assert a == -b
@@ -217,7 +206,7 @@ def test_sklyanin_antisymmetry_is_exact(rmats):
 def test_sklyanin_rejects_mismatched_labels(rmats):
     with pytest.raises(WrongChart):
         sklyanin_numeric(
-            CK, rmats["hyp_j"], {"eta": 1.0}, "a1", "a2", point(CK, 0, 0, 0)
+            CK, rmats["hyp_j"], {"eta": 1.0}, "a1", "a2", ChartPoint(CK, (0, 0, 0))
         )
 
 
@@ -257,21 +246,23 @@ def test_verification_is_deterministic(rmats):
 
 
 def test_closed_form_examples():
-    val = closed_form("hyp-CK", ("theta", "a2"), point(CK, 0.1, 0.2, 0.3), {"eta": 0.5})
+    p = ChartPoint(CK, (0.1, 0.2, 0.3))
+    val = closed_form("hyp-CK", ("theta", "a2"), p, {"eta": 0.5})
     assert abs(val - (-1.0 * math.tanh(0.3))) < 1e-15
-    val = closed_form("ads3-double1", ("x1", "x2"), point(ADS3, 0.0, 0.4, 0.9), {"eta": 0.6})
+    p = ChartPoint(ADS3, (0.0, 0.4, 0.9))
+    val = closed_form("ads3-double1", ("x1", "x2"), p, {"eta": 0.6})
     assert val == 0.0  # tan(eta x0) factor vanishes at x0 = 0
     val = closed_form(
-        "ads3-twisted", ("x0", "x1"), point(ADS3, 0.3, -0.2, 0.8),
+        "ads3-twisted", ("x0", "x1"), ChartPoint(ADS3, (0.3, -0.2, 0.8)),
         {"eta": 0.4, "xi": 0.0},
     )
     assert val == 0.0  # xi prefactor
     with pytest.raises(UnknownBracket):
-        closed_form("nosuch", ("x0", "x1"), point(ADS3, 0, 0, 0), {})
+        closed_form("nosuch", ("x0", "x1"), ChartPoint(ADS3, (0, 0, 0)), {})
 
 
 def test_closed_form_antisymmetric_lookup():
-    p = point(CK, 0.2, 0.1, -0.4)
+    p = ChartPoint(CK, (0.2, 0.1, -0.4))
     a = closed_form("hyp-CK", ("theta", "a2"), p, {"eta": 0.5})
     b = closed_form("hyp-CK", ("a2", "theta"), p, {"eta": 0.5})
     assert a == -b
@@ -303,7 +294,7 @@ def test_linearize_hyperbolic_vanishes():
 def test_jacobi_numeric_ads3():
     rng = random.Random(31337)
     for _ in range(10):
-        p = point(ADS3, *(rng.uniform(-1, 1) for _ in range(3)))
+        p = ChartPoint(ADS3, tuple(rng.uniform(-1, 1) for _ in range(3)))
         assert jacobi_numeric("ads3-double1", {"eta": 0.4}, p) < 1e-6
         assert jacobi_numeric("ads3-twisted", {"eta": 0.4, "xi": 1.0}, p) < 1e-6
         assert jacobi_numeric("ads3-twisted", {"eta": 0.4, "xi": 0.3}, p) < 1e-6
@@ -321,11 +312,11 @@ def test_jacobi_numeric_constant_bracket_exact_zero():
             },
         )
     )
-    assert jacobi_numeric("test-constant", {}, point(ADS3, 0.3, 0.1, -0.2)) == 0.0
+    assert jacobi_numeric("test-constant", {}, ChartPoint(ADS3, (0.3, 0.1, -0.2))) == 0.0
 
 
 def test_flat_limit_twisted_untwisted_kappa_minkowski():
-    p = point(ADS3, 0.7, -0.4, 0.5)
+    p = ChartPoint(ADS3, (0.7, -0.4, 0.5))
     value = flat_limit_check("ads3-twisted", ("x0", "x2"), p, params={"xi": 0.0})
     assert abs(value - (-0.5 * 0.7)) < 1e-6
     value = flat_limit_check("ads3-twisted", ("x1", "x2"), p, params={"xi": 0.0})
@@ -333,7 +324,7 @@ def test_flat_limit_twisted_untwisted_kappa_minkowski():
 
 
 def test_flat_limit_double1_rotation_algebra():
-    p = point(ADS3, 0.7, -0.4, 0.5)
+    p = ChartPoint(ADS3, (0.7, -0.4, 0.5))
     for pair, target in (
         (("x0", "x1"), -0.5),
         (("x0", "x2"), -0.4),
@@ -343,7 +334,7 @@ def test_flat_limit_double1_rotation_algebra():
 
 
 def test_flat_limit_twisted_01_vanishes():
-    p = point(ADS3, 0.9, 0.8, -0.6)
+    p = ChartPoint(ADS3, (0.9, 0.8, -0.6))
     value = flat_limit_check("ads3-twisted", ("x0", "x1"), p, params={"xi": 1.0})
     assert abs(value) < 1e-6
 

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from dense import dense_c, dense_f, dense_r
 
 from liedouble import catalog
 from liedouble.bialgebra import cocomm_from_wedge, new_bialgebra
@@ -59,12 +60,8 @@ def test_double_of_trivial_abelian_bialgebra():
     abelian = new_lie_algebra(2, ("e1", "e2"), [])
     B = new_bialgebra(abelian, cocomm_from_wedge(abelian, []))
     D = build_double(B)
-    assert all(
-        D.algebra.c[i][j][k].is_zero
-        for i in range(4)
-        for j in range(4)
-        for k in range(4)
-    )
+    assert D.dim == 4
+    assert D.algebra.nonzero() == []
 
 
 def test_pairing_values(sl2_hyp):
@@ -102,6 +99,7 @@ def test_canonical_skew_r_is_half_antisymmetrization(sl2_hyp):
     # the skew part of r = Σ x^i ⊗ X_i: r[n+i][i] = 1/2, r[i][n+i] = -1/2
     D = build_double(sl2_hyp)
     n = D.n
+    r = dense_r(D.canonical_r_skew)
     for a in range(D.dim):
         for b in range(D.dim):
             if a == b + n:
@@ -110,7 +108,7 @@ def test_canonical_skew_r_is_half_antisymmetrization(sl2_hyp):
                 expected = P("-1/2")
             else:
                 expected = PolyExpr.zero()
-            assert D.canonical_r_skew.r[a][b] == expected
+            assert r[a][b] == expected
 
 
 def test_canonical_skew_r_is_mcybe_on_double(sl2_hyp, iso11_eta):
@@ -121,13 +119,14 @@ def test_canonical_skew_r_is_mcybe_on_double(sl2_hyp, iso11_eta):
 
 def test_canonical_cocommutator_tensor(sl2_eta):
     D = build_double(sl2_eta)
-    delta = canonical_cocommutator(D)
+    delta = dense_f(canonical_cocommutator(D))
+    f, c = dense_f(sl2_eta.cocomm), dense_c(sl2_eta.algebra)
     n = 3
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert delta.f[i][j][k] == -sl2_eta.cocomm.f[i][j][k]
-                assert delta.f[n + i][n + j][n + k] == sl2_eta.algebra.c[j][k][i]
+                assert delta[i][j][k] == -f[i][j][k]
+                assert delta[n + i][n + j][n + k] == c[j][k][i]
 
 
 @pytest.mark.parametrize("key", sorted(catalog.load().list("bialgebra")))
@@ -153,7 +152,7 @@ def test_double_split_pattern_h_t_partition(sl2_hyp):
     # - f_i^{a b} T_b, read off from the split form of the double bracket
     D = build_double(sl2_hyp)
     L = sl2_hyp.algebra
-    f = sl2_hyp.cocomm.f
+    c, f = dense_c(L), dense_f(sl2_hyp.cocomm)
     h_idx = [L.index("J12")]
     t_idx = [L.index("P1"), L.index("P2")]
     for alpha in t_idx:
@@ -161,9 +160,9 @@ def test_double_split_pattern_h_t_partition(sl2_hyp):
         for i in h_idx:
             got = bracket(D.algebra, t_vec, D.algebra.basis_vector(i))
             expected = [PolyExpr.zero()] * 6
-            for c in range(3):
-                expected[3 + c] = L.c[i][c][alpha]  # C^alpha_{i c} t^c
-                expected[c] = -f[i][alpha][c]       # -f_i^{alpha c} H_c
+            for m in range(3):
+                expected[3 + m] = c[i][m][alpha]  # C^alpha_{i m} t^m
+                expected[m] = -f[i][alpha][m]     # -f_i^{alpha m} H_m
             assert got == expected
 
 
@@ -171,8 +170,8 @@ def crossed_bracket_expectations(D2, B):
     """Assemble the iterated-double crossed brackets from (C, f) of the base."""
     n = B.dim
     alg = D2.algebra
-    C = B.algebra.c
-    f = B.cocomm.f
+    C = dense_c(B.algebra)
+    f = dense_f(B.cocomm)
 
     def vec(*pairs):
         v = [PolyExpr.zero()] * (4 * n)
@@ -222,6 +221,7 @@ def test_double_of_double_dual_sector(sl2_eta):
     B = sl2_eta
     D2 = double_of_double(B)
     alg = D2.algebra
+    c, f = dense_c(B.algebra), dense_f(B.cocomm)
     n = 3
     for i in range(n):
         for j in range(n):
@@ -230,14 +230,14 @@ def test_double_of_double_dual_sector(sl2_eta):
             )
             expected = [PolyExpr.zero()] * 12
             for k in range(n):
-                expected[9 + k] = B.algebra.c[i][j][k]
+                expected[9 + k] = c[i][j][k]
             assert got == expected
             got = bracket(
                 alg, alg.basis_vector(6 + i), alg.basis_vector(6 + j)
             )
             expected = [PolyExpr.zero()] * 12
             for k in range(n):
-                expected[6 + k] = -B.cocomm.f[k][i][j]
+                expected[6 + k] = -f[k][i][j]
             assert got == expected
             assert all(
                 x.is_zero
@@ -249,14 +249,14 @@ def test_double_of_double_dual_sector(sl2_eta):
 
 def test_double_of_double_restricts_to_double(sl2_eta, iso11_eta):
     for B in (sl2_eta, iso11_eta):
-        D1 = build_double(B)
-        D2 = double_of_double(B)
+        c1 = dense_c(build_double(B).algebra)
+        c2 = dense_c(double_of_double(B).algebra)
         for i in range(6):
             for j in range(6):
                 for k in range(6):
-                    assert D2.algebra.c[i][j][k] == D1.algebra.c[i][j][k]
+                    assert c2[i][j][k] == c1[i][j][k]
                 for k in range(6, 12):
-                    assert D2.algebra.c[i][j][k].is_zero
+                    assert c2[i][j][k].is_zero
 
 
 def test_double_of_double_trivial_abelian():
@@ -327,12 +327,13 @@ def assert_rows_match_the_dense_oracle(L, prefix=_term_prefix):
     """Each line of the table of L is ``[e_a, e_b] = `` and the oracle's
     rendering of the dense row C_ab^·, in the order a < b."""
     lines = bracket_table_text(L).splitlines()
+    c = dense_c(L)
     pairs = [(a, b) for a in range(L.dim) for b in range(a + 1, L.dim)]
     assert len(lines) == len(pairs)
     for line, (a, b) in zip(lines, pairs):
         head, _, row = line.partition(" = ")
         assert head.rstrip() == f"[{L.labels[a]}, {L.labels[b]}]"
-        assert row == format_combo(L.labels, L.c[a][b], prefix), (a, b)
+        assert row == format_combo(L.labels, c[a][b], prefix), (a, b)
 
 
 def count_renders(monkeypatch):
@@ -590,7 +591,8 @@ def test_double_builder_matches_a_dense_scan(key):
 
     B = case(key)
     for L in (B.double_algebra, double_of_double(B).algebra):
-        scanned = _algebra_of(L.labels, [e for e in _nonzero_entries(L.c) if e[0] < e[1]])
+        dense = dense_c(L)
+        scanned = _algebra_of(L.labels, [e for e in _nonzero_entries(dense) if e[0] < e[1]])
         assert L.nonzero() == scanned.nonzero()
         assert L.params == scanned.params
 
@@ -741,7 +743,7 @@ def test_assigned_integer_forms_equal_the_computed_ones(key):
     # δ_D's f_i^{jk}, j < k, stored as C*_jk^i of D(g)* (keys distinct, so
     # the sort compares no coefficient)
     assert delta.nonzero() == sorted(
-        (j, k, i, v) for i, j, k, v in _nonzero_entries(delta.f) if j < k
+        (j, k, i, v) for i, j, k, v in _nonzero_entries(dense_f(delta)) if j < k
     )
     if key == "so22-twisted":
         assert (B.algebra.int_tensor()[0], B.cocomm.int_tensor()[0]) == (1, 2)
@@ -763,9 +765,11 @@ def dense_scan(n, entries, upper):
 
 @pytest.mark.parametrize("key", CASES)
 def test_dense_tensors_are_cached_views_of_the_entries(key):
-    # D(a), g*, D(g)* and D(D(a)) are built from entries alone; .c is a
-    # dense view built on first read, == does not depend on it, and .f of
-    # g* and D(g)* is the view of f_i^{jk} = C*_jk^i
+    # D(a), g*, D(g)* and D(D(a)) are built from entries alone and keep no
+    # dense tensor: .c is built anew on each read and equals the tests'
+    # dense form, == does not depend on it, and .f of g* and D(g)* is the
+    # dense f_i^{jk} = C*_jk^i.  These are the only reads of .c and .f in
+    # the tests
     from dataclasses import replace
 
     from liedouble.bialgebra import from_json, to_json
@@ -783,22 +787,21 @@ def test_dense_tensors_are_cached_views_of_the_entries(key):
         (B.cocomm, True),
         (delta, True),
     ):
-        assert T._c is None  # no builder filled a dense tensor
-        twin = replace(T, _c=None, _int=None)
+        twin = replace(T, _int=None)
         assert twin == T
         dense = T.c
-        assert T.c is dense
-        assert dense == dense_scan(len(dense), T.nonzero(), False)
+        assert T.c is not dense  # no dense tensor is kept
+        assert dense == dense_c(T) == dense_scan(len(dense), T.nonzero(), False)
         assert [e for e in _nonzero_entries(dense) if e[0] < e[1]] == T.nonzero()
         if dual:
             upper = sorted((k, i, j, v) for i, j, k, v in T.nonzero())
-            assert T.f == dense_scan(len(dense), upper, True)
-            assert sorted(e for e in _nonzero_entries(T.f) if e[1] < e[2]) == upper
-        assert twin._c is None and twin == T
+            f = T.f
+            assert f == dense_f(T) == dense_scan(len(dense), upper, True)
+            assert sorted(e for e in _nonzero_entries(f) if e[1] < e[2]) == upper
         twin.c
         assert twin == T
     for L in (B.algebra, B.double_algebra, D2.algebra):
-        assert algebras_equal(replace(L, _c=None), L)
+        assert algebras_equal(replace(L, _int=None), L)
 
 
 @pytest.mark.parametrize("key", ["so22-r1", "so22-twisted@13/17*eta - 19/23"])

@@ -5,6 +5,7 @@ from itertools import combinations
 from fractions import Fraction as Q
 
 import pytest
+from dense import dense_c, dense_f
 from hypothesis import assume, given, settings, strategies as st
 
 from liedouble import catalog, exactlinalg, homogeneous, liealg
@@ -19,7 +20,7 @@ from liedouble.errors import (
     WrongDimension,
 )
 from liedouble.exactalg import PolyExpr, from_int_terms
-from liedouble.exactlinalg import _cleared, _inverse, mat, rank, solve_in_span
+from liedouble.exactlinalg import _cleared, _int_inverse, mat, rank, solve_in_span
 from liedouble.homogeneous import (
     LagrangianSpec,
     Subspace,
@@ -69,14 +70,15 @@ def spec_for(B, h_labels, pi=None):
 
 def table_as_dict(table):
     out = {}
+    c = dense_c(table)
     for i, a in enumerate(table.labels):
         for j, b in enumerate(table.labels):
             if i >= j:
                 continue
             entry = {
-                table.labels[k]: table.c[i][j][k]
+                table.labels[k]: c[i][j][k]
                 for k in range(table.dim)
-                if not table.c[i][j][k].is_zero
+                if not c[i][j][k].is_zero
             }
             out[(a, b)] = {k: str(v) for k, v in entry.items()}
     return out
@@ -232,7 +234,7 @@ def test_classify_poisson_subgroup_case(sl2_hyp):
     assert rep.lagrangian and rep.subalgebra
     assert rep.coisotropic and rep.poisson_subgroup
     assert rep.violations == []
-    assert all(x.is_zero for plane in rep.m_i for row in plane for x in row)
+    assert all(k >= 1 for _, _, k in rep.m)  # every M^{αβ}_i, n_h = 1, is zero
 
 
 def test_classify_coisotropic_only_case(sl2_hyp):
@@ -418,15 +420,16 @@ def test_double_of_double_lagrangian_is_semidirect(sl2_eta, iso11_eta):
         assert table.labels == ("X0", "X1", "X2", "Y0", "Y1", "Y2")
         # [X_i, X_j] = C_ij^k X_k, [Y_i, Y_j] = C_ij^k Y_k, [Y_i, X_j] = C_ij^k Y_k
         n = 3
+        t, c = dense_c(table), dense_c(B.algebra)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert table.c[i][j][k] == B.algebra.c[i][j][k]
-                    assert table.c[n + i][n + j][n + k] == B.algebra.c[i][j][k]
-                    assert table.c[n + i][j][n + k] == B.algebra.c[i][j][k]
-                    assert table.c[i][j][n + k].is_zero
-                    assert table.c[n + i][n + j][k].is_zero
-                    assert table.c[n + i][j][k].is_zero
+                    assert t[i][j][k] == c[i][j][k]
+                    assert t[n + i][n + j][n + k] == c[i][j][k]
+                    assert t[n + i][j][n + k] == c[i][j][k]
+                    assert t[i][j][n + k].is_zero
+                    assert t[n + i][n + j][k].is_zero
+                    assert t[n + i][j][k].is_zero
         assert is_semidirect(table, [0, 1, 2], [3, 4, 5])
 
 
@@ -503,22 +506,22 @@ def test_coisotropic_table_pattern(sl2_ell, sl2_hyp):
         spec = spec_for(B, [h_label])
         rep = classify(D, B, spec)
         assert rep.coisotropic and not rep.poisson_subgroup
-        table = lagrangian_bracket_table(D, spec)
+        t = dense_c(lagrangian_bracket_table(D, spec))
         L = B.algebra
-        f = B.cocomm.f
+        c, f = dense_c(L), dense_f(B.cocomm)
         hi = L.index(h_label)
         comp = [i for i in range(3) if i != hi]
         # table basis order: (H, t^0, t^1)
         for a in range(2):
             for b in range(2):
-                got = table.c[1 + a][1 + b]
+                got = t[1 + a][1 + b]
                 assert got[0].is_zero  # no H component in [t,t]
                 for g in range(2):
                     assert got[1 + g] == f[comp[g]][comp[a]][comp[b]]
-            got = table.c[1 + a][0]  # [t^a, H]
+            got = t[1 + a][0]  # [t^a, H]
             assert got[0] == f[hi][hi][comp[a]]  # f_i^{j a} with j = i = h
             for b in range(2):
-                assert got[1 + b] == L.c[hi][comp[b]][comp[a]]  # C^a_{i b}
+                assert got[1 + b] == c[hi][comp[b]][comp[a]]  # C^a_{i b}
 
 
 def _twisted_cocommutator_oracle(B, spec):
@@ -530,14 +533,14 @@ def _twisted_cocommutator_oracle(B, spec):
     n, n_h = B.dim, spec.n_h
     labels = tuple(f"e{k}" for k in range(n))
     bc = BasisChange(spec.h_basis + spec.complement, labels)
-    f_ad = transform_cocomm(B.cocomm.f, bc.m, bc.inverse)
+    f_ad = transform_cocomm(dense_f(B.cocomm), bc.m, bc.inverse)
     r = {
         (n_h + a, n_h + b): spec.pi[a][b]
         for a in range(spec.n_t)
         for b in range(a + 1, spec.n_t)
         if spec.pi[a][b].terms
     }
-    twist = cocommutator_from_r(change_basis(B.algebra, bc), RMatrix(labels, r)).f
+    twist = dense_f(cocommutator_from_r(change_basis(B.algebra, bc), RMatrix(labels, r)))
     return [
         [[f_ad[i][j][k] + twist[i][j][k] for k in range(n)] for j in range(n)]
         for i in range(n)
@@ -548,6 +551,7 @@ def test_m_tensor_is_the_twisted_cocommutator():
     from liedouble import catalog
 
     cat = catalog.load()
+    zero = PolyExpr.zero()
     n_subalgebra = 0
     for key in cat.list("bialgebra"):
         B = cat.bialgebra(key)
@@ -559,17 +563,17 @@ def test_m_tensor_is_the_twisted_cocommutator():
                 spec = spec_for(B, [h_label], pi=[[0, P(p)], [-P(p), 0]])
                 rep = classify(D, B, spec)
                 full = _twisted_cocommutator_oracle(B, spec)
+                m = [[[rep.m.get((a, b, k), zero) for k in range(3)] for b in range(2)]
+                     for a in range(2)]  # k = 0 is H, k = 1 + γ is T_γ
                 for a in range(2):
                     for b in range(2):
-                        assert [rep.m_gamma[a][b][g] for g in range(2)] == [
-                            full[1 + g][1 + a][1 + b] for g in range(2)
-                        ], (key, h_label, p)
-                        assert rep.m_i[a][b][0] == full[0][1 + a][1 + b]
-                        assert rep.m_gamma[a][b] == [-x for x in rep.m_gamma[b][a]]
+                        assert m[a][b] == [full[k][1 + a][1 + b] for k in range(3)], (
+                            key, h_label, p
+                        )
+                        assert m[a][b][1:] == [-x for x in m[b][a][1:]]
                 if rep.subalgebra:
                     n_subalgebra += 1
-                    assert all(x.is_zero for plane in rep.m_i for row in plane
-                               for x in row), (key, h_label, p)
+                    assert all(k >= 1 for _, _, k in rep.m), (key, h_label, p)
                     assert not any(v.startswith("M^") for v in rep.violations)
     assert n_subalgebra == 96
 
@@ -622,9 +626,10 @@ def check_against_double(B, h, pi, complement=None):
         return rep
     assert rep.table == lagrangian_bracket_table(D, spec)
     assert not rep.xx_residual
+    table = dense_c(rep.table)
     for (i, j), c in coords.items():
-        assert rep.table.c[i][j] == c
-        assert rep.table.c[j][i] == [-x for x in c]
+        assert table[i][j] == c
+        assert table[j][i] == [-x for x in c]
     return rep
 
 
@@ -717,8 +722,9 @@ def test_adapted_pass_on_parametric_bases(case):
     a = h + complement
     w = exactlinalg.invert(a)
     p = homogeneous._adapted_pass(B, LagrangianSpec(h, complement, pi))
-    assert dense_of_half(p.c_int, (0, 1), B.dim) == full_transform_structure(B.algebra.c, a, w)
-    f_full = full_transform_cocomm(B.cocomm.f, a, w)
+    c_full = full_transform_structure(dense_c(B.algebra), a, w)
+    assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
+    f_full = full_transform_cocomm(dense_f(B.cocomm), a, w)
     assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)  # keyed (b, c, i)
     check_against_double(B, h, pi, complement)
 
@@ -780,7 +786,7 @@ def test_quadratic_residual_alone_breaks_closure(so22_twisted):
     pi[1][2], pi[2][1] = P("eta"), P("-eta")
     rep = check_against_double(B, [B.algebra.basis_vector("K1")], pi)
     assert rep.lagrangian and not rep.subalgebra
-    assert all(x.is_zero for plane in rep.m_i for row in plane for x in row)
+    assert all(k >= 1 for _, _, k in rep.m)  # n_h = 1
     assert not any(v.startswith("h is not") for v in rep.violations)
     assert rep.xx_residual == {
         (0, 2, 3): P("eta"), (0, 3, 2): P("-eta"), (0, 3, 4): P("-1"),
@@ -802,8 +808,8 @@ def formula_oracle(B, spec):
     n, n_h, n_t = B.dim, spec.n_h, spec.n_t
     rows = spec.h_basis + spec.complement
     w = invert(rows)
-    c = transform_structure(B.algebra.c, rows, w)
-    f = transform_cocomm(B.cocomm.f, rows, w)
+    c = transform_structure(dense_c(B.algebra), rows, w)
+    f = transform_cocomm(dense_f(B.cocomm), rows, w)
     pi = spec.pi
 
     def total(terms):
@@ -844,12 +850,11 @@ def check_against_formulas(B, h, pi):
     spec = LagrangianSpec(h, unit_complement(B, h), mat(pi))
     m, r, q = formula_oracle(B, spec)
     n_h, n_t = spec.n_h, spec.n_t
-    for (a, b, k), value in m.items():
-        got = rep.m_i[a][b][k] if k < n_h else rep.m_gamma[a][b][k - n_h]
-        assert got == value, (a, b, k)
+    assert rep.m == {key: v for key, v in m.items() if v.terms}
     assert rep.xx_residual == {
         (a, b, e): v for (a, b, e), v in q.items() if a < b and v.terms
     }
+    table = dense_c(rep.table) if rep.table is not None else None
     for a in range(n_t):
         for b in range(a + 1, n_t):
             pair = (n_h + a, n_h + b)
@@ -857,8 +862,8 @@ def check_against_formulas(B, h, pi):
             components += [("Q", (), (*pair, n_h + e), q[a, b, e]) for e in range(n_t)]
             first = next((comp for comp in components if comp[3].terms), None)
             assert rep.failing.get(pair) == first, pair
-            if rep.table is not None:
-                assert rep.table.c[pair[0]][pair[1]][n_h:] == [
+            if table is not None:
+                assert table[pair[0]][pair[1]][n_h:] == [
                     r[a, b, n_h + g] for g in range(n_t)
                 ]
     return rep
@@ -945,7 +950,8 @@ def test_so22_twisted_pass_at_cocommutator_scale_two():
 def test_adapted_returns_the_integer_basis_and_its_inverse():
     """_adapted clears A = (h, T) once, to s·A, whose columns in layers are
     those of _int_matrix(A, transpose=True), one layer per monomial that
-    together hold s·A, and its inverse is _inverse(A)."""
+    together hold s·A, and its inverse is that of the integer Bareiss
+    kernel on A cleared by _cleared."""
     # upper triangular, det = 1/6*eta^-1: cleared at s = 6, Laurent inverse
     laurent = spec_with_zero_pi([["1/2", "eta", 0]], [[0, "1/3", 0], [0, 0, "eta^-1"]])
     cases = [(B.dim, spec) for _, B, spec in cost_guard_cases()] + [(3, laurent)]
@@ -956,7 +962,7 @@ def test_adapted_returns_the_integer_basis_and_its_inverse():
         m_cols = (s, _int_rows(a, transpose=True))
         assert m_cols == _int_matrix(rows, transpose=True)
         assert dense_of_layers(m_cols[1], n, transpose=True) == a
-        assert a_inv == _inverse(rows)
+        assert a_inv == _int_inverse(*_cleared(mat(rows)))
     assert m_cols[0] == 6
     assert set(m_cols[1]) == {(), (("eta", 1),), (("eta", -1),)}
 
@@ -990,7 +996,7 @@ def test_adapted_basis_errors(sl2_hyp, h, comp, error, message, inv_error, inv_m
             call()
         assert str(exc.value) == message
     with pytest.raises(inv_error) as exc:
-        _inverse(spec.h_basis + spec.complement)
+        _int_inverse(*_cleared(mat(spec.h_basis + spec.complement)))
     assert str(exc.value) == inv_message
 
 
@@ -1035,6 +1041,43 @@ def test_sl2_table_cell(key, space):
     rep = classify(build_double(B), B, spec_with_zero_pi(h, unit_complement(B, h)))
     assert rep.lagrangian and rep.subalgebra and rep.coisotropic
     assert rep.poisson_subgroup == (SL2_DIAGONAL[key] == space)
+
+
+def test_m_is_nonzero_and_to_json_splits_it_at_n_h():
+    """ClosureReport.m holds exactly the nonzero M^{αβ}_k of the module
+    formulas, keyed (α, β, k) by adapted index in key order, and to_json
+    lists it split at n_h: M^{αβ}_i as m_i_nonzero, M^{αβ}_{n_h+γ} as
+    m_gamma_nonzero at index γ.  On the nine sl(2,R) table cells, so22-r1
+    with π ≠ 0, and sl2-hyp with a π that is not antisymmetric."""
+    cases = []
+    for key in SL2_DIAGONAL:
+        B = CATALOG.bialgebra(key)
+        for combo in SL2_SPACES.values():
+            h = [B.algebra.vector(combo)]
+            cases.append((B, spec_with_zero_pi(h, unit_complement(B, h))))
+    r1, hyp = CATALOG.bialgebra("so22-r1"), CATALOG.bialgebra("sl2-hyp")
+    cases.append((r1, spec_for(r1, ["J", "K1", "K2"], SO22_PI)))
+    cases.append((hyp, spec_for(hyp, ["J12"], [["eta", 1], [0, 0]])))
+    split = collections.Counter()
+    for B, spec in cases:
+        rep = classify(build_double(B), B, spec)
+        n_h = spec.n_h
+        assert all(v.terms for v in rep.m.values())
+        assert list(rep.m) == sorted(rep.m)
+        assert rep.m == {key: v for key, v in formula_oracle(B, spec)[0].items() if v.terms}
+        data = rep.to_json()
+        rebuilt = {}
+        for name, tag, shift in (("m_i_nonzero", "M^{ab}_i", 0),
+                                 ("m_gamma_nonzero", "M^{ab}_g", n_h)):
+            indices = [tuple(e["index"]) for e in data[name]]
+            assert indices == sorted(indices)
+            for e, (a, b, k) in zip(data[name], indices):
+                assert e["tensor"] == tag and (k < n_h if shift == 0 else k < spec.n_t)
+                rebuilt[a, b, shift + k] = e["value"]
+            split[name] += len(indices)
+        assert rebuilt == {key: str(v) for key, v in rep.m.items()}
+    assert not rep.lagrangian  # the last π is not antisymmetric
+    assert split["m_i_nonzero"] and split["m_gamma_nonzero"]
 
 
 # --- the Poisson-subgroup test and the violations --------------------------
@@ -1130,7 +1173,7 @@ def test_violations_pin_the_components():
 
 # --- report values, divided back on first read ------------------------------
 
-REPORT_VALUES = ("m_gamma", "m_i", "table", "xx_residual", "failing", "mixed", "violations")
+REPORT_VALUES = ("m", "table", "xx_residual", "failing", "mixed", "violations")
 
 
 def first_read_cases():
@@ -1301,11 +1344,11 @@ def test_transform_fraction_cost_guard():
         B = CATALOG.bialgebra(key)
         for h in SO22_DENSE_H:
             rows = mat(h) + unit_complement(B, mat(h))
-            cases.append((B, rows, invert(rows)))
+            cases.append((dense_c(B.algebra), dense_f(B.cocomm), rows, invert(rows)))
 
     def work():
-        for B, rows, w in cases:
-            transform_structure(B.algebra.c, rows, w)
-            transform_cocomm(B.cocomm.f, rows, w)
+        for c, f, rows, w in cases:
+            transform_structure(c, rows, w)
+            transform_cocomm(f, rows, w)
 
     assert fraction_constructions(work) <= 2_500

@@ -6,9 +6,10 @@ No lint tool is a dependency, so this walks each module's syntax tree with
 the standard library: an imported name counts as used when it occurs as a
 name anywhere in the module or is listed in ``__all__``; a public name, a
 public method or property of a class, or a private top-level function,
-counts as used when code in ``src/``, ``bench/`` or ``tools/`` names it,
-reads it as an attribute or imports it (a mention in a docstring does not
-count).
+counts as used when code in ``src/``, ``bench/`` or ``tools/`` reads it as
+an attribute, imports it, or names it in the module that defines it (a
+mention in a docstring, or a local variable of the same name in another
+module, does not count).
 """
 
 import ast
@@ -87,16 +88,25 @@ def public_definitions(source: str) -> set:
 
 
 def referenced_names(source: str) -> set:
-    """Names a module uses: as a name, as an attribute or in an import."""
-    used = set()
-    for node in ast.walk(ast.parse(source)):
+    """Names a module uses: as an attribute, in an import, or as a bare name
+    of a top-level function or class the module defines.  A bare name of
+    anything else is a use only of what the module imports under it, which
+    the import already counts, or of a local name of its own."""
+    tree = ast.parse(source)
+    names, used = set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             used |= {a.name.split(".")[-1] for a in node.names}
-    return used
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    return used | (names & defined)
 
 
 def test_reference_checker_ignores_docstrings():
@@ -110,6 +120,11 @@ def test_reference_checker_ignores_docstrings():
     assert {"helper", "dumps"} <= referenced_names(
         "from .x import helper\nimport json\njson.dumps(1)\n"
     )
+    # a bare name counts only in the module that defines or imports it, so
+    # a local variable does not keep a function of another module in use
+    assert "point" not in referenced_names("point = {'eta': 1.0}\nf(point)\n")
+    assert "point" in referenced_names("def point():\n    pass\nx = point()\n")
+    assert "point" in referenced_names("from .charts import point\nx = point()\n")
 
 
 def test_public_names_are_used_outside_the_tests():

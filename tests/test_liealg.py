@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from dense import dense_c, dense_f, zeros3
 from hypothesis import assume, given, settings, strategies as st
 
 from liedouble.errors import (
@@ -41,7 +42,6 @@ from liedouble.liealg import (
     substitute_params,
     transform_cocomm,
     transform_structure,
-    zero_tensor3,
 )
 from test_exactalg import laurent_polys
 
@@ -53,7 +53,7 @@ def jacobi_oracle(L):
     library's sparse accumulation path.  A product with a zero factor adds
     nothing and is skipped, which keeps a 24-dim D(D(a)) affordable."""
     n = L.dim
-    c = L.c
+    c = dense_c(L)
     res = {}
     for i in range(n):
         for j in range(n):
@@ -88,8 +88,9 @@ def assert_jacobi_matches_oracle(L):
 def test_construction_sl2(sl2_std):
     assert sl2_std.dim == 3
     assert sl2_std.labels == ("J3", "J+", "J-")
-    assert sl2_std.c[0][1][1] == 2
-    assert sl2_std.c[1][0][1] == -2
+    c = dense_c(sl2_std)
+    assert c[0][1][1] == 2
+    assert c[1][0][1] == -2
 
 
 def test_construction_ck2d(ck2d):
@@ -112,7 +113,7 @@ def test_index_out_of_range_rejected():
 
 def test_duplicate_entries_sum():
     L = new_lie_algebra(2, ("a", "b"), [(0, 1, 0, 1), (0, 1, 0, 2)])
-    assert L.c[0][1][0] == 3
+    assert dense_c(L)[0][1][0] == 3
 
 
 def test_entries_are_folded_into_the_stored_half():
@@ -122,7 +123,7 @@ def test_entries_are_folded_into_the_stored_half():
         3, ("a", "b", "c"), [(1, 0, 2, 1), (0, 1, 2, 2), (0, 2, 1, "eta"), (2, 0, 1, "eta")]
     )
     assert L.nonzero() == [(0, 1, 2, P("1"))]
-    assert L.c[1][0][2] == -1
+    assert dense_c(L)[1][0][2] == -1
 
 
 @pytest.mark.parametrize(
@@ -469,16 +470,17 @@ def test_casimir_failure_single_component(sl2_std):
     k = mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     total = PolyExpr.zero()
     i, a, b = 1, 0, 1
+    t = dense_c(sl2_std)
     for c in range(3):
-        total = total + sl2_std.c[i][c][a] * k[c][b]
-        total = total + sl2_std.c[i][c][b] * k[a][c]
+        total = total + t[i][c][a] * k[c][b]
+        total = total + t[i][c][b] * k[a][c]
     assert total == PolyExpr.const(-2)
     assert not ad_invariant(sl2_std, k)
 
 
 def test_substitute_params(glambda):
     sub = substitute_params(glambda, {"kappa": P("eta^2")})
-    assert sub.c[1][2][4] == P("eta^2")
+    assert dense_c(sub)[1][2][4] == P("eta^2")
     assert is_jacobi_zero(sub)
 
 
@@ -551,10 +553,11 @@ def dense_adapted_bases(draw):
 def test_halved_transforms_match_full_planes(case):
     B, m, w = case
     n = B.dim
-    c = transform_structure(B.algebra.c, m, w)
-    f = transform_cocomm(B.cocomm.f, m, w)
-    assert c == full_transform_structure(B.algebra.c, m, w)
-    assert f == full_transform_cocomm(B.cocomm.f, m, w)
+    c_in, f_in = dense_c(B.algebra), dense_f(B.cocomm)
+    c = transform_structure(c_in, m, w)
+    f = transform_cocomm(f_in, m, w)
+    assert c == full_transform_structure(c_in, m, w)
+    assert f == full_transform_cocomm(f_in, m, w)
     for a in range(n):
         for b in range(n):
             assert c[a][b] == [-x for x in c[b][a]]
@@ -569,7 +572,7 @@ def awkward_cocomms(draw, n):
     """A dense n³ tensor f_i^{jk}, antisymmetric in (j, k), over
     AWKWARD_COEFFICIENTS."""
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    f = zero_tensor3(n)
+    f = zeros3(n)
     wedges = st.tuples(
         st.integers(0, n - 1), st.sampled_from(pairs), st.sampled_from(AWKWARD_COEFFICIENTS)
     )
@@ -595,7 +598,7 @@ def awkward_transforms(draw):
         for i in range(n)
     ]
     m = mat([rows[i] for i in draw(st.permutations(range(n)))])
-    return L.c, f, m, invert(m)
+    return dense_c(L), f, m, invert(m)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -620,9 +623,10 @@ def dual_tensor(c):
 def test_transforms_match_dense_contraction_on_catalog_basis_changes(key):
     bc = CATALOG.basis_change(key)
     L = CATALOG.algebra(CATALOG.get(key).raw["source"])
-    f = dual_tensor(L.c)
-    assert transform_structure(L.c, bc.m, bc.inverse) == full_transform_structure(
-        L.c, bc.m, bc.inverse
+    c = dense_c(L)
+    f = dual_tensor(c)
+    assert transform_structure(c, bc.m, bc.inverse) == full_transform_structure(
+        c, bc.m, bc.inverse
     )
     assert transform_cocomm(f, bc.m, bc.inverse) == full_transform_cocomm(
         f, bc.m, bc.inverse
@@ -642,7 +646,7 @@ def dense_of_half(form, pair, n):
     divided back by d, and its negation at the swapped key."""
     d, entries = form
     p, q = pair
-    t = zero_tensor3(n)
+    t = zeros3(n)
     for key, terms in entries.items():
         assert key[p] < key[q] and any(terms.values())
         value = from_int_terms(terms, d)
@@ -682,13 +686,14 @@ def test_adapted_pass_transforms_match_dense_contraction(case):
     B, spec = case
     a = spec.h_basis + spec.complement
     w = invert(a)
-    c_full = full_transform_structure(B.algebra.c, a, w)
-    f_full = full_transform_cocomm(B.cocomm.f, a, w)
+    c_in, f_in = dense_c(B.algebra), dense_f(B.cocomm)
+    c_full = full_transform_structure(c_in, a, w)
+    f_full = full_transform_cocomm(f_in, a, w)
     p = _adapted_pass(B, spec)
     assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
     assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)
-    assert transform_structure(B.algebra.c, a, w) == c_full
-    assert transform_cocomm(B.cocomm.f, a, w) == f_full
+    assert transform_structure(c_in, a, w) == c_full
+    assert transform_cocomm(f_in, a, w) == f_full
 
 
 # --- the transforms read one antisymmetric half, through 2×2 minors --------
@@ -710,10 +715,10 @@ def assert_transforms_read_one_half(B, m, w, m_cols, w_rows):
     assert all(i < j for i, j, _ in c[1]) and all(j < k for j, k, _ in f[1])
     n = B.dim
     assert dense_of_half(_structure_int(c, m_cols, w_rows), (0, 1), n) == (
-        full_transform_structure(B.algebra.c, m, w)
+        full_transform_structure(dense_c(B.algebra), m, w)
     )
     assert dense_of_half(_structure_int(f, w_rows, m_cols), (0, 1), n) == (
-        star(full_transform_cocomm(B.cocomm.f, m, w))
+        star(full_transform_cocomm(dense_f(B.cocomm), m, w))
     )
 
 
@@ -775,7 +780,7 @@ def minor_bases(draw):
         m[b][j] = poly_div_exact(m[a][j] * m[b][i], m[a][i])
         assume(rank(m) == n)
         cancelled = (a, b, i, j)
-    return L.c, f, m, cancelled
+    return dense_c(L), f, m, cancelled
 
 
 def dense_of_layers(layers, n, transpose):
@@ -859,7 +864,7 @@ def test_substituted_bialgebra_has_its_own_integer_tensors():
     assert got.xx_residual == expected.xx_residual
     assert (got.table is None) == (expected.table is None)
     if got.table is not None:
-        assert got.table.c == expected.table.c
+        assert dense_c(got.table) == dense_c(expected.table)
     plain = substitute_params(B.algebra, {"eta": "2*eta + 1/3"})
     assert plain.int_tensor() is not B.algebra.int_tensor()
     assert plain.int_tensor() == _int_tensor(plain.nonzero())

@@ -79,7 +79,7 @@ def report(rep):
     entries."""
     table = rep.table.nonzero() if rep.table is not None else None
     verdicts = (rep.lagrangian, rep.subalgebra, rep.coisotropic, rep.poisson_subgroup)
-    return verdicts, rep.m_gamma, rep.m_i, rep.xx_residual, rep.failing, table
+    return verdicts, rep.m, rep.xx_residual, rep.failing, table
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -120,7 +120,13 @@ def _load_target(target: str):
     if not path.exists():
         raise ParseError(f"no such file: {target}")
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:  # a directory, or a file that cannot be opened
+        raise ParseError(f"cannot read {target}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {target}: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{target}: line {exc.lineno} col {exc.colno}: {exc.msg}")
     return data
@@ -267,23 +273,17 @@ def _parse_subalgebra(spec: str, algebra) -> list:
 
 
 def _complete_basis(algebra, h_vectors) -> list:
-    from .exactlinalg import rank
+    """The basis vectors that complete h, chosen greedily in basis order:
+    the pivot columns after h of one elimination of the columns (h, e_0, …,
+    e_{n−1}), whose first k pivots are h's own when h is independent."""
+    from .exactlinalg import _bareiss, _cleared, transpose
 
-    if rank(h_vectors) < len(h_vectors):
+    k = len(h_vectors)
+    units = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    pivots = _bareiss(_cleared(transpose(h_vectors + units))[1], reduce=False)
+    if pivots[:k] != list(range(k)):
         raise ParseError("the subalgebra generators are linearly dependent")
-    complement = []
-    current = [list(v) for v in h_vectors]
-    for i in range(algebra.dim):
-        if len(current) == algebra.dim:
-            break
-        candidate = algebra.basis_vector(i)
-        # current stays independent, so its rank is its length
-        if rank(current + [candidate]) > len(current):
-            current.append(candidate)
-            complement.append(candidate)
-    if len(current) != algebra.dim:
-        raise ParseError("could not complete the subalgebra basis")
-    return complement
+    return [units[c - k] for c in pivots[k:]]
 
 
 def cmd_classify(args) -> int:

@@ -17,11 +17,10 @@ The polynomial is terms / den in lowest terms, so equality of polynomials is
 equality of the two fields, and the text is canonical: for every ``p``,
 ``PolyExpr.parse(str(p)) == p`` bit-exactly.  ``PolyExpr(terms)`` takes int
 or :class:`~fractions.Fraction` coefficients; a Fraction is otherwise built
-only by :meth:`PolyExpr.evaluate` at an exact point and in the rational long
-division of :func:`poly_div_exact`.  Results are built by :func:`_canonical`,
-which takes over a dict already in this form, or by :func:`from_int_terms`,
-which divides a zero-free ``{monomial: int}`` dict by an int scale with one
-gcd.
+only by :meth:`PolyExpr.evaluate` at an exact point.  Results are built by
+:func:`_canonical`, which takes over a dict already in this form, or by
+:func:`from_int_terms`, which divides a zero-free ``{monomial: int}`` dict
+by an int scale with one gcd.
 
 One kernel, :func:`_add_product`, forms every product, ``out += s·t1·t2`` on
 such dicts in place: ``*`` and ``+``, and the long sums (the Jacobi check, δ_r
@@ -30,8 +29,10 @@ and the CYBE residual, the pairing of a double, the adapted pass of
 :mod:`liedouble.exactlinalg`).  A sum brings its factors to one scale with
 :func:`to_int_terms`, the lcm of their ``den``, adds plain ints and divides
 back once.  The basis transforms of :mod:`liedouble.liealg` regroup such
-dicts by monomial and sum one layer of ints at a time, and the Bareiss
-divisions by a pivot of several terms run through :func:`_div_exact_terms`.
+dicts by monomial and sum one layer of ints at a time.  One integer long
+division, :func:`_div_terms`, divides such dicts exactly: the Bareiss
+updates, :func:`poly_div_exact`, and so the inverse of a negative power in
+:meth:`PolyExpr.substitute`.
 
 All values are immutable and can be shared between threads.  Polynomials
 and integer sums share terms dicts (:func:`to_int_terms` hands out
@@ -47,7 +48,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import NotDivisible, PolyParseError, UnassignedParameter
 
@@ -257,7 +258,7 @@ class PolyExpr:
                 if e >= 0:
                     term = term * rep**e
                 else:
-                    term = term * _invert_single_term(rep) ** (-e)
+                    term = term * poly_div_exact(1, rep) ** (-e)
             out = out + term
         return from_int_terms(out.terms, out.den * self.den)
 
@@ -405,13 +406,6 @@ def as_poly(value: PolyLike) -> PolyExpr:
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-def _invert_single_term(p: PolyExpr) -> PolyExpr:
-    if len(p.terms) != 1:
-        raise NotDivisible(f"cannot invert multi-term polynomial {p}")
-    (mono, v), = p.terms.items()  # v/den in lowest terms, so den/v is too
-    return _canonical({_mono_pow(mono, -1): p.den if v > 0 else -p.den}, abs(v))
-
-
 _set_terms = PolyExpr.terms.__set__
 _set_den = PolyExpr.den.__set__
 _set_neg = PolyExpr._neg.__set__
@@ -490,36 +484,50 @@ def _content_shift(terms: dict, params: tuple[str, ...]) -> dict[str, int]:
 def poly_div_exact(a: PolyLike, b: PolyLike) -> PolyExpr:
     """Return q with a == q * b, or raise :class:`NotDivisible`.
 
-    Both operands are reduced by their monomial content (making ordinary
-    polynomials with per-parameter minimum exponent zero), then multivariate
-    long division runs under a graded ordering; the content quotient is a
-    Laurent monomial reattached at the end.  In the Laurent ring this finds
-    the quotient whenever one exists.  The division runs over the
-    numerators, with :class:`~fractions.Fraction` quotients of their
-    coefficients, and the two denominators are applied at the end.
+    The integer terms of a are divided by the primitive part of b's, the
+    terms over the gcd g of its numerators, by :func:`_div_terms`.  By
+    Gauss's lemma a Laurent quotient of the two has integer coefficients
+    whenever one exists, so this finds it; q is that quotient times
+    b.den / (a.den·g), and no :class:`~fractions.Fraction` is built.
     """
     a = as_poly(a)
     b = as_poly(b)
     if b.is_zero:
         raise NotDivisible("division by the zero polynomial")
-    if a.is_zero:
-        return PolyExpr.zero()
-    if len(b.terms) == 1:
-        return a * _invert_single_term(b)
-    quotient = _div_exact_terms(a.terms, b.terms, Q)
-    if quotient is None:
+    g = gcd(*b.terms.values())
+    q = _div_terms(a.terms, {mono: v // g for mono, v in b.terms.items()})
+    if q is None:
         raise NotDivisible(f"({a}) is not divisible by ({b})")
-    return PolyExpr(quotient) * from_int_terms({_ONE_MONOMIAL: b.den}, a.den)
+    return from_int_terms(_times(q, b.den), a.den * g)
 
 
-def _div_exact_terms(a: dict, b: dict, divide: Callable) -> dict | None:
-    """The terms of the Laurent quotient a / b of two nonzero terms dicts,
-    by the long division of :func:`poly_div_exact`, or None when there is
-    none.  ``divide(x, y)`` divides two coefficients exactly: as
-    :class:`~fractions.Fraction` in :func:`poly_div_exact`, or as ints when
-    the quotient is known to be an integer polynomial, as in the integer
-    Bareiss kernel (the leading coefficient of every remainder is then a
-    multiple of b's)."""
+def _div_terms(a: dict, b: dict) -> dict | None:
+    """The terms of the Laurent quotient a / b of two integer terms dicts, b
+    nonzero, or None when it has no integer coefficients or does not exist.
+
+    By a one-term b the quotient is a monomial shift and a ``divmod`` of each
+    coefficient; by the constant 1 it is the dict a itself.  By a longer b
+    both operands are reduced by their monomial content (making ordinary
+    polynomials with per-parameter minimum exponent zero), then integer long
+    division runs under a graded ordering, one ``divmod`` of the leading
+    coefficients per step; the content quotient is a Laurent monomial
+    reattached at the end.  This is every exact division of the package: the
+    Bareiss updates, where the quotient is known to exist, and
+    :func:`poly_div_exact`."""
+    if len(b) == 1:
+        ((mono, c),) = b.items()
+        if mono:
+            inv = _mono_pow(mono, -1)
+        elif c == 1:
+            return a
+        out = {}
+        for x, v in a.items():
+            if v % c:
+                return None
+            out[_mono_mul(x, inv) if mono else x] = v // c
+        return out
+    if not a:
+        return {}
     params = tuple(sorted({name for mono in (*a, *b) for name, _ in mono}))
     shift_a = _content_shift(a, params)
     shift_b = _content_shift(b, params)
@@ -540,7 +548,9 @@ def _div_exact_terms(a: dict, b: dict, divide: Callable) -> dict | None:
         diff = tuple(er - eb for er, eb in zip(lead_r, lead_b))
         if any(d < 0 for d in diff):
             return None
-        c = divide(rem[lead_r], div[lead_b])
+        c, r = divmod(rem[lead_r], div[lead_b])
+        if r:
+            return None
         quo[diff] = c
         for exps, coef in div.items():
             mono = tuple(d + e for d, e in zip(diff, exps))

@@ -6,10 +6,11 @@ entries stay polynomials (minors of the input) and no quotient of
 polynomials is ever formed.  :func:`rank` reads the forward pass.
 :func:`invert`, :func:`solve_in_span` and :func:`nullspace` also clear the
 entries above each pivot; every pivot then equals the last one, d, and each
-answer is an entry of the reduced matrix divided exactly by d.  That
-division raises :class:`NotDivisible` when an answer is a genuine rational
-function rather than a Laurent polynomial (:func:`nullspace` then keeps
-the undivided, fraction-free vector).
+answer is an entry of the reduced matrix divided exactly by d, by
+:func:`~liedouble.exactalg.poly_div_exact`.  That division raises
+:class:`NotDivisible` when an answer is a genuine rational function rather
+than a Laurent polynomial (:func:`nullspace` then keeps the undivided,
+fraction-free vector).
 
 The elimination runs over integer terms with one scale.  The whole input
 is brought to one scale once (:func:`_cleared`, over
@@ -23,14 +24,13 @@ appends the identity half as integer unit dicts, so the adapted pass of
 clearing it again.  An update piv·a − f·b is formed by one call of
 :func:`~liedouble.exactalg._add_product`, the one product kernel, per
 nonzero product, into one zero-free terms dict, and divided exactly by the
-previous pivot: not at all when the pivot is 1, by ``divmod`` on the
-coefficients and a monomial shift when it is one other term, by integer
-long division otherwise.  Every entry of the reduced
-matrix of s·A is an r×r minor, r the rank, so it is s^r times that of A:
-the answers above, ratios of two entries, do not depend on s, and only the
-fraction-free vector of :func:`nullspace` is divided back by s^r.  Each
-answer is divided back once, by
-:func:`~liedouble.exactalg.from_int_terms`.
+previous pivot, not at all when the pivot is 1, by
+:func:`~liedouble.exactalg._div_terms`, the one integer long division of the
+package.  Every entry of the reduced matrix of s·A is an r×r minor, r the
+rank, so it is s^r times that of A: the answers above, ratios of two
+entries, do not depend on s, and only the fraction-free vector of
+:func:`nullspace` is divided back by s^r.  Each answer is divided back once,
+by :func:`~liedouble.exactalg.from_int_terms`.
 
 Semantics are generic in the parameters: a polynomial entry counts as
 invertible unless it is identically zero.
@@ -41,8 +41,9 @@ from __future__ import annotations
 from .errors import NotDivisible, SingularMatrix
 from .exactalg import (
     PolyExpr,
+    _UNIT,
     _add_product,
-    _div_exact_terms,
+    _div_terms,
     _mono_mul,
     _mono_pow,
     as_poly,
@@ -71,27 +72,6 @@ def identity(n: int) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def _exact_int(x: int, y: int) -> int:
-    q, r = divmod(x, y)
-    assert not r, "Bareiss update not exact"
-    return q
-
-
-def _divider(pivot: dict):
-    """Exact division of an integer terms dict by a nonzero ``pivot`` that
-    is known to divide it (a Bareiss update); by the pivot 1 the quotient is
-    the numerator dict itself."""
-    if len(pivot) != 1:
-        return lambda num: _div_exact_terms(num, pivot, _exact_int)
-    ((mono, c),) = pivot.items()
-    if not mono:
-        if c == 1:
-            return lambda num: num
-        return lambda num: {x: _exact_int(v, c) for x, v in num.items()}
-    inv = _mono_pow(mono, -1)
-    return lambda num: {_mono_mul(x, inv): _exact_int(v, c) for x, v in num.items()}
 
 
 def _cleared(rows: Matrix) -> tuple[int, list]:
@@ -126,8 +106,7 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
     """
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev: dict = {(): 1}
-    divide = _divider(prev)  # by the previous pivot
+    prev, unit = _UNIT, True  # by the pivot 1 an update is its own quotient
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -162,23 +141,14 @@ def _bareiss(m: list, reduce: bool) -> list[int]:
                     _add_product(num, 1, piv, a)
                 if f and b:
                     _add_product(num, -1, f, b)
-                row[j] = divide(num) if num else num
+                if num and not unit:
+                    num = _div_terms(num, prev)
+                    assert num is not None, "Bareiss update not exact"
+                row[j] = num
             row[c] = {}
         pivots.append(c)
-        prev, divide = piv, _divider(piv)
+        prev, unit = piv, piv == _UNIT
     return pivots
-
-
-def _quotient(num: dict, den: dict) -> PolyExpr:
-    """The Laurent polynomial num / den of two integer terms dicts, den
-    nonzero, or :class:`NotDivisible`."""
-    if not num:
-        return _ZERO
-    if len(den) == 1:
-        ((mono, d),) = den.items()
-        inv = _mono_pow(mono, -1)
-        return from_int_terms({_mono_mul(m, inv): v for m, v in num.items()}, d)
-    return poly_div_exact(from_int_terms(num, 1), from_int_terms(den, 1))
 
 
 def rank(rows: Matrix) -> int:
@@ -203,7 +173,8 @@ def solve_in_span(rows: Matrix, v: Vector) -> Vector | None:
         return None  # a pivot in the right-hand side: inconsistent
     coeffs = [_ZERO] * k
     for r, c in enumerate(pivots):
-        coeffs[c] = _quotient(m[r][k], m[r][c])
+        row = m[r]
+        coeffs[c] = poly_div_exact(from_int_terms(row[k], 1), from_int_terms(row[c], 1))
     return coeffs
 
 
@@ -261,6 +232,7 @@ def nullspace(a: Matrix) -> list[Vector]:
     s, m = _cleared(mat(a))
     pivots = _bareiss(m, reduce=True)
     d = m[len(pivots) - 1][pivots[-1]] if pivots else {(): 1}
+    den = from_int_terms(d, 1)
     basis = []
     for free in range(n_cols):
         if free in pivots:
@@ -270,7 +242,7 @@ def nullspace(a: Matrix) -> list[Vector]:
         for r, c in enumerate(pivots):
             x[c] = {mono: -v for mono, v in m[r][free].items()}
         try:
-            basis.append([_quotient(y, d) for y in x])
+            basis.append([poly_div_exact(from_int_terms(y, 1), den) for y in x])
         except NotDivisible:  # keep the fraction-free vector of a
             basis.append([from_int_terms(y, s ** len(pivots)) for y in x])
     return basis

@@ -83,6 +83,21 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+def test_validate_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_validate_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"labels": ["\u00e9"]}'.encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in "
+        "position 13: invalid continuation byte\n"
+    )
+
+
 def test_validate_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -418,17 +433,25 @@ def test_classify_generator_with_a_negative_exponent(tmp_path, span, combos, cod
     assert report["verdicts"]["subalgebra"] == ("pass" if code == 0 else "fail")
 
 
-def test_classify_completes_the_basis_with_one_rank_per_candidate(monkeypatch, capsys):
-    # one rank for the generators, then one per candidate basis vector: the
-    # basis built so far is independent, so its rank is its length
+def test_classify_completes_the_basis_with_one_elimination(monkeypatch, capsys):
+    # one forward elimination of the columns (h, e_0, ..., e_5), 6 rows by 9
+    # columns, and no rank per candidate; the adapted pass reduces its own
     from liedouble import exactlinalg
 
-    calls = []
-    rank = exactlinalg.rank
-    monkeypatch.setattr(exactlinalg, "rank", lambda rows: calls.append(len(rows)) or rank(rows))
-    assert main(["classify", "so22-r1", "span{J,K1,K2}"]) == 0
-    capsys.readouterr()
-    assert calls == [3, 4, 4, 5, 6]  # rows per call; one candidate is dependent
+    ranks, forward = [], []
+    rank, bareiss = exactlinalg.rank, exactlinalg._bareiss
+    monkeypatch.setattr(exactlinalg, "rank", lambda rows: ranks.append(rows) or rank(rows))
+
+    def counted(m, reduce):
+        if not reduce:
+            forward.append((len(m), len(m[0])))
+        return bareiss(m, reduce)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss", counted)
+    assert main(["classify", "so22-r1", "span{J,K1,K2}", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert ranks == [] and forward == [(6, 9)]
+    assert report["bracket_table"]["labels"] == ["J", "K1", "K2", "p0", "p1", "p2"]
 
 
 @pytest.mark.parametrize("span, completion", [

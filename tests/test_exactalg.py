@@ -10,6 +10,7 @@ from liedouble.errors import NotDivisible, PolyParseError, UnassignedParameter
 from liedouble.exactalg import (
     PolyExpr,
     _add_product,
+    _div_terms,
     as_poly,
     from_int_terms,
     poly_div_exact,
@@ -176,6 +177,35 @@ def test_div_exact_random_products():
         assert poly_div_exact(a * b, b) == a
 
 
+def test_div_exact_by_a_rational_multi_term_divisor():
+    # the integer terms of f are 2*eta + 4*z - 18*eta*z over 3; the product
+    # is divided by their primitive part eta + 2*z - 9*eta*z
+    f = P("2/3*eta + 4/3*z - 6*eta*z")
+    q = P("5/7*eta^-1 - 3*z^2 + 1/2")
+    assert poly_div_exact(f * q, f) == q
+
+
+def test_div_exact_of_a_constant_multiple():
+    assert poly_div_exact(P("eta + 1"), P("2*eta + 2")) == P("1/2")
+    with pytest.raises(NotDivisible):
+        poly_div_exact(P("eta + 1"), P("2*eta + 1"))
+
+
+def test_div_terms_shift_and_empty_numerator():
+    eta, z = ("eta", 1), ("z", 1)
+    # one-term divisors: a monomial shift and a divmod of each coefficient
+    assert _div_terms({(eta,): 6, (): 4}, {(eta,): 2}) == {(): 3, (("eta", -1),): 2}
+    assert _div_terms({(eta,): 6, (): 3}, {(eta,): 2}) is None
+    # a Laurent shift by content: (eta^-1 + z)·(eta^-2·z^-1 − 1) / (eta^-1 + z)
+    assert _div_terms(
+        {(("eta", -3), ("z", -1)): 1, (("eta", -2),): 1, (("eta", -1),): -1, (z,): -1},
+        {(("eta", -1),): 1, (z,): 1},
+    ) == {(("eta", -2), ("z", -1)): 1, (): -1}
+    assert _div_terms({}, {(eta,): 1, (): 1}) == {}
+    assert _div_terms({}, {(eta,): 3}) == {}
+    assert poly_div_exact(0, P("eta - z")) == PolyExpr.zero()
+
+
 def test_as_poly_coercions():
     assert as_poly(3) == PolyExpr.const(3)
     assert as_poly(Q(1, 2)) == P("1/2")
@@ -340,6 +370,16 @@ def test_arithmetic_constructs_only_result_coefficients():
     assert built == 0 and negated == P("-2*eta - 1/3*z^-1")
     text, built = count_fractions(lambda: str(product))
     assert built == 0 and P(text) == product
+
+
+def test_exact_division_constructs_no_fraction():
+    # the quotient of a by the primitive part of b has integer terms, and the
+    # two denominators are applied to it as ints
+    a, b = P("1/3*eta^2 - 4/3*z^2"), P("3/5*eta + 6/5*z")
+    quotient, built = count_fractions(lambda: poly_div_exact(a, b))
+    assert built == 0 and quotient == P("5/9*eta - 10/9*z")
+    inverse, built = count_fractions(lambda: P("eta^-2 + z").substitute({"eta": P("2/3*w")}))
+    assert built == 0 and inverse == P("9/4*w^-2 + z")
 
 
 # -- the canonical text form against a Fraction-based formatter -------------

@@ -21,12 +21,11 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from liedouble.errors import NotDivisible, SingularMatrix
-from liedouble.exactalg import PolyExpr, as_poly
+from liedouble.exactalg import PolyExpr, _div_terms, as_poly
 from liedouble import exactlinalg
 from liedouble.exactlinalg import (
     _bareiss,
     _cleared,
-    _divider,
     _int_inverse,
     invert,
     mat,
@@ -269,9 +268,9 @@ def test_bareiss_keeps_the_update_it_divides_by_a_pivot_of_1(monkeypatch):
     other single-term pivot, a new dict."""
     eta = (("eta", 1),)
     num = {(): 6, eta: -4}
-    assert _divider({(): 1})(num) is num
-    assert _divider({(): 2})(num) == {(): 3, eta: -2}
-    assert _divider({eta: 1})(num) == {(("eta", -1),): 6, (): -4}
+    assert _div_terms(num, {(): 1}) is num
+    assert _div_terms(num, {(): 2}) == {(): 3, eta: -2}
+    assert _div_terms(num, {eta: 1}) == {(("eta", -1),): 6, (): -4}
     built = []
     real = exactlinalg._add_product
     monkeypatch.setattr(
@@ -281,6 +280,30 @@ def test_bareiss_keeps_the_update_it_divides_by_a_pivot_of_1(monkeypatch):
     assert _bareiss(m, reduce=False) == [0, 1]
     assert m[1][1] == {(): -1}
     assert m[1][1] is built[0]  # 1·5 − 3·2, divided by the first pivot 1
+
+
+def test_bareiss_divides_a_later_update_by_a_multi_term_pivot(monkeypatch):
+    """Column 0 has no single-term entry, so the first pivot is 1 + eta, and
+    the update of the last row is divided exactly by it.  Every entry left
+    in a pivot row, at or right of its pivot, is a minor of A, as sympy
+    computes it."""
+    a = mat([["1 + eta", "2 + xi", "1"],
+             ["1 - eta", "eta + xi", "3"],
+             ["2 + eta", "1 - xi", "eta"]])
+    divisors = []
+    real = exactlinalg._div_terms
+    monkeypatch.setattr(
+        exactlinalg, "_div_terms", lambda num, den: divisors.append(den) or real(num, den)
+    )
+    m = _cleared(a)[1]
+    assert _bareiss(m, reduce=False) == [0, 1, 2]
+    assert len(divisors[0]) == 2 and {len(d) for d in divisors} == {2}
+    dense = sympy.Matrix([[to_field(x).as_expr() for x in row] for row in a])
+    for r, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        # no row was swapped: m[r][j] is the minor of rows 0..r and
+        # columns 0..r-1, j
+        minor = dense.extract([*range(r + 1)], [*range(r), j]).det()
+        assert to_field(PolyExpr(m[r][j])) == K.from_sympy(sympy.expand(minor))
 
 
 @st.composite

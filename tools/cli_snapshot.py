@@ -20,7 +20,8 @@ basis with a Laurent inverse and one without), in text and json;
 (``SL2_TABLE``), in text and json; and
 ``validate`` of two invalid files this script writes to a temporary
 directory, an algebra that violates Jacobi and a bialgebra whose
-cocommutator is not a cobracket.
+cocommutator is not a cobracket, and of two targets there that cannot be
+read, a directory and a file that is not UTF-8.
 """
 
 import contextlib
@@ -89,6 +90,8 @@ BAD_BIALGEBRA = {
     "cocomm": [{"i": 0, "j": 1, "k": 2, "coef": "5/7"}],
 }
 INVALID_FILES = {"bad-algebra.json": BAD_ALGEBRA, "bad-bialgebra.json": BAD_BIALGEBRA}
+# a directory, and a label in Latin-1
+UNREADABLE_DIR, NOT_UTF8 = "a-directory", "not-utf8.json"
 
 
 def commands() -> list:
@@ -110,7 +113,11 @@ def commands() -> list:
         extra = [] if pi is None else ["--pi", json.dumps(pi)]
         argvs += [["classify", key, span, *extra, *fmt] for fmt in FORMATS]
     argvs += [["classify", key, span, *fmt] for key, span in SL2_TABLE for fmt in FORMATS]
-    argvs += [["validate", name, *fmt] for name in INVALID_FILES for fmt in FORMATS]
+    argvs += [
+        ["validate", name, *fmt]
+        for name in (*INVALID_FILES, UNREADABLE_DIR, NOT_UTF8)
+        for fmt in FORMATS
+    ]
     return argvs
 
 
@@ -128,6 +135,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in INVALID_FILES.items():
             Path(tmp, name).write_text(json.dumps(data, indent=2) + "\n")
+        Path(tmp, UNREADABLE_DIR).mkdir()
+        Path(tmp, NOT_UTF8).write_bytes('{"labels": ["\u00e9"]}\n'.encode("latin-1"))
         # the invalid files are named relative to tmp, so reports and the
         # printed argv do not depend on where tmp is
         os.chdir(tmp)

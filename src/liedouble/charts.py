@@ -10,6 +10,14 @@ PM    coordinates (a+, a-, chi) with 2x2 element
 ADS3  coordinates (x0, x1, x2) on AdS3 = SO(2,2)/SO(2,1), carrying only
       closed-form brackets.
 
+A matrix chart is data: its factors (generator, coordinate, matrix) in
+product order.  :func:`group_matrix` multiplies the factors'
+exponentials, and :func:`invariant_fields` derives both sides of the
+invariant fields from them.  With g = E_1 ... E_n and E_k = exp(c_k X_k),
+the right frame is ∂_k g·g⁻¹ = Ad(H_k) X_k, H_k = E_1 ... E_{k-1}, and the
+left frame is g⁻¹∂_k g = Ad(T_k⁻¹) X_k = Ad(g⁻¹)(∂_k g·g⁻¹),
+T_k = E_{k+1} ... E_n; each is read in the generator basis and inverted.
+
 Coordinate functions are the chart projections, so the directional
 derivative of a coordinate along an invariant field is literally a field
 component; no symbolic differentiation is needed.
@@ -31,9 +39,10 @@ layer (``classify``'s M^{ab}_c, see :mod:`liedouble.cli`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,7 +57,42 @@ CHART_COORDS = {
     ADS3: ("x0", "x1", "x2"),
 }
 
-CHART_FIELD_LABELS = {CK: ("P1", "P2", "J12"), PM: ("J3", "J+", "J-")}
+# The matrix charts: g = exp(c_1 X_1) exp(c_2 X_2) exp(c_3 X_3) over the
+# factors (generator, coordinate, matrix of X), in product order.  In the
+# CK chart a1 is a rotation angle, a2 and theta are rapidities.
+_FACTORS = {
+    CK: (
+        ("P1", "a1", [[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
+        ("P2", "a2", [[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
+        ("J12", "theta", [[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ),
+    PM: (
+        ("J-", "a-", [[0, 0], [1, 0]]),
+        ("J+", "a+", [[0, 1], [0, 0]]),
+        ("J3", "chi", [[1, 0], [0, -1]]),
+    ),
+}
+
+
+class _MatrixChart(NamedTuple):
+    """A matrix chart in factor order: ``x`` stacks the generator matrices,
+    a flattened matrix times ``read`` gives its components in that basis,
+    and idx[k] is the chart index of factor k's coordinate."""
+
+    labels: tuple
+    x: np.ndarray
+    read: np.ndarray
+    idx: list
+
+
+def _factor_table(chart_id: str) -> _MatrixChart:
+    labels, names, mats = zip(*_FACTORS[chart_id])
+    x = np.array(mats, dtype=float)
+    idx = [CHART_COORDS[chart_id].index(name) for name in names]
+    return _MatrixChart(labels, x, np.linalg.pinv(x.reshape(len(x), -1)), idx)
+
+
+_MATRIX_CHARTS = {chart_id: _factor_table(chart_id) for chart_id in _FACTORS}
 
 
 @dataclass(frozen=True)
@@ -69,6 +113,12 @@ def _require(p: ChartPoint, chart_id: str):
         raise WrongChart(f"expected a {chart_id} point, got {p.chart_id}")
 
 
+def _matrix_chart(chart_id: str) -> _MatrixChart:
+    if chart_id not in _MATRIX_CHARTS:
+        raise WrongChart(f"chart {chart_id} has no matrix representation")
+    return _MATRIX_CHARTS[chart_id]
+
+
 def coord_index(chart_id: str, name) -> int:
     if isinstance(name, int):
         if not 0 <= name < 3:
@@ -82,25 +132,39 @@ def coord_index(chart_id: str, name) -> int:
         ) from None
 
 
-def ck_matrix(p: ChartPoint) -> np.ndarray:
-    """3x3 matrix of exp(a1 P1) exp(a2 P2) exp(theta J12) in the Lorentzian
-    chart: a1 is a rotation angle, a2 and theta are rapidities."""
-    _require(p, CK)
-    theta, a1, a2 = p.coords
-    c1, s1 = math.cos(a1), math.sin(a1)
-    c2, s2 = math.cosh(a2), math.sinh(a2)
-    ct, st = math.cosh(theta), math.sinh(theta)
-    return np.array(
-        [
-            [c1 * c2, -s1 * ct + c1 * s2 * st, -s1 * st + c1 * s2 * ct],
-            [s1 * c2, c1 * ct + s1 * s2 * st, c1 * st + s1 * s2 * ct],
-            [s2, c2 * st, c2 * ct],
-        ]
-    )
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack (m, n, n), by scaling and squaring:
+    the degree-16 Taylor polynomial of b = a/2^s, with 2^s chosen so that
+    every row-sum norm of b is at most 1/2, in Horner form
+    I + b/1 (I + b/2 (... (I + b/16))), squared s times."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=-1).max())[1] + 1)
+    eye = np.eye(a.shape[-1])
+    steps = a / (2.0**s * np.arange(16, 0, -1.0)[:, None, None, None])
+    result = eye + steps[0]
+    for step in steps[1:]:
+        result = eye + result @ step
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def _factor_exponentials(p: ChartPoint) -> tuple:
+    """p's matrix chart, and its factors exp(c_k X_k), then their inverses
+    exp(-c_k X_k), stacked in factor order."""
+    chart = _matrix_chart(p.chart_id)
+    cx = np.array(p.coords)[chart.idx, None, None] * chart.x
+    return chart, _expm(np.concatenate([cx, -cx]))
+
+
+def group_matrix(p: ChartPoint) -> np.ndarray:
+    """The group element at p: the product of the chart's factors
+    exp(c_k X_k) in product order."""
+    chart, e = _factor_exponentials(p)
+    return functools.reduce(np.matmul, e[: len(chart.x)])
 
 
 def ck_chart_inverse(m: np.ndarray) -> ChartPoint:
-    """Invert :func:`ck_matrix`.
+    """Invert :func:`group_matrix` on the CK chart.
 
     a2 = asinh m31, a1 = atan2(m21, m11), theta = atanh(m32/m33); raises
     :class:`OutOfChart` when the formulas are singular or the matrix does
@@ -114,17 +178,9 @@ def ck_chart_inverse(m: np.ndarray) -> ChartPoint:
     a1 = math.atan2(m[1][0], m[0][0])
     theta = math.atanh(m[2][1] / m[2][2])
     p = ChartPoint(CK, (theta, a1, a2))
-    if not np.allclose(ck_matrix(p), m, rtol=1e-8, atol=1e-8):
+    if not np.allclose(group_matrix(p), m, rtol=1e-8, atol=1e-8):
         raise OutOfChart("matrix is not in the image of the chart")
     return p
-
-
-def pm_matrix(p: ChartPoint) -> np.ndarray:
-    """2x2 element exp(a- J-) exp(a+ J+) exp(chi J3)."""
-    _require(p, PM)
-    ap, am, chi = p.coords
-    e = math.exp(chi)
-    return np.array([[e, ap / e], [am * e, (1.0 + ap * am) / e]])
 
 
 def pm_chart_inverse(m: np.ndarray) -> ChartPoint:
@@ -137,83 +193,47 @@ def pm_chart_inverse(m: np.ndarray) -> ChartPoint:
     am = m[1][0] / m[0][0]
     ap = m[0][1] * m[0][0]
     p = ChartPoint(PM, (ap, am, chi))
-    if not np.allclose(pm_matrix(p), m, rtol=1e-8, atol=1e-8):
+    if not np.allclose(group_matrix(p), m, rtol=1e-8, atol=1e-8):
         raise OutOfChart("matrix is not in the image of the chart")
     return p
 
 
-def group_matrix(p: ChartPoint) -> np.ndarray:
-    return ck_matrix(p) if p.chart_id == CK else pm_matrix(p)
-
-
 def chart_inverse(chart_id: str, m: np.ndarray) -> ChartPoint:
-    return ck_chart_inverse(m) if chart_id == CK else pm_chart_inverse(m)
+    _matrix_chart(chart_id)  # raises WrongChart off a matrix chart
+    return {CK: ck_chart_inverse, PM: pm_chart_inverse}[chart_id](m)
 
 
 def generator_matrix(chart_id: str, label: str) -> np.ndarray:
-    """Representation matrices of the chart's Lie algebra basis."""
-    if chart_id == CK:
-        gens = {
-            "P1": np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 0]]),
-            "P2": np.array([[0.0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-            "J12": np.array([[0.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        }
-    elif chart_id == PM:
-        gens = {
-            "J3": np.array([[1.0, 0], [0, -1]]),
-            "J+": np.array([[0.0, 1], [0, 0]]),
-            "J-": np.array([[0.0, 0], [1, 0]]),
-        }
-    else:
-        raise WrongChart(f"chart {chart_id} has no matrix representation")
-    if label not in gens:
+    """Representation matrix of one generator of the chart's Lie algebra."""
+    chart = _matrix_chart(chart_id)
+    if label not in chart.labels:
         raise WrongChart(f"{label!r} is not a generator of chart {chart_id}")
-    return gens[label]
+    return chart.x[chart.labels.index(label)].copy()
 
 
 # --- invariant vector fields ------------------------------------------------
 
 
-def invariant_fields(chart_id: str, side: str, p: ChartPoint) -> dict:
-    """Component vectors of the invariant fields at p, keyed by generator.
+def invariant_fields(p: ChartPoint) -> tuple:
+    """The left and right invariant fields at p: two dicts of component
+    vectors, keyed by generator.
 
-    Components are with respect to the chart's coordinate order.  ``left``
-    fields generate right translations g exp(tX), ``right`` fields left
+    Components are with respect to the chart's coordinate order.  Left
+    fields generate right translations g exp(tX), right fields left
     translations exp(tX) g."""
-    if side not in ("left", "right"):
-        raise WrongChart(f"side must be 'left' or 'right', got {side!r}")
-    _require(p, chart_id)
-    if chart_id == CK:
-        theta, a1, a2 = p.coords
-        ch2, th2 = math.cosh(a2), math.tanh(a2)
-        cht, sht = math.cosh(theta), math.sinh(theta)
-        c1, s1 = math.cos(a1), math.sin(a1)
-        if side == "left":
-            return {
-                "J12": np.array([1.0, 0.0, 0.0]),
-                "P1": np.array([-th2 * cht, cht / ch2, sht]),
-                "P2": np.array([-th2 * sht, sht / ch2, cht]),
-            }
-        return {
-            "J12": np.array([c1 / ch2, th2 * c1, s1]),
-            "P1": np.array([0.0, 1.0, 0.0]),
-            "P2": np.array([-s1 / ch2, -th2 * s1, c1]),
-        }
-    if chart_id == PM:
-        ap, am, chi = p.coords
-        e2, em2 = math.exp(2 * chi), math.exp(-2 * chi)
-        if side == "left":
-            return {
-                "J+": np.array([e2, 0.0, 0.0]),
-                "J-": np.array([ap * ap * em2, em2, ap * em2]),
-                "J3": np.array([0.0, 0.0, 1.0]),
-            }
-        return {
-            "J+": np.array([1.0 + 2 * ap * am, -am * am, am]),
-            "J-": np.array([0.0, 1.0, 0.0]),
-            "J3": np.array([2 * ap, -2 * am, 1.0]),
-        }
-    raise WrongChart(f"chart {chart_id} has no invariant fields")
+    (labels, x, read, idx), e = _factor_exponentials(p)
+    n = len(x)
+    heads = [np.eye(x.shape[-1])]  # H_k, then g
+    head_invs = [heads[0]]
+    for k in range(n):
+        heads.append(heads[-1] @ e[k])
+        head_invs.append(e[n + k] @ head_invs[-1])
+    right = np.array(heads[:n]) @ x @ np.array(head_invs[:n])  # Ad(H_k) X_k
+    left = head_invs[n] @ right @ heads[n]  # Ad(g⁻¹) ∂_k g·g⁻¹
+    frames = np.array([left, right]).reshape(2, n, -1) @ read
+    fields = np.empty((2, n, n))
+    fields[..., idx] = np.linalg.inv(frames)  # row a: the field of X_a
+    return tuple(dict(zip(labels, side)) for side in fields)
 
 
 def sklyanin_numeric(
@@ -235,15 +255,13 @@ def sklyanin_numeric(
     sign = 1.0
     if i > j:
         i, j, sign = j, i, -1.0
-    labels = CHART_FIELD_LABELS.get(chart_id)
-    if labels is None:
-        raise WrongChart(f"chart {chart_id} has no Sklyanin computation")
+    _require(p, chart_id)
+    labels = _matrix_chart(chart_id).labels
     if set(r.labels) != set(labels):
         raise WrongChart(
             f"r-matrix labels {r.labels} do not match chart generators {labels}"
         )
-    left = invariant_fields(chart_id, "left", p)
-    right = invariant_fields(chart_id, "right", p)
+    left, right = invariant_fields(p)
     total = 0.0
     for a, b, coef in r.wedge_terms():
         la, lb = r.labels[a], r.labels[b]
@@ -270,17 +288,10 @@ class BracketFn:
     pairs: Mapping
 
 
-_REGISTRY: dict[str, BracketFn] = {}
-
-
-def register_bracket(fn: BracketFn):
-    _REGISTRY[fn.id] = fn
-
-
 def bracket_fn(bracket_id: str) -> BracketFn:
-    if bracket_id not in _REGISTRY:
+    if bracket_id not in _BRACKETS:
         raise UnknownBracket(f"no closed-form bracket named {bracket_id!r}")
-    return _REGISTRY[bracket_id]
+    return _BRACKETS[bracket_id]
 
 
 def closed_form(bracket_id: str, pair, p: ChartPoint, params: Mapping) -> float:
@@ -312,9 +323,44 @@ def _upsilon(eta: float, x0: float, x1: float) -> float:
     return c * (c * math.cosh(eta * x1) + math.sinh(eta * x1))
 
 
-def _install_builtin_brackets():
-    # hyperbolic family, CK chart
-    register_bracket(
+def _tw01(q, c):
+    eta, xi = q["eta"], q["xi"]
+    if eta == 0.0:
+        return 0.0
+    cos0 = math.cos(eta * c[0])
+    sin0 = math.sin(eta * c[0])
+    sinh1 = math.sinh(eta * c[1])
+    return (
+        0.5
+        * xi
+        * _ratio(math.tanh, eta, c[2])
+        / math.cosh(eta * c[1])
+        * (cos0 * cos0 * sinh1 * sinh1 - sin0 * sin0)
+    )
+
+
+def _tw02(q, c):
+    eta, xi = q["eta"], q["xi"]
+    cos0 = math.cos(eta * c[0])
+    return -0.5 * _ratio(math.sin, eta, c[0]) * math.cosh(eta * c[1]) + (
+        _ratio(math.sinh, eta, c[1]) / 2.0
+    ) * (
+        math.sin(eta * c[0]) * math.tanh(eta * c[1]) - xi * cos0 * cos0
+    )
+
+
+def _tw12(q, c):
+    eta, xi = q["eta"], q["xi"]
+    cos0 = math.cos(eta * c[0])
+    return -0.5 * _ratio(math.sinh, eta, c[1]) * cos0 - 0.5 * xi * _ratio(
+        math.sin, eta, c[0]
+    ) * cos0 * math.cosh(eta * c[1])
+
+
+_BRACKETS = {
+    fn.id: fn
+    for fn in (
+        # hyperbolic family, CK chart
         BracketFn(
             "hyp-CK",
             CK,
@@ -328,10 +374,8 @@ def _install_builtin_brackets():
                 * q["eta"]
                 * (1.0 / math.cosh(c[2]) - math.cos(c[1])),
             },
-        )
-    )
-    # hyperbolic family, PM chart
-    register_bracket(
+        ),
+        # hyperbolic family, PM chart
         BracketFn(
             "hyp-PM",
             PM,
@@ -340,10 +384,8 @@ def _install_builtin_brackets():
                 ("chi", "a+"): lambda q, c: -q["eta"] * c[0],
                 ("chi", "a-"): lambda q, c: -q["eta"] * c[1],
             },
-        )
-    )
-    # elliptic family, CK chart
-    register_bracket(
+        ),
+        # elliptic family, CK chart
         BracketFn(
             "ell-CK",
             CK,
@@ -357,10 +399,8 @@ def _install_builtin_brackets():
                 * (1.0 / math.cosh(c[2]) - math.cosh(c[0])),
                 ("a1", "a2"): lambda q, c: -2 * q["z"] * math.tanh(c[2]),
             },
-        )
-    )
-    # elliptic family, PM chart (published with the J-basis normalization)
-    register_bracket(
+        ),
+        # elliptic family, PM chart (published with the J-basis normalization)
         BracketFn(
             "ell-PM",
             PM,
@@ -373,10 +413,8 @@ def _install_builtin_brackets():
                 ("chi", "a-"): lambda q, c: -q["z"] * (1.0 - math.exp(-2 * c[2]))
                 - q["z"] * c[1] * c[1],
             },
-        )
-    )
-    # parabolic family, PM chart
-    register_bracket(
+        ),
+        # parabolic family, PM chart
         BracketFn(
             "par-PM",
             PM,
@@ -385,10 +423,8 @@ def _install_builtin_brackets():
                 ("chi", "a+"): lambda q, c: -0.5 * (1.0 - math.exp(2 * c[2])),
                 ("chi", "a-"): lambda q, c: -0.5 * c[1] * c[1],
             },
-        )
-    )
-    # parabolic family, CK chart
-    register_bracket(
+        ),
+        # parabolic family, CK chart
         BracketFn(
             "par-CK",
             CK,
@@ -399,10 +435,8 @@ def _install_builtin_brackets():
                 - 1.0 / math.cosh(c[2]),
                 ("a1", "a2"): lambda q, c: math.sin(c[1]) - math.tanh(c[2]),
             },
-        )
-    )
-    # first double structure on the 3d anti-de Sitter chart
-    register_bracket(
+        ),
+        # first double structure on the 3d anti-de Sitter chart
         BracketFn(
             "ads3-double1",
             ADS3,
@@ -414,51 +448,15 @@ def _install_builtin_brackets():
                 ("x1", "x2"): lambda q, c: _ratio(math.tan, q["eta"], c[0])
                 * _upsilon(q["eta"], c[0], c[1]),
             },
-        )
-    )
-    # twisted (space-like) family on the same chart
-
-    def _tw01(q, c):
-        eta, xi = q["eta"], q["xi"]
-        if eta == 0.0:
-            return 0.0
-        cos0 = math.cos(eta * c[0])
-        sin0 = math.sin(eta * c[0])
-        sinh1 = math.sinh(eta * c[1])
-        return (
-            0.5
-            * xi
-            * _ratio(math.tanh, eta, c[2])
-            / math.cosh(eta * c[1])
-            * (cos0 * cos0 * sinh1 * sinh1 - sin0 * sin0)
-        )
-
-    def _tw02(q, c):
-        eta, xi = q["eta"], q["xi"]
-        cos0 = math.cos(eta * c[0])
-        return -0.5 * _ratio(math.sin, eta, c[0]) * math.cosh(eta * c[1]) + (
-            _ratio(math.sinh, eta, c[1]) / 2.0
-        ) * (
-            math.sin(eta * c[0]) * math.tanh(eta * c[1]) - xi * cos0 * cos0
-        )
-
-    def _tw12(q, c):
-        eta, xi = q["eta"], q["xi"]
-        cos0 = math.cos(eta * c[0])
-        return -0.5 * _ratio(math.sinh, eta, c[1]) * cos0 - 0.5 * xi * _ratio(
-            math.sin, eta, c[0]
-        ) * cos0 * math.cosh(eta * c[1])
-
-    register_bracket(
+        ),
+        # twisted (space-like) family on the same chart
         BracketFn(
             "ads3-twisted",
             ADS3,
             {("x0", "x1"): _tw01, ("x0", "x2"): _tw02, ("x1", "x2"): _tw12},
-        )
+        ),
     )
-
-
-_install_builtin_brackets()
+}
 
 
 # --- derived numerics: linearization, Jacobi, flat limits --------------------

@@ -5,6 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from dense import dense_c
+
+from liedouble import catalog, charts
 from liedouble.charts import (
     ADS3,
     CK,
@@ -15,7 +18,6 @@ from liedouble.charts import (
     bracket_fn,
     chart_inverse,
     ck_chart_inverse,
-    ck_matrix,
     closed_form,
     flat_limit_check,
     generator_matrix,
@@ -24,8 +26,6 @@ from liedouble.charts import (
     jacobi_numeric,
     linearize,
     pm_chart_inverse,
-    pm_matrix,
-    register_bracket,
     sklyanin_numeric,
     verify_sklyanin_cell,
 )
@@ -49,12 +49,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def test_ck_matrix_identity():
-    assert np.allclose(ck_matrix(ChartPoint(CK, (0, 0, 0))), np.eye(3))
+    assert np.allclose(group_matrix(ChartPoint(CK, (0, 0, 0))), np.eye(3))
+    assert np.allclose(group_matrix(ChartPoint(PM, (0, 0, 0))), np.eye(2))
 
 
 def test_ck_matrix_pure_boost():
     theta = 0.7
-    m = ck_matrix(ChartPoint(CK, (theta, 0, 0)))
+    m = group_matrix(ChartPoint(CK, (theta, 0, 0)))
     expected = np.array(
         [
             [1, 0, 0],
@@ -69,7 +70,7 @@ def test_ck_matrix_product_property():
     rng = random.Random(12)
     for _ in range(10):
         theta, a1, a2 = (rng.uniform(-1.2, 1.2) for _ in range(3))
-        m = ck_matrix(ChartPoint(CK, (theta, a1, a2)))
+        m = group_matrix(ChartPoint(CK, (theta, a1, a2)))
         prod = (
             expm(a1 * generator_matrix(CK, "P1"))
             @ expm(a2 * generator_matrix(CK, "P2"))
@@ -82,7 +83,7 @@ def test_pm_matrix_product_property():
     rng = random.Random(13)
     for _ in range(10):
         ap, am, chi = (rng.uniform(-1.0, 1.0) for _ in range(3))
-        m = pm_matrix(ChartPoint(PM, (ap, am, chi)))
+        m = group_matrix(ChartPoint(PM, (ap, am, chi)))
         prod = (
             expm(am * generator_matrix(PM, "J-"))
             @ expm(ap * generator_matrix(PM, "J+"))
@@ -99,12 +100,12 @@ def test_ck_chart_inverse_identity():
 
 def test_ck_chart_round_trip():
     p = ChartPoint(CK, (0.3, -0.4, 0.5))
-    q = ck_chart_inverse(ck_matrix(p))
+    q = ck_chart_inverse(group_matrix(p))
     assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
     rng = random.Random(99)
     for _ in range(20):
         p = ChartPoint(CK, tuple(rng.uniform(-1.2, 1.2) for _ in range(3)))
-        q = ck_chart_inverse(ck_matrix(p))
+        q = ck_chart_inverse(group_matrix(p))
         assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
 
 
@@ -121,35 +122,60 @@ def test_pm_chart_round_trip():
     rng = random.Random(5)
     for _ in range(20):
         p = ChartPoint(PM, tuple(rng.uniform(-1.0, 1.0) for _ in range(3)))
-        q = pm_chart_inverse(pm_matrix(p))
+        q = pm_chart_inverse(group_matrix(p))
         assert max(abs(x - y) for x, y in zip(p.coords, q.coords)) < 1e-10
     with pytest.raises(OutOfChart):
         pm_chart_inverse(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_invariant_field_examples():
-    p = ChartPoint(CK, (0.4, -0.3, 0.8))
-    left = invariant_fields(CK, "left", p)
+    # the last factor's generator moves only its coordinate on the left, the
+    # first factor's on the right
+    left, right = invariant_fields(ChartPoint(CK, (0.4, -0.3, 0.8)))
     assert np.allclose(left["J12"], [1, 0, 0])
-    right = invariant_fields(CK, "right", p)
     assert np.allclose(right["P1"], [0, 1, 0])
-    pm_left = invariant_fields(PM, "left", ChartPoint(PM, (0.2, 0.7, 0.0)))
+    pm_left, _ = invariant_fields(ChartPoint(PM, (0.2, 0.7, 0.0)))
     assert np.allclose(pm_left["J+"], [1, 0, 0])
 
 
-def test_wrong_chart_errors():
+def test_wrong_chart_errors(rmats):
     with pytest.raises(WrongChart):
-        invariant_fields(CK, "left", ChartPoint(PM, (0, 0, 0)))
+        sklyanin_numeric(
+            CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", ChartPoint(PM, (0, 0, 0))
+        )
+    for call, chart_id in (
+        (lambda: invariant_fields(ChartPoint(ADS3, (0, 0, 0))), ADS3),
+        (lambda: group_matrix(ChartPoint(ADS3, (0, 0, 0))), ADS3),
+        (lambda: chart_inverse(ADS3, np.eye(2)), ADS3),
+        (lambda: chart_inverse("XY", np.eye(2)), "XY"),
+        (lambda: generator_matrix(ADS3, "J"), ADS3),
+    ):
+        with pytest.raises(WrongChart) as exc:
+            call()
+        assert str(exc.value) == f"chart {chart_id} has no matrix representation"
     with pytest.raises(WrongChart):
-        invariant_fields(ADS3, "left", ChartPoint(ADS3, (0, 0, 0)))
+        generator_matrix(CK, "J3")
     with pytest.raises(WrongChart):
         ChartPoint("XY", (0, 0, 0))
 
 
+@pytest.mark.parametrize("chart_id, algebra", [(CK, "sl2.ck"), (PM, "sl2.std")])
+def test_generator_matrices_carry_the_catalog_brackets(chart_id, algebra):
+    """[ρ(X_i), ρ(X_j)] = Σ_k C_ij^k ρ(X_k) exactly, with C read from the
+    catalog algebra whose labels the chart's r-matrices carry."""
+    L = catalog.load().algebra(algebra)
+    c = dense_c(L)
+    rho = [generator_matrix(chart_id, label) for label in L.labels]
+    for i in range(L.dim):
+        for j in range(L.dim):
+            combo = sum(float(c[i][j][k].evaluate({})) * rho[k] for k in range(L.dim))
+            assert np.array_equal(rho[i] @ rho[j] - rho[j] @ rho[i], combo), (i, j)
+
+
 def test_invariance_oracle_all_fields():
-    """The Appendix fields match the pushforward of t -> coords(g exp(tX))
-    (left) and t -> coords(exp(tX) g) (right) at t = 0; the +t sign choice
-    is the one the closed-form fields satisfy."""
+    """The derived fields match the pushforward of t -> coords(g exp(tX))
+    (left) and t -> coords(exp(tX) g) (right) at t = 0, by central
+    differences through the chart inverses."""
     rng = random.Random(2718)
     h = 1e-6
     for chart_id in (CK, PM):
@@ -158,8 +184,7 @@ def test_invariance_oracle_all_fields():
             coords = tuple(rng.uniform(-0.8, 0.8) for _ in range(3))
             p = ChartPoint(chart_id, coords)
             g = group_matrix(p)
-            for side in ("left", "right"):
-                fields = invariant_fields(chart_id, side, p)
+            for side, fields in zip(("left", "right"), invariant_fields(p)):
                 for lab in labels:
                     x = generator_matrix(chart_id, lab)
                     step_plus = expm(h * x)
@@ -300,8 +325,10 @@ def test_jacobi_numeric_ads3():
         assert jacobi_numeric("ads3-twisted", {"eta": 0.4, "xi": 0.3}, p) < 1e-6
 
 
-def test_jacobi_numeric_constant_bracket_exact_zero():
-    register_bracket(
+def test_jacobi_numeric_constant_bracket_exact_zero(monkeypatch):
+    monkeypatch.setitem(
+        charts._BRACKETS,
+        "test-constant",
         BracketFn(
             "test-constant",
             ADS3,

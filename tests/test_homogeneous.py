@@ -4,11 +4,13 @@ import re
 from itertools import combinations
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from dense import dense_c, dense_f
 from hypothesis import assume, given, settings, strategies as st
 
 from liedouble import catalog, exactlinalg, homogeneous, liealg
+from liedouble.charts import CK, generator_matrix
 from liedouble.double import build_double, double_of_double
 from liedouble.errors import (
     BadPartition,
@@ -35,6 +37,7 @@ from liedouble.homogeneous import (
     lagrangian_from_pi,
 )
 from liedouble.liealg import _int_matrix, _int_rows, bracket
+from test_charts import expm
 from test_liealg import (
     dense_of_half,
     dense_of_layers,
@@ -1041,6 +1044,44 @@ def test_sl2_table_cell(key, space):
     rep = classify(build_double(B), B, spec_with_zero_pi(h, unit_complement(B, h)))
     assert rep.lagrangian and rep.subalgebra and rep.coisotropic
     assert rep.poisson_subgroup == (SL2_DIAGONAL[key] == space)
+
+
+@pytest.mark.parametrize("space", SL2_SPACES)
+@pytest.mark.parametrize("key", SL2_DIAGONAL)
+def test_sl2_table_cell_on_the_group(key, space):
+    """classify's verdicts on each sl(2,R) table cell agree with the group.
+    H = exp(h) is coisotropic iff the Sklyanin bivector π(k) = r − Ad_{k⁻¹} r
+    (left-trivialised, up to normalisation) lies in h ∧ g for k in H, and a
+    Poisson subgroup iff it lies in h ∧ h (J.-H. Lu, PhD thesis, Berkeley
+    1990).  r is the bialgebra's generating r-matrix at z = η = 7/10, ρ the
+    CK chart's generator matrices, and k = exp(tX) for 15 random t, X ∈ h;
+    π(k) is read in the adapted basis (h, T) of classify's spec."""
+    B = CATALOG.bialgebra(key)
+    labels = B.algebra.labels
+    h = [B.algebra.vector(SL2_SPACES[space])]
+    spec = spec_with_zero_pi(h, unit_complement(B, h))
+    rep = classify(build_double(B), B, spec)
+    r = np.zeros((3, 3))
+    for i, j, coef in CATALOG.rmatrix(CATALOG.get(key).raw["r_matrix"]).wedge_terms():
+        r[i, j] = float(coef.evaluate({"z": 0.7, "eta": 0.7}))
+        r[j, i] = -r[i, j]
+    rho = np.array([generator_matrix(CK, label) for label in labels])
+    adapted = np.array(
+        [[float(x.evaluate({})) for x in v] for v in spec.h_basis + spec.complement]
+    ).T
+    x = np.tensordot(adapted[:, 0], rho, 1)
+    rng = random.Random(1990)
+    tt = ht = 0.0
+    for _ in range(15):
+        t = rng.uniform(-1.5, 1.5)
+        k, k_inv = expm(t * x), expm(-t * x)
+        ad = np.linalg.lstsq(  # column i: Ad_{k⁻¹} X_i in the basis X
+            rho.reshape(3, -1).T, (k_inv @ rho @ k).reshape(3, -1).T, rcond=None
+        )[0]
+        pi = np.linalg.solve(adapted, np.linalg.solve(adapted, r - ad @ r @ ad.T).T).T
+        tt, ht = max(tt, abs(pi[1, 2])), max(ht, np.abs(pi[0, 1:]).max())
+    assert (tt <= 1e-12) == rep.coisotropic
+    assert (ht <= 1e-12) == rep.poisson_subgroup
 
 
 def test_m_is_nonzero_and_to_json_splits_it_at_n_h():

@@ -35,7 +35,6 @@ TEST_ONLY = {
     "solve_in_span": "reference route that the Bareiss kernel is tested against",
     "change_basis": "applies the catalog basis changes",
     "algebras_equal": "compares the catalog basis changes with published algebras",
-    "group_matrix": "oracle of test_invariance_oracle_all_fields",
     "chart_inverse": "oracle of test_invariance_oracle_all_fields",
     "generator_matrix": "oracle of test_invariance_oracle_all_fields",
 }

@@ -152,12 +152,14 @@ RMATS = {
 # ---------------------------------------------------------------- bialgebras
 
 BIALS = {
-    "sl2-hyp": (B_SL2_HYP, None,
+    "sl2-hyp": (B_SL2_HYP, "sl2.hyperbolic",
                 "hyperbolic bialgebra on sl(2,R), CK basis; duals (a1, a2, theta)"),
-    "sl2-ell": (B_SL2_ELL, None, "elliptic bialgebra on sl(2,R), CK basis"),
-    "sl2-par": (B_SL2_PAR, None, "parabolic bialgebra on sl(2,R), CK basis (z = 1)"),
-    "sl2-hyp-j": (B_SL2_HYP_J, None, "hyperbolic bialgebra, (J3, J+, J-) basis"),
-    "sl2-par-j": (B_SL2_PAR_J, None,
+    "sl2-ell": (B_SL2_ELL, "sl2.elliptic", "elliptic bialgebra on sl(2,R), CK basis"),
+    "sl2-par": (B_SL2_PAR, "sl2.parabolic",
+                "parabolic bialgebra on sl(2,R), CK basis (z = 1)"),
+    "sl2-hyp-j": (B_SL2_HYP_J, "sl2.hyperbolic.j",
+                  "hyperbolic bialgebra, (J3, J+, J-) basis"),
+    "sl2-par-j": (B_SL2_PAR_J, "sl2.parabolic.j",
                   "parabolic bialgebra, (J3, J+, J-) basis (z = 1); duals (chi, a+, a-)"),
     "sl2-eta": (B_SL2_ETA, None,
                 "self-dual-pair base of the first 6d double; cobracket from "

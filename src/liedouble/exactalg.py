@@ -78,7 +78,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _mono_pow(a: Monomial, n: int) -> Monomial:
-    return tuple((name, e * n) for name, e in a) if n != 0 else _ONE_MONOMIAL
+    return tuple([(name, e * n) for name, e in a]) if n != 0 else _ONE_MONOMIAL
 
 
 class PolyExpr:

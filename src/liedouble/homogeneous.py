@@ -10,7 +10,8 @@ Write T(α) = n_h + α for the adapted index of T_α, and C', f' for the
 structure constants and cocommutator in the adapted basis, where the double
 has [x^a, X_b] = C'_bk^a x^k − f'_b^{ak} X_k.  Every bracket of l's basis
 {H_i, X^α} is then fixed in closed form, and :func:`classify` reads the
-verdicts and the induced bracket table from (C', f', π) alone, in one pass:
+verdicts from (C', f', π) alone, in one pass, and the induced bracket table
+from what that pass keeps:
 
 * l is Lagrangian iff π^{αβ} + π^{βα} = 0: the pairing gives
   <X^α, X^β> = π^{αβ} + π^{βα}, and h pairs to zero with all of l.
@@ -64,12 +65,19 @@ the parameters.  The pairing π^{αβ} + π^{βα} is summed the same way, at
 the scale d_π.
 
 :func:`classify` decides its four verdicts from these integer forms alone
-and stores them on the :class:`ClosureReport`.  The polynomials the report
-gives, the nonzero M^{αβ}_k keyed (α, β, k) by adapted index, the bracket
-table, Q, and the failing and mixed components that ``violations`` prints,
-are divided back from them (:func:`~liedouble.exactalg.from_int_terms`) on
-first read and cached on the report, so a caller that reads only the
-verdicts builds none of them.  No dense tensor is built.
+and stores them on the :class:`ClosureReport`.  The pass sums only what the
+verdicts and the failing components read: C', f', the pairing, M, R and the
+T-coordinates of [X^α, X^β] that give Q.  The bracket rows that only the
+table reads, the H-coordinates of [H_i, X^α] and [X^α, X^β], wait for the
+first read of the table, which sums them from what the pass keeps (C', f',
+π's rows, R and the h-target rows of the [X^α, X^β] sums) and reads the
+X-coordinates from R and C'.  The polynomials the report gives, the
+nonzero M^{αβ}_k keyed (α, β, k) by adapted index, the bracket table, Q,
+and the failing and mixed components that ``violations`` prints, are
+divided back from the integer forms
+(:func:`~liedouble.exactalg.from_int_terms`) on first read and cached on
+the report, so a caller that reads only the verdicts sums no bracket row
+and divides nothing back.  No dense tensor is built.
 :func:`lagrangian_bracket_table` is the table of :func:`classify`.
 
 l is coisotropic when it is a Lagrangian subalgebra at π = 0, i.e. h is a
@@ -288,7 +296,9 @@ class ClosureReport:
 
     @cached_property
     def table(self) -> LieAlgebra | None:
-        """The induced bracket table, or None when l is not a subalgebra."""
+        """The induced bracket table, or None when l is not a subalgebra: the
+        first read sums the bracket rows from what the adapted pass keeps,
+        then divides them back (module doc)."""
         if not self.subalgebra:
             return None
         return _table(*self._source, self._pass.brackets)
@@ -377,8 +387,9 @@ def _first_pairing(pi_int: dict, n_t: int, d_pi: int) -> tuple | None:
 
 @dataclass
 class _AdaptedPass:
-    """Everything :func:`classify` reads from (C', f', π), computed once over
-    integers (module doc)."""
+    """What :func:`classify` reads from (C', f', π), summed once over
+    integers, and what the bracket rows of l are summed from on the first
+    read of :attr:`brackets` (module doc)."""
 
     c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
     f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c
@@ -388,21 +399,98 @@ class _AdaptedPass:
     pairing: tuple | None
     # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
     m_int: tuple
-    # (i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i < j, as
-    # [(k, {mono: int}, scale)], coordinate k the terms divided by the scale
-    brackets: dict
     # (i, j) ↦ the first nonzero (name, lower, upper, terms, scale) that must
     # vanish for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module
     # doc), its value the terms divided by the scale
     failing: dict
     # (s2, {(α, β, ε): terms}): s2·Q^{αβε} over ints, nonzero, α < β
     xx_residual: tuple
+    # what only the bracket rows read: π's nonzero entries (β, d_π·π^{αβ})
+    # by row α, at the scale d_π; s1·R^{αβ}_k keyed (α, β, k), M's own dict
+    # when π is antisymmetric; and the rows of f'_{T(δ)}^{T(α)k} and
+    # C'_{T(γ)T(δ)}^k with an h target k < n_h, as _xx_part reads them
+    n_h: int
+    pi_rows: list
+    d_pi: int
+    r_acc: dict
+    f_tt_h: dict
+    c_tt_h: dict
+
+    @cached_property
+    def brackets(self) -> dict:
+        """(i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i < j, as
+        [(k, {mono: int}, scale)], coordinate k the terms divided by the
+        scale: summed on first read from what the pass keeps (module doc)."""
+        d_c, c = self.c_int
+        d_f, f = self.f_int
+        n_h, pi_rows, d_pi, r_acc = self.n_h, self.pi_rows, self.d_pi, self.r_acc
+        n_t = len(pi_rows)
+        n = n_h + n_t
+        s1, s2 = self.m_int[0], self.xx_residual[0]
+        f_mul, c_mul = d_pi * d_c, d_f
+        brackets = {}
+        for i in range(n_h):
+            for j in range(i + 1, n_h):  # [H_i, H_j]
+                brackets[(i, j)] = [
+                    (k, c[i, j, k], d_c) for k in range(n_h) if (i, j, k) in c
+                ]
+            for a in range(n_t):  # [H_i, X^α] = −[X^α, H_i]
+                t_a = n_h + a
+                row = []
+                for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
+                    h = {}
+                    t = f.get((j, t_a, i))
+                    if t:
+                        _add_product(h, -f_mul, t, _UNIT)
+                    for b, v in pi_rows[a]:
+                        t = c.get((i, n_h + b, j))
+                        if t:
+                            _add_product(h, c_mul, v, t)
+                    if h:
+                        row.append((j, h, s1))
+                row += [
+                    (k, c[i, k, t_a], -d_c) for k in range(n_h, n) if (i, k, t_a) in c
+                ]
+                brackets[(i, t_a)] = row
+        for a in range(n_t):
+            for b in range(a + 1, n_t):  # [X^α, X^β]: H-coordinates, then R_{T(γ)}
+                acc = [{} for _ in range(n_h)]
+                _xx_part(acc, a, b, pi_rows, self.f_tt_h, self.c_tt_h, f_mul, c_mul)
+                brackets[(n_h + a, n_h + b)] = [
+                    (k, t, s2) for k, t in enumerate(acc) if t
+                ] + [
+                    (n_h + g, r_acc[a, b, n_h + g], s1) for g in range(n_t)
+                    if r_acc.get((a, b, n_h + g))
+                ]
+        return brackets
+
+
+def _xx_part(acc: list, a: int, b: int, pi_rows, f_tt, c_tt, f_mul, c_mul) -> None:
+    """Add s2 times −π^{βδ} f'_{T(δ)}^{T(α)k} + π^{αγ} f'_{T(γ)}^{T(β)k} +
+    π^{αγ} π^{βδ} C'_{T(γ)T(δ)}^k to ``acc`` at the slot of each target k
+    that the rows ``f_tt`` {(δ, α): [(slot, sign, terms)]} and ``c_tt``
+    {(γ, δ): [...]} hold: the h rows give the H-coordinates of [X^α, X^β]
+    (slot k < n_h), the T rows the part of Q before −R·π (slot ε = k − n_h)."""
+    for d, v in pi_rows[b]:  # −π^{βδ} f'_{T(δ)}^{T(α)k}
+        for k, sign, t in f_tt.get((d, a), ()):
+            _add_product(acc[k], -sign * f_mul, v, t)
+    for g, v in pi_rows[a]:
+        for k, sign, t in f_tt.get((g, b), ()):  # π^{αγ} f'_{T(γ)}^{T(β)k}
+            _add_product(acc[k], sign * f_mul, v, t)
+        for d, u in pi_rows[b]:  # π^{αγ} π^{βδ} C'_{T(γ)T(δ)}^k
+            rows = c_tt.get((g, d))
+            if rows:
+                vu: dict = {}
+                _add_product(vu, 1, v, u)
+                for k, sign, t in rows:
+                    _add_product(acc[k], sign * c_mul, vu, t)
 
 
 def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
-    """The brackets of l's basis {H_i, X^α} from the adapted-basis tensors,
-    with the first nonzero component that must vanish for each to lie in l,
-    summed over integers at the scales s1 and s2 (module doc)."""
+    """C', f', the pairing, M, R and Q of l's basis {H_i, X^α} from the
+    adapted-basis tensors, with the first nonzero component that must vanish
+    for each bracket to lie in l, summed over integers at the scales s1 and
+    s2 (module doc).  The bracket rows wait for :attr:`_AdaptedPass.brackets`."""
     n = B.dim
     (s, a_int), (e, inv_rows) = _adapted(spec, n)
     # both transforms read one layered form of A's columns and of A⁻¹: C by
@@ -423,9 +511,16 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     f_mul, c_mul = d_pi * d_c, d_f  # f'·π^j and C'·π^(j+1) to a common scale
 
     # signed rows of the stored halves: C'_{k T(δ)}^{T(α)} as (k, α, sign,
-    # terms) under δ, f'_{T(δ)}^{T(α) k} as (k, sign, terms) under (δ, α),
-    # C'_{T(γ)T(δ)}^k as (k, sign, terms) under (γ, δ)
-    c_kt, f_tt, c_tt = [[] for _ in range(n_t)], {}, {}
+    # terms) under δ; f'_{T(δ)}^{T(α)k} as (k, sign, terms) under (δ, α) and
+    # C'_{T(γ)T(δ)}^k the same under (γ, δ), each split by its target k into
+    # T rows, keyed ε = k − n_h, for Q, and h rows, k < n_h, for the brackets
+    c_kt = [[] for _ in range(n_t)]
+    f_tt, c_tt = ({}, {}), ({}, {})  # (T rows, h rows)
+
+    def put(rows, key, k, sign, t):
+        side, k = (0, k - n_h) if k >= n_h else (1, k)
+        rows[side].setdefault(key, []).append((k, sign, t))
+
     for (a, b, u), t in c.items():
         if u >= n_h:
             if b >= n_h:
@@ -433,16 +528,16 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             if a >= n_h:
                 c_kt[a - n_h].append((b, u - n_h, -1, t))
         if a >= n_h:
-            c_tt.setdefault((a - n_h, b - n_h), []).append((u, 1, t))
-            c_tt.setdefault((b - n_h, a - n_h), []).append((u, -1, t))
+            put(c_tt, (a - n_h, b - n_h), u, 1, t)
+            put(c_tt, (b - n_h, a - n_h), u, -1, t)
     no_terms: dict = {}
     m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
     for (b, u, i), t in f.items():
         if i >= n_h:
             if b >= n_h:
-                f_tt.setdefault((i - n_h, b - n_h), []).append((u, 1, t))
+                put(f_tt, (i - n_h, b - n_h), u, 1, t)
             if u >= n_h:
-                f_tt.setdefault((i - n_h, u - n_h), []).append((b, -1, t))
+                put(f_tt, (i - n_h, u - n_h), b, -1, t)
         if b >= n_h:
             _add_product(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t, _UNIT)
             _add_product(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t, _UNIT)
@@ -458,7 +553,7 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 _add_product(r_acc.setdefault((p, a, k), {}), x, v, t)
                 _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
 
-    brackets, failing, residual = {}, {}, {}
+    failing, residual = {}, {}
 
     def check(pair, components):
         """Keep the first (name, lower, upper, terms, scale) with a nonzero
@@ -476,31 +571,12 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
 
     for i in range(n_h):
         for j in range(i + 1, n_h):  # [H_i, H_j]
-            brackets[(i, j)] = [
-                (k, c[i, j, k], d_c) for k in range(n_h) if (i, j, k) in c
-            ]
             check((i, j), (
                 ("C'", (i, j), (k,), c.get((i, j, k), no_terms), d_c)
                 for k in range(n_h, n)
             ))
-        for a in range(n_t):  # [H_i, X^α] = −[X^α, H_i]
+        for a in range(n_t):  # [H_i, X^α]
             t_a = n_h + a
-            row = []
-            for j in range(n_h):  # −f'_i^{jT(α)} + π^{αβ} C'_{iT(β)}^j
-                h = {}
-                t = f.get((j, t_a, i))
-                if t:
-                    _add_product(h, -f_mul, t, _UNIT)
-                for b, v in pi_rows[a]:
-                    t = c.get((i, n_h + b, j))
-                    if t:
-                        _add_product(h, c_mul, v, t)
-                if h:
-                    row.append((j, h, s1))
-            row += [
-                (k, c[i, k, t_a], -d_c) for k in range(n_h, n) if (i, k, t_a) in c
-            ]
-            brackets[(i, t_a)] = row
             check((i, t_a), chain(
                 (("C'", (i, j), (t_a,), *c_at(i, j, t_a)) for j in range(n_h)
                  if j != i),
@@ -509,32 +585,15 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
             ))
     for a in range(n_t):
         for b in range(a + 1, n_t):  # [X^α, X^β]
-            acc = [{} for _ in range(n)]
-            for d, v in pi_rows[b]:  # −π^{βδ} f'_{T(δ)}^{T(α)k}
-                for k, sign, t in f_tt.get((d, a), ()):
-                    _add_product(acc[k], -sign * f_mul, v, t)
-            for g, v in pi_rows[a]:
-                for k, sign, t in f_tt.get((g, b), ()):  # π^{αγ} f'_{T(γ)}^{T(β)k}
-                    _add_product(acc[k], sign * f_mul, v, t)
-                for d, u in pi_rows[b]:  # π^{αγ} π^{βδ} C'_{T(γ)T(δ)}^k
-                    rows = c_tt.get((g, d))
-                    if rows:
-                        vu: dict = {}
-                        _add_product(vu, 1, v, u)
-                        for k, sign, t in rows:
-                            _add_product(acc[k], sign * c_mul, vu, t)
-            x_coords = [r_acc.get((a, b, n_h + g), no_terms) for g in range(n_t)]
+            acc = [{} for _ in range(n_t)]
+            _xx_part(acc, a, b, pi_rows, f_tt[0], c_tt[0], f_mul, c_mul)
             for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
-                if x_coords[g]:
-                    _add_product(acc[n_h + e], -1, x_coords[g], v)
-            for e in range(n_t):
-                if acc[n_h + e]:
-                    residual[(a, b, e)] = acc[n_h + e]
-            brackets[(n_h + a, n_h + b)] = [
-                (k, acc[k], s2) for k in range(n_h) if acc[k]
-            ] + [
-                (n_h + g, t, s1) for g, t in enumerate(x_coords) if t
-            ]
+                x = r_acc.get((a, b, n_h + g))
+                if x:
+                    _add_product(acc[e], -1, x, v)
+            for e, t in enumerate(acc):
+                if t:
+                    residual[(a, b, e)] = t
             pair = (n_h + a, n_h + b)
             check(pair, chain(
                 (("R", (j,), pair, r_acc.get((a, b, j), no_terms), s1)
@@ -543,7 +602,8 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                  for e in range(n_t) if (a, b, e) in residual),
             ))
     return _AdaptedPass(
-        c_int, f_int, pairing, (s1, m_acc), brackets, failing, (s2, residual)
+        c_int, f_int, pairing, (s1, m_acc), failing, (s2, residual),
+        n_h, pi_rows, d_pi, r_acc, f_tt[1], c_tt[1],
     )
 
 
@@ -564,9 +624,9 @@ def classify(
     D: DoubleAlgebra, B: LieBialgebra, spec: LagrangianSpec
 ) -> ClosureReport:
     """Evaluate the Lagrangian / subalgebra / coisotropy / Poisson-subgroup
-    conditions for l built from (h, complement, π), and the induced bracket
-    table when l is a subalgebra, from one pass over the adapted-basis
-    tensors (module doc).
+    conditions for l built from (h, complement, π) from one pass over the
+    adapted-basis tensors, and the induced bracket table, when l is a
+    subalgebra, on its first read (module doc).
 
     l is coisotropic when it is a Lagrangian subalgebra at π = 0, and h is
     then the algebra of a Poisson subgroup when δ(h) also has no h∧T part
@@ -620,7 +680,9 @@ def _labels(B: LieBialgebra, spec: LagrangianSpec) -> list:
 
 def lagrangian_bracket_table(D: DoubleAlgebra, spec: LagrangianSpec) -> LieAlgebra:
     """Induced Lie algebra on the basis {H_i} ∪ {t^α + π^{αβ} T_β}: the
-    :attr:`ClosureReport.table` of :func:`classify` on the source of D.
+    :attr:`ClosureReport.table` of :func:`classify` on the source of D, read
+    at once.  A caller that holds the report reads its ``table`` instead,
+    which repeats no pass.
 
     Raises :class:`NotClosed`, naming the first bracket that leaves l, if l
     is not a subalgebra of the double.

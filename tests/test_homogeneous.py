@@ -1255,6 +1255,50 @@ def test_a_second_read_returns_the_same_object(name):
         assert getattr(rep, name) is getattr(rep, name)
 
 
+def test_classify_sums_the_bracket_rows_on_the_first_read_of_table(monkeypatch):
+    # every report value but table reads only what classify summed; the
+    # first read of table sums the H-coordinates of the bracket rows, and
+    # adds no kernel call only where they hold no sum: on a non-closing l,
+    # at h = 0, and on a Poisson subgroup at π = 0, where f'_i^{jT(α)} and π
+    # vanish.  The closing l of sl2-hyp at h = 0 and π^{22} = eta is not
+    # Lagrangian, and the X-coordinates R of its [X^α, X^β] differ from M.
+    calls = []
+    real = homogeneous._add_product
+
+    def counted(*args):
+        calls.append(args)
+        real(*args)
+
+    hyp = CATALOG.bialgebra("sl2-hyp")
+    pi = [[0, 0, 0], [0, 0, 0], [0, 0, "eta"]]
+    diagonal = LagrangianSpec([], unit_complement(hyp, []), mat(pi))
+    m, r, _ = formula_oracle(hyp, diagonal)
+    assert any(m[key] != r[key] for key in m if key[0] < key[1])
+    cases = [(build_double(B), B, spec) for B, spec, _ in first_read_cases()]
+    cases += cost_guard_cases() + [(build_double(hyp), hyp, diagonal)]
+    monkeypatch.setattr(homogeneous, "_add_product", counted)
+    summed = 0  # specs whose first table read sums
+    for D, B, spec in cases:
+        rep = classify(D, B, spec)
+        before = len(calls)
+        for name in REPORT_VALUES:
+            if name != "table":
+                getattr(rep, name)
+        rep.to_json()
+        assert len(calls) == before
+        table = rep.table
+        added = len(calls) > before
+        assert added == (rep.subalgebra and spec.n_h > 0 and not rep.poisson_subgroup)
+        summed += added
+        if rep.subalgebra:
+            assert table == lagrangian_bracket_table(D, spec)
+        else:
+            assert table is None
+    assert summed == 4
+    rep = check_against_double(hyp, [], pi)
+    assert rep.subalgebra and not rep.lagrangian
+
+
 def test_classify_leaves_the_input_terms_as_they_are():
     # the adapted pass reads the terms dicts of C, g* and the spec themselves
     # where their den is the pass's scale, and the report values share the

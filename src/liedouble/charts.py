@@ -22,17 +22,25 @@ Coordinate functions are the chart projections, so the directional
 derivative of a coordinate along an invariant field is literally a field
 component; no symbolic differentiation is needed.
 
-The Sklyanin bracket of two coordinates is
+Every bracket is evaluated whole: at a point p it is the 3x3 matrix
+P(p)_{ij} = {x_i, x_j}(p) of all coordinate brackets, row i the first
+argument, so P is antisymmetric with a zero diagonal.  The Sklyanin
+bracket is
     {f, g} = r^{kl} (X^L_k.f X^L_l.g − X^R_k.f X^R_l.g),
 with the left-invariant fields generating right translations
 (d/dt coords(g·exp(tX)) at t=0) and the right-invariant fields left
-translations.  The wedge normalization of the r-matrices is fixed in
-:mod:`liedouble.rmatrix`; the hyperbolic family on the CK chart is the
-calibration case.
+translations.  With r = Σ_{a<b} r^{ab} X_a ∧ X_b, r^{ba} = −r^{ab}, its
+matrix is
+    P = A − Aᵀ,  A = Lᵀ U L − Rᵀ U R,
+where row a of L (of R) holds the components of the left (right) field of
+X_a and U_{ab} = r^{ab} for a < b, zero elsewhere.  The wedge
+normalization of the r-matrices is fixed in :mod:`liedouble.rmatrix`; the
+hyperbolic family on the CK chart is the calibration case.
 
 The ADS3 brackets have no Sklyanin route here; :func:`linearize`,
 :func:`jacobi_numeric` and :func:`flat_limit_check` give the numbers their
-property checks compare.  The targets are not stored in this module: the
+property checks compare, each from central differences or an eta ladder
+of whole matrices.  The targets are not stored in this module: the
 linear part at the origin and the eta -> 0 limit both come from the exact
 layer (``classify``'s M^{ab}_c, see :mod:`liedouble.cli`).
 """
@@ -117,19 +125,6 @@ def _matrix_chart(chart_id: str) -> _MatrixChart:
     if chart_id not in _MATRIX_CHARTS:
         raise WrongChart(f"chart {chart_id} has no matrix representation")
     return _MATRIX_CHARTS[chart_id]
-
-
-def coord_index(chart_id: str, name) -> int:
-    if isinstance(name, int):
-        if not 0 <= name < 3:
-            raise WrongChart(f"coordinate index {name} out of range")
-        return name
-    try:
-        return CHART_COORDS[chart_id].index(name)
-    except ValueError:
-        raise WrongChart(
-            f"{name!r} is not a coordinate of chart {chart_id}"
-        ) from None
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -237,24 +232,11 @@ def invariant_fields(p: ChartPoint) -> tuple:
 
 
 def sklyanin_numeric(
-    chart_id: str,
-    r: RMatrix,
-    params: Mapping[str, float],
-    ci,
-    cj,
-    p: ChartPoint,
-) -> float:
-    """{coord_i, coord_j}(p) for the Sklyanin bracket of r.
+    chart_id: str, r: RMatrix, params: Mapping[str, float], p: ChartPoint
+) -> np.ndarray:
+    """The matrix P(p) of the Sklyanin bracket of r (module doc).
 
-    The r-matrix labels must be the chart's generator labels.  The value
-    is computed once per unordered pair, so antisymmetry is exact."""
-    i = coord_index(chart_id, ci)
-    j = coord_index(chart_id, cj)
-    if i == j:
-        return 0.0
-    sign = 1.0
-    if i > j:
-        i, j, sign = j, i, -1.0
+    The r-matrix labels must be the chart's generator labels."""
     _require(p, chart_id)
     labels = _matrix_chart(chart_id).labels
     if set(r.labels) != set(labels):
@@ -262,14 +244,13 @@ def sklyanin_numeric(
             f"r-matrix labels {r.labels} do not match chart generators {labels}"
         )
     left, right = invariant_fields(p)
-    total = 0.0
-    for a, b, coef in r.wedge_terms():
-        la, lb = r.labels[a], r.labels[b]
-        w = float(coef.evaluate(params))
-        lterm = left[la][i] * left[lb][j] - left[lb][i] * left[la][j]
-        rterm = right[la][i] * right[lb][j] - right[lb][i] * right[la][j]
-        total += w * (lterm - rterm)
-    return sign * total
+    fl = np.array([left[label] for label in r.labels])
+    fr = np.array([right[label] for label in r.labels])
+    u = np.zeros((r.dim, r.dim))
+    for key, coef in r.terms.items():
+        u[key] = float(coef.evaluate(params))
+    a = fl.T @ u @ fl - fr.T @ u @ fr
+    return a - a.T
 
 
 # --- closed-form bracket library --------------------------------------------
@@ -279,8 +260,8 @@ def sklyanin_numeric(
 class BracketFn:
     """A named closed-form Poisson bracket on one chart.
 
-    ``pairs`` maps an ordered coordinate pair to a function
-    (params, coords) -> value; the other orientation follows by
+    ``pairs`` maps each unordered coordinate pair, in one orientation, to
+    a function (params, coords) -> value; the other orientation follows by
     antisymmetry."""
 
     id: str
@@ -294,22 +275,15 @@ def bracket_fn(bracket_id: str) -> BracketFn:
     return _BRACKETS[bracket_id]
 
 
-def closed_form(bracket_id: str, pair, p: ChartPoint, params: Mapping) -> float:
-    """Evaluate the published closed form of {pair[0], pair[1]} at p."""
+def closed_form(bracket_id: str, p: ChartPoint, params: Mapping) -> np.ndarray:
+    """The matrix P(p) of the published closed form (module doc)."""
     fn = bracket_fn(bracket_id)
     _require(p, fn.chart_id)
-    ci = coord_index(fn.chart_id, pair[0])
-    cj = coord_index(fn.chart_id, pair[1])
     names = CHART_COORDS[fn.chart_id]
-    key = (names[ci], names[cj])
-    if key in fn.pairs:
-        return fn.pairs[key](params, p.coords)
-    rev = (key[1], key[0])
-    if rev in fn.pairs:
-        return -fn.pairs[rev](params, p.coords)
-    if ci == cj:
-        return 0.0
-    raise UnknownBracket(f"bracket {bracket_id} has no pair {key}")
+    m = np.zeros((3, 3))
+    for (x, y), value in fn.pairs.items():
+        m[names.index(x), names.index(y)] = value(params, p.coords)
+    return m - m.T
 
 
 def _ratio(fn, eta: float, x: float) -> float:
@@ -462,72 +436,49 @@ _BRACKETS = {
 # --- derived numerics: linearization, Jacobi, flat limits --------------------
 
 
-def _pair_value(bracket_id, a, b, coords, params):
-    fn = bracket_fn(bracket_id)
-    names = CHART_COORDS[fn.chart_id]
-    return closed_form(
-        bracket_id, (names[a], names[b]), ChartPoint(fn.chart_id, coords), params
-    )
+_STEP = 1e-5  # the central-difference step of linearize and jacobi_numeric
 
 
-def _central_difference(bracket_id, a, b, coords, d, step, params) -> float:
-    """d{x_a, x_b}/dx_d at ``coords`` by a central difference."""
-    plus, minus = list(coords), list(coords)
-    plus[d] += step
-    minus[d] -= step
-    return (
-        _pair_value(bracket_id, a, b, tuple(plus), params)
-        - _pair_value(bracket_id, a, b, tuple(minus), params)
-    ) / (2 * step)
+def _gradient(bracket_id: str, p: ChartPoint, params: Mapping, step: float):
+    """grad[a][b][d] = d{x_a, x_b}/dx_d at p, by central differences of
+    whole matrices."""
+    x = np.array(p.coords)
+    return np.stack([
+        closed_form(bracket_id, ChartPoint(p.chart_id, x + h), params)
+        - closed_form(bracket_id, ChartPoint(p.chart_id, x - h), params)
+        for h in step * np.eye(3)
+    ], axis=-1) / (2 * step)
 
 
-def linearize(bracket_id: str, params: Mapping, step: float = 1e-5) -> np.ndarray:
+def linearize(bracket_id: str, params: Mapping) -> np.ndarray:
     """lin[a][b][c] = d{x_a, x_b}/dx_c at the origin.
 
     Central differences with one Richardson extrapolation level."""
-    lin = np.zeros((3, 3, 3))
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for c in range(3):
-                half, full = (
-                    _central_difference(bracket_id, a, b, (0.0,) * 3, c, h, params)
-                    for h in (step / 2, step)
-                )
-                val = (4 * half - full) / 3
-                lin[a][b][c] = val
-                lin[b][a][c] = -val
-    return lin
+    origin = ChartPoint(bracket_fn(bracket_id).chart_id, (0.0,) * 3)
+    half, full = (_gradient(bracket_id, origin, params, h) for h in (_STEP / 2, _STEP))
+    return (4 * half - full) / 3
 
 
-def jacobi_numeric(bracket_id: str, params: Mapping, p: ChartPoint,
-                   step: float = 1e-5) -> float:
+def jacobi_numeric(bracket_id: str, params: Mapping, p: ChartPoint) -> float:
     """|cyclic sum of {{x_a, x_b}, x_c}| with finite-difference outer
     derivatives: {g, x_c} = sum_d {x_d, x_c} dg/dx_d."""
-    fn = bracket_fn(bracket_id)
-    _require(p, fn.chart_id)
-    total = 0.0
-    for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        total += sum(
-            _pair_value(bracket_id, d, c, p.coords, params)
-            * _central_difference(bracket_id, a, b, p.coords, d, step, params)
-            for d in range(3)
-        )
-    return abs(total)
+    outer = np.einsum(
+        "dc,abd->abc", closed_form(bracket_id, p, params),
+        _gradient(bracket_id, p, params, _STEP),
+    )
+    return float(abs(outer[0, 1, 2] + outer[1, 2, 0] + outer[2, 0, 1]))
 
 
 def flat_limit_check(
-    bracket_id: str,
-    pair,
-    p: ChartPoint,
-    params: Mapping | None = None,
-) -> float:
-    """The bracket's value at eta = 0, Richardson-extrapolated from its
-    values at eta = 0.1 / 2^k, k = 0..7.
+    bracket_id: str, p: ChartPoint, params: Mapping | None = None
+) -> np.ndarray:
+    """The matrix P(p) at eta = 0, Richardson-extrapolated from the matrices
+    at eta = 0.1 / 2^k, k = 0..7.
 
     The ladder eliminates successive integer powers of eta (the brackets
     are generally not even in eta), as the sequence halves."""
     params = dict(params or {})
-    row = [closed_form(bracket_id, pair, p, {**params, "eta": 0.1 / 2**k})
+    row = [closed_form(bracket_id, p, {**params, "eta": 0.1 / 2**k})
            for k in range(8)]
     for level in range(1, 8):
         factor = 2.0**level
@@ -560,39 +511,34 @@ def verify_sklyanin_cell(
     tol_rel: float,
     tol_abs: float,
 ) -> list:
-    """Compare Sklyanin numerics against the closed forms on random points.
+    """Compare Sklyanin numerics against the closed forms on random points,
+    reading every coordinate pair at each point.
 
     Returns one result dict per coordinate pair."""
     params = {
         name: rng.uniform(lo, hi) for name, (lo, hi) in cell.param_ranges.items()
     }
     names = CHART_COORDS[cell.chart_id]
-    results = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            max_abs = 0.0
-            max_rel = 0.0
-            ok = True
-            for _ in range(n_points):
-                p = _sample_point(rng, cell.chart_id)
-                sk = sklyanin_numeric(cell.chart_id, cell.r, params, a, b, p)
-                cf = closed_form(cell.bracket_id, (names[a], names[b]), p, params)
-                err = abs(sk - cf)
-                rel = err / max(abs(cf), 1e-300)
-                max_abs = max(max_abs, err)
-                max_rel = max(max_rel, rel)
-                if err > tol_abs + tol_rel * abs(cf):
-                    ok = False
-            results.append(
-                {
-                    "bracket_id": cell.bracket_id,
-                    "chart": cell.chart_id,
-                    "pair": [names[a], names[b]],
-                    "n_points": n_points,
-                    "params": {k: params[k] for k in sorted(params)},
-                    "max_abs_err": max_abs,
-                    "max_rel_err": max_rel,
-                    "pass": ok,
-                }
-            )
-    return results
+    upper = np.triu_indices(3, 1)
+    sk, cf = [], []
+    for _ in range(n_points):
+        p = _sample_point(rng, cell.chart_id)
+        sk.append(sklyanin_numeric(cell.chart_id, cell.r, params, p)[upper])
+        cf.append(closed_form(cell.bracket_id, p, params)[upper])
+    size = np.abs(cf)
+    err = np.abs(np.array(sk) - cf)
+    rel = err / np.maximum(size, 1e-300)
+    ok = (err <= tol_abs + tol_rel * size).all(axis=0)
+    return [
+        {
+            "bracket_id": cell.bracket_id,
+            "chart": cell.chart_id,
+            "pair": [names[a], names[b]],
+            "n_points": n_points,
+            "params": {k: params[k] for k in sorted(params)},
+            "max_abs_err": float(err[:, k].max()),
+            "max_rel_err": float(rel[:, k].max()),
+            "pass": bool(ok[k]),
+        }
+        for k, (a, b) in enumerate(zip(*upper))
+    ]

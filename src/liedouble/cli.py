@@ -370,16 +370,18 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
     route: numerical Jacobi, and the linearization and eta -> 0 limit
     against the linear bracket {x_a, x_b} = Σ_c M^{ab}_c x_c of
     :func:`_origin_report`."""
+    import numpy as np
+
     from . import charts  # deferred: charts imports numpy
 
     entry = cat.get(bracket_id)
     ranges = entry.raw["param_ranges"]
     params = {name: rng.uniform(*bounds) for name, bounds in sorted(ranges.items())}
     n_h = len(entry.raw["isotropy"])
-    m = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]  # M^{ab}_c as floats
+    m = np.zeros((3, 3, 3))  # M^{ab}_c as floats
     for (a, b, k), x in _origin_report(cat, entry).m.items():
         if k >= n_h:
-            m[a][b][k - n_h] = float(x.evaluate(params))
+            m[a, b, k - n_h] = float(x.evaluate(params))
 
     def result(check, err, **extra):
         return {"bracket_id": bracket_id, "check": check, **extra,
@@ -389,23 +391,10 @@ def _property_cell(cat, bracket_id, rng, n_points, tol):
     for _ in range(n_points):
         p = charts._sample_point(rng, charts.ADS3)
         max_jacobi = max(max_jacobi, charts.jacobi_numeric(bracket_id, params, p))
-    lin = charts.linearize(bracket_id, params)
-    err = max(
-        float(abs(lin[a][b][c] - m[a][b][c]))
-        for a in range(3)
-        for b in range(a + 1, 3)
-        for c in range(3)
-    )
-    max_flat = 0.0
-    names = charts.CHART_COORDS[charts.ADS3]
+    err = float(np.abs(charts.linearize(bracket_id, params) - m).max())
     p = charts._sample_point(rng, charts.ADS3)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            value = charts.flat_limit_check(
-                bracket_id, (names[a], names[b]), p, params=params
-            )
-            target = sum(m[a][b][c] * p.coords[c] for c in range(3))
-            max_flat = max(max_flat, abs(value - target))
+    flat = charts.flat_limit_check(bracket_id, p, params=params)
+    max_flat = float(np.abs(flat - m @ p.coords).max())
     return [
         result("jacobi", max_jacobi, n_points=n_points),
         result("linearization", err),

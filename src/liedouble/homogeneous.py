@@ -102,7 +102,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from typing import Sequence
 
 from .bialgebra import LieBialgebra
@@ -555,36 +555,30 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
 
     failing, residual = {}, {}
 
-    def check(pair, components):
-        """Keep the first (name, lower, upper, terms, scale) with a nonzero
-        term as the failing component of ``pair``."""
-        for comp in components:
-            if comp[3]:
-                failing[pair] = comp
-                return
-
     def c_at(a, b, k):
         """(terms, scale) of C'_ab^k, a != b, from the stored half."""
         if a < b:
             return c.get((a, b, k), no_terms), d_c
         return c.get((b, a, k), no_terms), -d_c
 
+    # each pair's failing component is the first nonzero (name, lower,
+    # upper, terms, scale) in the order below, built once it is found
     for i in range(n_h):
-        for j in range(i + 1, n_h):  # [H_i, H_j]
-            check((i, j), (
-                ("C'", (i, j), (k,), c.get((i, j, k), no_terms), d_c)
-                for k in range(n_h, n)
-            ))
-        for a in range(n_t):  # [H_i, X^α]
+        for j in range(i + 1, n_h):  # [H_i, H_j]: C'_ij^k, k in T
+            k = next((k for k in range(n_h, n) if c.get((i, j, k))), None)
+            if k is not None:
+                failing[i, j] = ("C'", (i, j), (k,), c[i, j, k], d_c)
+        for a in range(n_t):  # [H_i, X^α]: C'_ij^{T(α)}, then M^{α·}_i
             t_a = n_h + a
-            check((i, t_a), chain(
-                (("C'", (i, j), (t_a,), *c_at(i, j, t_a)) for j in range(n_h)
-                 if j != i),
-                (("M", (i,), (t_a, n_h + e), m_acc.get((a, e, i), no_terms), s1)
-                 for e in range(n_t)),
-            ))
+            j = next((j for j in range(n_h) if j != i and c_at(i, j, t_a)[0]), None)
+            if j is not None:
+                failing[i, t_a] = ("C'", (i, j), (t_a,), *c_at(i, j, t_a))
+                continue
+            e = next((e for e in range(n_t) if m_acc.get((a, e, i))), None)
+            if e is not None:
+                failing[i, t_a] = ("M", (i,), (t_a, n_h + e), m_acc[a, e, i], s1)
     for a in range(n_t):
-        for b in range(a + 1, n_t):  # [X^α, X^β]
+        for b in range(a + 1, n_t):  # [X^α, X^β]: R_j, then Q
             acc = [{} for _ in range(n_t)]
             _xx_part(acc, a, b, pi_rows, f_tt[0], c_tt[0], f_mul, c_mul)
             for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
@@ -595,12 +589,13 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 if t:
                     residual[(a, b, e)] = t
             pair = (n_h + a, n_h + b)
-            check(pair, chain(
-                (("R", (j,), pair, r_acc.get((a, b, j), no_terms), s1)
-                 for j in range(n_h)),
-                (("Q", (), (*pair, n_h + e), residual[(a, b, e)], s2)
-                 for e in range(n_t) if (a, b, e) in residual),
-            ))
+            j = next((j for j in range(n_h) if r_acc.get((a, b, j))), None)
+            if j is not None:
+                failing[pair] = ("R", (j,), pair, r_acc[a, b, j], s1)
+                continue
+            e = next((e for e, t in enumerate(acc) if t), None)
+            if e is not None:
+                failing[pair] = ("Q", (), (*pair, n_h + e), acc[e], s2)
     return _AdaptedPass(
         c_int, f_int, pairing, (s1, m_acc), failing, (s2, residual),
         n_h, pi_rows, d_pi, r_acc, f_tt[1], c_tt[1],

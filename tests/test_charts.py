@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -140,9 +141,7 @@ def test_invariant_field_examples():
 
 def test_wrong_chart_errors(rmats):
     with pytest.raises(WrongChart):
-        sklyanin_numeric(
-            CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", ChartPoint(PM, (0, 0, 0))
-        )
+        sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 1.0}, ChartPoint(PM, (0, 0, 0)))
     for call, chart_id in (
         (lambda: invariant_fields(ChartPoint(ADS3, (0, 0, 0))), ADS3),
         (lambda: group_matrix(ChartPoint(ADS3, (0, 0, 0))), ADS3),
@@ -200,39 +199,65 @@ def test_invariance_oracle_all_fields():
 
 
 def test_sklyanin_hyperbolic_origin_is_zero(rmats):
-    val = sklyanin_numeric(
-        CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", ChartPoint(CK, (0, 0, 0))
+    bracket = sklyanin_numeric(
+        CK, rmats["hyp_ck"], {"eta": 1.0}, ChartPoint(CK, (0, 0, 0))
     )
-    assert val == 0.0
+    assert bracket[1, 2] == 0.0  # {a1, a2}
 
 
 def test_sklyanin_hyperbolic_specific_point(rmats):
     p = ChartPoint(CK, (0.3, -0.4, 0.5))
-    val = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 1.0}, "a1", "a2", p)
+    bracket = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 1.0}, p)
     expected = 2.0 * (1.0 / math.cosh(0.5) - math.cos(0.4))
-    assert abs(val - expected) < 1e-9
+    assert abs(bracket[1, 2] - expected) < 1e-9  # {a1, a2}
 
 
 def test_sklyanin_parabolic_pm_point(rmats):
     p = ChartPoint(PM, (0.2, 0.7, -0.1))
-    val = sklyanin_numeric(PM, rmats["par_j"], {}, "chi", "a-", p)
-    assert abs(val - (-0.5 * 0.7**2)) < 1e-9
+    bracket = sklyanin_numeric(PM, rmats["par_j"], {}, p)
+    assert abs(bracket[2, 1] - (-0.5 * 0.7**2)) < 1e-9  # {chi, a-}
 
 
-def test_sklyanin_antisymmetry_is_exact(rmats):
+def sklyanin_by_wedge_terms(r, params, p):
+    """The Sklyanin matrix summed wedge term by wedge term (reference)."""
+    left, right = invariant_fields(p)
+    out = np.zeros((3, 3))
+    for a, b, coef in r.wedge_terms():
+        w = float(coef.evaluate(params))
+        for fields, sign in ((left, w), (right, -w)):
+            fa, fb = fields[r.labels[a]], fields[r.labels[b]]
+            out += sign * (np.outer(fa, fb) - np.outer(fb, fa))
+    return out
+
+
+def test_bracket_matrices_are_exactly_antisymmetric(rmats):
+    params = {"eta": 0.6, "xi": 0.4, "z": 0.7}
     rng = random.Random(3)
     for _ in range(10):
-        p = ChartPoint(CK, tuple(rng.uniform(-1, 1) for _ in range(3)))
-        a = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 0.7}, "theta", "a2", p)
-        b = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 0.7}, "a2", "theta", p)
-        assert a == -b
+        for cell in verification_cells(rmats):
+            p = charts._sample_point(rng, cell.chart_id)
+            bracket = sklyanin_numeric(cell.chart_id, cell.r, params, p)
+            reference = sklyanin_by_wedge_terms(cell.r, params, p)
+            assert np.max(np.abs(bracket - reference)) < 1e-12
+            assert np.array_equal(bracket, -bracket.T)
+            assert not bracket.diagonal().any()
+        for fn in charts._BRACKETS.values():
+            p = charts._sample_point(rng, fn.chart_id)
+            bracket = closed_form(fn.id, p, params)
+            assert np.array_equal(bracket, -bracket.T), fn.id
+            assert not bracket.diagonal().any(), fn.id
+
+
+def test_every_bracket_names_each_coordinate_pair_once():
+    for fn in charts._BRACKETS.values():
+        pairs = set(itertools.combinations(charts.CHART_COORDS[fn.chart_id], 2))
+        assert len(fn.pairs) == len(pairs), fn.id
+        assert {frozenset(key) for key in fn.pairs} == set(map(frozenset, pairs))
 
 
 def test_sklyanin_rejects_mismatched_labels(rmats):
     with pytest.raises(WrongChart):
-        sklyanin_numeric(
-            CK, rmats["hyp_j"], {"eta": 1.0}, "a1", "a2", ChartPoint(CK, (0, 0, 0))
-        )
+        sklyanin_numeric(CK, rmats["hyp_j"], {"eta": 1.0}, ChartPoint(CK, (0, 0, 0)))
 
 
 def verification_cells(rmats):
@@ -257,6 +282,22 @@ def test_all_published_families_match_sklyanin(rmats):
             assert res["pass"], res
 
 
+def test_verify_sklyanin_cell_reads_every_pair_at_each_point(rmats, monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return invariant_fields(p)
+
+    monkeypatch.setattr(charts, "invariant_fields", counting)
+    for cell in verification_cells(rmats):
+        calls.clear()
+        results = verify_sklyanin_cell(cell, random.Random(5), 7, 1e-9, 1e-12)
+        assert len(calls) == 7
+        assert len(results) == 3
+        assert all(res["pass"] for res in results), results
+
+
 def test_verification_is_deterministic(rmats):
     def run():
         rng = random.Random(7)
@@ -272,25 +313,20 @@ def test_verification_is_deterministic(rmats):
 
 def test_closed_form_examples():
     p = ChartPoint(CK, (0.1, 0.2, 0.3))
-    val = closed_form("hyp-CK", ("theta", "a2"), p, {"eta": 0.5})
-    assert abs(val - (-1.0 * math.tanh(0.3))) < 1e-15
+    bracket = closed_form("hyp-CK", p, {"eta": 0.5})
+    assert abs(bracket[0, 2] - (-1.0 * math.tanh(0.3))) < 1e-15  # {theta, a2}
     p = ChartPoint(ADS3, (0.0, 0.4, 0.9))
-    val = closed_form("ads3-double1", ("x1", "x2"), p, {"eta": 0.6})
-    assert val == 0.0  # tan(eta x0) factor vanishes at x0 = 0
-    val = closed_form(
-        "ads3-twisted", ("x0", "x1"), ChartPoint(ADS3, (0.3, -0.2, 0.8)),
-        {"eta": 0.4, "xi": 0.0},
+    bracket = closed_form("ads3-double1", p, {"eta": 0.6})
+    assert bracket[1, 2] == 0.0  # tan(eta x0) factor vanishes at x0 = 0
+    bracket = closed_form(
+        "ads3-twisted", ChartPoint(ADS3, (0.3, -0.2, 0.8)), {"eta": 0.4, "xi": 0.0}
     )
-    assert val == 0.0  # xi prefactor
+    assert bracket[0, 1] == 0.0  # xi prefactor
+    p = ChartPoint(PM, (0.2, 0.7, -0.1))
+    bracket = closed_form("par-PM", p, {})
+    assert bracket[1, 2] == 0.5 * 0.7 * 0.7  # stored as {chi, a-}
     with pytest.raises(UnknownBracket):
-        closed_form("nosuch", ("x0", "x1"), ChartPoint(ADS3, (0, 0, 0)), {})
-
-
-def test_closed_form_antisymmetric_lookup():
-    p = ChartPoint(CK, (0.2, 0.1, -0.4))
-    a = closed_form("hyp-CK", ("theta", "a2"), p, {"eta": 0.5})
-    b = closed_form("hyp-CK", ("a2", "theta"), p, {"eta": 0.5})
-    assert a == -b
+        closed_form("nosuch", ChartPoint(ADS3, (0, 0, 0)), {})
 
 
 def test_linearize_twisted_matches_linearized_bracket():
@@ -344,26 +380,21 @@ def test_jacobi_numeric_constant_bracket_exact_zero(monkeypatch):
 
 def test_flat_limit_twisted_untwisted_kappa_minkowski():
     p = ChartPoint(ADS3, (0.7, -0.4, 0.5))
-    value = flat_limit_check("ads3-twisted", ("x0", "x2"), p, params={"xi": 0.0})
-    assert abs(value - (-0.5 * 0.7)) < 1e-6
-    value = flat_limit_check("ads3-twisted", ("x1", "x2"), p, params={"xi": 0.0})
-    assert abs(value - (-0.5 * -0.4)) < 1e-6
+    flat = flat_limit_check("ads3-twisted", p, params={"xi": 0.0})
+    assert abs(flat[0, 2] - (-0.5 * 0.7)) < 1e-6
+    assert abs(flat[1, 2] - (-0.5 * -0.4)) < 1e-6
 
 
 def test_flat_limit_double1_rotation_algebra():
     p = ChartPoint(ADS3, (0.7, -0.4, 0.5))
-    for pair, target in (
-        (("x0", "x1"), -0.5),
-        (("x0", "x2"), -0.4),
-        (("x1", "x2"), 0.7),
-    ):
-        assert abs(flat_limit_check("ads3-double1", pair, p) - target) < 1e-6
+    target = np.array([[0.0, -0.5, -0.4], [0.5, 0.0, 0.7], [0.4, -0.7, 0.0]])
+    assert np.max(np.abs(flat_limit_check("ads3-double1", p) - target)) < 1e-6
 
 
 def test_flat_limit_twisted_01_vanishes():
     p = ChartPoint(ADS3, (0.9, 0.8, -0.6))
-    value = flat_limit_check("ads3-twisted", ("x0", "x1"), p, params={"xi": 1.0})
-    assert abs(value) < 1e-6
+    flat = flat_limit_check("ads3-twisted", p, params={"xi": 1.0})
+    assert abs(flat[0, 1]) < 1e-6
 
 
 def test_bracket_ids_include_builtins():

@@ -218,6 +218,16 @@ def test_sklyanin_parabolic_pm_point(rmats):
     assert abs(bracket[2, 1] - (-0.5 * 0.7**2)) < 1e-9  # {chi, a-}
 
 
+def test_sklyanin_antisymmetry_is_exact(rmats):
+    rng = random.Random(3)
+    coords = charts.CHART_COORDS[CK]
+    i, j = coords.index("theta"), coords.index("a2")
+    for _ in range(10):
+        p = ChartPoint(CK, tuple(rng.uniform(-1, 1) for _ in range(3)))
+        bracket = sklyanin_numeric(CK, rmats["hyp_ck"], {"eta": 0.7}, p)
+        assert bracket[i, j] == -bracket[j, i]
+
+
 def sklyanin_by_wedge_terms(r, params, p):
     """The Sklyanin matrix summed wedge term by wedge term (reference)."""
     left, right = invariant_fields(p)
@@ -309,6 +319,15 @@ def test_verification_is_deterministic(rmats):
         return json.dumps(out, sort_keys=True)
 
     assert run() == run()
+
+
+def test_closed_form_antisymmetric_lookup():
+    p = ChartPoint(CK, (0.2, 0.1, -0.4))
+    bracket = closed_form("hyp-CK", p, {"eta": 0.5})
+    coords = charts.CHART_COORDS[CK]
+    i, j = coords.index("theta"), coords.index("a2")
+    assert bracket[i, j] != 0
+    assert bracket[i, j] == -bracket[j, i]
 
 
 def test_closed_form_examples():

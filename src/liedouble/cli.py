@@ -43,7 +43,7 @@ from .errors import (
     ShapeError,
     UnknownKey,
 )
-from .exactalg import PolyExpr
+from .exactalg import PRODUCT, PolyExpr
 from .homogeneous import (
     LagrangianSpec,
     _names,
@@ -237,10 +237,12 @@ def _parse_generator(expr: str, algebra) -> list:
     """Parse a linear combination like 'P1+P2', '2*K1 - J' or 'J++J-' into a
     vector.  Terms are ``[sign][coef*]label``; labels may contain '+' and
     '-', so they are matched against the algebra's own, longest first.  A
-    coefficient contains no '+' or '-' except in a negative exponent, as in
-    'eta^-1*K1'."""
+    coefficient is one unsigned term of the polynomial text, as in
+    'eta^-1*K1' (the :data:`~liedouble.exactalg.PRODUCT` pattern)."""
     labels = "|".join(map(re.escape, sorted(algebra.labels, key=len, reverse=True)))
-    term = re.compile(rf"([+-]?)(?:((?:\^-|[^+-])+?)\*)?({labels})(?=[+-]|$)")
+    term = re.compile(
+        rf"(?P<sign>[+-]?)(?:\s*(?P<coef>{PRODUCT})\s*\*)?(?P<label>{labels})(?=[+-]|$)"
+    )
     text = expr.replace(" ", "")
     if not text:
         raise ParseError("empty generator expression")
@@ -253,7 +255,7 @@ def _parse_generator(expr: str, algebra) -> list:
                 f"cannot parse {text[pos:]!r} in {expr!r}: expected "
                 f"[sign][coef*]label with a label in {list(algebra.labels)}"
             )
-        sign, coef_text, label = m.groups()
+        sign, coef_text, label = m.group("sign", "coef", "label")
         try:
             coef = PolyExpr.parse(coef_text) if coef_text else PolyExpr.one()
         except LiedoubleError as exc:

@@ -22,6 +22,13 @@ only by :meth:`PolyExpr.evaluate` at an exact point.  Results are built by
 :func:`from_int_terms`, which divides a zero-free ``{monomial: int}`` dict
 by an int scale with one gcd.
 
+The text has one grammar.  ``str(p)`` writes a sum of signed products,
+``-1/2*eta^-1 + z``; a product is factors ``n``, ``n/d``, ``name`` or
+``name^k`` (k an int, possibly negative) joined by ``*``, the
+:data:`PRODUCT` pattern.  :meth:`PolyExpr.parse` reads exactly that plus
+whitespace between the parts and runs of signs before a term, and the CLI
+reads a generator's coefficients with the same pattern.
+
 One kernel, :func:`_add_product`, forms every product, ``out += s·t1·t2`` on
 such dicts in place: ``*`` and ``+``, and the long sums (the Jacobi check, δ_r
 and the CYBE residual, the pairing of a double, the adapted pass of
@@ -59,6 +66,14 @@ PolyLike = Union["PolyExpr", Fraction, int, str]
 
 _ONE_MONOMIAL: Monomial = ()
 _UNIT = {_ONE_MONOMIAL: 1}  # the constant 1, to add s·t as the product s·t·1
+
+# The grammar of the module docstring; FACTOR's groups are (n, d, name, '-', k).
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+FACTOR = rf"(\d+)(?:\s*/\s*(\d+))?|({NAME})(?:\s*\^\s*(-?)\s*(\d+))?"
+PRODUCT = rf"(?:{FACTOR})(?:\s*\*\s*(?:{FACTOR}))*"
+_NAME_RE = re.compile(NAME)
+_FACTOR_RE = re.compile(FACTOR)
+_TERM_RE = re.compile(rf"\s*((?:[-+]\s*)*)({PRODUCT})\s*")
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -302,92 +317,36 @@ class PolyExpr:
 
     @classmethod
     def parse(cls, text: str) -> PolyExpr:
-        """Parse the textual form produced by ``str()`` (and mild variants)."""
-        return _parse_poly(text)
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise PolyParseError(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("name", "num", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-    return tokens
-
-
-def _parse_poly(text: str) -> PolyExpr:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyParseError("empty polynomial string")
-    result = PolyExpr.zero()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise PolyParseError(f"dangling sign in {text!r}")
-        term = PolyExpr.const(sign)
-        expect_factor = True
-        while i < n:
-            kind, val = tokens[i]
-            if expect_factor:
-                if kind == "num":
-                    num, den = int(val), 1
-                    i += 1
-                    if i < n and tokens[i] == ("op", "/"):
-                        if i + 1 < n and tokens[i + 1][0] == "num":
-                            den = int(tokens[i + 1][1])
-                            if den == 0:
-                                raise PolyParseError(f"zero denominator in {text!r}")
-                            i += 2
-                        else:
-                            raise PolyParseError(f"bad rational in {text!r}")
-                    term = term * from_int_terms({_ONE_MONOMIAL: num} if num else {}, den)
-                elif kind == "name":
-                    exponent = 1
-                    i += 1
-                    if i < n and tokens[i] == ("op", "^"):
-                        i += 1
-                        neg = False
-                        if i < n and tokens[i] == ("op", "-"):
-                            neg = True
-                            i += 1
-                        if i >= n or tokens[i][0] != "num":
-                            raise PolyParseError(f"bad exponent in {text!r}")
-                        exponent = -int(tokens[i][1]) if neg else int(tokens[i][1])
-                        i += 1
-                    term = term * PolyExpr.param(val, exponent)
-                else:
-                    raise PolyParseError(f"unexpected {val!r} in {text!r}")
-                expect_factor = False
+        """Read the text of the module docstring's grammar; the terms are
+        summed over ints at one scale and divided back once."""
+        read = []  # (monomial, numerator, denominator) per term
+        pos = 0
+        while pos < len(text) or not read:
+            m = _TERM_RE.match(text, pos)
+            if m is None or (read and not m[1]):  # every later term is signed
+                raise PolyParseError(f"cannot parse {text[pos:]!r} in {text!r}")
+            num, den, exps = -1 if m[1].count("-") % 2 else 1, 1, {}
+            try:
+                for n, d, name, neg, e in _FACTOR_RE.findall(m[2]):
+                    if name:
+                        exps[name] = exps.get(name, 0) + (int(neg + e) if e else 1)
+                    else:
+                        num *= int(n)
+                        den *= int(d or 1)
+            except ValueError as exc:  # more digits than int() converts
+                raise PolyParseError(f"number too long: {exc}") from exc
+            if not den:
+                raise PolyParseError(f"zero denominator in {text!r}")
+            read.append((tuple(sorted((x, k) for x, k in exps.items() if k)), num, den))
+            pos = m.end()
+        scale = lcm(*(den for _, _, den in read))
+        terms: dict[Monomial, int] = {}
+        for mono, num, den in read:
+            if new := terms.get(mono, 0) + num * (scale // den):
+                terms[mono] = new
             else:
-                if (kind, val) == ("op", "*"):
-                    expect_factor = True
-                    i += 1
-                elif kind == "op" and val in "+-":
-                    break
-                else:
-                    raise PolyParseError(f"unexpected {val!r} in {text!r}")
-        result = result + term
-    return result
+                terms.pop(mono, None)
+        return from_int_terms(terms, scale)
 
 
 def as_poly(value: PolyLike) -> PolyExpr:

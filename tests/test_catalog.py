@@ -6,7 +6,9 @@ import pytest
 from dense import dense_f, dense_r
 
 from liedouble import catalog
+from liedouble.double import build_double
 from liedouble.errors import ParseError, UnknownKey
+from liedouble.exactalg import PolyExpr
 from liedouble.liealg import algebras_equal, change_basis, substitute_params
 
 
@@ -103,6 +105,35 @@ def test_basis_change_maps_source_to_target(cat, key):
     source = substitute_params(cat.algebra(raw["source"]), raw.get("source_subs", {}))
     target = substitute_params(cat.algebra(raw["target"]), raw.get("target_subs", {}))
     assert algebras_equal(change_basis(source, cat.basis_change(key)), target)
+
+
+@pytest.mark.parametrize(
+    "key, bialgebra, rmatrix, subs",
+    [
+        ("csbasis6", "sl2-eta", "so22.r1", {}),
+        ("csbasis7", "iso11-eta", "so22.twisted", {"xi": 1}),
+    ],
+)
+def test_basis_change_carries_the_canonical_r_onto_the_so22_rmatrix(
+    cat, key, bialgebra, rmatrix, subs
+):
+    # the paper's two Drinfel'd doubles on SO(2,2): the canonical r of D(g),
+    # written in the Cayley-Klein basis, is the catalog r-matrix, exactly
+    change, raw = cat.basis_change(key), cat.get(key).raw
+    D = build_double(cat.bialgebra(bialgebra))
+    assert D.algebra.labels == cat.algebra(raw["source"]).labels
+    source_subs = raw.get("source_subs", {})
+    r = [[v.substitute(source_subs) for v in row] for row in dense_r(D.canonical_r_skew)]
+    W = change.inverse
+    n = len(W)
+    carried = [
+        [sum((W[i][a] * r[i][j] * W[j][b] for i in range(n) for j in range(n)),
+             PolyExpr.zero()) for b in range(n)]
+        for a in range(n)
+    ]
+    target = cat.rmatrix(rmatrix)
+    assert target.labels == change.labels
+    assert carried == [[v.substitute(subs) for v in row] for row in dense_r(target)]
 
 
 def test_rmatrix_algebra_applies_substitution(cat):

@@ -3,11 +3,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liedouble import catalog
 from liedouble.charts import linearize
 from liedouble.cli import _origin_report, _parse_generator, main
 from liedouble.errors import ParseError
+from liedouble.exactalg import PolyExpr
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -201,6 +203,7 @@ def test_validate_malformed_cocomm_is_an_input_error(tmp_path, capsys, change, m
         ({**SL2_HYP_FILE, "cocomm": {}}, "'cocomm' must be a list"),
         (["brackets"], "not a JSON object"),
         (5, "not a JSON object"),
+        ({"dim": 3}, "neither an algebra nor a bialgebra"),
     ],
 )
 def test_validate_file_of_the_wrong_shape(tmp_path, capsys, data, message):
@@ -406,7 +409,7 @@ def test_parse_generator_prefers_longest_label():
     assert [str(x) for x in _parse_generator("J+-J", abelian)] == ["-1", "1"]
 
 
-@pytest.mark.parametrize("expr", ["J+J-", "2*", "J3 +", "Q9"])
+@pytest.mark.parametrize("expr", ["J+J-", "2*", "J3 +", "Q9", "2**J3"])
 def test_parse_generator_rejects_malformed(sl2_std, expr):
     with pytest.raises(ParseError):
         _parse_generator(expr, sl2_std)
@@ -415,6 +418,22 @@ def test_parse_generator_rejects_malformed(sl2_std, expr):
 def test_classify_bad_generator(tmp_path):
     assert main(["classify", "sl2-hyp", "span{Q9}"]) == 2
     assert main(["classify", "so22-r1", "span{1/0*J}"]) == 2
+
+
+def test_classify_pi_that_is_not_json_is_an_input_error(capsys):
+    assert main(["classify", "sl2-hyp", "span{J12}", "--pi", "[[0,"]) == 2
+    assert "--pi is not valid JSON" in capsys.readouterr().err
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.fractions(max_denominator=10**6).filter(bool),
+    st.dictionaries(st.sampled_from(("eta", "kappa", "z")), st.integers(-3, 3)),
+)
+def test_parse_generator_reads_every_single_term_coefficient(sl2_std, coef, exps):
+    # a coefficient is one term of the text str writes, negative powers included
+    p = PolyExpr({tuple(sorted((n, e) for n, e in exps.items() if e)): coef})
+    assert _parse_generator(f"{p}*J3", sl2_std) == sl2_std.vector({"J3": p})
 
 
 @pytest.mark.parametrize("span, combos, code", [
@@ -589,6 +608,7 @@ def test_exit_zero_iff_all_pass(tmp_path):
         ["span{P1, 2*P1}"],
         ["span{J12}", "--pi", "[[0, true], [false, 0]]"],
         ["span{J12}", "--pi", '["ab", "cd"]'],
+        ["span{" + "1" * 5000 + "*J12}"],
     ],
 )
 def test_classify_malformed_input_exits_2(argv, capsys):

@@ -128,9 +128,32 @@ def test_serialization_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "eta^", "3//2", "eta +", "(eta)"):
+    bad_inputs = ("", "eta^", "eta^-", "3//2", "eta +", "(eta)", "2 3", "eta eta",
+                  "eta*", "2 *",  # a dangling '*' is no factor
+                  "1" * 5000, "eta^" + "1" * 5000)  # more digits than int() reads
+    for bad in bad_inputs:
         with pytest.raises(PolyParseError):
             PolyExpr.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # whitespace anywhere between the parts of a term
+        ("z * 2 * eta", "2*eta*z"),
+        ("eta ^ - 2", "eta^-2"),
+        ("1/ 2", "1/2"),
+        # runs of signs
+        ("- -x", "x"),
+        ("+-x", "-x"),
+        ("x - -y", "x + y"),
+        # several numeric factors
+        ("2*3*eta", "6*eta"),
+        ("1/2*2/3", "1/3"),
+    ],
+)
+def test_parse_accepts_the_mild_variants(text, expected):
+    assert str(P(text)) == expected
 
 
 def test_substitute_lambda_to_minus_eta_squared():

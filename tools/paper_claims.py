@@ -65,8 +65,11 @@ CLAIMS = (
         "two AdS3 structures come from two Drinfel'd double structures on SO(2,2), "
         "the first with SL(2,R) as Poisson subgroup",
         "open: item 2",
-        ("tests/test_cli.py::test_origin_report_is_the_papers_verdict",),
-        "the verdicts are pinned; the doubles are typed, not derived",
+        ("tests/test_cli.py::test_origin_report_is_the_papers_verdict",
+         "tests/test_catalog.py::"
+         "test_basis_change_carries_the_canonical_r_onto_the_so22_rmatrix"),
+        "the verdicts are pinned and the basis changes carry the canonical r of "
+        "each double onto its r-matrix; the catalog still types both r-matrices",
     ),
     (
         "the twisted kappa-AdS spacetime is coisotropic but not a Poisson-subgroup quotient",

@@ -238,10 +238,13 @@ def _parse_generator(expr: str, algebra) -> list:
     vector.  Terms are ``[sign][coef*]label``; labels may contain '+' and
     '-', so they are matched against the algebra's own, longest first.  A
     coefficient is one unsigned term of the polynomial text, as in
-    'eta^-1*K1' (the :data:`~liedouble.exactalg.PRODUCT` pattern)."""
+    'eta^-1*K1' (the :data:`~liedouble.exactalg.PRODUCT` pattern).  Spaces
+    are dropped first; other whitespace may stand between the parts of a
+    term, but not inside a label."""
     labels = "|".join(map(re.escape, sorted(algebra.labels, key=len, reverse=True)))
     term = re.compile(
-        rf"(?P<sign>[+-]?)(?:\s*(?P<coef>{PRODUCT})\s*\*)?(?P<label>{labels})(?=[+-]|$)"
+        rf"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>{PRODUCT})\s*\*\s*)?"
+        rf"(?P<label>{labels})\s*(?=[+-]|$)"
     )
     text = expr.replace(" ", "")
     if not text:

@@ -267,21 +267,41 @@ def _heads(labels: tuple) -> tuple:
 
 def bracket_table_text(L: LieAlgebra) -> str:
     """Aligned plain-text table of all brackets [e_a, e_b] with a < b, e.g.
-    ``[X0, X1] = 2*X1``, each row rendered from its nonzero
-    entries in :meth:`LieAlgebra.nonzero`, in one pass that appends each
-    term to its row (``" - "`` before a term that starts with ``-``).  Each
-    coefficient keeps its text, so one shared by several entries or tables,
-    as the entries of a double share those of C and f, is rendered once;
-    ``""`` for dim < 2."""
+    ``[X0, X1] = 2*X1``, in one walk over :meth:`LieAlgebra.nonzero`.  The
+    walk relies on the entries being in (i, j, k) index order, as every
+    :class:`LieAlgebra` keeps them: each new pair appends its cached head,
+    after the heads of the pairs it skips with ``0``, and each term appends
+    its pieces (``" - "`` before a term that starts with ``-``) to one list
+    that is joined once.  Each coefficient keeps its text, so one shared by
+    several entries or tables, as the entries of a double share those of C
+    and f, is rendered once; ``""`` for dim < 2."""
     labels = L.labels
-    rows: dict = {}
+    heads = _heads(labels)
+    out: list = []
+    put = out.append
+    at, a0, b0 = 0, -1, -1  # heads[at] is the first pair not yet written
     for a, b, k, coef in L.nonzero():
-        term = _term_prefix(coef) + labels[k]
-        row = rows.get((a, b))
-        if row is None:
-            rows[a, b] = term
-        elif term[:1] == "-":
-            rows[a, b] = row + " - " + term[1:]
+        prefix = _term_prefix(coef)
+        if b != b0 or a != a0:
+            if at:
+                put("\n")
+            while heads[at][0] != (a, b):
+                put(heads[at][1])
+                put("0\n")
+                at += 1
+            put(heads[at][1])
+            put(prefix)
+            at, a0, b0 = at + 1, a, b
+        elif prefix[:1] == "-":
+            put(" - ")
+            put(prefix[1:])
         else:
-            rows[a, b] = row + " + " + term
-    return "".join([head + rows.get(pair, "0") + "\n" for pair, head in _heads(labels)])
+            put(" + ")
+            put(prefix)
+        put(labels[k])
+    if at:
+        put("\n")
+    for _, head in heads[at:]:
+        put(head)
+        put("0\n")
+    return "".join(out)

@@ -129,7 +129,10 @@ class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
     params: tuple[str, ...]
-    # the nonzero C_ij^k with i < j as (i, j, k, coef), in index order;
+    # the nonzero C_ij^k with i < j as (i, j, k, coef), in index order:
+    # the keys (i, j, k) strictly increase, since every builder sorts its
+    # entries or emits them in order, and double.bracket_table_text walks
+    # them once on that invariant, which nothing checks at run time;
     # C_ji^k = -C_ij^k is not stored
     entries: list
     _jacobi: dict | None = field(default=None, repr=False, compare=False)

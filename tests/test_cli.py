@@ -415,6 +415,23 @@ def test_parse_generator_rejects_malformed(sl2_std, expr):
         _parse_generator(expr, sl2_std)
 
 
+@pytest.mark.parametrize("expr, spaced", [
+    ("2\t*J3", "2 *J3"), ("2*\tJ3", "2* J3"), ("J3 -\tJ+", "J3 - J+"), ("J3\t", "J3 "),
+])
+def test_parse_generator_reads_whitespace_between_the_parts_of_a_term(sl2_std, expr, spaced):
+    assert _parse_generator(expr, sl2_std) == _parse_generator(spaced, sl2_std)
+
+
+def test_parse_generator_rejects_whitespace_inside_a_label():
+    # spaces are dropped before matching, so "K 1" reads as K1, but a tab
+    # splits the label
+    L = catalog.load().bialgebra("so22-r1").algebra
+    assert _parse_generator("K 1", L) == L.vector({"K1": "1"})
+    with pytest.raises(ParseError):
+        _parse_generator("K\t1", L)
+    assert main(["classify", "so22-r1", "span{K\t1}"]) == 2
+
+
 def test_classify_bad_generator(tmp_path):
     assert main(["classify", "sl2-hyp", "span{Q9}"]) == 2
     assert main(["classify", "so22-r1", "span{1/0*J}"]) == 2

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 from dense import dense_c, dense_f, dense_r
+from hypothesis import example, given, settings, strategies as st
 
 from liedouble import catalog
 from liedouble.bialgebra import cocomm_from_wedge, new_bialgebra
@@ -427,6 +428,57 @@ def test_bracket_table_renders_every_kind_of_coefficient():
     )
 
 
+TABLE_COEFFICIENTS = [
+    "1", "-1", "3/4", "-2/5", "2*eta", "-eta*kappa", "1 - eta", "-1/2 + eta*kappa",
+    "eta^-1", "-eta^-2*kappa", "eta^-1 - 2/3*eta",
+]
+
+
+@st.composite
+def sparse_table_algebras(draw):
+    """A random sparse algebra of dim 0–7 built by :func:`new_lie_algebra`
+    (the table walk reads no Jacobi identity): each pair a < b has no term
+    with probability about 1/2, else a few terms whose coefficients are
+    drawn from a shared pool of :data:`TABLE_COEFFICIENTS`, so one
+    coefficient object may sit in several entries."""
+    n = draw(st.integers(0, 7))
+    pool = [P(text) for text in TABLE_COEFFICIENTS]
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if draw(st.booleans()):
+                ks = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)))
+                brackets += [(a, b, k, draw(st.sampled_from(pool))) for k in sorted(ks)]
+    return new_lie_algebra(n, tuple(f"e{i}" for i in range(n)), brackets)
+
+
+def table_algebra(n, rows):
+    return new_lie_algebra(
+        n, tuple(f"e{i}" for i in range(n)),
+        [(a, b, k, P(c)) for (a, b), terms in rows.items() for k, c in terms],
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(sparse_table_algebras())
+# the layouts the walk must get right, pinned: an empty first pair, an
+# empty last pair, a nonempty last pair, runs of empty rows, one pair
+@example(table_algebra(4, {(0, 2): [(1, "-1")], (2, 3): [(0, "1 - eta"), (3, "eta^-1")]}))
+@example(table_algebra(4, {(0, 1): [(2, "3/4"), (3, "-1")], (1, 2): [(0, "2*eta")]}))
+@example(table_algebra(5, {(0, 1): [(4, "1")], (2, 4): [(0, "-eta^-2*kappa")]}))
+@example(table_algebra(2, {(0, 1): [(0, "-1/2 + eta*kappa"), (1, "1")]}))
+@example(table_algebra(2, {}))
+def test_bracket_table_walk_matches_the_dense_oracle_on_sparse_algebras(L):
+    # the table renders each distinct coefficient object at most once, and
+    # each row is format_combo of the dense row
+    with pytest.MonkeyPatch.context() as mp:
+        rendered = count_renders(mp)
+        bracket_table_text(L)
+    ids = [id(p) for p in rendered]
+    assert len(set(ids)) == len(ids) and set(ids) <= coefficient_ids(L)
+    assert_rows_match_the_dense_oracle(L)
+
+
 def test_bracket_table_of_an_algebra_with_no_pairs_is_empty():
     from liedouble.homogeneous import LagrangianSpec, lagrangian_bracket_table
 
@@ -740,6 +792,9 @@ def test_assigned_integer_forms_equal_the_computed_ones(key):
     delta = canonical_cocommutator(build_double(B))
     for L in (B.double_algebra, double_of_double(B).algebra, delta):
         assert L.int_tensor() == _int_tensor(L.nonzero())
+        # bracket_table_text walks the entries once and relies on this order
+        keys = [entry[:3] for entry in L.nonzero()]
+        assert all(p < q for p, q in zip(keys, keys[1:]))
     # δ_D's f_i^{jk}, j < k, stored as C*_jk^i of D(g)* (keys distinct, so
     # the sort compares no coefficient)
     assert delta.nonzero() == sorted(

@@ -408,6 +408,14 @@ def test_table_not_closed(so22_twisted):
         lagrangian_bracket_table(D, spec)
 
 
+def test_classify_tables_keep_the_entries_in_strict_index_order(so22_r1, so22_twisted):
+    # bracket_table_text walks ClosureReport.table's entries once, in order
+    for B in (so22_r1, so22_twisted):
+        rep = classify(build_double(B), B, spec_for(B, ["J", "K1", "K2"]))
+        keys = [entry[:3] for entry in rep.table.nonzero()]
+        assert keys and all(p < q for p, q in zip(keys, keys[1:]))
+
+
 # --- iterated double: l = a ⊕ a^⊥ -------------------------------------------
 
 

@@ -262,21 +262,20 @@ def get(key: str) -> CatalogEntry:
     return load().get(key)
 
 
-def default_verification_cells(catalog: Catalog | None = None) -> list:
+def default_verification_cells(catalog: Catalog) -> list:
     """The Sklyanin verification matrix: one cell per published 2d family."""
     from . import charts  # deferred: charts imports numpy
 
-    cat = catalog or load()
     cells = []
-    for key in cat.list("bracket_fn"):
-        if "isotropy" in cat._raw[key]:
+    for key in catalog.list("bracket_fn"):
+        if "isotropy" in catalog._raw[key]:
             continue
-        data = cat.get(key).raw
+        data = catalog.get(key).raw
         cells.append(
             charts.SklyaninCell(
                 bracket_id=data["bracket_id"],
                 chart_id=data["chart"],
-                r=cat.rmatrix(data["rmatrix"]),
+                r=catalog.rmatrix(data["rmatrix"]),
                 param_ranges={
                     name: tuple(rng) for name, rng in data["param_ranges"].items()
                 },
@@ -285,9 +284,8 @@ def default_verification_cells(catalog: Catalog | None = None) -> list:
     return cells
 
 
-def property_check_ids(catalog: Catalog | None = None) -> list:
+def property_check_ids(catalog: Catalog) -> list:
     """Bracket entries on a homogeneous space G/H, verified by property
     checks instead of Sklyanin; selected unbuilt, as building one builds
     its r-matrix."""
-    cat = catalog or load()
-    return [key for key in cat.list("bracket_fn") if "isotropy" in cat._raw[key]]
+    return [key for key in catalog.list("bracket_fn") if "isotropy" in catalog._raw[key]]

@@ -77,22 +77,9 @@ def _check_writable(path) -> None:
             Path(path).unlink()
 
 
-def _emit(report: dict, args) -> None:
-    text_format = getattr(args, "format", "text") == "text"
-    blob = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "json", None):
-        with _writing(args.json):
-            Path(args.json).write_text(blob)
-    if text_format:
-        for line in _text_lines(report):
-            print(line)
-    else:
-        sys.stdout.write(blob)
-
-
 def _text_lines(report: dict):
     yield f"command: {report['command']}"
-    for name, verdict in sorted(report.get("verdicts", {}).items()):
+    for name, verdict in sorted(report["verdicts"].items()):
         yield f"  {'PASS' if verdict == 'pass' else 'FAIL'}  {name}"
     classification = report.get("classification")
     if classification is not None:  # classify: coisotropy, Poisson subgroup, violations
@@ -101,13 +88,28 @@ def _text_lines(report: dict):
             yield f"  {key.replace('_', '-')}: {answer}"
         for violation in classification["violations"]:
             yield f"  violation: {violation}"
-    for extra in report.get("notes", []):
+    for extra in report["notes"]:
         yield f"  note: {extra}"
     yield f"overall: {'PASS' if report['pass'] else 'FAIL'}"
 
 
-def _overall(report: dict) -> int:
-    return PASS if report["pass"] else FAIL
+def _report(args, command: str, inputs: dict, verdicts: dict, notes=(), **extra) -> int:
+    """Write the report of ``command`` to ``--json``, print it in
+    ``--format`` and return its exit code.  It passes iff every verdict is
+    ``"pass"``."""
+    passed = all(v == "pass" for v in verdicts.values())
+    report = {"command": command, "inputs": inputs, "verdicts": verdicts,
+              "notes": list(notes), **extra, "pass": passed}
+    blob = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.json:
+        with _writing(args.json):
+            Path(args.json).write_text(blob)
+    if args.format == "text":
+        for line in _text_lines(report):
+            print(line)
+    else:
+        sys.stdout.write(blob)
+    return PASS if passed else FAIL
 
 
 # ---------------------------------------------------------------- validate
@@ -173,15 +175,7 @@ def cmd_validate(args) -> int:
         else:
             raise ParseError(f"{args.target}: neither an algebra nor a bialgebra")
         inputs = {"target": args.target, "kind": "file"}
-    report = {
-        "command": "validate",
-        "inputs": inputs,
-        "verdicts": verdicts,
-        "notes": notes,
-        "pass": all(v == "pass" for v in verdicts.values()),
-    }
-    _emit(report, args)
-    return _overall(report)
+    return _report(args, "validate", inputs, verdicts, notes)
 
 
 # ---------------------------------------------------------------- double
@@ -217,17 +211,10 @@ def cmd_double(args) -> int:
         D2 = double_of_double(B)
         verdicts["iterated-jacobi"] = verdicts["crossed-brackets"] = "pass"
         write_table(f"{args.bialgebra}-double-of-double", D2.algebra)
-    report = {
-        "command": "double",
-        "inputs": {"bialgebra": args.bialgebra, "iterate": bool(args.iterate)},
-        "artifacts": artifacts,
-        "verdicts": verdicts,
-        "notes": [],
-        "pass": all(v == "pass" for v in verdicts.values()),
-    }
-    if args.json or args.format == "json":
-        _emit(report, args)
-    return _overall(report)
+    if not (args.json or args.format == "json"):
+        return PASS
+    inputs = {"bialgebra": args.bialgebra, "iterate": bool(args.iterate)}
+    return _report(args, "double", inputs, verdicts, artifacts=artifacts)
 
 
 # ---------------------------------------------------------------- classify
@@ -238,24 +225,23 @@ def _parse_generator(expr: str, algebra) -> list:
     vector.  Terms are ``[sign][coef*]label``; labels may contain '+' and
     '-', so they are matched against the algebra's own, longest first.  A
     coefficient is one unsigned term of the polynomial text, as in
-    'eta^-1*K1' (the :data:`~liedouble.exactalg.PRODUCT` pattern).  Spaces
-    are dropped first; other whitespace may stand between the parts of a
-    term, but not inside a label."""
+    'eta^-1*K1' (the :data:`~liedouble.exactalg.PRODUCT` pattern).
+    Whitespace may stand between the parts of a term, as in '2 * K1', but
+    not inside a number, a name or a label."""
     labels = "|".join(map(re.escape, sorted(algebra.labels, key=len, reverse=True)))
     term = re.compile(
         rf"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>{PRODUCT})\s*\*\s*)?"
         rf"(?P<label>{labels})\s*(?=[+-]|$)"
     )
-    text = expr.replace(" ", "")
-    if not text:
+    if not expr.strip():
         raise ParseError("empty generator expression")
     combo: dict = {}
     pos = 0
-    while pos < len(text):
-        m = term.match(text, pos)
+    while pos < len(expr):
+        m = term.match(expr, pos)
         if m is None:
             raise ParseError(
-                f"cannot parse {text[pos:]!r} in {expr!r}: expected "
+                f"cannot parse {expr[pos:]!r} in {expr!r}: expected "
                 f"[sign][coef*]label with a label in {list(algebra.labels)}"
             )
         sign, coef_text, label = m.group("sign", "coef", "label")
@@ -335,21 +321,11 @@ def cmd_classify(args) -> int:
         "lagrangian": "pass" if rep.lagrangian else "fail",
         "subalgebra": "pass" if rep.subalgebra else "fail",
     }
-    report = {
-        "command": "classify",
-        "inputs": {
-            "bialgebra": args.bialgebra,
-            "subalgebra": args.subalgebra,
-            "pi": args.pi or "0",
-        },
-        "classification": rep.to_json(),
-        "bracket_table": table_info,
-        "verdicts": verdicts,
-        "notes": [],
-        "pass": rep.lagrangian and rep.subalgebra,
+    inputs = {
+        "bialgebra": args.bialgebra, "subalgebra": args.subalgebra, "pi": args.pi or "0"
     }
-    _emit(report, args)
-    return _overall(report)
+    return _report(args, "classify", inputs, verdicts,
+                   classification=rep.to_json(), bracket_table=table_info)
 
 
 # ---------------------------------------------------------------- verify
@@ -449,23 +425,15 @@ def cmd_verify_brackets(args) -> int:
             ",".join(res["pair"]) if "pair" in res else res["check"]
         )
         verdicts[name] = "pass" if res["pass"] else "fail"
-    report = {
-        "command": "verify-brackets",
-        "inputs": {
-            "cells": wanted or "all",
-            "points": args.points,
-            "tol_rel": tol_rel,
-            "tol_abs": tol_abs,
-            "property_tol": property_tol,
-        },
-        "seed": args.seed,
-        "results": results,
-        "verdicts": verdicts,
-        "notes": [],
-        "pass": all(r["pass"] for r in results),
+    inputs = {
+        "cells": wanted or "all",
+        "points": args.points,
+        "tol_rel": tol_rel,
+        "tol_abs": tol_abs,
+        "property_tol": property_tol,
     }
-    _emit(report, args)
-    return _overall(report)
+    return _report(args, "verify-brackets", inputs, verdicts,
+                   seed=args.seed, results=results)
 
 
 # ---------------------------------------------------------------- main
@@ -523,7 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        if getattr(args, "json", None):
+        if args.json:
             _check_writable(args.json)
         code = args.func(args)
     except (ParseError, UnknownKey) as exc:

@@ -41,7 +41,8 @@ adapted basis:
 
 The adapted pass keeps, for each bracket of l's basis that leaves l, its
 first nonzero component that must vanish; l is a subalgebra iff there is
-none.  It also keeps the first nonzero pairing <X^α, X^β> = π^{αβ} + π^{βα}.
+none.  It also keeps the first pair α ≤ β with π^{αβ} ≠ −π^{βα}, read from
+π's entries as they are given; l is Lagrangian iff there is none.
 ``ClosureReport.violations`` names each by basis labels, with its
 polynomial: the pairing by the labels of l, the components by those of h
 and the complement in g.
@@ -61,14 +62,13 @@ s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
 is exactly s1 or s2 times its rational value, summed by
 :func:`~liedouble.exactalg._add_product` into a zero-free terms dict, so a
 component vanishes iff its dict is empty, and the test stays generic in
-the parameters.  The pairing π^{αβ} + π^{βα} is summed the same way, at
-the scale d_π.
+the parameters.
 
-:func:`classify` decides its four verdicts from these integer forms alone
-and stores them on the :class:`ClosureReport`.  The pass sums only what the
-verdicts and the failing components read: C', f', the pairing, M, R and the
-T-coordinates of [X^α, X^β] that give Q.  The bracket rows that only the
-table reads, the H-coordinates of [H_i, X^α] and [X^α, X^β], wait for the
+:func:`classify` decides its four verdicts from these integer forms and
+that pair alone and stores them on the :class:`ClosureReport`.  The pass
+sums only what the verdicts and the failing components read: C', f', M, R
+and the T-coordinates of [X^α, X^β] that give Q.  The bracket rows that
+only the table reads, the H-coordinates of [H_i, X^α] and [X^α, X^β], wait for the
 first read of the table, which sums them from what the pass keeps (C', f',
 π's rows, R and the h-target rows of the [X^α, X^β] sums) and reads the
 X-coordinates from R and C'.  The polynomials the report gives, the
@@ -271,10 +271,10 @@ def _divided(component: tuple) -> tuple:
 
 @dataclass
 class ClosureReport:
-    """The verdicts of :func:`classify`, decided from the adapted pass's
-    integer forms; only they are compared.  The polynomials the report
-    gives are divided back from those forms on first read and cached on the
-    report (module doc)."""
+    """The verdicts of :func:`classify`, decided by the adapted pass; only
+    they are compared.  The polynomials the report gives are divided back
+    from the pass's integer forms on first read and cached on the report
+    (module doc)."""
 
     lagrangian: bool
     subalgebra: bool
@@ -337,9 +337,9 @@ class ClosureReport:
             frame = _names(spec.h_basis, g, "H") + _names(spec.complement, g, "T")
             l_labels = _labels(B, spec)
             if pairing:
-                a, b, terms, scale = pairing
+                a, b = pairing
                 pair = (spec.n_h + a, spec.n_h + b)
-                value = from_int_terms(terms, scale)
+                value = spec.pi[a][b] + spec.pi[b][a]
                 comp = _component(l_labels, "pairing", pair, (), value)
                 out.append(f"l is not Lagrangian: {comp}")
             out += [
@@ -370,21 +370,6 @@ class ClosureReport:
         }
 
 
-def _first_pairing(pi_int: dict, n_t: int, d_pi: int) -> tuple | None:
-    """``(α, β, terms, d_π)`` for the first α ≤ β at which π^{αβ} + π^{βα}
-    is nonzero, the terms d_π times it, from π's nonzero entries
-    ``{(α, β): terms}`` at the scale d_π; None when π is antisymmetric."""
-    for a in range(n_t):
-        for b in range(a, n_t):
-            value: dict = {}
-            for key in ((a, b), (b, a)):
-                if key in pi_int:
-                    _add_product(value, 1, pi_int[key], _UNIT)
-            if value:
-                return a, b, value, d_pi
-    return None
-
-
 @dataclass
 class _AdaptedPass:
     """What :func:`classify` reads from (C', f', π), summed once over
@@ -393,9 +378,8 @@ class _AdaptedPass:
 
     c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
     f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c
-    # the first nonzero <X^α, X^β> = π^{αβ} + π^{βα}, α ≤ β, as (α, β, terms,
-    # d_π), the value the terms divided by d_π; None when π is antisymmetric,
-    # i.e. l is Lagrangian
+    # the first (α, β), α ≤ β, with <X^α, X^β> = π^{αβ} + π^{βα} nonzero;
+    # None when π is antisymmetric, i.e. l is Lagrangian
     pairing: tuple | None
     # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
     m_int: tuple
@@ -487,10 +471,10 @@ def _xx_part(acc: list, a: int, b: int, pi_rows, f_tt, c_tt, f_mul, c_mul) -> No
 
 
 def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
-    """C', f', the pairing, M, R and Q of l's basis {H_i, X^α} from the
-    adapted-basis tensors, with the first nonzero component that must vanish
-    for each bracket to lie in l, summed over integers at the scales s1 and
-    s2 (module doc).  The bracket rows wait for :attr:`_AdaptedPass.brackets`."""
+    """The first nonzero pairing from π, and C', f', M, R and Q of l's
+    basis {H_i, X^α} from the adapted-basis tensors, with the first nonzero
+    component that must vanish for each bracket to lie in l, summed over
+    integers at the scales s1 and s2 (module doc).  The bracket rows wait for :attr:`_AdaptedPass.brackets`."""
     n = B.dim
     (s, a_int), (e, inv_rows) = _adapted(spec, n)
     # both transforms read one layered form of A's columns and of A⁻¹: C by
@@ -501,9 +485,12 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
     d_f, f = f_int = _structure_int(B.cocomm.int_tensor(), w, m_cols)
     n_h, n_t = spec.n_h, spec.n_t
     pi = spec.pi
+    pairing = next(
+        ((a, b) for a in range(n_t) for b in range(a, n_t) if pi[a][b] != -pi[b][a]),
+        None,
+    )
     keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
     d_pi, scaled = to_int_terms(pi[a][b] for a, b in keys)
-    pairing = _first_pairing(dict(zip(keys, scaled)), n_t, d_pi)
     pi_nz = [(a, b, v) for (a, b), v in zip(keys, scaled)]
     pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
     s1 = d_f * d_pi * d_c  # scale of M, R and the H-part of [H_i, X^α]

@@ -452,18 +452,18 @@ def _regroup(nested: dict) -> dict:
     return out
 
 
-def _contract(tensor: dict, slot: int, rows: dict) -> dict:
-    """Contract index ``slot`` of an integer 3-tensor with a matrix, both as
-    layers: out[.., y, ..] = Σ_x tensor[.., x, ..] · rows[x][y], over
-    Python ints, one monomial product per pair of layers.  The layers out
-    keep an int that cancels as 0; :func:`_regroup` drops it."""
+def _contract(tensor: dict, rows: dict) -> dict:
+    """Contract the upper index k of an integer 3-tensor keyed (i, j, k)
+    with a matrix, both as layers: out[i, j, y] = Σ_k tensor[i, j, k] ·
+    rows[k][y], over Python ints, one monomial product per pair of layers.
+    The layers out keep an int that cancels as 0; :func:`_regroup` drops it."""
     out: dict = {}
     for m1, t1 in tensor.items():
         for m2, r in rows.items():
             acc = out.setdefault(_mono_mul(m1, m2), {})
             for key, c1 in t1.items():
-                for y, c2 in r.get(key[slot], ()):
-                    new = key[:slot] + (y,) + key[slot + 1 :]
+                for y, c2 in r.get(key[2], ()):
+                    new = key[:2] + (y,)
                     acc[new] = acc.get(new, 0) + c1 * c2
     return out
 
@@ -498,21 +498,21 @@ def _minors(rows: dict, pairs) -> dict:
     return out
 
 
-def _contract_pair(tensor: dict, slot: int, rows: dict) -> dict:
-    """Contract the pair of slots (slot, slot + 1), in which ``tensor`` is
-    antisymmetric and stored with x < y, with a matrix, both as layers:
-    out[.., a, b, ..] = Σ_{x<y} tensor[.., x, y, ..] · (rows[x][a]·rows[y][b]
+def _contract_pair(tensor: dict, rows: dict) -> dict:
+    """Contract the lower pair (x, y) of an integer 3-tensor keyed (x, y,
+    k), antisymmetric in it and stored with x < y, with a matrix, both as
+    layers: out[a, b, k] = Σ_{x<y} tensor[x, y, k] · (rows[x][a]·rows[y][b]
     − rows[y][a]·rows[x][b]) for a < b, over Python ints, as
     :func:`_contract` sums.  The minors (:func:`_minors`) are built once for
     the pairs (x, y) that occur."""
-    minors = _minors(rows, {key[slot : slot + 2] for t in tensor.values() for key in t})
+    minors = _minors(rows, {key[:2] for t in tensor.values() for key in t})
     out: dict = {}
     for m1, t1 in tensor.items():
         for m2, lams in minors.items():
             acc = out.setdefault(_mono_mul(m1, m2), {})
             for key, c1 in t1.items():
-                for ab, c2 in lams.get(key[slot : slot + 2], ()):
-                    new = key[:slot] + ab + key[slot + 2 :]
+                for ab, c2 in lams.get(key[:2], ()):
+                    new = ab + key[2:]
                     acc[new] = acc.get(new, 0) + c1 * c2
     return out
 
@@ -524,7 +524,7 @@ def _structure_int(t: tuple, m_cols: tuple, w: tuple) -> tuple[int, dict]:
     it) and of the columns of M and the rows of W (in the layers of
     :func:`_int_matrix`)."""
     (d, c), (e_m, cols), (e_w, rows) = t, m_cols, w
-    c2 = _contract(_contract_pair(_regroup(c), 0, cols), 2, rows)
+    c2 = _contract(_contract_pair(_regroup(c), cols), rows)
     return d * e_m * e_m * e_w, _regroup(c2)
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import time
 from pathlib import Path
@@ -423,12 +424,13 @@ def test_parse_generator_reads_whitespace_between_the_parts_of_a_term(sl2_std, e
 
 
 def test_parse_generator_rejects_whitespace_inside_a_label():
-    # spaces are dropped before matching, so "K 1" reads as K1, but a tab
-    # splits the label
+    # whitespace splits a number, a name or a label; it stands only between
+    # the parts of a term
     L = catalog.load().bialgebra("so22-r1").algebra
-    assert _parse_generator("K 1", L) == L.vector({"K1": "1"})
-    with pytest.raises(ParseError):
-        _parse_generator("K\t1", L)
+    for expr in ("2 3*J", "e ta*J", "K 1", "K\t1"):
+        with pytest.raises(ParseError):
+            _parse_generator(expr, L)
+    assert main(["classify", "so22-r1", "span{2 3*J}"]) == 2
     assert main(["classify", "so22-r1", "span{K\t1}"]) == 2
 
 
@@ -707,15 +709,43 @@ def test_double_iterate_fraction_budget(tmp_path, monkeypatch):
     assert count <= DOUBLE_ITERATE_FRACTION_BUDGET
 
 
-def test_cli_snapshot_matches_the_committed_one(capsys):
-    # tools/cli_snapshot.py, run in-process, prints the committed fingerprints;
-    # an intended output change regenerates tests/data/cli_snapshot.txt
+def load_cli_snapshot():
+    """The module ``tools/cli_snapshot.py``."""
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
     spec = importlib.util.spec_from_file_location("cli_snapshot", path)
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
+    return snapshot
+
+
+def test_every_report_passes_iff_every_verdict_passes(tmp_path, capsys):
+    # one pass rule for every command of the snapshot list: a report passes
+    # iff each of its verdicts is "pass", and the exit code is 0 iff it passes
+    snapshot = load_cli_snapshot()
+    argvs = snapshot.commands() + [["verify-brackets", "--tol", "1e-15"]]
+    codes = collections.Counter()
+    with snapshot.in_targets_dir():
+        for n, argv in enumerate(argvs):
+            path = tmp_path / f"report{n}.json"
+            code = main([*argv, "--json", str(path)])
+            if code == 2:  # an input error writes no report
+                assert not path.exists()
+                continue
+            report = json.loads(path.read_text())
+            assert report["pass"] == all(v == "pass" for v in report["verdicts"].values())
+            assert code == (0 if report["pass"] else 1), argv
+            codes[code] += 1
+    capsys.readouterr()
+    assert code == 1  # verify-brackets at a tolerance no cell meets
+    assert codes[0] and codes[1]
+
+
+def test_cli_snapshot_matches_the_committed_one(capsys):
+    # tools/cli_snapshot.py, run in-process, prints the committed fingerprints;
+    # an intended output change regenerates tests/data/cli_snapshot.txt
+    snapshot = load_cli_snapshot()
     assert snapshot.main() == 0
     got = capsys.readouterr().out.splitlines()
     assert got == (GOLDEN / "cli_snapshot.txt").read_text().splitlines()

@@ -160,6 +160,20 @@ def test_nonantisymmetric_pi_is_not_lagrangian(sl2_hyp):
     assert not is_lagrangian(D, l)
 
 
+@pytest.mark.parametrize("pi, named", [
+    ([[0, "1/3 + eta"], ["1/2", 0]], "pairing_(a1, a2) = 5/6 + eta"),
+    ([["eta", "1/3"], ["1/2*eta", 0]], "pairing_(a1, a1) = 2*eta"),  # the diagonal first
+])
+def test_classify_reads_lagrangian_from_pi(sl2_hyp, pi, named):
+    # classify names the first α ≤ β with π^{αβ} + π^{βα} nonzero, and its
+    # verdict is the pairing route's
+    D = build_double(sl2_hyp)
+    spec = spec_for(sl2_hyp, ["J12"], pi=pi)
+    rep = classify(D, sl2_hyp, spec)
+    assert rep.violations[0] == f"l is not Lagrangian: {named}"
+    assert rep.lagrangian == is_lagrangian(D, lagrangian_from_pi(D, spec))
+
+
 def test_pi_antisymmetry_iff_lagrangian_random(sl2_ell):
     D = build_double(sl2_ell)
     rng = random.Random(77)

@@ -21,7 +21,9 @@ basis with a Laurent inverse and one without), in text and json;
 ``validate`` of two invalid files this script writes to a temporary
 directory, an algebra that violates Jacobi and a bialgebra whose
 cocommutator is not a cobracket, and of two targets there that cannot be
-read, a directory and a file that is not UTF-8.
+read, a directory and a file that is not UTF-8, in text and json; last,
+``classify`` of two generators with a space inside a number or a label
+(``SPACED_GENERATORS``), which are input errors, in text and json.
 """
 
 import contextlib
@@ -92,6 +94,8 @@ BAD_BIALGEBRA = {
 INVALID_FILES = {"bad-algebra.json": BAD_ALGEBRA, "bad-bialgebra.json": BAD_BIALGEBRA}
 # a directory, and a label in Latin-1
 UNREADABLE_DIR, NOT_UTF8 = "a-directory", "not-utf8.json"
+# whitespace inside a number and inside a label: exit 2
+SPACED_GENERATORS = ("span{2 3*J}", "span{K 1}")
 
 
 def commands() -> list:
@@ -118,6 +122,9 @@ def commands() -> list:
         for name in (*INVALID_FILES, UNREADABLE_DIR, NOT_UTF8)
         for fmt in FORMATS
     ]
+    argvs += [
+        ["classify", "so22-r1", span, *fmt] for span in SPACED_GENERATORS for fmt in FORMATS
+    ]
     return argvs
 
 
@@ -130,7 +137,10 @@ def run(argv: list) -> tuple:
     return digest, code
 
 
-def main() -> int:
+@contextlib.contextmanager
+def in_targets_dir():
+    """Work in a temporary directory that holds the invalid and unreadable
+    ``validate`` targets."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in INVALID_FILES.items():
@@ -141,11 +151,16 @@ def main() -> int:
         # printed argv do not depend on where tmp is
         os.chdir(tmp)
         try:
-            for argv in commands():
-                digest, code = run(argv)
-                print(f"{digest}  {code}  {' '.join(argv)}")
+            yield
         finally:
             os.chdir(cwd)
+
+
+def main() -> int:
+    with in_targets_dir():
+        for argv in commands():
+            digest, code = run(argv)
+            print(f"{digest}  {code}  {' '.join(argv)}")
     return 0
 
 

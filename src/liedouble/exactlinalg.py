@@ -10,7 +10,9 @@ answer is an entry of the reduced matrix divided exactly by d, by
 :func:`~liedouble.exactalg.poly_div_exact`.  That division raises
 :class:`NotDivisible` when an answer is a genuine rational function rather
 than a Laurent polynomial (:func:`nullspace` then keeps the undivided,
-fraction-free vector).
+fraction-free vector).  Before it eliminates, :func:`invert` solves each
+row whose only entry is one term by substitution, so the elimination
+reduces only the square block of the other rows.
 
 The elimination runs over integer terms with one scale.  The whole input
 is brought to one scale once (:func:`_cleared`, over
@@ -18,10 +20,15 @@ is brought to one scale once (:func:`_cleared`, over
 rescaled to the lcm s of the denominators, so it eliminates s·A for one
 positive integer s, and every entry is held as a dict ``{monomial: int}``.
 The integer core, :func:`_bareiss`, takes that cleared matrix, and so
-does :func:`_int_inverse`, the integer entry point of :func:`invert`: it
-appends the identity half as integer unit dicts, so the adapted pass of
-:mod:`liedouble.homogeneous` inverts the s·A its transforms read without
-clearing it again.  An update piv·a − f·b is formed by one call of
+does :func:`_int_inverse`, the integer entry point of :func:`invert`, so
+the adapted pass of :mod:`liedouble.homogeneous` inverts the s·A its
+transforms read without clearing it again.  It solves each single-term row
+c·x^k·e_j, a unit row of a complement among them, by substitution, moves
+the other rows' entries in the solved columns to the right-hand side, and
+hands :func:`_bareiss` only the block of those rows on the free columns,
+with that right-hand side and the identity on the block's rows appended as
+integer dicts: for an adapted basis (h, e_c, …), h's n_h rows.  An update
+piv·a − f·b is formed by one call of
 :func:`~liedouble.exactalg._add_product`, the one product kernel, per
 nonzero product, into one zero-free terms dict, and divided exactly by the
 previous pivot, not at all when the pivot is 1, by
@@ -37,6 +44,8 @@ invertible unless it is identically zero.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import NotDivisible, SingularMatrix
 from .exactalg import (
@@ -184,36 +193,76 @@ def _int_inverse(s: int, m: list) -> tuple[int, list]:
     ``rows[i][j]`` a dict ``{monomial: int}``; m is left as it was, and
     errors are those of :func:`invert`.
 
-    The identity half is appended as integer unit dicts, and [s·a | I] is
-    reduced: its right half ends as d·(s·a)⁻¹, with d the last pivot,
-    ±s^n·det(a).  a⁻¹ = s·(s·a)⁻¹ is a Laurent matrix only if det(a) is a
-    unit of the Laurent ring, one term c·x^k; then a⁻¹ is s times the
-    reduced right half times x^-k, over e = |c|, and no coefficient is
-    divided."""
+    A row u of m whose only nonzero entry is one term p_u = c_u·x^k, in a
+    column j that no earlier such row uses, is solved by substitution: row
+    j of a⁻¹ is s·e_u / p_u.  (A second such row in column j is a multiple
+    of row u, so a is singular.)  The other rows' entries in the solved
+    columns move to the right-hand side: :func:`_bareiss` reduces only the
+    square block B of those rows on the free columns, with [I | m_S]
+    appended, the identity on the block's rows and their entries in the
+    solved columns.  Its right half ends as d·B⁻¹·[I | m_S], with d the
+    last pivot, ±det(B), so det(a) is ±d·∏p_u / s^n.  With no single-term
+    row the block is all of m.  a⁻¹ is a Laurent matrix only if det(a) is
+    a unit of the Laurent ring, i.e. d is one term c·x^k; then the rows of
+    a⁻¹ at the free columns are s times the right half over c·x^k, its
+    column of each solved row u also over −p_u.  e is |c| times the lcm of
+    the |c_u|, over its gcd with s, and no coefficient is divided."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise SingularMatrix("matrix is not square")
-    augmented = [
-        row + [{(): 1} if j == i else {} for j in range(n)] for i, row in enumerate(m)
-    ]
+    solved: dict = {}  # column j -> the row u whose only entry is one term, in j
+    block = []  # the other rows
+    for u, row in enumerate(m):
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) == 1 and len(row[nonzero[0]]) == 1:
+            if nonzero[0] in solved:
+                raise SingularMatrix("matrix has no inverse (rank deficient)")
+            solved[nonzero[0]] = u
+        else:
+            block.append(u)
+    free = [j for j in range(n) if j not in solved]
+    nb = len(block)
+    augmented = []
+    for r in block:  # [B | I | m_S], the right half indexed by the rows of m
+        rhs = [{}] * n
+        rhs[r] = {(): 1}
+        for j, u in solved.items():
+            rhs[u] = m[r][j]
+        augmented.append([m[r][j] for j in free] + rhs)
     pivots = _bareiss(augmented, reduce=True)
-    if pivots and pivots[-1] >= n:
+    if pivots and pivots[-1] >= nb:
         raise SingularMatrix("matrix has no inverse (rank deficient)")
-    if not m:
-        return 1, []
-    d = augmented[-1][n - 1]
+    d = augmented[-1][nb - 1] if nb else _UNIT
     if len(d) != 1:
+        det = d
+        for j, u in solved.items():
+            det, prev = {}, det
+            _add_product(det, 1, prev, m[u][j])
         raise NotDivisible(
             f"matrix has no Laurent inverse: its determinant "
-            f"±({from_int_terms(d, s**n)}) is not one term"
+            f"±({from_int_terms(det, s**n)}) is not one term"
         )
     ((mono, c),) = d.items()
     inv = _mono_pow(mono, -1)
-    sign = s if c > 0 else -s
-    return abs(c), [
-        [{_mono_mul(x, inv): sign * v for x, v in t.items()} for t in row[n:]]
-        for row in augmented
-    ]
+    p = {u: next(iter(m[u][j].items())) for j, u in solved.items()}  # p_u as (x^k, c_u)
+    lcm_c = lcm(*(abs(c_u) for _, c_u in p.values()))
+    g = gcd(s, abs(c) * lcm_c)
+    sign = s // g if c > 0 else -(s // g)
+    # each column of a⁻¹ at the free rows: (multiplier, monomial) of the right half
+    factors = [(sign * lcm_c, inv)] * n
+    rows = [None] * n
+    for j, u in solved.items():
+        x, c_u = p[u]
+        x_inv = _mono_pow(x, -1)
+        factors[u] = (-sign * lcm_c // c_u, _mono_mul(inv, x_inv))
+        rows[j] = [{} for _ in range(n)]
+        rows[j][u] = {x_inv: s // g * (abs(c) * lcm_c // c_u)}
+    for j, row in zip(free, augmented):
+        rows[j] = [
+            {_mono_mul(x, shift): f * v for x, v in t.items()}
+            for t, (f, shift) in zip(row[nb:], factors)
+        ]
+    return abs(c) * lcm_c // g, rows
 
 
 def invert(a: Matrix) -> Matrix:

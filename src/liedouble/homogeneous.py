@@ -48,15 +48,18 @@ polynomial: the pairing by the labels of l, the components by those of h
 and the complement in g.
 
 The pass runs over integers.  The adapted basis A = (h, T) is brought to
-one scale once, the lcm s of its denominators (:func:`_adapted`), and the
-integer Bareiss kernel inverts that integer matrix s·A.  Its columns, as M, and the inverse, as W,
-are each regrouped once into monomial layers (``liealg._int_rows``), which
-both transforms read.  C' and f' reach the pass in the integer form of the
-basis transform ``liealg._structure_int``, C' from C with (M, W) and f'
-from g* with (Wᵀ, Mᵀ), scaled by d_C and d_f, with one entry per
-antisymmetric pair: C'_ab^k for a < b and f'_i^{bc}, keyed (b, c, i), for
-b < c; the other half is read as the negation.
-π is brought to one scale d_π the same way.  M, R and the
+one scale once, the lcm s of its denominators (:func:`_adapted`), and
+``exactlinalg._int_inverse`` inverts that integer matrix s·A: each unit or
+single-term row of T (or of h) gives a row of A⁻¹ by substitution, and the
+integer Bareiss kernel reduces only the block of the other rows, h's rows
+on the columns T leaves free when T is made of unit rows.  Its columns, as
+M, and the inverse, as W, are each regrouped once into monomial layers
+(``liealg._int_rows``), which both transforms read.  C' and f' reach the
+pass in the integer form of the basis transform ``liealg._structure_int``,
+C' from C with (M, W) and f' from g* with (Wᵀ, Mᵀ), scaled by d_C and
+d_f, with one entry per antisymmetric pair: C'_ab^k for a < b and
+f'_i^{bc}, keyed (b, c, i), for b < c; the other half is read as the
+negation.  π is brought to one scale d_π the same way.  M, R and the
 H-part of [H_i, X^α] are then sums over ints at the scale
 s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
 is exactly s1 or s2 times its rational value, summed by
@@ -113,6 +116,7 @@ from .errors import (
     NotClosed,
     NotInFirstFactor,
     ShapeError,
+    SingularMatrix,
     WrongDimension,
 )
 from .exactalg import _UNIT, PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
@@ -125,7 +129,6 @@ from .exactlinalg import (
     nullspace,
     rank,
 )
-from .errors import SingularMatrix
 from .liealg import (
     LieAlgebra,
     _algebra_of,
@@ -181,8 +184,7 @@ class LagrangianSpec:
 def _adapted(spec: LagrangianSpec, n: int):
     """The adapted basis A = (h, T), cleared of its denominators once, and
     its exact inverse, both dense: ``((s, a), (e, rows))`` with A = a / s
-    and A⁻¹ = rows / e, from the integer Bareiss kernel
-    (``exactlinalg._int_inverse`` of s·A)."""
+    and A⁻¹ = rows / e, from ``exactlinalg._int_inverse`` of s·A."""
     rows = spec.h_basis + spec.complement
     if len(rows) != n:
         raise BasisNotComplete(
@@ -517,7 +519,6 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
         if a >= n_h:
             put(c_tt, (a - n_h, b - n_h), u, 1, t)
             put(c_tt, (b - n_h, a - n_h), u, -1, t)
-    no_terms: dict = {}
     m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
     for (b, u, i), t in f.items():
         if i >= n_h:
@@ -525,9 +526,9 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 put(f_tt, (i - n_h, b - n_h), u, 1, t)
             if u >= n_h:
                 put(f_tt, (i - n_h, u - n_h), b, -1, t)
-        if b >= n_h:
-            _add_product(m_acc.setdefault((b - n_h, u - n_h, i), {}), f_mul, t, _UNIT)
-            _add_product(m_acc.setdefault((u - n_h, b - n_h, i), {}), -f_mul, t, _UNIT)
+        if b >= n_h:  # f'_i^{bc} starts M^{bc}_i and M^{cb}_i: no other entry has them
+            m_acc[b - n_h, u - n_h, i] = {x: f_mul * v for x, v in t.items()}
+            m_acc[u - n_h, b - n_h, i] = {x: -f_mul * v for x, v in t.items()}
     # R has M's f' part; it differs from M only for π not antisymmetric
     r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
     for p, q, v in pi_nz:  # v = d_π·π^{pq}
@@ -541,13 +542,6 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
 
     failing, residual = {}, {}
-
-    def c_at(a, b, k):
-        """(terms, scale) of C'_ab^k, a != b, from the stored half."""
-        if a < b:
-            return c.get((a, b, k), no_terms), d_c
-        return c.get((b, a, k), no_terms), -d_c
-
     # each pair's failing component is the first nonzero (name, lower,
     # upper, terms, scale) in the order below, built once it is found
     for i in range(n_h):
@@ -557,13 +551,19 @@ def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
                 failing[i, j] = ("C'", (i, j), (k,), c[i, j, k], d_c)
         for a in range(n_t):  # [H_i, X^α]: C'_ij^{T(α)}, then M^{α·}_i
             t_a = n_h + a
-            j = next((j for j in range(n_h) if j != i and c_at(i, j, t_a)[0]), None)
-            if j is not None:
-                failing[i, t_a] = ("C'", (i, j), (t_a,), *c_at(i, j, t_a))
-                continue
-            e = next((e for e in range(n_t) if m_acc.get((a, e, i))), None)
-            if e is not None:
-                failing[i, t_a] = ("M", (i,), (t_a, n_h + e), m_acc[a, e, i], s1)
+            for j in range(n_h):  # C'_ij^{T(α)} from the stored half
+                if j == i:
+                    continue
+                t = c.get((i, j, t_a) if i < j else (j, i, t_a))
+                if t:
+                    failing[i, t_a] = ("C'", (i, j), (t_a,), t, d_c if i < j else -d_c)
+                    break
+            else:
+                for e in range(n_t):
+                    t = m_acc.get((a, e, i))
+                    if t:
+                        failing[i, t_a] = ("M", (i,), (t_a, n_h + e), t, s1)
+                        break
     for a in range(n_t):
         for b in range(a + 1, n_t):  # [X^α, X^β]: R_j, then Q
             acc = [{} for _ in range(n_t)]

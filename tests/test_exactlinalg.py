@@ -7,8 +7,10 @@ Some rows are unit rows, or unit rows times one single-term value shared
 by the matrix, among the others: a pivot then often equals the previous
 one, and the Bareiss kernel leaves the rows with no entry in its column as
 they are.  The kernel clears the denominators once and eliminates over
-integers; the 6x6 adapted bases are those of the Lagrangian sweep, integer
-h rows, some of them unit or repeated-value rows, completed by unit rows.
+integers; the inverse solves each single-term row by substitution and
+eliminates only the block of the other rows.  The 6x6 adapted bases are
+those of the Lagrangian sweep, integer h rows, some of them unit or
+repeated-value rows, completed by unit rows.
 """
 
 from fractions import Fraction as Q
@@ -352,3 +354,64 @@ def test_adapted_basis_inverse_matches_sympy(case):
         sum((y * z for y, z in zip(r, x)), PolyExpr.zero()).is_zero
         for r in a[:k] for x in kernel
     )
+
+
+def bareiss_shapes(monkeypatch) -> list:
+    """Record the (rows, columns) of every matrix :func:`_bareiss` gets."""
+    shapes = []
+    real = exactlinalg._bareiss
+
+    def counted(m, reduce):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return real(m, reduce)
+
+    monkeypatch.setattr(exactlinalg, "_bareiss", counted)
+    return shapes
+
+
+def assert_inverse_matches_sympy(a, got):
+    expected = oracle(a).inv().to_Matrix().tolist()
+    assert [[to_field(x) for x in row] for row in got] == [
+        [K.from_sympy(x) for x in row] for row in expected
+    ]
+
+
+@pytest.mark.parametrize("rows, n_h", [
+    # h = two integer rows, completed by the unit rows e_2, e_3
+    ([[1, 2, 0, -1], [1, 1, 1, 2], [0, 0, 1, 0], [0, 0, 0, 1]], 2),
+    # parametric single-term rows eta·e_2 and eta^-1·e_0 among h's rows
+    ([[1, "eta", 2, 0], [0, 0, "eta", 0], [0, 1, "eta", 1], ["eta^-1", 0, 0, 0]], 2),
+    # a unit row, then h with a half and a parameter, then 1/2·e_1
+    ([[0, 0, 0, 1], ["1/2", "xi", 1, 0], [1, 0, 1, 3], [0, "1/2", 0, 0]], 2),
+])
+def test_inverse_eliminates_only_the_rows_that_are_not_single_terms(monkeypatch, rows, n_h):
+    """Each single-term row gives a row of A⁻¹ by substitution, and Bareiss
+    reduces the n_h rows left on the n_h free columns, with the n columns
+    of their right-hand side."""
+    a = mat(rows)
+    shapes = bareiss_shapes(monkeypatch)
+    got = invert(a)
+    assert shapes == [(n_h, n_h + len(rows))]
+    assert_inverse_matches_sympy(a, got)
+
+
+@pytest.mark.parametrize("rows", [
+    [["2*eta", 0, 0], [0, "-1/3", 0], [0, 0, "eta^-1*xi"]],
+    [[0, 0, "2*eta"], ["eta^-1", 0, 0], [0, "-1/2", 0]],
+    [[1]],
+])
+def test_a_matrix_of_single_terms_is_inverted_by_substitution_alone(monkeypatch, rows):
+    a = mat(rows)
+    shapes = bareiss_shapes(monkeypatch)
+    got = invert(a)
+    assert shapes == [(0, 0)]
+    assert_inverse_matches_sympy(a, got)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, "eta", 0], [1, 1, 1], [0, "2", 0]],  # two single-term rows in column 1
+    [[1, 1, 0], [2, 2, 0], [0, 0, "eta"]],  # a singular block beside eta·e_2
+])
+def test_single_term_rows_keep_a_singular_matrix_singular(rows):
+    with pytest.raises(SingularMatrix, match="rank deficient"):
+        invert(mat(rows))

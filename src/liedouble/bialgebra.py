@@ -9,8 +9,9 @@ the validated algebra of its double (``double_algebra``), which
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
 Both doubles come from :func:`_double_algebra`, which assigns each entry of
 the double from ± one entry of C or f, so no dense tensor of the double is
-filled or scanned, and assigns its integer form from theirs, so none is
-scaled again.
+filled or scanned.  It assigns the sparse view alone: the integer form of
+D(a) is computed from its entries when the Jacobi sum first reads it, and
+that of D(D(a)) is never needed, as ψ compares sparse views.
 
 δ is stored as the algebra g* it is dual to (module doc of
 :mod:`liedouble.liealg`): ``cocomm`` is a
@@ -24,11 +25,10 @@ nothing in the package reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NotACobracket, ShapeError
-from .exactalg import _times, as_poly
+from .exactalg import as_poly
 from .liealg import (
     LieAlgebra,
     _jacobi_notes,
@@ -59,15 +59,6 @@ def cocomm_from_wedge(L: LieAlgebra, entries) -> LieAlgebra:
     return new_lie_algebra(dim, L.labels, brackets)
 
 
-def _rescaled(form: tuple, d: int) -> dict:
-    """The entries of an integer form ``(e, entries)`` (``liealg._int_tensor``)
-    at the scale d, a multiple of e; the same dict when d = e."""
-    e, entries = form
-    if d == e:
-        return entries
-    return {key: _times(terms, d // e) for key, terms in entries.items()}
-
-
 def _double_algebra(
     L: LieAlgebra,
     dual: LieAlgebra,
@@ -82,30 +73,20 @@ def _double_algebra(
     (i, n + k, n + j) = −C_ij^k, the negation the coefficient keeps.  Those
     assignments, in index order, are the sparse view, and the parameters are
     those occurring in C or f, scanned for unless the caller knows them as
-    ``params``.  The integer form is assigned the same way from those of C
-    and f, both at the scale lcm(d_C, d_f), which is the lcm of the double's
-    denominators."""
+    ``params``.  No integer form is assigned: :meth:`LieAlgebra.int_tensor`
+    computes it from the entries on first read."""
     n = L.dim
-    c_form, f_form = L.int_tensor(), dual.int_tensor()
-    d = lcm(c_form[0], f_form[0])
-    c_int, f_int = _rescaled(c_form, d), _rescaled(f_form, d)
-    entries, ints = [], {}
+    entries = []
     for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [X_i, x^k], [X_j, x^k]
         entries += [(i, j, k, coef), (i, n + k, n + j, -coef), (j, n + k, n + i, coef)]
-        t = c_int[i, j, k]
-        ints[i, j, k] = ints[j, n + k, n + i] = t
-        ints[i, n + k, n + j] = {m: -v for m, v in t.items()}
     for i, j, k, coef in dual.nonzero():  # f_k^{ij}: [x^i, x^j], [X_k, x^i], [X_k, x^j]
         entries += [
             (n + i, n + j, n + k, coef), (k, n + i, j, coef), (k, n + j, i, -coef)
         ]
-        t = f_int[i, j, k]
-        ints[n + i, n + j, n + k] = ints[k, n + i, j] = t
-        ints[k, n + j, i] = {m: -v for m, v in t.items()}
     entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
     if params is None:
         params = _used_params([*L.nonzero(), *dual.nonzero()])
-    return LieAlgebra(2 * n, L.labels + dual_labels, params, entries, _int=(d, ints))
+    return LieAlgebra(2 * n, L.labels + dual_labels, params, entries)
 
 
 @dataclass

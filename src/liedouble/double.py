@@ -33,14 +33,15 @@ Each ψ(e_a) has at most one component in each summand, so
 and each stored entry of D(a) lands, up to sign, on a few entries of the
 right-hand sides: its own, for a, b < 2n, and relabelled ones for the pairs
 with a y or a Y.  A minus sign, from ψ or from a pair stored the other way
-round, is taken when the entry is read.  Those entries, keyed as the
-integer form of D(D(a)), are the ψ⁻¹ image of D(a) (:func:`_psi_image`),
-and the check is one ``==`` of the two integer forms, which share most of
-their terms dicts; only on a mismatch are the brackets that differ named.
-The forms are those that D(D(a)) inherits from C and f: each entry of D(a),
-of δ_D and of D(D(a)) is ± one entry of C or f, so their integer forms are
-assigned from the scaled C and f, at one scale, and nothing is scaled
-again.  D(a) caches its image at its own scale.
+round, is the negation the coefficient keeps.  Those entries, in index
+order, are the ψ⁻¹ image of D(a) (:func:`_psi_image`), which D(a) caches,
+and the check is one ``==`` of the sparse view of D(D(a)) with it: equal
+canonical coefficients are equal rationals, and each entry of D(a), of δ_D
+and of D(D(a)) is ± one entry of C or f, so the two views share their
+coefficient objects and compare them mostly by identity.  Only on a
+mismatch are the brackets that differ named.  No integer form of a double
+is built for the check, and as it has no scale, the cached image serves
+every D(D) it is compared with.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
-from .bialgebra import LieBialgebra, _double_algebra, _rescaled
+from .bialgebra import LieBialgebra, _double_algebra
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import Vector
@@ -107,26 +107,19 @@ def canonical_cocommutator(D: DoubleAlgebra) -> LieAlgebra:
     δ_D(x^i) = C_jk^i x^j⊗x^k, as the algebra D(g)* it is dual to,
     labelled by D(g)'s basis: [x^j, x^k] = −f_i^{jk} x^i on the X-duals and
     [x^j, x^k] = C_jk^i x^i on the x-duals, so D(g)* = (g*)ᵒᵖ ⊕ g.  Its
-    sparse view and integer form are assigned, the latter at the scale of
-    D(a), as each stored entry is one stored entry of D(a): −f_i^{jk} =
-    f_i^{kj} (j < k) is the X_j entry of [X_i, x^k], and C_jk^i the X_i
-    entry of [X_j, X_k]."""
+    sparse view is assigned, as each stored entry is one stored entry of
+    D(a): −f_i^{jk} = f_i^{kj} (j < k) is the X_j entry of [X_i, x^k], and
+    C_jk^i the X_i entry of [X_j, X_k]."""
     n = D.n
-    d, ints = D.algebra.int_tensor()
-    entries, f_int = [], {}
+    entries = []
     for a, b, c, coef in D.algebra.nonzero():
         if b < n:  # C_ab^c
-            key = (n + a, n + b, n + c)
+            entries.append((n + a, n + b, n + c, coef))
         elif a < n and c < b - n:  # f_a^{(b-n)c} = −f_a^{c(b-n)}
-            key = (c, b - n, a)
-        else:
-            continue
-        entries.append((*key, coef))
-        f_int[key] = ints[a, b, c]
+            entries.append((c, b - n, a, coef))
     entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
     # each entry of C and f is one of δ_D, so D(g)* has the parameters of D(a)
-    params = D.algebra.params
-    return LieAlgebra(2 * n, D.algebra.labels, params, entries, _int=(d, f_int))
+    return LieAlgebra(2 * n, D.algebra.labels, D.algebra.params, entries)
 
 
 def second_dual_labels(n: int) -> tuple[str, ...]:
@@ -161,32 +154,26 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
 def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     """The pairs (a, b), in the order given, at which the bracket [e_a, e_b]
     of ``outer`` = D(D(a)) differs from ψ⁻¹[ψ(e_a), ψ(e_b)], read from the
-    brackets of ``inner`` = D(a): the integer form of ``outer`` is compared
-    whole with the ψ⁻¹ image of that of ``inner`` (:func:`_psi_image`), both
-    at the lcm of the two scales, and ``pairs`` is read only if they differ,
-    each (a, b) as the stored pair (min, max).  ``inner`` caches its image at
-    its own scale; an image at another scale is built from the rescaled form
-    and not cached.  The check stays exact and generic in the parameters."""
-    form, inner_form = outer.int_tensor(), inner.int_tensor()
-    d = lcm(form[0], inner_form[0])
-    if d != inner_form[0]:
-        want = _psi_image(_rescaled(inner_form, d), inner.dim // 2)
-    else:
-        if inner._psi is None:
-            inner._psi = _psi_image(inner_form[1], inner.dim // 2)
-        want = inner._psi
-    got = _rescaled(form, d)
-    if got == want:
+    brackets of ``inner`` = D(a): the sparse view of ``outer`` is compared
+    whole with the ψ⁻¹ image of that of ``inner`` (:func:`_psi_image`),
+    which ``inner`` caches, and ``pairs`` is read only if they differ, each
+    (a, b) as the stored pair (min, max).  The check stays exact and generic
+    in the parameters."""
+    if inner._psi is None:
+        inner._psi = _psi_image(inner.nonzero(), inner.dim // 2)
+    if outer.nonzero() == inner._psi:
         return []
+    got = {(a, b, k): v for a, b, k, v in outer.nonzero()}
+    want = {(a, b, k): v for a, b, k, v in inner._psi}
     differ = {key[:2] for key in got.keys() | want.keys() if got.get(key) != want.get(key)}
     return [(a, b) for a, b in pairs if (min(a, b), max(a, b)) in differ]
 
 
-def _psi_image(ints: dict, n: int) -> dict:
-    """The stored entries ``{(a, b, k): terms}``, a < b, of
-    ψ⁻¹[ψ(e_a), ψ(e_b)] over the pairs of D(D(a)), from the stored entries
-    ``ints`` of the integer form of D(a), of dim 2n; y^j is x^j + n and Y_j
-    is X_j + 3n.  Each entry (i, j, k) = t of D(a), i < j, is copied to:
+def _psi_image(entries: list, n: int) -> list:
+    """The stored entries (a, b, k, coef), a < b, in index order, of
+    ψ⁻¹[ψ(e_a), ψ(e_b)] over the pairs of D(D(a)), from the sparse view
+    ``entries`` of D(a), of dim 2n; y^j is x^j + n and Y_j is X_j + 3n.
+    Each entry (i, j, k, t) of D(a), i < j, is copied to:
 
     - (i, j, k) itself: ψ(e_i) = (e_i, e_i), so p = q = [e_i, e_j];
     - for the pairs with a Y, where p = [e_i, e_j] and q = 0, the Y entry
@@ -197,12 +184,13 @@ def _psi_image(ints: dict, n: int) -> dict:
 
     A pair the relabelling puts out of order is stored negated: [Y_i, e_j]
     as [e_j, Y_i], [y^i, e_j] as [e_j, y^i] and [y^j, y^i] as [y^i, y^j].
-    No entry is summed: each entry of the image has one source."""
+    Each −t is the negation t keeps.  No entry is summed: each entry of the
+    image has one source."""
     image = {}
     shift = 3 * n
-    for (i, j, k), t in ints.items():
+    for i, j, k, t in entries:
         image[i, j, k] = t
-        m = {mono: -v for mono, v in t.items()}
+        m = -t
         big, small = [], []  # (a, b, ±t, ∓t) with a Y_i = (X_i, 0), a y^i = (0, −x^i)
         if i < n:
             big.append((j, i + shift, m, t))
@@ -223,7 +211,7 @@ def _psi_image(ints: dict, n: int) -> dict:
                 image[a, b, k] = minus
             else:
                 image[a, b, k + n] = v
-    return image
+    return [(*key, image[key]) for key in sorted(image)]
 
 
 def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:
@@ -235,7 +223,7 @@ def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:
     """
     n = B.dim
     blocks = ((3 * n, 0), (2 * n, n), (2 * n, 0), (3 * n, n))  # Y X, y x, y X, Y x
-    pairs = [(a + i, b + j) for i in range(n) for j in range(n) for a, b in blocks]
+    pairs = ((a + i, b + j) for i in range(n) for j in range(n) for a, b in blocks)
     labels = D2.algebra.labels
     return [
         f"[{labels[a]}, {labels[b]}] differs from the closed form"

@@ -44,7 +44,7 @@ An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
 keeps what it derives from it: its integer form
 (:meth:`LieAlgebra.int_tensor`) and the nonzero Jacobi components, each
-computed on first use, and the ψ⁻¹ image of that form once
+computed on first use, and the ψ⁻¹ image of its sparse view once
 :mod:`liedouble.double` has read the algebra as a double D(a).  So an
 algebra must not be mutated after construction; build a new one instead.
 Instances are then safe to share between threads.
@@ -137,9 +137,9 @@ class LieAlgebra:
     entries: list
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
-    # the ψ⁻¹ image of the integer form, at its scale, that
+    # the ψ⁻¹ image of the sparse view, entries in index order, that
     # liedouble.double caches on a double D(a) it checks ψ against
-    _psi: dict | None = field(default=None, repr=False, compare=False)
+    _psi: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_keys(self.entries, self.dim)
@@ -169,11 +169,12 @@ class LieAlgebra:
 
     def int_tensor(self) -> tuple:
         """Cached integer form ``(d, {(i, j, k): {mono: int}})``, i < j, of
-        the structure tensor (:func:`_int_tensor`), which the basis transforms,
-        the Jacobi sum and the ψ check read; a double is given its form by
-        ``bialgebra._double_algebra``, keyed in no particular order.  ψ
-        compares the form of D(D(a)) whole with the ψ⁻¹ image of that of
-        D(a), keyed the same way."""
+        the structure tensor (:func:`_int_tensor`), computed from the
+        entries on first read, which the basis transforms and the Jacobi sum
+        read.  A double is assigned none: the Jacobi sum of
+        :func:`~liedouble.bialgebra.new_bialgebra` computes that of D(a),
+        and ψ compares sparse views, so D(D(a)) computes its form only if
+        it is read."""
         if self._int is None:
             self._int = _int_tensor(self.entries)
         return self._int

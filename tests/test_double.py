@@ -892,14 +892,16 @@ def counting_psi_images(monkeypatch) -> list:
 
     calls = []
     real = double._psi_image
-    monkeypatch.setattr(double, "_psi_image", lambda ints, n: calls.append(n) or real(ints, n))
+    monkeypatch.setattr(
+        double, "_psi_image", lambda entries, n: calls.append(n) or real(entries, n)
+    )
     return calls
 
 
 @pytest.mark.parametrize("key", CASES)
 def test_psi_image_is_cached_on_the_inner_double(key, monkeypatch):
-    # the first check builds D(a)'s image from its integer form, at its own
-    # scale, and every later check against the same D(a) reads it back
+    # the first check builds D(a)'s image from its sparse view, and every
+    # later check against the same D(a) reads it back
     from liedouble.bialgebra import from_json, to_json
 
     calls = counting_psi_images(monkeypatch)
@@ -912,34 +914,57 @@ def test_psi_image_is_cached_on_the_inner_double(key, monkeypatch):
     double_of_double(B)
     assert crossed_bracket_mismatches(D2, B) == []
     assert calls == [B.dim] and inner._psi is image
-    # every entry is one of D(a)'s own terms dicts, or its negation where the
-    # image reads a pair in the other order, so none was rescaled
-    own = list(inner.int_tensor()[1].values())
-    terms = {id(t) for t in own}
-    negated = [{mono: -c for mono, c in t.items()} for t in own]
-    assert all(id(t) in terms or t in negated for t in image.values())
+    # the image is a sparse view in index order, and every coefficient is
+    # one of D(a)'s own objects, or the negation that object keeps where the
+    # image reads a pair in the other order, so none was built anew
+    keys = [entry[:3] for entry in image]
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    own = {id(coef) for *_, coef in inner.nonzero()}
+    kept = {id(-coef) for *_, coef in inner.nonzero()}
+    assert all(id(coef) in own or id(coef) in kept for *_, coef in image)
 
 
-def test_psi_image_at_another_scale_is_not_cached(monkeypatch):
-    # so22-r1 after eta -> 13/17*eta - 19/23 has another integer scale than
-    # so22-r1: a check of one's D(D) against the other's D(a) builds the
-    # rescaled image each time and neither reads nor fills the cache
+def test_psi_check_against_another_double_reads_its_one_cached_image(monkeypatch):
+    # so22-r1 after eta -> 13/17*eta - 19/23 against so22-r1: a check of one's
+    # D(D) against the other's D(a) builds that D(a)'s image once, keeps it,
+    # and reads it back on every later check; the image has no scale, so the
+    # outer algebra it is compared with does not matter
     from itertools import combinations
 
     B, C = case("so22-r1@13/17*eta - 19/23"), case("so22-r1")
     outer, inner = double_of_double(B).algebra, C.double_algebra
-    assert outer.int_tensor()[0] != inner.int_tensor()[0]
     monkeypatch.setattr(inner, "_psi", None)  # the catalog's objects are shared
     calls = counting_psi_images(monkeypatch)
     pairs = list(combinations(range(outer.dim), 2))
     bad = _psi_mismatches(outer, inner, pairs)
     assert len(bad) == 88  # the 176 ordered pairs of the oracle test
+    image = inner._psi
+    assert calls == [C.dim] and image is not None
     assert _psi_mismatches(outer, inner, pairs) == bad
-    assert calls == [C.dim, C.dim] and inner._psi is None
-    # a wrong image in the cache is not read at another scale either
-    monkeypatch.setattr(inner, "_psi", {})
-    assert _psi_mismatches(outer, inner, pairs) == bad
-    assert calls == [C.dim] * 3 and inner._psi == {}
+    assert _psi_mismatches(double_of_double(C).algebra, inner, pairs) == []
+    assert calls == [C.dim] and inner._psi is image
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_psi_builds_no_integer_form_of_a_double(key):
+    # ψ compares sparse views: after double_of_double on fresh objects, no
+    # integer form is held by δ_D or D(D(a)), nor by a D(a) that no Jacobi
+    # sum has read; each is computed from the entries on its first read
+    from liedouble.bialgebra import LieBialgebra, _double_algebra, from_json, to_json
+    from liedouble.liealg import _int_tensor
+
+    B = from_json(to_json(case(key)))  # fresh objects, no form read yet
+    # new_bialgebra's Jacobi sum of D(a) computed that form from its entries
+    assert B.double_algebra._int == _int_tensor(B.double_algebra.nonzero())
+    unread = _double_algebra(B.algebra, B.cocomm, B.dual_labels)
+    B = LieBialgebra(B.algebra, B.cocomm, B.dual_labels, unread)
+    D2 = double_of_double(B)
+    delta = D2.source.cocomm
+    for L in (B.double_algebra, delta, D2.algebra):
+        assert L._int is None
+    for L in (B.double_algebra, delta, D2.algebra):
+        assert L.int_tensor() == _int_tensor(L.nonzero())
+        assert L.int_tensor() is L._int
 
 
 def psi_oracle(outer, inner, pairs):

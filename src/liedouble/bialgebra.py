@@ -7,11 +7,11 @@ cocycle condition and co-Jacobi.  Construction goes through
 the validated algebra of its double (``double_algebra``), which
 :func:`liedouble.double.build_double` uses rather than rebuilding it.  Only
 D(D(a)), built by :func:`liedouble.double.double_of_double`, is proved by ψ.
-Both doubles come from :func:`_double_algebra`, which assigns each entry of
-the double from ± one entry of C or f, so no dense tensor of the double is
-filled or scanned.  It assigns the sparse view alone: the integer form of
-D(a) is computed from its entries when the Jacobi sum first reads it, and
-that of D(D(a)) is never needed, as ψ compares sparse views.
+Both doubles come from :func:`_double_brackets`, which assigns each entry of
+the double from ± one entry of C or f, so no dense tensor is filled or
+scanned; :func:`_double_algebra` sorts it for D(a), and ψ compares it
+unsorted for D(D(a)).  D(a)'s integer form is computed from its entries when
+the Jacobi sum first reads it; that of D(D(a)) is never needed.
 
 δ is stored as the algebra g* it is dual to (module doc of
 :mod:`liedouble.liealg`): ``cocomm`` is a
@@ -59,34 +59,38 @@ def cocomm_from_wedge(L: LieAlgebra, entries) -> LieAlgebra:
     return new_lie_algebra(dim, L.labels, brackets)
 
 
+def _double_brackets(L: LieAlgebra, dual: LieAlgebra) -> dict:
+    """The stored entries of D(g) on the basis {X_i, x^i} as
+    ``{(a, b, k): coef}``, a < b, from those of C and of g* = ``dual``,
+    C*_ij^k = f_k^{ij}.  Each stored entry of the brackets listed in
+    :mod:`liedouble.double` is ± exactly one entry of C or f and is assigned
+    once, so none cancels: each C_ij^k or f_k^{ij} gives three, one negated
+    to put its key in order, e.g. (i, n + k, n + j) = −C_ij^k, the negation
+    the coefficient keeps."""
+    n, out = L.dim, {}
+    for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [X_i, x^k], [X_j, x^k]
+        out[i, j, k], out[i, n + k, n + j], out[j, n + k, n + i] = coef, -coef, coef
+    for i, j, k, coef in dual.nonzero():  # f_k^{ij}: [x^i, x^j], [X_k, x^i], [X_k, x^j]
+        out[n + i, n + j, n + k], out[k, n + i, j], out[k, n + j, i] = coef, coef, -coef
+    return out
+
+
 def _double_algebra(
     L: LieAlgebra,
     dual: LieAlgebra,
     dual_labels: tuple[str, ...],
     params: tuple[str, ...] | None = None,
 ) -> LieAlgebra:
-    """The algebra of D(g) on the basis {X_i, x^i}, built from the stored
-    entries of C and of g* = ``dual``, C*_ij^k = f_k^{ij}.  Each stored
-    entry of the brackets listed in :mod:`liedouble.double` is ± exactly one
-    entry of C or f and is assigned once, so none cancels: each C_ij^k or
-    f_k^{ij} gives three, one negated to put its key in order, e.g.
-    (i, n + k, n + j) = −C_ij^k, the negation the coefficient keeps.  Those
-    assignments, in index order, are the sparse view, and the parameters are
-    those occurring in C or f, scanned for unless the caller knows them as
-    ``params``.  No integer form is assigned: :meth:`LieAlgebra.int_tensor`
-    computes it from the entries on first read."""
-    n = L.dim
-    entries = []
-    for i, j, k, coef in L.nonzero():  # C_ij^k: [X_i, X_j], [X_i, x^k], [X_j, x^k]
-        entries += [(i, j, k, coef), (i, n + k, n + j, -coef), (j, n + k, n + i, coef)]
-    for i, j, k, coef in dual.nonzero():  # f_k^{ij}: [x^i, x^j], [X_k, x^i], [X_k, x^j]
-        entries += [
-            (n + i, n + j, n + k, coef), (k, n + i, j, coef), (k, n + j, i, -coef)
-        ]
-    entries.sort()  # the (i, j, k) are distinct, so no coefficient is compared
+    """The algebra of D(g) on the basis {X_i, x^i}: the entries of
+    :func:`_double_brackets` in index order, and the parameters occurring in
+    C or f, scanned for unless the caller knows them as ``params``.  No
+    integer form is assigned: :meth:`LieAlgebra.int_tensor` computes it from
+    the entries on first read."""
+    brackets = _double_brackets(L, dual)
+    entries = [(*key, brackets[key]) for key in sorted(brackets)]
     if params is None:
         params = _used_params([*L.nonzero(), *dual.nonzero()])
-    return LieAlgebra(2 * n, L.labels + dual_labels, params, entries)
+    return LieAlgebra(2 * L.dim, L.labels + dual_labels, params, entries)
 
 
 @dataclass

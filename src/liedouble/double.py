@@ -17,9 +17,9 @@ The canonical cocommutator of the double is
 δ_D(X_i) = −f_i^{jk} X_j⊗X_k,  δ_D(x^i) = C_jk^i x^j⊗x^k, held, as every
 δ is, as the algebra it is dual to: D(g)* = (g*)ᵒᵖ ⊕ g.  Feeding it back
 into the construction yields D(D(a)) on the ordered basis {X, x, y, Y},
-whose algebra ``bialgebra._double_algebra`` assigns from the entries of
-D(a) and D(g)* as it does D(a) from C and g*.  D(g)* is built from entries
-too; no dense tensor of D(a), δ_D or D(D(a)) is built.
+whose brackets ``bialgebra._double_brackets`` assigns from the entries of
+D(a) and D(g)* as it does those of D(a) from C and g*.  D(g)* is built from
+entries too; no dense tensor of D(a), δ_D or D(D(a)) is built.
 
 D(a) is factorizable, so D(D(a)) ≅ D(a) ⊕ D(a) (Reshetikhin and
 Semenov-Tian-Shansky, 1988) by the isometry ψ onto <,> ⊕ −<,> with
@@ -33,15 +33,15 @@ Each ψ(e_a) has at most one component in each summand, so
 and each stored entry of D(a) lands, up to sign, on a few entries of the
 right-hand sides: its own, for a, b < 2n, and relabelled ones for the pairs
 with a y or a Y.  A minus sign, from ψ or from a pair stored the other way
-round, is the negation the coefficient keeps.  Those entries, in index
-order, are the ψ⁻¹ image of D(a) (:func:`_psi_image`), which D(a) caches,
-and the check is one ``==`` of the sparse view of D(D(a)) with it: equal
-canonical coefficients are equal rationals, and each entry of D(a), of δ_D
-and of D(D(a)) is ± one entry of C or f, so the two views share their
-coefficient objects and compare them mostly by identity.  Only on a
-mismatch are the brackets that differ named.  No integer form of a double
-is built for the check, and as it has no scale, the cached image serves
-every D(D) it is compared with.
+round, is the negation the coefficient keeps.  Those entries are the ψ⁻¹
+image of D(a) (:func:`_psi_image`), which D(a) caches keyed and in index
+order, and the check is one ``==`` of the keyed brackets of D(D(a)) with
+it: equal canonical coefficients are equal rationals, and each entry of
+D(a), δ_D and D(D(a)) is ± one entry of C or f, so the two maps share their
+coefficient objects and compare them mostly by identity.  D(D(a)) then
+takes a copy of the ordered image, so no build sorts; only on a mismatch
+are the brackets sorted and those that differ named.  No integer form of a
+double is built, and as the image has no scale, it serves every D(D).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .bialgebra import LieBialgebra, _double_algebra
+from .bialgebra import LieBialgebra, _double_brackets
 from .errors import DimensionMismatch, NotACobracket
 from .exactalg import PolyExpr, _add_product, as_poly, from_int_terms, to_int_terms
 from .exactlinalg import Vector
@@ -132,47 +132,58 @@ def double_of_double(B: LieBialgebra) -> DoubleAlgebra:
 
     The second application uses the canonical cocommutator of D(a); the
     pairing of the result satisfies <Y_i, x^j> = <y^j, X_i> = δ_i^j.  Its
-    Jacobi identity is proved by ψ; brackets that ψ does not preserve raise
-    :class:`NotACobracket`, which names them.
+    Jacobi identity is proved by ψ, one ``==`` of its keyed brackets with
+    D(a)'s keyed ψ⁻¹ image, and its entries are a copy of the ordered image;
+    brackets that ψ does not preserve raise :class:`NotACobracket`, which
+    names them.
     """
-    inner = build_double(B)
-    delta = canonical_cocommutator(inner)
-    duals = second_dual_labels(B.dim)
+    D = build_double(B)
+    inner, delta, duals = D.algebra, canonical_cocommutator(D), second_dual_labels(B.dim)
+    brackets = _double_brackets(inner, delta)
+    image, entries = _cached_psi(inner)
+    same = brackets == image
+    # the copy keeps the cache from the caller; a mismatch is sorted to be named
+    entries = list(entries) if same else [(*key, brackets[key]) for key in sorted(brackets)]
     # every entry of δ_D is one of D(a), so D(D(a)) has the parameters of D(a)
-    outer = _double_algebra(inner.algebra, delta, duals, inner.algebra.params)
+    outer = LieAlgebra(2 * inner.dim, inner.labels + duals, inner.params, entries)
     outer._jacobi = {}
-    bad = _psi_mismatches(outer, inner.algebra, combinations(range(outer.dim), 2))
-    if bad:
+    if not same:
+        bad = _psi_mismatches(outer, inner, combinations(range(outer.dim), 2))
         sample = ", ".join(f"[{outer.labels[a]}, {outer.labels[b]}]" for a, b in bad[:4])
         raise NotACobracket(
             f"ψ is not a Lie isomorphism D(D) → D ⊕ D at {len(bad)} brackets "
             f"(first: {sample})"
         )
-    return build_double(LieBialgebra(inner.algebra, delta, duals, outer))
+    return build_double(LieBialgebra(inner, delta, duals, outer))
 
 
 def _psi_mismatches(outer: LieAlgebra, inner: LieAlgebra, pairs) -> list:
     """The pairs (a, b), in the order given, at which the bracket [e_a, e_b]
     of ``outer`` = D(D(a)) differs from ψ⁻¹[ψ(e_a), ψ(e_b)], read from the
     brackets of ``inner`` = D(a): the sparse view of ``outer`` is compared
-    whole with the ψ⁻¹ image of that of ``inner`` (:func:`_psi_image`),
-    which ``inner`` caches, and ``pairs`` is read only if they differ, each
-    (a, b) as the stored pair (min, max).  The check stays exact and generic
-    in the parameters."""
-    if inner._psi is None:
-        inner._psi = _psi_image(inner.nonzero(), inner.dim // 2)
-    if outer.nonzero() == inner._psi:
+    whole with the index-ordered ψ⁻¹ image of ``inner`` (:func:`_cached_psi`),
+    and only if they differ is ``outer`` keyed to be compared with the keyed
+    image and ``pairs`` read, each (a, b) as the stored pair (min, max).  The
+    check stays exact and generic in the parameters."""
+    want, entries = _cached_psi(inner)
+    if outer.nonzero() == entries:
         return []
     got = {(a, b, k): v for a, b, k, v in outer.nonzero()}
-    want = {(a, b, k): v for a, b, k, v in inner._psi}
     differ = {key[:2] for key in got.keys() | want.keys() if got.get(key) != want.get(key)}
     return [(a, b) for a, b in pairs if (min(a, b), max(a, b)) in differ]
 
 
-def _psi_image(entries: list, n: int) -> list:
-    """The stored entries (a, b, k, coef), a < b, in index order, of
-    ψ⁻¹[ψ(e_a), ψ(e_b)] over the pairs of D(D(a)), from the sparse view
-    ``entries`` of D(a), of dim 2n; y^j is x^j + n and Y_j is X_j + 3n.
+def _cached_psi(inner: LieAlgebra) -> tuple:
+    """The ψ⁻¹ image of D(a) = ``inner`` (:func:`_psi_image`), cached on it."""
+    if inner._psi is None:
+        inner._psi = _psi_image(inner.nonzero(), inner.dim // 2)
+    return inner._psi
+
+
+def _psi_image(entries: list, n: int) -> tuple:
+    """The stored entries (a, b, k, coef), a < b, of ψ⁻¹[ψ(e_a), ψ(e_b)] over
+    the pairs of D(D(a)), keyed and as a list in index order, from the sparse
+    view ``entries`` of D(a), of dim 2n; y^j is x^j + n and Y_j is X_j + 3n.
     Each entry (i, j, k, t) of D(a), i < j, is copied to:
 
     - (i, j, k) itself: ψ(e_i) = (e_i, e_i), so p = q = [e_i, e_j];
@@ -211,7 +222,7 @@ def _psi_image(entries: list, n: int) -> list:
                 image[a, b, k] = minus
             else:
                 image[a, b, k + n] = v
-    return [(*key, image[key]) for key in sorted(image)]
+    return image, [(*key, image[key]) for key in sorted(image)]
 
 
 def crossed_bracket_mismatches(D2: DoubleAlgebra, B: LieBialgebra) -> list:

@@ -137,9 +137,9 @@ class LieAlgebra:
     entries: list
     _jacobi: dict | None = field(default=None, repr=False, compare=False)
     _int: tuple | None = field(default=None, repr=False, compare=False)
-    # the ψ⁻¹ image of the sparse view, entries in index order, that
-    # liedouble.double caches on a double D(a) it checks ψ against
-    _psi: list | None = field(default=None, repr=False, compare=False)
+    # the ψ⁻¹ image of the sparse view, keyed and as entries in index order,
+    # that liedouble.double caches on a double D(a) it checks ψ against
+    _psi: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_keys(self.entries, self.dim)

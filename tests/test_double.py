@@ -15,6 +15,7 @@ from liedouble.double import (
     crossed_bracket_mismatches,
     double_of_double,
     pairing,
+    second_dual_labels,
 )
 from liedouble.errors import DimensionMismatch
 from liedouble.exactalg import PolyExpr
@@ -886,6 +887,23 @@ def test_a_warm_iterated_double_builds_no_fraction(key):
     assert -(-p) is p and -p is -p and -p == P("1/3 - 2*eta")
 
 
+def test_fresh_ops_times_first_ops_on_fresh_inputs(capsys):
+    # tools/fresh_ops.py, run in-process on 4 fresh substituted so22
+    # bialgebras, prints one JSON line with the median first op, N and seed
+    import importlib.util
+    import json
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "fresh_ops.py"
+    spec = importlib.util.spec_from_file_location("fresh_ops", path)
+    fresh_ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh_ops)
+    assert fresh_ops.main(["4", "7"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    report = json.loads(line)
+    assert set(report) == {"median_us", "n", "seed"}
+    assert (report["n"], report["seed"]) == (4, 7) and report["median_us"] > 0
+
+
 def counting_psi_images(monkeypatch) -> list:
     """Record the dimension n of each call of ``double._psi_image``."""
     from liedouble import double
@@ -909,19 +927,45 @@ def test_psi_image_is_cached_on_the_inner_double(key, monkeypatch):
     inner = B.double_algebra
     assert inner._psi is None
     D2 = double_of_double(B)
-    image = inner._psi
-    assert calls == [B.dim] and image is not None
+    cached = inner._psi
+    assert calls == [B.dim] and cached is not None
     double_of_double(B)
     assert crossed_bracket_mismatches(D2, B) == []
-    assert calls == [B.dim] and inner._psi is image
-    # the image is a sparse view in index order, and every coefficient is
-    # one of D(a)'s own objects, or the negation that object keeps where the
-    # image reads a pair in the other order, so none was built anew
+    assert calls == [B.dim] and inner._psi is cached
+    # the image is cached keyed and as a sparse view in index order, the two
+    # holding the same entries, and every coefficient is one of D(a)'s own
+    # objects, or the negation that object keeps where the image reads a
+    # pair in the other order, so none was built anew
+    keyed, image = cached
+    assert keyed == {(a, b, k): v for a, b, k, v in image} and len(keyed) == len(image)
     keys = [entry[:3] for entry in image]
     assert all(p < q for p, q in zip(keys, keys[1:]))
     own = {id(coef) for *_, coef in inner.nonzero()}
     kept = {id(-coef) for *_, coef in inner.nonzero()}
     assert all(id(coef) in own or id(coef) in kept for *_, coef in image)
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_double_of_double_is_the_sorted_double_of_the_inner_double(key):
+    # on success D(D(a)) takes its entries from the cached ψ⁻¹ image instead
+    # of sorting the brackets it built: they are the entries, in index order,
+    # and the coefficient objects of the double of (D(a), δ_D); the entries
+    # are a copy, so a caller that changes them changes neither the cache
+    # nor a later D(D(a))
+    from liedouble.bialgebra import _double_algebra
+
+    B = case(key)
+    D = build_double(B)
+    got = double_of_double(B).algebra
+    want = _double_algebra(D.algebra, canonical_cocommutator(D), second_dual_labels(B.dim))
+    assert got == want
+    keys = [entry[:3] for entry in got.nonzero()]
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    assert all(x[3] is y[3] for x, y in zip(got.nonzero(), want.nonzero()))
+    cached = list(D.algebra._psi[1])
+    got.entries.append((0, 1, 0, P("1")))
+    assert D.algebra._psi[1] == cached
+    assert double_of_double(B).algebra == want
 
 
 def test_psi_check_against_another_double_reads_its_one_cached_image(monkeypatch):

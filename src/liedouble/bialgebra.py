@@ -75,21 +75,14 @@ def _double_brackets(L: LieAlgebra, dual: LieAlgebra) -> dict:
     return out
 
 
-def _double_algebra(
-    L: LieAlgebra,
-    dual: LieAlgebra,
-    dual_labels: tuple[str, ...],
-    params: tuple[str, ...] | None = None,
-) -> LieAlgebra:
+def _double_algebra(L: LieAlgebra, dual: LieAlgebra, dual_labels: tuple[str, ...]) -> LieAlgebra:
     """The algebra of D(g) on the basis {X_i, x^i}: the entries of
     :func:`_double_brackets` in index order, and the parameters occurring in
-    C or f, scanned for unless the caller knows them as ``params``.  No
-    integer form is assigned: :meth:`LieAlgebra.int_tensor` computes it from
-    the entries on first read."""
+    C or f.  No integer form is assigned: :meth:`LieAlgebra.int_tensor`
+    computes it from the entries on first read."""
     brackets = _double_brackets(L, dual)
     entries = [(*key, brackets[key]) for key in sorted(brackets)]
-    if params is None:
-        params = _used_params([*L.nonzero(), *dual.nonzero()])
+    params = _used_params([*L.nonzero(), *dual.nonzero()])
     return LieAlgebra(2 * L.dim, L.labels + dual_labels, params, entries)
 
 

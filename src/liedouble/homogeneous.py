@@ -53,28 +53,36 @@ one scale once, the lcm s of its denominators (:func:`_adapted`), and
 single-term row of T (or of h) gives a row of A⁻¹ by substitution, and the
 integer Bareiss kernel reduces only the block of the other rows, h's rows
 on the columns T leaves free when T is made of unit rows.  Its columns, as
-M, and the inverse, as W, are each regrouped once into monomial layers
-(``liealg._int_rows``), which both transforms read.  C' and f' reach the
-pass in the integer form of the basis transform ``liealg._structure_int``,
-C' from C with (M, W) and f' from g* with (Wᵀ, Mᵀ), scaled by d_C and
-d_f, with one entry per antisymmetric pair: C'_ab^k for a < b and
-f'_i^{bc}, keyed (b, c, i), for b < c; the other half is read as the
-negation.  π is brought to one scale d_π the same way.  M, R and the
-H-part of [H_i, X^α] are then sums over ints at the scale
-s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and Q at s2 = s1·d_π: each
-is exactly s1 or s2 times its rational value, summed by
+M, and the inverse, as W, are regrouped into monomial layers
+(``liealg._int_rows``), which both transforms read.  C' and f' are summed
+as the basis transform ``liealg._structure_int`` sums them, C' from C with
+(M, W) and f' from g* with (Wᵀ, Mᵀ), scaled by d_C and d_f, with one entry
+per antisymmetric pair: C'_ab^k for a < b and f'_i^{bc}, keyed (b, c, i),
+for b < c; the other half is read as the negation.  π is brought to one
+scale d_π the same way.  M, R and the H-part of [H_i, X^α] are then sums
+over ints at the scale s1 = d_f·d_π·d_C, and the H-part of [X^α, X^β] and
+Q at s2 = s1·d_π: each is exactly s1 or s2 times its rational value, summed by
 :func:`~liedouble.exactalg._add_product` into a zero-free terms dict, so a
 component vanishes iff its dict is empty, and the test stays generic in
 the parameters.
 
 :func:`classify` decides its four verdicts from these integer forms and
 that pair alone and stores them on the :class:`ClosureReport`.  The pass
-sums only what the verdicts and the failing components read: C', f', M, R
-and the T-coordinates of [X^α, X^β] that give Q.  The bracket rows that
-only the table reads, the H-coordinates of [H_i, X^α] and [X^α, X^β], wait for the
-first read of the table, which sums them from what the pass keeps (C', f',
-π's rows, R and the h-target rows of the [X^α, X^β] sums) and reads the
-X-coordinates from R and C'.  The polynomials the report gives, the
+runs in three stages, each at most once, in one order whatever is read
+first.  Stage 1, in every call, inverts A, contracts C's pair with M's
+minors and then only W's T columns: C' with T targets, enough to see
+whether h closes.  When some [H_i, H_j] has a T-component, l is no
+subalgebra, so not coisotropic, h is no Poisson subgroup, and the pairing
+gives ``lagrangian``: :func:`classify` returns.  Stage 2 runs in
+:func:`classify` when h closes, else on the first read of a value that
+needs it: f' over the pairs (b, c) with c ≥ n_h (the h∧h block is read by
+nothing), M, R, the T-coordinates of [X^α, X^β] that give Q, and the
+failing components; the h∧T components of f' follow on first need.  Stage
+3, on the first read of the table, adds C''s h-target columns, from the
+pair-contracted C that stage 1 keeps, and sums the bracket rows that only
+the table reads, the H-coordinates of [H_i, X^α] and [X^α, X^β], from C',
+f', π's rows, R and the h-target rows of the [X^α, X^β] sums; the
+X-coordinates come from R and C'.  The polynomials the report gives, the
 nonzero M^{αβ}_k keyed (α, β, k) by adapted index, the bracket table, Q,
 and the failing and mixed components that ``violations`` prints, are
 divided back from the integer forms
@@ -106,7 +114,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bialgebra import LieBialgebra
 from .double import DoubleAlgebra, pairing
@@ -133,8 +141,10 @@ from .liealg import (
     LieAlgebra,
     _algebra_of,
     _component,
+    _contract,
+    _contract_pair,
     _int_rows,
-    _structure_int,
+    _regroup,
     bracket,
 )
 
@@ -274,26 +284,24 @@ def _divided(component: tuple) -> tuple:
 @dataclass
 class ClosureReport:
     """The verdicts of :func:`classify`, decided by the adapted pass; only
-    they are compared.  The polynomials the report gives are divided back
-    from the pass's integer forms on first read and cached on the report
+    they are compared.  The polynomials the report gives read the pass's
+    later stages, which sum on the first read that needs them, and are
+    divided back from its integer forms then and cached on the report
     (module doc)."""
 
     lagrangian: bool
     subalgebra: bool
     coisotropic: bool
     poisson_subgroup: bool
-    # the integer forms the values below are read from: the adapted pass,
-    # the first nonzero h∧T component of each δ(H_i) as (name, lower, upper,
-    # terms, scale), and (B, spec)
+    # the adapted pass the values below are read from, and (B, spec)
     _pass: _AdaptedPass = field(repr=False, compare=False)
-    _mixed: list = field(repr=False, compare=False)
     _source: tuple = field(repr=False, compare=False)
 
     @cached_property
     def m(self) -> dict:
         """The nonzero M^{αβ}_k, keyed (α, β, k) by adapted index k, in key
         order: M^{αβ}_i for k = i < n_h, M^{αβ}_γ for k = n_h + γ."""
-        s1, m_int = self._pass.m_int
+        s1, m_int = self._pass.closure.m_int
         return {key: from_int_terms(t, s1) for key, t in sorted(m_int.items()) if t}
 
     @cached_property
@@ -309,20 +317,20 @@ class ClosureReport:
     def xx_residual(self) -> dict:
         """The nonzero Q^{αβε} of [X^α, X^β] (module doc), keyed (α, β, ε)
         with α < β."""
-        s2, residual = self._pass.xx_residual
+        s2, residual = self._pass.closure.xx_residual
         return {key: from_int_terms(t, s2) for key, t in residual.items()}
 
     @cached_property
     def failing(self) -> dict:
         """(i, j) ↦ the first nonzero (name, lower, upper, value) that must
         vanish for [l_i, l_j] ∈ l, i < j, by adapted index (module doc)."""
-        return {pair: _divided(comp) for pair, comp in self._pass.failing.items()}
+        return {pair: _divided(comp) for pair, comp in self._pass.closure.failing.items()}
 
     @cached_property
     def mixed(self) -> list:
         """The first nonzero h∧T component (name, lower, upper, value) of
         each δ(H_i) that has one."""
-        return [_divided(comp) for comp in self._mixed]
+        return [_divided(comp) for comp in self._pass.mixed]
 
     @cached_property
     def violations(self) -> list:
@@ -333,7 +341,7 @@ class ClosureReport:
         must vanish (module doc)."""
         out = []
         pairing = self._pass.pairing
-        if pairing or self._pass.failing or self._mixed:
+        if pairing or self._pass.closure.failing or self._pass.mixed:
             B, spec = self._source
             g = B.algebra.labels
             frame = _names(spec.h_basis, g, "H") + _names(spec.complement, g, "T")
@@ -372,48 +380,197 @@ class ClosureReport:
         }
 
 
-@dataclass
-class _AdaptedPass:
-    """What :func:`classify` reads from (C', f', π), summed once over
-    integers, and what the bracket rows of l are summed from on the first
-    read of :attr:`brackets` (module doc)."""
+class _Closure(NamedTuple):
+    """Stage 2 of the adapted pass: what the verdicts of a closing h and
+    the failing components read (module doc)."""
 
-    c_int: tuple        # (d_C, {(a, b, k): terms}): C' in integer form, a < b
-    f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c
-    # the first (α, β), α ≤ β, with <X^α, X^β> = π^{αβ} + π^{βα} nonzero;
-    # None when π is antisymmetric, i.e. l is Lagrangian
-    pairing: tuple | None
-    # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
-    m_int: tuple
+    f_int: tuple        # (d_f, {(b, c, i): terms}): f'_i^{bc} in integer form, b < c, c ≥ n_h
+    pi_rows: list       # π's nonzero entries (β, d_π·π^{αβ}) by row α, at the scale d_π
+    d_pi: int
+    m_int: tuple        # (s1, {(α, β, k): terms}): s1·M^{αβ}_k over ints, by adapted index k
+    r_acc: dict         # s1·R^{αβ}_k keyed (α, β, k), M's own dict when π is antisymmetric
     # (i, j) ↦ the first nonzero (name, lower, upper, terms, scale) that must
     # vanish for [l_i, l_j] ∈ l, i < j, in key order, by adapted index (module
     # doc), its value the terms divided by the scale
     failing: dict
-    # (s2, {(α, β, ε): terms}): s2·Q^{αβε} over ints, nonzero, α < β
-    xx_residual: tuple
-    # what only the bracket rows read: π's nonzero entries (β, d_π·π^{αβ})
-    # by row α, at the scale d_π; s1·R^{αβ}_k keyed (α, β, k), M's own dict
-    # when π is antisymmetric; and the rows of f'_{T(δ)}^{T(α)k} and
-    # C'_{T(γ)T(δ)}^k with an h target k < n_h, as _xx_part reads them
-    n_h: int
-    pi_rows: list
-    d_pi: int
-    r_acc: dict
-    f_tt_h: dict
-    c_tt_h: dict
+    xx_residual: tuple  # (s2, {(α, β, ε): terms}): s2·Q^{αβε} over ints, nonzero, α < β
+
+
+class _AdaptedPass:
+    """What :func:`classify` reads from (C', f', π), summed over integers in
+    three stages, each at most once (module doc).  Stage 1, on construction,
+    builds the adapted basis, C' with T targets and the pairing, and decides
+    whether h closes; stage 2, :attr:`closure`, sums f', M, R, Q and the
+    failing components; stage 3, :attr:`brackets`, adds C''s h targets to
+    ``c_int`` and sums the bracket rows of l."""
+
+    def __init__(self, B: LieBialgebra, spec: LagrangianSpec):
+        (s, a_int), (e, inv_rows) = _adapted(spec, B.dim)
+        self.n_h, self.n_t, self.pi = n_h, n_t, pi = spec.n_h, spec.n_t, spec.pi
+        self.g_star = B.cocomm.int_tensor()
+        # both transforms read A's columns in layers, and A⁻¹ in layers of
+        # its rows: C by (M, W) and g* by (Wᵀ, Mᵀ), whose columns and rows
+        # those are.  C' contracts C's pair once, kept for the h targets, and
+        # then k with W's T columns alone
+        self.m_cols, self.inv = (s, _int_rows(a_int, transpose=True)), (e, inv_rows)
+        d, c = B.algebra.int_tensor()
+        self.c_pair = _contract_pair(_regroup(c), self.m_cols[1])
+        w_t = _int_rows(inv_rows, False, range(n_h, B.dim))
+        # (d_C, {(a, b, k): terms}): C' in integer form, a < b, k ≥ n_h; the
+        # table stage adds k < n_h
+        self.c_int = (d * s * s * e, _regroup(_contract(self.c_pair, w_t)))
+        # the first (α, β), α ≤ β, with <X^α, X^β> = π^{αβ} + π^{βα} nonzero;
+        # None when π is antisymmetric, i.e. l is Lagrangian
+        self.pairing = next(
+            ((a, b) for a in range(n_t) for b in range(a, n_t) if pi[a][b] != -pi[b][a]),
+            None,
+        )
+        # h is a subalgebra iff no C'_ij^{T(γ)}, i < j < n_h, is nonzero
+        self.closes = all(b >= n_h for _, b, _ in self.c_int[1])
+
+    @cached_property
+    def closure(self) -> _Closure:
+        """Stage 2: f' over the pairs (b, c) with c ≥ n_h, the only ones
+        read, then M, R and Q of l's basis {H_i, X^α} and the first nonzero
+        component that must vanish for each bracket to lie in l, summed over
+        integers at the scales s1 and s2 (module doc)."""
+        n_h, n_t, pi = self.n_h, self.n_t, self.pi
+        n = n_h + n_t
+        (s, m_cols), (e, inv_rows) = self.m_cols, self.inv
+        d_c, c = self.c_int
+        d, g_star = self.g_star
+        # f'_i^{bc} by (Wᵀ, Mᵀ), keyed (b, c, i), b < c, for c ≥ n_h alone:
+        # no reader takes the h∧h block
+        w = _int_rows(inv_rows, transpose=False)
+        f = _regroup(_contract(_contract_pair(_regroup(g_star), w, n_h), m_cols))
+        d_f = d * e * e * s
+        keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
+        d_pi, scaled = to_int_terms(pi[a][b] for a, b in keys)
+        pi_nz = [(a, b, v) for (a, b), v in zip(keys, scaled)]
+        pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
+        s1 = d_f * d_pi * d_c  # scale of M, R and the H-part of [H_i, X^α]
+        s2 = s1 * d_pi         # scale of the H-part of [X^α, X^β] and of Q
+        f_mul, c_mul = d_pi * d_c, d_f  # f'·π^j and C'·π^(j+1) to a common scale
+
+        # signed rows of the stored halves: C'_{k T(δ)}^{T(α)} as (k, α, sign,
+        # terms) under δ; f'_{T(δ)}^{T(α)T(ε)} as (ε, sign, terms) under (δ, α)
+        # and C'_{T(γ)T(δ)}^{T(ε)} the same under (γ, δ), for Q
+        c_kt = [[] for _ in range(n_t)]
+        f_tt, c_tt = {}, {}
+        for (a, b, u), t in c.items():
+            if b >= n_h:
+                c_kt[b - n_h].append((a, u - n_h, 1, t))
+            if a >= n_h:
+                c_kt[a - n_h].append((b, u - n_h, -1, t))
+                c_tt.setdefault((a - n_h, b - n_h), []).append((u - n_h, 1, t))
+                c_tt.setdefault((b - n_h, a - n_h), []).append((u - n_h, -1, t))
+        m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
+        for (b, u, i), t in f.items():
+            if b >= n_h:  # f'_i^{bc} starts M^{bc}_i and M^{cb}_i: no other entry has them
+                if i >= n_h:
+                    f_tt.setdefault((i - n_h, b - n_h), []).append((u - n_h, 1, t))
+                    f_tt.setdefault((i - n_h, u - n_h), []).append((b - n_h, -1, t))
+                m_acc[b - n_h, u - n_h, i] = {x: f_mul * v for x, v in t.items()}
+                m_acc[u - n_h, b - n_h, i] = {x: -f_mul * v for x, v in t.items()}
+        # R has M's f' part; it differs from M only for π not antisymmetric
+        pairing = self.pairing
+        r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
+        for p, q, v in pi_nz:  # v = d_π·π^{pq}
+            for k, a, sign, t in c_kt[p]:  # π^{pq} C'_{kT(p)}^{T(α)} in M^{αq}
+                _add_product(m_acc.setdefault((a, q, k), {}), sign * c_mul, v, t)
+            for k, a, sign, t in c_kt[q]:  # π^{pq} C'_{kT(q)}^{T(α)} in M^{pα}
+                x = sign * c_mul
+                _add_product(m_acc.setdefault((p, a, k), {}), x, v, t)
+                if pairing:  # and in R^{pα}, and −π^{pq} C'_{kT(q)}^{T(α)} in R^{αp}
+                    _add_product(r_acc.setdefault((p, a, k), {}), x, v, t)
+                    _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
+
+        failing, residual = {}, {}
+        # each pair's failing component is the first nonzero (name, lower,
+        # upper, terms, scale) in the order below, built once it is found
+        for i in range(n_h):
+            for j in range(i + 1, n_h):  # [H_i, H_j]: C'_ij^k, k in T
+                k = next((k for k in range(n_h, n) if c.get((i, j, k))), None)
+                if k is not None:
+                    failing[i, j] = ("C'", (i, j), (k,), c[i, j, k], d_c)
+            for a in range(n_t):  # [H_i, X^α]: C'_ij^{T(α)}, then M^{α·}_i
+                t_a = n_h + a
+                for j in range(n_h):  # C'_ij^{T(α)} from the stored half
+                    if j == i:
+                        continue
+                    t = c.get((i, j, t_a) if i < j else (j, i, t_a))
+                    if t:
+                        failing[i, t_a] = ("C'", (i, j), (t_a,), t, d_c if i < j else -d_c)
+                        break
+                else:
+                    for e in range(n_t):
+                        t = m_acc.get((a, e, i))
+                        if t:
+                            failing[i, t_a] = ("M", (i,), (t_a, n_h + e), t, s1)
+                            break
+        for a in range(n_t):
+            for b in range(a + 1, n_t):  # [X^α, X^β]: R_j, then Q
+                acc = [{} for _ in range(n_t)]
+                _xx_part(acc, a, b, pi_rows, f_tt, c_tt, f_mul, c_mul)
+                for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
+                    x = r_acc.get((a, b, n_h + g))
+                    if x:
+                        _add_product(acc[e], -1, x, v)
+                for e, t in enumerate(acc):
+                    if t:
+                        residual[(a, b, e)] = t
+                pair = (n_h + a, n_h + b)
+                j = next((j for j in range(n_h) if r_acc.get((a, b, j))), None)
+                if j is not None:
+                    failing[pair] = ("R", (j,), pair, r_acc[a, b, j], s1)
+                    continue
+                e = next((e for e, t in enumerate(acc) if t), None)
+                if e is not None:
+                    failing[pair] = ("Q", (), (*pair, n_h + e), acc[e], s2)
+        return _Closure(
+            (d_f, f), pi_rows, d_pi, (s1, m_acc), r_acc, failing, (s2, residual)
+        )
+
+    @cached_property
+    def mixed(self) -> list:
+        """The first nonzero h∧T component f'_i^{jk}, j < n_h ≤ k, of each
+        δ(H_i) that has one, as (name, lower, upper, terms, scale)."""
+        d_f, f = self.closure.f_int
+        n_h, n = self.n_h, self.n_h + self.n_t
+        mixed = []
+        for i in range(n_h):
+            for j, k in product(range(n_h), range(n_h, n)):
+                if (j, k, i) in f:
+                    mixed.append(("delta", (i,), (j, k), f[j, k, i], d_f))
+                    break
+        return mixed
 
     @cached_property
     def brackets(self) -> dict:
-        """(i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i < j, as
-        [(k, {mono: int}, scale)], coordinate k the terms divided by the
-        scale: summed on first read from what the pass keeps (module doc)."""
+        """Stage 3: (i, j) ↦ the nonzero coordinates of [l_i, l_j] in l, i <
+        j, as [(k, {mono: int}, scale)], coordinate k the terms divided by
+        the scale, summed on first read after stage 2.  C' gains its h
+        targets in ``c_int`` first, and the rows f'_{T(δ)}^{T(α)k} and
+        C'_{T(γ)T(δ)}^k with an h target k < n_h are read from it and f'
+        (module doc)."""
+        closure = self.closure  # stage 2 reads c_int before the h targets join it
         d_c, c = self.c_int
-        d_f, f = self.f_int
-        n_h, pi_rows, d_pi, r_acc = self.n_h, self.pi_rows, self.d_pi, self.r_acc
-        n_t = len(pi_rows)
+        d_f, f = closure.f_int
+        n_h, n_t, pi_rows, r_acc = self.n_h, self.n_t, closure.pi_rows, closure.r_acc
         n = n_h + n_t
-        s1, s2 = self.m_int[0], self.xx_residual[0]
-        f_mul, c_mul = d_pi * d_c, d_f
+        w_h = _int_rows(self.inv[1], False, range(n_h))
+        c_h = _regroup(_contract(self.c_pair, w_h))
+        c.update(c_h)
+        f_tt_h, c_tt_h = {}, {}  # (δ, α) or (γ, δ) ↦ [(k, sign, terms)], k < n_h
+        for (a, b, u), t in c_h.items():
+            if a >= n_h:
+                c_tt_h.setdefault((a - n_h, b - n_h), []).append((u, 1, t))
+                c_tt_h.setdefault((b - n_h, a - n_h), []).append((u, -1, t))
+        for (b, u, i), t in f.items():
+            if i >= n_h > b:
+                f_tt_h.setdefault((i - n_h, u - n_h), []).append((b, -1, t))
+        s1, s2 = closure.m_int[0], closure.xx_residual[0]
+        f_mul, c_mul = closure.d_pi * d_c, d_f
         brackets = {}
         for i in range(n_h):
             for j in range(i + 1, n_h):  # [H_i, H_j]
@@ -441,7 +598,7 @@ class _AdaptedPass:
         for a in range(n_t):
             for b in range(a + 1, n_t):  # [X^α, X^β]: H-coordinates, then R_{T(γ)}
                 acc = [{} for _ in range(n_h)]
-                _xx_part(acc, a, b, pi_rows, self.f_tt_h, self.c_tt_h, f_mul, c_mul)
+                _xx_part(acc, a, b, pi_rows, f_tt_h, c_tt_h, f_mul, c_mul)
                 brackets[(n_h + a, n_h + b)] = [
                     (k, t, s2) for k, t in enumerate(acc) if t
                 ] + [
@@ -472,123 +629,6 @@ def _xx_part(acc: list, a: int, b: int, pi_rows, f_tt, c_tt, f_mul, c_mul) -> No
                     _add_product(acc[k], sign * c_mul, vu, t)
 
 
-def _adapted_pass(B: LieBialgebra, spec: LagrangianSpec) -> _AdaptedPass:
-    """The first nonzero pairing from π, and C', f', M, R and Q of l's
-    basis {H_i, X^α} from the adapted-basis tensors, with the first nonzero
-    component that must vanish for each bracket to lie in l, summed over
-    integers at the scales s1 and s2 (module doc).  The bracket rows wait for :attr:`_AdaptedPass.brackets`."""
-    n = B.dim
-    (s, a_int), (e, inv_rows) = _adapted(spec, n)
-    # both transforms read one layered form of A's columns and of A⁻¹: C by
-    # (M, W) and g* by (Wᵀ, Mᵀ), whose columns and rows those are
-    m_cols = (s, _int_rows(a_int, transpose=True))
-    w = (e, _int_rows(inv_rows, transpose=False))
-    d_c, c = c_int = _structure_int(B.algebra.int_tensor(), m_cols, w)
-    d_f, f = f_int = _structure_int(B.cocomm.int_tensor(), w, m_cols)
-    n_h, n_t = spec.n_h, spec.n_t
-    pi = spec.pi
-    pairing = next(
-        ((a, b) for a in range(n_t) for b in range(a, n_t) if pi[a][b] != -pi[b][a]),
-        None,
-    )
-    keys = [(a, b) for a in range(n_t) for b in range(n_t) if pi[a][b].terms]
-    d_pi, scaled = to_int_terms(pi[a][b] for a, b in keys)
-    pi_nz = [(a, b, v) for (a, b), v in zip(keys, scaled)]
-    pi_rows = [[(b, v) for a2, b, v in pi_nz if a2 == a] for a in range(n_t)]
-    s1 = d_f * d_pi * d_c  # scale of M, R and the H-part of [H_i, X^α]
-    s2 = s1 * d_pi         # scale of the H-part of [X^α, X^β] and of Q
-    f_mul, c_mul = d_pi * d_c, d_f  # f'·π^j and C'·π^(j+1) to a common scale
-
-    # signed rows of the stored halves: C'_{k T(δ)}^{T(α)} as (k, α, sign,
-    # terms) under δ; f'_{T(δ)}^{T(α)k} as (k, sign, terms) under (δ, α) and
-    # C'_{T(γ)T(δ)}^k the same under (γ, δ), each split by its target k into
-    # T rows, keyed ε = k − n_h, for Q, and h rows, k < n_h, for the brackets
-    c_kt = [[] for _ in range(n_t)]
-    f_tt, c_tt = ({}, {}), ({}, {})  # (T rows, h rows)
-
-    def put(rows, key, k, sign, t):
-        side, k = (0, k - n_h) if k >= n_h else (1, k)
-        rows[side].setdefault(key, []).append((k, sign, t))
-
-    for (a, b, u), t in c.items():
-        if u >= n_h:
-            if b >= n_h:
-                c_kt[b - n_h].append((a, u - n_h, 1, t))
-            if a >= n_h:
-                c_kt[a - n_h].append((b, u - n_h, -1, t))
-        if a >= n_h:
-            put(c_tt, (a - n_h, b - n_h), u, 1, t)
-            put(c_tt, (b - n_h, a - n_h), u, -1, t)
-    m_acc: dict = {}  # s1·M^{αβ}_k, keyed (α, β, k)
-    for (b, u, i), t in f.items():
-        if i >= n_h:
-            if b >= n_h:
-                put(f_tt, (i - n_h, b - n_h), u, 1, t)
-            if u >= n_h:
-                put(f_tt, (i - n_h, u - n_h), b, -1, t)
-        if b >= n_h:  # f'_i^{bc} starts M^{bc}_i and M^{cb}_i: no other entry has them
-            m_acc[b - n_h, u - n_h, i] = {x: f_mul * v for x, v in t.items()}
-            m_acc[u - n_h, b - n_h, i] = {x: -f_mul * v for x, v in t.items()}
-    # R has M's f' part; it differs from M only for π not antisymmetric
-    r_acc = {key: dict(t) for key, t in m_acc.items()} if pairing else m_acc
-    for p, q, v in pi_nz:  # v = d_π·π^{pq}
-        for k, a, sign, t in c_kt[p]:  # π^{pq} C'_{kT(p)}^{T(α)} in M^{αq}
-            _add_product(m_acc.setdefault((a, q, k), {}), sign * c_mul, v, t)
-        for k, a, sign, t in c_kt[q]:  # π^{pq} C'_{kT(q)}^{T(α)} in M^{pα}
-            x = sign * c_mul
-            _add_product(m_acc.setdefault((p, a, k), {}), x, v, t)
-            if pairing:  # and in R^{pα}, and −π^{pq} C'_{kT(q)}^{T(α)} in R^{αp}
-                _add_product(r_acc.setdefault((p, a, k), {}), x, v, t)
-                _add_product(r_acc.setdefault((a, p, k), {}), -x, v, t)
-
-    failing, residual = {}, {}
-    # each pair's failing component is the first nonzero (name, lower,
-    # upper, terms, scale) in the order below, built once it is found
-    for i in range(n_h):
-        for j in range(i + 1, n_h):  # [H_i, H_j]: C'_ij^k, k in T
-            k = next((k for k in range(n_h, n) if c.get((i, j, k))), None)
-            if k is not None:
-                failing[i, j] = ("C'", (i, j), (k,), c[i, j, k], d_c)
-        for a in range(n_t):  # [H_i, X^α]: C'_ij^{T(α)}, then M^{α·}_i
-            t_a = n_h + a
-            for j in range(n_h):  # C'_ij^{T(α)} from the stored half
-                if j == i:
-                    continue
-                t = c.get((i, j, t_a) if i < j else (j, i, t_a))
-                if t:
-                    failing[i, t_a] = ("C'", (i, j), (t_a,), t, d_c if i < j else -d_c)
-                    break
-            else:
-                for e in range(n_t):
-                    t = m_acc.get((a, e, i))
-                    if t:
-                        failing[i, t_a] = ("M", (i,), (t_a, n_h + e), t, s1)
-                        break
-    for a in range(n_t):
-        for b in range(a + 1, n_t):  # [X^α, X^β]: R_j, then Q
-            acc = [{} for _ in range(n_t)]
-            _xx_part(acc, a, b, pi_rows, f_tt[0], c_tt[0], f_mul, c_mul)
-            for g, e, v in pi_nz:  # − R_{T(γ)} π^{γε}
-                x = r_acc.get((a, b, n_h + g))
-                if x:
-                    _add_product(acc[e], -1, x, v)
-            for e, t in enumerate(acc):
-                if t:
-                    residual[(a, b, e)] = t
-            pair = (n_h + a, n_h + b)
-            j = next((j for j in range(n_h) if r_acc.get((a, b, j))), None)
-            if j is not None:
-                failing[pair] = ("R", (j,), pair, r_acc[a, b, j], s1)
-                continue
-            e = next((e for e, t in enumerate(acc) if t), None)
-            if e is not None:
-                failing[pair] = ("Q", (), (*pair, n_h + e), acc[e], s2)
-    return _AdaptedPass(
-        c_int, f_int, pairing, (s1, m_acc), failing, (s2, residual),
-        n_h, pi_rows, d_pi, r_acc, f_tt[1], c_tt[1],
-    )
-
-
 def _table(B: LieBialgebra, spec: LagrangianSpec, brackets: dict) -> LieAlgebra:
     """The induced Lie algebra on l's basis, labelled by :func:`_labels`,
     from the integer bracket rows [l_i, l_j], i < j, of the adapted pass."""
@@ -606,9 +646,11 @@ def classify(
     D: DoubleAlgebra, B: LieBialgebra, spec: LagrangianSpec
 ) -> ClosureReport:
     """Evaluate the Lagrangian / subalgebra / coisotropy / Poisson-subgroup
-    conditions for l built from (h, complement, π) from one pass over the
-    adapted-basis tensors, and the induced bracket table, when l is a
-    subalgebra, on its first read (module doc).
+    conditions for l built from (h, complement, π) from one staged pass
+    over the adapted-basis tensors, and the induced bracket table, when l
+    is a subalgebra, on its first read (module doc).  When h does not
+    close, stage 1 alone decides: l is no subalgebra, and ``lagrangian``
+    comes from π.
 
     l is coisotropic when it is a Lagrangian subalgebra at π = 0, and h is
     then the algebra of a Poisson subgroup when δ(h) also has no h∧T part
@@ -616,17 +658,9 @@ def classify(
     π = 0 it is M^{αβ}_i, which coisotropy already forces to zero."""
     if B.dim != D.n:
         raise ShapeError("bialgebra does not match the double")
-    p = _adapted_pass(B, spec)
-    n_h, n = spec.n_h, D.n
+    p = _AdaptedPass(B, spec)
     lagrangian = p.pairing is None
-    d_f, f = p.f_int
-    mixed = []
-    for i in range(n_h):  # the h∧T block of δ(H_i), stored as j < k
-        for j, k in product(range(n_h), range(n_h, n)):
-            if (j, k, i) in f:
-                mixed.append(("delta", (i,), (j, k), f[j, k, i], d_f))
-                break
-    subalg = not p.failing
+    subalg = p.closes and not p.closure.failing
     coisotropic = (
         lagrangian and subalg and not any(v.terms for row in spec.pi for v in row)
     )
@@ -634,9 +668,8 @@ def classify(
         lagrangian=lagrangian,
         subalgebra=subalg,
         coisotropic=coisotropic,
-        poisson_subgroup=coisotropic and not mixed,
+        poisson_subgroup=coisotropic and not p.mixed,
         _pass=p,
-        _mixed=mixed,
         _source=(B, spec),
     )
 

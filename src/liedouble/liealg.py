@@ -36,9 +36,11 @@ path (:func:`_structure_int`), which returns the transformed tensor in the
 zero-free integer form, one entry per antisymmetric pair.  When g moves by
 (M, W), g* moves by (Wᵀ, Mᵀ), so f' is the same path with the two matrices
 swapped (:func:`transform_cocomm`).  The adapted pass of
-:mod:`liedouble.homogeneous` feeds the path the cached tensors below and
-the layers of the adapted basis, cleared once, and of its inverse from the
-integer Bareiss kernel, and reads its output as it is.
+:mod:`liedouble.homogeneous` runs the path's two contractions on the cached
+tensors below and the layers of the adapted basis, cleared once, and of
+its inverse from the integer Bareiss kernel, and sums only the output
+pairs (:func:`_contract_pair`) and target columns (:func:`_int_rows`) it
+reads.
 
 An algebra is its sparse view, the stored C_ij^k as (i, j, k, coef) in
 index order (:meth:`LieAlgebra.nonzero`); equality compares that view.  It
@@ -408,15 +410,15 @@ class BasisChange:
             self.inverse = invert(self.m)  # raises SingularMatrix
 
 
-def _int_rows(rows: list, transpose: bool) -> dict:
+def _int_rows(rows: list, transpose: bool, cols: range | None = None) -> dict:
     """The nonzero entries of a dense matrix of integer terms dicts as
     layers, one per monomial: ``{mono: {x: [(y, int)]}}`` over row x (over
     column x with ``transpose``), so entry (x, y) is the sum of its layers'
-    ints times their monomials."""
+    ints times their monomials; only the matrix's columns ``cols`` if given."""
     out: dict = {}
     for x, row in enumerate(rows):
-        for y, terms in enumerate(row):
-            for mono, v in terms.items():
+        for y in range(len(row)) if cols is None else cols:
+            for mono, v in row[y].items():
                 layer = out.setdefault(mono, {})
                 if transpose:
                     layer.setdefault(y, []).append((x, v))
@@ -469,13 +471,13 @@ def _contract(tensor: dict, rows: dict) -> dict:
     return out
 
 
-def _minors(rows: dict, pairs) -> dict:
+def _minors(rows: dict, pairs, low: int = 0) -> dict:
     """The nonzero 2×2 minors rows[x][a]·rows[y][b] − rows[y][a]·rows[x][b],
-    a < b, of the pairs of rows (x, y) in ``pairs`` of a matrix in the
-    layered form of :func:`_int_rows`, as layers ``{mono: {(x, y): [((a, b),
-    int)]}}``.  Each product of two nonzero entries is a term of one minor:
-    added at (a, b) when a < b, subtracted at (b, a) when a > b.  A minor
-    that cancels is in no layer."""
+    a < b, low ≤ b, of the pairs of rows (x, y) in ``pairs`` of a matrix in
+    the layered form of :func:`_int_rows`, as layers ``{mono: {(x, y): [((a,
+    b), int)]}}``.  Each product of two nonzero entries is a term of one
+    minor: added at (a, b) when a < b, subtracted at (b, a) when a > b.  A
+    minor that cancels is in no layer."""
     acc: dict = {}
     for m1, l1 in rows.items():
         for m2, l2 in rows.items():
@@ -487,8 +489,9 @@ def _minors(rows: dict, pairs) -> dict:
                     for a, c1 in xs:
                         for b, c2 in ys:
                             if a < b:
-                                lam[a, b] = lam.get((a, b), 0) + c1 * c2
-                            elif a > b:
+                                if b >= low:
+                                    lam[a, b] = lam.get((a, b), 0) + c1 * c2
+                            elif a > b and a >= low:
                                 lam[b, a] = lam.get((b, a), 0) - c1 * c2
     out: dict = {}
     for mono, layer in acc.items():
@@ -499,14 +502,14 @@ def _minors(rows: dict, pairs) -> dict:
     return out
 
 
-def _contract_pair(tensor: dict, rows: dict) -> dict:
+def _contract_pair(tensor: dict, rows: dict, low: int = 0) -> dict:
     """Contract the lower pair (x, y) of an integer 3-tensor keyed (x, y,
     k), antisymmetric in it and stored with x < y, with a matrix, both as
     layers: out[a, b, k] = Σ_{x<y} tensor[x, y, k] · (rows[x][a]·rows[y][b]
-    − rows[y][a]·rows[x][b]) for a < b, over Python ints, as
+    − rows[y][a]·rows[x][b]) for a < b, low ≤ b, over Python ints, as
     :func:`_contract` sums.  The minors (:func:`_minors`) are built once for
     the pairs (x, y) that occur."""
-    minors = _minors(rows, {key[:2] for t in tensor.values() for key in t})
+    minors = _minors(rows, {key[:2] for t in tensor.values() for key in t}, low)
     out: dict = {}
     for m1, t1 in tensor.items():
         for m2, lams in minors.items():

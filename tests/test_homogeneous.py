@@ -1,7 +1,7 @@
 import collections
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 from fractions import Fraction as Q
 
 import numpy as np
@@ -39,11 +39,10 @@ from liedouble.homogeneous import (
 from liedouble.liealg import _int_matrix, _int_rows, bracket
 from test_charts import expm
 from test_liealg import (
-    dense_of_half,
+    assert_adapted_pass_transforms,
     dense_of_layers,
     full_transform_cocomm,
     full_transform_structure,
-    star,
 )
 
 P = PolyExpr.parse
@@ -740,17 +739,17 @@ def parametric_so22_specs(draw):
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(parametric_so22_specs())
 def test_adapted_pass_on_parametric_bases(case):
-    """C' and f' of the adapted pass equal the full-plane contraction, and
-    classify's verdicts and table the reference route, on adapted bases
-    whose M and W have several monomial layers and Laurent entries."""
+    """C' of the adapted pass equals the full-plane contraction after the
+    table stage, and f' on the pairs with an index in T, and classify's
+    verdicts and table the reference route, on adapted bases whose M and W
+    have several monomial layers and Laurent entries."""
     B, h, complement, pi = case
     a = h + complement
     w = exactlinalg.invert(a)
-    p = homogeneous._adapted_pass(B, LagrangianSpec(h, complement, pi))
+    p = homogeneous._AdaptedPass(B, LagrangianSpec(h, complement, pi))
     c_full = full_transform_structure(dense_c(B.algebra), a, w)
-    assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
     f_full = full_transform_cocomm(dense_f(B.cocomm), a, w)
-    assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)  # keyed (b, c, i)
+    assert_adapted_pass_transforms(p, c_full, f_full, B.dim)
     check_against_double(B, h, pi, complement)
 
 
@@ -1278,12 +1277,14 @@ def test_a_second_read_returns_the_same_object(name):
 
 
 def test_classify_sums_the_bracket_rows_on_the_first_read_of_table(monkeypatch):
-    # every report value but table reads only what classify summed; the
-    # first read of table sums the H-coordinates of the bracket rows, and
-    # adds no kernel call only where they hold no sum: on a non-closing l,
-    # at h = 0, and on a Poisson subgroup at π = 0, where f'_i^{jT(α)} and π
-    # vanish.  The closing l of sl2-hyp at h = 0 and π^{22} = eta is not
-    # Lagrangian, and the X-coordinates R of its [X^α, X^β] differ from M.
+    # no report value but table sums the bracket rows: after every other
+    # value is read, brackets is not in the pass's __dict__, and a second
+    # read of any value adds no kernel call.  The first read of table sums
+    # the H-coordinates of the bracket rows, and adds no kernel call only
+    # where they hold no sum: on a non-closing l, at h = 0, and on a Poisson
+    # subgroup at π = 0, where f'_i^{jT(α)} and π vanish.  The closing l of
+    # sl2-hyp at h = 0 and π^{22} = eta is not Lagrangian, and the
+    # X-coordinates R of its [X^α, X^β] differ from M.
     calls = []
     real = homogeneous._add_product
 
@@ -1300,14 +1301,16 @@ def test_classify_sums_the_bracket_rows_on_the_first_read_of_table(monkeypatch):
     cases += cost_guard_cases() + [(build_double(hyp), hyp, diagonal)]
     monkeypatch.setattr(homogeneous, "_add_product", counted)
     summed = 0  # specs whose first table read sums
+    others = [name for name in REPORT_VALUES if name != "table"]
     for D, B, spec in cases:
         rep = classify(D, B, spec)
-        before = len(calls)
-        for name in REPORT_VALUES:
-            if name != "table":
+        for _ in range(2):
+            before = len(calls)
+            for name in others:
                 getattr(rep, name)
-        rep.to_json()
+            rep.to_json()
         assert len(calls) == before
+        assert "brackets" not in vars(rep._pass)
         table = rep.table
         added = len(calls) > before
         assert added == (rep.subalgebra and spec.n_h > 0 and not rep.poisson_subgroup)
@@ -1316,9 +1319,83 @@ def test_classify_sums_the_bracket_rows_on_the_first_read_of_table(monkeypatch):
             assert table == lagrangian_bracket_table(D, spec)
         else:
             assert table is None
+        before = len(calls)
+        for name in REPORT_VALUES:
+            getattr(rep, name)
+        rep.to_json()
+        assert len(calls) == before
     assert summed == 4
     rep = check_against_double(hyp, [], pi)
     assert rep.subalgebra and not rep.lagrangian
+
+
+def test_classify_of_a_non_closing_h_builds_no_f_prime(monkeypatch):
+    # when [h, h] ⊄ h, C' with T targets decides every verdict: classify
+    # contracts C's pair alone, and f' waits for the first value that reads
+    # it, over the pairs (b, c) with c ≥ n_h; a closing h builds it at once
+    lows = []
+    real = homogeneous._contract_pair
+    monkeypatch.setattr(homogeneous, "_contract_pair",
+                        lambda t, rows, low=0: lows.append(low) or real(t, rows, low))
+    cases = [(build_double(B), B, spec) for B, spec, _ in first_read_cases()]
+    non_closing = 0
+    for D, B, spec in cases + cost_guard_cases():
+        h = spec.h_basis
+        closes = all(rank(h + [bracket(B.algebra, u, v)]) == len(h)
+                     for u, v in combinations(h, 2))
+        lows.clear()
+        rep = classify(D, B, spec)
+        assert lows == ([0, spec.n_h] if closes else [0])
+        if not closes:
+            non_closing += 1
+            assert not (rep.subalgebra or rep.coisotropic or rep.poisson_subgroup)
+            assert rep.lagrangian == all(
+                spec.pi[a][b] == -spec.pi[b][a] for a, b in product(range(spec.n_t), repeat=2)
+            )
+        rep.to_json()
+        assert lows == [0, spec.n_h]
+    assert non_closing == 5
+
+
+READ_ORDER = ("to_json", "violations", "m", "xx_residual", "failing", "mixed", "table")
+
+
+def report_values(rep, order) -> dict:
+    """The report's values read in ``order``, each dict as its item list."""
+    out = {}
+    for name in order:
+        value = rep.to_json() if name == "to_json" else getattr(rep, name)
+        out[name] = list(value.items()) if isinstance(value, dict) else value
+    return out
+
+
+def test_report_values_do_not_depend_on_the_read_order():
+    # each stage runs once, on the first read that needs it, whatever it is
+    cases = [(build_double(B), B, spec) for B, spec, _ in first_read_cases()]
+    for D, B, spec in cases + cost_guard_cases():
+        forward = report_values(classify(D, B, spec), READ_ORDER)
+        backward = report_values(classify(D, B, spec), READ_ORDER[::-1])
+        assert forward == backward
+
+
+def test_sweep_digest_prints_one_line_per_run(capsys):
+    # tools/sweep_digest.py, run in-process on one seed: the 64 sweep specs
+    # and a sha1 that a second run repeats
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "sweep_digest.py"
+    spec = importlib.util.spec_from_file_location("sweep_digest", path)
+    sweep_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_digest)
+    lines = []
+    for _ in range(2):
+        assert sweep_digest.main(["7"]) == 0
+        lines += capsys.readouterr().out.splitlines()
+    first, second = map(json.loads, lines)
+    assert first == second and first["specs"] == 64
+    assert re.fullmatch("[0-9a-f]{40}", first["sha1"])
 
 
 def test_classify_leaves_the_input_terms_as_they_are():

@@ -22,7 +22,7 @@ from liedouble.bialgebra import to_json as bialgebra_to_json
 from liedouble.double import build_double, double_of_double
 from liedouble.exactalg import PolyExpr, from_int_terms, poly_div_exact
 from liedouble.exactlinalg import _cleared, invert, mat, rank
-from liedouble.homogeneous import LagrangianSpec, _adapted, _adapted_pass, classify
+from liedouble.homogeneous import LagrangianSpec, _adapted, _AdaptedPass, classify
 from liedouble.liealg import (
     BasisChange,
     LieAlgebra,
@@ -657,6 +657,21 @@ def dense_of_half(form, pair, n):
     return t
 
 
+def assert_adapted_pass_transforms(p, c_full, f_full, n):
+    """After the table stage of the adapted pass ``p``, its C' (T and h
+    targets) equals the full contraction ``c_full``, and its f', keyed (b,
+    c, i), b < c, holds exactly the nonzero entries of ``f_full`` on the
+    pairs with an index in T, c ≥ n_h, and equals it there."""
+    p.brackets
+    assert dense_of_half(p.c_int, (0, 1), n) == c_full
+    f_star, f_int = star(f_full), p.closure.f_int
+    read = [(b, c, i) for b in range(n) for c in range(n) for i in range(n)
+            if max(b, c) >= p.n_h]
+    assert set(f_int[1]) == {(b, c, i) for b, c, i in read if b < c and f_star[b][c][i]}
+    f_dense = dense_of_half(f_int, (0, 1), n)
+    assert all(f_dense[b][c][i] == f_star[b][c][i] for b, c, i in read)
+
+
 @st.composite
 def so22_adapted_specs(draw):
     """so22-r1 or so22-twisted and an adapted basis of the sweep's shape:
@@ -682,16 +697,14 @@ def test_adapted_pass_transforms_match_dense_contraction(case):
     tensors and A⁻¹ straight from the integer Bareiss kernel, and keeps C'
     and f' in integer form, one entry per antisymmetric pair; the public
     wrappers take the dense tensors and matrices.  Both equal the dense
-    contraction."""
+    contraction, the pass's f' on the pairs it sums."""
     B, spec = case
     a = spec.h_basis + spec.complement
     w = invert(a)
     c_in, f_in = dense_c(B.algebra), dense_f(B.cocomm)
     c_full = full_transform_structure(c_in, a, w)
     f_full = full_transform_cocomm(f_in, a, w)
-    p = _adapted_pass(B, spec)
-    assert dense_of_half(p.c_int, (0, 1), B.dim) == c_full
-    assert dense_of_half(p.f_int, (0, 1), B.dim) == star(f_full)
+    assert_adapted_pass_transforms(_AdaptedPass(B, spec), c_full, f_full, B.dim)
     assert transform_structure(c_in, a, w) == c_full
     assert transform_cocomm(f_in, a, w) == f_full
 
